@@ -66,7 +66,6 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "max concurrent experiments (0 = GOMAXPROCS, 1 = serial)")
 	withMetrics := fs.Bool("metrics", false, "also print attached telemetry snapshots as per-metric tables")
 	shards := fs.Int("shards", 1, "worker lanes for the sharded scale experiment (output is byte-identical at any value)")
-	optimistic := fs.Bool("optimistic", false, "run the sharded scale experiment on the optimistic executor (output is byte-identical to conservative)")
 	cc := fs.String("cc", "reno", "TCP congestion control for transport-bearing experiments: reno or cubic (named-variant rows in the tcp experiment keep their own algorithms)")
 	timeline := fs.String("timeline", "", "export per-run telemetry time series as tagged JSON files next to this path (chaos, syncstorm, tcp)")
 	timelineInterval := fs.Duration("timeline-interval", experiments.TimelineInterval, "simulated-time sampling interval for -timeline and the SLO columns")
@@ -82,7 +81,6 @@ func run(args []string) error {
 	}
 	experiments.ScaleWorkers = *shards
 	experiments.SyncStormWorkers = *shards
-	experiments.ScaleOptimistic = *optimistic
 	if *timelineInterval <= 0 {
 		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
 	}

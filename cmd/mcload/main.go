@@ -8,7 +8,7 @@
 //	       [-users N] [-duration 2m] [-think 2s] [-seed N]
 //	       [-trace out.json] [-trace-sample N]
 //	       [-scale] [-gateways G] [-cells C] [-stations S] [-remote M]
-//	       [-shards N] [-optimistic] [-metrics]
+//	       [-shards N] [-metrics]
 //	       [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
 //	       [-engine-timeline out.json]
 //	       [-cpuprofile f] [-memprofile f] [-mutexprofile f]
@@ -27,10 +27,8 @@
 // count; the report, -metrics dump and -trace export are byte-identical
 // at any value (wall-clock goes to stderr, never stdout). -remote M
 // sends M per mille of every cell's stations to the next cluster's host,
-// keeping the cross-shard backbone loaded. -optimistic switches the
-// executor to speculative windows with checkpoint/rollback; results stay
-// byte-identical to the conservative run. Engine internals (window,
-// synchronization, steal and rollback counters) go to stderr.
+// keeping the cross-shard backbone loaded. Engine internals (window,
+// synchronization and steal counters) go to stderr.
 //
 // With -sync, mcload runs the replicated data tier storm instead:
 // -gateways clusters each carry a primary plus -replicas replica members
@@ -52,7 +50,7 @@
 // (full-fidelity, -scale or -sync); any other value is a built-in set
 // name or a JSON rule file. With -scale, -engine-timeline FILE
 // additionally samples the executor's per-shard scheduling counters
-// (windows, barrier waits, steals, rollbacks, stragglers) — a
+// (windows, barrier waits, steals) — a
 // diagnostic that, unlike everything else, legitimately varies with
 // worker count.
 package main
@@ -112,7 +110,6 @@ func run(args []string, w io.Writer) error {
 	remote := fs.Int("remote", 200, "with -scale, per mille of each cell's stations that target the next cluster's host")
 	cc := fs.String("cc", "reno", "TCP congestion control on every full-fidelity endpoint: reno or cubic (output is byte-identical per seed for either; -scale and -sync tiers carry no TCP)")
 	shards := fs.Int("shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
-	optimistic := fs.Bool("optimistic", false, "with -scale, use the optimistic executor (speculative windows with checkpoint/rollback; output is byte-identical to conservative)")
 	withMetrics := fs.Bool("metrics", false, "with -scale, dump the merged telemetry registry after the run")
 	timelineFile := fs.String("timeline", "", "sample every metric on the simulation clock and write the time-series JSON here")
 	timelineInterval := fs.Duration("timeline-interval", 100*time.Millisecond, "simulated-time sampling interval for -timeline and -slo")
@@ -164,7 +161,7 @@ func run(args []string, w io.Writer) error {
 	if *scale {
 		return runScale(scaleOpts{
 			seed: *seed, gateways: *gateways, cells: *cells, stations: *stations,
-			remote: *remote, shards: *shards, optimistic: *optimistic,
+			remote: *remote, shards: *shards,
 			think: *think, duration: *duration,
 			metrics: *withMetrics, traceFile: *traceFile, traceSample: *traceSample,
 			obs: obsCfg,
@@ -332,7 +329,6 @@ type scaleOpts struct {
 	seed                      int64
 	gateways, cells, stations int
 	remote, shards            int
-	optimistic                bool
 	think, duration           time.Duration
 	metrics                   bool
 	traceFile                 string
@@ -354,7 +350,6 @@ func runScale(o scaleOpts, w io.Writer) error {
 		ThinkMean:       o.think,
 		Duration:        o.duration,
 		Workers:         o.shards,
-		Optimistic:      o.optimistic,
 	})
 	if err != nil {
 		return err

@@ -7,7 +7,7 @@
 //	mcsim [-bearer wlan|cellular] [-wlan 802.11b|802.11a|802.11g|hiperlan2|bluetooth]
 //	      [-cell gprs|edge|gsm|cdma|cdma2000|wcdma] [-middleware wap|imode]
 //	      [-clients N] [-rounds N] [-seed N] [-replicas R] [-parallel N] [-faults]
-//	      [-metrics] [-metrics-format text|csv|openmetrics] [-shards N] [-optimistic]
+//	      [-metrics] [-metrics-format text|csv|openmetrics] [-shards N]
 //	      [-db-replicas N]
 //	      [-trace out.json] [-trace-sample N]
 //	      [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
@@ -118,7 +118,6 @@ type scenario struct {
 	rounds      int
 	dbReplicas  int
 	shards      int
-	optimistic  bool
 	cc          string
 	faults      bool
 	metrics     bool
@@ -150,7 +149,6 @@ func run(args []string) error {
 	sloSpec := fs.String("slo", "", "evaluate SLO rules over the sampled timeline: a built-in set name (default) or a JSON rule file")
 	dbReplicas := fs.Int("db-replicas", 0, "attach a replicated data tier with this many replicas beside the primary (0 = no data tier)")
 	shards := fs.Int("shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
-	optimistic := fs.Bool("optimistic", false, "use the optimistic executor (a one-shard world never speculates, so output is identical; the flag mirrors mcload)")
 	cc := fs.String("cc", "reno", "TCP congestion control on every endpoint: reno or cubic (output is byte-identical per seed for either)")
 	profiles := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -196,7 +194,6 @@ func run(args []string) error {
 	sc := scenario{
 		middleware: *middleware, clients: *clients, rounds: *rounds, shards: *shards,
 		dbReplicas: *dbReplicas,
-		optimistic: *optimistic,
 		cc:         ccName,
 		traceFile:  *traceFile, traceSample: *traceSample, packetTrace: *packetTrace,
 		faults:  *withFaults,
@@ -267,7 +264,6 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 	// so sc.shards only sets how many worker lanes the window loop may
 	// use — the results cannot depend on it.
 	world := simnet.WrapNetwork(mc.Net)
-	world.SetOptimistic(sc.optimistic)
 	var tl *obs.Timeline
 	if sc.timeline != "" || sc.slo != "" {
 		tl = obs.NewTimeline(sc.timelineInt)

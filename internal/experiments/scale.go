@@ -24,11 +24,6 @@ import (
 // sets it).
 var ScaleWorkers = 1
 
-// ScaleOptimistic switches the registry's "scale" experiment to the
-// optimistic executor (mcbench -optimistic sets it). Output is
-// byte-identical either way; only the synchronization strategy changes.
-var ScaleOptimistic = false
-
 // Link profiles of the scale topology. The uplink delay sits below the
 // planner's contraction floor on purpose; the backbone delay is the
 // conservative window.
@@ -54,10 +49,6 @@ type ScaleConfig struct {
 	Workers        int           // worker lanes for Run (default 1)
 	ReqBytes       int           // default 256
 	RespBytes      int           // default 1024
-	// Optimistic selects the speculative executor (checkpoint, run wide
-	// windows, roll back on stragglers). The scale world is fully
-	// checkpoint-covered, so results are byte-identical to conservative.
-	Optimistic bool
 }
 
 func (c *ScaleConfig) defaults() {
@@ -142,7 +133,6 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	}
 
 	w := simnet.NewSharded(cfg.Seed, plan.NumShards)
-	w.SetOptimistic(cfg.Optimistic)
 	sw := &ScaleWorld{Cfg: cfg, World: w, Plan: plan}
 
 	// Nodes, in deterministic global order, each on its planned shard.
@@ -338,7 +328,6 @@ func Scale(seed int64) *Result {
 		ThinkMean:       500 * time.Millisecond,
 		Duration:        10 * time.Second,
 		Workers:         ScaleWorkers,
-		Optimistic:      ScaleOptimistic,
 	}
 	r := newResult("scale", "sharded scale: virtual-station flows across gateway clusters",
 		"cluster", "stations", "ops", "timeouts", "served")

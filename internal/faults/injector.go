@@ -83,17 +83,6 @@ func NewInjector(net *simnet.Network) *Injector {
 	sc.AliasCounter("heals", &in.stats.Heals)
 	sc.AliasCounter("sync_crash_arms", &in.stats.SyncCrashArms)
 	sc.AliasCounter("sync_crashes", &in.stats.SyncCrashes)
-	// The log and event feed are append-only, so a speculative window's
-	// entries roll back by truncation. Stats are alias counters and ride
-	// the registry checkpoint.
-	type injCheckpoint struct{ logLen, evLen int }
-	net.OnCheckpoint(
-		func() any { return injCheckpoint{logLen: len(in.log), evLen: len(in.events)} },
-		func(v any) {
-			c := v.(injCheckpoint)
-			in.log = in.log[:c.logLen]
-			in.events = in.events[:c.evLen]
-		})
 	return in
 }
 

@@ -563,78 +563,6 @@ func (s Scope) HistogramBuckets(name string, bounds []time.Duration) Histogram {
 	return s.r.HistogramBuckets(s.full(name), bounds)
 }
 
-// registryCheckpoint is a value snapshot of every registered metric's
-// storage, in entry order. Because components alias their own counter
-// fields into the registry (AliasCounter), restoring writes back through
-// the alias pointers and rewinds those component fields too.
-type registryCheckpoint struct {
-	n        int
-	counters []uint64
-	gauges   []int64
-	hists    []histCheckpoint
-}
-
-type histCheckpoint struct {
-	counts   []uint64
-	count    uint64
-	sum      time.Duration
-	min, max time.Duration
-}
-
-// Checkpoint captures the value of every registered metric. The returned
-// snapshot is opaque; hand it back to Restore. GaugeFunc entries are
-// skipped — they recompute from their component's state, which the caller
-// checkpoints separately. Metrics registered after the checkpoint keep
-// their values across a Restore (registration is expected to happen at
-// construction, before any checkpoint).
-func (r *Registry) Checkpoint() any {
-	if r == nil {
-		return (*registryCheckpoint)(nil)
-	}
-	c := &registryCheckpoint{n: len(r.entries)}
-	for i := range r.entries {
-		e := &r.entries[i]
-		switch {
-		case e.c != nil:
-			c.counters = append(c.counters, *e.c)
-		case e.g != nil:
-			c.gauges = append(c.gauges, *e.g)
-		case e.h != nil:
-			c.hists = append(c.hists, histCheckpoint{
-				counts: append([]uint64(nil), e.h.counts...),
-				count:  e.h.count, sum: e.h.sum, min: e.h.min, max: e.h.max,
-			})
-		}
-	}
-	return c
-}
-
-// Restore rewinds every metric captured by Checkpoint to its saved value,
-// writing through alias pointers into component-owned fields.
-func (r *Registry) Restore(snap any) {
-	c, ok := snap.(*registryCheckpoint)
-	if r == nil || !ok || c == nil {
-		return
-	}
-	ci, gi, hi := 0, 0, 0
-	for i := 0; i < c.n && i < len(r.entries); i++ {
-		e := &r.entries[i]
-		switch {
-		case e.c != nil:
-			*e.c = c.counters[ci]
-			ci++
-		case e.g != nil:
-			*e.g = c.gauges[gi]
-			gi++
-		case e.h != nil:
-			h := &c.hists[hi]
-			copy(e.h.counts, h.counts)
-			e.h.count, e.h.sum, e.h.min, e.h.max = h.count, h.sum, h.min, h.max
-			hi++
-		}
-	}
-}
-
 // Sanitize lowercases s and replaces every byte outside [a-z0-9._-] with
 // '-', making arbitrary node or device names ("802.11b (Wi-Fi)") safe as
 // metric name segments. Runs of '-' collapse to one and leading/trailing

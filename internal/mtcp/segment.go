@@ -44,9 +44,7 @@ func (f Flags) String() string {
 // Segments on the hot path come from a per-stack free list: the sending
 // stack allocates, the receiving stack recycles after the connection has
 // processed the segment (receivers that must retain one — out-of-order
-// reassembly, snoop caches — take an unpooled copy first). Like the
-// packet pool, the free list is bypassed inside optimistic speculative
-// windows so rollbacks never see recycled state.
+// reassembly, snoop caches — take an unpooled copy first).
 type Segment struct {
 	Flags Flags
 	// Seq is the sequence number of Payload[0] in the sender's stream

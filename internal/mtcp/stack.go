@@ -71,8 +71,7 @@ type Stack struct {
 	// segFree is the stack's segment free list. Senders allocate here;
 	// the receiving stack recycles into its own list after delivery, so
 	// steady-state request/response traffic moves zero-allocation
-	// segments in both directions. Bypassed while the world speculates
-	// (see Segment).
+	// segments in both directions.
 	segFree []*Segment
 
 	m stackMetrics
@@ -132,13 +131,8 @@ func (s *Stack) Node() *simnet.Node { return s.node }
 
 // --- segment pool ---
 
-// allocSeg returns a zeroed pool-owned segment (or a garbage-collected
-// one inside speculative windows, for the same checkpoint-safety reason
-// the packet pool steps aside).
+// allocSeg returns a zeroed pool-owned segment.
 func (s *Stack) allocSeg() *Segment {
-	if s.node.Network().Speculative() {
-		return &Segment{}
-	}
 	if k := len(s.segFree); k > 0 {
 		seg := s.segFree[k-1]
 		s.segFree = s.segFree[:k-1]
@@ -149,9 +143,9 @@ func (s *Stack) allocSeg() *Segment {
 }
 
 // freeSeg recycles a pool-owned segment. Unpooled segments (clones,
-// literals from tests) and speculative windows pass through untouched.
+// literals from tests) pass through untouched.
 func (s *Stack) freeSeg(seg *Segment) {
-	if !seg.pooled || s.node.Network().Speculative() {
+	if !seg.pooled {
 		return
 	}
 	seg.pooled = false

@@ -145,10 +145,9 @@ func exportSeries(ws *WorldSampler, s *Series, first, n int) jsonSeries {
 }
 
 // engineTimeline is the lane-variant companion export: per-shard engine
-// counters (windows, barrier waits, steals, rollbacks, stragglers)
-// sampled on window commits. Engine scheduling depends on the worker
-// lane count by design, so this lives in its own file — never inside
-// the deterministic world timeline.
+// counters (windows, barrier waits, steals) sampled on window commits.
+// Engine scheduling depends on the worker lane count by design, so this
+// lives in its own file — never inside the deterministic world timeline.
 type engineTimeline struct {
 	Version    int                `json:"version"`
 	IntervalNS int64              `json:"interval_ns"`
@@ -162,8 +161,6 @@ type jsonEngineSample struct {
 	Windows      uint64 `json:"windows"`
 	BarrierWaits uint64 `json:"barrier_waits"`
 	Steals       uint64 `json:"steals"`
-	Rollbacks    uint64 `json:"rollbacks"`
-	Stragglers   uint64 `json:"stragglers"`
 }
 
 // WriteEngineJSON exports a sharded world's engine timeline (see
@@ -181,7 +178,6 @@ func WriteEngineJSON(w io.Writer, world *simnet.Sharded, interval time.Duration)
 		doc.Samples = append(doc.Samples, jsonEngineSample{
 			AtNS: int64(s.At), Shard: s.Shard,
 			Windows: s.Windows, BarrierWaits: s.BarrierWaits, Steals: s.Steals,
-			Rollbacks: s.Rollbacks, Stragglers: s.Stragglers,
 		})
 	}
 	return json.NewEncoder(w).Encode(&doc)

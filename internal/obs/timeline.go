@@ -138,13 +138,6 @@ func (t *Timeline) AttachSharded(w *simnet.Sharded) []*WorldSampler {
 func (t *Timeline) attach(prefix string, net *simnet.Network, quiesce bool) *WorldSampler {
 	ws := &WorldSampler{tl: t, net: net, prefix: prefix, quiesce: quiesce}
 	t.worlds = append(t.worlds, ws)
-	// Rewind on optimistic rollback: samples taken inside a discarded
-	// speculative window are re-taken deterministically on replay, so
-	// the only state to save is how many samples were committed.
-	net.OnCheckpoint(
-		func() any { return ws.n },
-		func(v any) { ws.n = v.(int) },
-	)
 	now := net.Sched.Now()
 	first := now - now%t.interval + t.interval
 	net.Sched.AtCall(first, samplerTick, ws)
@@ -228,13 +221,6 @@ func (ws *WorldSampler) sample() {
 	}
 
 	for _, s := range ws.series {
-		if s.start > j {
-			// Adopted inside a speculative window that rolled back to
-			// before its first sample: re-base on the committed clock.
-			s.start = j
-			s.vals = s.vals[:0]
-			s.counts, s.sums, s.maxs, s.buckets = s.counts[:0], s.sums[:0], s.maxs[:0], s.buckets[:0]
-		}
 		L := j - s.start
 		if s.kind != metrics.KindHistogram {
 			ringPutI64(&s.vals, L, mw, s.m.Value())
@@ -266,13 +252,10 @@ func growCap(have, need int) int {
 }
 
 // ringPut*: while the ring is still growing (local index below the ring
-// length) new samples append — or overwrite, after a rollback rewound
-// the sample counter below the grown length; once full, they wrap.
+// length) new samples append; once full, they wrap.
 func ringPutI64(p *[]int64, L, mw int, v int64) {
 	if s := *p; L >= mw {
 		s[L%mw] = v
-	} else if L < len(s) {
-		s[L] = v
 	} else {
 		*p = append(s, v)
 	}
@@ -281,8 +264,6 @@ func ringPutI64(p *[]int64, L, mw int, v int64) {
 func ringPutU64(p *[]uint64, L, mw int, v uint64) {
 	if s := *p; L >= mw {
 		s[L%mw] = v
-	} else if L < len(s) {
-		s[L] = v
 	} else {
 		*p = append(s, v)
 	}
@@ -291,8 +272,6 @@ func ringPutU64(p *[]uint64, L, mw int, v uint64) {
 func ringPutDur(p *[]time.Duration, L, mw int, v time.Duration) {
 	if s := *p; L >= mw {
 		s[L%mw] = v
-	} else if L < len(s) {
-		s[L] = v
 	} else {
 		*p = append(s, v)
 	}

@@ -166,7 +166,6 @@ func Connect(x, y *Node, cfg LinkConfig) *Link {
 	l := &Link{cfg: cfg, net: x.net}
 	l.a = x.AddIface(fmt.Sprintf("link-%d-%d", x.ID, y.ID), l)
 	l.b = y.AddIface(fmt.Sprintf("link-%d-%d", y.ID, x.ID), l)
-	l.net.links = append(l.net.links, l)
 
 	label := cfg.Name
 	if label == "" {

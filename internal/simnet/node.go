@@ -2,7 +2,6 @@ package simnet
 
 import (
 	"fmt"
-	"time"
 
 	"mcommerce/internal/metrics"
 	"mcommerce/internal/trace"
@@ -135,45 +134,6 @@ type Network struct {
 
 	pktFree []*Packet
 	dlvFree []*linkDelivery
-
-	// links tracks every intra-shard Link for checkpointing.
-	links []*Link
-
-	// speculative gates the free lists: while an optimistic window is
-	// speculating, frees are dropped and allocations bypass the pools, so
-	// objects referenced by a checkpoint are never zeroed or reused and a
-	// rollback can restore them in place. See Sharded's optimistic mode.
-	speculative bool
-
-	// chk holds component save/restore pairs registered via OnCheckpoint.
-	chk []checkpointHook
-}
-
-// checkpointHook is one component's contribution to a world checkpoint.
-type checkpointHook struct {
-	save    func() any
-	restore func(any)
-}
-
-// Speculative reports whether the network is inside an optimistic
-// speculative window. Components that maintain their own free lists
-// (e.g. the mtcp segment pool) must bypass them while this is true, for
-// the same reason the packet pool does: objects referenced by a
-// checkpoint must never be zeroed or reused before a rollback decision.
-func (n *Network) Speculative() bool { return n.speculative }
-
-// OnCheckpoint registers a save/restore pair invoked by the optimistic
-// executor around speculative windows. save returns an opaque snapshot of
-// the component's mutable state; restore receives that value back and
-// must rewrite the state in place (same backing objects — scheduled
-// callbacks may hold pointers into it). Components whose only mutable
-// state is alias-registered counters or histograms need no hook: the
-// metrics registry is checkpointed wholesale. Optimistic execution is
-// only sound on worlds where every stateful component either registers
-// here or is covered by the engine (links, interfaces, UDP, metrics,
-// traces, schedulers).
-func (n *Network) OnCheckpoint(save func() any, restore func(any)) {
-	n.chk = append(n.chk, checkpointHook{save: save, restore: restore})
 }
 
 // NewNetwork creates an empty network driven by the given scheduler. The
@@ -185,9 +145,9 @@ func NewNetwork(s *Scheduler) *Network {
 	sc.GaugeFunc("executed", func() int64 { return int64(s.Executed()) })
 	sc.GaugeFunc("pending", func() int64 { return int64(s.Pending()) })
 	sc.GaugeFunc("now_ns", func() int64 { return int64(s.Now()) })
-	// Timing-wheel traffic: both counters rewind with the scheduler
-	// checkpoint, so they stay identical across worker-lane counts and
-	// under optimistic rollback like executed/pending above.
+	// Timing-wheel traffic: both counters are functions of the event
+	// stream alone, so they stay identical across worker-lane counts like
+	// executed/pending above.
 	sc.GaugeFunc("wheel_cascades", func() int64 { return int64(s.Cascades()) })
 	sc.GaugeFunc("wheel_overflow_migrations", func() int64 { return int64(s.OverflowMigrations()) })
 	return n
@@ -228,9 +188,6 @@ func (n *Network) NewNode(name string) *Node {
 // keep a reference after Send returns. Packets built as plain &Packet{}
 // literals are never recycled and carry no such restriction.
 func (n *Network) AllocPacket() *Packet {
-	if n.speculative {
-		return &Packet{pooled: true}
-	}
 	if k := len(n.pktFree); k > 0 {
 		p := n.pktFree[k-1]
 		n.pktFree = n.pktFree[:k-1]
@@ -243,7 +200,7 @@ func (n *Network) AllocPacket() *Packet {
 // freePacket recycles a pool-owned packet; packets from plain literals
 // pass through untouched.
 func (n *Network) freePacket(p *Packet) {
-	if !p.pooled || n.speculative {
+	if !p.pooled {
 		return
 	}
 	if p.inPool {
@@ -263,9 +220,6 @@ func (n *Network) clonePooled(p *Packet) *Packet {
 
 // allocDelivery returns a recycled link delivery record.
 func (n *Network) allocDelivery() *linkDelivery {
-	if n.speculative {
-		return &linkDelivery{}
-	}
 	if k := len(n.dlvFree); k > 0 {
 		d := n.dlvFree[k-1]
 		n.dlvFree = n.dlvFree[:k-1]
@@ -276,9 +230,6 @@ func (n *Network) allocDelivery() *linkDelivery {
 
 // freeDelivery recycles a link delivery record.
 func (n *Network) freeDelivery(d *linkDelivery) {
-	if n.speculative {
-		return
-	}
 	*d = linkDelivery{}
 	n.dlvFree = append(n.dlvFree, d)
 }
@@ -454,162 +405,4 @@ func (nd *Node) dispatch(p *Packet) {
 
 func (nd *Node) String() string {
 	return fmt.Sprintf("node %d (%s)", nd.ID, nd.Name)
-}
-
-// ---- Checkpointing ----------------------------------------------------
-//
-// A netCheckpoint is a deep copy of everything on one shard that can
-// change during a speculative window: the scheduler (clock, arena, heap,
-// RNG position), the contents of every pooled callback argument pending
-// in the arena (a delivery that fires during speculation mutates its
-// packet — TTL decrement on forward — and the record itself, so restoring
-// the arena alone is not enough), link and interface transient state, the
-// UDP ephemeral-port cursor, the whole metrics registry (which also
-// covers every alias-registered component counter: node drops, link
-// counters, workload ops), the tracer, and any OnCheckpoint hooks.
-//
-// Restores write through the saved pointers into the same objects, so
-// arena slots — which reference callbacks and arguments by pointer —
-// come back consistent. Pools are not saved: the speculative flag stops
-// all pool traffic during speculation, so they are unchanged at rollback.
-
-// argSave restores one pending pooled callback argument in place.
-type argSave struct {
-	ld  *linkDelivery
-	ldv linkDelivery
-	xd  *xDelivery
-	xdv xDelivery
-	p   *Packet
-	pv  Packet
-}
-
-// linkSave is one Link's (or one CrossLink direction pair's) transient
-// transmitter state; counters live in the registry checkpoint.
-type linkSave struct {
-	cfg       LinkConfig
-	base      *LinkConfig
-	down      bool
-	burstBad  [2]bool
-	busyUntil [2]time.Duration
-	queued    [2]int
-}
-
-// ifaceSave is one interface's administrative state and counters (iface
-// counters are not registry-aliased, unlike node drop counters).
-type ifaceSave struct {
-	i                    *Iface
-	up                   bool
-	txPackets, rxPackets uint64
-	txBytes, rxBytes     uint64
-}
-
-type udpSave struct {
-	u    *UDP
-	next Port
-}
-
-type netCheckpoint struct {
-	sched   schedCheckpoint
-	args    []argSave
-	links   []linkSave
-	ifaces  []ifaceSave
-	udps    []udpSave
-	metrics any
-	tracer  any
-	extras  []any
-}
-
-// checkpoint captures the network's full mutable state.
-func (n *Network) checkpoint() *netCheckpoint {
-	c := &netCheckpoint{sched: n.Sched.checkpoint()}
-	for i := range n.Sched.arena {
-		sl := &n.Sched.arena[i]
-		if sl.state != slotPending {
-			continue
-		}
-		switch a := sl.arg.(type) {
-		case *linkDelivery:
-			s := argSave{ld: a, ldv: *a}
-			if a.p != nil {
-				s.p, s.pv = a.p, *a.p
-			}
-			c.args = append(c.args, s)
-		case *xDelivery:
-			s := argSave{xd: a, xdv: *a}
-			if a.p != nil {
-				s.p, s.pv = a.p, *a.p
-			}
-			c.args = append(c.args, s)
-		}
-	}
-	c.links = make([]linkSave, len(n.links))
-	for i, l := range n.links {
-		c.links[i] = linkSave{
-			cfg: l.cfg, down: l.down, burstBad: l.burstBad,
-			busyUntil: l.busyUntil, queued: l.queued,
-		}
-		if l.base != nil {
-			base := *l.base
-			c.links[i].base = &base
-		}
-	}
-	for _, nd := range n.nodes {
-		for _, ifc := range nd.ifaces {
-			c.ifaces = append(c.ifaces, ifaceSave{
-				i: ifc, up: ifc.Up,
-				txPackets: ifc.TxPackets, rxPackets: ifc.RxPackets,
-				txBytes: ifc.TxBytes, rxBytes: ifc.RxBytes,
-			})
-		}
-		if nd.udp != nil {
-			c.udps = append(c.udps, udpSave{u: nd.udp, next: nd.udp.next})
-		}
-	}
-	c.metrics = n.Metrics.Checkpoint()
-	c.tracer = n.Tracer.Checkpoint()
-	for _, h := range n.chk {
-		c.extras = append(c.extras, h.save())
-	}
-	return c
-}
-
-// restoreCheckpoint rewinds the network to the checkpoint.
-func (n *Network) restoreCheckpoint(c *netCheckpoint) {
-	n.Sched.restore(c.sched)
-	for i := range c.args {
-		s := &c.args[i]
-		if s.ld != nil {
-			*s.ld = s.ldv
-		}
-		if s.xd != nil {
-			*s.xd = s.xdv
-		}
-		if s.p != nil {
-			*s.p = s.pv
-		}
-	}
-	for i, l := range n.links {
-		sv := &c.links[i]
-		l.cfg, l.down, l.burstBad = sv.cfg, sv.down, sv.burstBad
-		l.busyUntil, l.queued = sv.busyUntil, sv.queued
-		l.base = nil
-		if sv.base != nil {
-			base := *sv.base
-			l.base = &base
-		}
-	}
-	for i := range c.ifaces {
-		s := &c.ifaces[i]
-		s.i.Up = s.up
-		s.i.TxPackets, s.i.RxPackets = s.txPackets, s.rxPackets
-		s.i.TxBytes, s.i.RxBytes = s.txBytes, s.rxBytes
-	}
-	for i := range c.udps {
-		c.udps[i].u.next = c.udps[i].next
-	}
-	n.Metrics.Restore(c.metrics)
-	n.Tracer.Restore(c.tracer)
-	for i, h := range n.chk {
-		h.restore(c.extras[i])
-	}
 }

@@ -157,8 +157,6 @@ type Scheduler struct {
 	arena   []eventSlot
 	free    []int32
 	rng     *rand.Rand
-	rsrc    *countingSource
-	seed    int64
 	stopped bool
 
 	// The wheel: per-level slot list heads into the arena (-1 = empty),
@@ -211,11 +209,8 @@ type Scheduler struct {
 // Two schedulers with the same seed and the same sequence of scheduling
 // calls produce identical executions.
 func NewScheduler(seed int64) *Scheduler {
-	src := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
 	s := &Scheduler{
-		rng:        rand.New(src),
-		rsrc:       src,
-		seed:       seed,
+		rng:        rand.New(rand.NewSource(seed)),
 		firing:     -1,
 		compactArm: compactMinCancelled,
 	}
@@ -225,116 +220,6 @@ func NewScheduler(seed int64) *Scheduler {
 		}
 	}
 	return s
-}
-
-// countingSource wraps the stock math/rand source and counts draws. Each
-// Rand method consumes source steps through exactly these two entry
-// points, so the count is a complete description of the stream position:
-// a fresh source advanced count steps is byte-for-byte the same stream.
-// That is what lets the optimistic executor roll a scheduler back — the
-// wrapper changes no values, only remembers how many were taken.
-type countingSource struct {
-	src rand.Source64
-	n   uint64
-}
-
-func (c *countingSource) Int63() int64 { c.n++; return c.src.Int63() }
-
-func (c *countingSource) Uint64() uint64 { c.n++; return c.src.Uint64() }
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.n = 0 }
-
-// schedCheckpoint is a full copy of a scheduler's mutable state: clock,
-// event arena (whose inline links carry the wheel lists), wheel cursor and
-// occupancy, dispatch stage, overflow heap, free list, counters and the
-// RNG stream position. Callback references are shared with the live arena
-// — the contents of pooled callback arguments are saved separately by the
-// engine (see Network.checkpoint), since the scheduler cannot know their
-// types.
-type schedCheckpoint struct {
-	now          time.Duration
-	seq          uint64
-	arena        []eventSlot
-	free         []int32
-	wheel        [wheelLevels][wheelSlots]int32
-	occ          [wheelLevels][wheelWords]uint64
-	curTick      uint64
-	wheelPop     int
-	run          []heapEntry
-	runHead      int
-	runExtra     []heapEntry
-	overflow     []heapEntry
-	ovCancelled  int
-	runCancelled int
-	compactArm   int
-	live         int
-	executed     uint64
-	cascades     uint64
-	ovMigrated   uint64
-	rngCount     uint64
-}
-
-// checkpoint captures the scheduler's state for a later restore.
-func (s *Scheduler) checkpoint() schedCheckpoint {
-	return schedCheckpoint{
-		now:          s.now,
-		seq:          s.seq,
-		arena:        slices.Clone(s.arena),
-		free:         slices.Clone(s.free),
-		wheel:        s.wheel,
-		occ:          s.occ,
-		curTick:      s.curTick,
-		wheelPop:     s.wheelPop,
-		run:          slices.Clone(s.run),
-		runHead:      s.runHead,
-		runExtra:     slices.Clone(s.runExtra),
-		overflow:     slices.Clone(s.overflow),
-		ovCancelled:  s.ovCancelled,
-		runCancelled: s.runCancelled,
-		compactArm:   s.compactArm,
-		live:         s.live,
-		executed:     s.executed,
-		cascades:     s.cascades,
-		ovMigrated:   s.ovMigrated,
-		rngCount:     s.rsrc.n,
-	}
-}
-
-// restore rewinds the scheduler to a checkpoint. The RNG is rebuilt from
-// the seed and advanced to the recorded stream position, so draws after
-// the restore replay exactly the draws after the checkpoint. The wheel
-// cursor, occupancy bitmaps, dispatch stage and traffic counters all
-// rewind with it, so a rolled-back shard retraces the identical cursor
-// path and reports identical diagnostics.
-func (s *Scheduler) restore(c schedCheckpoint) {
-	s.now, s.seq = c.now, c.seq
-	s.arena = append(s.arena[:0], c.arena...)
-	s.free = append(s.free[:0], c.free...)
-	s.wheel = c.wheel
-	s.occ = c.occ
-	s.curTick = c.curTick
-	s.wheelPop = c.wheelPop
-	s.run = append(s.run[:0], c.run...)
-	s.runHead = c.runHead
-	s.runExtra = append(s.runExtra[:0], c.runExtra...)
-	s.overflow = append(s.overflow[:0], c.overflow...)
-	s.ovCancelled = c.ovCancelled
-	s.runCancelled = c.runCancelled
-	s.compactArm = c.compactArm
-	s.live = c.live
-	s.executed = c.executed
-	s.cascades = c.cascades
-	s.ovMigrated = c.ovMigrated
-	s.stopped = false
-	s.firing = -1
-	s.rearmed = false
-	src := &countingSource{src: rand.NewSource(s.seed).(rand.Source64)}
-	for i := uint64(0); i < c.rngCount; i++ {
-		src.src.Uint64()
-	}
-	src.n = c.rngCount
-	s.rsrc = src
-	s.rng = rand.New(src)
 }
 
 // Now returns the current virtual time (duration since simulation start).

@@ -283,10 +283,10 @@ func TestWheelDifferentialFuzz(t *testing.T) {
 func TestWheelLevelBoundaries(t *testing.T) {
 	const tick = time.Duration(1) << tickShift
 	boundaries := []time.Duration{
-		tick << wheelBits,                       // first tick of level 1
-		tick << (2 * wheelBits),                 // first tick of level 2
-		tick << (3 * wheelBits),                 // first tick of level 3
-		tick << (4 * wheelBits),                 // first tick past the horizon (overflow)
+		tick << wheelBits,       // first tick of level 1
+		tick << (2 * wheelBits), // first tick of level 2
+		tick << (3 * wheelBits), // first tick of level 3
+		tick << (4 * wheelBits), // first tick past the horizon (overflow)
 		tick<<wheelBits - 1, tick<<wheelBits + 1,
 		tick<<(2*wheelBits) - 1, tick<<(2*wheelBits) + 1,
 		tick<<(3*wheelBits) - 1, tick<<(3*wheelBits) + 1,
@@ -419,57 +419,5 @@ func TestWheelRearmInPlace(t *testing.T) {
 		t.Fatal("rearmed timer not cancellable")
 	}
 	for s.Step() {
-	}
-}
-
-// TestWheelCheckpointRestoreMidCascade checkpoints a scheduler whose
-// cursor has advanced into a drained run (via peek), fires past the
-// checkpoint, restores, and requires the replay to fire the identical
-// stream — the rollback contract the optimistic executor depends on.
-func TestWheelCheckpointRestoreMidCascade(t *testing.T) {
-	const tick = time.Duration(1) << tickShift
-	build := func() (*Scheduler, *[]fireRec) {
-		s := NewScheduler(3)
-		fires := &[]fireRec{}
-		for i := 0; i < 300; i++ {
-			i := i
-			at := time.Duration(i) * tick * 7 / 2 // spans several level-1 blocks
-			s.At(at, func() { *fires = append(*fires, fireRec{i, s.Now()}) })
-		}
-		// Far-future + overflow population.
-		for i := 0; i < 16; i++ {
-			i := i
-			s.At(time.Duration(1)<<53+time.Duration(i)*tick, func() {
-				*fires = append(*fires, fireRec{1000 + i, s.Now()})
-			})
-		}
-		return s, fires
-	}
-
-	s, fires := build()
-	for i := 0; i < 57; i++ {
-		s.Step()
-	}
-	s.peek() // stage the next slot so the cursor sits mid-run
-	cp := s.checkpoint()
-	prefix := len(*fires)
-	for s.Step() {
-	}
-	full := append([]fireRec(nil), *fires...)
-
-	*fires = (*fires)[:prefix]
-	s.restore(cp)
-	for s.Step() {
-	}
-	if len(*fires) != len(full) {
-		t.Fatalf("replay fired %d events, original %d", len(*fires), len(full))
-	}
-	for i := range full {
-		if (*fires)[i] != full[i] {
-			t.Fatalf("replay fire %d = %+v, original %+v", i, (*fires)[i], full[i])
-		}
-	}
-	if got := s.Executed(); got != 316 {
-		t.Fatalf("executed after replay = %d", got)
 	}
 }

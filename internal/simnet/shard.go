@@ -64,38 +64,29 @@ type Sharded struct {
 
 	// minPair[s][d] is the smallest delay among cross links from shard s
 	// to shard d (0 = none); floors[s] is shard s's declared service
-	// floor; xlinks lists every cross link for checkpointing.
+	// floor.
 	minPair [][]time.Duration
 	floors  []time.Duration
-	xlinks  []*CrossLink
 
 	// minCross is the smallest cross-link delay seen (the lookahead
 	// ceiling); lookahead is the base window, defaulting to minCross.
 	minCross  time.Duration
 	lookahead time.Duration
 
-	// optimistic selects checkpoint/rollback execution (see shard_opt.go).
-	optimistic bool
-
-	// Engine telemetry: windows run, pair synchronization episodes, work
-	// steals, optimistic rollbacks and stragglers. Kept in a separate
-	// registry — not merged into Snapshot — because steals depend on the
-	// worker count and windows on the execution mode, and the world
-	// snapshot must stay byte-identical across both. See EngineSnapshot.
-	engine      *metrics.Registry
-	cWindows    uint64
-	cBarrier    uint64
-	cSteals     uint64
-	cRollbacks  uint64
-	cStragglers uint64
+	// Engine telemetry: windows run, pair synchronization episodes and
+	// work steals. Kept in a separate registry — not merged into Snapshot
+	// — because steals depend on the worker count, and the world snapshot
+	// must stay byte-identical at any count. See EngineSnapshot.
+	engine   *metrics.Registry
+	cWindows uint64
+	cBarrier uint64
+	cSteals  uint64
 
 	// Engine timeline (EnableEngineTimeline): per-shard cumulative
 	// counters plus boundary samples, so the PR 6 machinery is
 	// observable over simulated time and per shard, not just as run
-	// totals. engPer[k] is written only by the task that owns shard k
-	// (conservative: under shardExec.mu; optimistic: by the exclusive
-	// claimant or the single decider thread), and samples append under
-	// the same ownership.
+	// totals. engPer[k] is written only by the task that owns shard k,
+	// under shardExec.mu, and samples append under the same lock.
 	engInterval time.Duration
 	engPer      []engCounters
 	engNext     []time.Duration
@@ -177,8 +168,6 @@ func (w *Sharded) initEngine() {
 	sc.AliasCounter("windows", &w.cWindows)
 	sc.AliasCounter("barrier_waits", &w.cBarrier)
 	sc.AliasCounter("steals", &w.cSteals)
-	sc.AliasCounter("rollbacks", &w.cRollbacks)
-	sc.AliasCounter("stragglers", &w.cStragglers)
 }
 
 // engCounters is one shard's cumulative engine activity.
@@ -187,17 +176,15 @@ type engCounters struct {
 }
 
 // EngineSample is one engine-timeline reading: shard Shard's cumulative
-// window, synchronization and steal counters at simulated instant At,
-// plus the world-wide optimistic rollback and straggler totals at that
-// moment. Like EngineSnapshot, samples are lane-variant by design —
-// steals depend on the worker count — so they are exported separately
-// from the deterministic world timeline and never folded into Snapshot.
+// window, synchronization and steal counters at simulated instant At.
+// Like EngineSnapshot, samples are lane-variant by design — steals
+// depend on the worker count — so they are exported separately from the
+// deterministic world timeline and never folded into Snapshot.
 type EngineSample struct {
 	At                    time.Duration
 	Shard                 int
 	Windows, BarrierWaits uint64
 	Steals                uint64
-	Rollbacks, Stragglers uint64
 }
 
 // EnableEngineTimeline arms per-shard engine sampling: each shard
@@ -228,14 +215,14 @@ func (w *Sharded) EngineTimeline() []EngineSample {
 	return out
 }
 
-// engWindow credits shard k with n completed windows ending at t and
+// engWindow credits shard k with a completed window ending at t and
 // samples the timeline when a tick is due. Callers own shard k's engine
 // row (see engPer).
-func (w *Sharded) engWindow(k, n int, t time.Duration) {
+func (w *Sharded) engWindow(k int, t time.Duration) {
 	if w.engPer == nil {
 		return
 	}
-	w.engPer[k].windows += uint64(n)
+	w.engPer[k].windows++
 	if w.engInterval <= 0 || t < w.engNext[k] {
 		return
 	}
@@ -245,16 +232,13 @@ func (w *Sharded) engWindow(k, n int, t time.Duration) {
 		Windows:      w.engPer[k].windows,
 		BarrierWaits: w.engPer[k].barrier,
 		Steals:       w.engPer[k].steals,
-		Rollbacks:    w.cRollbacks,
-		Stragglers:   w.cStragglers,
 	})
 }
 
 // EngineSnapshot captures the engine-internals registry: window counts,
-// per-pair synchronization episodes, lane steals, optimistic rollbacks
-// and stragglers. These live outside Snapshot deliberately — steals vary
-// with the worker count and windows with the execution mode, while the
-// world snapshot is pinned byte-identical across both.
+// per-pair synchronization episodes and lane steals. These live outside
+// Snapshot deliberately — steals vary with the worker count, while the
+// world snapshot is pinned byte-identical at any count.
 func (w *Sharded) EngineSnapshot() metrics.Snapshot {
 	return w.engine.Snapshot()
 }
@@ -276,9 +260,9 @@ func (w *Sharded) notePairDelay(src, dst int, d time.Duration) {
 func (w *Sharded) NumShards() int { return len(w.shards) }
 
 // WheelStats sums the per-shard schedulers' timing-wheel traffic:
-// higher-level slot cascades and overflow-heap migrations. Both rewind
-// with scheduler checkpoints, so the totals are identical at any worker
-// lane count and under optimistic rollback.
+// higher-level slot cascades and overflow-heap migrations. Both depend
+// only on each shard's event stream, so the totals are identical at any
+// worker lane count.
 func (w *Sharded) WheelStats() (cascades, overflowMigrations uint64) {
 	for _, sh := range w.shards {
 		cascades += sh.Sched.Cascades()
@@ -376,17 +360,6 @@ func (w *Sharded) SetServiceFloor(k int, d time.Duration) error {
 // ServiceFloor returns shard k's declared service floor.
 func (w *Sharded) ServiceFloor(k int) time.Duration { return w.floors[k] }
 
-// SetOptimistic toggles optimistic execution (see shard_opt.go): windows
-// several lookaheads wide run speculatively from per-shard checkpoints,
-// rolling back and replaying conservatively when a straggler record
-// arrives inside a window already run. Only sound on worlds whose every
-// stateful component is checkpoint-covered (simnet structures, metrics,
-// traces, and anything registered via Network.OnCheckpoint).
-func (w *Sharded) SetOptimistic(on bool) { w.optimistic = on }
-
-// Optimistic reports whether optimistic execution is enabled.
-func (w *Sharded) Optimistic() bool { return w.optimistic }
-
 // Stop halts execution promptly: no new shard windows are claimed, tasks
 // already running complete, and RunUntil returns ErrStopped after
 // sealing. For a deterministic cut, stop a specific shard's scheduler
@@ -400,22 +373,9 @@ func (w *Sharded) RunFor(d time.Duration, workers int) error {
 	return w.RunUntil(w.now+d, workers)
 }
 
-// hasPairs reports whether any cross-shard exchange ring exists.
-func (w *Sharded) hasPairs() bool {
-	for s := range w.rings {
-		for d, r := range w.rings[s] {
-			if r != nil && d != s {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // RunUntil executes all shards to the deadline on up to workers
-// goroutines (values < 2, or a single shard, run inline). Conservative
-// execution uses the relaxed per-pair scoreboard; with SetOptimistic the
-// speculative executor runs instead. It returns ErrStopped if halted by
+// goroutines (values < 2, or a single shard, run inline) on the relaxed
+// per-pair scoreboard. It returns ErrStopped if halted by
 // Stop (the world's or any shard scheduler's), or a service-floor
 // violation error if a declared floor proves dishonest.
 func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
@@ -424,11 +384,7 @@ func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
 		w.errs[k] = nil
 	}
 	if deadline > w.now {
-		if w.optimistic && w.hasPairs() {
-			w.runOptimistic(deadline, workers)
-		} else {
-			w.runConservative(deadline, workers)
-		}
+		w.runConservative(deadline, workers)
 		// The world clock advances to the earliest horizon any shard
 		// reached: the deadline after a clean run, the freeze point after
 		// a stop. Shards beyond it (already past a stopped sibling) idle
@@ -715,7 +671,7 @@ func (e *shardExec) publish(k int, run bool) {
 				t = tt
 			}
 		}
-		e.w.engWindow(k, 1, t)
+		e.w.engWindow(k, t)
 	}
 	p.drained = false
 	if p.win >= e.numWin {
@@ -800,9 +756,6 @@ func (w *Sharded) drainRings(k int, mask []bool) {
 }
 
 func (w *Sharded) allocXDelivery(k int) *xDelivery {
-	if w.shards[k].speculative {
-		return &xDelivery{}
-	}
 	free := w.xdFree[k]
 	if n := len(free); n > 0 {
 		d := free[n-1]
@@ -816,7 +769,7 @@ func (w *Sharded) allocXDelivery(k int) *xDelivery {
 // one-shard world snapshots its registry unprefixed — identical to the
 // serial path — while multi-shard entries are prefixed "s<k>." and
 // re-sorted, so dumps stay deterministic and diffable. Engine internals
-// (windows, steals, rollbacks) are deliberately absent; see
+// (windows, synchronization episodes, steals) are deliberately absent; see
 // EngineSnapshot.
 func (w *Sharded) Snapshot() metrics.Snapshot {
 	if len(w.shards) == 1 {

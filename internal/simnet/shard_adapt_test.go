@@ -96,7 +96,7 @@ func TestShardedAdaptivePairPeriods(t *testing.T) {
 				t.Fatalf("relaxed engine synced %d times, full-barrier equivalent is %d", syncs, full)
 			}
 			for _, name := range []string{"simnet.shard.windows", "simnet.shard.barrier_waits",
-				"simnet.shard.steals", "simnet.shard.rollbacks", "simnet.shard.stragglers"} {
+				"simnet.shard.steals"} {
 				if !strings.Contains(snap.String(), name) {
 					t.Fatalf("engine snapshot missing %s:\n%s", name, snap)
 				}

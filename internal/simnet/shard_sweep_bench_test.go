@@ -7,9 +7,7 @@ import (
 	"time"
 )
 
-// sweepShard is one shard's mutable benchmark state, registered with
-// OnCheckpoint so the optimistic sweep legs run on a fully covered
-// world.
+// sweepShard is one shard's mutable benchmark state.
 type sweepShard struct {
 	got int // echo replies received
 	n   int // churn ticks
@@ -64,31 +62,23 @@ func buildSweepWorld(tb testing.TB, shards int, churnEvery time.Duration) *Shard
 			sched.After(churnEvery, churn)
 		}
 		sched.After(0, churn)
-		w.Shard(k).OnCheckpoint(
-			func() any { return st[k] },
-			func(s any) { st[k] = s.(sweepShard) },
-		)
 	}
 	return w
 }
 
 // BenchmarkShardedSweep is the multi-core scaling grid bench.sh records:
-// GOMAXPROCS {1,4} x worker lanes {1,4,8} on an 8-shard world (~64k
-// events per window), plus optimistic legs at GOMAXPROCS 4. Every entry
-// reports the aggregate event rate, the host core count and the engine's
-// deterministic per-window counters (windows, pair synchronization
-// episodes, steals, rollbacks), so the sync-reduction claim is checkable
-// even where wall-clock speedup is not measurable — benchjson flags
-// single-core hosts and derives the per-lane speedup ratios.
+// GOMAXPROCS {1,2,4} x worker lanes {1,4,8} on an 8-shard world (~64k
+// events per window). Every entry reports the aggregate event rate, the
+// host core count and the engine's per-window counters (windows, pair
+// synchronization episodes, steals), so the sync-reduction claim is
+// checkable even where wall-clock speedup is not measurable — benchjson
+// flags single-core hosts and derives the per-lane speedup ratios.
 func BenchmarkShardedSweep(b *testing.B) {
 	const shards = 8
-	run := func(b *testing.B, procs, lanes int, optimistic bool) {
+	run := func(b *testing.B, procs, lanes int) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 		w := buildSweepWorld(b, shards, 5*time.Microsecond)
-		w.SetOptimistic(optimistic)
-		// Four base windows per op, so the optimistic engine gets its full
-		// 4x speculative window (a one-window deadline would clip it back
-		// to conservative and never roll back).
+		// Four base windows per op, as in every recorded trajectory point.
 		span := 4 * w.Lookahead()
 		if err := w.RunFor(span, lanes); err != nil {
 			b.Fatal(err)
@@ -113,20 +103,12 @@ func BenchmarkShardedSweep(b *testing.B) {
 		b.ReportMetric(perOp("simnet.shard.windows"), "windows/op")
 		b.ReportMetric(perOp("simnet.shard.barrier_waits"), "pair_syncs/op")
 		b.ReportMetric(perOp("simnet.shard.steals"), "steals/op")
-		if optimistic {
-			b.ReportMetric(perOp("simnet.shard.rollbacks"), "rollbacks/op")
-		}
 	}
-	for _, procs := range []int{1, 4} {
+	for _, procs := range []int{1, 2, 4} {
 		for _, lanes := range []int{1, 4, 8} {
 			b.Run(fmt.Sprintf("maxprocs%d/lanes%d", procs, lanes), func(b *testing.B) {
-				run(b, procs, lanes, false)
+				run(b, procs, lanes)
 			})
 		}
-	}
-	for _, lanes := range []int{1, 4} {
-		b.Run(fmt.Sprintf("maxprocs4/lanes%d/optimistic", lanes), func(b *testing.B) {
-			run(b, 4, lanes, true)
-		})
 	}
 }

@@ -87,7 +87,6 @@ func (w *Sharded) Cross(x, y *Node, cfg LinkConfig) (*CrossLink, error) {
 	}
 	w.notePairDelay(int(sx), int(sy), cfg.Delay)
 	w.notePairDelay(int(sy), int(sx), cfg.Delay)
-	w.xlinks = append(w.xlinks, l)
 
 	label := cfg.Name
 	if label == "" {
@@ -173,11 +172,6 @@ func (d *xDelivery) run() {
 	net := dst.Node.net
 	dst.Node.Deliver(p, dst)
 	net.freePacket(p)
-	if net.speculative {
-		// Leave the record intact: a rollback may restore an arena that
-		// still references it, and the pool must stay as checkpointed.
-		return
-	}
 	*d = xDelivery{}
 	w.xdFree[k] = append(w.xdFree[k], d)
 }
@@ -294,23 +288,4 @@ func (l *CrossLink) dequeue(dir int) {
 	if l.queued[dir] > 0 {
 		l.queued[dir]--
 	}
-}
-
-// xlinkSave is one cross link's transient state for world checkpoints
-// (counters are alias-registered, so the registry checkpoints cover
-// them). Saved and restored only at optimistic barriers, where no shard
-// is running, so the split writer ownership does not apply.
-type xlinkSave struct {
-	down      bool
-	burstBad  [2]bool
-	busyUntil [2]time.Duration
-	queued    [2]int
-}
-
-func (l *CrossLink) save() xlinkSave {
-	return xlinkSave{down: l.down, burstBad: l.burstBad, busyUntil: l.busyUntil, queued: l.queued}
-}
-
-func (l *CrossLink) restore(s xlinkSave) {
-	l.down, l.burstBad, l.busyUntil, l.queued = s.down, s.burstBad, s.busyUntil, s.queued
 }

@@ -418,46 +418,3 @@ func min(a, b int) int {
 	}
 	return b
 }
-
-// tracerCheckpoint is a value snapshot of the tracer's mutable state.
-// Spans are cloned wholesale: recorded spans are mutated in place after
-// creation (Finish, Annotate), so a length alone cannot rewind them.
-type tracerCheckpoint struct {
-	spans        []Span
-	seq          uint64
-	nextTrace    uint64
-	current      Context
-	evicted      uint64
-	annotDropped uint64
-}
-
-// Checkpoint captures the tracer's state for a later Restore. The
-// snapshot is opaque. Disabled tracers checkpoint (and restore) for free.
-func (t *Tracer) Checkpoint() any {
-	if t == nil || t.mode == modeOff {
-		return (*tracerCheckpoint)(nil)
-	}
-	return &tracerCheckpoint{
-		spans:        append([]Span(nil), t.spans...),
-		seq:          t.seq,
-		nextTrace:    t.nextTrace,
-		current:      t.current,
-		evicted:      t.evicted,
-		annotDropped: t.annotDropped,
-	}
-}
-
-// Restore rewinds the tracer to a Checkpoint: span storage, ID sequences,
-// ambient context and overflow counters all return to the saved values.
-func (t *Tracer) Restore(snap any) {
-	c, ok := snap.(*tracerCheckpoint)
-	if t == nil || !ok || c == nil {
-		return
-	}
-	t.spans = append(t.spans[:0], c.spans...)
-	t.seq = c.seq
-	t.nextTrace = c.nextTrace
-	t.current = c.current
-	t.evicted = c.evicted
-	t.annotDropped = c.annotDropped
-}

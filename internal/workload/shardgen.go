@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"slices"
 	"time"
 
 	"mcommerce/internal/metrics"
@@ -116,16 +115,6 @@ func NewFlows(nd *simnet.Node, name string, cfg FlowConfig) (*Flows, error) {
 		think := time.Duration(sched.Rand().ExpFloat64() * float64(cfg.ThinkMean))
 		sched.AfterCall(cfg.Start+think, flowFire, st)
 	}
-	// Station records mutate as operations progress (pending flags, sent
-	// times, timeout handles), so optimistic rollbacks must restore them.
-	// The slice itself never reallocates — timers hold interior pointers —
-	// so restore copies element-wise into the same backing array. The ops
-	// and timeout counters are alias-registered and covered by the
-	// registry checkpoint.
-	nd.Network().OnCheckpoint(
-		func() any { return slices.Clone(f.stations) },
-		func(s any) { copy(f.stations, s.([]flowStation)) },
-	)
 	return f, nil
 }
 
@@ -192,17 +181,13 @@ type Echo struct {
 	Served uint64
 
 	u         *simnet.UDP
-	net       *simnet.Network
 	respBytes int
-	// freeReplies recycles delayed-reply records like the simnet packet
-	// pools: releases are skipped inside speculative windows so a record
-	// referenced by a checkpointed pending event is never overwritten
-	// before a rollback replays it.
+	// freeReplies recycles delayed-reply records like the simnet pools.
 	freeReplies []*echoReply
 }
 
-// echoReply is the pooled argument of a delayed echo response: immutable
-// between schedule and fire, so rollback replays re-send it identically.
+// echoReply is the pooled argument of a delayed echo response, immutable
+// between schedule and fire.
 type echoReply struct {
 	e  *Echo
 	to simnet.Addr
@@ -212,9 +197,7 @@ func echoReplySend(a any) {
 	r := a.(*echoReply)
 	e := r.e
 	e.u.Send(EchoPort, r.to, nil, e.respBytes)
-	if !e.net.Speculative() {
-		e.freeReplies = append(e.freeReplies, r)
-	}
+	e.freeReplies = append(e.freeReplies, r)
 }
 
 // allocReply pops a recycled reply record or grows the pool.
@@ -259,7 +242,7 @@ func ServeEchoDelayed(nd *simnet.Node, name string, respBytes int, delay time.Du
 		return nil, fmt.Errorf("workload: delayed echo %q needs delay > 0", name)
 	}
 	u := simnet.UDPOf(nd)
-	e := &Echo{u: u, net: nd.Network(), respBytes: respBytes}
+	e := &Echo{u: u, respBytes: respBytes}
 	nd.Network().Metrics.Instance("workload.echo."+metrics.Sanitize(name)).AliasCounter("served", &e.Served)
 	sched := nd.Sched()
 	if err := u.Listen(EchoPort, func(from simnet.Addr, body any, bytes int) {

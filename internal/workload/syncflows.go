@@ -170,9 +170,6 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 	if err := f.u.Listen(f.invPort(), f.recvInvalidation); err != nil {
 		return nil, fmt.Errorf("workload: syncflows %q: %w", name, err)
 	}
-	// No OnCheckpoint hook: device stores are deep structures and the
-	// replication members they talk to cannot checkpoint either, so any
-	// world holding a data tier runs conservative lanes only.
 	return f, nil
 }
 

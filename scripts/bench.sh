@@ -11,7 +11,7 @@
 # shows progress. BENCH_COUNT overrides -count, BENCH_TIME -benchtime.
 #
 # BenchmarkShardedSweep contributes the multi-core scaling grid
-# (GOMAXPROCS x worker lanes x conservative/optimistic); benchjson
+# (GOMAXPROCS {1,2,4} x worker lanes {1,4,8}); benchjson
 # derives speedups_vs_1_lane from its events_per_sec entries and sets a
 # top-level warning when the host reports a single core, so a recorded
 # trajectory point is never mistaken for a parallel-speedup measurement
@@ -24,6 +24,8 @@ out="${1:-BENCH.json}"
 count="${BENCH_COUNT:-5}"
 benchtime="${BENCH_TIME:-1s}"
 commit="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
+# A run over uncommitted changes is not a measurement of HEAD.
+git diff --quiet HEAD 2>/dev/null || commit="$commit-dirty"
 
 go test -run '^$' -bench . -benchmem -count "$count" -benchtime "$benchtime" \
 	-timeout 60m ./internal/simnet ./internal/mtcp ./internal/experiments \

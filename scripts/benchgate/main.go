@@ -1,42 +1,33 @@
-// Command benchgate compares a `go test -bench` text output against a
-// checked-in baseline and fails the build on regression. It guards the
-// scheduler hot paths in verify.sh: each gated benchmark's mean ns/op
-// must stay within the baseline's tolerance band, and declared speedup
-// ratios (the timing wheel vs the reference heap at a million live
-// timers) must hold their floor.
+// Command benchgate checks a `go test -bench` text output against the
+// speedup floors in a checked-in baseline and fails the build when one
+// does not hold. Each floor compares two benchmarks from the same run
+// (the timing wheel vs the reference heap at a million live timers), so
+// the gate is independent of how fast the host is. Every benchmark's
+// ns/op is taken as the median over its -count repetitions, which keeps
+// one noisy repetition from failing the gate.
 //
-//	go test -run '^$' -bench 'AfterStep$|TimerChurn1M' -benchtime 200ms ./internal/simnet > out.txt
+//	go test -run '^$' -bench 'TimerChurn1M' -count 5 -benchtime 200ms ./internal/simnet > out.txt
 //	go run ./scripts/benchgate -baseline scripts/bench_baseline.json out.txt
-//
-// The baseline file pins absolute ns/op on the machine that recorded it,
-// so the tolerance is deliberately wide (default 30%): the gate exists
-// to catch algorithmic regressions — a slipped fast path, an accidental
-// O(log n) — not scheduler jitter. Ratio gates are machine-independent.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
 
 // Baseline is the checked-in expectation set.
 type Baseline struct {
-	// Note documents where the numbers came from.
+	// Note documents where the floors came from.
 	Note string `json:"note,omitempty"`
-	// Tolerance is the allowed fractional slowdown over a pinned ns/op
-	// (0.30 = fail only when more than 30% slower than baseline).
-	Tolerance float64 `json:"tolerance"`
-	// NsPerOp pins benchmark names (sub-benchmark paths included, procs
-	// suffix excluded) to their recorded mean ns/op.
-	NsPerOp map[string]float64 `json:"ns_per_op"`
-	// MinSpeedup requires mean(Num) / mean(Den) >= Min, comparing two
-	// benchmarks from the same run — immune to host speed differences.
-	MinSpeedup []SpeedupGate `json:"min_speedup,omitempty"`
+	// MinSpeedup requires median(Num) / median(Den) >= Min.
+	MinSpeedup []SpeedupGate `json:"min_speedup"`
 }
 
 // SpeedupGate is one required ratio between two measured benchmarks.
@@ -56,52 +47,36 @@ func main() {
 	var base Baseline
 	raw, err := os.ReadFile(*baselinePath)
 	if err == nil {
-		err = json.Unmarshal(raw, &base)
+		dec := json.NewDecoder(bytes.NewReader(raw))
+		dec.DisallowUnknownFields()
+		err = dec.Decode(&base)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
-	if base.Tolerance <= 0 {
-		base.Tolerance = 0.30
-	}
-	means, err := parseMeans(flag.Arg(0))
+	samples, err := parseSamples(flag.Arg(0))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchgate:", err)
 		os.Exit(1)
 	}
 	failed := false
-	for name, want := range base.NsPerOp {
-		got, ok := means[name]
-		if !ok {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: not present in benchmark output\n", name)
-			failed = true
-			continue
-		}
-		limit := want * (1 + base.Tolerance)
-		if got > limit {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL %s: %.2f ns/op exceeds baseline %.2f +%d%% (limit %.2f)\n",
-				name, got, want, int(base.Tolerance*100), limit)
-			failed = true
-		} else {
-			fmt.Printf("benchgate: ok %s: %.2f ns/op (baseline %.2f, limit %.2f)\n", name, got, want, limit)
-		}
-	}
 	for _, g := range base.MinSpeedup {
-		num, okN := means[g.Num]
-		den, okD := means[g.Den]
+		num, okN := samples[g.Num]
+		den, okD := samples[g.Den]
 		if !okN || !okD {
 			fmt.Fprintf(os.Stderr, "benchgate: FAIL speedup %s / %s: benchmark missing from output\n", g.Num, g.Den)
 			failed = true
 			continue
 		}
-		ratio := num / den
+		ratio := median(num) / median(den)
 		if ratio < g.Min {
-			fmt.Fprintf(os.Stderr, "benchgate: FAIL speedup %s / %s = %.2fx, need >= %.2fx\n",
-				g.Num, g.Den, ratio, g.Min)
+			fmt.Fprintf(os.Stderr, "benchgate: FAIL speedup %s / %s = %.2fx (medians of %d/%d runs), need >= %.2fx\n",
+				g.Num, g.Den, ratio, len(num), len(den), g.Min)
 			failed = true
 		} else {
-			fmt.Printf("benchgate: ok speedup %s / %s = %.2fx (floor %.2fx)\n", g.Num, g.Den, ratio, g.Min)
+			fmt.Printf("benchgate: ok speedup %s / %s = %.2fx (medians of %d/%d runs, floor %.2fx)\n",
+				g.Num, g.Den, ratio, len(num), len(den), g.Min)
 		}
 	}
 	if failed {
@@ -109,17 +84,26 @@ func main() {
 	}
 }
 
-// parseMeans reads benchmark lines ("BenchmarkX-8  N  12.3 ns/op ...")
-// and returns mean ns/op per benchmark name with the procs suffix
-// stripped, averaging over -count repetitions.
-func parseMeans(path string) (map[string]float64, error) {
+func median(v []float64) float64 {
+	s := slices.Clone(v)
+	slices.Sort(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
+// parseSamples reads benchmark lines ("BenchmarkX-8  N  12.3 ns/op ...")
+// and returns every ns/op reading per benchmark name, procs suffix
+// stripped, one per -count repetition.
+func parseSamples(path string) (map[string][]float64, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	sums := map[string]float64{}
-	counts := map[string]int{}
+	out := map[string][]float64{}
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -139,18 +123,10 @@ func parseMeans(path string) (map[string]float64, error) {
 				if err != nil {
 					return nil, fmt.Errorf("bad ns/op for %s: %q", name, fields[i])
 				}
-				sums[name] += v
-				counts[name]++
+				out[name] = append(out[name], v)
 				break
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	means := make(map[string]float64, len(sums))
-	for n, s := range sums {
-		means[n] = s / float64(counts[n])
-	}
-	return means, nil
+	return out, sc.Err()
 }

@@ -5,20 +5,20 @@
 # and a chaos smoke run (small faulted scenario at a fixed seed), plus
 # determinism smokes: two same-seed -metrics dumps and two same-seed
 # -trace Perfetto exports must each be byte-identical, the trace
-# export must be structurally valid trace-event JSON, and sharded
-# mcload -scale runs (-shards 4, conservative and -optimistic) must be
-# byte-identical to the serial (-shards 1) run at the same seed, as must
-# a sharded -optimistic mcsim run against its serial baseline, and the
-# replicated data tier storm (mcload -sync) must dump the same totals and
-# state digest serial vs sharded. The segment-level TCP adds its own
-# gates: the mtcp package under the race detector, a zero-alloc pin on
-# the segment hot path, and same-seed byte-identical mcsim output per
-# congestion control algorithm (-cc reno and -cc cubic), serial and
-# sharded-optimistic. The telemetry timeline adds the observability
-# gates: internal/obs under the race detector, the OpenMetrics
-# exposition linted by scripts/omlint, and same-seed -timeline exports
-# byte-identical run to run (mcsim -faults with the SLO engine on) and
-# across worker-lane counts (mcload -scale, -shards 1 vs 4).
+# export must be structurally valid trace-event JSON, a sharded mcload
+# -scale run (-shards 4) must be byte-identical to the serial (-shards 1)
+# run at the same seed, and the replicated data tier storm (mcload
+# -sync) must dump the same totals and state digest serial vs sharded.
+# A bench gate checks the timing wheel's speedup over the reference heap
+# on medians of five runs. The segment-level TCP adds its own gates: the
+# mtcp package under the race detector, a zero-alloc pin on the segment
+# hot path, and same-seed byte-identical mcsim output per congestion
+# control algorithm (-cc reno and -cc cubic), serial and -shards 4. The
+# telemetry timeline adds the observability gates: internal/obs under
+# the race detector, the OpenMetrics exposition linted by scripts/omlint,
+# and same-seed -timeline exports byte-identical run to run (mcsim
+# -faults with the SLO engine on) and across worker-lane counts (mcload
+# -scale, -shards 1 vs 4).
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -44,11 +44,11 @@ else
 	go run ./scripts/tracecheck /tmp/mc-trace-a.json
 fi
 rm -f /tmp/mc-trace-a.json /tmp/mc-trace-b.json
-# Scheduler bench-regression gate: the hot-path benchmarks must stay
-# within the checked-in baseline's 30% tolerance band, and the timing
-# wheel must hold its >=2x advantage over the reference heap with a
-# million live timers (the ratio gate is host-independent).
-go test -run '^$' -bench 'BenchmarkSchedulerAfterStep$|BenchmarkTimerChurn1M' \
+# Scheduler bench gate: the timing wheel must hold its >=2x advantage
+# over the reference heap with a million live timers. The ratio compares
+# two benchmarks from the same run, on medians of five, so it holds on
+# any host.
+go test -run '^$' -bench 'BenchmarkTimerChurn1M' -count 5 \
 	-benchtime 200ms ./internal/simnet >/tmp/mc-bench-gate.txt
 go run ./scripts/benchgate -baseline scripts/bench_baseline.json /tmp/mc-bench-gate.txt
 rm -f /tmp/mc-bench-gate.txt
@@ -58,24 +58,16 @@ rm -f /tmp/mc-bench-gate.txt
 # seed on the mcload -scale surface (wall-clock goes to stderr, so
 # stdout is directly comparable).
 go test -race -run 'TestShardedRaceOwnership' ./internal/simnet
-# The relaxed scoreboard, work-stealing and optimistic rollback paths
-# under the race detector (8-shard steal test, Stop mid-window, and the
-# optimistic golden equivalences).
-go test -race -run 'TestShardedEightShardSteals|TestShardedStopDuringRun|TestShardedOptimistic' \
+# The relaxed scoreboard and work-stealing paths under the race detector
+# (8-shard steal test and Stop mid-window).
+go test -race -run 'TestShardedEightShardSteals|TestShardedStopDuringRun' \
 	./internal/simnet
 go run ./cmd/mcload -scale -seed 7 -gateways 3 -cells 2 -stations 20 \
 	-duration 5s -think 300ms -metrics -shards 1 >/tmp/mc-scale-a.txt 2>/dev/null
 go run ./cmd/mcload -scale -seed 7 -gateways 3 -cells 2 -stations 20 \
 	-duration 5s -think 300ms -metrics -shards 4 >/tmp/mc-scale-b.txt 2>/dev/null
 cmp /tmp/mc-scale-a.txt /tmp/mc-scale-b.txt
-go run ./cmd/mcload -scale -seed 7 -gateways 3 -cells 2 -stations 20 \
-	-duration 5s -think 300ms -metrics -shards 4 -optimistic >/tmp/mc-scale-c.txt 2>/dev/null
-cmp /tmp/mc-scale-a.txt /tmp/mc-scale-c.txt
-rm -f /tmp/mc-scale-a.txt /tmp/mc-scale-b.txt /tmp/mc-scale-c.txt
-go run ./cmd/mcsim -clients 2 -rounds 2 -seed 1 -metrics >/tmp/mc-sim-a.txt 2>/dev/null
-go run ./cmd/mcsim -clients 2 -rounds 2 -seed 1 -metrics -optimistic >/tmp/mc-sim-b.txt 2>/dev/null
-cmp /tmp/mc-sim-a.txt /tmp/mc-sim-b.txt
-rm -f /tmp/mc-sim-a.txt /tmp/mc-sim-b.txt
+rm -f /tmp/mc-scale-a.txt /tmp/mc-scale-b.txt
 # The replicated data tier under the chaos plan: the resilient run must
 # report zero lost updates and a converged tier, and stdout (totals +
 # state digest) must be byte-identical serial vs sharded.
@@ -94,13 +86,13 @@ rm -f /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
 go test -race ./internal/mtcp
 go test -run 'TestSegmentPathZeroAlloc' ./internal/mtcp
 # Congestion control determinism: per algorithm, two same-seed mcsim
-# runs must be byte-identical, and the sharded-optimistic executor must
-# reproduce the serial bytes — for cubic as well as reno.
+# runs must be byte-identical, and a -shards 4 run must reproduce the
+# serial bytes — for cubic as well as reno.
 for alg in reno cubic; do
 	go run ./cmd/mcsim -clients 2 -rounds 2 -seed 3 -metrics -cc "$alg" >/tmp/mc-cc-a.txt 2>/dev/null
 	go run ./cmd/mcsim -clients 2 -rounds 2 -seed 3 -metrics -cc "$alg" >/tmp/mc-cc-b.txt 2>/dev/null
 	cmp /tmp/mc-cc-a.txt /tmp/mc-cc-b.txt
-	go run ./cmd/mcsim -clients 2 -rounds 2 -seed 3 -metrics -cc "$alg" -optimistic >/tmp/mc-cc-c.txt 2>/dev/null
+	go run ./cmd/mcsim -clients 2 -rounds 2 -seed 3 -metrics -cc "$alg" -shards 4 >/tmp/mc-cc-c.txt 2>/dev/null
 	cmp /tmp/mc-cc-a.txt /tmp/mc-cc-c.txt
 	rm -f /tmp/mc-cc-a.txt /tmp/mc-cc-b.txt /tmp/mc-cc-c.txt
 done
