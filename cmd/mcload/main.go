@@ -10,7 +10,6 @@
 //	       [-scale] [-gateways G] [-cells C] [-stations S] [-remote M]
 //	       [-shards N] [-metrics]
 //	       [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
-//	       [-engine-timeline out.json]
 //	       [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
 // With -trace FILE, every sampled operation becomes a causal span tree and
@@ -48,11 +47,7 @@
 // rules over the sampled series and prints the violation intervals:
 // "default" picks the built-in rule set matching the selected tier
 // (full-fidelity, -scale or -sync); any other value is a built-in set
-// name or a JSON rule file. With -scale, -engine-timeline FILE
-// additionally samples the executor's per-shard scheduling counters
-// (windows, barrier waits, steals) — a
-// diagnostic that, unlike everything else, legitimately varies with
-// worker count.
+// name or a JSON rule file.
 package main
 
 import (
@@ -71,7 +66,6 @@ import (
 	"mcommerce/internal/mobiledb"
 	"mcommerce/internal/mtcp"
 	"mcommerce/internal/obs"
-	"mcommerce/internal/simnet"
 	"mcommerce/internal/trace"
 	"mcommerce/internal/wireless"
 	"mcommerce/internal/workload"
@@ -114,7 +108,6 @@ func run(args []string, w io.Writer) error {
 	timelineFile := fs.String("timeline", "", "sample every metric on the simulation clock and write the time-series JSON here")
 	timelineInterval := fs.Duration("timeline-interval", 100*time.Millisecond, "simulated-time sampling interval for -timeline and -slo")
 	sloSpec := fs.String("slo", "", "evaluate SLO rules over the sampled timeline: default (the built-in set for the selected tier), another built-in set name, or a JSON rule file")
-	engineTimeline := fs.String("engine-timeline", "", "with -scale, write the executor's per-shard scheduling counters as time-series JSON (varies with -shards by design)")
 	prof := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -128,13 +121,7 @@ func run(args []string, w io.Writer) error {
 	if *timelineInterval <= 0 {
 		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
 	}
-	if *engineTimeline != "" && !*scale {
-		return fmt.Errorf("-engine-timeline requires -scale (only the sharded executor has engine counters to sample)")
-	}
-	obsCfg := obsOpts{
-		timeline: *timelineFile, interval: *timelineInterval,
-		slo: *sloSpec, engineTimeline: *engineTimeline,
-	}
+	obsCfg := obsOpts{timeline: *timelineFile, interval: *timelineInterval, slo: *sloSpec}
 	if *sloSpec != "" && !strings.EqualFold(*sloSpec, "default") {
 		if _, err := obs.ResolveRules(*sloSpec); err != nil {
 			return fmt.Errorf("-slo: %w", err)
@@ -240,10 +227,9 @@ func run(args []string, w io.Writer) error {
 
 // obsOpts is the resolved observability flag set, shared by every tier.
 type obsOpts struct {
-	timeline       string
-	interval       time.Duration
-	slo            string
-	engineTimeline string
+	timeline string
+	interval time.Duration
+	slo      string
 }
 
 // active reports whether a timeline needs to be attached at all.
@@ -305,25 +291,6 @@ func finishObs(w io.Writer, o obsOpts, tl *obs.Timeline, tierSet string) error {
 	return nil
 }
 
-// writeEngineTimeline exports the per-shard engine counters sampled
-// during a -scale run. Stderr-style diagnostics in a file: the counters
-// vary with -shards, so the file is not byte-comparable across worker
-// counts (everything on stdout still is).
-func writeEngineTimeline(o obsOpts, world *simnet.Sharded) error {
-	if o.engineTimeline == "" {
-		return nil
-	}
-	f, err := os.Create(o.engineTimeline)
-	if err != nil {
-		return err
-	}
-	if err := obs.WriteEngineJSON(f, world, o.interval); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
 // scaleOpts is the resolved -scale flag set.
 type scaleOpts struct {
 	seed                      int64
@@ -364,17 +331,14 @@ func runScale(o scaleOpts, w io.Writer) error {
 		tl = obs.NewTimeline(o.obs.interval)
 		tl.AttachSharded(sw.World)
 	}
-	if o.obs.engineTimeline != "" {
-		sw.World.EnableEngineTimeline(o.obs.interval)
-	}
 	start := time.Now()
 	rep, err := sw.Run()
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.shards)
-	// Engine internals vary with worker count and execution mode, so they
-	// go to stderr: stdout stays byte-comparable across both.
+	// Engine internals vary with worker count, so they go to stderr:
+	// stdout stays byte-comparable across counts.
 	fmt.Fprintln(os.Stderr, "engine internals:")
 	sw.World.EngineSnapshot().WriteText(os.Stderr)
 
@@ -387,9 +351,6 @@ func runScale(o scaleOpts, w io.Writer) error {
 	fmt.Fprintf(w, "total: ops=%d timeouts=%d events=%d now=%v\n",
 		rep.Ops, rep.Timeouts, rep.Executed, sw.World.Now())
 	if err := finishObs(w, o.obs, tl, "scale"); err != nil {
-		return err
-	}
-	if err := writeEngineTimeline(o.obs, sw.World); err != nil {
 		return err
 	}
 	if o.traceFile != "" {

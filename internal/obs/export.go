@@ -4,10 +4,8 @@ import (
 	"encoding/json"
 	"io"
 	"sort"
-	"time"
 
 	"mcommerce/internal/metrics"
-	"mcommerce/internal/simnet"
 )
 
 // The JSON timeline schema. Every quantity is an integer (counts, or
@@ -142,43 +140,4 @@ func exportSeries(ws *WorldSampler, s *Series, first, n int) jsonSeries {
 		js.P99NS = append(js.P99NS, int64(s.WindowQuantile(a-1, a, 0.99)))
 	}
 	return js
-}
-
-// engineTimeline is the lane-variant companion export: per-shard engine
-// counters (windows, barrier waits, steals) sampled on window commits.
-// Engine scheduling depends on the worker lane count by design, so this
-// lives in its own file — never inside the deterministic world timeline.
-type engineTimeline struct {
-	Version    int                `json:"version"`
-	IntervalNS int64              `json:"interval_ns"`
-	Shards     int                `json:"shards"`
-	Samples    []jsonEngineSample `json:"samples"`
-}
-
-type jsonEngineSample struct {
-	AtNS         int64  `json:"at_ns"`
-	Shard        int    `json:"shard"`
-	Windows      uint64 `json:"windows"`
-	BarrierWaits uint64 `json:"barrier_waits"`
-	Steals       uint64 `json:"steals"`
-}
-
-// WriteEngineJSON exports a sharded world's engine timeline (see
-// Sharded.EnableEngineTimeline). Unlike WriteJSON's output this is
-// diagnostic and lane-VARIANT: run-to-run identical only for the same
-// -workers count.
-func WriteEngineJSON(w io.Writer, world *simnet.Sharded, interval time.Duration) error {
-	doc := engineTimeline{
-		Version:    1,
-		IntervalNS: int64(interval),
-		Shards:     world.NumShards(),
-		Samples:    []jsonEngineSample{},
-	}
-	for _, s := range world.EngineTimeline() {
-		doc.Samples = append(doc.Samples, jsonEngineSample{
-			AtNS: int64(s.At), Shard: s.Shard,
-			Windows: s.Windows, BarrierWaits: s.BarrierWaits, Steals: s.Steals,
-		})
-	}
-	return json.NewEncoder(w).Encode(&doc)
 }

@@ -20,20 +20,16 @@ import (
 // than one cross-link delay away; at window boundaries shards exchange
 // the packets that crossed (see CrossLink).
 //
-// Synchronization is relaxed and per-pair, not a global barrier. Each
-// directed shard pair (s→d) has its own exchange period derived from its
-// lookahead — the smallest cross-link delay between the two shards plus
-// shard s's declared service floor (SetServiceFloor) — measured in base
-// windows. A pair only synchronizes at multiples of its period: shard d
-// drains s's ring at due boundaries, and otherwise skips it entirely
-// (the idle-pair fast path), so weakly-coupled shards synchronize
-// rarely. Progress is tracked by per-shard epoch counters on a shared
-// scoreboard; a window of shard k is claimable the moment its own
-// per-pair dependencies are met, regardless of where unrelated shards
-// are. Worker lanes claim whole windows from the scoreboard, preferring
-// their home shards; a lane that drains its shards early steals another
-// shard's next window (counted in simnet.shard.steals), keeping lanes
-// busy under skewed populations.
+// Synchronization is per-pair, not a global barrier. Every window has the
+// same width, Lookahead() — the smallest cross-link delay — and at every
+// window boundary each shard drains the rings of the shards it shares a
+// cross link with. Progress is tracked by per-shard epoch counters on a
+// shared scoreboard; a window of shard k is claimable the moment its
+// cross-linked neighbours have caught up, regardless of where unrelated
+// shards are. Worker lanes claim whole windows from the scoreboard,
+// preferring their home shards; a lane that drains its shards early
+// steals another shard's next window (counted in simnet.shard.steals),
+// keeping lanes busy under skewed populations.
 //
 // Determinism: which lane runs a shard's window never affects what the
 // window computes — shard state is touched by exactly one lane per
@@ -62,16 +58,8 @@ type Sharded struct {
 	xdFree  [][]*xDelivery
 	scratch [][]xrec // per-destination merge scratch, owned by the drain task
 
-	// minPair[s][d] is the smallest delay among cross links from shard s
-	// to shard d (0 = none); floors[s] is shard s's declared service
-	// floor.
-	minPair [][]time.Duration
-	floors  []time.Duration
-
-	// minCross is the smallest cross-link delay seen (the lookahead
-	// ceiling); lookahead is the base window, defaulting to minCross.
-	minCross  time.Duration
-	lookahead time.Duration
+	// minCross is the smallest cross-link delay seen: the window width.
+	minCross time.Duration
 
 	// Engine telemetry: windows run, pair synchronization episodes and
 	// work steals. Kept in a separate registry — not merged into Snapshot
@@ -81,16 +69,6 @@ type Sharded struct {
 	cWindows uint64
 	cBarrier uint64
 	cSteals  uint64
-
-	// Engine timeline (EnableEngineTimeline): per-shard cumulative
-	// counters plus boundary samples, so the PR 6 machinery is
-	// observable over simulated time and per shard, not just as run
-	// totals. engPer[k] is written only by the task that owns shard k,
-	// under shardExec.mu, and samples append under the same lock.
-	engInterval time.Duration
-	engPer      []engCounters
-	engNext     []time.Duration
-	engSamples  []EngineSample
 
 	now     time.Duration
 	errs    []error
@@ -114,8 +92,6 @@ func NewSharded(seed int64, n int) *Sharded {
 		xseq:    make([]uint64, n),
 		xdFree:  make([][]*xDelivery, n),
 		scratch: make([][]xrec, n),
-		minPair: make([][]time.Duration, n),
-		floors:  make([]time.Duration, n),
 		errs:    make([]error, n),
 	}
 	for k := 0; k < n; k++ {
@@ -130,7 +106,6 @@ func NewSharded(seed int64, n int) *Sharded {
 		w.shardOf[net] = int32(k)
 		w.prefix[k] = "s" + strconv.Itoa(k) + "."
 		w.rings[k] = make([]*xring, n)
-		w.minPair[k] = make([]time.Duration, n)
 	}
 	w.initEngine()
 	return w
@@ -150,8 +125,6 @@ func WrapNetwork(net *Network) *Sharded {
 		xseq:    make([]uint64, 1),
 		xdFree:  make([][]*xDelivery, 1),
 		scratch: make([][]xrec, 1),
-		minPair: [][]time.Duration{make([]time.Duration, 1)},
-		floors:  make([]time.Duration, 1),
 		errs:    make([]error, 1),
 	}
 	w.rings[0] = make([]*xring, 1)
@@ -170,71 +143,6 @@ func (w *Sharded) initEngine() {
 	sc.AliasCounter("steals", &w.cSteals)
 }
 
-// engCounters is one shard's cumulative engine activity.
-type engCounters struct {
-	windows, barrier, steals uint64
-}
-
-// EngineSample is one engine-timeline reading: shard Shard's cumulative
-// window, synchronization and steal counters at simulated instant At.
-// Like EngineSnapshot, samples are lane-variant by design — steals
-// depend on the worker count — so they are exported separately from the
-// deterministic world timeline and never folded into Snapshot.
-type EngineSample struct {
-	At                    time.Duration
-	Shard                 int
-	Windows, BarrierWaits uint64
-	Steals                uint64
-}
-
-// EnableEngineTimeline arms per-shard engine sampling: each shard
-// records an EngineSample at the first window boundary at or past every
-// interval tick of its own progress. Zero disables. Call before Run.
-func (w *Sharded) EnableEngineTimeline(interval time.Duration) {
-	w.engInterval = interval
-	if w.engPer == nil {
-		w.engPer = make([]engCounters, len(w.shards))
-		w.engNext = make([]time.Duration, len(w.shards))
-	}
-}
-
-// EngineTimeline returns the samples recorded so far, sorted by
-// (instant, shard) so the listing is stable even though lanes append in
-// completion order.
-func (w *Sharded) EngineTimeline() []EngineSample {
-	out := append([]EngineSample(nil), w.engSamples...)
-	slices.SortFunc(out, func(a, b EngineSample) int {
-		if a.At != b.At {
-			if a.At < b.At {
-				return -1
-			}
-			return 1
-		}
-		return a.Shard - b.Shard
-	})
-	return out
-}
-
-// engWindow credits shard k with a completed window ending at t and
-// samples the timeline when a tick is due. Callers own shard k's engine
-// row (see engPer).
-func (w *Sharded) engWindow(k int, t time.Duration) {
-	if w.engPer == nil {
-		return
-	}
-	w.engPer[k].windows++
-	if w.engInterval <= 0 || t < w.engNext[k] {
-		return
-	}
-	w.engNext[k] = t + w.engInterval
-	w.engSamples = append(w.engSamples, EngineSample{
-		At: t, Shard: k,
-		Windows:      w.engPer[k].windows,
-		BarrierWaits: w.engPer[k].barrier,
-		Steals:       w.engPer[k].steals,
-	})
-}
-
 // EngineSnapshot captures the engine-internals registry: window counts,
 // per-pair synchronization episodes and lane steals. These live outside
 // Snapshot deliberately — steals vary with the worker count, while the
@@ -246,13 +154,6 @@ func (w *Sharded) EngineSnapshot() metrics.Snapshot {
 func (w *Sharded) ensureRing(src, dst int) {
 	if w.rings[src][dst] == nil {
 		w.rings[src][dst] = &xring{}
-	}
-}
-
-// notePairDelay records a cross-link delay into the per-pair minimum.
-func (w *Sharded) notePairDelay(src, dst int, d time.Duration) {
-	if w.minPair[src][dst] == 0 || d < w.minPair[src][dst] {
-		w.minPair[src][dst] = d
 	}
 }
 
@@ -291,74 +192,10 @@ func (w *Sharded) Seed() int64 { return w.seed }
 // point any shard froze at).
 func (w *Sharded) Now() time.Duration { return w.now }
 
-// Lookahead returns the base window width: the manual override if set,
-// otherwise the minimum cross-shard link delay, otherwise zero (single
-// shard or no cross links — windows span the whole horizon). Individual
-// shard pairs may synchronize less often than every base window; see
-// PairLookahead.
-func (w *Sharded) Lookahead() time.Duration {
-	if w.lookahead > 0 {
-		return w.lookahead
-	}
-	return w.minCross
-}
-
-// PairLookahead returns the directed pair's effective lookahead: the
-// minimum cross-link delay from src to dst plus src's declared service
-// floor (zero when the shards share no cross link). The pair exchanges
-// records every floor(PairLookahead/Lookahead()) base windows.
-func (w *Sharded) PairLookahead(src, dst int) time.Duration {
-	if w.minPair[src][dst] == 0 {
-		return 0
-	}
-	return w.minPair[src][dst] + w.floors[src]
-}
-
-// SetLookahead overrides the base window width. Narrower windows are
-// always safe (more boundaries, same results); wider than the minimum
-// cross-link delay would let effects arrive in a window already running,
-// so that is an error. Zero restores the automatic value.
-func (w *Sharded) SetLookahead(d time.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("simnet: negative lookahead %v", d)
-	}
-	if d > 0 && w.minCross > 0 && d > w.minCross {
-		return fmt.Errorf("simnet: lookahead %v exceeds minimum cross-shard delay %v", d, w.minCross)
-	}
-	w.lookahead = d
-	return nil
-}
-
-// SetServiceFloor declares extra lookahead for shard k's outbound pairs:
-// the paper's gateway service time, promised on top of the link delay.
-// A pair (k→d) then exchanges every floor((delay+d)/W) base windows
-// instead of every floor(delay/W), so neighbours synchronize with k
-// less often.
-//
-// The declaration is a promise about k's emission phase: every
-// cross-shard record k emits during one of the widened exchange periods
-// must still arrive at or after that period's end. Link delay alone
-// guarantees this for the default period; the extra width is honest only
-// when k's service structure keeps emissions at least d into each period
-// (batched or fixed-cycle services aligned with the traffic cadence —
-// note a plain delayed reply does NOT suffice when its timer crosses a
-// period boundary). The engine verifies every drained record and reports
-// a deterministic error naming the floor if the promise breaks, so a
-// dishonest declaration fails loudly instead of corrupting causality.
-// Zero (the default) promises nothing.
-func (w *Sharded) SetServiceFloor(k int, d time.Duration) error {
-	if k < 0 || k >= len(w.shards) {
-		return fmt.Errorf("simnet: service floor for unknown shard %d", k)
-	}
-	if d < 0 {
-		return fmt.Errorf("simnet: negative service floor %v", d)
-	}
-	w.floors[k] = d
-	return nil
-}
-
-// ServiceFloor returns shard k's declared service floor.
-func (w *Sharded) ServiceFloor(k int) time.Duration { return w.floors[k] }
+// Lookahead returns the window width: the minimum cross-shard link
+// delay, or zero for a single shard or no cross links (one window spans
+// the whole horizon).
+func (w *Sharded) Lookahead() time.Duration { return w.minCross }
 
 // Stop halts execution promptly: no new shard windows are claimed, tasks
 // already running complete, and RunUntil returns ErrStopped after
@@ -374,10 +211,10 @@ func (w *Sharded) RunFor(d time.Duration, workers int) error {
 }
 
 // RunUntil executes all shards to the deadline on up to workers
-// goroutines (values < 2, or a single shard, run inline) on the relaxed
-// per-pair scoreboard. It returns ErrStopped if halted by
-// Stop (the world's or any shard scheduler's), or a service-floor
-// violation error if a declared floor proves dishonest.
+// goroutines (values < 2, or a single shard, run inline) on the per-pair
+// scoreboard. It returns ErrStopped if halted by Stop (the world's or
+// any shard scheduler's), or a causality error if a cross-shard record
+// arrives before its destination shard's clock.
 func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
 	w.stopped.Store(false)
 	for k := range w.errs {
@@ -401,7 +238,7 @@ func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
 	// events on their destination schedulers, so Pending is accurate and
 	// a later RunUntil resumes mid-stream.
 	for k := range w.shards {
-		w.drainRings(k, nil)
+		w.drainRings(k)
 	}
 	for _, err := range w.errs {
 		if err != nil {
@@ -414,15 +251,8 @@ func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
 	return nil
 }
 
-// pairRef is one directed exchange relationship seen from one end: the
-// peer shard and the pair's exchange period in base windows.
-type pairRef struct {
-	peer   int
-	period int
-}
-
 // shardProg is one shard's scoreboard entry: its current window (win
-// counts completed windows), whether that window's boundary drains are
+// counts completed windows), whether that window's boundary drain is
 // done, and the claim/terminal flags. All access is under shardExec.mu.
 type shardProg struct {
 	win     int
@@ -434,18 +264,18 @@ type shardProg struct {
 
 // shardExec runs one conservative RunUntil: a scoreboard of per-shard
 // epoch counters guarded by one mutex, with worker lanes claiming drain
-// and run tasks whose per-pair dependencies are met. The mutex is touched
-// a few times per shard window (claim and publish); all simulation work
-// happens outside it, and the condition variable parks lanes only when
-// nothing in the whole world is claimable.
+// and run tasks whose neighbour dependencies are met. The mutex is
+// touched a few times per shard window (claim and publish); all
+// simulation work happens outside it, and the condition variable parks
+// lanes only when nothing in the whole world is claimable. Cross creates
+// rings in both directions, so a shard's peers are both the sources it
+// drains and the destinations it appends to.
 type shardExec struct {
 	w        *Sharded
 	mu       sync.Mutex
 	cond     *sync.Cond
 	prog     []shardProg
-	inPairs  [][]pairRef
-	outPairs [][]pairRef
-	due      [][]bool // per-shard drain mask, owned by the drain task
+	peers    [][]int // peers[k]: the shards k shares a cross link with
 	start    time.Duration
 	deadline time.Duration
 	width    time.Duration
@@ -454,7 +284,7 @@ type shardExec struct {
 	active   int
 }
 
-// runConservative executes [w.now, deadline) under the relaxed per-pair
+// runConservative executes [w.now, deadline) under the per-pair window
 // protocol on up to workers lanes.
 func (w *Sharded) runConservative(deadline time.Duration, workers int) {
 	n := len(w.shards)
@@ -469,25 +299,15 @@ func (w *Sharded) runConservative(deadline time.Duration, workers int) {
 	}
 	e := &shardExec{
 		w: w, start: start, deadline: deadline, width: width, numWin: numWin,
-		prog:    make([]shardProg, n),
-		inPairs: make([][]pairRef, n), outPairs: make([][]pairRef, n),
-		due: make([][]bool, n),
+		prog:  make([]shardProg, n),
+		peers: make([][]int, n),
 	}
 	e.cond = sync.NewCond(&e.mu)
-	for s := 0; s < n; s++ {
-		e.due[s] = make([]bool, n)
-		for d := 0; d < n; d++ {
-			if s == d || w.rings[s][d] == nil {
-				continue
+	for k := 0; k < n; k++ {
+		for j := 0; j < n; j++ {
+			if j != k && w.rings[j][k] != nil {
+				e.peers[k] = append(e.peers[k], j)
 			}
-			p := 1
-			if width > 0 {
-				if la := w.minPair[s][d] + w.floors[s]; la > width {
-					p = int(la / width)
-				}
-			}
-			e.inPairs[d] = append(e.inPairs[d], pairRef{peer: s, period: p})
-			e.outPairs[s] = append(e.outPairs[s], pairRef{peer: d, period: p})
 		}
 	}
 	lanes := workers
@@ -523,15 +343,12 @@ func (e *shardExec) loop(lane int) {
 			e.active++
 			if k%e.lanes != lane {
 				e.w.cSteals++
-				if e.w.engPer != nil {
-					e.w.engPer[k].steals++
-				}
 			}
 			e.mu.Unlock()
 			if run {
 				e.runWindow(k)
 			} else {
-				e.drainWindow(k)
+				e.w.drainRings(k)
 			}
 			e.mu.Lock()
 			e.publish(k, run)
@@ -573,52 +390,34 @@ func (e *shardExec) claim(lane int) (int, bool) {
 	return -1, false
 }
 
-// ready evaluates the per-pair scoreboard conditions for shard k's next
-// task. For the boundary drain of window w: every source due at w must
-// have completed all windows < w (its records through window w-1 are in
-// the ring). For the run of window w: every destination must have
-// drained past the pair's last due boundary ≤ w, so this run's ring
-// appends cannot race that drain. Both conditions are monotone in the
-// epoch counters, so the set of executable tasks — and therefore the
-// final state — is independent of claim timing and lane count.
+// ready evaluates the scoreboard conditions for shard k's next task.
+// For the boundary drain of window w: every peer must have completed
+// all windows < w (its records through window w-1 are in the ring). For
+// the run of window w: every peer must have drained its boundary w, so
+// this run's ring appends cannot race that drain. Both conditions are
+// monotone in the epoch counters, so the set of executable tasks — and
+// therefore the final state — is independent of claim timing and lane
+// count.
 func (e *shardExec) ready(k int) bool {
 	p := &e.prog[k]
 	if p.done || p.frozen || p.claimed {
 		return false
 	}
 	if !p.drained {
-		for _, pr := range e.inPairs[k] {
-			if p.win%pr.period == 0 && e.prog[pr.peer].win < p.win {
+		for _, j := range e.peers[k] {
+			if e.prog[j].win < p.win {
 				return false
 			}
 		}
 		return true
 	}
-	for _, pr := range e.outPairs[k] {
-		j := (p.win / pr.period) * pr.period
-		q := &e.prog[pr.peer]
-		if q.win > j || (q.win == j && q.drained) {
-			continue
+	for _, j := range e.peers[k] {
+		q := &e.prog[j]
+		if q.win < p.win || (q.win == p.win && !q.drained) {
+			return false
 		}
-		return false
 	}
 	return true
-}
-
-// drainWindow injects every due ring into shard k at its current window
-// boundary (the due mask row is owned by this task).
-func (e *shardExec) drainWindow(k int) {
-	win := e.prog[k].win
-	mask := e.due[k]
-	for _, pr := range e.inPairs[k] {
-		if win%pr.period == 0 {
-			mask[pr.peer] = true
-		}
-	}
-	e.w.drainRings(k, mask)
-	for i := range mask {
-		mask[i] = false
-	}
 }
 
 // runWindow executes shard k's current window.
@@ -640,16 +439,9 @@ func (e *shardExec) publish(k int, run bool) {
 	p := &e.prog[k]
 	p.claimed = false
 	if !run {
-		for _, pr := range e.inPairs[k] {
-			if p.win%pr.period == 0 {
-				e.w.cBarrier++
-				if e.w.engPer != nil {
-					e.w.engPer[k].barrier++
-				}
-			}
-		}
+		e.w.cBarrier += uint64(len(e.peers[k]))
 		p.drained = true
-		if e.w.errs[k] != nil { // service-floor violation at inject
+		if e.w.errs[k] != nil { // causality violation at inject
 			p.frozen, p.done = true, true
 		}
 		return
@@ -659,52 +451,29 @@ func (e *shardExec) publish(k int, run bool) {
 		// The shard's scheduler stopped (or errored) mid-window: freeze
 		// it at that virtual instant. Siblings keep running exactly until
 		// their next synchronization with it — a cut determined by
-		// virtual time and the pair periods, not by lane timing.
+		// virtual time, not by lane timing.
 		p.frozen, p.done = true, true
 		return
 	}
 	p.win++
-	if e.w.engPer != nil {
-		t := e.deadline
-		if e.width > 0 {
-			if tt := e.start + time.Duration(p.win)*e.width; tt < t {
-				t = tt
-			}
-		}
-		e.w.engWindow(k, t)
-	}
-	p.drained = false
 	if p.win >= e.numWin {
 		p.done = true
 		return
 	}
-	// Idle-pair fast path: boundaries where no inbound pair is due need
-	// no drain task at all.
-	due := false
-	for _, pr := range e.inPairs[k] {
-		if p.win%pr.period == 0 {
-			due = true
-			break
-		}
-	}
-	if !due {
-		p.drained = true
-	}
+	// Idle-boundary fast path: a shard nothing sends to needs no drain
+	// task.
+	p.drained = len(e.peers[k]) == 0
 }
 
-// drainRings drains rings addressed to shard k — all of them when mask
-// is nil, else exactly the marked sources — merges the records in
-// (arrival time, source shard, sequence) order, and schedules their
+// drainRings drains every ring addressed to shard k, merges the records
+// in (arrival time, source shard, sequence) order, and schedules their
 // deliveries on k's scheduler. Arrival times must be at or after k's
-// clock: conservative pair periods guarantee it for honest service
-// floors, and a record landing in k's past is reported as a
-// deterministic violation error on k.
-func (w *Sharded) drainRings(k int, mask []bool) {
+// clock: a cross link's delay is never below the window width, so the
+// window protocol guarantees it, and a record landing in k's past is
+// reported as a deterministic causality error on k.
+func (w *Sharded) drainRings(k int) {
 	buf := w.scratch[k][:0]
 	for s := range w.shards {
-		if mask != nil && !mask[s] {
-			continue
-		}
 		r := w.rings[s][k]
 		if r == nil || len(r.recs) == 0 {
 			continue
@@ -740,8 +509,8 @@ func (w *Sharded) drainRings(k int, mask []bool) {
 		rec := &buf[i]
 		if rec.at < now && w.errs[k] == nil {
 			w.errs[k] = fmt.Errorf(
-				"simnet: cross-shard record from shard %d arrives at %v, before shard %d's clock %v (declared service floor %v is dishonest?)",
-				rec.src, rec.at, k, now, w.floors[rec.src])
+				"simnet: cross-shard record from shard %d arrives at %v, before shard %d's clock %v (causality violation)",
+				rec.src, rec.at, k, now)
 		}
 		d := w.allocXDelivery(k)
 		d.link, d.dst, d.dir = rec.link, rec.dst, rec.dir

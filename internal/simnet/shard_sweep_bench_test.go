@@ -70,7 +70,7 @@ func buildSweepWorld(tb testing.TB, shards int, churnEvery time.Duration) *Shard
 // GOMAXPROCS {1,2,4} x worker lanes {1,4,8} on an 8-shard world (~64k
 // events per window). Every entry reports the aggregate event rate, the
 // host core count and the engine's per-window counters (windows, pair
-// synchronization episodes, steals), so the sync-reduction claim is
+// synchronization episodes, steals), so the synchronization cost is
 // checkable even where wall-clock speedup is not measurable — benchjson
 // flags single-core hosts and derives the per-lane speedup ratios.
 func BenchmarkShardedSweep(b *testing.B) {

@@ -85,8 +85,6 @@ func (w *Sharded) Cross(x, y *Node, cfg LinkConfig) (*CrossLink, error) {
 	if w.minCross == 0 || cfg.Delay < w.minCross {
 		w.minCross = cfg.Delay
 	}
-	w.notePairDelay(int(sx), int(sy), cfg.Delay)
-	w.notePairDelay(int(sy), int(sx), cfg.Delay)
 
 	label := cfg.Name
 	if label == "" {

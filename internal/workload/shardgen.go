@@ -179,36 +179,6 @@ func (st *flowStation) expire() {
 // workload.echo.<name>.served.
 type Echo struct {
 	Served uint64
-
-	u         *simnet.UDP
-	respBytes int
-	// freeReplies recycles delayed-reply records like the simnet pools.
-	freeReplies []*echoReply
-}
-
-// echoReply is the pooled argument of a delayed echo response, immutable
-// between schedule and fire.
-type echoReply struct {
-	e  *Echo
-	to simnet.Addr
-}
-
-func echoReplySend(a any) {
-	r := a.(*echoReply)
-	e := r.e
-	e.u.Send(EchoPort, r.to, nil, e.respBytes)
-	e.freeReplies = append(e.freeReplies, r)
-}
-
-// allocReply pops a recycled reply record or grows the pool.
-func (e *Echo) allocReply(to simnet.Addr) *echoReply {
-	if n := len(e.freeReplies); n > 0 {
-		r := e.freeReplies[n-1]
-		e.freeReplies = e.freeReplies[:n-1]
-		r.to = to
-		return r
-	}
-	return &echoReply{e: e, to: to}
 }
 
 // ServeEcho binds the echo service to EchoPort on nd.
@@ -219,35 +189,6 @@ func ServeEcho(nd *simnet.Node, name string, respBytes int) (*Echo, error) {
 	if err := u.Listen(EchoPort, func(from simnet.Addr, body any, bytes int) {
 		e.Served++
 		u.Send(EchoPort, from, nil, respBytes)
-	}); err != nil {
-		return nil, err
-	}
-	return e, nil
-}
-
-// ServeEchoDelayed binds an echo service on EchoPort that answers a fixed
-// service time after each request, modeling the paper's gateway
-// processing delay. Pairing it with Sharded.SetServiceFloor lets a
-// server shard widen its outbound exchange periods — but whether a given
-// floor is honest depends on where the delayed replies land inside those
-// periods (a reply timer crossing a period boundary emits early in the
-// next one); the engine verifies every drained record and fails
-// deterministically on a violation, so a bad combination is caught, not
-// silently wrong. Each response schedules a pooled reply record through a
-// package-level callback (no per-response closure) and reclaims the
-// request's delivery slot via Rearm, so the delayed-echo path allocates
-// nothing in steady state.
-func ServeEchoDelayed(nd *simnet.Node, name string, respBytes int, delay time.Duration) (*Echo, error) {
-	if delay <= 0 {
-		return nil, fmt.Errorf("workload: delayed echo %q needs delay > 0", name)
-	}
-	u := simnet.UDPOf(nd)
-	e := &Echo{u: u, respBytes: respBytes}
-	nd.Network().Metrics.Instance("workload.echo."+metrics.Sanitize(name)).AliasCounter("served", &e.Served)
-	sched := nd.Sched()
-	if err := u.Listen(EchoPort, func(from simnet.Addr, body any, bytes int) {
-		e.Served++
-		sched.Rearm(delay, echoReplySend, e.allocReply(from))
 	}); err != nil {
 		return nil, err
 	}

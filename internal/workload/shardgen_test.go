@@ -8,9 +8,9 @@ import (
 	"mcommerce/internal/workload"
 )
 
-// buildFlowsWorld wires one cell of virtual stations against a delayed
-// echo server over a single link — the minimal closed loop exercising
-// fire -> request -> delayed reply -> think re-arm.
+// buildFlowsWorld wires one cell of virtual stations against an echo
+// server over a single link — the minimal closed loop exercising
+// fire -> request -> reply -> think re-arm.
 func buildFlowsWorld(t testing.TB, seed int64, stations int) (*simnet.Network, *workload.Flows) {
 	t.Helper()
 	net := simnet.NewNetwork(simnet.NewScheduler(seed))
@@ -21,8 +21,8 @@ func buildFlowsWorld(t testing.TB, seed int64, stations int) (*simnet.Network, *
 	})
 	cell.SetDefaultRoute(l.IfaceA())
 	srv.SetDefaultRoute(l.IfaceB())
-	if _, err := workload.ServeEchoDelayed(srv, "srv", 256, 2*time.Millisecond); err != nil {
-		t.Fatalf("ServeEchoDelayed: %v", err)
+	if _, err := workload.ServeEcho(srv, "srv", 256); err != nil {
+		t.Fatalf("ServeEcho: %v", err)
 	}
 	f, err := workload.NewFlows(cell, "cell", workload.FlowConfig{
 		Stations:  stations,
@@ -39,14 +39,13 @@ func buildFlowsWorld(t testing.TB, seed int64, stations int) (*simnet.Network, *
 }
 
 // TestFlowsReplyPathZeroAlloc pins the whole virtual-station op loop —
-// request fire, delayed echo response (pooled reply record), station
-// reply, think-timer re-arm via the scheduler's Rearm fast path — at
-// zero steady-state allocations. A closure or unpooled body anywhere on
+// request fire, echo response, station reply, think-timer re-arm via the
+// scheduler's Rearm fast path — at zero steady-state allocations. A closure or unpooled body anywhere on
 // the path turns every one of the million stations' ops into garbage;
 // this test makes that a failure, not a profile regression.
 func TestFlowsReplyPathZeroAlloc(t *testing.T) {
 	net, f := buildFlowsWorld(t, 11, 50)
-	// Warm up: fills the scheduler arena, packet pools and reply pools.
+	// Warm up: fills the scheduler arena and packet pools.
 	if err := net.Sched.RunFor(2 * time.Second); err != nil {
 		t.Fatalf("warmup: %v", err)
 	}
