@@ -5,11 +5,12 @@
 //
 //	mcbench [-exp all|fig1|fig2|table1|table2|table3|table4|table5|tcp|mip|ablate]
 //	        [-seed N] [-format text|csv] [-parallel N] [-metrics] [-shards N]
+//	        [-cc reno|cubic]
 //	        [-timeline out.json] [-timeline-interval D]
 //	        [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
-// -shards N sets the worker-lane count the sharded "scale" experiment
-// executes on. Results are byte-identical at any value — lanes change
+// -shards N sets the worker-lane count the sharded experiments ("scale"
+// and "syncstorm") execute on. Results are byte-identical at any value — lanes change
 // which goroutines run the windows, never what the windows compute. The
 // profile flags write pprof CPU/heap/mutex profiles of the invocation,
 // the tool for diagnosing shard contention.
@@ -24,6 +25,12 @@
 // mode ("out.json" -> "out.chaos-faults-resilient.json", ...), including
 // fault annotations and the SLO violation intervals their tables report.
 // -timeline-interval sets the sampling interval (default 250ms).
+//
+// -cc picks the congestion control of every transport-bearing experiment;
+// the tcp experiment's named-variant rows keep their own algorithms.
+// -seed, -shards, -cc, -timeline and -timeline-interval are registered
+// and validated by internal/experiments, the flag set mcsim and mcload
+// share.
 //
 // The chaos experiment traces every transaction and emits an extra
 // E-CHAOS-CRITPATH table attributing critical-path latency to layers
@@ -48,7 +55,6 @@ import (
 	"strings"
 
 	"mcommerce/internal/experiments"
-	"mcommerce/internal/mtcp"
 )
 
 func main() {
@@ -61,14 +67,11 @@ func main() {
 func run(args []string) error {
 	fs := flag.NewFlagSet("mcbench", flag.ContinueOnError)
 	exp := fs.String("exp", "all", "experiment to run: all, "+strings.Join(experiments.Names(), ", "))
-	seed := fs.Int64("seed", 1, "simulation seed")
 	format := fs.String("format", "text", "output format: text or csv")
 	parallel := fs.Int("parallel", 0, "max concurrent experiments (0 = GOMAXPROCS, 1 = serial)")
 	withMetrics := fs.Bool("metrics", false, "also print attached telemetry snapshots as per-metric tables")
-	shards := fs.Int("shards", 1, "worker lanes for the sharded scale experiment (output is byte-identical at any value)")
-	cc := fs.String("cc", "reno", "TCP congestion control for transport-bearing experiments: reno or cubic (named-variant rows in the tcp experiment keep their own algorithms)")
-	timeline := fs.String("timeline", "", "export per-run telemetry time series as tagged JSON files next to this path (chaos, syncstorm, tcp)")
-	timelineInterval := fs.Duration("timeline-interval", experiments.TimelineInterval, "simulated-time sampling interval for -timeline and the SLO columns")
+	flags := experiments.AddRunFlags(fs, experiments.TimelineInterval)
+	fs.Lookup("timeline").Usage = "export per-run telemetry time series as tagged JSON files next to this path (chaos, syncstorm, tcp)"
 	prof := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -76,21 +79,13 @@ func run(args []string) error {
 	if *format != "text" && *format != "csv" {
 		return fmt.Errorf("unknown format %q (want text or csv)", *format)
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	experiments.ScaleWorkers = *shards
-	experiments.SyncStormWorkers = *shards
-	if *timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
-	}
-	experiments.TimelineFile = *timeline
-	experiments.TimelineInterval = *timelineInterval
-	ccName, err := mtcp.ParseCC(*cc)
-	if err != nil {
+	if err := flags.Validate(); err != nil {
 		return err
 	}
-	experiments.CC = ccName
+	experiments.Workers = flags.Shards
+	experiments.TimelineFile = flags.Timeline
+	experiments.TimelineInterval = flags.TimelineInterval
+	experiments.CC = flags.CC
 	if err := prof.Start(); err != nil {
 		return err
 	}
@@ -104,7 +99,7 @@ func run(args []string) error {
 		}
 		names = []string{*exp}
 	}
-	for _, results := range experiments.RunTasks(experiments.RegistryTasks(names, *seed), *parallel) {
+	for _, results := range experiments.RunTasks(experiments.RegistryTasks(names, flags.Seed), *parallel) {
 		for _, res := range results {
 			all := []*experiments.Result{res}
 			if *withMetrics {

@@ -28,12 +28,12 @@ func TestRunSingleExperiment(t *testing.T) {
 }
 
 func TestRunScaleShards(t *testing.T) {
-	defer func(old int) { experiments.ScaleWorkers = old }(experiments.ScaleWorkers)
+	defer func(old int) { experiments.Workers = old }(experiments.Workers)
 	if err := run([]string{"-exp", "scale", "-shards", "4", "-seed", "3"}); err != nil {
 		t.Errorf("scale with 4 lanes: %v", err)
 	}
-	if experiments.ScaleWorkers != 4 {
-		t.Errorf("ScaleWorkers = %d, want 4", experiments.ScaleWorkers)
+	if experiments.Workers != 4 {
+		t.Errorf("Workers = %d, want 4", experiments.Workers)
 	}
 	if err := run([]string{"-shards", "0"}); err == nil {
 		t.Error("-shards 0 accepted")

@@ -8,7 +8,9 @@
 //	       [-users N] [-duration 2m] [-think 2s] [-seed N]
 //	       [-trace out.json] [-trace-sample N]
 //	       [-scale] [-gateways G] [-cells C] [-stations S] [-remote M]
-//	       [-shards N] [-metrics]
+//	       [-sync] [-devices D] [-replicas R] [-policy P] [-fragile] [-no-chaos]
+//	       [-write-mean D] [-sync-mean D]
+//	       [-shards N] [-cc reno|cubic] [-metrics]
 //	       [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
 //	       [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
@@ -17,6 +19,10 @@
 // per-layer critical-path attribution table. -trace-sample N keeps every
 // Nth operation (deterministic 1-in-N sampling by trace ID) — the right
 // tool at load-test scale, where tracing every operation would be noise.
+// The -sync tier records no spans, so it rejects -trace.
+//
+// With -metrics, the report ends with the telemetry registry (merged
+// across shards on the -scale and -sync tiers), one line per metric.
 //
 // With -scale, mcload switches from the full-fidelity deployment to the
 // sharded scale tier: -gateways clusters of -cells cell aggregators
@@ -48,6 +54,10 @@
 // "default" picks the built-in rule set matching the selected tier
 // (full-fidelity, -scale or -sync); any other value is a built-in set
 // name or a JSON rule file.
+//
+// The engine and observability flags (-seed, -shards, -cc, -trace,
+// -trace-sample, -timeline, -timeline-interval, -slo) are the set mcsim
+// shares, registered and validated by internal/experiments.
 package main
 
 import (
@@ -63,10 +73,8 @@ import (
 	"mcommerce/internal/core"
 	"mcommerce/internal/device"
 	"mcommerce/internal/experiments"
+	"mcommerce/internal/metrics"
 	"mcommerce/internal/mobiledb"
-	"mcommerce/internal/mtcp"
-	"mcommerce/internal/obs"
-	"mcommerce/internal/trace"
 	"mcommerce/internal/wireless"
 	"mcommerce/internal/workload"
 )
@@ -86,9 +94,6 @@ func run(args []string, w io.Writer) error {
 	users := fs.Int("users", 10, "virtual user population")
 	duration := fs.Duration("duration", 2*time.Minute, "virtual run duration")
 	think := fs.Duration("think", 2*time.Second, "mean think time between operations")
-	seed := fs.Int64("seed", 1, "simulation seed")
-	traceFile := fs.String("trace", "", "write sampled operations as a Chrome trace-event (Perfetto) JSON file and print a critical-path table")
-	traceSample := fs.Int("trace-sample", 1, "with -trace, keep every Nth operation (deterministic 1-in-N sampling by trace ID)")
 	scale := fs.Bool("scale", false, "run the sharded scale tier (virtual stations on cell aggregators) instead of the full-fidelity deployment")
 	sync := fs.Bool("sync", false, "run the replicated data tier storm: virtual disconnected devices syncing to per-cluster replica groups under the chaos plan")
 	devices := fs.Int("devices", 100, "with -sync, virtual devices per cell")
@@ -98,34 +103,34 @@ func run(args []string, w io.Writer) error {
 	noChaos := fs.Bool("no-chaos", false, "with -sync, skip the per-cluster fault plan")
 	writeMean := fs.Duration("write-mean", 2*time.Second, "with -sync, mean gap between a device's disconnected writes")
 	syncMean := fs.Duration("sync-mean", 4*time.Second, "with -sync, mean gap between a device's sync attempts")
-	gateways := fs.Int("gateways", 4, "with -scale, number of gateway clusters")
-	cells := fs.Int("cells", 2, "with -scale, cell aggregator nodes per cluster")
+	gateways := fs.Int("gateways", 4, "with -scale or -sync, number of gateway clusters")
+	cells := fs.Int("cells", 2, "with -scale or -sync, cell aggregator nodes per cluster")
 	stations := fs.Int("stations", 50, "with -scale, virtual stations per cell")
-	remote := fs.Int("remote", 200, "with -scale, per mille of each cell's stations that target the next cluster's host")
-	cc := fs.String("cc", "reno", "TCP congestion control on every full-fidelity endpoint: reno or cubic (output is byte-identical per seed for either; -scale and -sync tiers carry no TCP)")
-	shards := fs.Int("shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
-	withMetrics := fs.Bool("metrics", false, "with -scale, dump the merged telemetry registry after the run")
-	timelineFile := fs.String("timeline", "", "sample every metric on the simulation clock and write the time-series JSON here")
-	timelineInterval := fs.Duration("timeline-interval", 100*time.Millisecond, "simulated-time sampling interval for -timeline and -slo")
-	sloSpec := fs.String("slo", "", "evaluate SLO rules over the sampled timeline: default (the built-in set for the selected tier), another built-in set name, or a JSON rule file")
+	remote := fs.Int("remote", 200, "with -scale or -sync, per mille of each cell's stations that target the next cluster's host")
+	withMetrics := fs.Bool("metrics", false, "dump the telemetry registry after the run (merged across shards with -scale or -sync)")
+	flags := experiments.AddRunFlags(fs, 100*time.Millisecond)
+	flags.AddObsFlags(fs)
 	prof := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *traceSample < 1 {
-		return fmt.Errorf("-trace-sample must be >= 1, got %d", *traceSample)
-	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
-	}
-	if *timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
-	}
-	obsCfg := obsOpts{timeline: *timelineFile, interval: *timelineInterval, slo: *sloSpec}
-	if *sloSpec != "" && !strings.EqualFold(*sloSpec, "default") {
-		if _, err := obs.ResolveRules(*sloSpec); err != nil {
-			return fmt.Errorf("-slo: %w", err)
+	var counts []experiments.Min
+	switch {
+	case *sync:
+		if flags.Trace != "" {
+			return fmt.Errorf("-trace is not supported with -sync (the data tier storm records no spans)")
 		}
+		counts = []experiments.Min{{Flag: "gateways", Value: *gateways, Min: 1},
+			{Flag: "cells", Value: *cells, Min: 1}, {Flag: "devices", Value: *devices, Min: 1},
+			{Flag: "replicas", Value: *replicas, Min: 1}}
+	case *scale:
+		counts = []experiments.Min{{Flag: "gateways", Value: *gateways, Min: 1},
+			{Flag: "cells", Value: *cells, Min: 1}, {Flag: "stations", Value: *stations, Min: 1}}
+	default:
+		counts = []experiments.Min{{Flag: "users", Value: *users, Min: 1}}
+	}
+	if err := flags.Validate(counts...); err != nil {
+		return err
 	}
 	if err := prof.Start(); err != nil {
 		return err
@@ -137,40 +142,36 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 		return runSync(syncOpts{
-			seed: *seed, gateways: *gateways, cells: *cells, devices: *devices,
-			replicas: *replicas, remote: *remote, shards: *shards,
+			gateways: *gateways, cells: *cells, devices: *devices,
+			replicas: *replicas, remote: *remote,
 			policy: pol, fragile: *fragile, noChaos: *noChaos,
 			writeMean: *writeMean, syncMean: *syncMean,
 			duration: *duration, metrics: *withMetrics,
-			obs: obsCfg,
+			flags: flags,
 		}, w)
 	}
 	if *scale {
 		return runScale(scaleOpts{
-			seed: *seed, gateways: *gateways, cells: *cells, stations: *stations,
-			remote: *remote, shards: *shards,
-			think: *think, duration: *duration,
-			metrics: *withMetrics, traceFile: *traceFile, traceSample: *traceSample,
-			obs: obsCfg,
+			gateways: *gateways, cells: *cells, stations: *stations,
+			remote: *remote,
+			think:  *think, duration: *duration,
+			metrics: *withMetrics,
+			flags:   flags,
 		}, w)
 	}
 
-	ccName, err := mtcp.ParseCC(*cc)
-	if err != nil {
-		return err
-	}
-	cfg := core.MCConfig{Seed: *seed, CC: ccName}
+	cfg := core.MCConfig{Seed: flags.Seed, CC: flags.CC}
 	switch strings.ToLower(*bearer) {
 	case "wlan":
 		cfg.Bearer = core.BearerWLAN
-		std, err := wlanStandard(*wlanStd)
+		std, err := wireless.ByName(*wlanStd)
 		if err != nil {
 			return err
 		}
 		cfg.WLANStandard = std
 	case "cellular":
 		cfg.Bearer = core.BearerCellular
-		std, err := cellStandard(*cellStd)
+		std, err := cellular.ByName(*cellStd)
 		if err != nil {
 			return err
 		}
@@ -187,14 +188,11 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	var tl *obs.Timeline
-	if obsCfg.active() {
-		tl = obs.NewTimeline(obsCfg.interval)
+	tl := flags.NewTimeline()
+	if tl != nil {
 		tl.Attach("", mc.Net)
 	}
-	if *traceFile != "" {
-		mc.Net.Tracer.EnableExport(*traceSample)
-	}
+	flags.EnableTrace(mc.Net.Tracer)
 	if err := workload.RegisterHandlers(mc.Host); err != nil {
 		return err
 	}
@@ -214,121 +212,56 @@ func run(args []string, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "bearer: %s\n", bearerName)
 	fmt.Fprint(w, report.String())
-	if err := finishObs(w, obsCfg, tl, "default"); err != nil {
+	if err := flags.FinishObs(w, tl, "default"); err != nil {
 		return err
 	}
-	if *traceFile != "" {
-		if err := exportTrace(w, mc.Net.Tracer.Spans(), *traceFile, "operations"); err != nil {
-			return err
-		}
+	if err := flags.ExportTrace(w, mc.Net.Tracer.Spans(), "operations"); err != nil {
+		return err
+	}
+	if *withMetrics {
+		return writeMetrics(w, mc.Metrics().Snapshot())
 	}
 	return nil
 }
 
-// obsOpts is the resolved observability flag set, shared by every tier.
-type obsOpts struct {
-	timeline string
-	interval time.Duration
-	slo      string
-}
-
-// active reports whether a timeline needs to be attached at all.
-func (o obsOpts) active() bool { return o.timeline != "" || o.slo != "" }
-
-// finishObs evaluates -slo over the sampled timeline (tierSet names the
-// built-in rule set "-slo default" resolves to on this tier), prints the
-// verdicts and writes the -timeline file.
-func finishObs(w io.Writer, o obsOpts, tl *obs.Timeline, tierSet string) error {
-	if tl == nil {
-		return nil
-	}
-	var slo []obs.Interval
-	if o.slo != "" {
-		spec := o.slo
-		if strings.EqualFold(spec, "default") {
-			spec = tierSet
-		}
-		rules, err := obs.ResolveRules(spec)
-		if err != nil {
-			return err
-		}
-		slo = obs.Evaluate(tl, rules)
-		fmt.Fprintf(w, "\nSLO verdicts (%d rules, %d violation intervals):\n", len(rules), len(slo))
-		if len(slo) == 0 {
-			fmt.Fprintln(w, "  all SLOs held")
-		}
-		for _, iv := range slo {
-			state := "resolved"
-			if !iv.Resolved {
-				state = "firing at end"
-			}
-			fmt.Fprintf(w, "  %-24s %-36s %8s .. %-8s (%s, %s)\n",
-				iv.Rule, iv.Series, iv.Start, iv.End, iv.End-iv.Start, state)
-		}
-	}
-	if o.timeline != "" {
-		f, err := os.Create(o.timeline)
-		if err != nil {
-			return err
-		}
-		if err := obs.WriteJSON(f, tl, slo); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		samples := 0
-		for _, ws := range tl.Worlds() {
-			if s := ws.Samples(); s > samples {
-				samples = s
-			}
-		}
-		// The output path is not part of the deterministic report;
-		// keep stdout byte-comparable across same-seed runs.
-		fmt.Fprintf(os.Stderr, "timeline: %d samples at %s -> %s\n", samples, tl.Interval(), o.timeline)
-	}
-	return nil
+// writeMetrics dumps a telemetry registry snapshot as text.
+func writeMetrics(w io.Writer, snap metrics.Snapshot) error {
+	fmt.Fprintf(w, "\ntelemetry registry (%d metrics):\n", len(snap.Entries))
+	return snap.WriteText(w)
 }
 
 // scaleOpts is the resolved -scale flag set.
 type scaleOpts struct {
-	seed                      int64
 	gateways, cells, stations int
-	remote, shards            int
+	remote                    int
 	think, duration           time.Duration
 	metrics                   bool
-	traceFile                 string
-	traceSample               int
-	obs                       obsOpts
+	flags                     *experiments.RunFlags
 }
 
 // runScale builds and runs the sharded scale world. Everything written
 // to w (and the trace file) is deterministic per seed and invariant to
-// o.shards; wall-clock goes to stderr only, so two runs at different
+// -shards; wall-clock goes to stderr only, so two runs at different
 // worker counts stay byte-comparable.
 func runScale(o scaleOpts, w io.Writer) error {
 	sw, err := experiments.BuildScale(experiments.ScaleConfig{
-		Seed:            o.seed,
+		Seed:            o.flags.Seed,
 		Gateways:        o.gateways,
 		CellsPerGateway: o.cells,
 		StationsPerCell: o.stations,
 		RemotePerMille:  o.remote,
 		ThinkMean:       o.think,
 		Duration:        o.duration,
-		Workers:         o.shards,
+		Workers:         o.flags.Shards,
 	})
 	if err != nil {
 		return err
 	}
-	if o.traceFile != "" {
-		for k := 0; k < sw.World.NumShards(); k++ {
-			sw.World.Shard(k).Tracer.EnableExport(o.traceSample)
-		}
+	for k := 0; k < sw.World.NumShards(); k++ {
+		o.flags.EnableTrace(sw.World.Shard(k).Tracer)
 	}
-	var tl *obs.Timeline
-	if o.obs.active() {
-		tl = obs.NewTimeline(o.obs.interval)
+	tl := o.flags.NewTimeline()
+	if tl != nil {
 		tl.AttachSharded(sw.World)
 	}
 	start := time.Now()
@@ -336,7 +269,7 @@ func runScale(o scaleOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.shards)
+	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.flags.Shards)
 	// Engine internals vary with worker count, so they go to stderr:
 	// stdout stays byte-comparable across counts.
 	fmt.Fprintln(os.Stderr, "engine internals:")
@@ -350,41 +283,36 @@ func runScale(o scaleOpts, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "total: ops=%d timeouts=%d events=%d now=%v\n",
 		rep.Ops, rep.Timeouts, rep.Executed, sw.World.Now())
-	if err := finishObs(w, o.obs, tl, "scale"); err != nil {
+	if err := o.flags.FinishObs(w, tl, "scale"); err != nil {
 		return err
 	}
-	if o.traceFile != "" {
-		if err := exportTrace(w, sw.World.Spans(), o.traceFile, "operations"); err != nil {
-			return err
-		}
+	if err := o.flags.ExportTrace(w, sw.World.Spans(), "operations"); err != nil {
+		return err
 	}
 	if o.metrics {
-		snap := sw.World.Snapshot()
-		fmt.Fprintf(w, "\ntelemetry registry (%d metrics):\n", len(snap.Entries))
-		return snap.WriteText(w)
+		return writeMetrics(w, sw.World.Snapshot())
 	}
 	return nil
 }
 
 // syncOpts is the resolved -sync flag set.
 type syncOpts struct {
-	seed                      int64
 	gateways, cells, devices  int
-	replicas, remote, shards  int
+	replicas, remote          int
 	policy                    mobiledb.Policy
 	fragile, noChaos, metrics bool
 	writeMean, syncMean       time.Duration
 	duration                  time.Duration
-	obs                       obsOpts
+	flags                     *experiments.RunFlags
 }
 
 // runSync builds and runs the replicated data tier storm. Stdout is
-// deterministic per seed and invariant to o.shards (the verify script
+// deterministic per seed and invariant to -shards (the verify script
 // compares serial and sharded runs byte for byte); wall-clock and engine
 // internals go to stderr.
 func runSync(o syncOpts, w io.Writer) error {
 	sw, err := experiments.BuildSyncStorm(experiments.SyncStormConfig{
-		Seed:            o.seed,
+		Seed:            o.flags.Seed,
 		Gateways:        o.gateways,
 		CellsPerGateway: o.cells,
 		DevicesPerCell:  o.devices,
@@ -396,14 +324,13 @@ func runSync(o syncOpts, w io.Writer) error {
 		WriteMean:       o.writeMean,
 		SyncMean:        o.syncMean,
 		Duration:        o.duration,
-		Workers:         o.shards,
+		Workers:         o.flags.Shards,
 	})
 	if err != nil {
 		return err
 	}
-	var tl *obs.Timeline
-	if o.obs.active() {
-		tl = obs.NewTimeline(o.obs.interval)
+	tl := o.flags.NewTimeline()
+	if tl != nil {
 		tl.AttachSharded(sw.World)
 	}
 	start := time.Now()
@@ -411,7 +338,7 @@ func runSync(o syncOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.shards)
+	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.flags.Shards)
 	if tl != nil {
 		for _, in := range sw.Injectors {
 			tl.IngestFaults(in)
@@ -434,51 +361,11 @@ func runSync(o syncOpts, w io.Writer) error {
 	h := fnv.New64a()
 	io.WriteString(h, sw.Digest())
 	fmt.Fprintf(w, "digest: %016x\n", h.Sum64())
-	if err := finishObs(w, o.obs, tl, "syncstorm"); err != nil {
+	if err := o.flags.FinishObs(w, tl, "syncstorm"); err != nil {
 		return err
 	}
 	if o.metrics {
-		snap := sw.World.Snapshot()
-		fmt.Fprintf(w, "\ntelemetry registry (%d metrics):\n", len(snap.Entries))
-		return snap.WriteText(w)
+		return writeMetrics(w, sw.World.Snapshot())
 	}
 	return nil
-}
-
-// exportTrace writes spans as a Perfetto JSON file and prints the
-// critical-path attribution table.
-func exportTrace(w io.Writer, spans []trace.Span, path, what string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := trace.WritePerfetto(f, spans); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	bds := trace.Analyze(spans)
-	fmt.Fprintf(w, "trace: %d spans, %d sampled %s -> %s\n", len(spans), len(bds), what, path)
-	return trace.WriteTable(w, bds)
-}
-
-func wlanStandard(name string) (wireless.Standard, error) {
-	for _, std := range wireless.Standards() {
-		if strings.EqualFold(std.Name, name) ||
-			strings.EqualFold(strings.Fields(std.Name)[0], name) {
-			return std, nil
-		}
-	}
-	return wireless.Standard{}, fmt.Errorf("unknown WLAN standard %q", name)
-}
-
-func cellStandard(name string) (cellular.Standard, error) {
-	for _, std := range cellular.Standards() {
-		if strings.EqualFold(std.Name, name) {
-			return std, nil
-		}
-	}
-	return cellular.Standard{}, fmt.Errorf("unknown cellular standard %q", name)
 }

@@ -28,6 +28,17 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-users", "0"},
 		{"-shards", "0"},
 		{"-scale", "-stations", "70000"},
+		{"-scale", "-gateways", "0"},
+		{"-scale", "-stations", "0"},
+		{"-sync", "-devices", "0"},
+		{"-sync", "-replicas", "0"},
+		{"-trace-sample", "0"},
+		{"-timeline-interval", "-1s"},
+		{"-slo", "/no/such/rules.json"},
+		{"-cc", "vegas"},
+		// The data tier storm records no spans: -trace would silently
+		// write nothing.
+		{"-sync", "-trace", filepath.Join(t.TempDir(), "t.json")},
 	} {
 		if err := run(args, io.Discard); err == nil {
 			t.Errorf("args %v accepted", args)
@@ -35,15 +46,18 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
-func TestStandardLookupAliases(t *testing.T) {
-	if std, err := wlanStandard("802.11b"); err != nil || std.MaxRate == 0 {
-		t.Errorf("802.11b lookup: %v %v", std, err)
+// TestFullFidelityMetrics pins that -metrics dumps the registry on the
+// full-fidelity tier too, through the same text dump as -scale and -sync.
+func TestFullFidelityMetrics(t *testing.T) {
+	var b strings.Builder
+	if err := run([]string{"-users", "2", "-duration", "10s", "-metrics"}, &b); err != nil {
+		t.Fatal(err)
 	}
-	if std, err := wlanStandard("bluetooth"); err != nil || std.Name != "Bluetooth" {
-		t.Errorf("bluetooth lookup: %v %v", std, err)
-	}
-	if std, err := cellStandard("WCDMA"); err != nil || std.Name != "WCDMA" {
-		t.Errorf("wcdma lookup: %v %v", std, err)
+	out := b.String()
+	for _, want := range []string{"\ntelemetry registry (", "simnet.", "wap."} {
+		if !strings.Contains(out, want) {
+			t.Errorf("full-fidelity -metrics output missing %q:\n%s", want, out)
+		}
 	}
 }
 

@@ -8,7 +8,7 @@
 //	      [-cell gprs|edge|gsm|cdma|cdma2000|wcdma] [-middleware wap|imode]
 //	      [-clients N] [-rounds N] [-seed N] [-replicas R] [-parallel N] [-faults]
 //	      [-metrics] [-metrics-format text|csv|openmetrics] [-shards N]
-//	      [-db-replicas N]
+//	      [-cc reno|cubic] [-db-replicas N]
 //	      [-trace out.json] [-trace-sample N]
 //	      [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
 //	      [-cpuprofile f] [-memprofile f] [-mutexprofile f]
@@ -17,7 +17,7 @@
 // goes through (the full-fidelity world is one partition, so lanes only
 // change which goroutines execute it — never the results: output at any
 // -shards value is byte-identical). The profile flags write pprof
-// CPU/heap/mutex-contention profiles for the whole invocation. [-packet-trace]
+// CPU/heap/mutex-contention profiles for the whole invocation.
 //
 // With -trace FILE, every transaction becomes a causal span tree — root
 // span at the station, per-hop link spans, middleware and host serve
@@ -27,8 +27,8 @@
 // deterministic: two runs at the same seed write byte-identical files.
 // -trace-sample N keeps every Nth transaction (deterministic 1-in-N
 // sampling by trace ID); a sampled file's events are a strict subset of
-// the unsampled run's. -packet-trace is the old low-level packet log on
-// stderr.
+// the unsampled run's. Every packet drop is annotated, with its reason,
+// on the span of the transaction that sent the packet.
 //
 // With -metrics, the report ends with the full telemetry registry: every
 // counter, gauge and latency histogram any layer registered, one line per
@@ -72,7 +72,12 @@
 // seed+1, ..., seed+R-1 on up to -parallel concurrent workers (default
 // GOMAXPROCS). Each replica builds its own simulation world, so replicas
 // are race-free and their reports are printed in seed order, byte-identical
-// to running them one at a time.
+// to running them one at a time. -trace and -timeline need a single
+// replica.
+//
+// The engine and observability flags (-seed, -shards, -cc, -trace,
+// -trace-sample, -timeline, -timeline-interval, -slo) are the set mcload
+// shares, registered and validated by internal/experiments.
 package main
 
 import (
@@ -89,10 +94,8 @@ import (
 	"mcommerce/internal/device"
 	"mcommerce/internal/experiments"
 	"mcommerce/internal/faults"
-	"mcommerce/internal/mtcp"
 	"mcommerce/internal/obs"
 	"mcommerce/internal/simnet"
-	"mcommerce/internal/trace"
 	"mcommerce/internal/webserver"
 	"mcommerce/internal/wireless"
 )
@@ -107,24 +110,17 @@ func main() {
 // scenario is one fully resolved simulation configuration, shared
 // read-only across replicas.
 type scenario struct {
-	bearer      core.BearerKind
-	wlan        wireless.Standard
-	cell        cellular.Standard
-	middleware  string
-	traceFile   string
-	traceSample int
-	packetTrace bool
-	clients     int
-	rounds      int
-	dbReplicas  int
-	shards      int
-	cc          string
-	faults      bool
-	metrics     bool
-	metricsFmt  string
-	timeline    string
-	timelineInt time.Duration
-	slo         string
+	bearer     core.BearerKind
+	wlan       wireless.Standard
+	cell       cellular.Standard
+	middleware string
+	clients    int
+	rounds     int
+	dbReplicas int
+	faults     bool
+	metrics    bool
+	metricsFmt string
+	flags      experiments.RunFlags
 }
 
 func run(args []string) error {
@@ -135,27 +131,25 @@ func run(args []string) error {
 	middleware := fs.String("middleware", "wap", "middleware path for the workload: wap or imode")
 	clients := fs.Int("clients", 5, "number of mobile stations (cycled through Table 2)")
 	rounds := fs.Int("rounds", 10, "browse transactions per station")
-	seed := fs.Int64("seed", 1, "simulation seed (replica i runs at seed+i)")
 	replicas := fs.Int("replicas", 1, "independent replicas at consecutive seeds")
 	parallel := fs.Int("parallel", 0, "max concurrent replicas (0 = GOMAXPROCS, 1 = serial)")
-	traceFile := fs.String("trace", "", "write sampled transactions as a Chrome trace-event (Perfetto) JSON file and print a critical-path table (single replica only)")
-	traceSample := fs.Int("trace-sample", 1, "with -trace, keep every Nth transaction (deterministic 1-in-N sampling by trace ID)")
-	packetTrace := fs.Bool("packet-trace", false, "print a low-level packet trace of the whole run to stderr (single replica only)")
 	withFaults := fs.Bool("faults", false, "inject the default fault plan (link flaps, brownout, gateway and host crashes, partition) during the run")
 	withMetrics := fs.Bool("metrics", false, "dump the full telemetry registry (every layer's counters, gauges and latency histograms) after the run")
 	metricsFormat := fs.String("metrics-format", "text", "telemetry dump format: text, csv or openmetrics")
-	timelineFile := fs.String("timeline", "", "sample every metric on the simulation clock and write the time-series JSON here (single replica only)")
-	timelineInterval := fs.Duration("timeline-interval", 100*time.Millisecond, "simulated-time sampling interval for -timeline and -slo")
-	sloSpec := fs.String("slo", "", "evaluate SLO rules over the sampled timeline: a built-in set name (default) or a JSON rule file")
 	dbReplicas := fs.Int("db-replicas", 0, "attach a replicated data tier with this many replicas beside the primary (0 = no data tier)")
-	shards := fs.Int("shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
-	cc := fs.String("cc", "reno", "TCP congestion control on every endpoint: reno or cubic (output is byte-identical per seed for either)")
+	flags := experiments.AddRunFlags(fs, 100*time.Millisecond)
+	flags.AddObsFlags(fs)
 	profiles := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *shards < 1 {
-		return fmt.Errorf("-shards must be >= 1, got %d", *shards)
+	if err := flags.Validate(
+		experiments.Min{Flag: "clients", Value: *clients, Min: 1},
+		experiments.Min{Flag: "rounds", Value: *rounds},
+		experiments.Min{Flag: "replicas", Value: *replicas, Min: 1},
+		experiments.Min{Flag: "db-replicas", Value: *dbReplicas},
+	); err != nil {
+		return err
 	}
 	if err := profiles.Start(); err != nil {
 		return err
@@ -166,51 +160,31 @@ func run(args []string) error {
 	default:
 		return fmt.Errorf("unknown -metrics-format %q (want text, csv or openmetrics)", *metricsFormat)
 	}
-	if *replicas < 1 {
-		return fmt.Errorf("-replicas must be >= 1, got %d", *replicas)
+	if flags.Trace != "" && *replicas > 1 {
+		return fmt.Errorf("-trace requires -replicas 1 (traces from concurrent replicas would interleave)")
 	}
-	if (*traceFile != "" || *packetTrace) && *replicas > 1 {
-		return fmt.Errorf("-trace and -packet-trace require -replicas 1 (traces from concurrent replicas would interleave)")
-	}
-	if *timelineFile != "" && *replicas > 1 {
+	if flags.Timeline != "" && *replicas > 1 {
 		return fmt.Errorf("-timeline requires -replicas 1 (concurrent replicas would fight over the file)")
 	}
-	if *timelineInterval <= 0 {
-		return fmt.Errorf("-timeline-interval must be > 0, got %v", *timelineInterval)
-	}
-	if *sloSpec != "" {
-		if _, err := obs.ResolveRules(*sloSpec); err != nil {
-			return fmt.Errorf("-slo: %w", err)
-		}
-	}
-	if *traceSample < 1 {
-		return fmt.Errorf("-trace-sample must be >= 1, got %d", *traceSample)
-	}
 
-	ccName, err := mtcp.ParseCC(*cc)
-	if err != nil {
-		return err
-	}
 	sc := scenario{
-		middleware: *middleware, clients: *clients, rounds: *rounds, shards: *shards,
+		middleware: *middleware, clients: *clients, rounds: *rounds,
 		dbReplicas: *dbReplicas,
-		cc:         ccName,
-		traceFile:  *traceFile, traceSample: *traceSample, packetTrace: *packetTrace,
-		faults:  *withFaults,
-		metrics: *withMetrics, metricsFmt: strings.ToLower(*metricsFormat),
-		timeline: *timelineFile, timelineInt: *timelineInterval, slo: *sloSpec,
+		faults:     *withFaults,
+		metrics:    *withMetrics, metricsFmt: strings.ToLower(*metricsFormat),
+		flags: *flags,
 	}
 	switch strings.ToLower(*bearer) {
 	case "wlan":
 		sc.bearer = core.BearerWLAN
-		std, err := wlanByName(*wlanStd)
+		std, err := wireless.ByName(*wlanStd)
 		if err != nil {
 			return err
 		}
 		sc.wlan = std
 	case "cellular":
 		sc.bearer = core.BearerCellular
-		std, err := cellByName(*cellStd)
+		std, err := cellular.ByName(*cellStd)
 		if err != nil {
 			return err
 		}
@@ -220,7 +194,7 @@ func run(args []string) error {
 	}
 
 	if *replicas == 1 {
-		return runOne(sc, *seed, os.Stdout)
+		return runOne(sc, flags.Seed, os.Stdout)
 	}
 
 	type report struct {
@@ -229,17 +203,17 @@ func run(args []string) error {
 	}
 	reports := experiments.Fan(*replicas, *parallel, func(i int) report {
 		var b strings.Builder
-		err := runOne(sc, *seed+int64(i), &b)
+		err := runOne(sc, flags.Seed+int64(i), &b)
 		return report{out: b.String(), err: err}
 	})
 	var firstErr error
 	for i, r := range reports {
-		fmt.Printf("===== replica %d/%d (seed %d) =====\n", i+1, *replicas, *seed+int64(i))
+		fmt.Printf("===== replica %d/%d (seed %d) =====\n", i+1, *replicas, flags.Seed+int64(i))
 		os.Stdout.WriteString(r.out)
 		if r.err != nil {
 			fmt.Printf("replica failed: %v\n", r.err)
 			if firstErr == nil {
-				firstErr = fmt.Errorf("replica %d (seed %d): %w", i+1, *seed+int64(i), r.err)
+				firstErr = fmt.Errorf("replica %d (seed %d): %w", i+1, flags.Seed+int64(i), r.err)
 			}
 		}
 		fmt.Println()
@@ -250,7 +224,7 @@ func run(args []string) error {
 // runOne builds the scenario's system at the given seed, drives the
 // workload and writes the report to w.
 func runOne(sc scenario, seed int64, w io.Writer) error {
-	cfg := core.MCConfig{Seed: seed, Bearer: sc.bearer, WLANStandard: sc.wlan, CellStandard: sc.cell, DBReplicas: sc.dbReplicas, CC: sc.cc}
+	cfg := core.MCConfig{Seed: seed, Bearer: sc.bearer, WLANStandard: sc.wlan, CellStandard: sc.cell, DBReplicas: sc.dbReplicas, CC: sc.flags.CC}
 	profiles := device.Profiles()
 	for i := 0; i < sc.clients; i++ {
 		cfg.Devices = append(cfg.Devices, profiles[i%len(profiles)])
@@ -261,20 +235,14 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		return err
 	}
 	// Run through the sharded executor: the deployment is one partition,
-	// so sc.shards only sets how many worker lanes the window loop may
+	// so sc.flags.Shards only sets how many worker lanes the window loop may
 	// use — the results cannot depend on it.
 	world := simnet.WrapNetwork(mc.Net)
-	var tl *obs.Timeline
-	if sc.timeline != "" || sc.slo != "" {
-		tl = obs.NewTimeline(sc.timelineInt)
+	tl := sc.flags.NewTimeline()
+	if tl != nil {
 		tl.AttachSharded(world)
 	}
-	if sc.packetTrace {
-		mc.Net.SetTracer(simnet.NewTextTracer(os.Stderr))
-	}
-	if sc.traceFile != "" {
-		mc.Net.Tracer.EnableExport(sc.traceSample)
-	}
+	sc.flags.EnableTrace(mc.Net.Tracer)
 	if err := apps.RegisterAll(mc.Host); err != nil {
 		return err
 	}
@@ -310,7 +278,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 				return fmt.Errorf("place call: %w", err)
 			}
 		}
-		if err := world.RunFor(10*time.Second, sc.shards); err != nil {
+		if err := world.RunFor(10*time.Second, sc.flags.Shards); err != nil {
 			return err
 		}
 		if pending > 0 {
@@ -348,7 +316,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		}
 		round(0)
 	}
-	if err := world.RunFor(time.Hour, sc.shards); err != nil {
+	if err := world.RunFor(time.Hour, sc.flags.Shards); err != nil {
 		return err
 	}
 
@@ -412,72 +380,14 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		fmt.Fprintf(w, "  station %-24s battery %.4f%% used, free RAM %d MB\n",
 			cl.Station.Name()+":", (1-cl.Station.Battery())*100, cl.Station.FreeRAM()>>20)
 	}
-	if tl != nil {
-		if injector != nil {
-			tl.IngestFaults(injector)
-		}
-		var slo []obs.Interval
-		if sc.slo != "" {
-			rules, err := obs.ResolveRules(sc.slo)
-			if err != nil {
-				return err
-			}
-			slo = obs.Evaluate(tl, rules)
-			fmt.Fprintf(w, "\nSLO verdicts (%d rules, %d violation intervals):\n", len(rules), len(slo))
-			if len(slo) == 0 {
-				fmt.Fprintln(w, "  all SLOs held")
-			}
-			for _, iv := range slo {
-				state := "resolved"
-				if !iv.Resolved {
-					state = "firing at end"
-				}
-				fmt.Fprintf(w, "  %-20s %-32s %8s .. %-8s (%s, %s)\n",
-					iv.Rule, iv.Series, iv.Start, iv.End, iv.End-iv.Start, state)
-			}
-		}
-		if sc.timeline != "" {
-			f, err := os.Create(sc.timeline)
-			if err != nil {
-				return err
-			}
-			if err := obs.WriteJSON(f, tl, slo); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			samples := 0
-			for _, ws := range tl.Worlds() {
-				if s := ws.Samples(); s > samples {
-					samples = s
-				}
-			}
-			// The output path is not part of the deterministic report;
-			// keep stdout byte-comparable across same-seed runs.
-			fmt.Fprintf(os.Stderr, "timeline: %d samples at %s -> %s\n", samples, tl.Interval(), sc.timeline)
-		}
+	if tl != nil && injector != nil {
+		tl.IngestFaults(injector)
 	}
-	if sc.traceFile != "" {
-		spans := mc.Net.Tracer.Spans()
-		f, err := os.Create(sc.traceFile)
-		if err != nil {
-			return err
-		}
-		if err := trace.WritePerfetto(f, spans); err != nil {
-			f.Close()
-			return err
-		}
-		if err := f.Close(); err != nil {
-			return err
-		}
-		bds := trace.Analyze(spans)
-		fmt.Fprintf(w, "\ntrace: %d spans, %d sampled transactions -> %s\n",
-			len(spans), len(bds), sc.traceFile)
-		if err := trace.WriteTable(w, bds); err != nil {
-			return err
-		}
+	if err := sc.flags.FinishObs(w, tl, "default"); err != nil {
+		return err
+	}
+	if err := sc.flags.ExportTrace(w, mc.Net.Tracer.Spans(), "transactions"); err != nil {
+		return err
 	}
 	if sc.metrics {
 		snap := mc.Metrics().Snapshot()
@@ -496,46 +406,4 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-func wlanByName(name string) (wireless.Standard, error) {
-	switch strings.ToLower(name) {
-	case "bluetooth":
-		return wireless.Bluetooth, nil
-	case "802.11b", "wifi", "wi-fi":
-		return wireless.IEEE80211b, nil
-	case "802.11a":
-		return wireless.IEEE80211a, nil
-	case "hiperlan2":
-		return wireless.HiperLAN2, nil
-	case "802.11g":
-		return wireless.IEEE80211g, nil
-	default:
-		return wireless.Standard{}, fmt.Errorf("unknown WLAN standard %q", name)
-	}
-}
-
-func cellByName(name string) (cellular.Standard, error) {
-	switch strings.ToLower(name) {
-	case "gsm":
-		return cellular.GSM, nil
-	case "tdma":
-		return cellular.TDMA, nil
-	case "cdma":
-		return cellular.CDMA, nil
-	case "gprs":
-		return cellular.GPRS, nil
-	case "edge":
-		return cellular.EDGE, nil
-	case "cdma2000":
-		return cellular.CDMA2000, nil
-	case "wcdma", "umts":
-		return cellular.WCDMA, nil
-	case "amps":
-		return cellular.AMPS, nil
-	case "tacs":
-		return cellular.TACS, nil
-	default:
-		return cellular.Standard{}, fmt.Errorf("unknown cellular standard %q", name)
-	}
 }

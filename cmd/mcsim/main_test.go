@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"mcommerce/internal/cellular"
 	"mcommerce/internal/core"
 	"mcommerce/internal/wireless"
 )
@@ -16,13 +15,8 @@ func TestRunSmallWLANScenario(t *testing.T) {
 }
 
 func TestRunFaultedScenarioDeterministic(t *testing.T) {
-	sc := scenario{middleware: "wap", clients: 2, rounds: 2, faults: true}
-	std, err := wlanByName("802.11b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc.bearer = core.BearerWLAN
-	sc.wlan = std
+	sc := scenario{middleware: "wap", clients: 2, rounds: 2, faults: true,
+		bearer: core.BearerWLAN, wlan: wireless.IEEE80211b}
 	var a, b strings.Builder
 	if err := runOne(sc, 1, &a); err != nil {
 		t.Fatalf("faulted run: %v", err)
@@ -45,16 +39,12 @@ func TestRunFaultedScenarioDeterministic(t *testing.T) {
 // worker lanes over the (single-partition) full-fidelity world must not
 // change a byte of the report, including the telemetry dump.
 func TestRunShardsGolden(t *testing.T) {
-	std, err := wlanByName("802.11b")
-	if err != nil {
-		t.Fatal(err)
-	}
 	base := scenario{middleware: "wap", clients: 2, rounds: 2, metrics: true,
-		bearer: core.BearerWLAN, wlan: std}
+		bearer: core.BearerWLAN, wlan: wireless.IEEE80211b}
 	var want string
 	for _, shards := range []int{1, 4} {
 		sc := base
-		sc.shards = shards
+		sc.flags.Shards = shards
 		var b strings.Builder
 		if err := runOne(sc, 1, &b); err != nil {
 			t.Fatalf("shards=%d: %v", shards, err)
@@ -80,28 +70,20 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-bearer", "carrier-pigeon"},
 		{"-bearer", "wlan", "-wlan", "802.11zz"},
 		{"-bearer", "cellular", "-cell", "6g"},
+		{"-clients", "0"},
+		{"-clients", "1", "-rounds", "-1"},
+		{"-replicas", "0"},
+		{"-shards", "0"},
+		{"-trace-sample", "0", "-trace", "x.json"},
+		{"-timeline-interval", "0"},
+		{"-slo", "/no/such/rules.json"},
+		{"-cc", "vegas"},
+		{"-trace", "x.json", "-replicas", "2"},
+		{"-timeline", "x.json", "-replicas", "2"},
 	}
 	for _, args := range cases {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
-		}
-	}
-}
-
-func TestStandardLookups(t *testing.T) {
-	if std, err := wlanByName("hiperlan2"); err != nil || std != wireless.HiperLAN2 {
-		t.Errorf("hiperlan2 lookup: %v %v", std, err)
-	}
-	if std, err := cellByName("WCDMA"); err != nil || std != cellular.WCDMA {
-		t.Errorf("wcdma lookup: %v %v", std, err)
-	}
-	if _, err := wlanByName("802.11b"); err != nil {
-		t.Errorf("802.11b lookup: %v", err)
-	}
-	names := []string{"gsm", "tdma", "cdma", "gprs", "edge", "cdma2000", "amps", "tacs"}
-	for _, n := range names {
-		if _, err := cellByName(n); err != nil {
-			t.Errorf("cellByName(%q): %v", n, err)
 		}
 	}
 }

@@ -106,3 +106,36 @@ func TestQoSClassStrings(t *testing.T) {
 		}
 	}
 }
+
+// TestByName covers every spelling the command-line tools accept: each
+// Table 5 name in any case, plus the UMTS alias for WCDMA.
+func TestByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Standard
+	}{
+		{"amps", AMPS},
+		{"tacs", TACS},
+		{"gsm", GSM},
+		{"GSM", GSM},
+		{"tdma", TDMA},
+		{"cdma", CDMA},
+		{"gprs", GPRS},
+		{"edge", EDGE},
+		{"cdma2000", CDMA2000},
+		{"CDMA2000", CDMA2000},
+		{"wcdma", WCDMA},
+		{"WCDMA", WCDMA},
+		{"umts", WCDMA},
+		{"UMTS", WCDMA},
+	} {
+		if got, err := ByName(c.name); err != nil || got != c.want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", c.name, got.Name, err, c.want.Name)
+		}
+	}
+	for _, bad := range []string{"", "6g", "lte", "cdma20"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}

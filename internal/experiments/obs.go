@@ -2,7 +2,7 @@ package experiments
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"strings"
 	"time"
@@ -51,14 +51,7 @@ func writeTimeline(res *Result, tag string, tl *obs.Timeline, slo []obs.Interval
 	}
 	ext := filepath.Ext(TimelineFile)
 	path := strings.TrimSuffix(TimelineFile, ext) + "." + tag + ext
-	f, err := os.Create(path)
-	if err == nil {
-		err = obs.WriteJSON(f, tl, slo)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-	}
-	if err != nil {
+	if err := writeFile(path, func(out io.Writer) error { return obs.WriteJSON(out, tl, slo) }); err != nil {
 		res.Note("timeline export failed: %v", err)
 		return
 	}

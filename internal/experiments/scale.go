@@ -18,11 +18,11 @@ import (
 // the next cluster's host, keeping the backbone (and the cross-shard
 // machinery) under continuous load.
 
-// ScaleWorkers is the worker-lane count the registry's "scale"
-// experiment runs with. Output is byte-identical for any value — it
-// only changes how many goroutines execute the windows (mcbench -shards
-// sets it).
-var ScaleWorkers = 1
+// Workers is the worker-lane count the registry's sharded experiments
+// ("scale" and "syncstorm") run with. Output is byte-identical for any
+// value — it only changes how many goroutines execute the windows
+// (mcbench -shards sets it).
+var Workers = 1
 
 // Link profiles of the scale topology. The uplink delay sits below the
 // planner's contraction floor on purpose; the backbone delay is the
@@ -327,7 +327,7 @@ func Scale(seed int64) *Result {
 		StationsPerCell: 50,
 		ThinkMean:       500 * time.Millisecond,
 		Duration:        10 * time.Second,
-		Workers:         ScaleWorkers,
+		Workers:         Workers,
 	}
 	r := newResult("scale", "sharded scale: virtual-station flows across gateway clusters",
 		"cluster", "stations", "ops", "timeouts", "served")

@@ -24,11 +24,6 @@ import (
 // zero lost updates and a byte-identical converged tier per seed at any
 // worker count; the fragile rollback-on-timeout baseline loses writes.
 
-// SyncStormWorkers is the worker-lane count the registry's "syncstorm"
-// experiment runs with (mcbench -shards sets it). Output is byte-identical
-// for any value.
-var SyncStormWorkers = 1
-
 var (
 	stormUplink   = simnet.LinkConfig{Rate: 2 * simnet.Mbps, Delay: 20 * time.Millisecond, QueueLen: 64}
 	stormBackbone = simnet.LinkConfig{Rate: 1 * simnet.Gbps, Delay: 10 * time.Millisecond, QueueLen: 1024}
@@ -401,7 +396,7 @@ func SyncStorm(seed int64) *Result {
 	for _, row := range rows {
 		sw, err := BuildSyncStorm(SyncStormConfig{
 			Seed: seed, Policy: row.policy, Fragile: row.fragile,
-			Workers: SyncStormWorkers,
+			Workers: Workers,
 		})
 		if err != nil {
 			r.Note("%s: build failed: %v", row.name, err)

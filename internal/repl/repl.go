@@ -438,7 +438,7 @@ func (m *Member) shipAll() {
 }
 
 // shipTo sends one batch (or keepalive) to follower r under a db.repl.ship
-// span, so replication hops show up on packet traces like any other layer.
+// span, so replication hops show up on transaction traces like any other layer.
 func (m *Member) shipTo(r int, allowEmpty bool) {
 	wl := m.db.WALLen()
 	start := m.next[r]

@@ -3,6 +3,8 @@ package simnet
 import (
 	"testing"
 	"time"
+
+	"mcommerce/internal/trace"
 )
 
 func TestNetworkAndNodeAPI(t *testing.T) {
@@ -77,30 +79,19 @@ func TestPacketAndProtocolStrings(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", proto, proto.String(), want)
 		}
 	}
-	for kind, want := range map[TraceKind]string{
-		TraceSend: "send", TraceDeliver: "recv", TraceDrop: "drop", TraceKind(9): "?",
-	} {
-		if kind.String() != want {
-			t.Errorf("TraceKind %d = %q, want %q", kind, kind.String(), want)
-		}
-	}
 }
 
 func TestNodeDropCountsAndTraces(t *testing.T) {
 	net := NewNetwork(NewScheduler(1))
 	a := net.NewNode("a")
-	var dropped []string
-	net.SetTracer(func(ev TraceEvent) {
-		if ev.Kind == TraceDrop {
-			dropped = append(dropped, ev.Reason)
-		}
-	})
-	a.Drop(&Packet{Proto: ProtoControl, Bytes: 1}, "custom-reason")
+	net.Tracer.EnableExport(1)
+	root := net.Tracer.StartTrace("test.txn", trace.LayerStation)
+	a.Drop(&Packet{Proto: ProtoControl, Bytes: 1, Trace: root}, "custom-reason")
 	if a.Dropped != 1 {
 		t.Errorf("Dropped = %d", a.Dropped)
 	}
-	if len(dropped) != 1 || dropped[0] != "custom-reason" {
-		t.Errorf("trace = %v", dropped)
+	if got := annotCounts(net); len(got) != 1 || got["custom-reason"] != 1 {
+		t.Errorf("drop annotations = %v", got)
 	}
 }
 

@@ -143,7 +143,7 @@ func TestStationaryLossAnalytic(t *testing.T) {
 }
 
 // TestLinkDropReasonsTraced checks that every link-level discard mode is
-// visible through the trace layer with a distinguishing reason, and that
+// annotated onto the packet's span with a distinguishing reason, and that
 // the counters separate queue overflow from loss-model drops.
 func TestLinkDropReasonsTraced(t *testing.T) {
 	net := NewNetwork(NewScheduler(9))
@@ -152,20 +152,18 @@ func TestLinkDropReasonsTraced(t *testing.T) {
 	l := Connect(a, b, LinkConfig{Rate: 8 * Kbps, Delay: time.Millisecond, QueueLen: 2, Loss: 0})
 	a.SetDefaultRoute(l.IfaceA())
 	b.Bind(ProtoControl, func(p *Packet) {})
+	net.Tracer.EnableExport(1)
 
+	// Every packet travels under its own root span, so no span overflows
+	// its annotation slots and reasons counts each drop exactly once.
 	reasons := map[string]int{}
-	net.SetTracer(func(ev TraceEvent) {
-		if ev.Kind == TraceDrop {
-			reasons[ev.Reason]++
-		}
-	})
-
 	sendBurst := func(n int) {
 		for i := 0; i < n; i++ {
-			a.Send(&Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 1000})
+			sendTraced(net, a, &Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 1000})
 		}
 		for net.Sched.Step() {
 		}
+		reasons = annotCounts(net)
 	}
 	send := func(n int) { // drains between packets: never overflows
 		for i := 0; i < n; i++ {

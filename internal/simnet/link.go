@@ -299,7 +299,6 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 	if l.down {
 		l.DroppedDown[dir]++
 		l.net.Tracer.Annotate(p.Trace, "link-down")
-		l.net.trace(TraceEvent{Kind: TraceDrop, Node: from.Node, Iface: from, Packet: p, Reason: "link-down"})
 		return
 	}
 
@@ -312,7 +311,6 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 	if l.queued[dir] >= l.cfg.QueueLen {
 		l.Dropped[dir]++
 		l.net.Tracer.Annotate(p.Trace, "queue-overflow")
-		l.net.trace(TraceEvent{Kind: TraceDrop, Node: from.Node, Iface: from, Packet: p, Reason: "queue-overflow"})
 		return
 	}
 
@@ -327,7 +325,6 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 	if reason := l.lost(s, dir, p.Bytes); reason != "" {
 		l.Lost[dir]++
 		l.net.Tracer.Annotate(p.Trace, reason)
-		l.net.trace(TraceEvent{Kind: TraceDrop, Node: from.Node, Iface: from, Packet: p, Reason: reason})
 		// The transmitter is still occupied for the serialization time;
 		// decrement the queue when the frame would have finished sending.
 		s.AtCall(txDone, linkDequeue[dir], l)

@@ -26,12 +26,10 @@ type Handler func(p *Packet)
 // Tap inspects (and may veto) packets traversing a node, including packets
 // being forwarded. Taps implement in-network agents such as the Snoop TCP
 // accelerator and Mobile IP interception. Returning false swallows the
-// packet. Like Handlers, taps must not retain the *Packet past their own
+// packet: the tap owns it, so the node neither counts nor annotates it as
+// a drop. Like Handlers, taps must not retain the *Packet past their own
 // return.
 type Tap func(p *Packet) bool
-
-// TapFlaggedDrop can be returned in future extensions; currently a bool
-// verdict suffices.
 
 // Iface is a node's attachment point to a medium.
 type Iface struct {
@@ -67,17 +65,13 @@ func (i *Iface) Send(p *Packet) {
 		return
 	}
 	// A packet that has already been on the wire is being relayed or
-	// tunneled onward; distinguish that from origin sends in the trace.
-	kind := TraceSend
-	if p.onWire {
-		kind = TraceForward
-	} else {
+	// tunneled onward and keeps its original send time.
+	if !p.onWire {
 		p.onWire = true
 		p.Sent = i.Node.net.Sched.Now()
 	}
 	i.TxPackets++
 	i.TxBytes += uint64(p.Bytes)
-	i.Node.net.trace(TraceEvent{Kind: kind, Node: i.Node, Iface: i, Packet: p})
 	i.Medium.Transmit(i, p)
 }
 
@@ -102,7 +96,8 @@ type Node struct {
 	Forwarding bool
 
 	// Dropped counts packets discarded at this node (no route, TTL
-	// exhausted, tap veto).
+	// exhausted, no handler, interface down, not forwarding, and any
+	// Drop by a protocol layer). Packets a tap swallows are not counted.
 	Dropped uint64
 
 	// udp is the lazily created datagram stack; see UDPOf.
@@ -114,11 +109,10 @@ type Node struct {
 // steady-state forwarding path allocation-free; like the scheduler, these
 // are single-goroutine structures.
 type Network struct {
-	Sched  *Scheduler
-	nodes  map[NodeID]*Node
-	base   NodeID // ID namespace offset (see SetNodeIDBase)
-	next   NodeID
-	tracer func(TraceEvent)
+	Sched *Scheduler
+	nodes map[NodeID]*Node
+	base  NodeID // ID namespace offset (see SetNodeIDBase)
+	next  NodeID
 
 	// Metrics is the world's telemetry registry. Every component built on
 	// this network registers into it at construction, so one Snapshot
@@ -328,7 +322,7 @@ func (nd *Node) Send(p *Packet) {
 func (nd *Node) Deliver(p *Packet, via *Iface) {
 	if via != nil {
 		if !via.Up {
-			nd.drop(p, via, "iface-down")
+			nd.Drop(p, "iface-down")
 			return
 		}
 		via.RxPackets++
@@ -338,27 +332,21 @@ func (nd *Node) Deliver(p *Packet, via *Iface) {
 	// its handling: taps, handlers and anything they send inherit it.
 	prev := nd.net.Tracer.Swap(p.Trace)
 	defer nd.net.Tracer.Swap(prev)
-	nd.net.trace(TraceEvent{Kind: TraceDeliver, Node: nd, Iface: via, Packet: p})
 	for _, t := range nd.taps {
 		if !t(p) {
-			nd.net.trace(TraceEvent{Kind: TraceDrop, Node: nd, Iface: via, Packet: p, Reason: "tap"})
 			return
 		}
 	}
 	nd.dispatch(p)
 }
 
-// Drop discards a packet, counting it and emitting a trace event. Protocol
-// layers outside this package use it so their discards appear in traces.
-func (nd *Node) Drop(p *Packet, reason string) { nd.drop(p, nil, reason) }
-
-// drop discards a packet, counting and tracing it. The drop reason is
-// also annotated onto the packet's causal span (reasons are constant
-// strings, so this stays allocation-free).
-func (nd *Node) drop(p *Packet, via *Iface, reason string) {
+// Drop discards a packet, counting it and annotating the reason onto the
+// packet's causal span (reasons are constant strings, so this stays
+// allocation-free). Protocol layers outside this package use it so their
+// discards appear in traces too.
+func (nd *Node) Drop(p *Packet, reason string) {
 	nd.Dropped++
 	nd.net.Tracer.Annotate(p.Trace, reason)
-	nd.net.trace(TraceEvent{Kind: TraceDrop, Node: nd, Iface: via, Packet: p, Reason: reason})
 }
 
 // dispatch delivers locally or forwards.
@@ -369,7 +357,7 @@ func (nd *Node) dispatch(p *Packet) {
 		if out := nd.defaultRoute; out != nil {
 			out.Send(p)
 		} else {
-			nd.drop(p, nil, "no-route")
+			nd.Drop(p, "no-route")
 		}
 		return
 	}
@@ -377,7 +365,7 @@ func (nd *Node) dispatch(p *Packet) {
 		if h, ok := nd.handlers[p.Proto]; ok {
 			h(p)
 		} else {
-			nd.drop(p, nil, "no-handler")
+			nd.Drop(p, "no-handler")
 		}
 		return
 	}
@@ -386,18 +374,18 @@ func (nd *Node) dispatch(p *Packet) {
 	// decrement.
 	if p.onWire {
 		if !nd.Forwarding {
-			nd.drop(p, nil, "not-forwarding")
+			nd.Drop(p, "not-forwarding")
 			return
 		}
 		p.TTL--
 		if p.TTL <= 0 {
-			nd.drop(p, nil, "ttl")
+			nd.Drop(p, "ttl")
 			return
 		}
 	}
 	out := nd.RouteTo(p.Dst.Node)
 	if out == nil {
-		nd.drop(p, nil, "no-route")
+		nd.Drop(p, "no-route")
 		return
 	}
 	out.Send(p)

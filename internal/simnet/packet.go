@@ -65,7 +65,7 @@ const DefaultTTL = 32
 //
 // Ownership: packets obtained from Network.AllocPacket are recycled by the
 // simulation once the send or delivery that carries them completes.
-// Handlers, taps and tracers therefore must not keep a *Packet past their
+// Handlers and taps therefore must not keep a *Packet past their
 // own return — copy the value or Clone it to retain. Body payloads may be
 // retained freely; recycling only resets the Packet struct itself.
 type Packet struct {

@@ -1,7 +1,6 @@
 package simnet
 
 import (
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -9,62 +8,56 @@ import (
 	"mcommerce/internal/trace"
 )
 
+// sendTraced sends p from node under a fresh transaction root span, the
+// way a transaction layer would, and returns the root's context. The
+// network's tracer must be enabled for the root to be recorded.
+func sendTraced(net *Network, from *Node, p *Packet) trace.Context {
+	root := net.Tracer.StartTrace("test.txn", trace.LayerStation)
+	prev := net.Tracer.Swap(root)
+	from.Send(p)
+	net.Tracer.Swap(prev)
+	return root
+}
+
+// annotCounts tallies every annotation kind recorded on the tracer's spans.
+func annotCounts(net *Network) map[string]int {
+	counts := map[string]int{}
+	for _, sp := range net.Tracer.Spans() {
+		for _, a := range sp.Annots[:sp.NAnnots] {
+			counts[a.Kind]++
+		}
+	}
+	return counts
+}
+
 func TestTracerObservesSendDeliverDrop(t *testing.T) {
 	net, a, b, _ := twoNodes(t, LinkConfig{Rate: Mbps, Delay: time.Millisecond})
-	var events []TraceEvent
-	net.SetTracer(func(ev TraceEvent) { events = append(events, ev) })
+	net.Tracer.EnableExport(1)
 	b.Bind(ProtoControl, func(p *Packet) {})
 
 	// One delivered packet and one dropped (no handler for UDP).
-	a.Send(&Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 100})
-	a.Send(&Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoUDP, Bytes: 100})
+	sendTraced(net, a, &Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 100})
+	dropped := sendTraced(net, a, &Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoUDP, Bytes: 100})
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 
-	var sends, delivers, drops int
-	var dropReason string
-	for _, ev := range events {
-		switch ev.Kind {
-		case TraceSend:
-			sends++
-		case TraceDeliver:
-			delivers++
-		case TraceDrop:
-			drops++
-			dropReason = ev.Reason
-		}
-		if ev.At < 0 || ev.Node == nil || ev.Packet == nil {
-			t.Errorf("malformed event: %+v", ev)
-		}
+	tx, rx := a.Ifaces()[0].TxPackets, b.Ifaces()[0].RxPackets
+	if tx != 2 || rx != 2 || b.Dropped != 1 {
+		t.Errorf("sends=%d delivers=%d drops=%d, want 2/2/1", tx, rx, b.Dropped)
 	}
-	if sends != 2 || delivers != 2 || drops != 1 {
-		t.Errorf("sends=%d delivers=%d drops=%d, want 2/2/1", sends, delivers, drops)
+	if got := annotCounts(net); len(got) != 1 || got["no-handler"] != 1 {
+		t.Errorf("drop annotations = %v, want one no-handler", got)
 	}
-	if dropReason != "no-handler" {
-		t.Errorf("drop reason = %q", dropReason)
-	}
-}
-
-func TestTextTracerFormat(t *testing.T) {
-	net, a, b, _ := twoNodes(t, LinkConfig{Rate: Mbps, Delay: time.Millisecond})
-	var out strings.Builder
-	net.SetTracer(NewTextTracer(&out))
-	b.Bind(ProtoControl, func(p *Packet) {})
-	a.Send(&Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 100})
-	if err := net.Sched.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	text := out.String()
-	for _, want := range []string{"send", "recv", "CTL", "node 1 (a)", "node 2 (b)"} {
-		if !strings.Contains(text, want) {
-			t.Errorf("trace output missing %q:\n%s", want, text)
+	for _, sp := range net.Tracer.Spans() {
+		if sp.NAnnots > 0 && sp.ID != dropped.Span {
+			t.Errorf("drop annotated on span %q, want the dropped packet's root", sp.Name)
 		}
 	}
 }
 
-// TestTraceForwardKind verifies that a routed hop re-emits as "fwd", not
-// "send": only the originating interface produces TraceSend.
+// TestTraceForwardKind verifies that a routed packet records one wired
+// hop span per link, both under the originating transaction's root.
 func TestTraceForwardKind(t *testing.T) {
 	net := NewNetwork(NewScheduler(1))
 	a := net.NewNode("a")
@@ -78,54 +71,31 @@ func TestTraceForwardKind(t *testing.T) {
 	r.SetRoute(b.ID, rb.IfaceA())
 	b.SetDefaultRoute(rb.IfaceB())
 	b.Bind(ProtoControl, func(p *Packet) {})
+	net.Tracer.EnableExport(1)
 
-	var sends, forwards int
-	net.SetTracer(func(ev TraceEvent) {
-		switch ev.Kind {
-		case TraceSend:
-			sends++
-			if ev.Node != a {
-				t.Errorf("origin send from %v, want node a", ev.Node)
-			}
-		case TraceForward:
-			forwards++
-			if ev.Node != r {
-				t.Errorf("forward from %v, want router r", ev.Node)
-			}
-		}
-	})
-	a.Send(&Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 100})
+	root := sendTraced(net, a, &Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 100})
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if sends != 1 || forwards != 1 {
-		t.Errorf("sends=%d forwards=%d, want 1/1", sends, forwards)
+	spans := net.Tracer.Spans()
+	if len(spans) != 3 {
+		t.Fatalf("got %d spans, want root + two hops: %+v", len(spans), spans)
 	}
-	if TraceForward.String() != "fwd" {
-		t.Errorf("TraceForward.String() = %q", TraceForward)
+	for _, hop := range spans[1:] {
+		if hop.Parent != root.Span || hop.Trace != root.Trace || hop.Layer != trace.LayerWired || !hop.Finished {
+			t.Errorf("bad hop span: %+v", hop)
+		}
 	}
-}
-
-// TestTextTracerZeroAllocs pins the text tracer's per-event cost at zero
-// allocations: the formatting buffer is reused across events.
-func TestTextTracerZeroAllocs(t *testing.T) {
-	net, a, b, _ := twoNodes(t, LinkConfig{Rate: Mbps})
-	tracer := NewTextTracer(io.Discard)
-	ev := TraceEvent{
-		At:     12345678 * time.Nanosecond,
-		Kind:   TraceSend,
-		Node:   a,
-		Iface:  a.Ifaces()[0],
-		Packet: &Packet{Src: Addr{Node: a.ID, Port: 80}, Dst: Addr{Node: b.ID, Port: 8080}, Proto: ProtoTCP, Bytes: 1440},
-		Reason: "queue-overflow",
+	if spans[1].Name == spans[2].Name {
+		t.Errorf("both hops named %q, want one span per link", spans[1].Name)
 	}
-	// Warm once so the buffer reaches steady-state capacity.
-	tracer(ev)
-	allocs := testing.AllocsPerRun(1000, func() { tracer(ev) })
-	if allocs != 0 {
-		t.Fatalf("text tracer allocates %v allocs/op, want 0", allocs)
+	if spans[2].Start < spans[1].End {
+		t.Errorf("forward hop starts at %v, before the first hop ends at %v", spans[2].Start, spans[1].End)
 	}
-	_ = net
+	if ar.IfaceB().RxPackets != 1 || rb.IfaceA().TxPackets != 1 || r.Dropped != 0 {
+		t.Errorf("router rx=%d tx=%d dropped=%d, want 1/1/0",
+			ar.IfaceB().RxPackets, rb.IfaceA().TxPackets, r.Dropped)
+	}
 }
 
 // TestPacketCarriesSpanContext verifies the simnet leg of causal tracing:
@@ -196,15 +166,5 @@ func TestLinkHopSpanZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("traced link send allocates %v allocs/op, want 0", allocs)
-	}
-}
-
-func TestTracerDisabledIsFree(t *testing.T) {
-	net, a, b, _ := twoNodes(t, LinkConfig{Rate: Mbps})
-	b.Bind(ProtoControl, func(p *Packet) {})
-	net.SetTracer(nil) // explicit no-op
-	a.Send(&Packet{Src: Addr{Node: a.ID}, Dst: Addr{Node: b.ID}, Proto: ProtoControl, Bytes: 100})
-	if err := net.Sched.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
 	}
 }

@@ -76,7 +76,7 @@ func (u *UDP) Send(from Port, to Addr, body any, bytes int) {
 func (u *UDP) deliver(p *Packet) {
 	h, ok := u.ports[p.Dst.Port]
 	if !ok {
-		u.node.drop(p, nil, "no-port")
+		u.node.Drop(p, "no-port")
 		return
 	}
 	h(p.Src, p.Body, p.Bytes-UDPHeaderBytes)

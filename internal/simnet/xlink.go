@@ -201,7 +201,6 @@ func (l *CrossLink) Transmit(from *Iface, p *Packet) {
 	if l.down {
 		l.DroppedDown[dir]++
 		net.Tracer.Annotate(p.Trace, "link-down")
-		net.trace(TraceEvent{Kind: TraceDrop, Node: from.Node, Iface: from, Packet: p, Reason: "link-down"})
 		return
 	}
 
@@ -214,7 +213,6 @@ func (l *CrossLink) Transmit(from *Iface, p *Packet) {
 	if l.queued[dir] >= l.cfg.QueueLen {
 		l.Dropped[dir]++
 		net.Tracer.Annotate(p.Trace, "queue-overflow")
-		net.trace(TraceEvent{Kind: TraceDrop, Node: from.Node, Iface: from, Packet: p, Reason: "queue-overflow"})
 		return
 	}
 
@@ -229,7 +227,6 @@ func (l *CrossLink) Transmit(from *Iface, p *Packet) {
 	if reason := l.lost(s, dir, p.Bytes); reason != "" {
 		l.Lost[dir]++
 		net.Tracer.Annotate(p.Trace, reason)
-		net.trace(TraceEvent{Kind: TraceDrop, Node: from.Node, Iface: from, Packet: p, Reason: reason})
 		s.AtCall(txDone, xlinkDequeue[dir], l)
 		return
 	}

@@ -1,6 +1,9 @@
 package wireless
 
 import (
+	"fmt"
+	"strings"
+
 	"mcommerce/internal/simnet"
 )
 
@@ -73,6 +76,21 @@ var (
 // freshly allocated.
 func Standards() []Standard {
 	return []Standard{Bluetooth, IEEE80211b, IEEE80211a, HiperLAN2, IEEE80211g}
+}
+
+// ByName looks a standard up by its full name ("802.11b (Wi-Fi)"), the
+// first word of it ("802.11b", "hiperlan2") or the "wifi"/"wi-fi" alias
+// for 802.11b, ignoring case.
+func ByName(name string) (Standard, error) {
+	if strings.EqualFold(name, "wifi") || strings.EqualFold(name, "wi-fi") {
+		return IEEE80211b, nil
+	}
+	for _, std := range Standards() {
+		if strings.EqualFold(std.Name, name) || strings.EqualFold(strings.Fields(std.Name)[0], name) {
+			return std, nil
+		}
+	}
+	return Standard{}, fmt.Errorf("unknown WLAN standard %q", name)
 }
 
 // RateAt returns the effective transmission rate at distance d meters,

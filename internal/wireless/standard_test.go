@@ -98,3 +98,33 @@ func TestBluetoothIsPersonalAreaScale(t *testing.T) {
 		}
 	}
 }
+
+// TestByName covers every spelling the command-line tools accept: the
+// full name, its first word, the Wi-Fi aliases, in any case.
+func TestByName(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Standard
+	}{
+		{"bluetooth", Bluetooth},
+		{"Bluetooth", Bluetooth},
+		{"802.11b", IEEE80211b},
+		{"802.11b (Wi-Fi)", IEEE80211b},
+		{"wifi", IEEE80211b},
+		{"wi-fi", IEEE80211b},
+		{"Wi-Fi", IEEE80211b},
+		{"802.11a", IEEE80211a},
+		{"hiperlan2", HiperLAN2},
+		{"HiperLAN2", HiperLAN2},
+		{"802.11g", IEEE80211g},
+	} {
+		if got, err := ByName(c.name); err != nil || got != c.want {
+			t.Errorf("ByName(%q) = %q, %v; want %q", c.name, got.Name, err, c.want.Name)
+		}
+	}
+	for _, bad := range []string{"", "802.11zz", "(Wi-Fi)", "802.11"} {
+		if _, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted", bad)
+		}
+	}
+}

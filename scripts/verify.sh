@@ -18,7 +18,10 @@
 # telemetry timeline adds the observability gates: the OpenMetrics
 # exposition linted by scripts/omlint, and same-seed -timeline exports
 # byte-identical run to run (mcsim -faults with the SLO engine on) and
-# across worker-lane counts (mcload -scale, -shards 1 vs 4).
+# across worker-lane counts (mcload -scale, -shards 1 vs 4). A last smoke
+# covers the end-of-run path the three commands share: a full-fidelity
+# mcload run with -trace, -timeline and -slo must be byte-identical run
+# to run on stdout, the Perfetto file and the timeline.
 set -eux
 
 cd "$(dirname "$0")/.."
@@ -119,3 +122,20 @@ go run ./cmd/mcload -users 3 -duration 20s -seed 5 -cc cubic >/tmp/mc-ccl-c.txt 
 go run ./cmd/mcload -users 3 -duration 20s -seed 5 -cc cubic >/tmp/mc-ccl-d.txt 2>/dev/null
 cmp /tmp/mc-ccl-c.txt /tmp/mc-ccl-d.txt
 rm -f /tmp/mc-ccl-a.txt /tmp/mc-ccl-b.txt /tmp/mc-ccl-c.txt /tmp/mc-ccl-d.txt
+# The shared end-of-run path (SLO verdicts, timeline file, Perfetto
+# export and critical-path table) on the full-fidelity tier: two
+# same-seed runs must write byte-identical stdout, trace and timeline.
+# Both runs use the same file names, since stdout echoes the trace path.
+for run in a b; do
+	go run ./cmd/mcload -users 3 -duration 20s -seed 5 -trace /tmp/mc-ff-trace.json \
+		-timeline /tmp/mc-ff-tl.json -slo default >/tmp/mc-ff-out-$run.txt 2>/dev/null
+	mv /tmp/mc-ff-trace.json /tmp/mc-ff-trace-$run.json
+	mv /tmp/mc-ff-tl.json /tmp/mc-ff-tl-$run.json
+done
+grep -q '^SLO verdicts' /tmp/mc-ff-out-a.txt
+grep -q '^trace: ' /tmp/mc-ff-out-a.txt
+cmp /tmp/mc-ff-out-a.txt /tmp/mc-ff-out-b.txt
+cmp /tmp/mc-ff-trace-a.json /tmp/mc-ff-trace-b.json
+cmp /tmp/mc-ff-tl-a.json /tmp/mc-ff-tl-b.json
+rm -f /tmp/mc-ff-out-a.txt /tmp/mc-ff-out-b.txt /tmp/mc-ff-trace-a.json \
+	/tmp/mc-ff-trace-b.json /tmp/mc-ff-tl-a.json /tmp/mc-ff-tl-b.json
