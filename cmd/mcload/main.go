@@ -7,7 +7,7 @@
 //	mcload [-bearer wlan|cellular] [-wlan 802.11b|...] [-cell gprs|...]
 //	       [-users N] [-duration 2m] [-think 2s] [-seed N]
 //	       [-trace out.json] [-trace-sample N]
-//	       [-scale] [-gateways G] [-cells C] [-stations S] [-remote M]
+//	       [-scale] [-gateways G] [-cells C] [-stations S] [-remote 1..1000]
 //	       [-sync] [-devices D] [-replicas R] [-policy P] [-fragile] [-no-chaos]
 //	       [-write-mean D] [-sync-mean D]
 //	       [-shards N] [-cc reno|cubic] [-metrics]
@@ -26,14 +26,15 @@
 //
 // With -scale, mcload switches from the full-fidelity deployment to the
 // sharded scale tier: -gateways clusters of -cells cell aggregators
-// carrying -stations virtual stations each (workload.Flows), partitioned
-// along the inter-cluster backbone and executed as one conservative
-// parallel discrete-event simulation. -shards N sets the worker-lane
-// count; the report, -metrics dump and -trace export are byte-identical
-// at any value (wall-clock goes to stderr, never stdout). -remote M
-// sends M per mille of every cell's stations to the next cluster's host,
-// keeping the cross-shard backbone loaded. Engine internals (window,
-// synchronization and steal counters) go to stderr.
+// carrying -stations virtual stations each (workload.Flows), one shard
+// per cluster joined by the inter-cluster backbone, executed as one
+// conservative parallel discrete-event simulation. -shards N sets the
+// worker-lane count; the report, -metrics dump and -trace export are
+// byte-identical at any value (wall-clock goes to stderr, never stdout).
+// -remote M (1 to 1000) sends M per mille of every cell's stations to
+// the next cluster's host, keeping the cross-shard backbone loaded;
+// -sync takes the same range for its remote devices. Engine internals
+// (window, synchronization and steal counters) go to stderr.
 //
 // With -sync, mcload runs the replicated data tier storm instead:
 // -gateways clusters each carry a primary plus -replicas replica members
@@ -106,7 +107,7 @@ func run(args []string, w io.Writer) error {
 	gateways := fs.Int("gateways", 4, "with -scale or -sync, number of gateway clusters")
 	cells := fs.Int("cells", 2, "with -scale or -sync, cell aggregator nodes per cluster")
 	stations := fs.Int("stations", 50, "with -scale, virtual stations per cell")
-	remote := fs.Int("remote", 200, "with -scale or -sync, per mille of each cell's stations that target the next cluster's host")
+	remote := fs.Int("remote", 200, "with -scale or -sync, per mille (1-1000) of each cell's stations that target the next cluster's host")
 	withMetrics := fs.Bool("metrics", false, "dump the telemetry registry after the run (merged across shards with -scale or -sync)")
 	flags := experiments.AddRunFlags(fs, 100*time.Millisecond)
 	flags.AddObsFlags(fs)
@@ -131,6 +132,9 @@ func run(args []string, w io.Writer) error {
 	}
 	if err := flags.Validate(counts...); err != nil {
 		return err
+	}
+	if (*sync || *scale) && (*remote < 1 || *remote > 1000) {
+		return fmt.Errorf("-remote must be in [1, 1000] per mille, got %d", *remote)
 	}
 	if err := prof.Start(); err != nil {
 		return err

@@ -32,6 +32,11 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-scale", "-stations", "0"},
 		{"-sync", "-devices", "0"},
 		{"-sync", "-replicas", "0"},
+		// 0 is the configs' "use default" value and > 1000 was silently
+		// replaced by it.
+		{"-scale", "-remote", "0"},
+		{"-scale", "-remote", "1001"},
+		{"-sync", "-remote", "0"},
 		{"-trace-sample", "0"},
 		{"-timeline-interval", "-1s"},
 		{"-slo", "/no/such/rules.json"},

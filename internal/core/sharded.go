@@ -32,13 +32,10 @@ type ShardedMCConfig struct {
 // systems — each with its own stations, bearer, middleware gateway and
 // host — joined by a wired backbone mesh between their routers, executing
 // under the conservative sharded engine. Cluster k lives wholly in shard
-// k (the partition planner pins it there), so the only cross-shard
-// traffic is backbone traffic, and the backbone delay is the lookahead.
+// k, so the only cross-shard traffic is backbone traffic, and the
+// backbone delay is the lookahead.
 type ShardedMC struct {
 	World *simnet.Sharded
-	// Plan is the partition plan the topology produced (one pinned
-	// cluster per shard; lookahead = backbone delay).
-	Plan simnet.PartitionPlan
 	// MCs holds cluster k's deployment at index k.
 	MCs []*MC
 	// Backbone[k][m] (k < m) is the trunk between routers k and m.
@@ -58,37 +55,10 @@ func BuildShardedMC(cfg ShardedMCConfig) (*ShardedMC, error) {
 		bb = DefaultBackbone
 	}
 
-	// Describe the topology to the planner: each cluster's nodes pinned
-	// together (manual affinity), backbone trunks as the only cut edges.
-	var nodes []simnet.TopoNode
-	var links []simnet.TopoLink
-	weight := len(cfg.Base.Devices)
-	if weight == 0 {
-		weight = 5 // default device fleet
-	}
+	w := simnet.NewSharded(cfg.Seed, cfg.Shards)
+	smc := &ShardedMC{World: w}
 	for k := 0; k < cfg.Shards; k++ {
-		for _, part := range []string{"gw", "router", "host"} {
-			nodes = append(nodes, simnet.TopoNode{Key: fmt.Sprintf("%s%d", part, k), Weight: weight, Pin: k})
-		}
-	}
-	for k := 0; k < cfg.Shards; k++ {
-		for m := k + 1; m < cfg.Shards; m++ {
-			links = append(links, simnet.TopoLink{A: fmt.Sprintf("router%d", k), B: fmt.Sprintf("router%d", m), Delay: bb.Delay})
-		}
-	}
-	plan, err := simnet.PlanPartition(nodes, links, cfg.Shards, 0)
-	if err != nil {
-		return nil, fmt.Errorf("core: partition: %w", err)
-	}
-	if plan.NumShards != cfg.Shards {
-		return nil, fmt.Errorf("core: planner packed %d clusters into %d shards", cfg.Shards, plan.NumShards)
-	}
-
-	w := simnet.NewSharded(cfg.Seed, plan.NumShards)
-	smc := &ShardedMC{World: w, Plan: plan}
-	for k := 0; k < cfg.Shards; k++ {
-		base := cfg.Base
-		mc, err := buildMCOn(w.Shard(plan.ShardFor(fmt.Sprintf("gw%d", k))), base)
+		mc, err := buildMCOn(w.Shard(k), cfg.Base)
 		if err != nil {
 			return nil, fmt.Errorf("core: cluster %d: %w", k, err)
 		}

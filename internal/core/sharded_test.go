@@ -103,8 +103,8 @@ func TestShardedMCRemoteTransaction(t *testing.T) {
 	if la := smc.World.Lookahead(); la != DefaultBackbone.Delay {
 		t.Fatalf("lookahead %v, want backbone delay %v", la, DefaultBackbone.Delay)
 	}
-	if smc.Plan.NumShards != 3 {
-		t.Fatalf("plan shards = %d, want 3", smc.Plan.NumShards)
+	if n := smc.World.NumShards(); n != 3 {
+		t.Fatalf("shards = %d, want 3", n)
 	}
 }
 

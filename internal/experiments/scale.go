@@ -11,12 +11,11 @@ import (
 // The scale experiment exercises the sharded executor at population
 // sizes the full-fidelity deployments cannot reach: G gateway clusters,
 // each a host plus C cell aggregator nodes carrying S virtual stations
-// apiece (workload.Flows). Cell uplinks are sub-millisecond, so the
-// partition planner welds each cluster into one component; the
-// inter-cluster backbone ring is the cut set and its delay the
-// lookahead. A configurable per-mille of every cell's stations target
-// the next cluster's host, keeping the backbone (and the cross-shard
-// machinery) under continuous load.
+// apiece (workload.Flows). Each cluster lives on its own shard: the
+// inter-cluster backbone ring is the only link crossing shards and its
+// delay the lookahead. A configurable per-mille of every cell's stations
+// target the next cluster's host, keeping the backbone (and the
+// cross-shard machinery) under continuous load.
 
 // Workers is the worker-lane count the registry's sharded experiments
 // ("scale" and "syncstorm") run with. Output is byte-identical for any
@@ -24,9 +23,8 @@ import (
 // (mcbench -shards sets it).
 var Workers = 1
 
-// Link profiles of the scale topology. The uplink delay sits below the
-// planner's contraction floor on purpose; the backbone delay is the
-// conservative window.
+// Link profiles of the scale topology. Uplinks stay inside a cluster's
+// shard; the backbone delay is the conservative window.
 var (
 	scaleUplink   = simnet.LinkConfig{Rate: 10 * simnet.Mbps, Delay: 500 * time.Microsecond, QueueLen: 256}
 	scaleBackbone = simnet.LinkConfig{Rate: 1 * simnet.Gbps, Delay: 10 * time.Millisecond, QueueLen: 1024}
@@ -38,8 +36,6 @@ type ScaleConfig struct {
 	Gateways        int // clusters (default 4)
 	CellsPerGateway int // aggregator nodes per cluster (default 2)
 	StationsPerCell int // virtual stations per cell (default 50, < 64000)
-	// MaxShards caps the planner (0 = one shard per cluster).
-	MaxShards int
 	// RemotePerMille of each cell's stations target the next cluster's
 	// host instead of the local one (default 200).
 	RemotePerMille int
@@ -61,12 +57,7 @@ func (c *ScaleConfig) defaults() {
 	if c.StationsPerCell <= 0 {
 		c.StationsPerCell = 50
 	}
-	if c.MaxShards <= 0 {
-		c.MaxShards = c.Gateways
-	}
-	if c.RemotePerMille < 0 || c.RemotePerMille > 1000 {
-		c.RemotePerMille = 200
-	} else if c.RemotePerMille == 0 {
+	if c.RemotePerMille <= 0 || c.RemotePerMille > 1000 {
 		c.RemotePerMille = 200
 	}
 	if c.ThinkMean <= 0 {
@@ -93,17 +84,15 @@ func (c *ScaleConfig) defaults() {
 type ScaleWorld struct {
 	Cfg   ScaleConfig
 	World *simnet.Sharded
-	Plan  simnet.PartitionPlan
 	Hosts []*simnet.Node
 	Echos []*workload.Echo
 	Cells [][]*simnet.Node
 	Flows [][]*workload.Flows
 }
 
-// BuildScale builds the world: topology description first, auto
-// partition (no pins — the planner discovers cluster boundaries from
-// the link delays), then nodes on their assigned shards, Connect for
-// intra-shard links and Cross for cut links.
+// BuildScale builds the world: cluster c (a host and its cells) on shard
+// c, Connect for the cell uplinks and the backbone ring of Cross links
+// between the hosts.
 func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	cfg.defaults()
 	G, C, S := cfg.Gateways, cfg.CellsPerGateway, cfg.StationsPerCell
@@ -114,84 +103,39 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	hostKey := func(c int) string { return fmt.Sprintf("host%d", c) }
 	cellKey := func(c, j int) string { return fmt.Sprintf("cell%d.%d", c, j) }
 
-	var tnodes []simnet.TopoNode
-	var tlinks []simnet.TopoLink
-	for c := 0; c < G; c++ {
-		tnodes = append(tnodes, simnet.TopoNode{Key: hostKey(c), Weight: 1, Pin: -1})
-		for j := 0; j < C; j++ {
-			tnodes = append(tnodes, simnet.TopoNode{Key: cellKey(c, j), Weight: S, Pin: -1})
-			tlinks = append(tlinks, simnet.TopoLink{A: cellKey(c, j), B: hostKey(c), Delay: scaleUplink.Delay})
-		}
-	}
-	ringPairs := ringLinks(G)
-	for _, p := range ringPairs {
-		tlinks = append(tlinks, simnet.TopoLink{A: hostKey(p[0]), B: hostKey(p[1]), Delay: scaleBackbone.Delay})
-	}
-	plan, err := simnet.PlanPartition(tnodes, tlinks, cfg.MaxShards, 0)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: scale partition: %w", err)
-	}
+	w := simnet.NewSharded(cfg.Seed, G)
+	sw := &ScaleWorld{Cfg: cfg, World: w}
 
-	w := simnet.NewSharded(cfg.Seed, plan.NumShards)
-	sw := &ScaleWorld{Cfg: cfg, World: w, Plan: plan}
-
-	// Nodes, in deterministic global order, each on its planned shard.
+	// Clusters: each host and its cells, with their uplinks, on shard c.
 	sw.Hosts = make([]*simnet.Node, G)
 	sw.Cells = make([][]*simnet.Node, G)
 	for c := 0; c < G; c++ {
-		host := w.Shard(plan.ShardFor(hostKey(c))).NewNode(hostKey(c))
+		net := w.Shard(c)
+		host := net.NewNode(hostKey(c))
 		host.Forwarding = true
 		sw.Hosts[c] = host
 		sw.Cells[c] = make([]*simnet.Node, C)
 		for j := 0; j < C; j++ {
-			sw.Cells[c][j] = w.Shard(plan.ShardFor(cellKey(c, j))).NewNode(cellKey(c, j))
-		}
-	}
-
-	// Uplinks. The planner contracted them, so both ends share a shard.
-	for c := 0; c < G; c++ {
-		for j := 0; j < C; j++ {
+			cell := net.NewNode(cellKey(c, j))
 			up := scaleUplink
 			up.Name = fmt.Sprintf("up-%d-%d", c, j)
-			l := simnet.Connect(sw.Cells[c][j], sw.Hosts[c], up)
-			sw.Cells[c][j].SetDefaultRoute(l.IfaceA())
-			sw.Hosts[c].SetRoute(sw.Cells[c][j].ID, l.IfaceB())
-		}
-	}
-
-	// Backbone ring: Cross when the planner cut the link, Connect when it
-	// packed both clusters onto one shard. ifaceOf[c][m] is host c's
-	// interface toward neighbour m.
-	ifaceOf := make([]map[int]*simnet.Iface, G)
-	for c := range ifaceOf {
-		ifaceOf[c] = make(map[int]*simnet.Iface)
-	}
-	for _, p := range ringPairs {
-		a, bn := p[0], p[1]
-		bbcfg := scaleBackbone
-		bbcfg.Name = fmt.Sprintf("bb-%d-%d", a, bn)
-		if plan.ShardFor(hostKey(a)) == plan.ShardFor(hostKey(bn)) {
-			l := simnet.Connect(sw.Hosts[a], sw.Hosts[bn], bbcfg)
-			ifaceOf[a][bn], ifaceOf[bn][a] = l.IfaceA(), l.IfaceB()
-		} else {
-			l, err := w.Cross(sw.Hosts[a], sw.Hosts[bn], bbcfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: backbone %d-%d: %w", a, bn, err)
-			}
-			ifaceOf[a][bn], ifaceOf[bn][a] = l.IfaceA(), l.IfaceB()
+			l := simnet.Connect(cell, host, up)
+			cell.SetDefaultRoute(l.IfaceA())
+			host.SetRoute(cell.ID, l.IfaceB())
+			sw.Cells[c][j] = cell
 		}
 	}
 
 	// Remote routing: cluster c's stations only ever target cluster
-	// (c+1)%G, so host c routes to the next host, and the next host
-	// routes replies back to cluster c's cells.
-	if G > 1 {
-		for c := 0; c < G; c++ {
-			next := (c + 1) % G
-			sw.Hosts[c].SetRoute(sw.Hosts[next].ID, ifaceOf[c][next])
-			for j := 0; j < C; j++ {
-				sw.Hosts[next].SetRoute(sw.Cells[c][j].ID, ifaceOf[next][c])
-			}
+	// (c+1)%G, so the next host routes replies back to cluster c's cells.
+	_, fromNext, err := buildRing(w, sw.Hosts, scaleBackbone, "bb-")
+	if err != nil {
+		return nil, err
+	}
+	for c := range fromNext {
+		next := (c + 1) % G
+		for j := 0; j < C; j++ {
+			sw.Hosts[next].SetRoute(sw.Cells[c][j].ID, fromNext[c])
 		}
 	}
 
@@ -235,20 +179,40 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	return sw, nil
 }
 
-// ringLinks returns the backbone pairs for G clusters: a chain for two,
-// a ring for three or more.
-func ringLinks(G int) [][2]int {
-	var out [][2]int
-	switch {
-	case G < 2:
-	case G == 2:
-		out = append(out, [2]int{0, 1})
-	default:
-		for c := 0; c < G; c++ {
-			out = append(out, [2]int{c, (c + 1) % G})
-		}
+// buildRing joins hosts[c], each on its own shard, into the backbone:
+// a chain for two hosts, a ring for three or more. It creates one Cross
+// link per pair c→(c+1)%G in order of c, named prefix+"c-(c+1)", and
+// routes every host to the next one. toNext[c] is host c's interface
+// toward host (c+1)%G and fromNext[c] that host's interface back toward
+// host c; both are empty for a single host.
+func buildRing(w *simnet.Sharded, hosts []*simnet.Node, bb simnet.LinkConfig, prefix string) (toNext, fromNext []*simnet.Iface, err error) {
+	G := len(hosts)
+	if G < 2 {
+		return nil, nil, nil
 	}
-	return out
+	toNext = make([]*simnet.Iface, G)
+	fromNext = make([]*simnet.Iface, G)
+	links := G
+	if G == 2 {
+		links = 1 // the link 0-1 is also the way back from 1 to 0
+	}
+	for a := 0; a < links; a++ {
+		b := (a + 1) % G
+		cfg := bb
+		cfg.Name = fmt.Sprintf("%s%d-%d", prefix, a, b)
+		l, err := w.Cross(hosts[a], hosts[b], cfg)
+		if err != nil {
+			return nil, nil, fmt.Errorf("experiments: backbone %s: %w", cfg.Name, err)
+		}
+		toNext[a], fromNext[a] = l.IfaceA(), l.IfaceB()
+	}
+	if G == 2 {
+		toNext[1], fromNext[1] = fromNext[0], toNext[0]
+	}
+	for c, out := range toNext {
+		hosts[c].SetRoute(hosts[(c+1)%G].ID, out)
+	}
+	return toNext, fromNext, nil
 }
 
 // Stations returns the total virtual-station population.
@@ -268,7 +232,7 @@ func (sw *ScaleWorld) Run() (*ScaleReport, error) {
 func (sw *ScaleWorld) Report() *ScaleReport {
 	r := &ScaleReport{
 		Stations: sw.Stations(),
-		Shards:   sw.Plan.NumShards,
+		Shards:   sw.World.NumShards(),
 		Executed: sw.World.Executed(),
 		Clusters: make([]ScaleCluster, sw.Cfg.Gateways),
 	}

@@ -102,6 +102,70 @@ func TestScaleRemoteTraffic(t *testing.T) {
 	}
 }
 
+// TestScaleOneShardPerCluster pins the shard rule at the ring's three
+// shapes (no backbone, the two-cluster chain, a ring): cluster c's host
+// and cells live on shard c, the backbone delay is the lookahead once a
+// link crosses shards, and with every station remote each cluster's
+// operations complete across the backbone.
+func TestScaleOneShardPerCluster(t *testing.T) {
+	for _, G := range []int{1, 2, 3} {
+		t.Run(fmt.Sprintf("gateways=%d", G), func(t *testing.T) {
+			sw, err := BuildScale(ScaleConfig{
+				Seed:            5,
+				Gateways:        G,
+				CellsPerGateway: 2,
+				StationsPerCell: 10,
+				RemotePerMille:  1000,
+				ThinkMean:       100 * time.Millisecond,
+				Duration:        3 * time.Second,
+				Workers:         2,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if n := sw.World.NumShards(); n != G {
+				t.Fatalf("NumShards = %d, want %d", n, G)
+			}
+			for c := 0; c < G; c++ {
+				want := sw.World.Shard(c)
+				if sw.Hosts[c].Network() != want {
+					t.Errorf("host %d not on shard %d", c, c)
+				}
+				for j, cell := range sw.Cells[c] {
+					if cell.Network() != want {
+						t.Errorf("cell %d.%d not on shard %d", c, j, c)
+					}
+				}
+			}
+			wantLA := scaleBackbone.Delay
+			if G == 1 {
+				wantLA = 0
+			}
+			if la := sw.World.Lookahead(); la != wantLA {
+				t.Fatalf("lookahead %v, want %v", la, wantLA)
+			}
+			rep, err := sw.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rep.Shards != G {
+				t.Fatalf("report shards = %d, want %d", rep.Shards, G)
+			}
+			if G == 1 {
+				return
+			}
+			for c, cl := range rep.Clusters {
+				if cl.Ops == 0 {
+					t.Errorf("cluster %d completed no remote ops", c)
+				}
+				if cl.Served == 0 {
+					t.Errorf("cluster %d served nothing from its ring neighbour", c)
+				}
+			}
+		})
+	}
+}
+
 // TestScaleSmoke1M builds a million-station topology (8 clusters x 4
 // cells x 31250 virtual stations), steps it for a truncated horizon on
 // one worker lane (serial) and on eight (sharded), and compares digests.

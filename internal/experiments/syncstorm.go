@@ -171,35 +171,21 @@ func BuildSyncStorm(cfg SyncStormConfig) (*SyncStormWorld, error) {
 		}
 	}
 
-	// Backbone ring, crossing shard boundaries.
-	ifaceOf := make([]map[int]*simnet.Iface, G)
-	for c := range ifaceOf {
-		ifaceOf[c] = make(map[int]*simnet.Iface)
+	// Backbone ring, crossing shard boundaries. Cluster c's devices only
+	// ever reach the next cluster's tier, so host c routes toward next's
+	// members, and next's host routes replies (and invalidation pushes)
+	// back to c's cells.
+	toNext, fromNext, err := buildRing(w, sw.Hosts, stormBackbone, "storm-bb")
+	if err != nil {
+		return nil, err
 	}
-	for _, p := range ringLinks(G) {
-		a, b := p[0], p[1]
-		bb := stormBackbone
-		bb.Name = fmt.Sprintf("storm-bb%d-%d", a, b)
-		l, err := w.Cross(sw.Hosts[a], sw.Hosts[b], bb)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: storm backbone %d-%d: %w", a, b, err)
+	for c := range toNext {
+		next := (c + 1) % G
+		for _, nd := range sw.Tiers[next].Nodes {
+			sw.Hosts[c].SetRoute(nd.ID, toNext[c])
 		}
-		ifaceOf[a][b], ifaceOf[b][a] = l.IfaceA(), l.IfaceB()
-	}
-	// Remote-sync routing: cluster c's devices only ever reach the next
-	// cluster's tier, so host c routes toward next's host and members, and
-	// next's host routes replies (and invalidation pushes) back to c's
-	// cells.
-	if G > 1 {
-		for c := 0; c < G; c++ {
-			next := (c + 1) % G
-			sw.Hosts[c].SetRoute(sw.Hosts[next].ID, ifaceOf[c][next])
-			for _, nd := range sw.Tiers[next].Nodes {
-				sw.Hosts[c].SetRoute(nd.ID, ifaceOf[c][next])
-			}
-			for j := 0; j < C; j++ {
-				sw.Hosts[next].SetRoute(sw.Cells[c][j].ID, ifaceOf[next][c])
-			}
+		for j := 0; j < C; j++ {
+			sw.Hosts[next].SetRoute(sw.Cells[c][j].ID, fromNext[c])
 		}
 	}
 

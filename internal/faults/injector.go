@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"mcommerce/internal/simnet"
 	"mcommerce/internal/trace"
@@ -337,17 +336,4 @@ func sortedKeys[M ~map[string]V, V any](m M) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// RunPlan is the one-call form: register nothing, just run a plan whose
-// targets were registered earlier, driving the scheduler until the plan's
-// horizon plus slack. Returns the injector's stats.
-func (in *Injector) RunPlan(p *Plan, slack time.Duration) (Stats, error) {
-	if err := in.Schedule(p); err != nil {
-		return Stats{}, err
-	}
-	if err := in.net.Sched.RunFor(p.Horizon() + slack); err != nil {
-		return in.stats, err
-	}
-	return in.stats, nil
 }

@@ -23,12 +23,13 @@
 // experiment in EXPERIMENTS.md must be exactly repeatable from its seed.
 //
 // For worlds too large for one core, Sharded runs several Networks — one
-// per topology shard — under a conservative time-window protocol
-// (PlanPartition derives the shards and the lookahead from the link
-// topology; CrossLink carries packets between them). Each shard keeps the
-// single-goroutine ownership story above: within a window exactly one
-// goroutine drives a shard's scheduler, registry, tracer and pools, and
-// windows are separated by barrier happens-before edges. Execution is
-// invariant to the number of worker goroutines, so a parallel run is
-// byte-identical to a serial one at the same seed.
+// per gateway cluster, built by the caller on Shard(k) — under a
+// conservative time-window protocol: CrossLink carries packets between
+// shards, and the smallest cross-link delay is the window width
+// (Sharded.Lookahead). Each shard keeps the single-goroutine ownership
+// story above: within a window exactly one goroutine drives a shard's
+// scheduler, registry, tracer and pools, and the scoreboard that hands
+// out windows and ring drains carries the happens-before edges between
+// them. Execution is invariant to the number of worker goroutines, so a
+// parallel run is byte-identical to a serial one at the same seed.
 package simnet

@@ -244,10 +244,6 @@ func (s *Scheduler) Cascades() uint64 { return s.cascades }
 // overflow heap into the wheel, for diagnostics.
 func (s *Scheduler) OverflowMigrations() uint64 { return s.ovMigrated }
 
-// WheelResident returns the number of events currently linked into wheel
-// slots (excluding the dispatch stage and the overflow heap).
-func (s *Scheduler) WheelResident() int { return s.wheelPop }
-
 // alloc grabs a free arena slot (recycling before growing) and stores the
 // callback. It returns the slot index.
 func (s *Scheduler) alloc(fn func(), fnArg func(any), arg any) int32 {

@@ -176,14 +176,6 @@ func (w *Sharded) WheelStats() (cascades, overflowMigrations uint64) {
 // links on it directly.
 func (w *Sharded) Shard(k int) *Network { return w.shards[k] }
 
-// ShardOf returns the shard index owning net (-1 if foreign).
-func (w *Sharded) ShardOf(net *Network) int {
-	if k, ok := w.shardOf[net]; ok {
-		return int(k)
-	}
-	return -1
-}
-
 // Seed returns the seed the world was created with.
 func (w *Sharded) Seed() int64 { return w.seed }
 

@@ -14,13 +14,13 @@ import (
 // (serialization, propagation, jitter, drop-tail queueing, random and
 // bursty loss), but instead of scheduling the delivery directly it pushes
 // a record onto the shard pair's exchange ring; the destination shard
-// injects it into its own scheduler at the next window boundary.
+// schedules it on its own scheduler when it drains its rings at the next
+// window boundary (Sharded.drainRings).
 //
 // Ownership is split by writer so no field ever has two: the transmit
 // side (queue state, loss chain, every loss/drop counter) belongs to the
 // source shard, Delivered to the destination shard, and the ring's
-// producer and consumer ends are separated by the executor's window
-// barrier. Packets are copied by value across the boundary; their Body
+// producer and consumer ends are ordered by the executor's scoreboard. Packets are copied by value across the boundary; their Body
 // pointer is shared, which is safe under the repo-wide rule that bodies
 // are immutable once sent. Trace contexts do not cross shards — the
 // source span is annotated "xshard" and the copy travels untraced.
@@ -129,7 +129,7 @@ func (l *CrossLink) IfaceB() *Iface { return l.b }
 
 // xrec is one packet in flight between shards: everything the destination
 // shard needs to complete the delivery, ordered by (at, src, seq) so the
-// injected event order is independent of ring layout and worker count.
+// scheduled delivery order is independent of ring layout and worker count.
 type xrec struct {
 	at   time.Duration
 	seq  uint64
@@ -141,10 +141,11 @@ type xrec struct {
 }
 
 // xring is the per-(source, destination) shard-pair exchange buffer. It
-// needs no atomics: the producer appends during its shard's run phase,
-// the consumer drains during the destination's inject phase, and the two
-// phases are separated by the executor's barrier (every producer write
-// happens-before every consumer read). The backing array is reused, so
+// needs no atomics: the producer appends while running a window, the
+// consumer drains it at the destination's next boundary (drainRings), and
+// the scoreboard orders the two — a drain waits until the producer has
+// finished the window, and the producer's next run waits until the drain
+// is done — with its mutex carrying the happens-before edge. The backing array is reused, so
 // the steady state allocates nothing.
 type xring struct {
 	recs []xrec
@@ -186,7 +187,7 @@ var (
 // half (queueing, serialization, loss, dequeue timer) is identical to
 // Link.Transmit; the remote half becomes a ring record with the arrival
 // time precomputed. cfg.Delay >= lookahead guarantees the arrival falls
-// at or after the next window boundary, where the destination injects it.
+// at or after the next window boundary, where the destination drains it.
 func (l *CrossLink) Transmit(from *Iface, p *Packet) {
 	dir := 0
 	dst := l.b

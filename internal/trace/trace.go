@@ -199,25 +199,11 @@ func (t *Tracer) SetIDBase(base uint64) {
 	t.base = base
 }
 
-// Disable stops recording and releases the span storage.
-func (t *Tracer) Disable() {
-	t.mode = modeOff
-	t.spans = nil
-}
-
 // Enabled reports whether the tracer records spans.
 func (t *Tracer) Enabled() bool { return t != nil && t.mode != modeOff }
 
 // Ring reports whether the tracer is in bounded flight-recorder mode.
 func (t *Tracer) Ring() bool { return t != nil && t.mode == modeRing }
-
-// SampleN returns the sampling divisor (1 = every trace).
-func (t *Tracer) SampleN() int {
-	if t == nil || t.sampleN == 0 {
-		return 1
-	}
-	return int(t.sampleN)
-}
 
 // Traces returns the number of TraceIDs consumed (sampled or not).
 func (t *Tracer) Traces() uint64 {

@@ -14,7 +14,8 @@
 # speedup over the reference heap on medians of five runs. The
 # segment-level TCP adds its own gates: the mtcp package under the race
 # detector and same-seed byte-identical mcsim output per congestion
-# control algorithm (-cc reno and -cc cubic), serial and -shards 4. The
+# control algorithm (-cc reno and -cc cubic), serial and -shards 4, and
+# mcload output that differs between the two algorithms. The
 # telemetry timeline adds the observability gates: the OpenMetrics
 # exposition linted by scripts/omlint, and same-seed -timeline exports
 # byte-identical run to run (mcsim -faults with the SLO engine on) and
@@ -114,13 +115,19 @@ cmp /tmp/mc-tl-s1.json /tmp/mc-tl-s4.json
 rm -f /tmp/mc-tl-s1.json /tmp/mc-tl-s4.json
 # The two algorithms must actually differ on the wire: full-fidelity
 # mcload runs with -cc reno vs -cc cubic at the same seed are each
-# internally reproducible.
+# internally reproducible, and reno's output differs from cubic's.
 go run ./cmd/mcload -users 3 -duration 20s -seed 5 -cc reno >/tmp/mc-ccl-a.txt 2>/dev/null
 go run ./cmd/mcload -users 3 -duration 20s -seed 5 -cc reno >/tmp/mc-ccl-b.txt 2>/dev/null
 cmp /tmp/mc-ccl-a.txt /tmp/mc-ccl-b.txt
 go run ./cmd/mcload -users 3 -duration 20s -seed 5 -cc cubic >/tmp/mc-ccl-c.txt 2>/dev/null
 go run ./cmd/mcload -users 3 -duration 20s -seed 5 -cc cubic >/tmp/mc-ccl-d.txt 2>/dev/null
 cmp /tmp/mc-ccl-c.txt /tmp/mc-ccl-d.txt
+# A bare "! cmp" would not stop the script: set -e ignores negated
+# commands.
+if cmp -s /tmp/mc-ccl-a.txt /tmp/mc-ccl-c.txt; then
+	echo "verify: -cc reno and -cc cubic produced identical mcload output" >&2
+	exit 1
+fi
 rm -f /tmp/mc-ccl-a.txt /tmp/mc-ccl-b.txt /tmp/mc-ccl-c.txt /tmp/mc-ccl-d.txt
 # The shared end-of-run path (SLO verdicts, timeline file, Perfetto
 # export and critical-path table) on the full-fidelity tier: two
