@@ -28,9 +28,9 @@
 //
 // -cc picks the congestion control of every transport-bearing experiment;
 // the tcp experiment's named-variant rows keep their own algorithms.
-// -seed, -shards, -cc, -timeline and -timeline-interval are registered
-// and validated by internal/experiments, the flag set mcsim and mcload
-// share.
+// -seed, -cc, -timeline and -timeline-interval are registered and
+// validated by internal/experiments, the flag set mcsim and mcload share;
+// -shards is registered there too, for mcbench and mcload.
 //
 // The chaos experiment traces every transaction and emits an extra
 // E-CHAOS-CRITPATH table attributing critical-path latency to layers
@@ -71,6 +71,7 @@ func run(args []string) error {
 	parallel := fs.Int("parallel", 0, "max concurrent experiments (0 = GOMAXPROCS, 1 = serial)")
 	withMetrics := fs.Bool("metrics", false, "also print attached telemetry snapshots as per-metric tables")
 	flags := experiments.AddRunFlags(fs, experiments.TimelineInterval)
+	flags.AddShardsFlag(fs)
 	fs.Lookup("timeline").Usage = "export per-run telemetry time series as tagged JSON files next to this path (chaos, syncstorm, tcp)"
 	prof := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {

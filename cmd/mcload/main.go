@@ -30,7 +30,10 @@
 // per cluster joined by the inter-cluster backbone, executed as one
 // conservative parallel discrete-event simulation. -shards N sets the
 // worker-lane count; the report, -metrics dump and -trace export are
-// byte-identical at any value (wall-clock goes to stderr, never stdout).
+// byte-identical at any value (wall-clock and the lanes that ran, at
+// most one per shard, go to stderr, never stdout). -shards takes effect
+// only with -scale or -sync: the full-fidelity deployment is one shard,
+// so it rejects any value but 1.
 // -remote M (1 to 1000) sends M per mille of every cell's stations to
 // the next cluster's host, keeping the cross-shard backbone loaded;
 // -sync takes the same range for its remote devices. Engine internals
@@ -56,9 +59,10 @@
 // (full-fidelity, -scale or -sync); any other value is a built-in set
 // name or a JSON rule file.
 //
-// The engine and observability flags (-seed, -shards, -cc, -trace,
-// -trace-sample, -timeline, -timeline-interval, -slo) are the set mcsim
-// shares, registered and validated by internal/experiments.
+// The engine and observability flags (-seed, -cc, -trace, -trace-sample,
+// -timeline, -timeline-interval, -slo) are the set mcsim shares,
+// registered and validated by internal/experiments, which also registers
+// -shards for mcload and mcbench.
 package main
 
 import (
@@ -110,6 +114,7 @@ func run(args []string, w io.Writer) error {
 	remote := fs.Int("remote", 200, "with -scale or -sync, per mille (1-1000) of each cell's stations that target the next cluster's host")
 	withMetrics := fs.Bool("metrics", false, "dump the telemetry registry after the run (merged across shards with -scale or -sync)")
 	flags := experiments.AddRunFlags(fs, 100*time.Millisecond)
+	flags.AddShardsFlag(fs)
 	flags.AddObsFlags(fs)
 	prof := experiments.AddProfileFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -128,6 +133,9 @@ func run(args []string, w io.Writer) error {
 		counts = []experiments.Min{{Flag: "gateways", Value: *gateways, Min: 1},
 			{Flag: "cells", Value: *cells, Min: 1}, {Flag: "stations", Value: *stations, Min: 1}}
 	default:
+		if flags.Shards != 1 {
+			return fmt.Errorf("-shards needs -scale or -sync (the full-fidelity deployment is one shard)")
+		}
 		counts = []experiments.Min{{Flag: "users", Value: *users, Min: 1}}
 	}
 	if err := flags.Validate(counts...); err != nil {
@@ -273,7 +281,7 @@ func runScale(o scaleOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.flags.Shards)
+	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), min(o.flags.Shards, sw.World.NumShards()))
 	// Engine internals vary with worker count, so they go to stderr:
 	// stdout stays byte-comparable across counts.
 	fmt.Fprintln(os.Stderr, "engine internals:")
@@ -342,7 +350,7 @@ func runSync(o syncOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), o.flags.Shards)
+	fmt.Fprintf(os.Stderr, "wall: %v (%d worker lanes)\n", time.Since(start).Round(time.Millisecond), min(o.flags.Shards, sw.World.NumShards()))
 	if tl != nil {
 		for _, in := range sw.Injectors {
 			tl.IngestFaults(in)

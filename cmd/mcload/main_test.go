@@ -27,6 +27,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-bearer", "cellular", "-cell", "7g"},
 		{"-users", "0"},
 		{"-shards", "0"},
+		// The full-fidelity deployment is one shard: -shards would be
+		// silently ignored.
+		{"-shards", "4"},
 		{"-scale", "-stations", "70000"},
 		{"-scale", "-gateways", "0"},
 		{"-scale", "-stations", "0"},

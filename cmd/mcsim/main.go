@@ -7,17 +7,14 @@
 //	mcsim [-bearer wlan|cellular] [-wlan 802.11b|802.11a|802.11g|hiperlan2|bluetooth]
 //	      [-cell gprs|edge|gsm|cdma|cdma2000|wcdma] [-middleware wap|imode]
 //	      [-clients N] [-rounds N] [-seed N] [-replicas R] [-parallel N] [-faults]
-//	      [-metrics] [-metrics-format text|csv|openmetrics] [-shards N]
+//	      [-metrics] [-metrics-format text|csv|openmetrics]
 //	      [-cc reno|cubic] [-db-replicas N]
 //	      [-trace out.json] [-trace-sample N]
 //	      [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
 //	      [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
-// -shards N sets the worker-lane count of the sharded executor the run
-// goes through (the full-fidelity world is one partition, so lanes only
-// change which goroutines execute it — never the results: output at any
-// -shards value is byte-identical). The profile flags write pprof
-// CPU/heap/mutex-contention profiles for the whole invocation.
+// The profile flags write pprof CPU/heap/mutex-contention profiles for
+// the whole invocation.
 //
 // With -trace FILE, every transaction becomes a causal span tree — root
 // span at the station, per-hop link spans, middleware and host serve
@@ -46,12 +43,12 @@
 // as deterministic JSON — cumulative readings and per-window deltas for
 // counters, windowed p50/p99 recomputed from bucket deltas for latency
 // histograms, plus every fault-injector event as an annotation stream.
-// Two runs at the same seed write byte-identical timelines at any
-// -shards value. With -slo, the named built-in rule set ("default") or a
-// JSON rule file is evaluated over the sampled series — windowed latency
-// quantile thresholds, multi-window error-budget burn rates, value
-// bounds — and the report gains the firing/resolved intervals with exact
-// simulated timestamps; the intervals also land in the timeline JSON.
+// Two runs at the same seed write byte-identical timelines. With -slo,
+// the named built-in rule set ("default") or a JSON rule file is
+// evaluated over the sampled series — windowed latency quantile
+// thresholds, multi-window error-budget burn rates, value bounds — and
+// the report gains the firing/resolved intervals with exact simulated
+// timestamps; the intervals also land in the timeline JSON.
 //
 // With -db-replicas N > 0, the host computer's database gets a replicated
 // data tier (internal/repl behind core.BuildDataTier): N replica nodes
@@ -75,9 +72,9 @@
 // to running them one at a time. -trace and -timeline need a single
 // replica.
 //
-// The engine and observability flags (-seed, -shards, -cc, -trace,
-// -trace-sample, -timeline, -timeline-interval, -slo) are the set mcload
-// shares, registered and validated by internal/experiments.
+// The engine and observability flags (-seed, -cc, -trace, -trace-sample,
+// -timeline, -timeline-interval, -slo) are the set mcload shares,
+// registered and validated by internal/experiments.
 package main
 
 import (
@@ -95,7 +92,6 @@ import (
 	"mcommerce/internal/experiments"
 	"mcommerce/internal/faults"
 	"mcommerce/internal/obs"
-	"mcommerce/internal/simnet"
 	"mcommerce/internal/webserver"
 	"mcommerce/internal/wireless"
 )
@@ -234,13 +230,9 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	// Run through the sharded executor: the deployment is one partition,
-	// so sc.flags.Shards only sets how many worker lanes the window loop may
-	// use — the results cannot depend on it.
-	world := simnet.WrapNetwork(mc.Net)
 	tl := sc.flags.NewTimeline()
 	if tl != nil {
-		tl.AttachSharded(world)
+		tl.Attach("", mc.Net)
 	}
 	sc.flags.EnableTrace(mc.Net.Tracer)
 	if err := apps.RegisterAll(mc.Host); err != nil {
@@ -278,7 +270,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 				return fmt.Errorf("place call: %w", err)
 			}
 		}
-		if err := world.RunFor(10*time.Second, sc.flags.Shards); err != nil {
+		if err := mc.Net.Sched.RunFor(10 * time.Second); err != nil {
 			return err
 		}
 		if pending > 0 {
@@ -316,7 +308,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		}
 		round(0)
 	}
-	if err := world.RunFor(time.Hour, sc.flags.Shards); err != nil {
+	if err := mc.Net.Sched.RunFor(time.Hour); err != nil {
 		return err
 	}
 

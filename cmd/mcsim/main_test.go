@@ -14,47 +14,36 @@ func TestRunSmallWLANScenario(t *testing.T) {
 	}
 }
 
+// TestRunFaultedScenarioDeterministic pins same-seed reports byte-identical,
+// on a faulted run and on a clean one that ends in the telemetry dump.
 func TestRunFaultedScenarioDeterministic(t *testing.T) {
-	sc := scenario{middleware: "wap", clients: 2, rounds: 2, faults: true,
+	base := scenario{middleware: "wap", clients: 2, rounds: 2,
 		bearer: core.BearerWLAN, wlan: wireless.IEEE80211b}
-	var a, b strings.Builder
-	if err := runOne(sc, 1, &a); err != nil {
-		t.Fatalf("faulted run: %v", err)
-	}
-	if err := runOne(sc, 1, &b); err != nil {
-		t.Fatalf("faulted rerun: %v", err)
-	}
-	if a.String() != b.String() {
-		t.Error("same-seed faulted reports are not byte-identical")
-	}
-	if !strings.Contains(a.String(), "fault injection: applied=") {
-		t.Error("report missing fault-injection statistics")
-	}
-	if !strings.Contains(a.String(), "node gateway crash") {
-		t.Error("fault log missing the gateway crash")
-	}
-}
-
-// TestRunShardsGolden pins -shards byte-identity on the mcsim surface:
-// worker lanes over the (single-partition) full-fidelity world must not
-// change a byte of the report, including the telemetry dump.
-func TestRunShardsGolden(t *testing.T) {
-	base := scenario{middleware: "wap", clients: 2, rounds: 2, metrics: true,
-		bearer: core.BearerWLAN, wlan: wireless.IEEE80211b}
-	var want string
-	for _, shards := range []int{1, 4} {
-		sc := base
-		sc.flags.Shards = shards
-		var b strings.Builder
+	faulted, metrics := base, base
+	faulted.faults = true
+	metrics.metrics = true
+	for _, sc := range []scenario{faulted, metrics} {
+		var a, b strings.Builder
+		if err := runOne(sc, 1, &a); err != nil {
+			t.Fatalf("faults=%v metrics=%v: %v", sc.faults, sc.metrics, err)
+		}
 		if err := runOne(sc, 1, &b); err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
+			t.Fatalf("faults=%v metrics=%v rerun: %v", sc.faults, sc.metrics, err)
 		}
-		if shards == 1 {
-			want = b.String()
-			continue
+		if a.String() != b.String() {
+			t.Errorf("faults=%v metrics=%v: same-seed reports are not byte-identical", sc.faults, sc.metrics)
 		}
-		if b.String() != want {
-			t.Errorf("report differs between -shards 1 and -shards %d", shards)
+		out := a.String()
+		if sc.faults {
+			if !strings.Contains(out, "fault injection: applied=") {
+				t.Error("report missing fault-injection statistics")
+			}
+			if !strings.Contains(out, "node gateway crash") {
+				t.Error("fault log missing the gateway crash")
+			}
+		}
+		if sc.metrics && !strings.Contains(out, "\ntelemetry registry (") {
+			t.Error("-metrics report missing the telemetry registry")
 		}
 	}
 }
@@ -73,7 +62,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		{"-clients", "0"},
 		{"-clients", "1", "-rounds", "-1"},
 		{"-replicas", "0"},
-		{"-shards", "0"},
+		// The full-fidelity deployment is one shard: mcsim has no lanes
+		// to pick.
+		{"-shards", "4"},
 		{"-trace-sample", "0", "-trace", "x.json"},
 		{"-timeline-interval", "0"},
 		{"-slo", "/no/such/rules.json"},
@@ -85,6 +76,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
+	}
+	if err := run([]string{"-shards", "4"}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -shards") {
+		t.Errorf("-shards 4 err = %v, want an undefined-flag error", err)
 	}
 }
 

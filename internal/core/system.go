@@ -119,7 +119,6 @@ type MC struct {
 	Host        *Host
 	DataTier    *DataTier // nil unless MCConfig.DBReplicas > 0
 	GatewayNode *simnet.Node
-	RouterNode  *simnet.Node
 	WAP         *wap.Gateway
 	IMode       *imode.Gateway
 	WLAN        *wireless.LAN
@@ -149,14 +148,6 @@ func (mc *MC) Metrics() *metrics.Registry { return mc.Net.Metrics }
 // following Figure 2's six components. Application handlers are registered
 // on the returned Host by the caller (or by internal/apps services).
 func BuildMC(cfg MCConfig) (*MC, error) {
-	return buildMCOn(simnet.NewNetwork(simnet.NewScheduler(cfg.Seed)), cfg)
-}
-
-// buildMCOn assembles the system on an existing network — the seam the
-// sharded builder uses to place one full MC deployment per shard.
-// cfg.Seed is ignored here: the network's scheduler already carries its
-// seed.
-func buildMCOn(net *simnet.Network, cfg MCConfig) (*MC, error) {
 	if cfg.Bearer == 0 {
 		cfg.Bearer = BearerWLAN
 	}
@@ -173,6 +164,7 @@ func buildMCOn(net *simnet.Network, cfg MCConfig) (*MC, error) {
 		cfg.TokenKey = []byte("mc-system-token-key")
 	}
 
+	net := simnet.NewNetwork(simnet.NewScheduler(cfg.Seed))
 	mc := &MC{Net: net, Sys: NewSystem(ModelMC)}
 	txn := net.Metrics.Scope("core.txn")
 	mc.txnWAP = txn.Histogram("wap.latency")
@@ -216,7 +208,6 @@ func buildMCOn(net *simnet.Network, cfg MCConfig) (*MC, error) {
 	router.SetDefaultRoute(wan.IfaceA())
 	gw.SetRoute(host.Node.ID, wan.IfaceB())
 	mc.GatewayNode = gw
-	mc.RouterNode = router
 	mc.LANLink = lan
 	mc.WANLink = wan
 
@@ -379,14 +370,6 @@ type Transaction struct {
 // TransactIMode runs a browse transaction from client i over i-mode and
 // reports the outcome.
 func (mc *MC) TransactIMode(i int, path string, done func(Transaction)) {
-	mc.TransactIModeTo(i, mc.Host.Addr(), path, done)
-}
-
-// TransactIModeTo is TransactIMode against an explicit origin host —
-// sharded deployments point it at a host in another shard, reached over
-// the backbone. It must be invoked from this system's shard (its build
-// phase or an event on its scheduler).
-func (mc *MC) TransactIModeTo(i int, origin simnet.Addr, path string, done func(Transaction)) {
 	cl := mc.Clients[i]
 	start := mc.Net.Sched.Now()
 	// The root span brackets exactly the interval the latency histogram
@@ -396,7 +379,7 @@ func (mc *MC) TransactIModeTo(i int, origin simnet.Addr, path string, done func(
 	root := tr.StartTrace("core.txn.imode", trace.LayerStation)
 	prev := tr.Swap(root)
 	defer tr.Swap(prev)
-	cl.BrowserIMode().Browse(origin, path, func(p *device.Page, err error) {
+	cl.BrowserIMode().Browse(mc.Host.Addr(), path, func(p *device.Page, err error) {
 		lat := mc.Net.Sched.Now() - start
 		mc.txnIMode.Observe(lat)
 		tr.Finish(root)

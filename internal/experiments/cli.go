@@ -16,17 +16,21 @@ import (
 // The command-line surface shared by mcsim, mcload and mcbench: one
 // registration and one validation for the engine and observability
 // flags, and one end-of-run path for SLO verdicts, the timeline file and
-// the trace export.
+// the trace export. -shards is registered only by the commands that run
+// worlds of several shards (mcload and mcbench); mcsim's deployment is
+// one world on one scheduler.
 
 // RunFlags holds the values of the shared flags.
 type RunFlags struct {
-	Seed   int64
-	Shards int
+	Seed int64
 	// CC is the TCP congestion control algorithm; Validate canonicalises
 	// it.
 	CC               string
 	Timeline         string
 	TimelineInterval time.Duration
+
+	// Registered by AddShardsFlag only; the default is one lane.
+	Shards int
 
 	// Registered by AddObsFlags only; the defaults disable them.
 	Trace       string
@@ -34,16 +38,21 @@ type RunFlags struct {
 	SLO         string
 }
 
-// AddRunFlags registers -seed, -shards, -cc, -timeline and
-// -timeline-interval (defaulting to interval) on fs.
+// AddRunFlags registers -seed, -cc, -timeline and -timeline-interval
+// (defaulting to interval) on fs.
 func AddRunFlags(fs *flag.FlagSet, interval time.Duration) *RunFlags {
-	f := &RunFlags{TraceSample: 1}
+	f := &RunFlags{Shards: 1, TraceSample: 1}
 	fs.Int64Var(&f.Seed, "seed", 1, "simulation seed")
-	fs.IntVar(&f.Shards, "shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
 	fs.StringVar(&f.CC, "cc", mtcp.CCReno, "TCP congestion control on every modeled endpoint: reno or cubic (output is byte-identical per seed for either)")
 	fs.StringVar(&f.Timeline, "timeline", "", "sample every metric on the simulation clock and write the time-series JSON here")
 	fs.DurationVar(&f.TimelineInterval, "timeline-interval", interval, "simulated-time sampling interval for -timeline and -slo")
 	return f
+}
+
+// AddShardsFlag registers -shards on fs: the flag of the commands that
+// run worlds of several shards (mcload -scale and -sync, mcbench).
+func (f *RunFlags) AddShardsFlag(fs *flag.FlagSet) {
+	fs.IntVar(&f.Shards, "shards", 1, "worker lanes for the sharded executor (output is byte-identical at any value)")
 }
 
 // AddObsFlags registers -trace, -trace-sample and -slo on fs: the flags

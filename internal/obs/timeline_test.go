@@ -178,30 +178,76 @@ func TestTimelineDeterministicExport(t *testing.T) {
 	}
 }
 
+// TestTimelineShardedPrefixes pins AttachSharded's per-shard samplers: a
+// multi-shard world samples each shard prefixed "s<k>.", and a one-shard
+// world (mcload -scale or -sync at -gateways 1) samples unprefixed and
+// writes the same timeline as Attach("") on a plain network at the same
+// seed. The counter adds the node's ID and a seeded draw, so the
+// comparison also covers shard 0's seed and ID base.
 func TestTimelineShardedPrefixes(t *testing.T) {
-	w := simnet.NewSharded(7, 2)
-	for k := 0; k < 2; k++ {
-		w.Shard(k).Metrics.Counter("x").Inc()
-	}
-	tl := NewTimeline(time.Millisecond)
-	samplers := tl.AttachSharded(w)
-	if len(samplers) != 2 {
-		t.Fatalf("got %d samplers, want 2", len(samplers))
-	}
-	if samplers[0].Prefix() != "s0." || samplers[1].Prefix() != "s1." {
-		t.Fatalf("prefixes = %q, %q; want s0., s1.", samplers[0].Prefix(), samplers[1].Prefix())
-	}
-	if err := w.RunFor(10*time.Millisecond, 2); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, s := range samplers[1].Series() {
-		if s.Name() == "s1.x" {
-			found = true
+	populate := func(net *simnet.Network) {
+		nd := net.NewNode("n")
+		c := net.Metrics.Counter("x")
+		for i := 0; i < 5; i++ {
+			net.Sched.At(time.Duration(i)*time.Millisecond, func() {
+				c.Add(uint64(nd.ID) + uint64(net.Sched.Rand().Intn(1000)))
+			})
 		}
 	}
-	if !found {
-		t.Error("shard 1 series not prefixed s1.")
+	export := func(tl *Timeline) string {
+		var b bytes.Buffer
+		if err := WriteJSON(&b, tl, nil); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for _, tc := range []struct {
+		shards   int
+		prefixes []string
+	}{
+		{1, []string{""}},
+		{2, []string{"s0.", "s1."}},
+	} {
+		w := simnet.NewSharded(7, tc.shards)
+		for k := 0; k < tc.shards; k++ {
+			populate(w.Shard(k))
+		}
+		tl := NewTimeline(time.Millisecond)
+		samplers := tl.AttachSharded(w)
+		if len(samplers) != tc.shards {
+			t.Fatalf("%d shards: got %d samplers", tc.shards, len(samplers))
+		}
+		for k, ws := range samplers {
+			if ws.Prefix() != tc.prefixes[k] {
+				t.Fatalf("%d shards: sampler %d prefix %q, want %q", tc.shards, k, ws.Prefix(), tc.prefixes[k])
+			}
+		}
+		if err := w.RunFor(10*time.Millisecond, 2); err != nil {
+			t.Fatal(err)
+		}
+		last := tc.shards - 1
+		found := false
+		for _, s := range samplers[last].Series() {
+			if s.Name() == tc.prefixes[last]+"x" {
+				found = true
+			}
+		}
+		if !found {
+			t.Errorf("%d shards: shard %d has no series %q", tc.shards, last, tc.prefixes[last]+"x")
+		}
+		if tc.shards > 1 {
+			continue
+		}
+		serial := simnet.NewNetwork(simnet.NewScheduler(7))
+		populate(serial)
+		ref := NewTimeline(time.Millisecond)
+		ref.Attach("", serial)
+		if err := serial.Sched.RunFor(10 * time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := export(tl), export(ref); got != want {
+			t.Errorf("one-shard timeline differs from the serial one:\n--- serial ---\n%s\n--- one shard ---\n%s", want, got)
+		}
 	}
 }
 

@@ -107,40 +107,14 @@ func NewSharded(seed int64, n int) *Sharded {
 		w.prefix[k] = "s" + strconv.Itoa(k) + "."
 		w.rings[k] = make([]*xring, n)
 	}
-	w.initEngine()
-	return w
-}
-
-// WrapNetwork adopts an existing single network as a one-shard world, so
-// serial callers can run through the sharded engine unchanged: with one
-// shard the window loop degenerates to a single Sched.RunUntil and the
-// snapshot to the plain registry snapshot.
-func WrapNetwork(net *Network) *Sharded {
-	w := &Sharded{
-		seed:    0,
-		shards:  []*Network{net},
-		shardOf: map[*Network]int32{net: 0},
-		prefix:  []string{"s0."},
-		rings:   make([][]*xring, 1),
-		xseq:    make([]uint64, 1),
-		xdFree:  make([][]*xDelivery, 1),
-		scratch: make([][]xrec, 1),
-		errs:    make([]error, 1),
-	}
-	w.rings[0] = make([]*xring, 1)
-	w.now = net.Sched.Now()
-	w.initEngine()
-	return w
-}
-
-// initEngine creates the engine-internals registry. The counters are
-// alias-registered fields so engine hot paths increment plain uint64s.
-func (w *Sharded) initEngine() {
+	// The engine counters are alias-registered fields so engine hot
+	// paths increment plain uint64s.
 	w.engine = metrics.New()
 	sc := w.engine.Scope("simnet.shard")
 	sc.AliasCounter("windows", &w.cWindows)
 	sc.AliasCounter("barrier_waits", &w.cBarrier)
 	sc.AliasCounter("steals", &w.cSteals)
+	return w
 }
 
 // EngineSnapshot captures the engine-internals registry: window counts,

@@ -302,42 +302,57 @@ func TestShardedTraceNamespacing(t *testing.T) {
 	}
 }
 
-func TestWrapNetworkMatchesSerial(t *testing.T) {
-	build := func() (*Network, *Node) {
-		net := NewNetwork(NewScheduler(7))
+// TestOneShardMatchesSerial pins the one-shard world — what mcload
+// -scale and -sync build at -gateways 1 — to a plain Network at the same
+// seed: shard 0 keeps the world's seed and ID base 0, and the one-shard
+// Snapshot is the shard's own unprefixed registry. The echo link is lossy
+// so the seed shows in the drop counters, and every ping is traced so the
+// ID bases show in the span stream and the echoed source addresses.
+func TestOneShardMatchesSerial(t *testing.T) {
+	run := func(net *Network, runFor func(time.Duration) error) string {
+		var log strings.Builder
 		a := net.NewNode("a")
 		b := net.NewNode("b")
-		l := Connect(a, b, LinkConfig{Name: "ab", Rate: 10 * Mbps, Delay: time.Millisecond})
+		l := Connect(a, b, LinkConfig{Name: "ab", Rate: 10 * Mbps, Delay: time.Millisecond, Loss: 0.2})
 		a.SetDefaultRoute(l.IfaceA())
 		b.SetDefaultRoute(l.IfaceB())
 		ub := UDPOf(b)
 		if err := ub.Listen(echoPort, func(from Addr, body any, bytes int) {
+			fmt.Fprintf(&log, "echo to node %d at %v\n", from.Node, net.Sched.Now())
 			ub.Send(echoPort, from, body, bytes)
 		}); err != nil {
 			t.Fatal(err)
 		}
 		ua := UDPOf(a)
 		port := ua.ListenAny(func(from Addr, body any, bytes int) {})
+		net.Tracer.EnableExport(1)
 		for i := 0; i < 40; i++ {
-			i := i
 			net.Sched.At(time.Duration(i)*5*time.Millisecond, func() {
+				ctx := net.Tracer.StartTrace("echo.ping", trace.LayerStation)
+				prev := net.Tracer.Swap(ctx)
 				ua.Send(port, Addr{Node: b.ID, Port: echoPort}, nil, 64)
+				net.Tracer.Swap(prev)
+				net.Tracer.Finish(ctx)
 			})
 		}
-		return net, a
+		if err := runFor(time.Second); err != nil {
+			t.Fatal(err)
+		}
+		for _, sp := range net.Tracer.Spans() {
+			fmt.Fprintf(&log, "span %d/%d %s %v-%v\n", sp.Trace, sp.ID, sp.Name, sp.Start, sp.End)
+		}
+		return log.String()
 	}
 
-	serial, _ := build()
-	if err := serial.Sched.RunFor(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	wrappedNet, _ := build()
-	w := WrapNetwork(wrappedNet)
-	if err := w.RunFor(time.Second, 4); err != nil {
-		t.Fatal(err)
+	serial := NewNetwork(NewScheduler(7))
+	wantLog := run(serial, serial.Sched.RunFor)
+	w := NewSharded(7, 1)
+	gotLog := run(w.Shard(0), func(d time.Duration) error { return w.RunFor(d, 4) })
+	if gotLog != wantLog {
+		t.Fatalf("one-shard echoes and spans diverged from serial:\n--- serial ---\n%s\n--- one shard ---\n%s", wantLog, gotLog)
 	}
 	if got, want := w.Snapshot().String(), serial.Metrics.Snapshot().String(); got != want {
-		t.Fatalf("wrapped run diverged from serial:\n--- serial ---\n%s\n--- wrapped ---\n%s", want, got)
+		t.Fatalf("one-shard run diverged from serial:\n--- serial ---\n%s\n--- one shard ---\n%s", want, got)
 	}
 	if w.Executed() != serial.Sched.Executed() {
 		t.Fatalf("executed %d != serial %d", w.Executed(), serial.Sched.Executed())
