@@ -1,8 +1,9 @@
 package webserver
 
 import (
+	"bytes"
 	"errors"
-	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -120,48 +121,80 @@ func statusText(code int) string {
 
 // EncodeRequest serializes a request to its wire form.
 func EncodeRequest(r *Request) []byte {
-	var b strings.Builder
-	path := r.Path
+	size := len(r.Method) + len(r.Path) + len("  HTTP/1.0\r\n")
+	var qkeys []string
 	if len(r.Query) > 0 {
-		keys := make([]string, 0, len(r.Query))
-		for k := range r.Query {
-			keys = append(keys, k)
+		qkeys = make([]string, 0, len(r.Query))
+		for k, v := range r.Query {
+			qkeys = append(qkeys, k)
+			size += len("&=") + 3*(len(k)+len(v)) // each byte escapes to at most %XX
 		}
-		sort.Strings(keys)
-		parts := make([]string, 0, len(keys))
-		for _, k := range keys {
-			parts = append(parts, escapeQuery(k)+"="+escapeQuery(r.Query[k]))
-		}
-		path += "?" + strings.Join(parts, "&")
+		sort.Strings(qkeys)
 	}
-	fmt.Fprintf(&b, "%s %s HTTP/1.0\r\n", r.Method, path)
-	writeHeaders(&b, r.Headers, len(r.Body))
-	b.Write(r.Body)
-	return []byte(b.String())
+	hkeys, hsize := headerKeys(r.Headers)
+	b := make([]byte, 0, size+hsize+len(r.Body))
+	b = append(b, r.Method...)
+	b = append(b, ' ')
+	b = append(b, r.Path...)
+	for i, k := range qkeys {
+		if i == 0 {
+			b = append(b, '?')
+		} else {
+			b = append(b, '&')
+		}
+		b = appendEscaped(b, k)
+		b = append(b, '=')
+		b = appendEscaped(b, r.Query[k])
+	}
+	b = append(b, " HTTP/1.0\r\n"...)
+	b = appendHeaders(b, r.Headers, hkeys, len(r.Body))
+	return append(b, r.Body...)
 }
 
 // EncodeResponse serializes a response to its wire form.
 func EncodeResponse(r *Response) []byte {
-	var b strings.Builder
-	fmt.Fprintf(&b, "HTTP/1.0 %d %s\r\n", r.Status, statusText(r.Status))
-	writeHeaders(&b, r.Headers, len(r.Body))
-	b.Write(r.Body)
-	return []byte(b.String())
+	text := statusText(r.Status)
+	hkeys, hsize := headerKeys(r.Headers)
+	b := make([]byte, 0, len("HTTP/1.0  \r\n")+maxIntDigits+len(text)+hsize+len(r.Body))
+	b = append(b, "HTTP/1.0 "...)
+	b = strconv.AppendInt(b, int64(r.Status), 10)
+	b = append(b, ' ')
+	b = append(b, text...)
+	b = append(b, "\r\n"...)
+	b = appendHeaders(b, r.Headers, hkeys, len(r.Body))
+	return append(b, r.Body...)
 }
 
-func writeHeaders(b *strings.Builder, hs map[string]string, bodyLen int) {
+// maxIntDigits is the longest decimal form of an int, sign included.
+const maxIntDigits = 20
+
+// headerKeys returns the header names to write in wire order (sorted,
+// content-length left out: appendHeaders writes it last, from the body)
+// and the wire size of the whole header block.
+func headerKeys(hs map[string]string) ([]string, int) {
+	size := len("content-length: \r\n\r\n") + maxIntDigits
 	keys := make([]string, 0, len(hs))
-	for k := range hs {
+	for k, v := range hs {
 		if strings.ToLower(k) == "content-length" {
 			continue
 		}
 		keys = append(keys, k)
+		size += len(k) + len(": \r\n") + len(v)
 	}
 	sort.Strings(keys)
+	return keys, size
+}
+
+func appendHeaders(b []byte, hs map[string]string, keys []string, bodyLen int) []byte {
 	for _, k := range keys {
-		fmt.Fprintf(b, "%s: %s\r\n", k, hs[k])
+		b = append(b, k...)
+		b = append(b, ": "...)
+		b = append(b, hs[k]...)
+		b = append(b, "\r\n"...)
 	}
-	fmt.Fprintf(b, "content-length: %d\r\n\r\n", bodyLen)
+	b = append(b, "content-length: "...)
+	b = strconv.AppendInt(b, int64(bodyLen), 10)
+	return append(b, "\r\n\r\n"...)
 }
 
 // ParseRequest parses a complete request from its wire form.
@@ -200,10 +233,29 @@ func ParseResponse(wire []byte) (*Response, error) {
 	return out, nil
 }
 
+// maxBufHint caps the receive buffer the parser reserves from a
+// message's content-length, so a hostile header cannot make it allocate
+// more than this up front. Longer bodies grow the buffer as they arrive.
+const maxBufHint = 1 << 20
+
+var headEnd = []byte("\r\n\r\n")
+
 // parser accumulates bytes and yields complete messages. It parses both
-// requests and responses depending on which callback is installed.
+// requests and responses depending on which callback is installed. Each
+// message's head is found and parsed once; after that the parser only
+// waits for the buffer to reach the message's total length.
 type parser struct {
-	buf        []byte
+	buf []byte
+	// scan is where the search for the end of the head resumes.
+	scan int
+	// The parsed head of the current message: its first line, its
+	// headers, the offset of its body in buf and its total length.
+	// bodyAt is 0 until the head is complete.
+	first   string
+	headers map[string]string
+	bodyAt  int
+	total   int
+
 	onRequest  func(*Request)
 	onResponse func(*Response)
 	onError    func(error)
@@ -216,36 +268,19 @@ func (p *parser) feed(b []byte) {
 }
 
 func (p *parser) tryParse() bool {
-	head := strings.Index(string(p.buf), "\r\n\r\n")
-	if head < 0 {
+	if p.bodyAt == 0 && !p.parseHead() {
 		return false
 	}
-	headBytes := p.buf[:head]
-	lines := strings.Split(string(headBytes), "\r\n")
-	if len(lines) == 0 {
-		p.fail()
+	if len(p.buf) < p.total {
 		return false
 	}
-	headers := make(map[string]string)
-	for _, ln := range lines[1:] {
-		i := strings.IndexByte(ln, ':')
-		if i < 0 {
-			p.fail()
-			return false
-		}
-		headers[strings.ToLower(strings.TrimSpace(ln[:i]))] = strings.TrimSpace(ln[i+1:])
+	var body []byte
+	if p.total > p.bodyAt {
+		body = p.buf[p.bodyAt:p.total:p.total]
 	}
-	clen, _ := strconv.Atoi(headers["content-length"])
-	if clen < 0 {
-		clen = 0
-	}
-	total := head + 4 + clen
-	if len(p.buf) < total {
-		return false
-	}
-	body := append([]byte(nil), p.buf[head+4:total]...)
-	first := lines[0]
-	p.buf = p.buf[total:]
+	first, headers := p.first, p.headers
+	p.buf = p.buf[p.total:]
+	p.reset()
 
 	if strings.HasPrefix(first, "HTTP/") {
 		// Response: HTTP/1.0 200 OK
@@ -283,8 +318,53 @@ func (p *parser) tryParse() bool {
 	return true
 }
 
+// parseHead finds the end of the current message's head and parses its
+// lines. It reports false while the head is incomplete and after failing
+// a malformed head. The first line is validated only once the body is
+// complete, in tryParse.
+func (p *parser) parseHead() bool {
+	i := bytes.Index(p.buf[p.scan:], headEnd)
+	if i < 0 {
+		p.scan = max(len(p.buf)-len(headEnd)+1, 0)
+		return false
+	}
+	head := p.scan + i
+	first, rest, more := strings.Cut(string(p.buf[:head]), "\r\n")
+	headers := make(map[string]string)
+	for more {
+		var ln string
+		ln, rest, more = strings.Cut(rest, "\r\n")
+		name, value, ok := strings.Cut(ln, ":")
+		if !ok {
+			p.fail()
+			return false
+		}
+		headers[strings.ToLower(strings.TrimSpace(name))] = strings.TrimSpace(value)
+	}
+	clen, _ := strconv.Atoi(headers["content-length"])
+	clen = max(clen, 0)
+	bodyAt := head + len(headEnd)
+	if clen > math.MaxInt-bodyAt {
+		p.fail()
+		return false
+	}
+	p.first, p.headers, p.bodyAt, p.total = first, headers, bodyAt, bodyAt+clen
+	if want := min(p.total, maxBufHint); cap(p.buf) < want {
+		buf := make([]byte, len(p.buf), want)
+		copy(buf, p.buf)
+		p.buf = buf
+	}
+	return true
+}
+
+// reset forgets the current message's head.
+func (p *parser) reset() {
+	p.scan, p.first, p.headers, p.bodyAt, p.total = 0, "", nil, 0, 0
+}
+
 func (p *parser) fail() {
 	p.buf = nil
+	p.reset()
 	if p.onError != nil {
 		p.onError(ErrMalformed)
 	}
@@ -311,20 +391,21 @@ func splitQuery(target string) (string, map[string]string) {
 	return path, q
 }
 
-func escapeQuery(s string) string {
-	var b strings.Builder
+// appendEscaped appends s query-escaped: space as '+', reserved and
+// non-printable bytes as %XX.
+func appendEscaped(b []byte, s string) []byte {
+	const hex = "0123456789ABCDEF"
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
+		switch c := s[i]; {
 		case c == ' ':
-			b.WriteByte('+')
+			b = append(b, '+')
 		case c == '&' || c == '=' || c == '%' || c == '+' || c == '?' || c == '#' || c < 0x20 || c > 0x7e:
-			fmt.Fprintf(&b, "%%%02X", c)
+			b = append(b, '%', hex[c>>4], hex[c&0xf])
 		default:
-			b.WriteByte(c)
+			b = append(b, c)
 		}
 	}
-	return b.String()
+	return b
 }
 
 func unescapeQuery(s string) string {

@@ -1,9 +1,9 @@
 #!/bin/sh
 # bench.sh — run the benchmark suite and record a machine-readable
-# trajectory point. Runs every benchmark in simnet, mtcp and experiments
-# (-benchmem, -count 5 so outliers are visible), converts the output to
-# JSON with scripts/benchjson, and writes it to the given file
-# (default BENCH.json).
+# trajectory point. Runs every benchmark in simnet, mtcp, experiments,
+# obs and webserver (-benchmem, -count 5 so outliers are visible),
+# converts the output to JSON with scripts/benchjson, and writes it to
+# the given file (default BENCH.json).
 #
 #	scripts/bench.sh BENCH_5.json
 #
@@ -29,7 +29,7 @@ git diff --quiet HEAD 2>/dev/null || commit="$commit-dirty"
 
 go test -run '^$' -bench . -benchmem -count "$count" -benchtime "$benchtime" \
 	-timeout 60m ./internal/simnet ./internal/mtcp ./internal/experiments \
-	./internal/obs \
+	./internal/obs ./internal/webserver \
 	| tee /dev/stderr \
 	| go run ./scripts/benchjson -commit "$commit" >"$out"
 

@@ -10,8 +10,10 @@
 # trace-event JSON, a sharded mcload -scale run (-shards 4) must be
 # byte-identical to the serial (-shards 1) run at the same seed, and the
 # replicated data tier storm (mcload -sync) must dump the same totals and
-# state digest serial vs sharded. A bench gate checks the timing wheel's
-# speedup over the reference heap on medians of five runs. The
+# state digest serial vs sharded. A bench gate checks, on medians of five
+# runs, the timing wheel's speedup over the reference heap and that the
+# webserver parser frames messages in linear time; a ten-second fuzz
+# smoke runs the parser against its reference oracle. The
 # segment-level TCP adds its own gates: the mtcp package under the race
 # detector, same-seed byte-identical mcsim output per congestion
 # control algorithm (-cc reno and -cc cubic), and mcload output that
@@ -50,14 +52,20 @@ else
 	go run ./scripts/tracecheck /tmp/mc-trace-a.json
 fi
 rm -f /tmp/mc-trace-a.json /tmp/mc-trace-b.json
-# Scheduler bench gate: the timing wheel must hold its >=2x advantage
-# over the reference heap with a million live timers. The ratio compares
+# Bench gate: the timing wheel must hold its >=2x advantage over the
+# reference heap with a million live timers, and the webserver parser
+# must frame a 4 KiB response in at least 0.01x the time of a 256 KiB
+# one (a quadratic parser measures about 0.001x). Each ratio compares
 # two benchmarks from the same run, on medians of five, so it holds on
 # any host.
-go test -run '^$' -bench 'BenchmarkTimerChurn1M' -count 5 \
-	-benchtime 200ms ./internal/simnet >/tmp/mc-bench-gate.txt
+go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed' -count 5 \
+	-benchtime 200ms ./internal/simnet ./internal/webserver >/tmp/mc-bench-gate.txt
 go run ./scripts/benchgate -baseline scripts/bench_baseline.json /tmp/mc-bench-gate.txt
 rm -f /tmp/mc-bench-gate.txt
+# Parser fuzz smoke: bounded native fuzzing of the webserver parser
+# against its reference oracle, on top of the checked-in seed corpus
+# that go test already runs.
+go test -run '^$' -fuzz FuzzParser -fuzztime 10s ./internal/webserver
 # Sharded execution: a sharded run must be byte-identical to a serial
 # run of the same seed on the mcload -scale surface (wall-clock goes to
 # stderr, so stdout is directly comparable).
