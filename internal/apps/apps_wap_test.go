@@ -26,7 +26,7 @@ func TestServicesWorkOverWAPFetcher(t *testing.T) {
 	var ticket apps.Ticket
 	var record apps.PatientRecord
 	var receipt apps.PayReceipt
-	wap.Connect(mc.Clients[0].Station.Node(), mc.WAP.Addr(), wap.WTPConfig{}, nil,
+	wap.Connect(wap.NewWTPAny(mc.Clients[0].Station.Node(), wap.WTPConfig{}), mc.WAP.Addr(), nil,
 		func(s *wap.Session, err error) {
 			if err != nil {
 				t.Errorf("wap connect: %v", err)

@@ -64,6 +64,9 @@ type RoamingMC struct {
 	IModeClient  *imode.Client
 
 	wapCfg wap.WTPConfig
+	// wtp is the station's WAP transaction endpoint, bound on the first
+	// ConnectWAP and shared by every later session.
+	wtp *wap.WTP
 
 	// foreignAPPos is where the foreign AP sits; Roam moves the station
 	// next to it.
@@ -183,9 +186,13 @@ func (r *RoamingMC) buildGraph() {
 // AtHome reports whether the station is associated with the home subnet.
 func (r *RoamingMC) AtHome() bool { return r.HomeRadio.Associated() }
 
-// ConnectWAP establishes a WSP session through the home gateway.
+// ConnectWAP establishes a WSP session through the home gateway, over the
+// station's one WAP transaction endpoint.
 func (r *RoamingMC) ConnectWAP(done func(*device.Browser, *wap.Session, error)) {
-	wap.Connect(r.Station.Node(), r.WAP.Addr(), r.wapCfg, nil, func(s *wap.Session, err error) {
+	if r.wtp == nil {
+		r.wtp = wap.NewWTPAny(r.Station.Node(), r.wapCfg)
+	}
+	wap.Connect(r.wtp, r.WAP.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			done(nil, nil, err)
 			return

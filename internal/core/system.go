@@ -86,6 +86,19 @@ type MobileClient struct {
 	IMode *imode.Client
 
 	sys *MC
+	// wtp is the station's WAP transaction endpoint, bound on first use.
+	wtp *wap.WTP
+}
+
+// WTP returns the station's WAP transaction endpoint, binding it on first
+// use. Every WSP session the station opens runs over it, so a station
+// holds one port and one wap.wtp.<station> metric scope however many
+// sessions it opens, and a world that never uses WAP binds none.
+func (m *MobileClient) WTP() *wap.WTP {
+	if m.wtp == nil {
+		m.wtp = wap.NewWTPAny(m.Station.Node(), m.sys.wapCfg.WTP)
+	}
+	return m.wtp
 }
 
 // BrowserIMode returns a microbrowser over the i-mode middleware.
@@ -100,7 +113,7 @@ func (m *MobileClient) ConnectWAP(done func(*device.Browser, error)) {
 		done(nil, errors.New("core: WAP middleware disabled"))
 		return
 	}
-	wap.Connect(m.Station.Node(), m.sys.WAP.Addr(), m.sys.wapCfg.WTP, nil,
+	wap.Connect(m.WTP(), m.sys.WAP.Addr(), nil,
 		func(s *wap.Session, err error) {
 			if err != nil {
 				done(nil, err)

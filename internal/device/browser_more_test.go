@@ -17,7 +17,7 @@ func TestSubmitFormViaBothMiddlewares(t *testing.T) {
 
 	// WAP path.
 	var wapPage, imodePage *device.Page
-	wap.Connect(topo.station.Node(), topo.wapGW.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(topo.station.Node(), wap.WTPConfig{}), topo.wapGW.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("connect: %v", err)
 			return

@@ -194,7 +194,7 @@ func (b *browserTopo) originAddr() simnet.Addr { return simnet.Addr{Node: b.orig
 func TestBrowseViaWAP(t *testing.T) {
 	topo := newBrowserTopo(t, device.SonyCliePEGNR70V)
 	var page *device.Page
-	wap.Connect(topo.station.Node(), topo.wapGW.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(topo.station.Node(), wap.WTPConfig{}), topo.wapGW.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return

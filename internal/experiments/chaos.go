@@ -196,10 +196,9 @@ func chaosRun(seed int64, clients, rounds int, mode chaosMode) (*chaosReport, er
 
 	for ci := 0; ci < clients; ci++ {
 		cl := mc.Clients[ci]
-		node := cl.Station.Node()
 		var sess *wap.Session
 		connect := func(done func()) {
-			wap.Connect(node, mc.WAP.Addr(), wcfg.WTP, nil, func(s *wap.Session, err error) {
+			wap.Connect(cl.WTP(), mc.WAP.Addr(), nil, func(s *wap.Session, err error) {
 				if err == nil {
 					sess = s
 				}

@@ -1,6 +1,7 @@
 package markup
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -118,4 +119,27 @@ func TestParseAdversarialCorpus(t *testing.T) {
 			_ = doc.Render()
 		}()
 	}
+}
+
+// FuzzDecodeWMLC feeds arbitrary bytes to the WMLC decoder, which the
+// microbrowser runs on whatever arrives from the air. The decoder must
+// never panic, and any input it accepts must re-encode to a fixpoint:
+// the canonical encoding of the decoded deck decodes and re-encodes to
+// the same bytes. The checked-in corpus holds the round-trip decks and
+// the garbage inputs of wbxml_test.go.
+func FuzzDecodeWMLC(f *testing.F) {
+	f.Fuzz(func(t *testing.T, b []byte) {
+		deck, err := DecodeWMLC(b)
+		if err != nil {
+			return
+		}
+		once := EncodeWMLC(deck)
+		again, err := DecodeWMLC(once)
+		if err != nil {
+			t.Fatalf("canonical encoding %x of accepted input does not decode: %v", once, err)
+		}
+		if twice := EncodeWMLC(again); !bytes.Equal(once, twice) {
+			t.Fatalf("re-encoding is not a fixpoint:\n once: %x\ntwice: %x", once, twice)
+		}
+	})
 }

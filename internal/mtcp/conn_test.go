@@ -2,6 +2,8 @@ package mtcp_test
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -625,4 +627,29 @@ func TestOneStackPerNode(t *testing.T) {
 	if _, err := mtcp.NewStack(d.client); err == nil {
 		t.Error("second NewStack on a node should fail")
 	}
+}
+
+// TestEphemeralPortsExhaustedPanics fills every ephemeral port with a
+// listener: Dial must still find the one port freed, and with none free
+// it must panic naming the node and the range instead of spinning.
+func TestEphemeralPortsExhaustedPanics(t *testing.T) {
+	d := newDuplex(t, 16, simnet.LinkConfig{Rate: simnet.Mbps})
+	server := simnet.Addr{Node: d.server.ID, Port: 80}
+	for p := 32768; p <= 65535; p++ {
+		if err := d.cs.Listen(simnet.Port(p), mtcp.Options{}, func(*mtcp.Conn) {}); err != nil {
+			t.Fatalf("Listen %d: %v", p, err)
+		}
+	}
+	d.cs.Unlisten(40000)
+	if got := d.cs.Dial(server, mtcp.Options{}, func(*mtcp.Conn, error) {}).LocalAddr().Port; got != 40000 {
+		t.Fatalf("Dial took port %d, want the one free port 40000", got)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "client") || !strings.Contains(msg, "32768-65535") {
+			t.Fatalf("panic %q does not name the node and the range", msg)
+		}
+	}()
+	d.cs.Dial(server, mtcp.Options{}, func(*mtcp.Conn, error) {})
+	t.Fatal("Dial returned with every ephemeral port in use")
 }

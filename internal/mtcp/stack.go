@@ -191,8 +191,10 @@ func (s *Stack) Dial(raddr simnet.Addr, opts Options, connected func(*Conn, erro
 	return c
 }
 
+// ephemeralPort picks the next free port in 32768-65535. It panics when
+// every one of them is in use.
 func (s *Stack) ephemeralPort() simnet.Port {
-	for {
+	for range 65536 - 32768 {
 		s.nextPort++
 		if s.nextPort == 0 {
 			s.nextPort = 32768
@@ -201,6 +203,7 @@ func (s *Stack) ephemeralPort() simnet.Port {
 			return s.nextPort
 		}
 	}
+	panic(fmt.Sprintf("mtcp: every ephemeral port 32768-65535 is in use on %s", s.node))
 }
 
 func (s *Stack) portBusy(p simnet.Port) bool {

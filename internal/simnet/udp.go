@@ -42,9 +42,10 @@ func (u *UDP) Listen(port Port, h DatagramHandler) error {
 	return nil
 }
 
-// ListenAny binds a handler to a fresh ephemeral port and returns it.
+// ListenAny binds a handler to a fresh ephemeral port (49152-65535) and
+// returns it. It panics when every ephemeral port on the node is bound.
 func (u *UDP) ListenAny(h DatagramHandler) Port {
-	for {
+	for range 65536 - 49152 {
 		u.next++
 		if u.next == 0 {
 			u.next = 49152
@@ -54,6 +55,7 @@ func (u *UDP) ListenAny(h DatagramHandler) Port {
 			return u.next
 		}
 	}
+	panic(fmt.Sprintf("udp: every ephemeral port 49152-65535 is bound on %s", u.node))
 }
 
 // Close releases a bound port.

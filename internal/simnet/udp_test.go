@@ -1,6 +1,8 @@
 package simnet
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -96,4 +98,32 @@ func TestUDPOfIsIdempotent(t *testing.T) {
 	if UDPOf(a) != UDPOf(a) {
 		t.Error("UDPOf returned different stacks for the same node")
 	}
+}
+
+// TestUDPListenAnyExhaustedPanics binds every ephemeral port: ListenAny
+// must still find the one port closed, and with none free it must panic
+// naming the node and the range instead of spinning.
+func TestUDPListenAnyExhaustedPanics(t *testing.T) {
+	net := NewNetwork(NewScheduler(1))
+	u := UDPOf(net.NewNode("full"))
+	seen := make(map[Port]bool)
+	for range 65536 - 49152 {
+		p := u.ListenAny(nil)
+		if p < 49152 || seen[p] {
+			t.Fatalf("ListenAny returned port %d twice or out of range", p)
+		}
+		seen[p] = true
+	}
+	u.Close(50000)
+	if got := u.ListenAny(nil); got != 50000 {
+		t.Fatalf("ListenAny = %d, want the one free port 50000", got)
+	}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "full") || !strings.Contains(msg, "49152-65535") {
+			t.Fatalf("panic %q does not name the node and the range", msg)
+		}
+	}()
+	u.ListenAny(nil)
+	t.Fatal("ListenAny returned with every ephemeral port bound")
 }

@@ -18,7 +18,7 @@ func TestSessionPost(t *testing.T) {
 		return webserver.NewResponse(200, webserver.TypeJSON, []byte(`{"ok":true}`))
 	})
 	var reply *wap.Reply
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("connect: %v", err)
 			return
@@ -52,7 +52,7 @@ func TestSecureSessionSurvivesWTPRetransmits(t *testing.T) {
 	cfg.WTP = wap.WTPConfig{RetryInterval: 300 * time.Millisecond, MaxRetries: 20}
 	w := newWAPTopo(t, 46, 0.25, cfg)
 	fetched := 0
-	wap.ConnectSecure(w.mobile, w.gateway.Addr(), cfg.WTP, nil, psk, func(s *wap.Session, err error) {
+	wap.ConnectSecure(wap.NewWTPAny(w.mobile, cfg.WTP), w.gateway.Addr(), nil, psk, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("connect: %v", err)
 			return

@@ -35,7 +35,7 @@ func TestGatewayCrashMidSession(t *testing.T) {
 	reconnected := false
 	refetched := false
 
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return
@@ -67,7 +67,7 @@ func TestGatewayCrashMidSession(t *testing.T) {
 			}
 			oldSessionStatus = rep.Status
 		})
-		wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+		wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 			if err != nil {
 				t.Errorf("reconnect: %v", err)
 				return
@@ -117,7 +117,7 @@ func TestWTPBackoffGrowsRetryInterval(t *testing.T) {
 	run := func(cfg wap.WTPConfig) (aborted bool, replied bool) {
 		w := newWAPTopo(t, 3, 0, wap.DefaultGatewayConfig())
 		var sess *wap.Session
-		wap.Connect(w.mobile, w.gateway.Addr(), cfg, nil, func(s *wap.Session, err error) {
+		wap.Connect(wap.NewWTPAny(w.mobile, cfg), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 			if err != nil {
 				t.Fatalf("Connect: %v", err)
 			}
@@ -162,7 +162,7 @@ func TestWTPRetriesDisabled(t *testing.T) {
 	w := newWAPTopo(t, 5, 0, wap.DefaultGatewayConfig())
 	var sess *wap.Session
 	cfg := wap.WTPConfig{MaxRetries: -1}
-	wap.Connect(w.mobile, w.gateway.Addr(), cfg, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, cfg), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Fatalf("Connect: %v", err)
 		}

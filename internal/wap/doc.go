@@ -8,10 +8,11 @@
 //
 //   - WTP (transaction layer): reliable request/response transactions over
 //     the datagram service (simnet.UDP) with retransmission on both sides
-//     and duplicate suppression, in the spirit of WTP class 2.
-//   - WSP (session layer): Connect/ConnectReply session establishment,
-//     method invocations (Get/Post) bound to a session, Suspend/Resume for
-//     bearer changes, and Disconnect.
+//     and duplicate suppression, in the spirit of WTP class 2. A device
+//     runs one endpoint (NewWTPAny) for all its sessions.
+//   - WSP (session layer): Connect/ConnectReply session establishment over
+//     the device's endpoint, method invocations (Get/Post) bound to a
+//     session, Suspend/Resume for bearer changes, and Disconnect.
 //   - Gateway: the WAP gateway itself, which works exactly as the paper
 //     describes: "requests from mobile stations are sent as a URL through
 //     the network to the WAP Gateway; responses are sent from the Web

@@ -70,22 +70,22 @@ var _ = func() bool {
 	return true
 }()
 
-// ConnectSecure establishes a WTLS-protected WSP session with a gateway
-// configured with the same pre-shared key. The client hello rides in the
-// connect request and the server hello (with its key-possession verifier)
-// in the reply; done receives the secured session or an error
-// (security.ErrHandshake on a key mismatch, ErrNoWTLS if the gateway has
-// no key).
-func ConnectSecure(node *simnet.Node, gateway simnet.Addr, cfg WTPConfig, accept []string, psk []byte, done func(*Session, error)) {
+// ConnectSecure establishes a WTLS-protected WSP session over the device's
+// transaction endpoint wtp with a gateway configured with the same
+// pre-shared key. The client hello rides in the connect request and the
+// server hello (with its key-possession verifier) in the reply; done
+// receives the secured session or an error (security.ErrHandshake on a
+// key mismatch, ErrNoWTLS if the gateway has no key).
+func ConnectSecure(wtp *WTP, gateway simnet.Addr, accept []string, psk []byte, done func(*Session, error)) {
 	if accept == nil {
 		accept = []string{"application/vnd.wap.wmlc", "text/vnd.wap.wml"}
 	}
-	hello, finish, err := security.HandshakeClient(psk, node.Sched().Rand())
+	hello, finish, err := security.HandshakeClient(psk, wtp.node.Sched().Rand())
 	if err != nil {
 		done(nil, err)
 		return
 	}
-	s := &Session{wtp: NewWTPAny(node, cfg), gateway: gateway}
+	s := &Session{wtp: wtp, gateway: gateway}
 	req := &wspConnect{Accept: accept, Hello: &hello}
 	s.wtp.Invoke(gateway, req, pduBytes(req), func(result any, _ int, err error) {
 		if err != nil {

@@ -24,7 +24,7 @@ func TestSecureSessionEndToEnd(t *testing.T) {
 	w := newWAPTopo(t, 31, 0, secureGatewayCfg(psk, false))
 	var deck *markup.Deck
 	var sess *wap.Session
-	wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, psk, func(s *wap.Session, err error) {
+	wap.ConnectSecure(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, psk, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("ConnectSecure: %v", err)
 			return
@@ -77,7 +77,7 @@ func TestSecureSessionHidesPlaintextOnAir(t *testing.T) {
 	w.gwNode.AddTap(inspect)
 
 	ok := false
-	wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, psk, func(s *wap.Session, err error) {
+	wap.ConnectSecure(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, psk, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("ConnectSecure: %v", err)
 			return
@@ -102,7 +102,7 @@ func TestSecureConnectWrongKeyFails(t *testing.T) {
 	w := newWAPTopo(t, 33, 0, secureGatewayCfg([]byte("right-key"), false))
 	var gotErr error
 	fired := false
-	wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, []byte("wrong-key"),
+	wap.ConnectSecure(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, []byte("wrong-key"),
 		func(s *wap.Session, err error) { gotErr, fired = err, true })
 	if err := w.net.Sched.RunFor(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -115,7 +115,7 @@ func TestSecureConnectWrongKeyFails(t *testing.T) {
 func TestSecureConnectToPlainGatewayFails(t *testing.T) {
 	w := newWAPTopo(t, 34, 0, wap.DefaultGatewayConfig()) // no PSK
 	var gotErr error
-	wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, []byte("key"),
+	wap.ConnectSecure(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, []byte("key"),
 		func(s *wap.Session, err error) { gotErr = err })
 	if err := w.net.Sched.RunFor(time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -129,7 +129,7 @@ func TestRequireWTLSRefusesPlaintext(t *testing.T) {
 	psk := []byte("mandatory-key")
 	w := newWAPTopo(t, 35, 0, secureGatewayCfg(psk, true))
 	var plainErr error
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		plainErr = err
 	})
 	if err := w.net.Sched.RunFor(time.Minute); err != nil {
@@ -140,7 +140,7 @@ func TestRequireWTLSRefusesPlaintext(t *testing.T) {
 	}
 	// The secure path still works.
 	ok := false
-	wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, psk, func(s *wap.Session, err error) {
+	wap.ConnectSecure(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, psk, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("secure connect: %v", err)
 			return
@@ -159,7 +159,7 @@ func TestSecureSuspendResumeDisconnect(t *testing.T) {
 	psk := []byte("k")
 	w := newWAPTopo(t, 36, 0, secureGatewayCfg(psk, false))
 	sequence := ""
-	wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, psk, func(s *wap.Session, err error) {
+	wap.ConnectSecure(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, psk, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("connect: %v", err)
 			return
@@ -206,9 +206,9 @@ func TestSecureOverheadVisibleOnAir(t *testing.T) {
 		w := newWAPTopo(t, 37, 0, cfg)
 		connect := func(done func(*wap.Session, error)) {
 			if secure {
-				wap.ConnectSecure(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, psk, done)
+				wap.ConnectSecure(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, psk, done)
 			} else {
-				wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, done)
+				wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, done)
 			}
 		}
 		connect(func(s *wap.Session, err error) {

@@ -28,14 +28,15 @@ type Reply struct {
 	Payload     []byte
 }
 
-// Connect establishes a WSP session with the gateway. accept lists content
-// types the client renders (nil means WMLC then WML). done fires with the
-// session or an error.
-func Connect(node *simnet.Node, gateway simnet.Addr, cfg WTPConfig, accept []string, done func(*Session, error)) {
+// Connect establishes a WSP session with the gateway over the device's
+// transaction endpoint wtp; every session a device opens shares that one
+// endpoint. accept lists content types the client renders (nil means WMLC
+// then WML). done fires with the session or an error.
+func Connect(wtp *WTP, gateway simnet.Addr, accept []string, done func(*Session, error)) {
 	if accept == nil {
 		accept = []string{"application/vnd.wap.wmlc", "text/vnd.wap.wml"}
 	}
-	s := &Session{wtp: NewWTPAny(node, cfg), gateway: gateway}
+	s := &Session{wtp: wtp, gateway: gateway}
 	s.wtp.Invoke(gateway, &wspConnect{Accept: accept}, pduBytes(&wspConnect{Accept: accept}),
 		func(result any, _ int, err error) {
 			if err != nil {

@@ -62,7 +62,7 @@ func TestSessionConnectAndGet(t *testing.T) {
 	w := newWAPTopo(t, 1, 0, wap.DefaultGatewayConfig())
 	var deck *markup.Deck
 	var sess *wap.Session
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return
@@ -113,7 +113,7 @@ func TestGatewayPassesThroughNativeWML(t *testing.T) {
 			[]byte(`<wml><card id="n" title="native"><p>native wml</p></card></wml>`))
 	})
 	var got *markup.Deck
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return
@@ -147,7 +147,7 @@ func TestBinaryEncodingAblation(t *testing.T) {
 		cfg := wap.DefaultGatewayConfig()
 		cfg.BinaryEncoding = binary
 		w := newWAPTopo(t, 3, 0, cfg)
-		wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+		wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 			if err != nil {
 				t.Errorf("Connect: %v", err)
 				return
@@ -181,7 +181,7 @@ func TestWTPRetransmitsOverLossyLink(t *testing.T) {
 	cfg.WTP = wap.WTPConfig{RetryInterval: 500 * time.Millisecond, MaxRetries: 10}
 	w := newWAPTopo(t, 4, 0.25, cfg)
 	ok := false
-	wap.Connect(w.mobile, w.gateway.Addr(), cfg.WTP, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, cfg.WTP), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return
@@ -205,7 +205,7 @@ func TestWTPRetransmitsOverLossyLink(t *testing.T) {
 func TestMethodWithoutSessionFails(t *testing.T) {
 	w := newWAPTopo(t, 5, 0, wap.DefaultGatewayConfig())
 	var sess *wap.Session
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return
@@ -231,7 +231,7 @@ func TestMethodWithoutSessionFails(t *testing.T) {
 func TestSuspendResume(t *testing.T) {
 	w := newWAPTopo(t, 6, 0, wap.DefaultGatewayConfig())
 	sequence := []string{}
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return
@@ -284,7 +284,7 @@ func TestGatewayCache(t *testing.T) {
 		return webserver.HTML("<html><body><p>cacheable</p></body></html>")
 	})
 	done := 0
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return
@@ -322,7 +322,7 @@ func TestGatewayCache(t *testing.T) {
 func TestGatewayOriginDown(t *testing.T) {
 	w := newWAPTopo(t, 8, 0, wap.DefaultGatewayConfig())
 	var status int
-	wap.Connect(w.mobile, w.gateway.Addr(), wap.WTPConfig{}, nil, func(s *wap.Session, err error) {
+	wap.Connect(wap.NewWTPAny(w.mobile, wap.WTPConfig{}), w.gateway.Addr(), nil, func(s *wap.Session, err error) {
 		if err != nil {
 			t.Errorf("Connect: %v", err)
 			return

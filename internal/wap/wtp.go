@@ -162,7 +162,9 @@ func NewWTP(node *simnet.Node, port simnet.Port, cfg WTPConfig) (*WTP, error) {
 	return w, nil
 }
 
-// NewWTPAny binds to an ephemeral port (client side).
+// NewWTPAny binds to an ephemeral port (client side). A device needs one:
+// every WSP session it opens runs over the same endpoint, whose TIDs keep
+// the sessions' transactions apart.
 func NewWTPAny(node *simnet.Node, cfg WTPConfig) *WTP {
 	w := &WTP{
 		node:       node,

@@ -12,8 +12,10 @@
 # replicated data tier storm (mcload -sync) must dump the same totals and
 # state digest serial vs sharded. A bench gate checks, on medians of five
 # runs, the timing wheel's speedup over the reference heap and that the
-# webserver parser frames messages in linear time; a ten-second fuzz
-# smoke runs the parser against its reference oracle. The
+# webserver parser frames messages in linear time; ten-second fuzz
+# smokes run the parser against its reference oracle and the WMLC decoder
+# against its re-encoding fixpoint, and 20,000 WAP transactions on one
+# station check that sessions do not leak ports. The
 # segment-level TCP adds its own gates: the mtcp package under the race
 # detector, same-seed byte-identical mcsim output per congestion
 # control algorithm (-cc reno and -cc cubic), and mcload output that
@@ -66,6 +68,14 @@ rm -f /tmp/mc-bench-gate.txt
 # against its reference oracle, on top of the checked-in seed corpus
 # that go test already runs.
 go test -run '^$' -fuzz FuzzParser -fuzztime 10s ./internal/webserver
+# WMLC decoder fuzz smoke: no panic on arbitrary bytes, and every accepted
+# input re-encodes to a fixpoint, on top of the checked-in seed corpus.
+go test -run '^$' -fuzz FuzzDecodeWMLC -fuzztime 10s ./internal/markup
+# WAP state gate: 20,000 back-to-back WAP transactions on one station.
+# That is more sessions than a node has ephemeral UDP ports (16,384), so
+# a session that bound its own port instead of reusing the station's
+# transaction endpoint would exhaust them and panic here.
+go test -run '^$' -bench '^BenchmarkTxnWAP$' -benchtime 20000x ./internal/core
 # Sharded execution: a sharded run must be byte-identical to a serial
 # run of the same seed on the mcload -scale surface (wall-clock goes to
 # stderr, so stdout is directly comparable).
