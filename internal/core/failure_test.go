@@ -139,25 +139,9 @@ func TestDatabaseCrashRecoveryPreservesMoney(t *testing.T) {
 		t.Fatal("no WAL snapshot captured")
 	}
 
-	declare := func(d *database.DB) error {
-		if err := d.CreateTable("accounts", database.Schema{
-			{Name: "id", Type: database.TypeString},
-			{Name: "owner", Type: database.TypeString},
-			{Name: "balance", Type: database.TypeInt},
-		}, "id"); err != nil {
-			return err
-		}
-		return d.CreateTable("orders", database.Schema{
-			{Name: "id", Type: database.TypeString},
-			{Name: "payer", Type: database.TypeString},
-			{Name: "payee", Type: database.TypeString},
-			{Name: "amount", Type: database.TypeInt},
-			{Name: "status", Type: database.TypeString},
-		}, "id")
-	}
-	recovered, err := database.Recover(declare, snapshot)
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
+	recovered := database.New()
+	if err := recovered.ResetTo(snapshot); err != nil {
+		t.Fatalf("ResetTo: %v", err)
 	}
 	tx := recovered.Begin()
 	defer tx.Abort()

@@ -127,13 +127,6 @@ func (s *System) Add(kind Kind, name string, impl any) *Component {
 	return c
 }
 
-// AddOptional registers an optional (dashed) component.
-func (s *System) AddOptional(kind Kind, name string, impl any) *Component {
-	c := s.Add(kind, name, impl)
-	c.Optional = true
-	return c
-}
-
 // Link records a bidirectional association between two components.
 func (s *System) Link(a, b *Component) {
 	if a == nil || b == nil || a == b {

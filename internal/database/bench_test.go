@@ -84,16 +84,10 @@ func BenchmarkScan1000(b *testing.B) {
 func BenchmarkRecovery(b *testing.B) {
 	db := benchDB(b, 5000)
 	wal := db.WAL()
-	declare := func(d *DB) error {
-		return d.CreateTable("t", Schema{
-			{Name: "k", Type: TypeString},
-			{Name: "v", Type: TypeInt},
-		}, "k")
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Recover(declare, wal); err != nil {
+		if err := New().ResetTo(wal); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -160,35 +160,9 @@ type LogRecord struct {
 	Ops  []Op
 }
 
-// Recover rebuilds a database from table declarations plus a committed log.
-// The declare function must create the same tables as the original (it may
-// be nil when the log itself carries the OpCreate DDL records, as every log
-// written since schema logging does); the log is then replayed in order.
-func Recover(declare func(*DB) error, wal []LogRecord) (*DB, error) {
-	db := New()
-	if declare != nil {
-		if err := declare(db); err != nil {
-			return nil, fmt.Errorf("database: recovery declare: %w", err)
-		}
-	}
-	// Tables made by declare logged their own OpCreate records; drop them
-	// so the replayed log below is the only history the database carries.
-	db.wal = nil
-	for _, rec := range wal {
-		if err := db.applyOps(rec.Ops); err != nil {
-			return nil, fmt.Errorf("database: recovery: %w", err)
-		}
-		db.wal = append(db.wal, rec)
-		if rec.TxID > db.nextTx {
-			db.nextTx = rec.TxID
-		}
-	}
-	return db, nil
-}
-
 // applyOps replays one record's operations into the tables. OpCreate on an
-// already-declared table is idempotent (the declare function and the log
-// may both carry the schema). Caller holds db.mu or owns the DB solely.
+// existing table is idempotent, so a replica may apply a shipped DDL record
+// for a schema it already holds. Caller holds db.mu or owns the DB solely.
 func (db *DB) applyOps(ops []Op) error {
 	for _, op := range ops {
 		if op.Kind == OpCreate {

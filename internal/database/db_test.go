@@ -288,16 +288,9 @@ func TestWALRecovery(t *testing.T) {
 	}
 	tx.Abort() // must NOT appear after recovery
 
-	declare := func(d *DB) error {
-		return d.CreateTable("accounts", Schema{
-			{Name: "id", Type: TypeString},
-			{Name: "owner", Type: TypeString},
-			{Name: "balance", Type: TypeInt},
-		}, "id")
-	}
-	recovered, err := Recover(declare, db.WAL())
-	if err != nil {
-		t.Fatalf("Recover: %v", err)
+	recovered := New()
+	if err := recovered.ResetTo(db.WAL()); err != nil {
+		t.Fatalf("ResetTo: %v", err)
 	}
 	rtx := recovered.Begin()
 	defer rtx.Abort()

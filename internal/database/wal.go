@@ -10,8 +10,9 @@ import (
 
 // Disk persistence for the write-ahead log: committed transactions stream
 // to an io.Writer as gob-encoded records, and a database rebuilds from the
-// stream on restart. (Section 7's database server "produces and stores all
-// the information"; storing it durably is table stakes.)
+// stream on restart: ReadWALPrefix decodes the image and ResetTo replays
+// it. (Section 7's database server "produces and stores all the
+// information"; storing it durably is table stakes.)
 
 // walRecord is the on-disk framing of one committed transaction.
 type walRecord struct {
@@ -88,37 +89,20 @@ func decodeRecord(rec walRecord) LogRecord {
 	return lr
 }
 
-// ReadWAL decodes a WAL stream back into log records. A truncated tail
-// (torn final record after a crash) is tolerated: complete records up to
-// the corruption are returned along with ErrTruncatedWAL.
-func ReadWAL(r io.Reader) ([]LogRecord, error) {
-	dec := gob.NewDecoder(r)
-	var out []LogRecord
-	for {
-		var rec walRecord
-		err := dec.Decode(&rec)
-		if err == io.EOF {
-			return out, nil
-		}
-		if err != nil {
-			return out, fmt.Errorf("%w: %v", ErrTruncatedWAL, err)
-		}
-		out = append(out, decodeRecord(rec))
-	}
-}
-
-// ReadWALPrefix decodes a WAL byte image and reports the exact byte length
-// of the valid prefix: the offset just past the last complete record.
-// Truncating the file to that offset yields a stream a fresh WALWriter can
-// NOT be appended to (gob streams are writer-scoped) but that ReadWAL
-// accepts cleanly — the contract crash recovery needs to discard a torn
-// tail once instead of re-tolerating it on every later open.
+// ReadWALPrefix decodes a WAL byte image back into log records. A
+// truncated tail (torn final record after a crash) is tolerated: complete
+// records up to the corruption are returned along with ErrTruncatedWAL.
+// It also reports the exact byte length of the valid prefix: the offset
+// just past the last complete record. Truncating the file to that offset
+// yields a stream a fresh WALWriter can NOT be appended to (gob streams
+// are writer-scoped) but that decodes cleanly — the contract crash
+// recovery needs to discard a torn tail once instead of re-tolerating it
+// on every later open.
 //
-// ReadWAL alone cannot report this offset: gob wraps readers that lack
-// ReadByte in an internal bufio.Reader and over-reads, so consumption
-// tracking through a plain io.Reader is inflated by the buffer. A
-// bytes.Reader implements io.ByteReader, so gob consumes exactly the bytes
-// each record occupies and the remaining length gives the precise cut.
+// The image is read through a bytes.Reader, which implements
+// io.ByteReader, so gob consumes exactly the bytes each record occupies
+// and the remaining length gives the precise cut. (Given a reader without
+// ReadByte, gob wraps it in a bufio.Reader and over-reads.)
 func ReadWALPrefix(data []byte) (recs []LogRecord, validLen int, err error) {
 	r := bytes.NewReader(data)
 	dec := gob.NewDecoder(r)
@@ -139,17 +123,3 @@ func ReadWALPrefix(data []byte) (recs []LogRecord, validLen int, err error) {
 // ErrTruncatedWAL reports a WAL stream that ends mid-record (a torn write
 // from a crash); the records decoded before the tear are still valid.
 var ErrTruncatedWAL = errors.New("database: truncated WAL")
-
-// RecoverFrom rebuilds a database from a WAL stream: declare creates the
-// schema, then the stream replays. Torn tails are tolerated per ReadWAL.
-func RecoverFrom(declare func(*DB) error, r io.Reader) (*DB, error) {
-	wal, err := ReadWAL(r)
-	if err != nil && !errors.Is(err, ErrTruncatedWAL) {
-		return nil, err
-	}
-	db, rerr := Recover(declare, wal)
-	if rerr != nil {
-		return nil, rerr
-	}
-	return db, err // nil or ErrTruncatedWAL — caller decides
-}

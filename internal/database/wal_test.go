@@ -9,15 +9,21 @@ import (
 	"testing"
 )
 
-func declareAccounts(d *DB) error {
-	return d.CreateTable("accounts", Schema{
-		{Name: "id", Type: TypeString},
-		{Name: "owner", Type: TypeString},
-		{Name: "balance", Type: TypeInt},
-	}, "id")
+// restore rebuilds a database from a WAL image the way a restarting
+// replica does: ReadWALPrefix decodes the valid prefix and ResetTo replays
+// it into a fresh database. The decode error (nil or ErrTruncatedWAL) is
+// returned for the caller to check.
+func restore(t *testing.T, image []byte) (*DB, error) {
+	t.Helper()
+	recs, _, err := ReadWALPrefix(image)
+	db := New()
+	if rerr := db.ResetTo(recs); rerr != nil {
+		t.Fatalf("ResetTo: %v", rerr)
+	}
+	return db, err
 }
 
-func TestWALPersistAndRecoverFromDisk(t *testing.T) {
+func TestWALPersistAndRestoreFromDisk(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "db.wal")
 	f, err := os.Create(path)
 	if err != nil {
@@ -46,14 +52,13 @@ func TestWALPersistAndRecoverFromDisk(t *testing.T) {
 	}
 
 	// "Restart": rebuild from the file alone.
-	rf, err := os.Open(path)
+	image, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rf.Close()
-	recovered, err := RecoverFrom(declareAccounts, rf)
+	recovered, err := restore(t, image)
 	if err != nil {
-		t.Fatalf("RecoverFrom: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	tx := recovered.Begin()
 	defer tx.Abort()
@@ -74,9 +79,9 @@ func TestWALAttachCheckpointsExistingState(t *testing.T) {
 		t.Fatalf("PersistTo: %v", err)
 	}
 	// Nothing further committed: the buffer must already replay "pre".
-	recovered, err := RecoverFrom(declareAccounts, bytes.NewReader(buf.Bytes()))
+	recovered, err := restore(t, buf.Bytes())
 	if err != nil {
-		t.Fatalf("RecoverFrom: %v", err)
+		t.Fatalf("restore: %v", err)
 	}
 	tx := recovered.Begin()
 	defer tx.Abort()
@@ -108,7 +113,7 @@ func TestWALTornTailTolerated(t *testing.T) {
 	full := buf.Bytes()
 	torn := full[:len(full)-7] // crash mid-record
 
-	recovered, err := RecoverFrom(declareAccounts, bytes.NewReader(torn))
+	recovered, err := restore(t, torn)
 	if !errors.Is(err, ErrTruncatedWAL) {
 		t.Fatalf("err = %v, want ErrTruncatedWAL", err)
 	}
@@ -169,10 +174,11 @@ func TestWALTruncationSweep(t *testing.T) {
 			t.Fatalf("cut %d: re-read got %d records / %d bytes, want %d / %d",
 				cut, len(again), againLen, len(recs), validLen)
 		}
-		// And it must recover to a database holding exactly those records.
-		rec, err := Recover(nil, again)
+		// And the truncated file must restore cleanly to a database holding
+		// exactly those records.
+		rec, err := restore(t, torn[:validLen])
 		if err != nil {
-			t.Fatalf("cut %d: Recover: %v", cut, err)
+			t.Fatalf("cut %d: restore: %v", cut, err)
 		}
 		if got := rec.WALLen(); got != len(recs) {
 			t.Fatalf("cut %d: recovered WALLen %d, want %d", cut, got, len(recs))
@@ -186,8 +192,8 @@ func TestWALTruncationSweep(t *testing.T) {
 	if len(recs) != rows+1 {
 		t.Fatalf("full image: %d records, want %d (DDL + %d rows)", len(recs), rows+1, rows)
 	}
-	final, err := Recover(nil, recs)
-	if err != nil {
+	final := New()
+	if err := final.ResetTo(recs); err != nil {
 		t.Fatal(err)
 	}
 	if final.Dump() != db.Dump() {

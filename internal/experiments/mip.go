@@ -9,11 +9,12 @@ import (
 	"mcommerce/internal/simnet"
 )
 
-// mipRun transfers size bytes from a correspondent to a mobile that moves
-// from its home subnet to a foreign subnet 100 ms into the transfer. With
-// useMobileIP the mobile registers through the foreign agent; without it,
-// packets keep arriving at the (now disconnected) home attachment.
-func mipRun(seed int64, useMobileIP bool, size int, horizon time.Duration) (completed bool, elapsed time.Duration, tunneled uint64, overhead uint64, regLatency time.Duration) {
+// mipRun transfers size bytes from a correspondent to a mobile on its home
+// subnet. With move, the mobile moves to a foreign subnet 100 ms into the
+// transfer: with useMobileIP it registers through the foreign agent;
+// without it, packets keep arriving at the (now disconnected) home
+// attachment.
+func mipRun(seed int64, move, useMobileIP bool, size int, horizon time.Duration) (completed bool, elapsed time.Duration, tunneled uint64, overhead uint64, regLatency time.Duration) {
 	net := simnet.NewNetwork(simnet.NewScheduler(seed))
 	corr := net.NewNode("correspondent")
 	home := net.NewNode("home-router")
@@ -61,20 +62,21 @@ func mipRun(seed int64, useMobileIP bool, size int, horizon time.Duration) (comp
 		}
 	})
 
-	// The move.
-	net.Sched.At(100*time.Millisecond, func() {
-		lHomeM.IfaceB().Up = false
-		lForM.IfaceB().Up = true
-		mob.SetDefaultRoute(lForM.IfaceB())
-		if useMobileIP {
-			regStart := net.Sched.Now()
-			client.Register(fa.Addr(), func(err error) {
-				if err == nil {
-					regLatency = net.Sched.Now() - regStart
-				}
-			})
-		}
-	})
+	if move {
+		net.Sched.At(100*time.Millisecond, func() {
+			lHomeM.IfaceB().Up = false
+			lForM.IfaceB().Up = true
+			mob.SetDefaultRoute(lForM.IfaceB())
+			if useMobileIP {
+				regStart := net.Sched.Now()
+				client.Register(fa.Addr(), func(err error) {
+					if err == nil {
+						regLatency = net.Sched.Now() - regStart
+					}
+				})
+			}
+		})
+	}
 
 	if err := net.Sched.RunUntil(horizon); err != nil && err != simnet.ErrStopped {
 		return false, 0, 0, 0, 0
@@ -97,16 +99,16 @@ func MobileIPRoaming(seed int64) *Result {
 	const size = 400 << 10
 	const horizon = 2 * time.Minute
 
-	okStay, tStay, _, _, _ := mipRunStay(seed, size, horizon)
+	okStay, tStay, _, _, _ := mipRun(seed, false, false, size, horizon)
 	res.AddRow("no move (baseline)", fmt.Sprint(okStay), fmtDur(tStay), "0", "0 B")
 	res.Set("baseline/completed", b2f(okStay))
 	res.Set("baseline/ms", float64(tStay.Milliseconds()))
 
-	okNo, tNo, _, _, _ := mipRun(seed, false, size, horizon)
+	okNo, tNo, _, _, _ := mipRun(seed, true, false, size, horizon)
 	res.AddRow("move without Mobile IP", fmt.Sprint(okNo), fmtDur(tNo), "0", "0 B")
 	res.Set("nomip/completed", b2f(okNo))
 
-	okMip, tMip, tun, ovh, reg := mipRun(seed, true, size, horizon)
+	okMip, tMip, tun, ovh, reg := mipRun(seed, true, true, size, horizon)
 	res.AddRow("move with Mobile IP (HA→FA tunnel)", fmt.Sprint(okMip), fmtDur(tMip),
 		fmt.Sprint(tun), fmtBytes(int(ovh)))
 	res.Set("mip/completed", b2f(okMip))
@@ -115,44 +117,4 @@ func MobileIPRoaming(seed int64) *Result {
 	res.Note("registration (mobile→FA→HA→back) completed in %s", fmtDur(reg))
 	res.Note("without Mobile IP the connection black-holes at the home subnet; with it the transfer finishes over the tunnel at the cost of %s of IP-in-IP headers", fmtBytes(int(ovh)))
 	return res
-}
-
-// mipRunStay is the no-move baseline.
-func mipRunStay(seed int64, size int, horizon time.Duration) (bool, time.Duration, uint64, uint64, time.Duration) {
-	net := simnet.NewNetwork(simnet.NewScheduler(seed))
-	corr := net.NewNode("correspondent")
-	home := net.NewNode("home-router")
-	mob := net.NewNode("mobile")
-	lCorr := simnet.Connect(corr, home, simnet.LAN)
-	lHomeM := simnet.Connect(home, mob, simnet.LAN)
-	corr.SetDefaultRoute(lCorr.IfaceA())
-	home.Forwarding = true
-	home.SetRoute(corr.ID, lCorr.IfaceB())
-	home.SetRoute(mob.ID, lHomeM.IfaceA())
-	mob.SetDefaultRoute(lHomeM.IfaceB())
-
-	cs := mtcp.MustNewStack(corr)
-	ms := mtcp.MustNewStack(mob)
-	got := 0
-	var doneAt time.Duration
-	if err := ms.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {
-		c.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size && doneAt == 0 {
-				doneAt = net.Sched.Now()
-				net.Sched.Stop()
-			}
-		})
-	}); err != nil {
-		return false, 0, 0, 0, 0
-	}
-	cs.Dial(simnet.Addr{Node: mob.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
-		if err == nil {
-			c.Send(make([]byte, size))
-		}
-	})
-	if err := net.Sched.RunUntil(horizon); err != nil && err != simnet.ErrStopped {
-		return false, 0, 0, 0, 0
-	}
-	return doneAt > 0, doneAt, 0, 0, 0
 }

@@ -80,13 +80,3 @@ func RegistryTasks(names []string, seed int64) []Task {
 	}
 	return tasks
 }
-
-// SeedSweep builds one task per seed in [seed, seed+replicas) for the same
-// experiment, for replicated runs that average out stochastic effects.
-func SeedSweep(name string, run func(seed int64) []*Result, seed int64, replicas int) []Task {
-	tasks := make([]Task, replicas)
-	for i := range tasks {
-		tasks[i] = Task{Name: name, Seed: seed + int64(i), Run: run}
-	}
-	return tasks
-}

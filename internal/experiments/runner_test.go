@@ -60,8 +60,8 @@ func TestFanOrderAndCoverage(t *testing.T) {
 	}
 }
 
-// TestRegistryTasksSeedSweep covers the task-building helpers.
-func TestRegistryTasksSeedSweep(t *testing.T) {
+// TestRegistryTasks covers the task-building helper.
+func TestRegistryTasks(t *testing.T) {
 	tasks := RegistryTasks([]string{"fig2", "table1"}, 3)
 	if len(tasks) != 2 || tasks[0].Name != "fig2" || tasks[1].Name != "table1" {
 		t.Fatalf("unexpected registry tasks: %+v", tasks)
@@ -69,16 +69,6 @@ func TestRegistryTasksSeedSweep(t *testing.T) {
 	for _, task := range tasks {
 		if task.Seed != 3 || task.Run == nil {
 			t.Fatalf("bad task %q: seed=%d runNil=%v", task.Name, task.Seed, task.Run == nil)
-		}
-	}
-
-	sweep := SeedSweep("fig2", func(seed int64) []*Result { return nil }, 10, 4)
-	if len(sweep) != 4 {
-		t.Fatalf("got %d sweep tasks, want 4", len(sweep))
-	}
-	for i, task := range sweep {
-		if task.Seed != 10+int64(i) || task.Name != "fig2" {
-			t.Errorf("sweep[%d]: name=%q seed=%d", i, task.Name, task.Seed)
 		}
 	}
 }

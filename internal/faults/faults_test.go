@@ -1,6 +1,7 @@
 package faults
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -8,6 +9,7 @@ import (
 	"time"
 
 	"mcommerce/internal/simnet"
+	"mcommerce/internal/trace"
 )
 
 func TestBackoffDelayGrowthAndCap(t *testing.T) {
@@ -191,6 +193,67 @@ func TestInjectorNodeCrashHooksAndIfaces(t *testing.T) {
 		if ifc.IsDown() {
 			t.Error("router iface still down after restart")
 		}
+	}
+}
+
+// TestNodeCrashDumpsFlightRecorder pins the crash dump: with the world's
+// tracer recording, a node crash appends the most recent spans to the
+// fault log, at most flightDumpMax of them, one line each, right after
+// the crash line.
+func TestNodeCrashDumpsFlightRecorder(t *testing.T) {
+	net, a, r, b, _, _, got := twoLinkTopo(1)
+	net.Tracer.EnableExport(1)
+	in := NewInjector(net)
+	in.RegisterNode("router", r, nil, nil)
+	// One traced send every 50 ms: a root span plus a hop span per link,
+	// so more spans exist at crash time than the dump keeps.
+	for i := 0; i < 40; i++ {
+		net.Sched.At(time.Duration(i)*50*time.Millisecond, func() {
+			root := net.Tracer.StartTrace("faults.test.send", trace.LayerStation)
+			prev := net.Tracer.Swap(root)
+			a.Send(&simnet.Packet{Src: simnet.Addr{Node: a.ID}, Dst: simnet.Addr{Node: b.ID}, Proto: simnet.ProtoControl, Bytes: 100})
+			net.Tracer.Swap(prev)
+			net.Tracer.Finish(root)
+		})
+	}
+	plan := NewPlan("crash").Add(Event{At: time.Second, Duration: time.Second, Kind: NodeCrash, Target: "router"})
+	if err := in.Schedule(plan); err != nil {
+		t.Fatalf("Schedule: %v", err)
+	}
+	if err := net.Sched.RunFor(10 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if *got == 0 {
+		t.Fatal("no traced packet delivered")
+	}
+	lg := in.Log()
+	at := -1
+	for i, line := range lg {
+		if strings.Contains(line, "node router crash") {
+			at = i
+			break
+		}
+	}
+	if at < 0 || at+1 >= len(lg) {
+		t.Fatalf("no crash line followed by a dump in log:\n%s", strings.Join(lg, "\n"))
+	}
+	var n int
+	if _, err := fmt.Sscanf(lg[at+1], "flight recorder: %d span(s) in flight", &n); err != nil {
+		t.Fatalf("line after crash = %q, want the flight-recorder header: %v", lg[at+1], err)
+	}
+	if n <= 0 || n > flightDumpMax {
+		t.Fatalf("dump holds %d spans, want 1..%d", n, flightDumpMax)
+	}
+	if at+2+n > len(lg) {
+		t.Fatalf("dump announces %d spans but the log ends after %d lines", n, len(lg)-at-2)
+	}
+	for _, line := range lg[at+2 : at+2+n] {
+		if !strings.HasPrefix(line, "  t") || !strings.Contains(line, " start=") {
+			t.Errorf("span line %q not in WriteDump format", line)
+		}
+	}
+	if rest := lg[at+2+n:]; len(rest) == 0 || !strings.Contains(rest[0], "node router restart") {
+		t.Errorf("dump not followed by the restart line: %v", rest)
 	}
 }
 

@@ -119,10 +119,6 @@ func (c *Conn) LocalAddr() simnet.Addr {
 // RemoteAddr returns the peer's address.
 func (c *Conn) RemoteAddr() simnet.Addr { return c.remote }
 
-// State returns the connection's RFC 793 state name (for tests,
-// telemetry and debugging).
-func (c *Conn) State() string { return c.state.String() }
-
 // open reports whether the handshake has completed and the connection
 // has not finished closing (TIME_WAIT and CLOSED are "not open"; the
 // half-close states are, since data can still move).

@@ -56,15 +56,6 @@ func NewTimeline(d time.Duration) *Timeline {
 // Interval reports the sampling interval.
 func (t *Timeline) Interval() time.Duration { return t.interval }
 
-// SetMaxWindows bounds the per-series ring length. Call before Attach;
-// values < 2 are clamped to 2 (rates need a predecessor sample).
-func (t *Timeline) SetMaxWindows(n int) {
-	if n < 2 {
-		n = 2
-	}
-	t.maxWindows = n
-}
-
 // Worlds returns the attached samplers in attach order.
 func (t *Timeline) Worlds() []*WorldSampler { return t.worlds }
 

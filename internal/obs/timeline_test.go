@@ -132,7 +132,7 @@ func TestTimelineQuiesce(t *testing.T) {
 func TestTimelineRingWrap(t *testing.T) {
 	net := testWorld(1, 2*time.Second)
 	tl := NewTimeline(100 * time.Millisecond)
-	tl.SetMaxWindows(4)
+	tl.maxWindows = 4
 	ws := tl.Attach("", net)
 	if err := net.Sched.RunFor(3 * time.Second); err != nil {
 		t.Fatal(err)
@@ -256,7 +256,7 @@ func TestTimelineShardedPrefixes(t *testing.T) {
 func TestTimelineSampleZeroAlloc(t *testing.T) {
 	net := testWorld(1, time.Hour) // workload never drains during the test
 	tl := NewTimeline(100 * time.Millisecond)
-	tl.SetMaxWindows(8)
+	tl.maxWindows = 8
 	ws := tl.Attach("", net)
 	if err := net.Sched.RunFor(2 * time.Second); err != nil { // fills all rings
 		t.Fatal(err)
@@ -270,7 +270,7 @@ func TestTimelineSampleZeroAlloc(t *testing.T) {
 func BenchmarkTimelineSample(b *testing.B) {
 	net := testWorld(1, time.Hour)
 	tl := NewTimeline(100 * time.Millisecond)
-	tl.SetMaxWindows(64)
+	tl.maxWindows = 64
 	ws := tl.Attach("", net)
 	if err := net.Sched.RunFor(10 * time.Second); err != nil {
 		b.Fatal(err)

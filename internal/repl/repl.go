@@ -255,9 +255,6 @@ func (m *Member) Term() int { return m.term }
 // Commit returns the quorum-durable record count.
 func (m *Member) Commit() int { return m.commit }
 
-// Synced returns the locally durable record count.
-func (m *Member) Synced() int { return m.syncedRecs }
-
 // Alive reports whether the member is running (not crashed).
 func (m *Member) Alive() bool { return m.alive }
 

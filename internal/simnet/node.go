@@ -122,8 +122,8 @@ type Network struct {
 
 	// Tracer is the world's causal span tracer, disabled by default
 	// (every operation on it is then a single-branch no-op). Enable it
-	// with Tracer.EnableExport or Tracer.EnableRing; transaction layers
-	// start root spans and simnet propagates their contexts on packets.
+	// with Tracer.EnableExport; transaction layers start root spans and
+	// simnet propagates their contexts on packets.
 	Tracer *trace.Tracer
 
 	pktFree []*Packet

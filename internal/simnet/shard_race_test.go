@@ -9,7 +9,7 @@ import (
 // TestShardedRaceOwnership enforces the per-shard single-owner invariant
 // under the race detector: eight shards run concurrently on eight
 // workers, each hammering its own scheduler, metrics registry (counters,
-// gauges, histograms), flight-recorder trace ring and packet pools while
+// gauges, histograms), span tracer and packet pools while
 // cross-shard traffic flows through the exchange rings every window.
 // Any cross-shard touch of single-goroutine state — a shared counter, a
 // tracer written from two lanes, a ring accessed without the barrier —
@@ -19,7 +19,7 @@ func TestShardedRaceOwnership(t *testing.T) {
 	rw := buildRingWorld(t, shards, 200, ringCfg)
 	for k := 0; k < shards; k++ {
 		net := rw.w.Shard(k)
-		net.Tracer.EnableRing(256, 1)
+		net.Tracer.EnableExport(1)
 		h := net.Metrics.Histogram(fmt.Sprintf("racecheck.s%d.churn", k))
 		g := net.Metrics.Gauge(fmt.Sprintf("racecheck.s%d.depth", k))
 		c := net.Metrics.Counter(fmt.Sprintf("racecheck.s%d.ticks", k))

@@ -86,8 +86,8 @@ func sweep(ss []Span, root *Span, bd *Breakdown) {
 		if d, ok := depth[id]; ok {
 			return d
 		}
-		// Missing parents (evicted or cross-trace anomalies) root the
-		// chain at depth 1, same as an explicit root.
+		// Missing parents (dropped by a re-arm, or cross-trace
+		// anomalies) root the chain at depth 1, same as an explicit root.
 		d := 1
 		if sp := byID[id]; sp != nil && sp.Parent != 0 {
 			if _, ok := byID[sp.Parent]; ok {

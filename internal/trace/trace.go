@@ -11,13 +11,11 @@
 // TraceIDs and SpanIDs are assigned in creation order on the simulated
 // clock, so two runs at the same seed produce byte-identical exports.
 //
-// Two storage modes cover the two use cases:
-//
-//   - EnableExport keeps every sampled span for the run, for Perfetto
-//     export (see WritePerfetto) and critical-path analysis (see Analyze).
-//   - EnableRing keeps a bounded ring of recent spans at zero steady-state
-//     allocations — a flight recorder the fault injector dumps on crash
-//     and partition events.
+// EnableExport arms recording: every sampled span is kept for the run, for
+// Perfetto export (see WritePerfetto), critical-path analysis (see Analyze)
+// and the flight-recorder dump the fault injector writes on crash and
+// partition events (see Recent). Once the arena has grown, recording a
+// span allocates nothing.
 //
 // Sampling is 1-in-N by TraceID and is decided at StartTrace. IDs are
 // consumed even for unsampled transactions, so a sampled run's output is a
@@ -30,8 +28,8 @@ import "time"
 type TraceID uint64
 
 // SpanID identifies one span. IDs are a global creation-order sequence
-// (never reused), so they double as the ring-slot generation check. Zero
-// means no span.
+// (never reused), so a span's ID locates its slot in the tracer's arena.
+// Zero means no span.
 type SpanID uint64
 
 // Context is the causal coordinate that rides on packets and pending
@@ -122,30 +120,22 @@ func (s *Span) Duration() time.Duration {
 	return s.End - s.Start
 }
 
-type tracerMode uint8
-
-const (
-	modeOff tracerMode = iota
-	modeExport
-	modeRing
-)
-
 // Tracer records spans for one simulated world. The zero value and nil are
 // both safe: every method on a disabled or nil tracer is a no-op. Create
-// with New and arm with EnableExport or EnableRing.
+// with New and arm with EnableExport.
 type Tracer struct {
-	now  func() time.Duration
-	mode tracerMode
+	now     func() time.Duration
+	enabled bool
 	// sampleN samples 1 trace in N (by TraceID); <=1 samples everything.
 	sampleN uint64
 
-	spans     []Span // export: append-only; ring: fixed-size arena
+	spans     []Span // append-only arena: spans[i] has seq first+i+1
 	seq       uint64 // spans issued; SpanID = base + seq
+	first     uint64 // seq at the last EnableExport
 	nextTrace uint64 // traces issued (consumed even when unsampled); TraceID = base + nextTrace
 	base      uint64 // ID namespace offset (see SetIDBase)
 	current   Context
 
-	evicted      uint64 // ring slots overwritten while holding a span
 	annotDropped uint64 // annotations beyond MaxAnnots
 }
 
@@ -160,21 +150,10 @@ func New(now func() time.Duration) *Tracer {
 // previously recorded spans but never the ID sequences, so enabling
 // mid-run keeps IDs aligned with a run that was enabled from the start.
 func (t *Tracer) EnableExport(sampleN int) {
-	t.mode = modeExport
+	t.enabled = true
 	t.setSample(sampleN)
 	t.spans = t.spans[:0]
-}
-
-// EnableRing arms bounded flight-recorder mode: the most recent `capacity`
-// spans survive, older ones are overwritten in place (zero steady-state
-// allocations). capacity <= 0 means 512.
-func (t *Tracer) EnableRing(capacity, sampleN int) {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	t.mode = modeRing
-	t.setSample(sampleN)
-	t.spans = make([]Span, capacity)
+	t.first = t.seq
 }
 
 func (t *Tracer) setSample(n int) {
@@ -200,10 +179,7 @@ func (t *Tracer) SetIDBase(base uint64) {
 }
 
 // Enabled reports whether the tracer records spans.
-func (t *Tracer) Enabled() bool { return t != nil && t.mode != modeOff }
-
-// Ring reports whether the tracer is in bounded flight-recorder mode.
-func (t *Tracer) Ring() bool { return t != nil && t.mode == modeRing }
+func (t *Tracer) Enabled() bool { return t != nil && t.enabled }
 
 // Traces returns the number of TraceIDs consumed (sampled or not).
 func (t *Tracer) Traces() uint64 {
@@ -211,14 +187,6 @@ func (t *Tracer) Traces() uint64 {
 		return 0
 	}
 	return t.nextTrace
-}
-
-// Evicted returns the number of spans overwritten in ring mode.
-func (t *Tracer) Evicted() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.evicted
 }
 
 // AnnotsDropped returns the number of annotations discarded for exceeding
@@ -244,7 +212,7 @@ func (t *Tracer) Current() Context {
 // Callers must restore the returned context when their extent ends. Safe
 // (and a no-op returning zero) on a nil or disabled tracer.
 func (t *Tracer) Swap(c Context) Context {
-	if t == nil || t.mode == modeOff {
+	if t == nil || !t.enabled {
 		return Context{}
 	}
 	prev := t.current
@@ -257,7 +225,7 @@ func (t *Tracer) Swap(c Context) Context {
 // with different sampling — and returns the zero Context for unsampled
 // (or disabled) traces.
 func (t *Tracer) StartTrace(name string, layer Layer) Context {
-	if t == nil || t.mode == modeOff {
+	if t == nil || !t.enabled {
 		return Context{}
 	}
 	t.nextTrace++
@@ -271,55 +239,35 @@ func (t *Tracer) StartTrace(name string, layer Layer) Context {
 // StartSpan opens a child span under parent. The zero parent context (an
 // unsampled transaction) yields the zero Context without recording.
 func (t *Tracer) StartSpan(parent Context, name string, layer Layer) Context {
-	if t == nil || t.mode == modeOff || parent.Trace == 0 {
+	if t == nil || !t.enabled || parent.Trace == 0 {
 		return Context{}
 	}
 	return t.record(parent.Trace, parent.Span, name, layer)
 }
 
-// record places a new span in the arena. In ring mode this is the
-// zero-allocation hot path: one slot overwrite, no map, no growth.
+// record appends a new span to the arena; once the arena has grown it
+// allocates nothing.
 func (t *Tracer) record(tr TraceID, parent SpanID, name string, layer Layer) Context {
 	t.seq++
 	id := SpanID(t.base + t.seq)
-	var sp *Span
-	if t.mode == modeRing {
-		sp = &t.spans[t.seq%uint64(len(t.spans))]
-		if sp.ID != 0 {
-			t.evicted++
-		}
-	} else {
-		t.spans = append(t.spans, Span{})
-		sp = &t.spans[len(t.spans)-1]
-	}
-	*sp = Span{ID: id, Parent: parent, Trace: tr, Name: name, Layer: layer, Start: t.now()}
+	t.spans = append(t.spans, Span{ID: id, Parent: parent, Trace: tr, Name: name, Layer: layer, Start: t.now()})
 	return Context{Trace: tr, Span: id}
 }
 
-// lookup resolves a context to its live span record, or nil when the span
-// was never recorded, was evicted from the ring, or belongs to a different
-// tracer's ID namespace (a cross-shard context).
+// lookup resolves a context to its span record, or nil when the span was
+// never recorded (or was recorded before the last EnableExport reset) or
+// belongs to a different tracer's ID namespace (a cross-shard context).
 func (t *Tracer) lookup(c Context) *Span {
-	if t == nil || t.mode == modeOff || c.Span == 0 {
+	if t == nil || !t.enabled || c.Span == 0 {
 		return nil
 	}
-	// seqOf underflows to a huge value for contexts below this tracer's
-	// base; both branches then reject them (bounds check or ID mismatch).
-	seqOf := uint64(c.Span) - t.base
-	var sp *Span
-	if t.mode == modeRing {
-		sp = &t.spans[seqOf%uint64(len(t.spans))]
-	} else {
-		i := seqOf - 1
-		if seqOf == 0 || i >= uint64(len(t.spans)) {
-			return nil
-		}
-		sp = &t.spans[i]
-	}
-	if sp.ID != c.Span {
+	// i underflows to a huge value for contexts recorded before the last
+	// reset or below this tracer's base, so the bounds check rejects them.
+	i := uint64(c.Span) - t.base - t.first - 1
+	if i >= uint64(len(t.spans)) || t.spans[i].ID != c.Span {
 		return nil
 	}
-	return sp
+	return &t.spans[i]
 }
 
 // Finish closes the span at the current time. Finishing an unsampled,
@@ -349,58 +297,25 @@ func (t *Tracer) Annotate(c Context, kind string) {
 	sp.NAnnots++
 }
 
-// Spans returns the recorded spans in creation (SpanID) order. In ring
-// mode only surviving spans are returned. The slice is freshly allocated.
+// Spans returns the recorded spans in creation (SpanID) order. The slice is
+// freshly allocated.
 func (t *Tracer) Spans() []Span {
-	if t == nil || t.mode == modeOff {
+	if t == nil || !t.enabled {
 		return nil
 	}
-	if t.mode == modeExport {
-		out := make([]Span, len(t.spans))
-		copy(out, t.spans)
-		return out
-	}
-	return t.Recent(len(t.spans))
-}
-
-// Recent returns up to max of the most recently started surviving spans,
-// in creation order — the flight-recorder dump.
-func (t *Tracer) Recent(max int) []Span {
-	if t == nil || t.mode == modeOff || max <= 0 {
-		return nil
-	}
-	if t.mode == modeExport {
-		sp := t.spans
-		if len(sp) > max {
-			sp = sp[len(sp)-max:]
-		}
-		out := make([]Span, len(sp))
-		copy(out, sp)
-		return out
-	}
-	n := len(t.spans)
-	out := make([]Span, 0, min(max, n))
-	// Walk the ring from oldest surviving to newest in local sequence
-	// space: seq-n+1 .. seq (SpanID = base + seq).
-	lo := uint64(1)
-	if t.seq > uint64(n) {
-		lo = t.seq - uint64(n) + 1
-	}
-	if t.seq-lo+1 > uint64(max) {
-		lo = t.seq - uint64(max) + 1
-	}
-	for s := lo; s <= t.seq; s++ {
-		sp := t.spans[s%uint64(n)]
-		if sp.ID == SpanID(t.base+s) {
-			out = append(out, sp)
-		}
-	}
+	out := make([]Span, len(t.spans))
+	copy(out, t.spans)
 	return out
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
+// Recent returns up to n of the most recently started spans, in creation
+// order — the flight-recorder dump. The slice is freshly allocated.
+func (t *Tracer) Recent(n int) []Span {
+	if t == nil || !t.enabled || n <= 0 {
+		return nil
 	}
-	return b
+	sp := t.spans[max(0, len(t.spans)-n):]
+	out := make([]Span, len(sp))
+	copy(out, sp)
+	return out
 }

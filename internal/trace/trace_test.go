@@ -16,7 +16,7 @@ func (c *clock) advance(d time.Duration) { c.now += d }
 
 func TestNilAndDisabledSafe(t *testing.T) {
 	var nilT *Tracer
-	if nilT.Enabled() || nilT.Ring() {
+	if nilT.Enabled() {
 		t.Fatal("nil tracer reports enabled")
 	}
 	c := nilT.StartTrace("x", LayerStation)
@@ -115,50 +115,56 @@ func TestAnnotationOverflowCounted(t *testing.T) {
 	}
 }
 
-func TestRingEvictionAndRecent(t *testing.T) {
+// TestRecentAndRearm covers the flight-recorder read and re-arming:
+// Recent returns the newest spans in creation order, and EnableExport
+// drops recorded spans while IDs keep counting, so a context from before
+// the reset no longer resolves and one from after it does.
+func TestRecentAndRearm(t *testing.T) {
 	ck := &clock{}
 	tr := New(ck.Now)
-	tr.EnableRing(4, 1)
+	tr.EnableExport(1)
 	var ctxs []Context
 	for i := 0; i < 7; i++ {
 		ck.advance(time.Millisecond)
 		ctxs = append(ctxs, tr.StartTrace("t", LayerStation))
 	}
-	if tr.Evicted() != 3 {
-		t.Fatalf("Evicted = %d, want 3", tr.Evicted())
-	}
-	// Evicted spans are no longer addressable: Finish must not corrupt
-	// the slot's new occupant.
-	tr.Finish(ctxs[0])
-	recent := tr.Recent(10)
-	if len(recent) != 4 {
-		t.Fatalf("Recent returned %d spans, want 4", len(recent))
-	}
-	for i, sp := range recent {
-		if want := SpanID(i + 4); sp.ID != want {
-			t.Fatalf("recent[%d].ID = %d, want %d", i, sp.ID, want)
-		}
-		if sp.Finished {
-			t.Fatalf("span %d finished via stale context", sp.ID)
-		}
-	}
 	if got := tr.Recent(2); len(got) != 2 || got[0].ID != 6 || got[1].ID != 7 {
 		t.Fatalf("Recent(2) = %+v", got)
 	}
-	// Live slots still work.
-	tr.Finish(ctxs[6])
-	if last := tr.Recent(1)[0]; !last.Finished {
-		t.Fatal("live span not finished")
+	if got := tr.Recent(10); len(got) != 7 || got[0].ID != 1 || got[6].ID != 7 {
+		t.Fatalf("Recent(10) returned %d spans, want all 7 in order", len(got))
+	}
+	if tr.Recent(0) != nil {
+		t.Fatal("Recent(0) returned spans")
+	}
+
+	tr.EnableExport(1)
+	if len(tr.Spans()) != 0 || len(tr.Recent(5)) != 0 {
+		t.Fatal("EnableExport kept recorded spans")
+	}
+	c := tr.StartTrace("t", LayerStation)
+	if c.Span != 8 {
+		t.Fatalf("span after re-arm has ID %d, want 8 (IDs keep counting)", c.Span)
+	}
+	tr.Finish(ctxs[6]) // recorded before the reset: a no-op
+	tr.Annotate(c, "k")
+	tr.Finish(c)
+	ss := tr.Spans()
+	if len(ss) != 1 || ss[0].ID != 8 || !ss[0].Finished || ss[0].NAnnots != 1 {
+		t.Fatalf("spans after re-arm = %+v", ss)
 	}
 }
 
-// TestRingZeroAllocs pins the flight-recorder hot path (start, child,
-// annotate, finish) at zero allocations per span.
+// TestRingZeroAllocs pins the span hot path (start, child, annotate, swap,
+// finish) at zero allocations per span. EnableExport keeps the arena's
+// capacity, so a tracer warmed with more spans than the loop records and
+// then re-armed records into memory it already owns.
 func TestRingZeroAllocs(t *testing.T) {
+	const runs = 1000
 	ck := &clock{}
 	tr := New(ck.Now)
-	tr.EnableRing(64, 1)
-	allocs := testing.AllocsPerRun(1000, func() {
+	tr.EnableExport(1)
+	lifecycle := func() {
 		root := tr.StartTrace("core.txn.wap", LayerStation)
 		child := tr.StartSpan(root, "simnet.link.up", LayerWired)
 		tr.Annotate(child, "loss")
@@ -166,9 +172,19 @@ func TestRingZeroAllocs(t *testing.T) {
 		tr.Swap(prev)
 		tr.Finish(child)
 		tr.Finish(root)
-	})
+	}
+	// AllocsPerRun makes one warm-up call before its runs.
+	for i := 0; i < runs+1; i++ {
+		lifecycle()
+	}
+	tr.EnableExport(1)
+	allocs := testing.AllocsPerRun(runs, lifecycle)
 	if allocs != 0 {
-		t.Fatalf("ring span lifecycle allocates %v allocs/op, want 0", allocs)
+		t.Fatalf("span lifecycle allocates %v allocs/op, want 0", allocs)
+	}
+	ss := tr.Spans()
+	if len(ss) != 2*(runs+1) || !ss[len(ss)-1].Finished || ss[len(ss)-1].NAnnots != 1 {
+		t.Fatalf("recorded %d spans (want %d), last %+v", len(ss), 2*(runs+1), ss[len(ss)-1])
 	}
 }
 

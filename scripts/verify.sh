@@ -1,5 +1,7 @@
 #!/bin/sh
-# verify.sh — the full local gate: static checks, build, the whole test
+# verify.sh — the full local gate: static checks (go vet, and a
+# dead-export scan: every exported function or method must have a name
+# some file in the tree uses), build, the whole test
 # suite (which includes the zero-alloc pins), the race detector over the
 # packages that use goroutines (the parallel experiment runner and the
 # simnet structures it drives, the sharded executor's ownership, steal
@@ -34,6 +36,7 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
+go run ./scripts/deadexports
 go build ./...
 go test ./...
 go test -race ./internal/experiments ./internal/simnet ./internal/faults/... \
