@@ -158,9 +158,6 @@ func (r *Router) EnableTransparentForwarding() *simnet.Iface {
 	return ifc
 }
 
-// Node returns the router's node.
-func (r *Router) Node() *simnet.Node { return r.node }
-
 // Stats returns a snapshot of the router's counters.
 func (r *Router) Stats() Stats { return r.stats }
 

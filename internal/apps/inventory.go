@@ -52,13 +52,6 @@ type (
 		Status  string  `json:"status"` // waiting, assigned, delivered
 		Courier string  `json:"courier"`
 	}
-	// CourierView is a courier's position and load.
-	CourierView struct {
-		ID   string  `json:"id"`
-		X    float64 `json:"x"`
-		Y    float64 `json:"y"`
-		Busy bool    `json:"busy"`
-	}
 	// TrackUpdate reports a courier (and optionally a carried package)
 	// position.
 	TrackUpdate struct {

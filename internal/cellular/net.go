@@ -213,15 +213,6 @@ func (c *Cell) Node() *simnet.Node { return c.node }
 // Radio returns the base station's radio interface.
 func (c *Cell) Radio() *simnet.Iface { return c.radio }
 
-// SetDown takes the cell's radio administratively down or up (a base
-// station outage for fault injection). Nil-safe.
-func (c *Cell) SetDown(down bool) {
-	if c == nil {
-		return
-	}
-	c.radio.SetDown(down)
-}
-
 // Pos returns the base station's position.
 func (c *Cell) Pos() wireless.Position { return c.pos }
 

@@ -286,9 +286,6 @@ func NewSyncService(m *repl.Member, policy mobiledb.Policy, merge mobiledb.Merge
 	return s, nil
 }
 
-// Member returns the replication member this service fronts.
-func (s *SyncService) Member() *repl.Member { return s.m }
-
 // Server returns the conflict-resolution engine (counters, policy).
 func (s *SyncService) Server() *mobiledb.Server { return s.sv }
 

@@ -460,9 +460,6 @@ type EC struct {
 	txn metrics.Histogram
 }
 
-// Metrics returns the world's telemetry registry (owned by ec.Net).
-func (ec *EC) Metrics() *metrics.Registry { return ec.Net.Metrics }
-
 // BuildEC assembles the four-component electronic commerce system:
 // desktop clients --LAN/WAN-- host computers.
 func BuildEC(cfg ECConfig) (*EC, error) {

@@ -3,7 +3,6 @@ package device
 import (
 	"strings"
 
-	"mcommerce/internal/metrics"
 	"mcommerce/internal/mobiledb"
 	"mcommerce/internal/simnet"
 )
@@ -28,16 +27,6 @@ type OfflineFetcher struct {
 }
 
 var _ Fetcher = (*OfflineFetcher)(nil)
-
-// RegisterMetrics aliases the fetcher's counters under the given scope and
-// the backing store's under its "db" child.
-func (f *OfflineFetcher) RegisterMetrics(sc metrics.Scope) {
-	sc.AliasCounter("stale_served", &f.StaleServed)
-	sc.AliasCounter("cached", &f.Cached)
-	if f.Store != nil {
-		f.Store.RegisterMetrics(sc.Child("db"))
-	}
-}
 
 func cacheKey(origin simnet.Addr, path string) string {
 	return "page:" + origin.String() + ":" + path

@@ -18,7 +18,6 @@ type OS struct {
 // The three major mobile operating systems of Section 4.1.
 var (
 	PalmOS41     = OS{Name: "Palm OS 4.1", Vendor: "Palm", Bits: 32, PowerFactor: 0.5}
-	PalmOS5      = OS{Name: "Palm OS 5", Vendor: "Palm", Bits: 32, PowerFactor: 0.5}
 	PocketPC2002 = OS{Name: "MS Pocket PC 2002", Vendor: "Microsoft", Bits: 32, Preemptive: true, PowerFactor: 1.0}
 	SymbianOS    = OS{Name: "Symbian OS", Vendor: "Symbian", Bits: 32, Preemptive: true, PowerFactor: 1.0}
 )

@@ -104,18 +104,6 @@ func (p *Plan) Sort() {
 	sort.SliceStable(p.Events, func(i, j int) bool { return p.Events[i].At < p.Events[j].At })
 }
 
-// Horizon returns the time the last heal completes (or the last apply, for
-// permanent events).
-func (p *Plan) Horizon() time.Duration {
-	var h time.Duration
-	for _, e := range p.Events {
-		if end := e.At + e.Duration; end > h {
-			h = end
-		}
-	}
-	return h
-}
-
 // String renders the plan one event per line, in event order — the
 // deterministic form reports embed.
 func (p *Plan) String() string {

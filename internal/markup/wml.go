@@ -42,9 +42,6 @@ func (d *Deck) WML() string {
 	return b.String()
 }
 
-// Bytes returns the textual WML size in bytes.
-func (d *Deck) Bytes() int { return len(d.WML()) }
-
 // ParseWML parses textual WML into a Deck. Content outside cards is
 // ignored; non-WML elements inside cards are dropped (tolerant parsing,
 // like a microbrowser).

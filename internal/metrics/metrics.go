@@ -193,14 +193,6 @@ func QuantileFromBuckets(bounds []time.Duration, counts []uint64, count uint64, 
 	return max
 }
 
-// Min returns the smallest observation (0 with no observations).
-func (h Histogram) Min() time.Duration {
-	if h.h == nil {
-		return 0
-	}
-	return h.h.min
-}
-
 // Max returns the largest observation (0 with no observations).
 func (h Histogram) Max() time.Duration {
 	if h.h == nil {
@@ -553,14 +545,6 @@ func (s Scope) Histogram(name string) Histogram {
 		return Histogram{}
 	}
 	return s.r.Histogram(s.full(name))
-}
-
-// HistogramBuckets registers an explicit-bucket histogram under the scope.
-func (s Scope) HistogramBuckets(name string, bounds []time.Duration) Histogram {
-	if s.r == nil {
-		return Histogram{}
-	}
-	return s.r.HistogramBuckets(s.full(name), bounds)
 }
 
 // Sanitize lowercases s and replaces every byte outside [a-z0-9._-] with

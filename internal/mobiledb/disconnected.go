@@ -365,7 +365,7 @@ type Server struct {
 	// one tick. Watermarks index records, 1-based.
 	invLog []Invalidation
 
-	// Counters (register under mobiledb.sync.* via RegisterMetrics).
+	// Counters (core.NewSyncService registers them under mobiledb.sync.*).
 	Sessions, Writes, Accepted, Rejected uint64
 	ConflictsSeen, Merges, Duplicates    uint64
 	// BlindOverwrites counts fragile-policy writes that clobbered a value
@@ -386,9 +386,6 @@ func NewServer(policy Policy, be Backend, merge MergeFunc) (*Server, error) {
 	}
 	return &Server{policy: policy, merge: merge, be: be}, nil
 }
-
-// Policy returns the configured policy.
-func (sv *Server) Policy() Policy { return sv.policy }
 
 // Reset drops the server's volatile state — the invalidation log and its
 // watermark — modelling a host crash. Backend rows (and with them the
@@ -515,6 +512,3 @@ func (b *MemBackend) Store(e ServerEntry) error {
 	b.rows[e.Key] = e
 	return nil
 }
-
-// Len returns the number of rows (tombstoned deletes included).
-func (b *MemBackend) Len() int { return len(b.rows) }

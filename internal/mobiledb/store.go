@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-
-	"mcommerce/internal/metrics"
 )
 
 // Errors returned by the store.
@@ -136,12 +134,6 @@ func (s *Store) Name() string { return s.name }
 // UsedBytes returns the current footprint.
 func (s *Store) UsedBytes() int { return s.used }
 
-// Clock returns the current logical clock.
-func (s *Store) Clock() uint64 { return s.clock }
-
-// Seq returns the current local log position.
-func (s *Store) Seq() uint64 { return s.seq }
-
 // Len returns the number of live (non-tombstone) keys.
 func (s *Store) Len() int {
 	n := 0
@@ -235,24 +227,6 @@ func (s *Store) Evict(key string) bool {
 // evictable reports whether an entry may be discarded without data loss.
 func (s *Store) evictable(e *Entry) bool {
 	return !e.Tentative && !s.pinned[e.Key]
-}
-
-// RegisterMetrics aliases the store's counters and exposes its footprint
-// and logical clocks as gauges under the given scope (callers pass
-// something like <node>.db). Call at most once per store per registry.
-func (s *Store) RegisterMetrics(sc metrics.Scope) {
-	sc.AliasCounter("conflicts", &s.Conflicts)
-	sc.AliasCounter("cache_hits", &s.Hits)
-	sc.AliasCounter("cache_misses", &s.Misses)
-	sc.AliasCounter("evictions", &s.Evictions)
-	sc.AliasCounter("evict_refused", &s.EvictRefused)
-	sc.AliasCounter("tentative_puts", &s.TentativePuts)
-	sc.AliasCounter("sync_conflicts", &s.SyncConflicts)
-	sc.AliasCounter("invalidations", &s.Invalidations)
-	sc.GaugeFunc("used_bytes", func() int64 { return int64(s.used) })
-	sc.GaugeFunc("clock", func() int64 { return int64(s.clock) })
-	sc.GaugeFunc("seq", func() int64 { return int64(s.seq) })
-	sc.GaugeFunc("live_keys", func() int64 { return int64(s.Len()) })
 }
 
 // PutEvict stores a value like Put, but answers ErrFull by evicting

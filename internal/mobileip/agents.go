@@ -52,9 +52,6 @@ func NewHomeAgent(node *simnet.Node, authKey []byte) *HomeAgent {
 	return ha
 }
 
-// Node returns the router the agent runs on.
-func (ha *HomeAgent) Node() *simnet.Node { return ha.node }
-
 // Stats returns a snapshot of the agent's counters.
 func (ha *HomeAgent) Stats() HomeAgentStats { return ha.stats }
 
@@ -155,9 +152,6 @@ func NewForeignAgent(node *simnet.Node) *ForeignAgent {
 	}
 	return fa
 }
-
-// Node returns the router the agent runs on.
-func (fa *ForeignAgent) Node() *simnet.Node { return fa.node }
 
 // Stats returns a snapshot of the agent's counters.
 func (fa *ForeignAgent) Stats() ForeignAgentStats { return fa.stats }

@@ -77,9 +77,6 @@ func NewClient(node *simnet.Node, cfg Config) *Client {
 	return c
 }
 
-// Node returns the mobile's node.
-func (c *Client) Node() *simnet.Node { return c.node }
-
 // RegisteredVia returns the care-of address currently registered, and
 // whether the mobile is registered away from home.
 func (c *Client) RegisteredVia() (simnet.Addr, bool) {

@@ -59,9 +59,6 @@ func (t *Timeline) Interval() time.Duration { return t.interval }
 // Worlds returns the attached samplers in attach order.
 func (t *Timeline) Worlds() []*WorldSampler { return t.worlds }
 
-// Annotate appends one annotation. Order is normalised at export.
-func (t *Timeline) Annotate(a Annotation) { t.anns = append(t.anns, a) }
-
 // IngestFaults converts the injector's structured event feed into
 // annotations. Call after the run (the feed is complete then); calling
 // for several injectors aggregates all of them.
@@ -291,15 +288,6 @@ type Series struct {
 
 // Name reports the prefixed series name.
 func (s *Series) Name() string { return s.name }
-
-// Kind reports the underlying metric kind.
-func (s *Series) Kind() metrics.Kind { return s.kind }
-
-// Start reports the absolute sample index at which the series began.
-func (s *Series) Start() int { return s.start }
-
-// Bounds returns the histogram bucket upper bounds (nil otherwise).
-func (s *Series) Bounds() []time.Duration { return s.bounds }
 
 func (s *Series) slot(a int) (int, bool) {
 	L := a - s.start

@@ -44,7 +44,6 @@ import (
 // k<<48. Shard 0 uses base 0 and the world's own seed, so a one-shard
 // world is indistinguishable from a plain Network.
 type Sharded struct {
-	seed    int64
 	shards  []*Network
 	shardOf map[*Network]int32
 	prefix  []string // per-shard metric prefix ("s0.", "s1.", ...)
@@ -84,7 +83,6 @@ func NewSharded(seed int64, n int) *Sharded {
 		panic("simnet: NewSharded needs at least one shard")
 	}
 	w := &Sharded{
-		seed:    seed,
 		shards:  make([]*Network, n),
 		shardOf: make(map[*Network]int32, n),
 		prefix:  make([]string, n),
@@ -149,9 +147,6 @@ func (w *Sharded) WheelStats() (cascades, overflowMigrations uint64) {
 // Shard returns shard k's network; builders create nodes and intra-shard
 // links on it directly.
 func (w *Sharded) Shard(k int) *Network { return w.shards[k] }
-
-// Seed returns the seed the world was created with.
-func (w *Sharded) Seed() int64 { return w.seed }
 
 // Now returns the world's virtual time: the horizon every shard has
 // reached (after a clean run, the deadline; after a stop, the earliest

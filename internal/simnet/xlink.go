@@ -36,7 +36,6 @@ type CrossLink struct {
 	rxShard [2]int32
 
 	spanName string
-	down     bool
 	burstBad [2]bool
 
 	busyUntil [2]time.Duration
@@ -101,25 +100,11 @@ func (w *Sharded) Cross(x, y *Node, cfg LinkConfig) (*CrossLink, error) {
 		tx[dir].AliasCounter("lost_random."+suffix, &l.LostRandom[dir])
 		tx[dir].AliasCounter("lost_burst."+suffix, &l.LostBurst[dir])
 		tx[dir].AliasCounter("dropped_queue."+suffix, &l.Dropped[dir])
+		// Always zero (no admin-down state); kept so every link type has dropped_down.*.
 		tx[dir].AliasCounter("dropped_down."+suffix, &l.DroppedDown[dir])
 	}
 	return l, nil
 }
-
-// Config returns the link's configuration.
-func (l *CrossLink) Config() LinkConfig { return l.cfg }
-
-// SetDown sets the administrative state; a downed cross link discards
-// both directions at the transmit side (counted in DroppedDown).
-func (l *CrossLink) SetDown(down bool) {
-	if l == nil {
-		return
-	}
-	l.down = down
-}
-
-// IsDown reports the administrative state.
-func (l *CrossLink) IsDown() bool { return l != nil && l.down }
 
 // IfaceA returns the interface on the first node passed to Cross.
 func (l *CrossLink) IfaceA() *Iface { return l.a }
@@ -198,12 +183,6 @@ func (l *CrossLink) Transmit(from *Iface, p *Packet) {
 		return
 	}
 	net := from.Node.net
-
-	if l.down {
-		l.DroppedDown[dir]++
-		net.Tracer.Annotate(p.Trace, "link-down")
-		return
-	}
 
 	s := net.Sched
 	now := s.Now()

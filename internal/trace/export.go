@@ -75,10 +75,9 @@ func groupByTrace(spans []Span) (map[TraceID][]Span, []TraceID) {
 }
 
 type eventWriter struct {
-	w     io.Writer
-	n     int
-	err   error
-	first bool
+	w   io.Writer
+	n   int
+	err error
 }
 
 func (e *eventWriter) raw(s string) {

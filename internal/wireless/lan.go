@@ -139,15 +139,6 @@ func (a *AP) Node() *simnet.Node { return a.node }
 // Radio returns the AP's radio interface.
 func (a *AP) Radio() *simnet.Iface { return a.radio }
 
-// SetDown takes the AP's radio administratively down or up (an access
-// point outage for fault injection). Nil-safe.
-func (a *AP) SetDown(down bool) {
-	if a == nil {
-		return
-	}
-	a.radio.SetDown(down)
-}
-
 // Pos returns the AP's position.
 func (a *AP) Pos() Position { return a.pos }
 

@@ -118,9 +118,6 @@ func NewFlows(nd *simnet.Node, name string, cfg FlowConfig) (*Flows, error) {
 	return f, nil
 }
 
-// Stations returns the population size.
-func (f *Flows) Stations() int { return len(f.stations) }
-
 // fire issues one operation: start a (sampled) trace root, send the
 // request under it, arm the timeout. Runs on the owning shard only. The
 // timeout reclaims the just-fired think timer's slot via Rearm, so the

@@ -173,9 +173,6 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 	return f, nil
 }
 
-// Devices returns the population size.
-func (f *SyncFlows) Devices() int { return len(f.devices) }
-
 func (f *SyncFlows) invPort() simnet.Port {
 	return f.cfg.FirstPort + simnet.Port(f.cfg.Devices)
 }

@@ -1,8 +1,9 @@
 #!/bin/sh
 # bench.sh — run the benchmark suite and record a machine-readable
-# trajectory point. Runs every benchmark in simnet, mtcp, experiments,
-# obs, webserver, core, markup and metrics (-benchmem, -count 5 so
-# outliers are visible), converts the output to JSON with
+# trajectory point. Runs every benchmark in the module, ./... (the root
+# figure/table benches and every package that has benchmarks; bench/ is
+# its own module and is not included), with -benchmem and -count 5 so
+# outliers are visible, converts the output to JSON with
 # scripts/benchjson, and writes it to the given file (default
 # BENCH.json).
 #
@@ -29,9 +30,7 @@ commit="$(git rev-parse --short=12 HEAD 2>/dev/null || echo unknown)"
 git diff --quiet HEAD 2>/dev/null || commit="$commit-dirty"
 
 go test -run '^$' -bench . -benchmem -count "$count" -benchtime "$benchtime" \
-	-timeout 60m ./internal/simnet ./internal/mtcp ./internal/experiments \
-	./internal/obs ./internal/webserver ./internal/core ./internal/markup \
-	./internal/metrics \
+	-timeout 60m ./... \
 	| tee /dev/stderr \
 	| go run ./scripts/benchjson -commit "$commit" >"$out"
 

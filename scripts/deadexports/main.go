@@ -1,189 +1,439 @@
-// Command deadexports fails when an exported function or method declared
-// in a non-test file has a name that no file in the tree uses: no call,
-// method value, selector or interface method of that name anywhere, test
-// or non-test. Like the repository's other scripts it is a go/ast scan, so
-// matching is by name: a method counts as referenced when any identifier
-// of its name appears outside a function declaration's own name. Comments
-// and strings do not count.
+// Command deadexports fails when a function, method, type, var or const
+// declared at package level in a non-test file has no use anywhere in the
+// tree. It type-checks every package with go/types and resolves each
+// identifier to the object it denotes, so a dead method stays dead even
+// when some other identifier in the tree has the same name. Uses in test
+// files and in nested modules (bench/) count; comments and strings do not.
 //
-// Methods reached only through an interface defined outside the tree
-// (encoding/json's Marshaler, for example) are listed in allow.txt next to
-// this file, one "pkg.Type.Method reason" per line. An allowlist entry
-// that the scan finds referenced, or that is no longer declared, is an
-// error too, so the list stays short.
+// A method also counts as used when its receiver type, or a pointer to
+// it, implements an interface that has the method: an interface declared
+// in the tree, in a standard-library package the tree imports (so
+// fmt.Stringer reaches String and encoding/json.Marshaler reaches
+// MarshalJSON), or error. There is no allowlist.
 //
-// With -report it also prints the exported functions and methods whose
-// name only test files use. Run it from the repository root:
+// main and init functions, blank identifiers and struct fields are not
+// checked. Declarations in nested modules are users only.
+//
+// With -report it also prints the exported declarations that only test
+// files use. Run it from the repository root:
 //
 //	go run ./scripts/deadexports [-report]
 package main
 
 import (
-	"bufio"
 	"flag"
 	"fmt"
 	"go/ast"
+	"go/build"
+	"go/importer"
 	"go/parser"
 	"go/token"
+	"go/types"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
 	"strings"
 )
 
-const allowPath = "scripts/deadexports/allow.txt"
-
 func main() {
-	report := flag.Bool("report", false, "also print the exported functions and methods only tests reference")
+	report := flag.Bool("report", false, "also print the exported declarations only tests use")
 	flag.Parse()
-	if err := run(*report); err != nil {
+	if err := run(".", *report, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "deadexports:", err)
 		os.Exit(1)
 	}
 }
 
-// decl is one exported function or method declared in a non-test file.
-type decl struct {
-	key  string // "internal/mtcp.Conn.State": directory, receiver, name
-	name string
-	pos  token.Position
-}
-
-// uses counts identifier uses of one name.
-type uses struct{ test, nonTest int }
-
-func run(report bool) error {
-	decls, refs, err := scan(".")
+func run(root string, report bool, w io.Writer) error {
+	res, err := scan(root)
 	if err != nil {
 		return err
-	}
-	allow, err := readAllow(allowPath)
-	if err != nil {
-		return err
-	}
-	var dead, testOnly []decl
-	declared := map[string]bool{}
-	for _, d := range decls {
-		declared[d.key] = true
-		u := refs[d.name]
-		allowed := allow[d.key]
-		switch {
-		case allowed && u.test+u.nonTest > 0:
-			return fmt.Errorf("%s: allowlisted but referenced; drop it from %s", d.key, allowPath)
-		case allowed:
-		case u.test+u.nonTest == 0:
-			dead = append(dead, d)
-		case u.nonTest == 0:
-			testOnly = append(testOnly, d)
-		}
-	}
-	for k := range allow {
-		if !declared[k] {
-			return fmt.Errorf("%s: allowlisted but not declared; drop it from %s", k, allowPath)
-		}
 	}
 	if report {
-		fmt.Printf("%d exported functions and methods only tests reference:\n", len(testOnly))
-		for _, d := range testOnly {
-			fmt.Printf("  %-45s %s\n", d.key, d.pos)
+		fmt.Fprintf(w, "%d exported declarations only tests use:\n", len(res.testOnly))
+		for _, d := range res.testOnly {
+			fmt.Fprintf(w, "  %-45s %s\n", d.key, d.pos)
 		}
 	}
-	if len(dead) > 0 {
-		for _, d := range dead {
-			fmt.Fprintf(os.Stderr, "%s: %s is exported but nothing references it\n", d.pos, d.key)
+	if len(res.dead) > 0 {
+		for _, d := range res.dead {
+			fmt.Fprintf(os.Stderr, "%s: %s is declared but nothing uses it\n", d.pos, d.key)
 		}
-		return fmt.Errorf("%d unreferenced exported function(s) or method(s)", len(dead))
+		return fmt.Errorf("%d unused declaration(s)", len(res.dead))
 	}
-	fmt.Printf("deadexports: %d exported functions and methods, all referenced\n", len(decls))
+	fmt.Fprintf(w, "deadexports: %d declarations, all used\n", res.checked)
 	return nil
 }
 
-// scan parses every Go file under root (skipping testdata and hidden
-// directories) and returns the exported declarations in non-test files,
-// sorted by key, and the identifier uses per name.
-func scan(root string) ([]decl, map[string]uses, error) {
-	fset := token.NewFileSet()
-	var decls []decl
-	refs := map[string]uses{}
-	err := filepath.WalkDir(root, func(path string, d os.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		name := d.Name()
-		if d.IsDir() {
-			if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(name, ".go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
-		test := strings.HasSuffix(name, "_test.go")
-		declNames := map[*ast.Ident]bool{}
-		for _, fd := range f.Decls {
-			fd, ok := fd.(*ast.FuncDecl)
-			if !ok {
-				continue
-			}
-			declNames[fd.Name] = true
-			if test || !fd.Name.IsExported() {
-				continue
-			}
-			rel, _ := filepath.Rel(root, filepath.Dir(path))
-			key := filepath.ToSlash(rel) + "."
-			if fd.Recv != nil {
-				t := fd.Recv.List[0].Type
-				if star, ok := t.(*ast.StarExpr); ok {
-					t = star.X
-				}
-				if id, ok := t.(*ast.Ident); ok {
-					key += id.Name + "."
-				}
-			}
-			decls = append(decls, decl{key: key + fd.Name.Name, name: fd.Name.Name, pos: fset.Position(fd.Name.Pos())})
-		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			id, ok := n.(*ast.Ident)
-			if !ok || declNames[id] {
-				return true
-			}
-			u := refs[id.Name]
-			if test {
-				u.test++
-			} else {
-				u.nonTest++
-			}
-			refs[id.Name] = u
-			return true
-		})
-		return nil
-	})
-	sort.Slice(decls, func(i, j int) bool { return decls[i].key < decls[j].key })
-	return decls, refs, err
+// decl is one package-level declaration in a non-test file.
+type decl struct {
+	key string // "internal/mtcp.Conn.State": directory, receiver, name
+	pos token.Position
 }
 
-// readAllow returns the keys of "key reason..." lines; blank lines and #
-// comments are skipped.
-func readAllow(path string) (map[string]bool, error) {
-	f, err := os.Open(path)
+type result struct {
+	checked        int
+	dead, testOnly []decl // sorted by key
+}
+
+// pkgDir is the Go files of one directory.
+type pkgDir struct {
+	path, rel    string // import path; directory relative to the scan root
+	nested       bool   // in a nested module: its declarations are not checked
+	files, tests []*ast.File
+	xtests       []*ast.File // package <name>_test
+	pkg          *types.Package
+	info         *types.Info
+	checking     bool
+}
+
+// use records where an object is used from.
+type use struct{ test, nonTest bool }
+
+// loader type-checks the tree. Each package's non-test files are checked
+// once and that one *types.Package is shared with every importer, so
+// types.Implements holds across packages.
+type loader struct {
+	fset   *token.FileSet
+	std    types.Importer
+	byPath map[string]*pkgDir
+	stdImp map[*types.Package]bool // standard-library packages the tree imports
+	uses   map[token.Pos]use
+	ifaces map[*types.Interface]bool
+}
+
+func scan(root string) (*result, error) {
+	l := &loader{
+		fset:   token.NewFileSet(),
+		byPath: map[string]*pkgDir{},
+		stdImp: map[*types.Package]bool{},
+		uses:   map[token.Pos]use{},
+		ifaces: map[*types.Interface]bool{},
+	}
+	// The tree has no cgo; without this the source importer would run cgo
+	// on the standard library packages that have it.
+	build.Default.CgoEnabled = false
+	l.std = importer.ForCompiler(l.fset, "source", nil)
+	dirs, err := l.parse(root)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	allow := map[string]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
+	for _, d := range dirs {
+		if len(d.files) > 0 {
+			if _, err := l.check(d); err != nil {
+				return nil, err
+			}
+		}
+	}
+	for _, d := range dirs {
+		if err := l.checkTests(d); err != nil {
+			return nil, err
+		}
+	}
+	l.implemented(dirs)
+
+	res := &result{}
+	for _, d := range dirs {
+		if d.nested {
 			continue
 		}
-		key, _, _ := strings.Cut(line, " ")
-		allow[key] = true
+		for _, f := range d.files {
+			for _, id := range declIdents(f) {
+				obj := d.info.Defs[id]
+				if obj == nil {
+					continue
+				}
+				res.checked++
+				dl := decl{key: d.rel + "." + qualified(obj), pos: l.fset.Position(id.Pos())}
+				switch u := l.uses[id.Pos()]; {
+				case !u.test && !u.nonTest:
+					res.dead = append(res.dead, dl)
+				case !u.nonTest && id.IsExported():
+					res.testOnly = append(res.testOnly, dl)
+				}
+			}
+		}
 	}
-	return allow, sc.Err()
+	byKey := func(ds []decl) {
+		sort.Slice(ds, func(i, j int) bool { return ds[i].key < ds[j].key })
+	}
+	byKey(res.dead)
+	byKey(res.testOnly)
+	return res, nil
+}
+
+// parse reads every Go file under root, skipping testdata, hidden and _
+// directories, and returns one pkgDir per directory with Go files.
+func (l *loader) parse(root string) ([]*pkgDir, error) {
+	type module struct{ dir, path string }
+	var dirs []*pkgDir
+	mods := map[string]module{} // directory -> its enclosing module
+	err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+		if err != nil || !e.IsDir() {
+			return err
+		}
+		name := e.Name()
+		if path != root && (strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") || name == "testdata") {
+			return filepath.SkipDir
+		}
+		mod, ok := mods[filepath.Dir(path)]
+		if p, err := modulePath(filepath.Join(path, "go.mod")); err == nil {
+			mod, ok = module{path, p}, true
+		} else if !os.IsNotExist(err) {
+			return err
+		}
+		if !ok {
+			return fmt.Errorf("%s: not inside a module", path)
+		}
+		mods[path] = mod
+		d := &pkgDir{path: mod.path, nested: mod.dir != root}
+		if sub, _ := filepath.Rel(mod.dir, path); sub != "." {
+			d.path += "/" + filepath.ToSlash(sub)
+		}
+		rel, _ := filepath.Rel(root, path)
+		d.rel = filepath.ToSlash(rel)
+		if err := l.parseDir(path, d); err != nil {
+			return err
+		}
+		if len(d.files)+len(d.tests)+len(d.xtests) > 0 {
+			dirs = append(dirs, d)
+			l.byPath[d.path] = d
+		}
+		return nil
+	})
+	return dirs, err
+}
+
+// parseDir parses the Go files of dir that build.Default selects into d.
+func (l *loader) parseDir(dir string, d *pkgDir) error {
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		return err
+	}
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") {
+			continue
+		}
+		if ok, err := build.Default.MatchFile(dir, name); err != nil || !ok {
+			if err != nil {
+				return err
+			}
+			continue
+		}
+		f, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		switch {
+		case !strings.HasSuffix(name, "_test.go"):
+			d.files = append(d.files, f)
+		case strings.HasSuffix(f.Name.Name, "_test"):
+			d.xtests = append(d.xtests, f)
+		default:
+			d.tests = append(d.tests, f)
+		}
+	}
+	return nil
+}
+
+// modulePath returns the module line of a go.mod file.
+func modulePath(gomod string) (string, error) {
+	b, err := os.ReadFile(gomod)
+	if err != nil {
+		return "", err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if mod, ok := strings.CutPrefix(strings.TrimSpace(line), "module "); ok {
+			return strings.Trim(strings.TrimSpace(mod), `"`), nil
+		}
+	}
+	return "", fmt.Errorf("%s: no module line", gomod)
+}
+
+// Import resolves tree packages to their shared instance and everything
+// else to the standard library, type-checked from source.
+func (l *loader) Import(path string) (*types.Package, error) {
+	if d := l.byPath[path]; d != nil && len(d.files) > 0 {
+		return l.check(d)
+	}
+	p, err := l.std.Import(path)
+	if err == nil {
+		l.stdImp[p] = true
+	}
+	return p, err
+}
+
+func (l *loader) check(d *pkgDir) (*types.Package, error) {
+	if d.pkg != nil {
+		return d.pkg, nil
+	}
+	if d.checking {
+		return nil, fmt.Errorf("import cycle through %s", d.path)
+	}
+	d.checking = true
+	pkg, info, err := l.typeCheck(d.path, d.files, false)
+	d.pkg, d.info = pkg, info
+	return pkg, err
+}
+
+// checkTests type-checks the test files of d: the in-package tests as a
+// second instance of the package, which nothing imports, and the
+// external tests against the shared instance.
+func (l *loader) checkTests(d *pkgDir) error {
+	if len(d.tests) > 0 {
+		files := append(append([]*ast.File(nil), d.files...), d.tests...)
+		if _, _, err := l.typeCheck(d.path, files, true); err != nil {
+			return err
+		}
+	}
+	if len(d.xtests) > 0 {
+		if _, _, err := l.typeCheck(d.path+"_test", d.xtests, true); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// typeCheck checks one package and records every use it resolves, keyed
+// by the position of the object's declaration: an in-package test
+// instance declares its own copies of the package's objects, at the same
+// positions. Uses in test files count as test uses.
+func (l *loader) typeCheck(path string, files []*ast.File, tests bool) (*types.Package, *types.Info, error) {
+	info := &types.Info{
+		Defs:  map[*ast.Ident]types.Object{},
+		Uses:  map[*ast.Ident]types.Object{},
+		Types: map[ast.Expr]types.TypeAndValue{},
+	}
+	conf := types.Config{Importer: l}
+	pkg, err := conf.Check(path, l.fset, files, info)
+	if err != nil {
+		return nil, nil, err
+	}
+	for id, obj := range info.Uses {
+		if obj.Pkg() == nil {
+			continue
+		}
+		switch o := obj.(type) {
+		case *types.Func:
+			obj = o.Origin()
+		case *types.Var:
+			obj = o.Origin()
+		}
+		u := l.uses[obj.Pos()]
+		if tests && strings.HasSuffix(l.fset.File(id.Pos()).Name(), "_test.go") {
+			u.test = true
+		} else {
+			u.nonTest = true
+		}
+		l.uses[obj.Pos()] = u
+	}
+	// Every interface the package's code spells out or uses, named or
+	// literal. Those of an in-package test instance have their own copies
+	// of the package's types, so types.Implements would not hold against
+	// the shared ones.
+	if !tests || strings.HasSuffix(path, "_test") {
+		for _, tv := range info.Types {
+			l.addInterface(tv.Type)
+		}
+	}
+	return pkg, info, nil
+}
+
+func (l *loader) addInterface(t types.Type) {
+	if it, ok := t.Underlying().(*types.Interface); ok && it.NumMethods() > 0 && it.IsMethodSet() {
+		l.ifaces[it] = true
+	}
+}
+
+// implemented marks the methods of every package-level type in the tree
+// that some interface requires of that type or of a pointer to it.
+func (l *loader) implemented(dirs []*pkgDir) {
+	for p := range l.stdImp {
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
+				l.addInterface(tn.Type())
+			}
+		}
+	}
+	l.addInterface(types.Universe.Lookup("error").Type())
+	for _, d := range dirs {
+		if d.pkg == nil || d.nested {
+			continue
+		}
+		scope := d.pkg.Scope()
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named, ok := tn.Type().(*types.Named)
+			if !ok || named.TypeParams().Len() > 0 || types.IsInterface(named) {
+				continue
+			}
+			ptr := types.NewPointer(named)
+			for it := range l.ifaces {
+				if !types.Implements(ptr, it) {
+					continue
+				}
+				for i := 0; i < it.NumMethods(); i++ {
+					m := it.Method(i)
+					obj, _, _ := types.LookupFieldOrMethod(ptr, false, m.Pkg(), m.Name())
+					if obj != nil {
+						u := l.uses[obj.Pos()]
+						u.nonTest = true
+						l.uses[obj.Pos()] = u
+					}
+				}
+			}
+		}
+	}
+}
+
+// declIdents returns the checked package-level names of f.
+func declIdents(f *ast.File) []*ast.Ident {
+	var ids []*ast.Ident
+	keep := func(id *ast.Ident) {
+		if id.Name != "_" {
+			ids = append(ids, id)
+		}
+	}
+	for _, gd := range f.Decls {
+		switch gd := gd.(type) {
+		case *ast.FuncDecl:
+			if gd.Recv == nil && (gd.Name.Name == "init" || gd.Name.Name == "main" && f.Name.Name == "main") {
+				continue
+			}
+			keep(gd.Name)
+		case *ast.GenDecl:
+			for _, spec := range gd.Specs {
+				switch s := spec.(type) {
+				case *ast.TypeSpec:
+					keep(s.Name)
+				case *ast.ValueSpec:
+					for _, id := range s.Names {
+						keep(id)
+					}
+				}
+			}
+		}
+	}
+	return ids
+}
+
+// qualified names obj within its package: "Conn.State" for a method.
+func qualified(obj types.Object) string {
+	if fn, ok := obj.(*types.Func); ok {
+		if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
+			t := recv.Type()
+			if p, ok := t.(*types.Pointer); ok {
+				t = p.Elem()
+			}
+			if n, ok := t.(*types.Named); ok {
+				return n.Obj().Name() + "." + obj.Name()
+			}
+		}
+	}
+	return obj.Name()
 }

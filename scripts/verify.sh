@@ -1,7 +1,8 @@
 #!/bin/sh
 # verify.sh — the full local gate: static checks (go vet, and a
-# dead-export scan: every exported function or method must have a name
-# some file in the tree uses), build, the whole test
+# dead-code scan that resolves uses by object with go/types and has no
+# allowlist: every package-level function, method, type, var and const
+# must have a use), build, the whole test
 # suite (which includes the zero-alloc pins), the race detector over the
 # packages that use goroutines (the parallel experiment runner and the
 # simnet structures it drives, the sharded executor's ownership, steal
