@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"runtime"
 	"testing"
 	"time"
 
@@ -8,74 +9,135 @@ import (
 	"mcommerce/internal/metrics"
 )
 
+// closedLoop has every station of mc run transact back to back until n
+// transactions have been issued between them, runs the world until they
+// finish, and returns how many each station ran. It fails the test
+// unless all n ran without error.
+func closedLoop(t *testing.T, mc *core.MC, n int, transact func(i int, done func(core.Transaction))) []int {
+	t.Helper()
+	ran := make([]int, len(mc.Clients))
+	issued, failed := 0, 0
+	var loop func(i int) func(core.Transaction)
+	loop = func(i int) func(core.Transaction) {
+		return func(tx core.Transaction) {
+			ran[i]++
+			if tx.Err != nil {
+				failed++
+			}
+			if issued < n {
+				issued++
+				transact(i, loop(i))
+			}
+		}
+	}
+	for i := range mc.Clients {
+		if issued < n {
+			issued++
+			transact(i, loop(i))
+		}
+	}
+	if err := mc.Net.Sched.RunFor(time.Duration(n) * time.Minute); err != nil {
+		t.Fatalf("RunFor: %v", err)
+	}
+	total := 0
+	for _, k := range ran {
+		total += k
+	}
+	if total != n || failed != 0 {
+		t.Fatalf("ran %d transactions (%d failed), want %d, none failed", total, failed, n)
+	}
+	return ran
+}
+
+// retainedHeap is the live heap after a full collection.
+func retainedHeap() uint64 {
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// Per-transaction state bound: once the world is warm, heap retained
+// after boundedTxns more transactions may grow by at most
+// maxRetainedPerTxn bytes per transaction.
+const (
+	boundedTxns       = 2000
+	maxRetainedPerTxn = 48
+)
+
+// checkRetained warms the world up with boundedTxns transactions, so that
+// free lists, timer slabs and the maps that hold state for a fixed time
+// reach their steady size, then runs boundedTxns more and fails when they
+// grow the retained heap by more than maxRetainedPerTxn each.
+func checkRetained(t *testing.T, mc *core.MC, transact func(i int, done func(core.Transaction))) {
+	t.Helper()
+	closedLoop(t, mc, boundedTxns, transact)
+	before := retainedHeap()
+	closedLoop(t, mc, boundedTxns, transact)
+	after := retainedHeap()
+	runtime.KeepAlive(mc)
+	per := (float64(after) - float64(before)) / boundedTxns
+	t.Logf("retained heap %d -> %d bytes: %.1f B per transaction", before, after, per)
+	if per > maxRetainedPerTxn {
+		t.Errorf("%d transactions retained %.1f B each, want <= %d", boundedTxns, per, maxRetainedPerTxn)
+	}
+}
+
 // TestTransactWAPStateBounded pins WAP client state to the device: once
 // every station has run its first transaction, 200 more fresh sessions
 // reuse the stations' transaction endpoints and register nothing, and
 // each station's one wap.wtp.<station> scope counts both invokes
-// (connect and get) of every transaction it ran.
+// (connect and get) of every transaction it ran. The gateway keeps only
+// a byte per session, so the retained heap grows by little more than
+// that per transaction.
 func TestTransactWAPStateBounded(t *testing.T) {
 	mc, err := core.BuildMC(core.MCConfig{Seed: 1})
 	if err != nil {
 		t.Fatalf("BuildMC: %v", err)
 	}
 	registerShop(mc.Host)
-	ran := make([]int, len(mc.Clients))
-	failed := 0
-	count := func(i int) func(core.Transaction) {
-		return func(tx core.Transaction) {
-			ran[i]++
-			if tx.Err != nil {
-				failed++
-			}
-		}
-	}
-	for i := range mc.Clients {
-		mc.TransactWAP(i, "/shop", count(i))
-	}
-	if err := mc.Net.Sched.RunFor(30 * time.Second); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
+	transact := func(i int, done func(core.Transaction)) { mc.TransactWAP(i, "/shop", done) }
+	first := closedLoop(t, mc, len(mc.Clients), transact)
 	before := mc.Metrics().Len()
 
-	// Every station runs a closed loop of sessions until 200 have been
-	// issued between them.
 	const more = 200
-	issued := 0
-	var loop func(i int) func(core.Transaction)
-	loop = func(i int) func(core.Transaction) {
-		return func(tx core.Transaction) {
-			count(i)(tx)
-			if issued < more {
-				issued++
-				mc.TransactWAP(i, "/shop", loop(i))
-			}
-		}
-	}
-	for i := range mc.Clients {
-		issued++
-		mc.TransactWAP(i, "/shop", loop(i))
-	}
-	if err := mc.Net.Sched.RunFor(10 * time.Minute); err != nil {
-		t.Fatalf("RunFor: %v", err)
-	}
-
-	total := 0
-	for _, n := range ran {
-		total += n
-	}
-	if want := len(mc.Clients) + more; total != want || failed != 0 {
-		t.Fatalf("ran %d transactions (%d failed), want %d, none failed", total, failed, want)
-	}
+	ran := closedLoop(t, mc, more, transact)
 	if added := mc.Metrics().Len() - before; added != 0 {
 		t.Errorf("%d more sessions added %d registry entries, want 0", more, added)
 	}
 	snap := mc.Metrics().Snapshot()
 	for i, cl := range mc.Clients {
 		name := "wap.wtp." + metrics.Sanitize(cl.Station.Node().Name) + ".invokes"
-		if got, want := snap.Counter(name), int64(2*ran[i]); got != want {
-			t.Errorf("%s = %d, want %d (2 x %d transactions)", name, got, want, ran[i])
+		n := first[i] + ran[i]
+		if got, want := snap.Counter(name), int64(2*n); got != want {
+			t.Errorf("%s = %d, want %d (2 x %d transactions)", name, got, want, n)
 		}
 	}
+	checkRetained(t, mc, transact)
+}
+
+// TestTransactIModeStateBounded is the i-mode twin: after every station's
+// first transaction, 200 more register nothing and the portal counts
+// each of them once, and the retained heap stays flat.
+func TestTransactIModeStateBounded(t *testing.T) {
+	mc, err := core.BuildMC(core.MCConfig{Seed: 1})
+	if err != nil {
+		t.Fatalf("BuildMC: %v", err)
+	}
+	registerShop(mc.Host)
+	transact := func(i int, done func(core.Transaction)) { mc.TransactIMode(i, "/shop", done) }
+	closedLoop(t, mc, len(mc.Clients), transact)
+	before := mc.Metrics().Len()
+
+	const more = 200
+	closedLoop(t, mc, more, transact)
+	if added := mc.Metrics().Len() - before; added != 0 {
+		t.Errorf("%d more transactions added %d registry entries, want 0", more, added)
+	}
+	if got, want := mc.IMode.Stats().Requests, uint64(len(mc.Clients)+more); got != want {
+		t.Errorf("portal requests = %d, want %d", got, want)
+	}
+	checkRetained(t, mc, transact)
 }
 
 // benchTxn measures one device->host->device transaction per op on

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -203,8 +204,54 @@ func (b *Browser) render(payload []byte, ct string, done func(*Page, error)) {
 	})
 }
 
-// layout parses content into a Page by type.
+// Layout memo bounds, per station: at most layoutEntries pages of up to
+// layoutMaxBytes payload bytes each. A full memo is emptied before the
+// next insert.
+const (
+	layoutEntries  = 8
+	layoutMaxBytes = 16 << 10
+)
+
+// layoutKey is everything a layout depends on.
+type layoutKey struct {
+	ct      string
+	payload string
+}
+
+// layout parses content into a Page by type. Layout is a pure function of
+// its key, so it is memoized on the station, which outlives the browsers
+// built per transaction. Every call returns a Page of its own, Links
+// included, that the caller may modify.
 func (b *Browser) layout(payload []byte, ct string) (*Page, error) {
+	switch ct {
+	case webserver.TypeWMLC, webserver.TypeWML, webserver.TypeCHTML, webserver.TypeHTML, "":
+	default:
+		// Opaque content (downloads): no layout.
+		return &Page{ContentType: ct, Cards: 0}, nil
+	}
+	memo := b.station.layouts
+	if p, ok := memo[layoutKey{ct, string(payload)}]; ok {
+		p.Links = slices.Clone(p.Links)
+		return &p, nil
+	}
+	p, err := parsePage(payload, ct)
+	if err != nil || len(payload) > layoutMaxBytes {
+		return p, err
+	}
+	if memo == nil {
+		memo = make(map[layoutKey]Page)
+		b.station.layouts = memo
+	} else if len(memo) >= layoutEntries {
+		clear(memo)
+	}
+	kept := *p
+	kept.Links = slices.Clone(p.Links)
+	memo[layoutKey{ct, string(payload)}] = kept
+	return p, nil
+}
+
+// parsePage parses markup content into a Page by type.
+func parsePage(payload []byte, ct string) (*Page, error) {
 	switch ct {
 	case webserver.TypeWMLC:
 		deck, err := markup.DecodeWMLC(payload)
@@ -218,7 +265,7 @@ func (b *Browser) layout(payload []byte, ct string) (*Page, error) {
 			return nil, err
 		}
 		return pageFromDeck(deck, ct), nil
-	case webserver.TypeCHTML, webserver.TypeHTML, "":
+	default:
 		tree := markup.Parse(string(payload))
 		p := &Page{ContentType: ct, Cards: 1}
 		if t := tree.Find("title"); t != nil {
@@ -235,9 +282,6 @@ func (b *Browser) layout(payload []byte, ct string) (*Page, error) {
 			}
 		}
 		return p, nil
-	default:
-		// Opaque content (downloads): no layout.
-		return &Page{ContentType: ct, Cards: 0}, nil
 	}
 }
 

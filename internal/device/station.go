@@ -44,6 +44,9 @@ type Station struct {
 	batteryJ  float64
 	capacityJ float64
 	poweredOn bool
+
+	// layouts memoizes Browser.layout for every browser on the station.
+	layouts map[layoutKey]Page
 }
 
 // NewStation creates a station's node in the network and boots it. Half of

@@ -56,9 +56,18 @@ type Gateway struct {
 	node *simnet.Node
 	cfg  GatewayConfig
 	http *webserver.Client
+	// memo maps recent origin HTML bodies to their cHTML (see filter).
+	memo map[string][]byte
 
 	stats GatewayStats
 }
+
+// Filter memo bounds: at most memoEntries origin bodies of up to
+// memoMaxBody bytes each. A full memo is emptied before the next insert.
+const (
+	memoEntries = 32
+	memoMaxBody = 16 << 10
+)
 
 // NewGateway starts an i-mode portal on the node, creating its TCP stack.
 func NewGateway(node *simnet.Node, cfg GatewayConfig) (*Gateway, error) {
@@ -71,7 +80,7 @@ func NewGateway(node *simnet.Node, cfg GatewayConfig) (*Gateway, error) {
 
 // NewGatewayWithStack starts a portal on an existing TCP stack.
 func NewGatewayWithStack(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig) (*Gateway, error) {
-	g := &Gateway{node: node, cfg: cfg, http: webserver.NewClient(stack, cfg.TCP)}
+	g := &Gateway{node: node, cfg: cfg, http: webserver.NewClient(stack, cfg.TCP), memo: make(map[string][]byte)}
 	srv, err := webserver.New(stack, GatewayPort, cfg.TCP)
 	if err != nil {
 		return nil, err
@@ -138,6 +147,9 @@ func (g *Gateway) proxy(req *webserver.Request, respond func(*webserver.Response
 }
 
 // filter converts origin HTML to cHTML and passes everything else through.
+// Filtering is a pure function of the origin body, so it is memoized on
+// it; a hit counts exactly as a fresh filtering. Memoized bodies are
+// shared by the responses built from them and are read-only.
 func (g *Gateway) filter(resp *webserver.Response) *webserver.Response {
 	ct := resp.Header("content-type")
 	if resp.Status != 200 || (ct != webserver.TypeHTML && ct != "") {
@@ -146,8 +158,16 @@ func (g *Gateway) filter(resp *webserver.Response) *webserver.Response {
 		return resp
 	}
 	g.stats.Filtered++
-	tree := markup.HTMLToCHTML(markup.Parse(string(resp.Body)))
-	body := []byte(markup.RenderCHTML(tree))
+	body, ok := g.memo[string(resp.Body)]
+	if !ok {
+		body = []byte(markup.RenderCHTML(markup.HTMLToCHTML(markup.Parse(string(resp.Body)))))
+		if len(resp.Body) <= memoMaxBody {
+			if len(g.memo) >= memoEntries {
+				clear(g.memo)
+			}
+			g.memo[string(resp.Body)] = body
+		}
+	}
 	g.stats.BytesToAir += uint64(len(body))
 	return webserver.NewResponse(200, webserver.TypeCHTML, body)
 }

@@ -206,3 +206,43 @@ func TestSegmentPathZeroAlloc(t *testing.T) {
 		t.Fatal("no data delivered")
 	}
 }
+
+// TestFreeListCapped uploads one way over short connections: each one
+// brings the server one pooled segment more than it sends back, so
+// without a cap the server's free list would keep one segment per
+// connection for the rest of the run. With 4x as many connections as the
+// cap, the list must fill to exactly maxFreeSegs and stop there.
+func TestFreeListCapped(t *testing.T) {
+	p := newPair(t, 43, simnet.LinkConfig{Rate: 100 * simnet.Mbps, Delay: time.Millisecond})
+	rcvd := 0
+	if err := p.ss.Listen(80, Options{}, func(c *Conn) {
+		c.OnData(func(b []byte) { rcvd += len(b) })
+		c.OnEOF(c.Close)
+	}); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	const conns, size = 4 * maxFreeSegs, 4000
+	upload := testPattern(size)
+	for range conns {
+		p.cs.Dial(simnet.Addr{Node: p.server.ID, Port: 80}, Options{}, func(c *Conn, err error) {
+			if err != nil {
+				t.Errorf("Dial: %v", err)
+				return
+			}
+			c.Send(upload)
+			c.Close()
+		})
+		if err := p.net.Sched.RunFor(100 * time.Millisecond); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	if err := p.net.Sched.RunFor(10 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if rcvd != conns*size {
+		t.Fatalf("received %d bytes, want %d", rcvd, conns*size)
+	}
+	if n := len(p.ss.segFree); n != maxFreeSegs {
+		t.Errorf("receiving stack keeps %d free segments, want the cap, %d", n, maxFreeSegs)
+	}
+}

@@ -27,7 +27,8 @@
 //     algorithm owns the window.
 //   - Segments ride a per-stack free list mirroring the simnet packet
 //     pool, so the established-path send→deliver→ack cycle allocates
-//     nothing (pinned by TestSegmentPathZeroAlloc).
+//     nothing (pinned by TestSegmentPathZeroAlloc). The list is capped,
+//     so one-way traffic cannot grow it for the rest of a run.
 //
 // The paper: "when it is applied directly to mobile networks, TCP performs
 // poorly due to factors such as error-prone wireless channels, frequent

@@ -69,9 +69,9 @@ type Stack struct {
 	nextPort   simnet.Port
 
 	// segFree is the stack's segment free list. Senders allocate here;
-	// the receiving stack recycles into its own list after delivery, so
-	// steady-state request/response traffic moves zero-allocation
-	// segments in both directions.
+	// the receiving stack recycles into its own list after delivery (up
+	// to maxFreeSegs), so steady-state request/response traffic moves
+	// zero-allocation segments in both directions.
 	segFree []*Segment
 
 	m stackMetrics
@@ -142,15 +142,24 @@ func (s *Stack) allocSeg() *Segment {
 	return &Segment{pooled: true}
 }
 
+// maxFreeSegs caps a stack's segment free list. A stack that receives
+// more segments than it sends (a server gets one more per short
+// connection than it sends back) would otherwise keep every surplus
+// segment for the rest of the run.
+const maxFreeSegs = 64
+
 // freeSeg recycles a pool-owned segment. Unpooled segments (clones,
-// literals from tests) pass through untouched.
+// literals from tests) pass through untouched, and a full free list
+// leaves the segment to the garbage collector.
 func (s *Stack) freeSeg(seg *Segment) {
 	if !seg.pooled {
 		return
 	}
 	seg.pooled = false
 	seg.Payload = nil
-	s.segFree = append(s.segFree, seg)
+	if len(s.segFree) < maxFreeSegs {
+		s.segFree = append(s.segFree, seg)
+	}
 }
 
 // --- listeners and dialing ---

@@ -1,6 +1,7 @@
 package wap
 
 import (
+	"slices"
 	"time"
 
 	"mcommerce/internal/markup"
@@ -71,13 +72,6 @@ type GatewayStats struct {
 	BytesToAir      uint64 // payload bytes sent over the wireless side
 }
 
-type gwSession struct {
-	accept    []string
-	suspended bool
-	// channel is the WTLS record channel for secured sessions.
-	channel *security.Channel
-}
-
 type cacheEntry struct {
 	reply   *wspReply
 	expires time.Duration
@@ -92,8 +86,16 @@ type Gateway struct {
 	http *webserver.Client
 
 	nextSession uint32
-	sessions    map[uint32]*gwSession
-	cache       map[string]*cacheEntry
+	// sessions records, per open session, whether its microbrowser
+	// accepts WMLC: the only thing translation needs from the connect.
+	// Sessions are never reaped unless the client disconnects, so the
+	// value is kept to one byte.
+	sessions map[uint32]bool
+	// channels holds the WTLS record channel of each secured session.
+	channels map[uint32]*security.Channel
+	cache    map[string]*cacheEntry
+	// memo holds recent translations (see translate).
+	memo map[transcodeKey]transcoded
 
 	stats GatewayStats
 }
@@ -125,8 +127,10 @@ func newGatewayWithStack(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig
 		node:     node,
 		cfg:      cfg,
 		http:     webserver.NewClient(stack, cfg.TCP),
-		sessions: make(map[uint32]*gwSession),
+		sessions: make(map[uint32]bool),
+		channels: make(map[uint32]*security.Channel),
 		cache:    make(map[string]*cacheEntry),
+		memo:     make(map[transcodeKey]transcoded),
 	}
 	wtp, err := NewWTP(node, GatewayPort, cfg.WTP)
 	if err != nil {
@@ -171,7 +175,8 @@ func (g *Gateway) WTPStats() WTPStats { return g.wtp.Stats() }
 // this as the injector's onCrash hook for the gateway node.
 func (g *Gateway) Crash() {
 	g.wtp.Reset()
-	g.sessions = make(map[uint32]*gwSession)
+	g.sessions = make(map[uint32]bool)
+	g.channels = make(map[uint32]*security.Channel)
 	g.cache = make(map[string]*cacheEntry)
 }
 
@@ -183,18 +188,13 @@ func (g *Gateway) serve(_ simnet.Addr, body any, respond func(any, int)) {
 		g.serveSecure(m, respond)
 	case *wspMethod:
 		g.serveMethod(m, respond)
-	case *wspSuspend:
-		if s, ok := g.sessions[m.SessionID]; ok {
-			s.suspended = true
-		}
-		respond(&wspOK{}, pduBytes(&wspOK{}))
-	case *wspResume:
-		if s, ok := g.sessions[m.SessionID]; ok {
-			s.suspended = false
-		}
+	case *wspSuspend, *wspResume:
+		// Suspension is client-side state: the gateway keeps the session
+		// either way and only acknowledges.
 		respond(&wspOK{}, pduBytes(&wspOK{}))
 	case *wspDisconnect:
 		delete(g.sessions, m.SessionID)
+		delete(g.channels, m.SessionID)
 		respond(&wspOK{}, pduBytes(&wspOK{}))
 	default:
 		rep := &wspReply{Status: 400, ContentType: webserver.TypeText, Payload: []byte("bad pdu")}
@@ -227,9 +227,9 @@ func (g *Gateway) connect(m *wspConnect, respond func(any, int)) {
 		return
 	}
 	g.nextSession++
-	g.sessions[g.nextSession] = &gwSession{
-		accept:  append([]string(nil), m.Accept...),
-		channel: ch,
+	g.sessions[g.nextSession] = slices.Contains(m.Accept, webserver.TypeWMLC)
+	if ch != nil {
+		g.channels[g.nextSession] = ch
 	}
 	g.stats.Sessions++
 	rep := &wspConnectReply{SessionID: g.nextSession, Hello: serverHello}
@@ -237,7 +237,7 @@ func (g *Gateway) connect(m *wspConnect, respond func(any, int)) {
 }
 
 func (g *Gateway) serveMethod(m *wspMethod, respond func(any, int)) {
-	sess, ok := g.sessions[m.SessionID]
+	wmlc, ok := g.sessions[m.SessionID]
 	if !ok {
 		rep := &wspReply{Status: 403, ContentType: webserver.TypeText, Payload: []byte("no session")}
 		respond(rep, pduBytes(rep))
@@ -314,7 +314,7 @@ func (g *Gateway) serveMethod(m *wspMethod, respond func(any, int)) {
 			finish(rep)
 		}
 		work := func() {
-			deliver(g.translate(sess, resp))
+			deliver(g.translate(wmlc, resp))
 		}
 		if g.cfg.ProcessingDelay > 0 {
 			g.node.Sched().After(g.cfg.ProcessingDelay, work)
@@ -324,39 +324,75 @@ func (g *Gateway) serveMethod(m *wspMethod, respond func(any, int)) {
 	})
 }
 
+// Translation memo bounds: at most memoEntries translations of origin
+// bodies up to memoMaxBody bytes each. A full memo is emptied before the
+// next insert.
+const (
+	memoEntries = 32
+	memoMaxBody = 16 << 10
+)
+
+// transcodeKey is everything a translation depends on besides the
+// gateway's own configuration: the origin's content type and body, and
+// whether the reply is WMLC.
+type transcodeKey struct {
+	ct   string
+	body string
+	wmlc bool
+}
+
+// transcoded is one translation outcome: the reply, and the gateway
+// counter the translation step bumps (nil for broken WML).
+type transcoded struct {
+	rep   *wspReply
+	count *uint64
+}
+
 // translate converts an origin response into what the session's
-// microbrowser accepts.
-func (g *Gateway) translate(sess *gwSession, resp *webserver.Response) *wspReply {
+// microbrowser accepts (wmlc: it accepts WMLC). Translation is a pure
+// function of the memo key, so a hit returns the reply a fresh
+// translation would build and bumps the same counter. Replies are shared
+// between hits and with the response cache, and nothing writes to them.
+func (g *Gateway) translate(wmlc bool, resp *webserver.Response) *wspReply {
 	ct := resp.Header("content-type")
-	accepts := func(t string) bool {
-		for _, a := range sess.accept {
-			if a == t {
-				return true
-			}
-		}
-		return false
-	}
-	if resp.Status != 200 {
+	if resp.Status != 200 || (ct != webserver.TypeWML && ct != webserver.TypeHTML && ct != "") {
+		// Errors and opaque content (downloads) ship as is.
 		return &wspReply{Status: resp.Status, ContentType: ct, Payload: resp.Body}
 	}
-	var deck *markup.Deck
-	switch ct {
-	case webserver.TypeWML:
-		d, err := markup.ParseWML(string(resp.Body))
-		if err == nil {
-			g.stats.PassThroughs++
-			deck = d
+	wmlc = wmlc && g.cfg.BinaryEncoding
+	t, ok := g.memo[transcodeKey{ct, string(resp.Body), wmlc}]
+	if !ok {
+		t = g.transcode(ct, resp.Body, wmlc)
+		if len(resp.Body) <= memoMaxBody {
+			if len(g.memo) >= memoEntries {
+				clear(g.memo)
+			}
+			g.memo[transcodeKey{ct, string(resp.Body), wmlc}] = t
 		}
-	case webserver.TypeHTML, "":
-		g.stats.Translations++
-		deck = markup.HTMLToWML(markup.Parse(string(resp.Body)), g.cfg.MaxCardBytes)
 	}
-	if deck == nil {
-		// Not translatable (binary content, broken WML): ship raw bytes.
-		return &wspReply{Status: 200, ContentType: ct, Payload: resp.Body}
+	if t.count != nil {
+		*t.count++
 	}
-	if g.cfg.BinaryEncoding && accepts(webserver.TypeWMLC) {
-		return &wspReply{Status: 200, ContentType: webserver.TypeWMLC, Payload: markup.EncodeWMLC(deck)}
+	return t.rep
+}
+
+// transcode translates a 200 origin body of content type ct (WML, or
+// HTML when empty) to WMLC (wmlc) or WML.
+func (g *Gateway) transcode(ct string, body []byte, wmlc bool) transcoded {
+	var deck *markup.Deck
+	count := &g.stats.Translations
+	if ct == webserver.TypeWML {
+		d, err := markup.ParseWML(string(body))
+		if err != nil {
+			// Broken WML: ship the origin's bytes.
+			return transcoded{rep: &wspReply{Status: 200, ContentType: ct, Payload: body}}
+		}
+		deck, count = d, &g.stats.PassThroughs
+	} else {
+		deck = markup.HTMLToWML(markup.Parse(string(body)), g.cfg.MaxCardBytes)
 	}
-	return &wspReply{Status: 200, ContentType: webserver.TypeWML, Payload: []byte(deck.WML())}
+	if wmlc {
+		return transcoded{&wspReply{Status: 200, ContentType: webserver.TypeWMLC, Payload: markup.EncodeWMLC(deck)}, count}
+	}
+	return transcoded{&wspReply{Status: 200, ContentType: webserver.TypeWML, Payload: []byte(deck.WML())}, count}
 }

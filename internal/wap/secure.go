@@ -138,13 +138,13 @@ func (s *Session) openReply(result any) (any, error) {
 // serveSecure handles an encrypted PDU at the gateway: open, dispatch to
 // the plaintext handler, seal the reply.
 func (g *Gateway) serveSecure(m *wspSecure, respond func(any, int)) {
-	sess, ok := g.sessions[m.SessionID]
-	if !ok || sess.channel == nil {
+	ch, ok := g.channels[m.SessionID]
+	if !ok {
 		rep := &wspReply{Status: 403, ContentType: "text/plain", Payload: []byte("no secure session")}
 		respond(rep, pduBytes(rep))
 		return
 	}
-	plain, err := sess.channel.Open(m.Record)
+	plain, err := ch.Open(m.Record)
 	if err != nil {
 		// Tampered or replayed record: drop the transaction with an
 		// unencrypted error (the client's channel state is suspect).
@@ -168,7 +168,7 @@ func (g *Gateway) serveSecure(m *wspSecure, respond func(any, int)) {
 			respond(rep, pduBytes(rep))
 			return
 		}
-		wrapped := &wspSecureReply{Record: sess.channel.Seal(plainReply)}
+		wrapped := &wspSecureReply{Record: ch.Seal(plainReply)}
 		respond(wrapped, pduBytes(wrapped))
 	})
 }

@@ -22,6 +22,8 @@ type Session struct {
 func (s *Session) Secured() bool { return s.secure != nil }
 
 // Reply is a completed method's result as seen by the microbrowser.
+// Payload may share its bytes with the gateway's translation memo and
+// response cache, so it is read-only.
 type Reply struct {
 	Status      int
 	ContentType string

@@ -343,3 +343,65 @@ func TestGatewayOriginDown(t *testing.T) {
 		t.Errorf("status = %d, want 502", status)
 	}
 }
+
+// TestGatewayWMLCAndPlainSessions runs a WMLC session and a plain-WML
+// session side by side on one gateway, each fetching the same page twice,
+// so the second fetches hit the translation memo: each session must keep
+// getting its own encoding of the same deck.
+func TestGatewayWMLCAndPlainSessions(t *testing.T) {
+	w := newWAPTopo(t, 3, 0, wap.DefaultGatewayConfig())
+	ep := wap.NewWTPAny(w.mobile, wap.WTPConfig{})
+	var replies [2][]*wap.Reply
+	for i, accept := range [][]string{nil, {webserver.TypeWML}} {
+		wap.Connect(ep, w.gateway.Addr(), accept, func(s *wap.Session, err error) {
+			if err != nil {
+				t.Errorf("Connect: %v", err)
+				return
+			}
+			var get func()
+			get = func() {
+				s.Get(w.originURL("/shop"), func(rep *wap.Reply, err error) {
+					if err != nil {
+						t.Errorf("Get: %v", err)
+						return
+					}
+					if replies[i] = append(replies[i], rep); len(replies[i]) < 2 {
+						get()
+					}
+				})
+			}
+			get()
+		})
+	}
+	if err := w.net.Sched.RunFor(time.Minute); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	var wml []string
+	for i, want := range []string{webserver.TypeWMLC, webserver.TypeWML} {
+		if len(replies[i]) != 2 {
+			t.Fatalf("session %d got %d replies, want 2", i, len(replies[i]))
+		}
+		for _, rep := range replies[i] {
+			if rep.ContentType != want {
+				t.Fatalf("session %d got %s, want %s", i, rep.ContentType, want)
+			}
+			text := string(rep.Payload)
+			if want == webserver.TypeWMLC {
+				deck, err := markup.DecodeWMLC(rep.Payload)
+				if err != nil {
+					t.Fatalf("DecodeWMLC: %v", err)
+				}
+				text = deck.WML()
+			}
+			wml = append(wml, text)
+		}
+	}
+	for _, text := range wml[1:] {
+		if text != wml[0] {
+			t.Errorf("sessions got different decks:\n%s\n%s", wml[0], text)
+		}
+	}
+	if st := w.gateway.Stats(); st.Translations != 4 {
+		t.Errorf("gateway counted %d translations, want 4 (memo hits count)", st.Translations)
+	}
+}

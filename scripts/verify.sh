@@ -15,7 +15,8 @@
 # replicated data tier storm (mcload -sync) must dump the same totals and
 # state digest serial vs sharded. A bench gate checks, on medians of five
 # runs, the timing wheel's speedup over the reference heap and that the
-# webserver parser frames messages in linear time; ten-second fuzz
+# webserver parser frames messages in linear time, and caps the
+# allocs/op of one WAP and one i-mode transaction; ten-second fuzz
 # smokes run the parser against its reference oracle and the WMLC decoder
 # against its re-encoding fixpoint, and 20,000 WAP transactions on one
 # station check that sessions do not leak ports. The
@@ -63,9 +64,12 @@ rm -f /tmp/mc-trace-a.json /tmp/mc-trace-b.json
 # must frame a 4 KiB response in at least 0.01x the time of a 256 KiB
 # one (a quadratic parser measures about 0.001x). Each ratio compares
 # two benchmarks from the same run, on medians of five, so it holds on
-# any host.
-go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed' -count 5 \
-	-benchtime 200ms ./internal/simnet ./internal/webserver >/tmp/mc-bench-gate.txt
+# any host. One WAP and one i-mode transaction must stay under their
+# allocs/op ceilings (BenchmarkTxnWAP, BenchmarkTxnIMode), which do not
+# depend on the host either.
+go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkTxnWAP$|BenchmarkTxnIMode$' \
+	-count 5 -benchtime 200ms -benchmem ./internal/simnet ./internal/webserver ./internal/core \
+	>/tmp/mc-bench-gate.txt
 go run ./scripts/benchgate -baseline scripts/bench_baseline.json /tmp/mc-bench-gate.txt
 rm -f /tmp/mc-bench-gate.txt
 # Parser fuzz smoke: bounded native fuzzing of the webserver parser
