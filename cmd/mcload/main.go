@@ -8,7 +8,7 @@
 //	       [-users N] [-duration 2m] [-think 2s] [-seed N]
 //	       [-trace out.json] [-trace-sample N]
 //	       [-scale] [-gateways G] [-cells C] [-stations S] [-remote 1..1000]
-//	       [-sync] [-devices D] [-replicas R] [-policy P] [-fragile] [-no-chaos]
+//	       [-sync] [-devices D] [-replicas R] [-policy P] [-no-chaos]
 //	       [-write-mean D] [-sync-mean D]
 //	       [-shards N] [-cc reno|cubic] [-metrics]
 //	       [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
@@ -44,8 +44,10 @@
 // (log-shipping replication with quorum acks and lease failover) and
 // -cells cells of -devices virtual disconnected devices
 // (workload.SyncFlows) writing tentatively and syncing under the chaos
-// plan. -policy picks the server conflict rule; -fragile makes devices
-// roll back tentative writes on timeout — the lost-update baseline.
+// plan. -policy picks the server conflict rule: lww, server-wins, or
+// fragile, the lost-update baseline, under which devices also roll back
+// tentative writes on timeout. The tier has no merge func, so mcload
+// rejects mobiledb's merge policy when it validates flags.
 // Stdout (totals, lost-update count, convergence, state digest) is
 // byte-identical at any -shards value, which verify.sh checks.
 //
@@ -103,8 +105,7 @@ func run(args []string, w io.Writer) error {
 	sync := fs.Bool("sync", false, "run the replicated data tier storm: virtual disconnected devices syncing to per-cluster replica groups under the chaos plan")
 	devices := fs.Int("devices", 100, "with -sync, virtual devices per cell")
 	replicas := fs.Int("replicas", 2, "with -sync, replica nodes beside each cluster's primary")
-	policy := fs.String("policy", "lww", "with -sync, server conflict policy: lww, server-wins, merge, fragile")
-	fragile := fs.Bool("fragile", false, "with -sync, devices roll back tentative writes on timeout (the lost-update baseline)")
+	policy := fs.String("policy", "lww", "with -sync, server conflict policy: lww, server-wins, fragile (the lost-update baseline: devices also roll back tentative writes on timeout)")
 	noChaos := fs.Bool("no-chaos", false, "with -sync, skip the per-cluster fault plan")
 	writeMean := fs.Duration("write-mean", 2*time.Second, "with -sync, mean gap between a device's disconnected writes")
 	syncMean := fs.Duration("sync-mean", 4*time.Second, "with -sync, mean gap between a device's sync attempts")
@@ -144,19 +145,23 @@ func run(args []string, w io.Writer) error {
 	if (*sync || *scale) && (*remote < 1 || *remote > 1000) {
 		return fmt.Errorf("-remote must be in [1, 1000] per mille, got %d", *remote)
 	}
+	var pol mobiledb.Policy
+	if *sync {
+		var err error
+		pol, err = mobiledb.ParsePolicy(*policy)
+		if err != nil || pol == mobiledb.PolicyMerge {
+			return fmt.Errorf("-policy must be lww, server-wins or fragile, got %q", *policy)
+		}
+	}
 	if err := prof.Start(); err != nil {
 		return err
 	}
 	defer prof.Stop()
 	if *sync {
-		pol, err := mobiledb.ParsePolicy(*policy)
-		if err != nil {
-			return err
-		}
 		return runSync(syncOpts{
 			gateways: *gateways, cells: *cells, devices: *devices,
 			replicas: *replicas, remote: *remote,
-			policy: pol, fragile: *fragile, noChaos: *noChaos,
+			policy: pol, noChaos: *noChaos,
 			writeMean: *writeMean, syncMean: *syncMean,
 			duration: *duration, metrics: *withMetrics,
 			flags: flags,
@@ -309,13 +314,13 @@ func runScale(o scaleOpts, w io.Writer) error {
 
 // syncOpts is the resolved -sync flag set.
 type syncOpts struct {
-	gateways, cells, devices  int
-	replicas, remote          int
-	policy                    mobiledb.Policy
-	fragile, noChaos, metrics bool
-	writeMean, syncMean       time.Duration
-	duration                  time.Duration
-	flags                     *experiments.RunFlags
+	gateways, cells, devices int
+	replicas, remote         int
+	policy                   mobiledb.Policy
+	noChaos, metrics         bool
+	writeMean, syncMean      time.Duration
+	duration                 time.Duration
+	flags                    *experiments.RunFlags
 }
 
 // runSync builds and runs the replicated data tier storm. Stdout is
@@ -331,7 +336,6 @@ func runSync(o syncOpts, w io.Writer) error {
 		Replicas:        o.replicas,
 		RemotePerMille:  o.remote,
 		Policy:          o.policy,
-		Fragile:         o.fragile,
 		NoChaos:         o.noChaos,
 		WriteMean:       o.writeMean,
 		SyncMean:        o.syncMean,

@@ -54,6 +54,24 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
+// TestSyncRejectsMergePolicy pins that -policy merge, which the data
+// tier cannot run (it has no merge func), fails flag validation: before
+// the CPU profile starts and before any world is built.
+func TestSyncRejectsMergePolicy(t *testing.T) {
+	prof := filepath.Join(t.TempDir(), "cpu.out")
+	var out strings.Builder
+	err := run([]string{"-sync", "-policy", "merge", "-cpuprofile", prof}, &out)
+	if err == nil || !strings.Contains(err.Error(), "lww, server-wins or fragile") {
+		t.Fatalf("-sync -policy merge: err = %v, want the accepted policies named", err)
+	}
+	if _, err := os.Stat(prof); err == nil {
+		t.Error("CPU profile started: -policy merge was rejected after flag validation")
+	}
+	if out.Len() != 0 {
+		t.Errorf("-sync -policy merge wrote output:\n%s", out.String())
+	}
+}
+
 // TestFullFidelityMetrics pins that -metrics dumps the registry on the
 // full-fidelity tier too, through the same text dump as -scale and -sync.
 func TestFullFidelityMetrics(t *testing.T) {

@@ -50,7 +50,7 @@ func run() error {
 	for i := 0; i < devices; i++ {
 		nodes[i] = net.NewNode(fmt.Sprintf("handheld-%d", i))
 		st := lan.AddStation(nodes[i], wireless.Position{X: float64(i) * spacing})
-		r, err := adhoc.NewRouter(nodes[i], st.Radio(), adhoc.Config{})
+		r, err := adhoc.NewRouter(nodes[i], st.Radio())
 		if err != nil {
 			return err
 		}

@@ -16,34 +16,17 @@ var (
 	ErrNoRoute = errors.New("adhoc: no route to destination")
 )
 
-// Config tunes the router.
-type Config struct {
-	// RouteLifetime is how long an unused route stays valid. Zero means
-	// 30 s.
-	RouteLifetime time.Duration
-	// DiscoveryTimeout bounds one RREQ round. Zero means 2 s.
-	DiscoveryTimeout time.Duration
-	// DiscoveryRetries is how many RREQ rounds to attempt. Zero means 2.
-	DiscoveryRetries int
-	// MaxHops bounds flood depth and path length. Zero means 16.
-	MaxHops int
-}
-
-func (c Config) withDefaults() Config {
-	if c.RouteLifetime <= 0 {
-		c.RouteLifetime = 30 * time.Second
-	}
-	if c.DiscoveryTimeout <= 0 {
-		c.DiscoveryTimeout = 2 * time.Second
-	}
-	if c.DiscoveryRetries <= 0 {
-		c.DiscoveryRetries = 2
-	}
-	if c.MaxHops <= 0 {
-		c.MaxHops = 16
-	}
-	return c
-}
+// Router timing and limits.
+const (
+	// routeLifetime is how long an unused route stays valid.
+	routeLifetime = 30 * time.Second
+	// discoveryTimeout bounds one RREQ round.
+	discoveryTimeout = 2 * time.Second
+	// discoveryRetries is how many RREQ rounds to attempt.
+	discoveryRetries = 2
+	// maxHops bounds flood depth and path length.
+	maxHops = 16
+)
 
 // Stats counts router activity.
 type Stats struct {
@@ -106,7 +89,6 @@ type discovery struct {
 type Router struct {
 	node  *simnet.Node
 	radio *simnet.Iface
-	cfg   Config
 
 	routes      map[simnet.NodeID]*routeEntry
 	seen        map[floodKey]bool
@@ -119,11 +101,10 @@ type Router struct {
 // NewRouter attaches an ad hoc router to a station node; radio is the
 // node's ad hoc radio interface, on which the router transmits its
 // signalling and relayed frames directly.
-func NewRouter(node *simnet.Node, radio *simnet.Iface, cfg Config) (*Router, error) {
+func NewRouter(node *simnet.Node, radio *simnet.Iface) (*Router, error) {
 	r := &Router{
 		node:        node,
 		radio:       radio,
-		cfg:         cfg.withDefaults(),
 		routes:      make(map[simnet.NodeID]*routeEntry),
 		seen:        make(map[floodKey]bool),
 		discoveries: make(map[simnet.NodeID]*discovery),
@@ -191,7 +172,7 @@ func (r *Router) learn(dst, nextHop simnet.NodeID, hops int) {
 	}
 	e := r.liveRoute(dst)
 	if e == nil || hops <= e.hops {
-		r.routes[dst] = &routeEntry{nextHop: nextHop, hops: hops, expires: r.now() + r.cfg.RouteLifetime}
+		r.routes[dst] = &routeEntry{nextHop: nextHop, hops: hops, expires: r.now() + routeLifetime}
 	}
 }
 
@@ -232,12 +213,12 @@ func (r *Router) discover(dst simnet.NodeID, ps pendingSend) {
 }
 
 func (r *Router) armDiscoveryTimer(dst simnet.NodeID, d *discovery) {
-	d.timer = r.node.Sched().After(r.cfg.DiscoveryTimeout, func() {
+	d.timer = r.node.Sched().After(discoveryTimeout, func() {
 		if r.liveRoute(dst) != nil {
 			return // resolved concurrently
 		}
 		d.retries++
-		if d.retries >= r.cfg.DiscoveryRetries {
+		if d.retries >= discoveryRetries {
 			delete(r.discoveries, dst)
 			r.stats.FailedRoutes++
 			for _, ps := range d.queue {
@@ -265,7 +246,7 @@ func (r *Router) flood(dst simnet.NodeID) {
 // entry once the flood has died out (bounding the map on long runs).
 func (r *Router) markSeen(key floodKey) {
 	r.seen[key] = true
-	r.node.Sched().After(4*r.cfg.DiscoveryTimeout, func() {
+	r.node.Sched().After(4*discoveryTimeout, func() {
 		delete(r.seen, key)
 	})
 }
@@ -321,7 +302,7 @@ func (r *Router) onRREQ(prevHop simnet.NodeID, m *rreq) {
 		r.unicast(prevHop, &rrep{Origin: m.Origin, Dst: m.Dst, Hops: 0}, ctrlBytes)
 		return
 	}
-	if m.Hops+1 >= r.cfg.MaxHops {
+	if m.Hops+1 >= maxHops {
 		return
 	}
 	fwd := *m
@@ -377,7 +358,7 @@ func (r *Router) onData(m *dataMsg) {
 		r.node.Deliver(inner, nil)
 		return
 	}
-	if m.Hops+1 >= r.cfg.MaxHops {
+	if m.Hops+1 >= maxHops {
 		return
 	}
 	e := r.liveRoute(m.Dst)

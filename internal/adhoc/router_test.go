@@ -32,7 +32,7 @@ func newMesh(t testing.TB, seed int64, n int, spacing float64) *mesh {
 	for i := 0; i < n; i++ {
 		node := net.NewNode(fmt.Sprintf("dev-%d", i))
 		st := lan.AddStation(node, wireless.Position{X: float64(i) * spacing})
-		r, err := adhoc.NewRouter(node, st.Radio(), adhoc.Config{})
+		r, err := adhoc.NewRouter(node, st.Radio())
 		if err != nil {
 			t.Fatalf("router %d: %v", i, err)
 		}

@@ -33,23 +33,12 @@ type Config struct {
 	// CellRadius is the coverage radius of each base station in meters.
 	// Cellular coverage is far wider than WLAN (paper summary).
 	CellRadius float64
-	// CircuitSetup is the call-establishment latency for circuit-switched
-	// standards.
-	CircuitSetup time.Duration
-	// AttachLatency is the one-time attach cost for packet-switched
-	// standards, after which the mobile is "always-on".
-	AttachLatency time.Duration
 	// ChannelsPerCell is the number of circuit traffic channels per cell.
 	ChannelsPerCell int
-	// Propagation is the one-way air propagation delay (cells are km
-	// scale; includes base-station processing).
-	Propagation time.Duration
 	// BitErrorRate is the per-bit error probability.
 	BitErrorRate float64
 	// QueueLen is the packet-scheduler queue capacity per direction.
 	QueueLen int
-	// HandoffLatency is the blackout while a mobile changes cells.
-	HandoffLatency time.Duration
 	// DisableQoS turns off priority scheduling on 3G standards (the QoS
 	// ablation experiment).
 	DisableQoS bool
@@ -64,15 +53,26 @@ type Config struct {
 func DefaultConfig() Config {
 	return Config{
 		CellRadius:      5000,
-		CircuitSetup:    1200 * time.Millisecond,
-		AttachLatency:   500 * time.Millisecond,
 		ChannelsPerCell: 16,
-		Propagation:     5 * time.Millisecond,
 		BitErrorRate:    1e-6,
 		QueueLen:        simnet.DefaultQueueLen,
-		HandoffLatency:  300 * time.Millisecond,
 	}
 }
+
+// Cellular timing.
+const (
+	// circuitSetup is the call-establishment latency for circuit-switched
+	// standards.
+	circuitSetup = 1200 * time.Millisecond
+	// attachLatency is the one-time attach cost for packet-switched
+	// standards, after which the mobile is "always-on".
+	attachLatency = 500 * time.Millisecond
+	// propagation is the one-way air propagation delay (cells are km
+	// scale; includes base-station processing).
+	propagation = 5 * time.Millisecond
+	// handoffLatency is the blackout while a mobile changes cells.
+	handoffLatency = 300 * time.Millisecond
+)
 
 // frame is a queued transmission on a cell's shared packet channel.
 type frame struct {
@@ -132,7 +132,7 @@ func (x *xmitter) next() {
 			// f.p is already the frame's private clone (taken at enqueue,
 			// since the transmitting caller recycles its packet), so it is
 			// delivered directly.
-			s.After(x.net.cfg.Propagation, func() {
+			s.After(propagation, func() {
 				x.net.Delivered++
 				f.deliver(f.p)
 			})
@@ -355,7 +355,7 @@ func (m *Mobile) recamp() {
 	}
 	n.Handoffs++
 	m.blackout = true
-	n.sched.After(n.cfg.HandoffLatency, func() {
+	n.sched.After(handoffLatency, func() {
 		if m.cell == best {
 			complete()
 		}
@@ -387,7 +387,7 @@ func (m *Mobile) Attach(done func()) error {
 		}
 		return nil
 	}
-	m.net.sched.After(m.net.cfg.AttachLatency, func() {
+	m.net.sched.After(attachLatency, func() {
 		m.attached = true
 		if done != nil {
 			done()
@@ -423,7 +423,7 @@ func (m *Mobile) PlaceCall(done func()) error {
 	rate := m.net.std.DataRate
 	m.callDown = &xmitter{net: m.net, rate: rate}
 	m.callUp = &xmitter{net: m.net, rate: rate}
-	m.net.sched.After(m.net.cfg.CircuitSetup, func() {
+	m.net.sched.After(circuitSetup, func() {
 		if m.inCall && done != nil {
 			done()
 		}

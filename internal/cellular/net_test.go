@@ -81,8 +81,8 @@ func TestCircuitCallSetupThenData(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("delivered %d, want 1", got)
 	}
-	if setupDone != cfg.CircuitSetup {
-		t.Errorf("call setup at %v, want %v", setupDone, cfg.CircuitSetup)
+	if setupDone != circuitSetup {
+		t.Errorf("call setup at %v, want %v", setupDone, circuitSetup)
 	}
 	mob.HangUp()
 	if cell.CallsInUse() != 0 {
@@ -130,8 +130,8 @@ func TestPacketAttachThenAlwaysOn(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("delivered %d, want 1", got)
 	}
-	if attachedAt != cfg.AttachLatency {
-		t.Errorf("attach completed at %v, want %v", attachedAt, cfg.AttachLatency)
+	if attachedAt != attachLatency {
+		t.Errorf("attach completed at %v, want %v", attachedAt, attachLatency)
 	}
 	if !mob.Attached() {
 		t.Error("not always-on after attach")

@@ -26,13 +26,9 @@ type DataTierConfig struct {
 	// cluster has Replicas+1 members. Zero means 2 (a 3-way quorum).
 	Replicas int
 	// Policy is the conflict-resolution rule device syncs resolve under.
+	// The tier has no merge func, so mobiledb.NewServer rejects
+	// PolicyMerge.
 	Policy mobiledb.Policy
-	// Merge backs PolicyMerge; ignored otherwise.
-	Merge mobiledb.MergeFunc
-	// Repl overrides replication timing (Rank and Members are filled in).
-	Repl repl.Config
-	// Link overrides the replica-to-router segments; nil means simnet.LAN.
-	Link *simnet.LinkConfig
 }
 
 // DataTier is a replicated, disconnection-tolerant data tier: a primary
@@ -99,22 +95,13 @@ func BuildDataTier(net *simnet.Network, host *simnet.Node, router *simnet.Node, 
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 2
 	}
-	if cfg.Policy == mobiledb.PolicyMerge && cfg.Merge == nil {
-		return nil, errors.New("core: data tier merge policy needs a merge func")
-	}
-	link := simnet.LAN
-	if cfg.Link != nil {
-		link = *cfg.Link
-	}
 
 	dt := &DataTier{}
 	nodes := []*simnet.Node{host}
 	for i := 1; i <= cfg.Replicas; i++ {
 		nd := net.NewNode(fmt.Sprintf("%s-db%d", host.Name, i))
-		lcfg := link
-		if lcfg.Name == "" {
-			lcfg.Name = fmt.Sprintf("%s-dblink%d", host.Name, i)
-		}
+		lcfg := simnet.LAN
+		lcfg.Name = fmt.Sprintf("%s-dblink%d", host.Name, i)
 		l := simnet.Connect(nd, router, lcfg)
 		nd.SetDefaultRoute(l.IfaceA())
 		router.SetRoute(nd.ID, l.IfaceB())
@@ -128,16 +115,13 @@ func BuildDataTier(net *simnet.Network, host *simnet.Node, router *simnet.Node, 
 		addrs[i] = simnet.Addr{Node: nd.ID, Port: repl.Port}
 	}
 	for i, nd := range nodes {
-		rcfg := cfg.Repl
-		rcfg.Rank = i
-		rcfg.Members = addrs
 		name := fmt.Sprintf("%s-r%d", host.Name, i)
-		m, err := repl.New(nd, name, rcfg)
+		m, err := repl.New(nd, name, repl.Config{Rank: i, Members: addrs})
 		if err != nil {
 			return nil, fmt.Errorf("core: data tier member %d: %w", i, err)
 		}
 		dt.Members = append(dt.Members, m)
-		svc, err := NewSyncService(m, cfg.Policy, cfg.Merge)
+		svc, err := NewSyncService(m, cfg.Policy)
 		if err != nil {
 			return nil, fmt.Errorf("core: sync service %d: %w", i, err)
 		}
@@ -259,8 +243,8 @@ type SyncService struct {
 }
 
 // NewSyncService attaches a sync endpoint to a replication member.
-func NewSyncService(m *repl.Member, policy mobiledb.Policy, merge mobiledb.MergeFunc) (*SyncService, error) {
-	sv, err := mobiledb.NewServer(policy, DBBackend{DB: m.DB()}, merge)
+func NewSyncService(m *repl.Member, policy mobiledb.Policy) (*SyncService, error) {
+	sv, err := mobiledb.NewServer(policy, DBBackend{DB: m.DB()}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -57,7 +57,7 @@ func TestSyncServiceDropsHeldAcksOnDemotion(t *testing.T) {
 		if err != nil {
 			t.Fatalf("member %d: %v", i, err)
 		}
-		svc, err := NewSyncService(m, mobiledb.PolicyLWW, nil)
+		svc, err := NewSyncService(m, mobiledb.PolicyLWW)
 		if err != nil {
 			t.Fatalf("service %d: %v", i, err)
 		}

@@ -6,32 +6,12 @@ import (
 	"time"
 
 	"mcommerce/internal/core"
-	"mcommerce/internal/device"
 )
 
 func TestBuildMCUnknownBearer(t *testing.T) {
 	_, err := core.BuildMC(core.MCConfig{Seed: 1, Bearer: core.BearerKind(99)})
 	if err == nil || !strings.Contains(err.Error(), "unknown bearer") {
 		t.Fatalf("BuildMC with bogus bearer: err = %v, want unknown-bearer error", err)
-	}
-}
-
-func TestConnectWAPDisabledReturnsError(t *testing.T) {
-	mc, err := core.BuildMC(core.MCConfig{Seed: 1, DisableWAP: true})
-	if err != nil {
-		t.Fatalf("BuildMC: %v", err)
-	}
-	var got error
-	called := false
-	mc.Clients[0].ConnectWAP(func(_ *device.Browser, err error) {
-		called = true
-		got = err
-	})
-	if !called {
-		t.Fatal("ConnectWAP callback not invoked synchronously for disabled WAP")
-	}
-	if got == nil || !strings.Contains(got.Error(), "disabled") {
-		t.Fatalf("ConnectWAP with WAP disabled: err = %v, want disabled error", got)
 	}
 }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -36,40 +35,28 @@ type MCConfig struct {
 	// WLANStandard is the Table 4 standard for BearerWLAN (zero value
 	// means 802.11b, the paper's "most popular wireless network").
 	WLANStandard wireless.Standard
-	// WLANConfig overrides the radio model; nil means defaults.
-	WLANConfig *wireless.Config
 	// CellStandard is the Table 5 standard for BearerCellular (zero value
 	// means GPRS). Packet-switched mobiles are attached automatically;
 	// circuit-switched ones must PlaceCall.
 	CellStandard cellular.Standard
-	// CellConfig overrides the cellular model; nil means defaults.
-	CellConfig *cellular.Config
 	// Devices lists the mobile stations; nil means all of Table 2.
 	Devices []device.Profile
-	// DisableWAP / DisableIMode drop one of the two middlewares.
-	DisableWAP   bool
+	// DisableIMode drops the i-mode portal.
 	DisableIMode bool
 	// WAPConfig overrides gateway settings; nil means defaults.
 	WAPConfig *wap.GatewayConfig
-	// IModeConfig overrides portal settings; nil means zero config.
-	IModeConfig *imode.GatewayConfig
-	// WiredLAN and WiredWAN override the wired segments; nil means
-	// simnet.LAN / simnet.WAN.
-	WiredLAN, WiredWAN *simnet.LinkConfig
 	// TokenKey seeds the host's token authority.
 	TokenKey []byte
 	// CC selects the TCP congestion control algorithm for every endpoint
 	// the build creates — host web server, gateways and station stacks
 	// (mtcp.CCReno or mtcp.CCCubic; empty means Reno). An explicit
-	// WAPConfig/IModeConfig TCP.CC wins over this for that gateway.
+	// WAPConfig TCP.CC wins over this for the WAP gateway.
 	CC string
 	// DBReplicas attaches a replicated data tier: that many replica nodes
 	// beside the primary member on the host node (the cluster has
-	// DBReplicas+1 members). Zero means no data tier.
+	// DBReplicas+1 members). Zero means no data tier. The tier resolves
+	// conflicts last-writer-wins.
 	DBReplicas int
-	// DBPolicy is the data tier's conflict-resolution rule (zero value is
-	// last-writer-wins). Only meaningful with DBReplicas > 0.
-	DBPolicy mobiledb.Policy
 }
 
 // MobileClient is one mobile station inside a built MC system, with its
@@ -109,10 +96,6 @@ func (m *MobileClient) BrowserIMode() *device.Browser {
 // ConnectWAP establishes a WSP session and hands back a microbrowser over
 // the WAP middleware.
 func (m *MobileClient) ConnectWAP(done func(*device.Browser, error)) {
-	if m.sys.WAP == nil {
-		done(nil, errors.New("core: WAP middleware disabled"))
-		return
-	}
 	wap.Connect(m.WTP(), m.sys.WAP.Addr(), nil,
 		func(s *wap.Session, err error) {
 			if err != nil {
@@ -198,19 +181,9 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	router := net.NewNode("wired-router")
 	router.Forwarding = true
 	lanCfg := simnet.LAN
-	if cfg.WiredLAN != nil {
-		lanCfg = *cfg.WiredLAN
-	}
+	lanCfg.Name = "lan"
 	wanCfg := simnet.WAN
-	if cfg.WiredWAN != nil {
-		wanCfg = *cfg.WiredWAN
-	}
-	if lanCfg.Name == "" {
-		lanCfg.Name = "lan"
-	}
-	if wanCfg.Name == "" {
-		wanCfg.Name = "wan"
-	}
+	wanCfg.Name = "wan"
 	lan := simnet.Connect(host.Node, router, lanCfg)
 	host.Node.SetDefaultRoute(lan.IfaceA())
 
@@ -230,7 +203,7 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	if cfg.DBReplicas > 0 {
 		dt, err := BuildDataTier(net, host.Node, router, DataTierConfig{
 			Replicas: cfg.DBReplicas,
-			Policy:   cfg.DBPolicy,
+			Policy:   mobiledb.PolicyLWW,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: data tier: %w", err)
@@ -246,29 +219,20 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: gateway stack: %w", err)
 	}
-	if !cfg.DisableWAP {
-		wcfg := wap.DefaultGatewayConfig()
-		if cfg.WAPConfig != nil {
-			wcfg = *cfg.WAPConfig
-		}
-		if wcfg.TCP.CC == "" {
-			wcfg.TCP.CC = cfg.CC
-		}
-		mc.wapCfg = wcfg
-		mc.WAP, err = wap.NewGatewayWithStack(gw, gwStack, wcfg)
-		if err != nil {
-			return nil, fmt.Errorf("core: wap gateway: %w", err)
-		}
+	wcfg := wap.DefaultGatewayConfig()
+	if cfg.WAPConfig != nil {
+		wcfg = *cfg.WAPConfig
+	}
+	if wcfg.TCP.CC == "" {
+		wcfg.TCP.CC = cfg.CC
+	}
+	mc.wapCfg = wcfg
+	mc.WAP, err = wap.NewGatewayWithStack(gw, gwStack, wcfg)
+	if err != nil {
+		return nil, fmt.Errorf("core: wap gateway: %w", err)
 	}
 	if !cfg.DisableIMode {
-		icfg := imode.GatewayConfig{}
-		if cfg.IModeConfig != nil {
-			icfg = *cfg.IModeConfig
-		}
-		if icfg.TCP.CC == "" {
-			icfg.TCP.CC = cfg.CC
-		}
-		mc.IMode, err = imode.NewGatewayWithStack(gw, gwStack, icfg)
+		mc.IMode, err = imode.NewGatewayWithStack(gw, gwStack, imode.GatewayConfig{TCP: tcp})
 		if err != nil {
 			return nil, fmt.Errorf("core: imode gateway: %w", err)
 		}
@@ -277,18 +241,10 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 	// Wireless networks: the gateway node doubles as AP or base station.
 	switch cfg.Bearer {
 	case BearerWLAN:
-		wcfg := wireless.DefaultConfig()
-		if cfg.WLANConfig != nil {
-			wcfg = *cfg.WLANConfig
-		}
-		mc.WLAN = wireless.NewLAN(net, cfg.WLANStandard, wcfg)
+		mc.WLAN = wireless.NewLAN(net, cfg.WLANStandard, wireless.DefaultConfig())
 		mc.WLAN.AddAP(gw, wireless.Position{})
 	case BearerCellular:
-		ccfg := cellular.DefaultConfig()
-		if cfg.CellConfig != nil {
-			ccfg = *cfg.CellConfig
-		}
-		mc.Cell = cellular.New(net, cfg.CellStandard, ccfg)
+		mc.Cell = cellular.New(net, cfg.CellStandard, cellular.DefaultConfig())
 		mc.Cell.AddCell(gw, wireless.Position{})
 	default:
 		return nil, fmt.Errorf("core: unknown bearer %d", cfg.Bearer)
@@ -340,15 +296,10 @@ func (mc *MC) buildModelGraph() {
 		bearer = s.Add(KindWirelessNetwork, "cellular ("+mc.Cell.Standard().Name+")", mc.Cell)
 	}
 
-	var mw []*Component
-	if mc.WAP != nil {
-		mw = append(mw, s.Add(KindMiddleware, "WAP gateway", mc.WAP))
-	}
+	mw := []*Component{s.Add(KindMiddleware, "WAP gateway", mc.WAP)}
 	if mc.IMode != nil {
 		c := s.Add(KindMiddleware, "i-mode portal", mc.IMode)
-		if mc.WAP != nil {
-			c.Optional = true // the second middleware is the dashed box
-		}
+		c.Optional = true // the second middleware is the dashed box
 		mw = append(mw, c)
 	}
 
@@ -437,9 +388,6 @@ type ECConfig struct {
 	Clients int
 	// TokenKey seeds the host's token authority.
 	TokenKey []byte
-	// CC selects the TCP congestion control algorithm for the host and
-	// clients (empty means Reno).
-	CC string
 }
 
 // ECClient is one desktop client computer in the EC baseline.
@@ -473,7 +421,7 @@ func BuildEC(cfg ECConfig) (*EC, error) {
 	ec := &EC{Net: net, Sys: NewSystem(ModelEC)}
 	ec.txn = net.Metrics.Scope("core.txn").Histogram("ec.latency")
 
-	host, err := NewHost(net, "host", cfg.TokenKey, mtcp.Options{CC: cfg.CC})
+	host, err := NewHost(net, "host", cfg.TokenKey, mtcp.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -499,7 +447,7 @@ func BuildEC(cfg ECConfig) (*EC, error) {
 		}
 		ec.Clients = append(ec.Clients, &ECClient{
 			Node: node,
-			HTTP: webserver.NewClient(stack, mtcp.Options{CC: cfg.CC}),
+			HTTP: webserver.NewClient(stack, mtcp.Options{}),
 		})
 	}
 

@@ -51,7 +51,7 @@ func adhocRun(seed int64, hops int) (goodputBps float64, httpLat time.Duration) 
 	for i := 0; i < n; i++ {
 		nodes[i] = net.NewNode(fmt.Sprintf("dev-%d", i))
 		st := lan.AddStation(nodes[i], wireless.Position{X: float64(i) * 80})
-		r, err := adhoc.NewRouter(nodes[i], st.Radio(), adhoc.Config{})
+		r, err := adhoc.NewRouter(nodes[i], st.Radio())
 		if err != nil {
 			return 0, 0
 		}

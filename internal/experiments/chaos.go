@@ -31,11 +31,7 @@ const chaosHorizon = 60 * time.Second
 func ChaosTargets(mc *core.MC, in *faults.Injector) {
 	in.RegisterLink("lan", mc.LANLink)
 	in.RegisterLink("wan", mc.WANLink)
-	var onCrash func()
-	if mc.WAP != nil {
-		onCrash = mc.WAP.Crash
-	}
-	in.RegisterNode("gateway", mc.GatewayNode, onCrash, nil)
+	in.RegisterNode("gateway", mc.GatewayNode, mc.WAP.Crash, nil)
 	dt := mc.DataTier
 	if dt == nil {
 		in.RegisterNode("host", mc.Host.Node, nil, nil)

@@ -40,12 +40,17 @@ type ScaleConfig struct {
 	// host instead of the local one (default 200).
 	RemotePerMille int
 	ThinkMean      time.Duration // default 2s
-	Timeout        time.Duration // default 10s
 	Duration       time.Duration // virtual horizon (default 30s)
 	Workers        int           // worker lanes for Run (default 1)
-	ReqBytes       int           // default 256
-	RespBytes      int           // default 1024
 }
+
+// Scale flow sizing: an operation is a scaleReqBytes request answered by
+// a scaleRespBytes response, abandoned after scaleTimeout.
+const (
+	scaleTimeout   = 10 * time.Second
+	scaleReqBytes  = 256
+	scaleRespBytes = 1024
+)
 
 func (c *ScaleConfig) defaults() {
 	if c.Gateways <= 0 {
@@ -63,20 +68,11 @@ func (c *ScaleConfig) defaults() {
 	if c.ThinkMean <= 0 {
 		c.ThinkMean = 2 * time.Second
 	}
-	if c.Timeout <= 0 {
-		c.Timeout = 10 * time.Second
-	}
 	if c.Duration <= 0 {
 		c.Duration = 30 * time.Second
 	}
 	if c.Workers <= 0 {
 		c.Workers = 1
-	}
-	if c.ReqBytes <= 0 {
-		c.ReqBytes = 256
-	}
-	if c.RespBytes <= 0 {
-		c.RespBytes = 1024
 	}
 }
 
@@ -143,7 +139,7 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 	sw.Echos = make([]*workload.Echo, G)
 	sw.Flows = make([][]*workload.Flows, G)
 	for c := 0; c < G; c++ {
-		e, err := workload.ServeEcho(sw.Hosts[c], hostKey(c), cfg.RespBytes)
+		e, err := workload.ServeEcho(sw.Hosts[c], hostKey(c), scaleRespBytes)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: echo %d: %w", c, err)
 		}
@@ -167,8 +163,8 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 					return local
 				},
 				ThinkMean: cfg.ThinkMean,
-				ReqBytes:  cfg.ReqBytes,
-				Timeout:   cfg.Timeout,
+				ReqBytes:  scaleReqBytes,
+				Timeout:   scaleTimeout,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: flows %d.%d: %w", c, j, err)

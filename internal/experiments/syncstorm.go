@@ -41,13 +41,13 @@ type SyncStormConfig struct {
 	// (default 100; forced 0 with one gateway).
 	RemotePerMille int
 
-	Policy  mobiledb.Policy // server conflict rule (default LWW)
-	Fragile bool            // device-side rollback-on-timeout baseline
+	// Policy is the server conflict rule (default LWW). PolicyFragile
+	// also makes devices roll back on a timed-out sync: the fragile
+	// baseline.
+	Policy mobiledb.Policy
 
-	WriteMean  time.Duration // default 2s
-	SyncMean   time.Duration // default 4s
-	Timeout    time.Duration // default 3s
-	SharedKeys int           // hot shared keys per tier (default 8)
+	WriteMean time.Duration // default 2s
+	SyncMean  time.Duration // default 4s
 
 	Duration time.Duration // chaos + load horizon (default 40s)
 	// ConvergeGrace bounds the post-horizon wait for tier convergence
@@ -57,6 +57,13 @@ type SyncStormConfig struct {
 	Workers int  // worker lanes (default 1; any value, same bytes)
 	NoChaos bool // skip the fault plan (calibration runs)
 }
+
+// Device sync sizing: a session is abandoned after stormTimeout, and
+// each tier has stormSharedKeys hot shared keys.
+const (
+	stormTimeout    = 3 * time.Second
+	stormSharedKeys = 8
+)
 
 func (c *SyncStormConfig) defaults() {
 	if c.Gateways <= 0 {
@@ -82,12 +89,6 @@ func (c *SyncStormConfig) defaults() {
 	}
 	if c.SyncMean <= 0 {
 		c.SyncMean = 4 * time.Second
-	}
-	if c.Timeout <= 0 {
-		c.Timeout = 3 * time.Second
-	}
-	if c.SharedKeys <= 0 {
-		c.SharedKeys = 8
 	}
 	if c.Duration <= 0 {
 		c.Duration = 40 * time.Second
@@ -200,8 +201,8 @@ func BuildSyncStorm(cfg SyncStormConfig) (*SyncStormWorld, error) {
 		for j := 0; j < C; j++ {
 			fcfg := workload.SyncFlowConfig{
 				Devices: nLocal, FirstPort: 1000, Tier: sw.Tiers[c].Addrs(),
-				WriteMean: cfg.WriteMean, SyncMean: cfg.SyncMean, Timeout: cfg.Timeout,
-				SharedKeys: cfg.SharedKeys, Fragile: cfg.Fragile,
+				WriteMean: cfg.WriteMean, SyncMean: cfg.SyncMean, Timeout: stormTimeout,
+				SharedKeys: stormSharedKeys, Fragile: cfg.Policy == mobiledb.PolicyFragile,
 			}
 			f, err := workload.NewSyncFlows(sw.Cells[c][j], fmt.Sprintf("s%d.%d", c, j), fcfg)
 			if err != nil {
@@ -370,56 +371,47 @@ func SyncStorm(seed int64) *Result {
 	r := newResult("syncstorm",
 		"disconnected-device sync under chaos: resilient policies vs fragile baseline",
 		"tier", "devices", "writes", "confirmed", "conflicts", "timeouts", "lost", "converged", "SLO violations")
-	rows := []struct {
-		name    string
-		policy  mobiledb.Policy
-		fragile bool
-	}{
-		{"lww", mobiledb.PolicyLWW, false},
-		{"server-wins", mobiledb.PolicyServerWins, false},
-		{"fragile", mobiledb.PolicyFragile, true},
-	}
-	for _, row := range rows {
+	for _, policy := range []mobiledb.Policy{mobiledb.PolicyLWW, mobiledb.PolicyServerWins, mobiledb.PolicyFragile} {
+		name := policy.String()
 		sw, err := BuildSyncStorm(SyncStormConfig{
-			Seed: seed, Policy: row.policy, Fragile: row.fragile,
-			Workers: Workers,
+			Seed: seed, Policy: policy, Workers: Workers,
 		})
 		if err != nil {
-			r.Note("%s: build failed: %v", row.name, err)
+			r.Note("%s: build failed: %v", name, err)
 			continue
 		}
 		tl := obs.NewTimeline(TimelineInterval)
 		tl.AttachSharded(sw.World)
 		rep, err := sw.Run()
 		if err != nil {
-			r.Note("%s: run failed: %v", row.name, err)
+			r.Note("%s: run failed: %v", name, err)
 			continue
 		}
 		for _, in := range sw.Injectors {
 			tl.IngestFaults(in)
 		}
 		slo := obs.Evaluate(tl, obs.DefaultRules("syncstorm"))
-		r.AttachSLO(row.name, slo)
-		writeTimeline(r, timelineTag("syncstorm", row.name), tl, slo)
+		r.AttachSLO(name, slo)
+		writeTimeline(r, timelineTag("syncstorm", name), tl, slo)
 		conv := "no"
 		if rep.Converged {
 			conv = fmt.Sprintf("+%v", rep.ConvergeAfter)
 		}
-		r.AddRow(row.name, fmt.Sprint(rep.Devices), fmt.Sprint(rep.Writes),
+		r.AddRow(name, fmt.Sprint(rep.Devices), fmt.Sprint(rep.Writes),
 			fmt.Sprint(rep.Confirmed), fmt.Sprint(rep.Conflicts),
 			fmt.Sprint(rep.Timeouts), fmt.Sprint(rep.Lost()), conv, sloCell(slo))
-		r.Set(row.name+"/lost", float64(rep.Lost()))
-		r.Set(row.name+"/confirmed", float64(rep.Confirmed))
-		r.Set(row.name+"/conflicts", float64(rep.Conflicts))
+		r.Set(name+"/lost", float64(rep.Lost()))
+		r.Set(name+"/confirmed", float64(rep.Confirmed))
+		r.Set(name+"/conflicts", float64(rep.Conflicts))
 		casc, migr := sw.World.WheelStats()
-		r.Set(row.name+"/wheel_cascades", float64(casc))
-		r.Set(row.name+"/wheel_overflow_migrations", float64(migr))
+		r.Set(name+"/wheel_cascades", float64(casc))
+		r.Set(name+"/wheel_overflow_migrations", float64(migr))
 		converged := 0.0
 		if rep.Converged {
 			converged = 1
 		}
-		r.Set(row.name+"/converged", converged)
-		if row.name == "lww" {
+		r.Set(name+"/converged", converged)
+		if name == "lww" {
 			r.AttachMetrics("syncstorm", sw.World.Snapshot())
 		}
 	}

@@ -55,7 +55,6 @@ func TestSyncStormResilientZeroLoss(t *testing.T) {
 func TestSyncStormFragileLosesWrites(t *testing.T) {
 	cfg := stormCfg(7)
 	cfg.Policy = mobiledb.PolicyFragile
-	cfg.Fragile = true
 	sw, err := BuildSyncStorm(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"time"
 
 	"mcommerce/internal/markup"
 	"mcommerce/internal/metrics"
@@ -37,8 +36,6 @@ type GatewayConfig struct {
 	// TCP configures both the mobile-facing listener and origin
 	// connections.
 	TCP mtcp.Options
-	// ProcessingDelay models the portal's cHTML filtering CPU time.
-	ProcessingDelay time.Duration
 }
 
 // GatewayStats counts portal activity.
@@ -134,15 +131,8 @@ func (g *Gateway) proxy(req *webserver.Request, respond func(*webserver.Response
 			return
 		}
 		g.stats.BytesFromOrigin += uint64(len(resp.Body))
-		finish := func() {
-			tr.Finish(span)
-			respond(g.filter(resp))
-		}
-		if g.cfg.ProcessingDelay > 0 {
-			g.node.Sched().After(g.cfg.ProcessingDelay, finish)
-		} else {
-			finish()
-		}
+		tr.Finish(span)
+		respond(g.filter(resp))
 	})
 }
 

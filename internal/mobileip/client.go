@@ -38,9 +38,10 @@ type Config struct {
 }
 
 // Client runs on a mobile node and manages its registration state. It does
-// not detect movement itself; link layers (wireless.Config.OnAssociate,
-// cellular.Config.OnAssociate) call Register when the point of attachment
-// changes.
+// not detect movement itself: its owner calls Register when the point of
+// attachment changes. Only tests call it from a link layer, through the
+// wireless.Config.OnAssociate and cellular.Config.OnAssociate hooks;
+// examples/roaming calls it directly after switching links.
 type Client struct {
 	node *simnet.Node
 	cfg  Config

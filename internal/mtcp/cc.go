@@ -27,7 +27,7 @@ type CongestionControl interface {
 	// OnDupAck inflates the window for a duplicate ACK received during
 	// fast recovery (each dup means one segment left the network).
 	OnDupAck()
-	// OnEnterRecovery begins fast recovery after DupAckThreshold
+	// OnEnterRecovery begins fast recovery after dupAckThreshold
 	// duplicates; flight is the bytes outstanding at the loss signal.
 	OnEnterRecovery(flight int, now time.Duration)
 	// OnPartialAck deflates the window by the bytes a NewReno partial
@@ -81,9 +81,9 @@ type renoCC struct {
 func newReno(o Options) *renoCC {
 	return &renoCC{
 		mss:      float64(o.MSS),
-		initWnd:  float64(o.MSS * o.InitialCwndSegs),
+		initWnd:  float64(o.MSS * initialCwndSegs),
 		initSsth: float64(o.RcvWnd),
-		dupInfl:  float64(o.DupAckThreshold * o.MSS),
+		dupInfl:  float64(dupAckThreshold * o.MSS),
 	}
 }
 

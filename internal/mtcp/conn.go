@@ -100,7 +100,7 @@ func newConn(s *Stack, local simnet.Port, remote simnet.Addr, opts Options) *Con
 		state:     stateClosed,
 		statefn:   stateHandlers[stateClosed],
 		ctx:       s.node.Network().Tracer.Current(),
-		peerWnd:   opts.MSS * opts.InitialCwndSegs,
+		peerWnd:   opts.MSS * initialCwndSegs,
 		cc:        newCongestionControl(opts),
 		rto:       opts.RTOInitial,
 		ooo:       make(map[uint32]*Segment),
@@ -269,7 +269,7 @@ func (c *Conn) Abort() {
 // SignalReconnect implements the fast-retransmission-after-handoff scheme
 // of Caceres & Iftode [2]: call it when the mobile's link-layer reports
 // that a handoff completed. Acting as receiver, the connection immediately
-// emits DupAckThreshold duplicate ACKs so the remote sender fast-retransmits
+// emits dupAckThreshold duplicate ACKs so the remote sender fast-retransmits
 // instead of idling out its (possibly backed-off) RTO; acting as sender, it
 // retransmits the oldest unacknowledged segment at once with a fresh timer.
 func (c *Conn) SignalReconnect() {
@@ -279,7 +279,7 @@ func (c *Conn) SignalReconnect() {
 	// Receiver role: provoke the peer's fast retransmit. One extra
 	// duplicate covers the case where the peer lost our latest
 	// cumulative ACK in the blackout and consumes the first as new.
-	for i := 0; i < c.opts.DupAckThreshold+1; i++ {
+	for i := 0; i < dupAckThreshold+1; i++ {
 		c.sendAck()
 		c.stats.DupAcksSent++
 		c.stack.m.dupAcksSent.Inc()
@@ -524,8 +524,8 @@ func (c *Conn) currentRTOBase() time.Duration {
 	if rto < c.opts.RTOMin {
 		rto = c.opts.RTOMin
 	}
-	if rto > c.opts.RTOMax {
-		rto = c.opts.RTOMax
+	if rto > rtoMax {
+		rto = rtoMax
 	}
 	return rto
 }
@@ -589,8 +589,8 @@ func (c *Conn) onRTO() {
 	c.dupAcks = 0
 	c.inRecovery = false
 	c.rto *= 2
-	if c.rto > c.opts.RTOMax {
-		c.rto = c.opts.RTOMax
+	if c.rto > rtoMax {
+		c.rto = rtoMax
 	}
 	if c.open() {
 		// Go-back-N: rewind the send pointer so the ACK clock
@@ -920,7 +920,7 @@ func (c *Conn) processAck(seg *Segment) {
 			c.cc.OnDupAck()
 			c.syncCwnd()
 			c.trySend()
-		} else if c.dupAcks == c.opts.DupAckThreshold {
+		} else if c.dupAcks == dupAckThreshold {
 			c.fastRetransmit()
 		}
 	}

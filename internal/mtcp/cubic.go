@@ -42,9 +42,9 @@ type cubicCC struct {
 func newCubic(o Options) *cubicCC {
 	return &cubicCC{
 		mss:      float64(o.MSS),
-		initWnd:  float64(o.MSS * o.InitialCwndSegs),
+		initWnd:  float64(o.MSS * initialCwndSegs),
 		initSsth: float64(o.RcvWnd),
-		dupInfl:  float64(o.DupAckThreshold * o.MSS),
+		dupInfl:  float64(dupAckThreshold * o.MSS),
 	}
 }
 

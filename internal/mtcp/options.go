@@ -16,22 +16,14 @@ type Options struct {
 	MSS int
 	// RcvWnd is the advertised receive window in bytes. Default 256 KiB.
 	RcvWnd int
-	// InitialCwndSegs is the initial congestion window in segments.
-	// Default 2.
-	InitialCwndSegs int
 	// RTOInitial is the retransmission timeout before any RTT sample.
 	// Default 1s.
 	RTOInitial time.Duration
 	// RTOMin bounds the computed RTO from below. Default 200ms.
 	RTOMin time.Duration
-	// RTOMax bounds the backed-off RTO from above. Default 30s.
-	RTOMax time.Duration
 	// MaxRetries is the number of consecutive timeouts on one segment
 	// before the connection aborts. Default 12.
 	MaxRetries int
-	// DupAckThreshold is the duplicate-ACK count that triggers fast
-	// retransmit. Default 3.
-	DupAckThreshold int
 	// NewReno enables NewReno partial-ACK recovery (RFC 6582): the sender
 	// stays in fast recovery until the entire window outstanding at the
 	// loss is acknowledged, retransmitting one segment per partial ACK.
@@ -59,18 +51,26 @@ type Options struct {
 // DefaultOptions returns the defaults used when Options fields are zero.
 func DefaultOptions() Options {
 	return Options{
-		MSS:             1400,
-		RcvWnd:          256 << 10,
-		InitialCwndSegs: 2,
-		RTOInitial:      time.Second,
-		RTOMin:          200 * time.Millisecond,
-		RTOMax:          30 * time.Second,
-		MaxRetries:      12,
-		DupAckThreshold: 3,
-		CC:              CCReno,
-		MSL:             2 * time.Second,
+		MSS:        1400,
+		RcvWnd:     256 << 10,
+		RTOInitial: time.Second,
+		RTOMin:     200 * time.Millisecond,
+		MaxRetries: 12,
+		CC:         CCReno,
+		MSL:        2 * time.Second,
 	}
 }
+
+// Fixed connection parameters.
+const (
+	// initialCwndSegs is the initial congestion window in segments.
+	initialCwndSegs = 2
+	// rtoMax bounds the backed-off RTO from above.
+	rtoMax = 30 * time.Second
+	// dupAckThreshold is the duplicate-ACK count that triggers fast
+	// retransmit.
+	dupAckThreshold = 3
+)
 
 // withDefaults fills zero fields from DefaultOptions.
 func (o Options) withDefaults() Options {
@@ -81,23 +81,14 @@ func (o Options) withDefaults() Options {
 	if o.RcvWnd <= 0 {
 		o.RcvWnd = d.RcvWnd
 	}
-	if o.InitialCwndSegs <= 0 {
-		o.InitialCwndSegs = d.InitialCwndSegs
-	}
 	if o.RTOInitial <= 0 {
 		o.RTOInitial = d.RTOInitial
 	}
 	if o.RTOMin <= 0 {
 		o.RTOMin = d.RTOMin
 	}
-	if o.RTOMax <= 0 {
-		o.RTOMax = d.RTOMax
-	}
 	if o.MaxRetries <= 0 {
 		o.MaxRetries = d.MaxRetries
-	}
-	if o.DupAckThreshold <= 0 {
-		o.DupAckThreshold = d.DupAckThreshold
 	}
 	if o.CC == "" {
 		o.CC = d.CC

@@ -42,39 +42,25 @@ type Config struct {
 	// Members lists every member's address in rank order, identical on
 	// all members.
 	Members []simnet.Addr
-	// Heartbeat is the primary's ship/keepalive interval.
-	Heartbeat time.Duration
-	// Lease is the base follower lease: a follower that hears nothing
-	// from a primary for Lease + Rank*Stagger becomes a candidate. The
-	// rank stagger makes concurrent expirations — and therefore the
-	// failover winner — deterministic.
-	Lease time.Duration
-	// Stagger is the per-rank lease spread.
-	Stagger time.Duration
-	// SyncDelay is the simulated fsync latency: a record is acknowledged
-	// (and counts toward quorum) only SyncDelay after it was written.
-	SyncDelay time.Duration
-	// BatchMax bounds records per ship message.
-	BatchMax int
 }
 
-func (c *Config) defaults() {
-	if c.Heartbeat <= 0 {
-		c.Heartbeat = 100 * time.Millisecond
-	}
-	if c.Lease <= 0 {
-		c.Lease = 400 * time.Millisecond
-	}
-	if c.Stagger <= 0 {
-		c.Stagger = 50 * time.Millisecond
-	}
-	if c.SyncDelay <= 0 {
-		c.SyncDelay = 2 * time.Millisecond
-	}
-	if c.BatchMax <= 0 {
-		c.BatchMax = 64
-	}
-}
+// Replication timing and batching.
+const (
+	// heartbeat is the primary's ship/keepalive interval.
+	heartbeat = 100 * time.Millisecond
+	// lease is the base follower lease: a follower that hears nothing
+	// from a primary for lease + Rank*stagger becomes a candidate. The
+	// rank stagger makes concurrent expirations — and therefore the
+	// failover winner — deterministic.
+	lease = 400 * time.Millisecond
+	// stagger is the per-rank lease spread.
+	stagger = 50 * time.Millisecond
+	// syncDelay is the simulated fsync latency: a record is acknowledged
+	// (and counts toward quorum) only syncDelay after it was written.
+	syncDelay = 2 * time.Millisecond
+	// batchMax bounds records per ship message.
+	batchMax = 64
+)
 
 // Member roles.
 const (
@@ -121,7 +107,7 @@ type voteResp struct {
 // bytes. Fsyncs group-commit — one in-flight fsync covers every record
 // written before it was armed, and writes landing while it runs ride the
 // next one — so durability throughput does not collapse to one record
-// per SyncDelay under a write storm.
+// per syncDelay under a write storm.
 type syncMark struct {
 	Recs, Bytes int
 }
@@ -187,7 +173,6 @@ func (d *walDisk) Write(p []byte) (int, error) {
 // its DB replicate to the others as WAL records. name scopes metrics under
 // core.db.repl.<name>.
 func New(nd *simnet.Node, name string, cfg Config) (*Member, error) {
-	cfg.defaults()
 	if cfg.Rank < 0 || cfg.Rank >= len(cfg.Members) {
 		return nil, fmt.Errorf("repl: rank %d outside member list of %d", cfg.Rank, len(cfg.Members))
 	}
@@ -290,7 +275,7 @@ func (m *Member) noteAppend(rec database.LogRecord, walLen int) {
 	m.syncNewest = syncMark{Recs: walLen, Bytes: len(m.disk.buf)}
 	if !m.syncT.Pending() {
 		m.syncArmed = m.syncNewest
-		m.syncT = m.sched().AfterCall(m.cfg.SyncDelay, memberSyncDone, m)
+		m.syncT = m.sched().AfterCall(syncDelay, memberSyncDone, m)
 	}
 	if m.role == roleLeader && !m.shipQueued {
 		m.shipQueued = true
@@ -314,7 +299,7 @@ func (m *Member) syncDone() {
 	m.syncedRecs, m.syncedBytes = m.syncArmed.Recs, m.syncArmed.Bytes
 	if m.syncNewest.Recs > m.syncedRecs {
 		m.syncArmed = m.syncNewest
-		m.syncT = m.sched().AfterCall(m.cfg.SyncDelay, memberSyncDone, m)
+		m.syncT = m.sched().AfterCall(syncDelay, memberSyncDone, m)
 	}
 	if m.role == roleLeader {
 		m.recomputeCommit()
@@ -337,7 +322,7 @@ func (m *Member) ackIdx() int { return min(m.syncedRecs, m.matchIdx) }
 // resetLease (re)arms the follower lease timer.
 func (m *Member) resetLease() {
 	m.leaseT.Cancel()
-	d := m.cfg.Lease + time.Duration(m.cfg.Rank)*m.cfg.Stagger
+	d := lease + time.Duration(m.cfg.Rank)*stagger
 	m.leaseT = m.sched().AfterCall(d, memberLease, m)
 }
 
@@ -416,7 +401,7 @@ func (m *Member) heartbeat() {
 		m.shipTo(r, true)
 	}
 	m.hbT.Cancel()
-	m.hbT = m.sched().AfterCall(m.cfg.Heartbeat, memberHb, m)
+	m.hbT = m.sched().AfterCall(heartbeat, memberHb, m)
 }
 
 // shipAll pushes pending records to every behind follower (commit-hook
@@ -439,7 +424,7 @@ func (m *Member) shipAll() {
 func (m *Member) shipTo(r int, allowEmpty bool) {
 	wl := m.db.WALLen()
 	start := m.next[r]
-	end := min(start+m.cfg.BatchMax, wl)
+	end := min(start+batchMax, wl)
 	if end <= start && !allowEmpty {
 		return
 	}

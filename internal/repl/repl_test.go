@@ -253,7 +253,7 @@ func TestDivergentFollowerRejoinsShorterLeader(t *testing.T) {
 	if err := declareKV(p.DB()); err != nil {
 		t.Fatal(err)
 	}
-	// 70 records (> BatchMax 64) so the first rejoin batch cannot reach
+	// 70 records (> batchMax 64) so the first rejoin batch cannot reach
 	// the divergence point.
 	for i := 0; i < 70; i++ {
 		put(t, p.DB(), fmt.Sprintf("k%02d", i), int64(i))

@@ -25,9 +25,6 @@ type GatewayConfig struct {
 	// MaxCardBytes is the per-card budget for HTML->WML translation.
 	// Zero means 1024.
 	MaxCardBytes int
-	// ProcessingDelay models the gateway's translation CPU time per
-	// response.
-	ProcessingDelay time.Duration
 	// CacheTTL enables a response cache when positive: identical GETs
 	// within the TTL are served from the gateway without touching the
 	// origin.
@@ -52,11 +49,13 @@ type GatewayConfig struct {
 // DefaultGatewayConfig returns the configuration the experiments use.
 func DefaultGatewayConfig() GatewayConfig {
 	return GatewayConfig{
-		BinaryEncoding:  true,
-		MaxCardBytes:    1024,
-		ProcessingDelay: 5 * time.Millisecond,
+		BinaryEncoding: true,
+		MaxCardBytes:   1024,
 	}
 }
+
+// processingDelay models the gateway's translation CPU time per response.
+const processingDelay = 5 * time.Millisecond
 
 // GatewayStats counts gateway activity.
 type GatewayStats struct {
@@ -313,14 +312,9 @@ func (g *Gateway) serveMethod(m *wspMethod, respond func(any, int)) {
 			}
 			finish(rep)
 		}
-		work := func() {
+		g.node.Sched().After(processingDelay, func() {
 			deliver(g.translate(wmlc, resp))
-		}
-		if g.cfg.ProcessingDelay > 0 {
-			g.node.Sched().After(g.cfg.ProcessingDelay, work)
-		} else {
-			work()
-		}
+		})
 	})
 }
 

@@ -39,9 +39,6 @@ type FlowConfig struct {
 	// Timeout abandons an operation (counted, not retried) so a lossy
 	// world cannot wedge a station forever.
 	Timeout time.Duration
-	// Start delays every station's first fire, on top of one initial
-	// think draw that staggers the population.
-	Start time.Duration
 }
 
 // Flows drives a population of virtual stations from one cell node.
@@ -113,7 +110,7 @@ func NewFlows(nd *simnet.Node, name string, cfg FlowConfig) (*Flows, error) {
 			return nil, fmt.Errorf("workload: flows %q: %w", name, err)
 		}
 		think := time.Duration(sched.Rand().ExpFloat64() * float64(cfg.ThinkMean))
-		sched.AfterCall(cfg.Start+think, flowFire, st)
+		sched.AfterCall(think, flowFire, st)
 	}
 	return f, nil
 }

@@ -52,14 +52,9 @@ type SyncFlowConfig struct {
 	Timeout time.Duration
 	// RetryDelay paces redirect-driven resends (default 250ms).
 	RetryDelay time.Duration
-	// MaxBatch bounds writes per session (0 = all pending).
-	MaxBatch int
 	// Fragile selects the rollback-on-reconnect baseline: a timed-out
 	// session discards its tentative writes outright.
 	Fragile bool
-	// Start delays every device's first action on top of the initial
-	// stagger draw.
-	Start time.Duration
 }
 
 // SyncFlows drives a population of virtual syncing devices from one cell.
@@ -163,9 +158,9 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 			return nil, fmt.Errorf("workload: syncflows %q: %w", name, err)
 		}
 		wthink := time.Duration(sched.Rand().ExpFloat64() * float64(cfg.WriteMean))
-		sched.AfterCall(cfg.Start+wthink, syncDevWrite, d)
+		sched.AfterCall(wthink, syncDevWrite, d)
 		sthink := time.Duration(sched.Rand().ExpFloat64() * float64(cfg.SyncMean))
-		sched.AfterCall(cfg.Start+sthink, syncDevSync, d)
+		sched.AfterCall(sthink, syncDevSync, d)
 	}
 	if err := f.u.Listen(f.invPort(), f.recvInvalidation); err != nil {
 		return nil, fmt.Errorf("workload: syncflows %q: %w", name, err)
@@ -268,7 +263,7 @@ func (d *syncDevice) sync() {
 		reschedule()
 		return
 	}
-	req, err := d.store.BeginUpSync("tier", f.cfg.MaxBatch)
+	req, err := d.store.BeginUpSync("tier", 0)
 	if err != nil {
 		reschedule()
 		return

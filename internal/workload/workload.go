@@ -42,8 +42,6 @@ type Config struct {
 	ThinkMean time.Duration
 	// Duration is how long the run lasts (virtual time). Zero means 60s.
 	Duration time.Duration
-	// Mix weights operations; nil means DefaultMix.
-	Mix Mix
 }
 
 func (c Config) withDefaults() Config {
@@ -52,9 +50,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Duration <= 0 {
 		c.Duration = time.Minute
-	}
-	if c.Mix == nil {
-		c.Mix = DefaultMix()
 	}
 	return c
 }
@@ -125,6 +120,7 @@ type user struct {
 type Runner struct {
 	mc    *core.MC
 	cfg   Config
+	mix   Mix // DefaultMix
 	users []*user
 
 	lat      map[Op][]time.Duration
@@ -142,6 +138,7 @@ func NewRunner(mc *core.MC, cfg Config) (*Runner, error) {
 	r := &Runner{
 		mc:       mc,
 		cfg:      cfg,
+		mix:      DefaultMix(),
 		lat:      make(map[Op][]time.Duration),
 		failures: make(map[Op]int),
 	}
@@ -235,12 +232,12 @@ func (r *Runner) scheduleNext(u *user, deadline time.Duration) {
 // pickOp draws an operation from the mix.
 func (r *Runner) pickOp() Op {
 	total := 0
-	for _, w := range r.cfg.Mix {
+	for _, w := range r.mix {
 		total += w
 	}
 	n := r.mc.Net.Sched.Rand().Intn(total)
 	for _, op := range []Op{OpBrowse, OpPay, OpTrack, OpSearch, OpDownload} {
-		n -= r.cfg.Mix[op]
+		n -= r.mix[op]
 		if n < 0 {
 			return op
 		}

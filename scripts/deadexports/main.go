@@ -11,11 +11,20 @@
 // fmt.Stringer reaches String and encoding/json.Marshaler reaches
 // MarshalJSON), or error. There is no allowlist.
 //
-// main and init functions, blank identifiers and struct fields are not
-// checked. Declarations in nested modules are users only.
+// It also fails on a field of a package-level struct type that nothing
+// in the tree writes, so it always holds its zero value. A field is
+// written by a keyed or positional composite literal, by an assignment,
+// ++ or -- to it or to anything reached through it (a.b.c = x writes b
+// and c), by taking its address, or by calling a pointer method on it
+// (x.mu.Lock()). A field with a struct tag counts as written: reflection
+// (encoding/json) fills it.
+//
+// main and init functions and blank identifiers are not checked.
+// Declarations in nested modules are users and writers only.
 //
 // With -report it also prints the exported declarations that only test
-// files use. Run it from the repository root:
+// files use and the fields that only test files write. Run it from the
+// repository root:
 //
 //	go run ./scripts/deadexports [-report]
 package main
@@ -37,7 +46,7 @@ import (
 )
 
 func main() {
-	report := flag.Bool("report", false, "also print the exported declarations only tests use")
+	report := flag.Bool("report", false, "also print the exported declarations only tests use and the fields only tests write")
 	flag.Parse()
 	if err := run(".", *report, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "deadexports:", err)
@@ -55,14 +64,21 @@ func run(root string, report bool, w io.Writer) error {
 		for _, d := range res.testOnly {
 			fmt.Fprintf(w, "  %-45s %s\n", d.key, d.pos)
 		}
-	}
-	if len(res.dead) > 0 {
-		for _, d := range res.dead {
-			fmt.Fprintf(os.Stderr, "%s: %s is declared but nothing uses it\n", d.pos, d.key)
+		fmt.Fprintf(w, "%d fields only tests write:\n", len(res.testWritten))
+		for _, d := range res.testWritten {
+			fmt.Fprintf(w, "  %-45s %s\n", d.key, d.pos)
 		}
-		return fmt.Errorf("%d unused declaration(s)", len(res.dead))
 	}
-	fmt.Fprintf(w, "deadexports: %d declarations, all used\n", res.checked)
+	for _, d := range res.dead {
+		fmt.Fprintf(os.Stderr, "%s: %s is declared but nothing uses it\n", d.pos, d.key)
+	}
+	for _, d := range res.unwritten {
+		fmt.Fprintf(os.Stderr, "%s: field %s is never written\n", d.pos, d.key)
+	}
+	if len(res.dead)+len(res.unwritten) > 0 {
+		return fmt.Errorf("%d unused declaration(s), %d unwritten field(s)", len(res.dead), len(res.unwritten))
+	}
+	fmt.Fprintf(w, "deadexports: %d declarations, all used; %d fields, all written\n", res.checked, res.fields)
 	return nil
 }
 
@@ -73,8 +89,10 @@ type decl struct {
 }
 
 type result struct {
-	checked        int
-	dead, testOnly []decl // sorted by key
+	checked, fields int
+	dead, testOnly  []decl // sorted by key
+	// unwritten and testWritten are struct fields: "internal/mtcp.Options.MSS".
+	unwritten, testWritten []decl
 }
 
 // pkgDir is the Go files of one directory.
@@ -88,8 +106,16 @@ type pkgDir struct {
 	checking     bool
 }
 
-// use records where an object is used from.
+// use records where an object is used, or a field written, from.
 type use struct{ test, nonTest bool }
+
+func (u *use) add(test bool) {
+	if test {
+		u.test = true
+	} else {
+		u.nonTest = true
+	}
+}
 
 // loader type-checks the tree. Each package's non-test files are checked
 // once and that one *types.Package is shared with every importer, so
@@ -100,6 +126,7 @@ type loader struct {
 	byPath map[string]*pkgDir
 	stdImp map[*types.Package]bool // standard-library packages the tree imports
 	uses   map[token.Pos]use
+	writes map[token.Pos]use // struct fields, keyed like uses
 	ifaces map[*types.Interface]bool
 }
 
@@ -109,6 +136,7 @@ func scan(root string) (*result, error) {
 		byPath: map[string]*pkgDir{},
 		stdImp: map[*types.Package]bool{},
 		uses:   map[token.Pos]use{},
+		writes: map[token.Pos]use{},
 		ifaces: map[*types.Interface]bool{},
 	}
 	// The tree has no cgo; without this the source importer would run cgo
@@ -158,8 +186,15 @@ func scan(root string) (*result, error) {
 	byKey := func(ds []decl) {
 		sort.Slice(ds, func(i, j int) bool { return ds[i].key < ds[j].key })
 	}
+	for _, d := range dirs {
+		if !d.nested && d.pkg != nil {
+			l.fields(d, res)
+		}
+	}
 	byKey(res.dead)
 	byKey(res.testOnly)
+	byKey(res.unwritten)
+	byKey(res.testWritten)
 	return res, nil
 }
 
@@ -302,9 +337,10 @@ func (l *loader) checkTests(d *pkgDir) error {
 // positions. Uses in test files count as test uses.
 func (l *loader) typeCheck(path string, files []*ast.File, tests bool) (*types.Package, *types.Info, error) {
 	info := &types.Info{
-		Defs:  map[*ast.Ident]types.Object{},
-		Uses:  map[*ast.Ident]types.Object{},
-		Types: map[ast.Expr]types.TypeAndValue{},
+		Defs:       map[*ast.Ident]types.Object{},
+		Uses:       map[*ast.Ident]types.Object{},
+		Types:      map[ast.Expr]types.TypeAndValue{},
+		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
 	conf := types.Config{Importer: l}
 	pkg, err := conf.Check(path, l.fset, files, info)
@@ -322,12 +358,11 @@ func (l *loader) typeCheck(path string, files []*ast.File, tests bool) (*types.P
 			obj = o.Origin()
 		}
 		u := l.uses[obj.Pos()]
-		if tests && strings.HasSuffix(l.fset.File(id.Pos()).Name(), "_test.go") {
-			u.test = true
-		} else {
-			u.nonTest = true
-		}
+		u.add(tests && l.isTest(id))
 		l.uses[obj.Pos()] = u
+	}
+	for _, f := range files {
+		l.recordWrites(f, info, tests && l.isTest(f))
 	}
 	// Every interface the package's code spells out or uses, named or
 	// literal. Those of an in-package test instance have their own copies
@@ -339,6 +374,145 @@ func (l *loader) typeCheck(path string, files []*ast.File, tests bool) (*types.P
 		}
 	}
 	return pkg, info, nil
+}
+
+func (l *loader) isTest(n ast.Node) bool {
+	return strings.HasSuffix(l.fset.File(n.Pos()).Name(), "_test.go")
+}
+
+// recordWrites records every struct field f writes.
+func (l *loader) recordWrites(f *ast.File, info *types.Info, test bool) {
+	mark := func(v *types.Var) {
+		w := l.writes[v.Origin().Pos()]
+		w.add(test)
+		l.writes[v.Origin().Pos()] = w
+	}
+	// path marks the fields a selection passes through: the embedded
+	// fields of a promoted field or method, and the field itself.
+	path := func(sel *types.Selection) {
+		t := sel.Recv()
+		idx := sel.Index()
+		if sel.Kind() != types.FieldVal {
+			idx = idx[:len(idx)-1]
+		}
+		for _, i := range idx {
+			st, ok := deref(t).Underlying().(*types.Struct)
+			if !ok {
+				return
+			}
+			mark(st.Field(i))
+			t = st.Field(i).Type()
+		}
+	}
+	// lvalue marks every field along an expression that is written or
+	// addressed: a.b[i].c marks c and b.
+	var lvalue func(e ast.Expr)
+	lvalue = func(e ast.Expr) {
+		switch e := e.(type) {
+		case *ast.ParenExpr:
+			lvalue(e.X)
+		case *ast.IndexExpr:
+			lvalue(e.X)
+		case *ast.StarExpr:
+			lvalue(e.X)
+		case *ast.SelectorExpr:
+			if sel := info.Selections[e]; sel != nil && sel.Kind() == types.FieldVal {
+				path(sel)
+				lvalue(e.X)
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, e := range n.Lhs {
+				lvalue(e)
+			}
+		case *ast.IncDecStmt:
+			lvalue(n.X)
+		case *ast.RangeStmt:
+			if n.Tok == token.ASSIGN {
+				lvalue(n.Key)
+				lvalue(n.Value)
+			}
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
+				lvalue(n.X)
+			}
+		case *ast.SelectorExpr:
+			// A pointer method called on (or taken from) an addressable
+			// value writes through it.
+			sel := info.Selections[n]
+			if sel == nil || sel.Kind() != types.MethodVal {
+				break
+			}
+			if _, ptr := sel.Obj().Type().(*types.Signature).Recv().Type().(*types.Pointer); ptr {
+				path(sel)
+				if _, isPtr := sel.Recv().Underlying().(*types.Pointer); !isPtr {
+					lvalue(n.X)
+				}
+			}
+		case *ast.CompositeLit:
+			tv, ok := info.Types[n]
+			if !ok {
+				break
+			}
+			st, ok := deref(tv.Type).Underlying().(*types.Struct)
+			if !ok {
+				break
+			}
+			for i, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if v, ok := info.Uses[kv.Key.(*ast.Ident)].(*types.Var); ok {
+						mark(v)
+					}
+				} else {
+					mark(st.Field(i))
+				}
+			}
+		}
+		return true
+	})
+}
+
+func deref(t types.Type) types.Type {
+	if p, ok := t.Underlying().(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
+// fields checks the fields of d's package-level struct types against
+// the recorded writes.
+func (l *loader) fields(d *pkgDir, res *result) {
+	scope := d.pkg.Scope()
+	for _, name := range scope.Names() {
+		tn, ok := scope.Lookup(name).(*types.TypeName)
+		if !ok || tn.IsAlias() {
+			continue
+		}
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok {
+			continue
+		}
+		for i := 0; i < st.NumFields(); i++ {
+			f := st.Field(i)
+			if f.Name() == "_" {
+				continue
+			}
+			res.fields++
+			if st.Tag(i) != "" {
+				continue
+			}
+			dl := decl{key: d.rel + "." + name + "." + f.Name(), pos: l.fset.Position(f.Pos())}
+			switch w := l.writes[f.Pos()]; {
+			case !w.test && !w.nonTest:
+				res.unwritten = append(res.unwritten, dl)
+			case !w.nonTest:
+				res.testWritten = append(res.testWritten, dl)
+			}
+		}
+	}
 }
 
 func (l *loader) addInterface(t types.Type) {

@@ -35,15 +35,26 @@ func TestScanFixture(t *testing.T) {
 	if got, want := keys(res.testOnly), []string{"db.OnlyTested"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("test-only = %q, want %q", got, want)
 	}
+	// Wire.ID (tagged), Outer.In (a.b.c = x), Guarded.n (&x.f),
+	// Guarded.mu (x.mu.Lock()) and Pair's fields (positional literal)
+	// are written and must not appear.
+	if got, want := keys(res.unwritten), []string{"db.Opts.Unset"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("unwritten = %q, want %q", got, want)
+	}
+	if got, want := keys(res.testWritten), []string{"db.Opts.Debug"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("test-written = %q, want %q", got, want)
+	}
 }
 
 func TestRunFailsOnDeadAndReportsTestOnly(t *testing.T) {
 	var out bytes.Buffer
 	err := run(fixture, true, &out)
-	if err == nil || !strings.Contains(err.Error(), "3 unused") {
-		t.Errorf("run error = %v, want 3 unused declarations", err)
+	if err == nil || !strings.Contains(err.Error(), "3 unused") || !strings.Contains(err.Error(), "1 unwritten") {
+		t.Errorf("run error = %v, want 3 unused declarations and 1 unwritten field", err)
 	}
-	if !strings.Contains(out.String(), "db.OnlyTested") {
-		t.Errorf("-report output lacks db.OnlyTested:\n%s", out.String())
+	for _, key := range []string{"db.OnlyTested", "db.Opts.Debug"} {
+		if !strings.Contains(out.String(), key) {
+			t.Errorf("-report output lacks %s:\n%s", key, out.String())
+		}
 	}
 }

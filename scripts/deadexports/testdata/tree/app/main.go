@@ -17,4 +17,5 @@ func main() {
 	n.Reset()
 	b, _ := json.Marshal(db.Dur(5))
 	fmt.Println(string(b))
+	fmt.Println(db.Fields())
 }

@@ -3,6 +3,7 @@ package db
 
 import (
 	"fmt"
+	"sync"
 
 	"fixture/store"
 )
@@ -48,3 +49,44 @@ type orphan struct{}
 
 // OnlyTested has a caller only in a test file.
 func OnlyTested() int { return 1 }
+
+// Opts has a field nothing writes (Unset) and one only a test writes
+// (Debug).
+type Opts struct {
+	Name  string
+	Unset int
+	Debug bool
+}
+
+// Wire is filled by encoding/json: the tag counts as a write.
+type Wire struct {
+	ID int `json:"id"`
+}
+
+// Outer.In is written only through a selector chain (a.b.c = x).
+type Outer struct{ In Inner }
+
+// Inner is reached through Outer.
+type Inner struct{ Depth int }
+
+// Guarded's mu is written only by a pointer-method call (x.mu.Lock())
+// and n only through its address (&x.n).
+type Guarded struct {
+	mu sync.Mutex
+	n  int
+}
+
+// Pair is built only by a positional literal.
+type Pair struct{ K, V string }
+
+// Fields writes each field of the field-write cases once.
+func Fields() (Opts, Wire, Outer, Pair) {
+	var o Outer
+	o.In.Depth = 3
+	g := &Guarded{}
+	g.mu.Lock()
+	p := &g.n
+	*p = 1
+	g.mu.Unlock()
+	return Opts{Name: "x"}, Wire{}, o, Pair{"k", "v"}
+}

@@ -2,7 +2,9 @@
 # verify.sh — the full local gate: static checks (go vet, and a
 # dead-code scan that resolves uses by object with go/types and has no
 # allowlist: every package-level function, method, type, var and const
-# must have a use), build, the whole test
+# must have a use, and every field of a package-level struct type must
+# be written somewhere, by a literal, an assignment, &x.f or a pointer
+# method call; a tagged field counts as written), build, the whole test
 # suite (which includes the zero-alloc pins), the race detector over the
 # packages that use goroutines (the parallel experiment runner and the
 # simnet structures it drives, the sharded executor's ownership, steal
