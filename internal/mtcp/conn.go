@@ -868,9 +868,18 @@ func (c *Conn) enterTimeWait() {
 
 func (c *Conn) processAck(seg *Segment) {
 	// A straggler ACK can cover data beyond a rewound send pointer
-	// (go-back-N after RTO): advance the pointer to match.
+	// (go-back-N after RTO): advance the pointer to match. An ACK of
+	// dataEnd()+1 covers the FIN too. It counts only if a FIN went out
+	// for that sequence (maxSent is past the data), and then it
+	// acknowledges that FIN even though the rewind withdrew it, so the
+	// close completes instead of waiting for a FIN trySend never re-sends.
 	if seqGT(seg.Ack, c.sndNxt) && seqLE(seg.Ack, c.dataEnd()+1) {
-		c.sndNxt = seg.Ack
+		if seg.Ack != c.dataEnd()+1 {
+			c.sndNxt = seg.Ack
+		} else if seqGT(c.maxSent, c.dataEnd()) {
+			c.finSent, c.finSeq = true, c.dataEnd()
+			c.sndNxt = seg.Ack
+		}
 	}
 	switch {
 	case seqGT(seg.Ack, c.sndUna) && seqLE(seg.Ack, c.sndNxt):

@@ -241,6 +241,62 @@ func TestTimeWaitHoldsPortAndReACKsFIN(t *testing.T) {
 	}
 }
 
+// TestLateACKOfWithdrawnFINCloses: an RTO's go-back-N rewind withdraws
+// an unacknowledged FIN, and the window after the timeout is too small to
+// re-send it behind the data. The peer's ACK of the original flight, FIN
+// included, then arrives late: it must acknowledge the FIN, so the
+// LAST_ACK side reaches CLOSED and frees its port instead of waiting
+// forever for a FIN it never re-sends.
+func TestLateACKOfWithdrawnFINCloses(t *testing.T) {
+	p := newPair(t, 13, simnet.LinkConfig{Rate: 10 * simnet.Mbps, Delay: 5 * time.Millisecond})
+	client, server := establishPair(t, p, Options{})
+	p.net.Sched.At(1100*time.Millisecond, func() { server.Close() })
+	if err := p.net.Sched.RunUntil(1200 * time.Millisecond); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if client.state != stateCloseWait {
+		t.Fatalf("client state = %v, want CLOSE_WAIT", client.state)
+	}
+	port := client.LocalAddr().Port
+
+	// Two segments fill the initial window and the FIN follows them.
+	client.Send(testPattern(2 * client.opts.MSS))
+	client.Close()
+	if client.state != stateLastAck || !client.finSent {
+		t.Fatalf("after Close: state = %v, finSent = %v, want LAST_ACK with the FIN out", client.state, client.finSent)
+	}
+	// The RTO fires before any ACK: the window falls to one segment, so
+	// the rewind re-sends the first segment and withdraws the FIN.
+	client.onRTO()
+	if client.finSent {
+		t.Fatal("the RTO did not withdraw the FIN")
+	}
+	client.receive(&Segment{Flags: ACK, Seq: client.rcvNxt, Ack: client.dataEnd() + 1, Wnd: client.opts.RcvWnd})
+	if client.state != stateClosed {
+		t.Fatalf("after the late ACK of the FIN: state = %v, want CLOSED", client.state)
+	}
+	if p.cs.portBusy(port) {
+		t.Error("port still busy after the FIN was acknowledged")
+	}
+	// The segments still in flight land on a closed identity.
+	if err := p.net.Sched.RunUntil(3 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+}
+
+// TestACKPastDataWithoutFINIgnored: an ACK one past the queued data
+// covers a FIN; with no FIN sent it acknowledges nothing.
+func TestACKPastDataWithoutFINIgnored(t *testing.T) {
+	p := newPair(t, 14, simnet.LinkConfig{Rate: 10 * simnet.Mbps, Delay: 5 * time.Millisecond})
+	client, _ := establishPair(t, p, Options{})
+	client.Send(testPattern(2 * client.opts.MSS))
+	una := client.sndUna
+	client.receive(&Segment{Flags: ACK, Seq: client.rcvNxt, Ack: client.dataEnd() + 1, Wnd: client.opts.RcvWnd})
+	if client.sndUna != una || client.sndNxt != client.dataEnd() {
+		t.Fatalf("ACK past the data moved sndUna %d -> %d, sndNxt to %d (dataEnd %d)", una, client.sndUna, client.sndNxt, client.dataEnd())
+	}
+}
+
 // TestRSTOnDataPastFIN: payload beyond a received FIN is a protocol
 // violation; the connection answers RST and tears down.
 func TestRSTOnDataPastFIN(t *testing.T) {
