@@ -207,7 +207,7 @@ func run(args []string, w io.Writer) error {
 	}
 	tl := flags.NewTimeline()
 	if tl != nil {
-		tl.Attach("", mc.Net)
+		tl.Attach(mc.Net)
 	}
 	flags.EnableTrace(mc.Net.Tracer)
 	if err := workload.RegisterHandlers(mc.Host); err != nil {

@@ -232,7 +232,7 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 	}
 	tl := sc.flags.NewTimeline()
 	if tl != nil {
-		tl.Attach("", mc.Net)
+		tl.Attach(mc.Net)
 	}
 	sc.flags.EnableTrace(mc.Net.Tracer)
 	if err := apps.RegisterAll(mc.Host); err != nil {

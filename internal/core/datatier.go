@@ -387,31 +387,7 @@ func (s *SyncService) drain(commit int) {
 func (s *SyncService) reply(to simnet.Addr, resp *mobiledb.UpSyncResponse, ctx trace.Context) {
 	tr := s.m.Node().Network().Tracer
 	prev := tr.Swap(ctx)
-	s.u.Send(SyncPort, to, resp, respBytes(resp))
+	s.u.Send(SyncPort, to, resp, resp.WireBytes())
 	tr.Swap(prev)
 	tr.Finish(ctx)
 }
-
-// reqBytes and respBytes give the deterministic wire sizes of sync
-// messages (used by device flows and the service respectively).
-func reqBytes(req *mobiledb.UpSyncRequest) int {
-	n := 32 + len(req.From)
-	for i := range req.Writes {
-		w := &req.Writes[i]
-		n += 48 + len(w.Key) + len(w.Value)
-	}
-	return n
-}
-
-func respBytes(resp *mobiledb.UpSyncResponse) int {
-	n := 32 + len(resp.From)
-	for i := range resp.Results {
-		r := &resp.Results[i]
-		n += 48 + len(r.Key) + len(r.Value)
-	}
-	n += 20 * len(resp.Invalid)
-	return n
-}
-
-// ReqBytes exposes the request wire-size model for device-side senders.
-func ReqBytes(req *mobiledb.UpSyncRequest) int { return reqBytes(req) }

@@ -97,7 +97,7 @@ func TestSyncServiceDropsHeldAcksOnDemotion(t *testing.T) {
 	// session. The primary applies it but cannot commit — the ack is held.
 	s.After(200*time.Millisecond, func() { part(0, true) })
 	s.After(210*time.Millisecond, func() {
-		u.Send(devPort, simnet.Addr{Node: nodes[0].ID, Port: SyncPort}, req, ReqBytes(req))
+		u.Send(devPort, simnet.Addr{Node: nodes[0].ID, Port: SyncPort}, req, req.WireBytes())
 	})
 	s.After(400*time.Millisecond, func() {
 		if services[0].AcksHeld != 1 || len(services[0].pending) != 1 {

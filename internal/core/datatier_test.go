@@ -74,7 +74,7 @@ func TestDataTierDeviceSessionEndToEnd(t *testing.T) {
 	}
 	addrs := dt.Addrs()
 	sched.After(10*time.Millisecond, func() {
-		u.Send(devicePort, addrs[0], req, core.ReqBytes(req))
+		u.Send(devicePort, addrs[0], req, req.WireBytes())
 	})
 	if err := sched.RunFor(2 * time.Second); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestDataTierRedirectsNonPrimary(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched.After(10*time.Millisecond, func() {
-		u.Send(devicePort, dt.Addrs()[1], req, core.ReqBytes(req))
+		u.Send(devicePort, dt.Addrs()[1], req, req.WireBytes())
 	})
 	if err := sched.RunFor(time.Second); err != nil {
 		t.Fatal(err)
@@ -262,11 +262,11 @@ func TestDataTierSyncCrashTrigger(t *testing.T) {
 		} else {
 			target = (target + 1) % len(addrs)
 		}
-		u.Send(devicePort, addrs[target], req, core.ReqBytes(req))
+		u.Send(devicePort, addrs[target], req, req.WireBytes())
 	}); err != nil {
 		t.Fatal(err)
 	}
-	send := func() { u.Send(devicePort, addrs[target], req, core.ReqBytes(req)) }
+	send := func() { u.Send(devicePort, addrs[target], req, req.WireBytes()) }
 	sched.After(10*time.Millisecond, send) // crashes the primary, no ack
 	// Device timeout fires, session aborts, and the retry of the same
 	// session lands wherever leadership settled after the restart.

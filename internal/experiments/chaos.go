@@ -261,7 +261,7 @@ func chaosRun(seed int64, clients, rounds int, mode chaosMode) (*chaosReport, er
 	// run; the sampler quiesces with the workload, so the tail costs
 	// nothing once the last transaction drains.
 	tl := obs.NewTimeline(TimelineInterval)
-	tl.Attach("", mc.Net)
+	tl.Attach(mc.Net)
 
 	// Generous tail: the slowest resilient transaction (WTP window + app
 	// backoff) finishes well inside it.

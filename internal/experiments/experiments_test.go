@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
 
 	"mcommerce/internal/cellular"
+	"mcommerce/internal/mtcp"
 	"mcommerce/internal/wireless"
 )
 
@@ -135,6 +137,30 @@ func TestTable5CellularOrderings(t *testing.T) {
 	if res.Get("GSM/setup_ms") <= res.Get("GPRS/setup_ms") {
 		t.Errorf("circuit setup (%v ms) should exceed packet attach (%v ms)",
 			res.Get("GSM/setup_ms"), res.Get("GPRS/setup_ms"))
+	}
+}
+
+// TestTCPVariantsHonourCC pins that -cc reaches every E-TCP(a) wired
+// sender: under CUBIC no variant's fixed endpoint may stay on Reno.
+func TestTCPVariantsHonourCC(t *testing.T) {
+	defer func(old string) { CC = old }(CC)
+	CC = mtcp.CCCubic
+	for _, v := range tcpSweepVariants {
+		p := newTCPPath(1, 0.01)
+		ends := p.setupVariant(v, 64<<10, mtcp.Options{}, func([]byte) {})
+		if ends == nil {
+			t.Fatalf("%s: setup failed", v)
+		}
+		if err := p.net.Sched.RunUntil(time.Second); err != nil {
+			t.Fatalf("%s: %v", v, err)
+		}
+		if ends.fixed == nil {
+			t.Errorf("%s: no fixed sender after 1s", v)
+			continue
+		}
+		if got := ends.fixed.CCName(); got != mtcp.CCCubic {
+			t.Errorf("%s: fixed sender runs %q under -cc cubic", v, got)
+		}
 	}
 }
 

@@ -62,13 +62,72 @@ type tcpOutcome struct {
 	timeouts    uint64
 }
 
+// tcpEnds are the two endpoints a transport variant's measurement
+// watches: the fixed (wired) sender and the mobile receiver. Both are set
+// once their connections exist.
+type tcpEnds struct {
+	fixed, mobile *mtcp.Conn
+}
+
+// setupVariant builds the named §5.2 transport variant on p, ready to
+// push size bytes fixed→mobile; onData sees the mobile's in-order
+// deliveries. relayWired configures the I-TCP relay's wired leg. Every
+// endpoint's congestion control comes from ccOpts. It returns nil for an
+// unknown variant or a failed setup.
+func (p *tcpPath) setupVariant(variant string, size int, relayWired mtcp.Options, onData func([]byte)) *tcpEnds {
+	e := &tcpEnds{}
+	mobileAccepts := func(c *mtcp.Conn) {
+		e.mobile = c
+		c.OnData(onData)
+	}
+	fixedSends := func(c *mtcp.Conn, err error) {
+		if err == nil {
+			c.Send(make([]byte, size))
+		}
+	}
+	mobileAddr := simnet.Addr{Node: p.mobile.ID, Port: 80}
+	switch variant {
+	case "TCP (end-to-end Reno)", "TCP + fast reconnect [2]", "TCP (end-to-end NewReno)":
+		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), mobileAccepts); err != nil {
+			return nil
+		}
+		e.fixed = p.fs.Dial(mobileAddr, ccOpts(mtcp.Options{NewReno: variant == "TCP (end-to-end NewReno)"}), fixedSends)
+	case "I-TCP (split connection)":
+		// The fixed server listens; the mobile connects through the
+		// gateway relay; the server pushes the payload.
+		if err := p.fs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
+			e.fixed = c
+			c.Send(make([]byte, size))
+		}); err != nil {
+			return nil
+		}
+		if _, err := mtcp.NewRelay(p.gs, 8080, simnet.Addr{Node: p.fixed.ID, Port: 80},
+			ccOpts(mtcp.Options{RTOMin: 100 * time.Millisecond}), ccOpts(relayWired)); err != nil {
+			return nil
+		}
+		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
+			if err == nil {
+				mobileAccepts(c)
+			}
+		})
+	case "Snoop (packet caching)":
+		mtcp.NewSnoopAgent(p.gateway, func(id simnet.NodeID) bool { return id == p.mobile.ID })
+		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), mobileAccepts); err != nil {
+			return nil
+		}
+		e.fixed = p.fs.Dial(mobileAddr, ccOpts(mtcp.Options{}), fixedSends)
+	default:
+		return nil
+	}
+	return e
+}
+
 // runVariant pushes size bytes fixed→mobile under the named variant and
 // measures the fixed sender's behaviour.
 func runVariant(seed int64, variant string, loss float64, size int, horizon time.Duration) tcpOutcome {
 	p := newTCPPath(seed, loss)
 	var out tcpOutcome
 
-	var fixedConn *mtcp.Conn
 	got := 0
 	var doneAt time.Duration
 	onData := func(b []byte) {
@@ -78,55 +137,8 @@ func runVariant(seed int64, variant string, loss float64, size int, horizon time
 			p.net.Sched.Stop()
 		}
 	}
-
-	switch variant {
-	case "TCP (end-to-end Reno)":
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
-			return out
-		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
-			if err == nil {
-				c.Send(make([]byte, size))
-			}
-		})
-	case "TCP (end-to-end NewReno)":
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
-			return out
-		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, mtcp.Options{NewReno: true}, func(c *mtcp.Conn, err error) {
-			if err == nil {
-				c.Send(make([]byte, size))
-			}
-		})
-	case "I-TCP (split connection)":
-		// The fixed server listens; the mobile connects through the
-		// gateway relay; the server pushes the payload.
-		if err := p.fs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-			fixedConn = c
-			c.Send(make([]byte, size))
-		}); err != nil {
-			return out
-		}
-		if _, err := mtcp.NewRelay(p.gs, 8080, simnet.Addr{Node: p.fixed.ID, Port: 80},
-			ccOpts(mtcp.Options{RTOMin: 100 * time.Millisecond}), ccOpts(mtcp.Options{})); err != nil {
-			return out
-		}
-		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-			if err == nil {
-				c.OnData(onData)
-			}
-		})
-	case "Snoop (packet caching)":
-		mtcp.NewSnoopAgent(p.gateway, func(id simnet.NodeID) bool { return id == p.mobile.ID }, 0)
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) { c.OnData(onData) }); err != nil {
-			return out
-		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-			if err == nil {
-				c.Send(make([]byte, size))
-			}
-		})
-	default:
+	ends := p.setupVariant(variant, size, mtcp.Options{}, onData)
+	if ends == nil {
 		return out
 	}
 
@@ -142,13 +154,16 @@ func runVariant(seed int64, variant string, loss float64, size int, horizon time
 		out.elapsed = doneAt
 		out.goodputBps = float64(size*8) / doneAt.Seconds()
 	}
-	if fixedConn != nil {
-		st := fixedConn.Stats()
+	if ends.fixed != nil {
+		st := ends.fixed.Stats()
 		out.retransmits = st.Retransmits
 		out.timeouts = st.Timeouts
 	}
 	return out
 }
+
+// tcpSweepVariants are E-TCP(a)'s rows at each loss rate.
+var tcpSweepVariants = []string{"TCP (end-to-end Reno)", "TCP (end-to-end NewReno)", "I-TCP (split connection)", "Snoop (packet caching)"}
 
 // TCPVariants reproduces the Section 5.2 mobile-TCP claims as two
 // experiments: (a) a wireless-loss sweep comparing end-to-end Reno with
@@ -162,10 +177,9 @@ func TCPVariants(seed int64) []*Result {
 
 	const size = 300 << 10
 	const horizon = 5 * time.Minute
-	variants := []string{"TCP (end-to-end Reno)", "TCP (end-to-end NewReno)", "I-TCP (split connection)", "Snoop (packet caching)"}
 	losses := []float64{0.001, 0.01, 0.03, 0.05, 0.10}
 	for _, loss := range losses {
-		for _, v := range variants {
+		for _, v := range tcpSweepVariants {
 			o := runVariant(seed, v, loss, size, horizon)
 			sweep.AddRow(
 				fmt.Sprintf("%.1f%%", loss*100), v,
@@ -302,9 +316,8 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 		return out
 	}
 	tl := obs.NewTimeline(TimelineInterval)
-	tl.Attach("", p.net)
+	tl.Attach(p.net)
 
-	var fixedConn, mobileConn *mtcp.Conn
 	got := 0
 	var doneAt time.Duration
 	onData := func(b []byte) {
@@ -321,69 +334,25 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 		}
 	}
 
-	fastReconnect := false
-	switch variant {
-	case "TCP (end-to-end Reno)", "TCP + fast reconnect [2]":
-		fastReconnect = variant == "TCP + fast reconnect [2]"
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-			mobileConn = c
-			c.OnData(onData)
-		}); err != nil {
-			return out
-		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-			if err == nil {
-				c.Send(make([]byte, size))
-			}
-		})
-	case "I-TCP (split connection)":
-		if err := p.fs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-			fixedConn = c
-			c.Send(make([]byte, size))
-		}); err != nil {
-			return out
-		}
-		// The relay's wired leg advertises a window sized to the wired
-		// BDP: the fixed sender then never blasts the LAN queue into
-		// overflow cycles while the wireless leg stalls through a
-		// blackout, so its retransmission counter reflects wireless
-		// events reaching it, not self-inflicted buffer loss.
-		if _, err := mtcp.NewRelay(p.gs, 8080, simnet.Addr{Node: p.fixed.ID, Port: 80},
-			ccOpts(mtcp.Options{RTOMin: 100 * time.Millisecond}), ccOpts(mtcp.Options{RcvWnd: 64 << 10})); err != nil {
-			return out
-		}
-		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-			if err == nil {
-				mobileConn = c
-				c.OnData(onData)
-			}
-		})
-	case "Snoop (packet caching)":
-		mtcp.NewSnoopAgent(p.gateway, func(id simnet.NodeID) bool { return id == p.mobile.ID }, 0)
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-			mobileConn = c
-			c.OnData(onData)
-		}); err != nil {
-			return out
-		}
-		fixedConn = p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-			if err == nil {
-				c.Send(make([]byte, size))
-			}
-		})
-	default:
+	// The relay's wired leg advertises a window sized to the wired BDP:
+	// the fixed sender then never blasts the LAN queue into overflow
+	// cycles while the wireless leg stalls through a blackout, so its
+	// retransmission counter reflects wireless events reaching it, not
+	// self-inflicted buffer loss.
+	ends := p.setupVariant(variant, size, mtcp.Options{RcvWnd: 64 << 10}, onData)
+	if ends == nil {
 		return out
 	}
 
-	if fastReconnect {
+	if variant == "TCP + fast reconnect [2]" {
 		// The link-layer handoff notification trails the restore by a
 		// beat; firing at the exact restore instant would race the
 		// injector's link-up event and drop the dupacks on a dead link.
 		for _, up := range tcpFaultRestores {
 			up := up
 			p.net.Sched.At(up+time.Millisecond, func() {
-				if mobileConn != nil {
-					mobileConn.SignalReconnect()
+				if ends.mobile != nil {
+					ends.mobile.SignalReconnect()
 				}
 			})
 		}
@@ -398,8 +367,8 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 		out.completed = true
 		out.elapsed = doneAt
 	}
-	if fixedConn != nil {
-		st := fixedConn.Stats()
+	if ends.fixed != nil {
+		st := ends.fixed.Stats()
 		if st.SegmentsSent > 0 {
 			out.rtxOverhead = float64(st.Retransmits) / float64(st.SegmentsSent)
 		}

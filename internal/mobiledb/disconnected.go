@@ -108,7 +108,7 @@ func (s *Store) putTentative(key string, value []byte, deleted bool) error {
 			e.Base = old.SrvVer
 		}
 	}
-	if err := s.install(e, true); err != nil {
+	if err := s.install(e); err != nil {
 		return err
 	}
 	s.TentativePuts++
@@ -136,6 +136,17 @@ type UpSyncRequest struct {
 	Session uint64
 	Since   uint64 // invalidation stream position consumed
 	Writes  []Entry
+}
+
+// WireBytes is the request's simulated wire size: a 32-byte header plus
+// the sender name, and 48 bytes of framing plus key and value per write.
+func (r *UpSyncRequest) WireBytes() int {
+	n := 32 + len(r.From)
+	for i := range r.Writes {
+		w := &r.Writes[i]
+		n += 48 + len(w.Key) + len(w.Value)
+	}
+	return n
 }
 
 // WriteResult is the server's verdict on one uploaded write.
@@ -188,6 +199,19 @@ type UpSyncResponse struct {
 	// where to go (-1 unknown). The device re-sends after rotating.
 	Retry        bool
 	RedirectRank int
+}
+
+// WireBytes is the response's simulated wire size: a 32-byte header plus
+// the sender name, 48 bytes of framing plus key and value per result, and
+// 20 bytes per invalidation.
+func (r *UpSyncResponse) WireBytes() int {
+	n := 32 + len(r.From)
+	for i := range r.Results {
+		res := &r.Results[i]
+		n += 48 + len(res.Key) + len(res.Value)
+	}
+	n += 20 * len(r.Invalid)
+	return n
 }
 
 // BeginUpSync opens a sync session: it snapshots up to max pending
@@ -295,7 +319,7 @@ func (s *Store) installServer(key string, ver uint64, value []byte, deleted bool
 		SrvVer: ver,
 		WTS:    wts,
 	}
-	if err := s.install(e, true); err != nil {
+	if err := s.install(e); err != nil {
 		if old := s.data[key]; old != nil && !old.Tentative {
 			delete(s.data, key)
 			s.used -= old.size()

@@ -169,7 +169,7 @@ func (s *Store) Put(key string, value []byte) error {
 		Clock:  s.clock,
 		Origin: s.name,
 	}
-	return s.install(e, true)
+	return s.install(e)
 }
 
 // Delete removes a key, leaving a tombstone for sync.
@@ -178,18 +178,18 @@ func (s *Store) Delete(key string) error {
 		return ErrKeyEmpty
 	}
 	s.clock++
-	return s.install(&Entry{Key: key, Deleted: true, Clock: s.clock, Origin: s.name}, true)
+	return s.install(&Entry{Key: key, Deleted: true, Clock: s.clock, Origin: s.name})
 }
 
 // install writes an entry if it wins LWW; local writes always win (their
-// clock is fresh). checkBudget guards the footprint.
-func (s *Store) install(e *Entry, checkBudget bool) error {
+// clock is fresh). The footprint budget is checked first.
+func (s *Store) install(e *Entry) error {
 	old := s.data[e.Key]
 	delta := e.size()
 	if old != nil {
 		delta -= old.size()
 	}
-	if checkBudget && s.maxBytes > 0 && s.used+delta > s.maxBytes {
+	if s.maxBytes > 0 && s.used+delta > s.maxBytes {
 		// Undoing the clock bump for a failed local write is unnecessary —
 		// clocks only need monotonicity.
 		return fmt.Errorf("%w: %d + %d > %d", ErrFull, s.used, delta, s.maxBytes)
@@ -301,7 +301,7 @@ func (s *Store) applyRemote(entries []Entry) (applied, skipped int) {
 		}
 		cp := e
 		cp.Value = append([]byte(nil), e.Value...)
-		if err := s.install(&cp, true); err != nil {
+		if err := s.install(&cp); err != nil {
 			skipped++
 			continue
 		}

@@ -40,7 +40,6 @@ type SnoopAgent struct {
 	node     *simnet.Node
 	isMobile func(simnet.NodeID) bool
 	flows    map[connPair]*snoopFlow
-	maxCache int
 
 	stats SnoopStats
 }
@@ -50,18 +49,17 @@ type connPair struct {
 	mobile simnet.Addr // data receiver
 }
 
+// snoopMaxCache bounds the segments a snoop agent caches per flow.
+const snoopMaxCache = 256
+
 // NewSnoopAgent installs a snoop tap on node. isMobile classifies node IDs
 // on the wireless side of the AP; only flows toward those nodes are
-// snooped. maxCache bounds cached segments per flow (0 means 256).
-func NewSnoopAgent(node *simnet.Node, isMobile func(simnet.NodeID) bool, maxCache int) *SnoopAgent {
-	if maxCache <= 0 {
-		maxCache = 256
-	}
+// snooped.
+func NewSnoopAgent(node *simnet.Node, isMobile func(simnet.NodeID) bool) *SnoopAgent {
 	a := &SnoopAgent{
 		node:     node,
 		isMobile: isMobile,
 		flows:    make(map[connPair]*snoopFlow),
-		maxCache: maxCache,
 	}
 	sc := node.Network().Metrics.Instance("mtcp.snoop." + metrics.Sanitize(node.Name))
 	sc.AliasCounter("cached", &a.stats.Cached)
@@ -108,7 +106,7 @@ func (a *SnoopAgent) flow(key connPair) *snoopFlow {
 // its buffer once the stream is acknowledged).
 func (a *SnoopAgent) cacheData(key connPair, p *simnet.Packet, seg *Segment) {
 	f := a.flow(key)
-	if len(f.cache) >= a.maxCache {
+	if len(f.cache) >= snoopMaxCache {
 		return
 	}
 	if _, dup := f.cache[seg.Seq]; dup {

@@ -77,7 +77,7 @@ func TestSnoopShieldsFixedSenderFromWirelessLoss(t *testing.T) {
 	snooped := newWirelessPath(t, 21, loss)
 	agent := mtcp.NewSnoopAgent(snooped.gateway, func(id simnet.NodeID) bool {
 		return id == snooped.mobile.ID
-	}, 0)
+	})
 	snoopSender, snoopGot := snooped.push(t, size, 2*time.Minute)
 
 	if plainGot != size || snoopGot != size {
@@ -116,7 +116,7 @@ func TestSnoopPassesWiredLossThrough(t *testing.T) {
 	gw.SetRoute(mob.ID, wl.IfaceA())
 	fs := mtcp.MustNewStack(fixed)
 	ms := mtcp.MustNewStack(mob)
-	agent := mtcp.NewSnoopAgent(gw, func(id simnet.NodeID) bool { return id == mob.ID }, 0)
+	agent := mtcp.NewSnoopAgent(gw, func(id simnet.NodeID) bool { return id == mob.ID })
 
 	const size = 200_000
 	var got int
@@ -151,7 +151,7 @@ func TestSnoopPassesWiredLossThrough(t *testing.T) {
 
 func TestSnoopPreservesStreamContents(t *testing.T) {
 	w := newWirelessPath(t, 23, 0.05)
-	mtcp.NewSnoopAgent(w.gateway, func(id simnet.NodeID) bool { return id == w.mobile.ID }, 0)
+	mtcp.NewSnoopAgent(w.gateway, func(id simnet.NodeID) bool { return id == w.mobile.ID })
 	const size = 150_000
 	want := pattern(size)
 	var got []byte

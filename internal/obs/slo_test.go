@@ -39,7 +39,7 @@ func runSLO(t *testing.T, rules []Rule) []Interval {
 	t.Helper()
 	net := sloWorld()
 	tl := NewTimeline(time.Second)
-	tl.Attach("", net)
+	tl.Attach(net)
 	if err := net.Sched.RunFor(20 * time.Second); err != nil {
 		t.Fatal(err)
 	}

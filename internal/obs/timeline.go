@@ -97,11 +97,11 @@ func (t *Timeline) Annotations() []Annotation {
 
 // Attach registers a sampler for one standalone world and arms its
 // first tick at the next interval boundary on the world's scheduler.
-// Series names get the given prefix ("" for unprefixed). Standalone
-// worlds auto-quiesce: a tick that finds no other pending event stops
-// re-arming. Attach before the run starts.
-func (t *Timeline) Attach(prefix string, net *simnet.Network) *WorldSampler {
-	return t.attach(prefix, net, true)
+// Series names are unprefixed. Standalone worlds auto-quiesce: a tick
+// that finds no other pending event stops re-arming. Attach before the
+// run starts.
+func (t *Timeline) Attach(net *simnet.Network) *WorldSampler {
+	return t.attach("", net, true)
 }
 
 // AttachSharded registers one sampler per shard of a sharded world.

@@ -34,7 +34,7 @@ func testWorld(seed int64, horizon time.Duration) *simnet.Network {
 func TestTimelineSamplesCumulativeReadings(t *testing.T) {
 	net := testWorld(1, 2*time.Second)
 	tl := NewTimeline(100 * time.Millisecond)
-	ws := tl.Attach("", net)
+	ws := tl.Attach(net)
 	if err := net.Sched.RunFor(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestTimelineWindowedQuantiles(t *testing.T) {
 		}
 	})
 	tl := NewTimeline(100 * time.Millisecond)
-	ws := tl.Attach("", net)
+	ws := tl.Attach(net)
 	if err := net.Sched.RunFor(time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTimelineQuiesce(t *testing.T) {
 	// ticking through the dead 58 seconds after a 2s workload.
 	net := testWorld(1, 2*time.Second)
 	tl := NewTimeline(100 * time.Millisecond)
-	ws := tl.Attach("", net)
+	ws := tl.Attach(net)
 	if err := net.Sched.RunFor(time.Minute); err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +133,7 @@ func TestTimelineRingWrap(t *testing.T) {
 	net := testWorld(1, 2*time.Second)
 	tl := NewTimeline(100 * time.Millisecond)
 	tl.maxWindows = 4
-	ws := tl.Attach("", net)
+	ws := tl.Attach(net)
 	if err := net.Sched.RunFor(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +162,7 @@ func TestTimelineDeterministicExport(t *testing.T) {
 	run := func() []byte {
 		net := testWorld(42, 2*time.Second)
 		tl := NewTimeline(100 * time.Millisecond)
-		tl.Attach("", net)
+		tl.Attach(net)
 		if err := net.Sched.RunFor(3 * time.Second); err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestTimelineShardedPrefixes(t *testing.T) {
 		serial := simnet.NewNetwork(simnet.NewScheduler(7))
 		populate(serial)
 		ref := NewTimeline(time.Millisecond)
-		ref.Attach("", serial)
+		ref.Attach(serial)
 		if err := serial.Sched.RunFor(10 * time.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +257,7 @@ func TestTimelineSampleZeroAlloc(t *testing.T) {
 	net := testWorld(1, time.Hour) // workload never drains during the test
 	tl := NewTimeline(100 * time.Millisecond)
 	tl.maxWindows = 8
-	ws := tl.Attach("", net)
+	ws := tl.Attach(net)
 	if err := net.Sched.RunFor(2 * time.Second); err != nil { // fills all rings
 		t.Fatal(err)
 	}
@@ -271,7 +271,7 @@ func BenchmarkTimelineSample(b *testing.B) {
 	net := testWorld(1, time.Hour)
 	tl := NewTimeline(100 * time.Millisecond)
 	tl.maxWindows = 64
-	ws := tl.Attach("", net)
+	ws := tl.Attach(net)
 	if err := net.Sched.RunFor(10 * time.Second); err != nil {
 		b.Fatal(err)
 	}

@@ -24,9 +24,9 @@
 //
 // For worlds too large for one core, Sharded runs several Networks — one
 // per gateway cluster, built by the caller on Shard(k) — under a
-// conservative time-window protocol: CrossLink carries packets between
-// shards, and the smallest cross-link delay is the window width
-// (Sharded.Lookahead). Each shard keeps the single-goroutine ownership
+// conservative time-window protocol: a cross link (Sharded.Cross) is a
+// Link whose delivery crosses the shard pair's exchange ring, and the
+// smallest cross-link delay is the window width (Sharded.Lookahead). Each shard keeps the single-goroutine ownership
 // story above: within a window exactly one goroutine drives a shard's
 // scheduler, registry, tracer and pools, and the scoreboard that hands
 // out windows and ring drains carries the happens-before edges between

@@ -117,14 +117,20 @@ var (
 // Link is a full-duplex point-to-point link between two interfaces. Each
 // direction has an independent transmitter with a drop-tail queue modelled
 // implicitly by bounding the number of packets serialized ahead of a new
-// arrival.
+// arrival. A link made by Connect joins two nodes of one Network; one made
+// by Sharded.Cross joins two shards and hands each surviving packet to the
+// destination shard through the pair's exchange ring (see crossing).
 type Link struct {
 	cfg  LinkConfig
 	a, b *Iface
-	net  *Network
 
-	// spanName is the precomputed hop-span name ("simnet.link.<label>"),
-	// shared by both directions so span recording allocates nothing.
+	// x places a cross-shard link in its world; nil for a link inside
+	// one Network.
+	x *crossing
+
+	// spanName is the precomputed hop-span name ("simnet.link.<label>" or
+	// "simnet.xlink.<label>"), shared by both directions so span recording
+	// allocates nothing.
 	spanName string
 
 	// down is the administrative state: a downed link silently discards
@@ -160,28 +166,42 @@ var _ Medium = (*Link)(nil)
 // per-direction counters are aliased into the network's metrics registry
 // under simnet.link.<cfg.Name> (the "ab" direction is x->y).
 func Connect(x, y *Node, cfg LinkConfig) *Link {
+	l := newLink(x, y, cfg, "link")
+	sc := x.net.Metrics.Instance(l.spanName)
+	l.register([2]metrics.Scope{sc, sc}, [2]metrics.Scope{sc, sc})
+	return l
+}
+
+// newLink builds the link shared by Connect and Cross: it applies the
+// QueueLen default, attaches the interfaces "<kind>-<x>-<y>" and
+// "<kind>-<y>-<x>", and names the link "simnet.<kind>.<label>".
+func newLink(x, y *Node, cfg LinkConfig, kind string) *Link {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = DefaultQueueLen
 	}
-	l := &Link{cfg: cfg, net: x.net}
-	l.a = x.AddIface(fmt.Sprintf("link-%d-%d", x.ID, y.ID), l)
-	l.b = y.AddIface(fmt.Sprintf("link-%d-%d", y.ID, x.ID), l)
-
+	l := &Link{cfg: cfg}
+	l.a = x.AddIface(fmt.Sprintf("%s-%d-%d", kind, x.ID, y.ID), l)
+	l.b = y.AddIface(fmt.Sprintf("%s-%d-%d", kind, y.ID, x.ID), l)
 	label := cfg.Name
 	if label == "" {
 		label = fmt.Sprintf("n%d-n%d", x.ID, y.ID)
 	}
-	l.spanName = "simnet.link." + metrics.Sanitize(label)
-	sc := l.net.Metrics.Instance(l.spanName)
-	for dir, suffix := range [2]string{"ab", "ba"} {
-		sc.AliasCounter("delivered."+suffix, &l.Delivered[dir])
-		sc.AliasCounter("lost."+suffix, &l.Lost[dir])
-		sc.AliasCounter("lost_random."+suffix, &l.LostRandom[dir])
-		sc.AliasCounter("lost_burst."+suffix, &l.LostBurst[dir])
-		sc.AliasCounter("dropped_queue."+suffix, &l.Dropped[dir])
-		sc.AliasCounter("dropped_down."+suffix, &l.DroppedDown[dir])
-	}
+	l.spanName = "simnet." + kind + "." + metrics.Sanitize(label)
 	return l
+}
+
+// register aliases the six per-direction counters: Delivered into the
+// receiving side's scope rx[dir], the loss and drop counters into the
+// sending side's tx[dir].
+func (l *Link) register(tx, rx [2]metrics.Scope) {
+	for dir, suffix := range [2]string{"ab", "ba"} {
+		rx[dir].AliasCounter("delivered."+suffix, &l.Delivered[dir])
+		tx[dir].AliasCounter("lost."+suffix, &l.Lost[dir])
+		tx[dir].AliasCounter("lost_random."+suffix, &l.LostRandom[dir])
+		tx[dir].AliasCounter("lost_burst."+suffix, &l.LostBurst[dir])
+		tx[dir].AliasCounter("dropped_queue."+suffix, &l.Dropped[dir])
+		tx[dir].AliasCounter("dropped_down."+suffix, &l.DroppedDown[dir])
+	}
 }
 
 // Config returns the link's effective configuration (including any active
@@ -191,7 +211,9 @@ func (l *Link) Config() LinkConfig { return l.cfg }
 // SetDown sets the link's administrative state. While down, both directions
 // silently discard traffic (counted in DroppedDown and traced as
 // "link-down"). Safe on the zero Link and allocation-free: the hot-path
-// check is a single bool load.
+// check is a single bool load. It applies only to a link inside one
+// Network: on a cross-shard link one shard would write the state while
+// the other reads it.
 func (l *Link) SetDown(down bool) {
 	if l == nil {
 		return
@@ -206,6 +228,7 @@ func (l *Link) IsDown() bool { return l != nil && l.down }
 // (values in (0,1]; <=0 leaves the rate alone) and extraLoss is added to
 // the independent loss probability. Repeated calls replace, rather than
 // compound, any active brownout. Restore reverts to the configured values.
+// Like SetDown, it applies only to a link inside one Network.
 func (l *Link) Degrade(rateFactor, extraLoss float64) {
 	if l.base == nil {
 		base := l.cfg
@@ -224,7 +247,8 @@ func (l *Link) Degrade(rateFactor, extraLoss float64) {
 }
 
 // Restore ends a brownout, reverting Degrade. A link that was never
-// degraded is left untouched.
+// degraded is left untouched. It applies only to a link inside one
+// Network.
 func (l *Link) Restore() {
 	if l.base != nil {
 		l.cfg = *l.base
@@ -232,10 +256,12 @@ func (l *Link) Restore() {
 	}
 }
 
-// IfaceA returns the interface on the first node passed to Connect.
+// IfaceA returns the interface on the first node passed to Connect or
+// Cross.
 func (l *Link) IfaceA() *Iface { return l.a }
 
-// IfaceB returns the interface on the second node passed to Connect.
+// IfaceB returns the interface on the second node passed to Connect or
+// Cross.
 func (l *Link) IfaceB() *Iface { return l.b }
 
 // Peer returns the interface at the other end of the link from i, or nil if
@@ -263,15 +289,17 @@ type linkDelivery struct {
 	hop trace.Context
 }
 
-// run completes a delivery: count it, hand the packet to the receiving
-// node, then recycle packet and record.
+// run completes a delivery on the receiving node's network (for a cross
+// link, the destination shard, which owns Delivered[dir]): count it, hand
+// the packet to the node, then recycle packet and record.
 func (d *linkDelivery) run() {
 	l, dst, p, dir, hop := d.link, d.dst, d.p, d.dir, d.hop
-	l.net.freeDelivery(d)
+	net := dst.Node.net
+	net.freeDelivery(d)
 	l.Delivered[dir]++
-	l.net.Tracer.Finish(hop)
+	net.Tracer.Finish(hop)
 	dst.Node.Deliver(p, dst)
-	l.net.freePacket(p)
+	net.freePacket(p)
 }
 
 var (
@@ -282,10 +310,13 @@ var (
 	linkDeliver = func(a any) { a.(*linkDelivery).run() }
 )
 
-// Transmit implements Medium: serialize then propagate, with drop-tail
-// queueing and random loss. The steady-state path performs no allocations:
-// the forwarded copy and the delivery record come from the network's free
-// lists, and the scheduler callbacks are package-level func values.
+// Transmit implements Medium on the sending node's network: serialize
+// then propagate, with drop-tail queueing and random loss. The
+// steady-state path performs no allocations: the forwarded copy and the
+// delivery record come from the network's free lists, and the scheduler
+// callbacks are package-level func values. A cross link runs the same
+// transmitter and hands the survivor to the destination shard instead
+// (crossShard).
 func (l *Link) Transmit(from *Iface, p *Packet) {
 	dir := 0
 	dst := l.b
@@ -295,14 +326,15 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 	} else if from != l.a {
 		return
 	}
+	net := from.Node.net
 
 	if l.down {
 		l.DroppedDown[dir]++
-		l.net.Tracer.Annotate(p.Trace, "link-down")
+		net.Tracer.Annotate(p.Trace, "link-down")
 		return
 	}
 
-	s := l.net.Sched
+	s := net.Sched
 	now := s.Now()
 	if l.busyUntil[dir] < now {
 		l.busyUntil[dir] = now
@@ -310,7 +342,7 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 	}
 	if l.queued[dir] >= l.cfg.QueueLen {
 		l.Dropped[dir]++
-		l.net.Tracer.Annotate(p.Trace, "queue-overflow")
+		net.Tracer.Annotate(p.Trace, "queue-overflow")
 		return
 	}
 
@@ -324,7 +356,7 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 
 	if reason := l.lost(s, dir, p.Bytes); reason != "" {
 		l.Lost[dir]++
-		l.net.Tracer.Annotate(p.Trace, reason)
+		net.Tracer.Annotate(p.Trace, reason)
 		// The transmitter is still occupied for the serialization time;
 		// decrement the queue when the frame would have finished sending.
 		s.AtCall(txDone, linkDequeue[dir], l)
@@ -332,11 +364,15 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 	}
 
 	s.AtCall(txDone, linkDequeue[dir], l)
-	d := l.net.allocDelivery()
-	d.link, d.dst, d.p, d.dir = l, dst, l.net.clonePooled(p), uint8(dir)
+	if l.x != nil {
+		l.crossShard(net, dir, arrive, dst, p)
+		return
+	}
+	d := net.allocDelivery()
+	d.link, d.dst, d.p, d.dir = l, dst, net.clonePooled(p), uint8(dir)
 	// The hop span covers queueing + serialization + propagation on this
 	// wire; the name is precomputed at Connect, so this allocates nothing.
-	d.hop = l.net.Tracer.StartSpan(p.Trace, l.spanName, trace.LayerWired)
+	d.hop = net.Tracer.StartSpan(p.Trace, l.spanName, trace.LayerWired)
 	s.AtCall(arrive, linkDeliver, d)
 }
 

@@ -18,7 +18,7 @@ import (
 // pools. Execution proceeds in windows; within a window every shard runs
 // independently, because nothing it does can affect another shard sooner
 // than one cross-link delay away; at window boundaries shards exchange
-// the packets that crossed (see CrossLink).
+// the packets that crossed (see Cross).
 //
 // Synchronization is per-pair, not a global barrier. Every window has the
 // same width, Lookahead() — the smallest cross-link delay — and at every
@@ -54,7 +54,6 @@ type Sharded struct {
 	// indexes them during the task that touches them.
 	rings   [][]*xring
 	xseq    []uint64
-	xdFree  [][]*xDelivery
 	scratch [][]xrec // per-destination merge scratch, owned by the drain task
 
 	// minCross is the smallest cross-link delay seen: the window width.
@@ -88,7 +87,6 @@ func NewSharded(seed int64, n int) *Sharded {
 		prefix:  make([]string, n),
 		rings:   make([][]*xring, n),
 		xseq:    make([]uint64, n),
-		xdFree:  make([][]*xDelivery, n),
 		scratch: make([][]xrec, n),
 		errs:    make([]error, n),
 	}
@@ -428,10 +426,11 @@ func (e *shardExec) publish(k int, run bool) {
 
 // drainRings drains every ring addressed to shard k, merges the records
 // in (arrival time, source shard, sequence) order, and schedules their
-// deliveries on k's scheduler. Arrival times must be at or after k's
-// clock: a cross link's delay is never below the window width, so the
-// window protocol guarantees it, and a record landing in k's past is
-// reported as a deterministic causality error on k.
+// deliveries on k's scheduler, drawing records from k's own linkDelivery
+// pool. Arrival times must be at or after k's clock: a cross link's delay
+// is never below the window width, so the window protocol guarantees it,
+// and a record landing in k's past is reported as a deterministic
+// causality error on k.
 func (w *Sharded) drainRings(k int) {
 	buf := w.scratch[k][:0]
 	for s := range w.shards {
@@ -473,26 +472,12 @@ func (w *Sharded) drainRings(k int) {
 				"simnet: cross-shard record from shard %d arrives at %v, before shard %d's clock %v (causality violation)",
 				rec.src, rec.at, k, now)
 		}
-		d := w.allocXDelivery(k)
-		d.link, d.dst, d.dir = rec.link, rec.dst, rec.dir
-		cp := net.AllocPacket()
-		*cp = rec.p
-		cp.pooled, cp.inPool = true, false
-		d.p = cp
-		net.Sched.AtCall(rec.at, xlinkDeliver, d)
+		d := net.allocDelivery()
+		d.link, d.dst, d.p, d.dir = rec.link, rec.dst, net.clonePooled(&rec.p), rec.dir
+		net.Sched.AtCall(rec.at, linkDeliver, d)
 		rec.p = Packet{} // drop Body reference for the GC
 	}
 	w.scratch[k] = buf[:0]
-}
-
-func (w *Sharded) allocXDelivery(k int) *xDelivery {
-	free := w.xdFree[k]
-	if n := len(free); n > 0 {
-		d := free[n-1]
-		w.xdFree[k] = free[:n-1]
-		return d
-	}
-	return &xDelivery{}
 }
 
 // Snapshot captures every shard's registry as one merged snapshot. A

@@ -22,7 +22,7 @@ func buildSweepWorld(tb testing.TB, shards int, churnEvery time.Duration) *Shard
 	tb.Helper()
 	w := NewSharded(42, shards)
 	nodes := make([]*Node, shards)
-	links := make([]*CrossLink, shards)
+	links := make([]*Link, shards)
 	for k := 0; k < shards; k++ {
 		nodes[k] = w.Shard(k).NewNode(fmt.Sprintf("sweep%d", k))
 	}

@@ -21,7 +21,7 @@ const echoPort Port = 7
 type ringWorld struct {
 	w     *Sharded
 	nodes []*Node
-	links []*CrossLink
+	links []*Link
 	got   []int // echo replies received per shard
 }
 

@@ -286,7 +286,7 @@ func (d *syncDevice) send() {
 	f := d.f
 	tracer := f.node.Network().Tracer
 	prev := tracer.Swap(d.ctx)
-	f.u.Send(d.port, f.cfg.Tier[d.target], d.session, syncReqBytes(d.session))
+	f.u.Send(d.port, f.cfg.Tier[d.target], d.session, d.session.WireBytes())
 	tracer.Swap(prev)
 }
 
@@ -355,15 +355,4 @@ func (d *syncDevice) expire() {
 	sched := f.node.Sched()
 	think := time.Duration(sched.Rand().ExpFloat64() * float64(f.cfg.SyncMean))
 	sched.Rearm(think, syncDevSync, d)
-}
-
-// syncReqBytes mirrors the core wire-size model for sync requests, kept
-// in lockstep with core.ReqBytes.
-func syncReqBytes(req *mobiledb.UpSyncRequest) int {
-	n := 32 + len(req.From)
-	for i := range req.Writes {
-		w := &req.Writes[i]
-		n += 48 + len(w.Key) + len(w.Value)
-	}
-	return n
 }

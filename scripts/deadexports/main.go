@@ -11,6 +11,10 @@
 // fmt.Stringer reaches String and encoding/json.Marshaler reaches
 // MarshalJSON), or error. There is no allowlist.
 //
+// Naming a type as a method's receiver, or in a package-level blank
+// assertion (var _ I = (*T)(nil)), is not a use: both say what T is, not
+// that anything needs it.
+//
 // It also fails on a field of a package-level struct type that nothing
 // in the tree writes, so it always holds its zero value. A field is
 // written by a keyed or positional composite literal, by an assignment,
@@ -347,8 +351,12 @@ func (l *loader) typeCheck(path string, files []*ast.File, tests bool) (*types.P
 	if err != nil {
 		return nil, nil, err
 	}
+	selfRefs := map[*ast.Ident]bool{}
+	for _, f := range files {
+		markSelfRefs(f, selfRefs)
+	}
 	for id, obj := range info.Uses {
-		if obj.Pkg() == nil {
+		if obj.Pkg() == nil || selfRefs[id] {
 			continue
 		}
 		switch o := obj.(type) {
@@ -594,6 +602,48 @@ func declIdents(f *ast.File) []*ast.Ident {
 		}
 	}
 	return ids
+}
+
+// markSelfRefs marks the identifiers of f that name a type without using
+// it: those in a method's receiver and those in a package-level blank
+// assertion (var _ I = (*T)(nil), a spec with a type whose names are all
+// blank).
+func markSelfRefs(f *ast.File, ids map[*ast.Ident]bool) {
+	mark := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				ids[id] = true
+			}
+			return true
+		})
+	}
+	for _, d := range f.Decls {
+		switch d := d.(type) {
+		case *ast.FuncDecl:
+			if d.Recv != nil {
+				mark(d.Recv)
+			}
+		case *ast.GenDecl:
+			if d.Tok != token.VAR {
+				continue
+			}
+			for _, spec := range d.Specs {
+				s := spec.(*ast.ValueSpec)
+				if s.Type != nil && allBlank(s.Names) {
+					mark(s)
+				}
+			}
+		}
+	}
+}
+
+func allBlank(names []*ast.Ident) bool {
+	for _, id := range names {
+		if id.Name != "_" {
+			return false
+		}
+	}
+	return true
 }
 
 // qualified names obj within its package: "Conn.State" for a method.

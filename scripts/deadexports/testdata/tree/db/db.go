@@ -20,6 +20,18 @@ func (d DB) Lookup(key string) (store.Row, bool) {
 // Reset is dead. Counter.Reset, which app calls, shares its name.
 func (d *DB) Reset() { d.Rows = nil }
 
+// Mirror satisfies store.Backend. Its receiver and the blank assertion
+// name it, but only a test constructs one.
+type Mirror map[string]string
+
+var _ store.Backend = Mirror(nil)
+
+// Lookup implements store.Backend.
+func (m Mirror) Lookup(key string) (store.Row, bool) {
+	v, ok := m[key]
+	return store.Row{Val: v}, ok
+}
+
 // Counter counts.
 type Counter struct{ n int }
 

@@ -9,4 +9,7 @@ func TestOnlyTested(t *testing.T) {
 	if o := (Opts{Debug: true}); o.Unset != 0 {
 		t.Fatal("Opts.Unset")
 	}
+	if _, ok := (Mirror{"a": "1"}).Lookup("a"); !ok {
+		t.Fatal("Mirror.Lookup")
+	}
 }
