@@ -177,7 +177,7 @@ func (b DBBackend) Lookup(key string) (mobiledb.ServerEntry, bool, error) {
 		found = true
 		e = mobiledb.ServerEntry{
 			Key:     key,
-			Value:   append([]byte(nil), row["v"].([]byte)...),
+			Value:   row["v"].([]byte), // Get returns a private clone
 			Deleted: row["del"].(bool),
 			Ver:     uint64(row["ver"].(int64)),
 			WTS:     row["wts"].(int64),
@@ -191,15 +191,14 @@ func (b DBBackend) Lookup(key string) (mobiledb.ServerEntry, bool, error) {
 
 // Store implements mobiledb.Backend.
 func (b DBBackend) Store(e mobiledb.ServerEntry) error {
+	// Update and Insert buffer a clone of the row, so it may alias e.Value.
 	row := database.Row{
-		"k": e.Key, "v": append([]byte(nil), e.Value...), "del": e.Deleted,
+		"k": e.Key, "v": e.Value, "del": e.Deleted,
 		"ver": int64(e.Ver), "wts": e.WTS,
 		"origin": e.Origin, "clock": int64(e.Clock),
 	}
 	return b.DB.Atomically(0, func(tx *database.Tx) error {
-		if _, err := tx.Get(KVTable, e.Key); err == nil {
-			return tx.Update(KVTable, row)
-		} else if !errors.Is(err, database.ErrNotFound) {
+		if err := tx.Update(KVTable, row); !errors.Is(err, database.ErrNotFound) {
 			return err
 		}
 		return tx.Insert(KVTable, row)
@@ -372,7 +371,7 @@ func (s *SyncService) drain(commit int) {
 	s.pending = keep
 	if through := s.sv.InvThrough(); through > s.bcast {
 		msg := &InvalidationMsg{
-			Invalid: append([]mobiledb.Invalidation(nil), s.sv.InvSince(s.bcast)...),
+			Invalid: s.sv.InvSince(s.bcast),
 			Through: through,
 		}
 		s.bcast = through

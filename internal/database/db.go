@@ -1,9 +1,11 @@
 package database
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -20,7 +22,7 @@ type table struct {
 
 type rowLock struct {
 	exclusive uint64          // tx holding exclusive, 0 if none
-	shared    map[uint64]bool // txs holding shared
+	shared    map[uint64]bool // txs holding shared; nil until the first shared lock
 }
 
 // DB is the embedded database engine.
@@ -121,7 +123,9 @@ func (db *DB) Tables() []string {
 	return out
 }
 
-// WAL returns a copy of the committed write-ahead log.
+// WAL returns a copy of the committed write-ahead log. The records are
+// shared with the tables: their rows are the committed rows themselves, so
+// callers must treat them as immutable (see Row).
 func (db *DB) WAL() []LogRecord {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -162,7 +166,9 @@ type LogRecord struct {
 
 // applyOps replays one record's operations into the tables. OpCreate on an
 // existing table is idempotent, so a replica may apply a shipped DDL record
-// for a schema it already holds. Caller holds db.mu or owns the DB solely.
+// for a schema it already holds. The tables keep the records' rows without
+// copying them (committed rows are immutable, see Row). Caller holds db.mu
+// or owns the DB solely.
 func (db *DB) applyOps(ops []Op) error {
 	for _, op := range ops {
 		if op.Kind == OpCreate {
@@ -177,7 +183,7 @@ func (db *DB) applyOps(ops []Op) error {
 		}
 		switch op.Kind {
 		case OpInsert, OpUpdate:
-			t.rows[op.Key] = op.Row.Clone()
+			t.rows[op.Key] = op.Row
 		case OpDelete:
 			delete(t.rows, op.Key)
 		}
@@ -234,9 +240,10 @@ func (db *DB) WALLen() int {
 }
 
 // WALRange copies records [from, to) of the committed log; the bounds are
-// clamped. Records are shared structure — callers must treat them as
-// immutable (the replication layer ships them over simnet links, where
-// bodies must never be mutated after send).
+// clamped. Records are shared structure — their rows are the committed
+// rows of this database's tables, and of every replica that applies them —
+// so callers must treat them as immutable (the replication layer ships
+// them over simnet links, where bodies must never be mutated after send).
 func (db *DB) WALRange(from, to int) []LogRecord {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -302,7 +309,7 @@ func (db *DB) Begin() *Tx {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.nextTx++
-	return &Tx{db: db, id: db.nextTx, writes: make(map[string]map[any]*Op)}
+	return &Tx{db: db, id: db.nextTx}
 }
 
 // Tx is a transaction: reads take shared locks, writes take exclusive
@@ -312,8 +319,8 @@ type Tx struct {
 	db     *DB
 	id     uint64
 	done   bool
-	locked []lockRef // locks held, for release
-	writes map[string]map[any]*Op
+	locked []lockRef              // locks held, for release
+	writes map[string]map[any]*Op // nil until the first write
 }
 
 type lockRef struct {
@@ -333,7 +340,7 @@ func (tx *Tx) table(name string) (*table, error) {
 func (tx *Tx) lock(t *table, key any, exclusive bool) error {
 	l, ok := t.locks[key]
 	if !ok {
-		l = &rowLock{shared: make(map[uint64]bool)}
+		l = &rowLock{}
 		t.locks[key] = l
 	}
 	switch {
@@ -352,6 +359,9 @@ func (tx *Tx) lock(t *table, key any, exclusive bool) error {
 	default:
 		if l.shared[tx.id] {
 			return nil
+		}
+		if l.shared == nil {
+			l.shared = make(map[uint64]bool)
 		}
 		l.shared[tx.id] = true
 	}
@@ -495,6 +505,9 @@ func (tx *Tx) rowVisible(t *table, tableName string, key any) bool {
 func (tx *Tx) bufferWrite(tableName string, op *Op) {
 	ops, ok := tx.writes[tableName]
 	if !ok {
+		if tx.writes == nil {
+			tx.writes = make(map[string]map[any]*Op)
+		}
 		ops = make(map[any]*Op)
 		tx.writes[tableName] = ops
 	}
@@ -502,7 +515,7 @@ func (tx *Tx) bufferWrite(tableName string, op *Op) {
 		// Collapse: insert+update stays insert; insert+delete vanishes
 		// only if the row did not pre-exist (keep delete for safety).
 		if prev.Kind == OpInsert && op.Kind == OpUpdate {
-			op = &Op{Kind: OpInsert, Table: op.Table, Key: op.Key, Row: op.Row}
+			op.Kind = OpInsert // op is this call's own buffer entry
 		}
 	}
 	ops[op.Key] = op
@@ -558,19 +571,21 @@ func (tx *Tx) Scan(tableName string, fn func(Row) bool) error {
 	return nil
 }
 
-func sortKeys(keys []any) {
-	sort.Slice(keys, func(i, j int) bool {
-		switch a := keys[i].(type) {
-		case string:
-			b, ok := keys[j].(string)
-			return ok && a < b
-		case int64:
-			b, ok := keys[j].(int64)
-			return ok && a < b
-		default:
-			return false
+func sortKeys(keys []any) { slices.SortFunc(keys, compareKeys) }
+
+// compareKeys orders primary keys of one table (all strings or all int64).
+func compareKeys(a, b any) int {
+	switch a := a.(type) {
+	case string:
+		if b, ok := b.(string); ok {
+			return cmp.Compare(a, b)
 		}
-	})
+	case int64:
+		if b, ok := b.(int64); ok {
+			return cmp.Compare(a, b)
+		}
+	}
+	return 0
 }
 
 // Commit applies buffered writes atomically, appends the WAL record and
@@ -581,31 +596,30 @@ func (tx *Tx) Commit() error {
 	if tx.done {
 		return ErrDone
 	}
-	var rec LogRecord
-	rec.TxID = tx.id
-	tables := make([]string, 0, len(tx.writes))
-	for name := range tx.writes {
-		tables = append(tables, name)
+	// The record lists the writes in (table, key) order, so a log is a
+	// pure function of the committed transactions.
+	rec := LogRecord{TxID: tx.id}
+	n := 0
+	for _, ops := range tx.writes {
+		n += len(ops)
 	}
-	sort.Strings(tables)
-	for _, name := range tables {
-		t := tx.db.tables[name]
-		keys := make([]any, 0, len(tx.writes[name]))
-		for k := range tx.writes[name] {
-			keys = append(keys, k)
-		}
-		sortKeys(keys)
-		for _, k := range keys {
-			op := tx.writes[name][k]
-			switch op.Kind {
-			case OpInsert, OpUpdate:
-				t.rows[k] = op.Row.Clone()
-			case OpDelete:
-				delete(t.rows, k)
+	if n > 0 {
+		rec.Ops = make([]Op, 0, n)
+		for _, ops := range tx.writes {
+			for _, op := range ops {
+				rec.Ops = append(rec.Ops, *op)
 			}
-			rec.Ops = append(rec.Ops, *op)
 		}
+		slices.SortFunc(rec.Ops, func(a, b Op) int {
+			if c := cmp.Compare(a.Table, b.Table); c != 0 {
+				return c
+			}
+			return compareKeys(a.Key, b.Key)
+		})
 	}
+	// Every table a write names exists (tables are never dropped), so
+	// applying cannot fail.
+	_ = tx.db.applyOps(rec.Ops)
 	if len(rec.Ops) > 0 {
 		if err := tx.db.appendRecord(rec); err != nil {
 			// The in-memory state is already updated; surface the

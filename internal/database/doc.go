@@ -10,8 +10,10 @@
 //     conflict policy (a conflicting lock acquisition fails immediately
 //     with ErrLocked instead of blocking, which makes deadlock impossible;
 //     callers retry);
-//   - a write-ahead log of committed transactions, replayable for crash
-//     recovery (Recover rebuilds a database from a log);
+//   - a write-ahead log of committed transactions, persisted as binary
+//     checksummed records (PersistTo) and replayable for crash recovery
+//     (ReadWALPrefix decodes an image, ResetTo rebuilds from a log);
+//   - immutable committed rows, shared by the tables and the log;
 //   - snapshot-free scans that take read locks row by row.
 //
 // The engine is safe for concurrent use from multiple goroutines; inside

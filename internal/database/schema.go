@@ -61,6 +61,13 @@ type Schema []Column
 
 // Row is a record keyed by column name. Values must match the schema:
 // string, int64, float64, bool or []byte.
+//
+// Committed rows are immutable. Insert and Update buffer a private clone
+// of the caller's row; at commit that one map becomes both the table's row
+// and the WAL record's, and a replica applying the record keeps the same
+// map, read-only, possibly from another goroutine. Nothing may write to a
+// row after it is buffered: Get and Scan hand out clones, and rows read
+// through WAL, WALRange or ReadWALPrefix must not be modified.
 type Row map[string]any
 
 // Clone returns a deep-enough copy (byte slices are copied).

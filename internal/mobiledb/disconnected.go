@@ -420,12 +420,16 @@ func (sv *Server) Reset() { sv.invLog = nil }
 // InvThrough returns the invalidation log's current watermark.
 func (sv *Server) InvThrough() uint64 { return uint64(len(sv.invLog)) }
 
-// InvSince returns invalidation ticks after the given watermark.
+// InvSince returns invalidation ticks after the given watermark. The
+// result shares the log's array, capped at its length: the log is
+// append-only and Reset replaces the array rather than rewriting it, so
+// the ticks handed out never change and an append to the result copies.
 func (sv *Server) InvSince(since uint64) []Invalidation {
-	if since >= uint64(len(sv.invLog)) {
+	n := uint64(len(sv.invLog))
+	if since >= n {
 		return nil
 	}
-	return sv.invLog[since:]
+	return sv.invLog[since:n:n]
 }
 
 // Apply processes one upload session and builds the response. The caller
@@ -451,7 +455,7 @@ func (sv *Server) Apply(req *UpSyncRequest) (*UpSyncResponse, error) {
 	if len(delta) > maxInvReplay {
 		delta = delta[len(delta)-maxInvReplay:]
 	}
-	resp.Invalid = append([]Invalidation(nil), delta...)
+	resp.Invalid = delta
 	resp.Through = sv.InvThrough()
 	return resp, nil
 }

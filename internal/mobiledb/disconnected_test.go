@@ -435,3 +435,71 @@ func TestFragileDropLosesWrites(t *testing.T) {
 		t.Errorf("session not released after drop: %v", err)
 	}
 }
+
+// TestInvalidationDeltaIsStable pins the zero-copy invalidation delta: a
+// response shares the server's append-only log, so the ticks it carries
+// must not change as later writes extend the log or a Reset replaces it,
+// even while another goroutine (a device on another shard lane) reads
+// them, and appending to the delta must not write into the log.
+func TestInvalidationDeltaIsStable(t *testing.T) {
+	now := int64(1)
+	dev := device("dev", 0, &now)
+	sv, _ := NewServer(PolicyLWW, NewMemBackend(), nil)
+	put := func(key string) {
+		t.Helper()
+		now++
+		if err := dev.PutTentative(key, []byte(key)); err != nil {
+			t.Fatal(err)
+		}
+		roundTrip(t, dev, sv)
+	}
+	put("a")
+	put("b")
+	put("c")
+	if cap(sv.invLog) == len(sv.invLog) {
+		t.Fatalf("setup: the log has no spare capacity for later writes to reuse")
+	}
+	// An empty session from a device that has consumed nothing yet.
+	resp, err := sv.Apply(&UpSyncRequest{From: "late"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]Invalidation(nil), resp.Invalid...)
+	if len(want) != 3 || cap(resp.Invalid) != len(resp.Invalid) {
+		t.Fatalf("delta = %v (cap %d), want 3 ticks capped at their length", resp.Invalid, cap(resp.Invalid))
+	}
+	done := make(chan struct{})
+	read := make(chan int)
+	go func() {
+		n := 0
+		for {
+			select {
+			case <-done:
+				read <- n
+				return
+			default:
+				for _, inv := range resp.Invalid {
+					n += len(inv.Key)
+				}
+			}
+		}
+	}()
+	put("d")
+	_ = append(resp.Invalid, Invalidation{Key: "x", SrvVer: 99})
+	if got := sv.InvSince(3); len(got) != 1 || got[0].Key != "d" {
+		t.Errorf("appending to the delta overwrote the log: %v", got)
+	}
+	sv.Reset()
+	put("e")
+	put("f")
+	close(done)
+	<-read
+	if got := sv.InvSince(0); len(got) != 2 || got[0].Key != "e" || got[1].Key != "f" {
+		t.Errorf("log after Reset = %v, want the e and f ticks", got)
+	}
+	for i := range want {
+		if resp.Invalid[i] != want[i] {
+			t.Fatalf("delta changed: %v, want %v", resp.Invalid, want)
+		}
+	}
+}

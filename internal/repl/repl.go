@@ -11,12 +11,15 @@
 // standard leader-completeness guarantee, while elections are driven by
 // simulated-time leases with rank-staggered timeouts so failover is a
 // deterministic function of the seed. Durability is modelled honestly:
-// every member writes its WAL through database.PersistTo into an in-memory
-// "disk" with a simulated fsync latency, acknowledges records only after
-// the fsync completes, and a crash tears the un-synced tail at a random
-// byte — exercising database.ReadWALPrefix's torn-tail recovery on every
-// restart. Only never-acknowledged records can be lost, which is exactly
-// the window the quorum intersection argument tolerates.
+// every member writes its WAL through database.PersistTo, as binary
+// length-prefixed, checksummed records, into an in-memory "disk" with a
+// simulated fsync latency, acknowledges records only after the fsync
+// completes, and a crash tears the un-synced tail at a random byte —
+// exercising database.ReadWALPrefix's torn-tail recovery on every restart.
+// Shipped records are applied without copying their rows: committed rows
+// are immutable, so every member's table shares them read-only. Only
+// never-acknowledged records can be lost, which is exactly the window the
+// quorum intersection argument tolerates.
 package repl
 
 import (
@@ -157,8 +160,8 @@ type Member struct {
 	TornBytes                         uint64
 }
 
-// walDisk is the member's simulated disk: a flat byte image the gob WAL
-// stream appends to.
+// walDisk is the member's simulated disk: a flat byte image the WAL
+// writer appends one record to per Write.
 type walDisk struct {
 	buf []byte
 }
@@ -716,8 +719,9 @@ func (m *Member) truncateTo(n int) {
 }
 
 // rewriteDisk replaces the disk image with a checkpoint of the current
-// database (used after truncation and on restart; the fresh gob stream is
-// treated as synced — its content was durable before).
+// database, re-encoding every record (used after truncation and on
+// restart; the fresh image is treated as synced — its content was durable
+// before).
 func (m *Member) rewriteDisk(recs int) {
 	m.syncT.Cancel()
 	m.disk.buf = m.disk.buf[:0]

@@ -18,9 +18,11 @@
 # state digest serial vs sharded. A bench gate checks, on medians of five
 # runs, the timing wheel's speedup over the reference heap and that the
 # webserver parser frames messages in linear time, and caps the
-# allocs/op of one WAP and one i-mode transaction; ten-second fuzz
-# smokes run the parser against its reference oracle and the WMLC decoder
-# against its re-encoding fixpoint, and 20,000 WAP transactions on one
+# allocs/op of one WAP and one i-mode transaction and of one logged
+# database commit; ten-second fuzz smokes run the parser against its
+# reference oracle, the WMLC decoder against its re-encoding fixpoint and
+# the WAL record decoder against its prefix and fixpoint contracts, and
+# 20,000 WAP transactions on one
 # station check that sessions do not leak ports. The
 # segment-level TCP adds its own gates: the mtcp package under the race
 # detector, same-seed byte-identical mcsim output per congestion
@@ -66,12 +68,13 @@ rm -f /tmp/mc-trace-a.json /tmp/mc-trace-b.json
 # must frame a 4 KiB response in at least 0.01x the time of a 256 KiB
 # one (a quadratic parser measures about 0.001x). Each ratio compares
 # two benchmarks from the same run, on medians of five, so it holds on
-# any host. One WAP and one i-mode transaction must stay under their
-# allocs/op ceilings (BenchmarkTxnWAP, BenchmarkTxnIMode), which do not
+# any host. One WAP and one i-mode transaction and one database commit
+# logged to a WAL sink must stay under their allocs/op ceilings
+# (BenchmarkTxnWAP, BenchmarkTxnIMode, BenchmarkWALCommit), which do not
 # depend on the host either.
-go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkTxnWAP$|BenchmarkTxnIMode$' \
+go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkTxnWAP$|BenchmarkTxnIMode$|BenchmarkWALCommit$' \
 	-count 5 -benchtime 200ms -benchmem ./internal/simnet ./internal/webserver ./internal/core \
-	>/tmp/mc-bench-gate.txt
+	./internal/database >/tmp/mc-bench-gate.txt
 go run ./scripts/benchgate -baseline scripts/bench_baseline.json /tmp/mc-bench-gate.txt
 rm -f /tmp/mc-bench-gate.txt
 # Parser fuzz smoke: bounded native fuzzing of the webserver parser
@@ -81,6 +84,11 @@ go test -run '^$' -fuzz FuzzParser -fuzztime 10s ./internal/webserver
 # WMLC decoder fuzz smoke: no panic on arbitrary bytes, and every accepted
 # input re-encodes to a fixpoint, on top of the checked-in seed corpus.
 go test -run '^$' -fuzz FuzzDecodeWMLC -fuzztime 10s ./internal/markup
+# WAL decoder fuzz smoke: crash recovery decodes whatever a torn disk
+# image holds. No panic, a valid prefix inside the input that re-reads
+# cleanly, only ErrTruncatedWAL as an error, and decoded records that
+# re-encode to a fixpoint, on top of the checked-in seed corpus.
+go test -run '^$' -fuzz FuzzReadWALPrefix -fuzztime 10s ./internal/database
 # WAP state gate: 20,000 back-to-back WAP transactions on one station.
 # That is more sessions than a node has ephemeral UDP ports (16,384), so
 # a session that bound its own port instead of reusing the station's
