@@ -405,7 +405,11 @@ func TestInventoryOfflineSync(t *testing.T) {
 	if gotScans != 2 {
 		t.Errorf("pulled %d entries from hub, want 2", gotScans)
 	}
-	if v, ok := puller.Local.Get("scan:pkg-9"); !ok || string(v) != "picked up 09:02" {
+	relayed := false
+	for _, e := range puller.Local.ChangesSince(0) {
+		relayed = relayed || e.Key == "scan:pkg-9" && !e.Deleted && string(e.Value) == "picked up 09:02"
+	}
+	if !relayed {
 		t.Error("scan lost through hub relay")
 	}
 }

@@ -227,12 +227,12 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 		wcfg.TCP.CC = cfg.CC
 	}
 	mc.wapCfg = wcfg
-	mc.WAP, err = wap.NewGatewayWithStack(gw, gwStack, wcfg)
+	mc.WAP, err = wap.NewGateway(gw, gwStack, wcfg)
 	if err != nil {
 		return nil, fmt.Errorf("core: wap gateway: %w", err)
 	}
 	if !cfg.DisableIMode {
-		mc.IMode, err = imode.NewGatewayWithStack(gw, gwStack, imode.GatewayConfig{TCP: tcp})
+		mc.IMode, err = imode.NewGateway(gw, gwStack, imode.GatewayConfig{TCP: tcp})
 		if err != nil {
 			return nil, fmt.Errorf("core: imode gateway: %w", err)
 		}

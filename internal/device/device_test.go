@@ -161,11 +161,11 @@ func newBrowserTopo(t testing.TB, p device.Profile) *browserTopo {
 	gw.SetRoute(org.ID, wd.IfaceA())
 
 	gwStack := mtcp.MustNewStack(gw)
-	wapGW, err := wap.NewGatewayWithStack(gw, gwStack, wap.DefaultGatewayConfig())
+	wapGW, err := wap.NewGateway(gw, gwStack, wap.DefaultGatewayConfig())
 	if err != nil {
 		t.Fatalf("wap gateway: %v", err)
 	}
-	imodeGW, err := imode.NewGatewayWithStack(gw, gwStack, imode.GatewayConfig{})
+	imodeGW, err := imode.NewGateway(gw, gwStack, imode.GatewayConfig{})
 	if err != nil {
 		t.Fatalf("imode gateway: %v", err)
 	}

@@ -19,6 +19,11 @@
 //   - small screens: pages report how many screenfuls they occupy on the
 //     profile's display.
 //
+// The browser keeps no offline page cache: a fetch that fails on the
+// network fails. Disconnected operation is modelled where the paper puts
+// it, in the handheld's embedded database (internal/mobiledb and its
+// sync).
+//
 // Table 2 in the paper omits a few physical specs (screen, battery) as
 // "confidential due to business considerations"; the profiles augment the
 // table with period-typical values, recorded in DESIGN.md.

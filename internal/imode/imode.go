@@ -66,17 +66,9 @@ const (
 	memoMaxBody = 16 << 10
 )
 
-// NewGateway starts an i-mode portal on the node, creating its TCP stack.
-func NewGateway(node *simnet.Node, cfg GatewayConfig) (*Gateway, error) {
-	stack, err := mtcp.NewStack(node)
-	if err != nil {
-		return nil, err
-	}
-	return NewGatewayWithStack(node, stack, cfg)
-}
-
-// NewGatewayWithStack starts a portal on an existing TCP stack.
-func NewGatewayWithStack(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig) (*Gateway, error) {
+// NewGateway starts an i-mode portal on the node's TCP stack, which it
+// may share with other services.
+func NewGateway(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig) (*Gateway, error) {
 	g := &Gateway{node: node, cfg: cfg, http: webserver.NewClient(stack, cfg.TCP), memo: make(map[string][]byte)}
 	srv, err := webserver.New(stack, GatewayPort, cfg.TCP)
 	if err != nil {

@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"mcommerce/internal/markup/markuptest"
+	"mcommerce/internal/mtcp"
 	"mcommerce/internal/simnet"
 	"mcommerce/internal/webserver"
 )
 
 func newMemoPortal(t *testing.T) *Gateway {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
-	g, err := NewGateway(net.NewNode("portal"), GatewayConfig{})
+	node := net.NewNode("portal")
+	g, err := NewGateway(node, mtcp.MustNewStack(node), GatewayConfig{})
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}

@@ -74,8 +74,7 @@ var ErrSyncOpen = errors.New("mobiledb: sync session already open")
 
 // PutTentative records a disconnected write: the value is stored locally,
 // marked tentative, stamped with the simulated time and the server version
-// it was based on, and queued for the next sync session. Tentative entries
-// are exempt from eviction until a server accepts or overrides them.
+// it was based on, and queued for the next sync session.
 func (s *Store) PutTentative(key string, value []byte) error {
 	return s.putTentative(key, value, false)
 }
@@ -216,7 +215,7 @@ func (r *UpSyncResponse) WireBytes() int {
 
 // BeginUpSync opens a sync session: it snapshots up to max pending
 // tentative writes (0 = all, in Seq order — oldest first) and pins their
-// keys against eviction until FinishUpSync or AbortUpSync closes the
+// keys until FinishUpSync, AbortUpSync or DropTentative closes the
 // session. Returns ErrSyncOpen if a session is already in flight.
 func (s *Store) BeginUpSync(peer string, max int) (*UpSyncRequest, error) {
 	if len(s.pinned) > 0 {

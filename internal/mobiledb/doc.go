@@ -6,7 +6,8 @@
 // wireless-handheld network."
 //
 // Store is a key-value store with a hard byte budget (the small footprint:
-// Table 2 devices have 8–64 MB of RAM) and a change log. Replicas converge
+// Table 2 devices have 8–64 MB of RAM) and a change log. A write over the
+// budget fails with ErrFull; the store never evicts to make room. Replicas converge
 // through an incremental sync protocol designed for low-bandwidth,
 // intermittently connected links:
 //

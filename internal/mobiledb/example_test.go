@@ -21,9 +21,8 @@ func ExampleStore_SyncWith() {
 	sent, received := handheld.SyncWith(depot)
 	fmt.Printf("sync moved %d entries up, %d down\n", sent, received)
 
-	v, _ := depot.Get("scan:pkg-1")
-	fmt.Printf("depot sees: %s\n", v)
+	fmt.Printf("depot holds %d scans\n", depot.Len())
 	// Output:
 	// sync moved 2 entries up, 0 down
-	// depot sees: picked up
+	// depot holds 2 scans
 }

@@ -36,8 +36,8 @@ type Entry struct {
 	// peer-to-peer replicas).
 
 	// Tentative marks a disconnected write that no server has accepted
-	// yet. Tentative entries are user data, not cache: eviction refuses
-	// them and sync sessions pin them until the server's verdict arrives.
+	// yet. Sync sessions pin tentative entries until the server's verdict
+	// arrives.
 	Tentative bool
 	// Base is the server version this write was derived from; the server
 	// detects a conflict when its current version has moved past Base.
@@ -85,19 +85,13 @@ type Store struct {
 	// now supplies the simulated-time write timestamp for tentative
 	// writes (SetNow); nil means WTS stays zero.
 	now func() int64
-	// pinned holds keys of an in-flight upload session: their entries
-	// must survive eviction until the server's verdict lands.
+	// pinned holds keys of an in-flight upload session until the
+	// server's verdict lands; while it is non-empty, BeginUpSync refuses
+	// a second session with ErrSyncOpen.
 	pinned map[string]bool
 
 	// Conflicts counts remote entries that lost last-writer-wins locally.
 	Conflicts uint64
-	// Hits and Misses count Get outcomes (cache effectiveness).
-	Hits, Misses uint64
-	// Evictions counts entries removed by Evict (directly or via PutEvict).
-	Evictions uint64
-	// EvictRefused counts eviction attempts denied because the entry held
-	// a tentative write or was pinned by an in-flight sync session.
-	EvictRefused uint64
 	// TentativePuts counts disconnected writes; SyncConflicts counts
 	// server verdicts that overrode a tentative write; Invalidations
 	// counts cache entries dropped by the server's invalidation stream.
@@ -145,17 +139,6 @@ func (s *Store) Len() int {
 	return n
 }
 
-// Get returns the value for key.
-func (s *Store) Get(key string) ([]byte, bool) {
-	e, ok := s.data[key]
-	if !ok || e.Deleted {
-		s.Misses++
-		return nil, false
-	}
-	s.Hits++
-	return append([]byte(nil), e.Value...), true
-}
-
 // Put stores a value. It fails with ErrFull when the byte budget would be
 // exceeded (the paper's small-footprint constraint is hard).
 func (s *Store) Put(key string, value []byte) error {
@@ -199,65 +182,6 @@ func (s *Store) install(e *Entry) error {
 	s.data[e.Key] = e
 	s.used += delta
 	return nil
-}
-
-// Evict removes a key outright, reclaiming its full footprint without
-// leaving a tombstone. It is a cache-management operation, not a data
-// operation: evicted entries silently vanish from sync too, so it only
-// applies to reconstructible state (cached replies, not user writes).
-// Tentative entries — disconnected writes no server has accepted — and
-// keys pinned by an in-flight sync session are therefore refused: evicting
-// them would silently drop a pending update. Reports whether the key
-// existed and was evicted.
-func (s *Store) Evict(key string) bool {
-	e, ok := s.data[key]
-	if !ok {
-		return false
-	}
-	if !s.evictable(e) {
-		s.EvictRefused++
-		return false
-	}
-	delete(s.data, key)
-	s.used -= e.size()
-	s.Evictions++
-	return true
-}
-
-// evictable reports whether an entry may be discarded without data loss.
-func (s *Store) evictable(e *Entry) bool {
-	return !e.Tentative && !s.pinned[e.Key]
-}
-
-// PutEvict stores a value like Put, but answers ErrFull by evicting
-// entries (tombstones included) — lowest local log position first, i.e.
-// least-recently-written — until the write fits. The key being written is never evicted to make
-// room for itself, and tentative or session-pinned entries are never
-// victims (pending disconnected writes outrank cache space). It fails when
-// the value cannot fit alongside the unevictable entries.
-func (s *Store) PutEvict(key string, value []byte) error {
-	err := s.Put(key, value)
-	if err == nil || !errors.Is(err, ErrFull) {
-		return err
-	}
-	// Deterministic victim order: ascending Seq (ties impossible — Seq is
-	// unique per install).
-	victims := make([]*Entry, 0, len(s.data))
-	for k, e := range s.data {
-		if k != key && s.evictable(e) {
-			victims = append(victims, e)
-		}
-	}
-	sort.Slice(victims, func(i, j int) bool { return victims[i].Seq < victims[j].Seq })
-	for _, v := range victims {
-		s.Evict(v.Key)
-		if err := s.Put(key, value); err == nil {
-			return nil
-		} else if !errors.Is(err, ErrFull) {
-			return err
-		}
-	}
-	return s.Put(key, value)
 }
 
 // Keys returns live keys in sorted order.

@@ -8,19 +8,29 @@ import (
 	"testing/quick"
 )
 
+// get returns key's live value, reading the store's map directly: the
+// store's callers only write and sync, so it has no read accessor.
+func get(s *Store, key string) ([]byte, bool) {
+	e, ok := s.data[key]
+	if !ok || e.Deleted {
+		return nil, false
+	}
+	return e.Value, true
+}
+
 func TestPutGetDelete(t *testing.T) {
 	s := New("dev", 0)
 	if err := s.Put("cart:1", []byte("3 widgets")); err != nil {
 		t.Fatalf("Put: %v", err)
 	}
-	v, ok := s.Get("cart:1")
+	v, ok := get(s, "cart:1")
 	if !ok || string(v) != "3 widgets" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
 	if err := s.Delete("cart:1"); err != nil {
 		t.Fatalf("Delete: %v", err)
 	}
-	if _, ok := s.Get("cart:1"); ok {
+	if _, ok := get(s, "cart:1"); ok {
 		t.Error("deleted key still readable")
 	}
 	if s.Len() != 0 {
@@ -58,16 +68,15 @@ func TestFootprintBudgetEnforced(t *testing.T) {
 	}
 }
 
-func TestGetReturnsCopy(t *testing.T) {
+func TestPutCopiesValue(t *testing.T) {
 	s := New("dev", 0)
-	if err := s.Put("k", []byte("abc")); err != nil {
+	v := []byte("abc")
+	if err := s.Put("k", v); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := s.Get("k")
 	v[0] = 'X'
-	v2, _ := s.Get("k")
-	if string(v2) != "abc" {
-		t.Error("internal value mutated through returned slice")
+	if got, _ := get(s, "k"); string(got) != "abc" {
+		t.Error("stored value mutated through the caller's slice")
 	}
 }
 
@@ -84,10 +93,10 @@ func TestBasicSyncPropagation(t *testing.T) {
 	if sent != 1 || recv != 1 {
 		t.Errorf("sync moved sent=%d recv=%d, want 1,1", sent, recv)
 	}
-	if v, ok := srv.Get("order:1"); !ok || string(v) != "pending" {
+	if v, ok := get(srv, "order:1"); !ok || string(v) != "pending" {
 		t.Error("device change missing on server")
 	}
-	if v, ok := dev.Get("catalog:1"); !ok || string(v) != "widget" {
+	if v, ok := get(dev, "catalog:1"); !ok || string(v) != "widget" {
 		t.Error("server change missing on device")
 	}
 	// A second sync with no new writes moves nothing.
@@ -104,14 +113,14 @@ func TestDeleteTombstonePropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SyncWith(srv)
-	if _, ok := dev.Get("k"); !ok {
+	if _, ok := get(dev, "k"); !ok {
 		t.Fatal("initial sync failed")
 	}
 	if err := dev.Delete("k"); err != nil {
 		t.Fatal(err)
 	}
 	dev.SyncWith(srv)
-	if _, ok := srv.Get("k"); ok {
+	if _, ok := get(srv, "k"); ok {
 		t.Error("delete did not propagate")
 	}
 }
@@ -136,8 +145,8 @@ func TestLastWriterWinsConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	dev.SyncWith(srv)
-	dv, _ := dev.Get("k")
-	sv, _ := srv.Get("k")
+	dv, _ := get(dev, "k")
+	sv, _ := get(srv, "k")
 	if !bytes.Equal(dv, sv) {
 		t.Fatalf("replicas diverged: %q vs %q", dv, sv)
 	}
@@ -157,8 +166,8 @@ func TestEqualClockTiebreakByName(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.SyncWith(b)
-	av, _ := a.Get("k")
-	bv, _ := b.Get("k")
+	av, _ := get(a, "k")
+	bv, _ := get(b, "k")
 	if !bytes.Equal(av, bv) {
 		t.Fatalf("diverged: %q vs %q", av, bv)
 	}
@@ -177,7 +186,7 @@ func TestHubAndSpokeRelay(t *testing.T) {
 	}
 	a.SyncWith(hub)
 	b.SyncWith(hub)
-	v, ok := b.Get("note")
+	v, ok := get(b, "note")
 	if !ok || string(v) != "hello from A" {
 		t.Fatalf("relay failed: %q %v", v, ok)
 	}
@@ -187,7 +196,7 @@ func TestHubAndSpokeRelay(t *testing.T) {
 	}
 	b.SyncWith(hub)
 	a.SyncWith(hub)
-	if v, ok := a.Get("reply"); !ok || string(v) != "hi from B" {
+	if v, ok := get(a, "reply"); !ok || string(v) != "hi from B" {
 		t.Fatal("reverse relay failed")
 	}
 }
@@ -217,7 +226,7 @@ func TestSyncWireEncoding(t *testing.T) {
 		t.Fatalf("decode resp: %v", err)
 	}
 	dev.FinishSync(req, resp2)
-	if v, ok := srv.Get("k"); !ok || !bytes.Equal(v, []byte{0x00, 0xFF, 0x7F}) {
+	if v, ok := get(srv, "k"); !ok || !bytes.Equal(v, []byte{0x00, 0xFF, 0x7F}) {
 		t.Error("binary value corrupted over the wire")
 	}
 }
@@ -231,7 +240,7 @@ func TestOversizedRemoteEntrySkipped(t *testing.T) {
 	req := dev.BeginSync(srv.Name())
 	resp := srv.ServeSync(req)
 	dev.FinishSync(req, resp)
-	if _, ok := dev.Get("huge"); ok {
+	if _, ok := get(dev, "huge"); ok {
 		t.Error("oversized entry applied despite budget")
 	}
 }
@@ -274,8 +283,8 @@ func TestSyncConvergenceProperty(t *testing.T) {
 			if ka[i] != kb[i] {
 				return false
 			}
-			va, _ := a.Get(ka[i])
-			vb, _ := b.Get(kb[i])
+			va, _ := get(a, ka[i])
+			vb, _ := get(b, kb[i])
 			if !bytes.Equal(va, vb) {
 				return false
 			}

@@ -116,16 +116,13 @@ func TestLinkForwardSteadyStateZeroAlloc(t *testing.T) {
 
 // TestLinkAdminStateZeroAlloc pins the allocation-free contract of the
 // admin-state check on the forwarding hot path: toggling SetDown and
-// sending through both the up and down states allocates nothing, with or
-// without the Gilbert–Elliott burst model active.
+// sending through both the up and down states allocates nothing, with the
+// loss model drawing a verdict for every packet.
 func TestLinkAdminStateZeroAlloc(t *testing.T) {
 	net := NewNetwork(NewScheduler(1))
 	a := net.NewNode("a")
 	c := net.NewNode("b")
-	l := Connect(a, c, LinkConfig{
-		Rate: Gbps, Delay: time.Microsecond, QueueLen: 1 << 20,
-		Burst: GilbertElliott{PGoodToBad: 0.01, PBadToGood: 0.5, LossBad: 0.5},
-	})
+	l := Connect(a, c, LinkConfig{Rate: Gbps, Delay: time.Microsecond, QueueLen: 1 << 20, Loss: 0.25})
 	a.SetDefaultRoute(l.IfaceA())
 	delivered := 0
 	c.Bind(ProtoControl, func(p *Packet) { delivered++ })

@@ -15,8 +15,10 @@
 //   - nodes (Node) with interfaces, static routing, protocol demultiplexing
 //     and forwarding taps (used by the Snoop agent and Mobile IP);
 //   - point-to-point duplex links (Link) with bandwidth, propagation delay,
-//     drop-tail queues and random loss, which model the paper's wired
-//     networks component.
+//     jitter, drop-tail queues and two loss models (independent per-packet
+//     Loss and size-dependent BitErrorRate), which model the paper's wired
+//     networks component. Each direction counts delivered, lost,
+//     dropped_queue and dropped_down packets.
 //
 // All simulation state is single-threaded: callbacks run on the goroutine
 // that calls Scheduler.Run. Determinism is a design requirement — every

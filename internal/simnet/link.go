@@ -42,40 +42,6 @@ func (r Rate) TxTime(bytes int) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// GilbertElliott parameterizes the classic two-state bursty-loss model: a
-// per-direction Markov chain alternates between a Good and a Bad state with
-// the given per-packet transition probabilities, and each state has its own
-// loss probability. Unlike independent Loss, losses cluster into bursts
-// whose mean length is 1/PBadToGood packets — the wireless-error pattern
-// the paper's Section 5.2 worries about. The zero value disables the model.
-type GilbertElliott struct {
-	// PGoodToBad is the per-packet probability of entering the Bad state.
-	PGoodToBad float64
-	// PBadToGood is the per-packet probability of returning to Good.
-	PBadToGood float64
-	// LossGood is the per-packet loss probability in the Good state
-	// (usually 0 or very small).
-	LossGood float64
-	// LossBad is the per-packet loss probability in the Bad state
-	// (usually near 1).
-	LossBad float64
-}
-
-// Enabled reports whether the model is active (any transition probability
-// set).
-func (g GilbertElliott) Enabled() bool { return g.PGoodToBad > 0 || g.PBadToGood > 0 }
-
-// StationaryLoss returns the analytic long-run loss rate: the chain's
-// stationary distribution weighted by the per-state loss probabilities.
-func (g GilbertElliott) StationaryLoss() float64 {
-	den := g.PGoodToBad + g.PBadToGood
-	if den == 0 {
-		return g.LossGood
-	}
-	pBad := g.PGoodToBad / den
-	return (1-pBad)*g.LossGood + pBad*g.LossBad
-}
-
 // LinkConfig parameterizes a point-to-point link.
 type LinkConfig struct {
 	// Name labels the link in the metrics registry (simnet.link.<name>.*).
@@ -95,9 +61,6 @@ type LinkConfig struct {
 	// with probability 1-(1-BER)^(8n), on top of Loss. Use it when frame
 	// size should matter (radio-like links); larger frames die more often.
 	BitErrorRate float64
-	// Burst enables Gilbert–Elliott bursty loss on top of (or instead of)
-	// the independent Loss model. Each direction runs its own chain.
-	Burst GilbertElliott
 	// QueueLen is the per-direction drop-tail queue capacity in packets.
 	// Zero means DefaultQueueLen.
 	QueueLen int
@@ -138,23 +101,19 @@ type Link struct {
 	down bool
 	// base holds the undegraded config while a brownout is active.
 	base *LinkConfig
-	// burstBad is the per-direction Gilbert–Elliott chain state.
-	burstBad [2]bool
 
 	// busyUntil is when each direction's transmitter frees up.
 	// Index 0: a->b, index 1: b->a.
 	busyUntil [2]time.Duration
 	queued    [2]int
 
-	// Stats per direction. Lost is the total loss-model verdict count and
-	// always equals LostRandom + LostBurst; Dropped counts only queue
-	// overflow, and DroppedDown counts admin-down discards, so the three
-	// failure modes are distinguishable (and each is traced with its own
-	// reason: "loss", "loss-burst", "queue-overflow", "link-down").
+	// Stats per direction. Lost counts loss-model verdicts (Loss and
+	// BitErrorRate), Dropped counts only queue overflow, and DroppedDown
+	// counts admin-down discards, so the three failure modes are
+	// distinguishable (and each is traced with its own reason: "loss",
+	// "queue-overflow", "link-down").
 	Delivered   [2]uint64
 	Lost        [2]uint64
-	LostRandom  [2]uint64 // independent Loss / BitErrorRate verdicts
-	LostBurst   [2]uint64 // Gilbert–Elliott bad-state verdicts
 	Dropped     [2]uint64 // queue overflow
 	DroppedDown [2]uint64 // discarded while administratively down
 }
@@ -162,7 +121,7 @@ type Link struct {
 var _ Medium = (*Link)(nil)
 
 // Connect creates a link with the given config between two nodes, attaching
-// a new interface on each. The returned link is already live. Its six
+// a new interface on each. The returned link is already live. Its four
 // per-direction counters are aliased into the network's metrics registry
 // under simnet.link.<cfg.Name> (the "ab" direction is x->y).
 func Connect(x, y *Node, cfg LinkConfig) *Link {
@@ -190,15 +149,13 @@ func newLink(x, y *Node, cfg LinkConfig, kind string) *Link {
 	return l
 }
 
-// register aliases the six per-direction counters: Delivered into the
+// register aliases the four per-direction counters: Delivered into the
 // receiving side's scope rx[dir], the loss and drop counters into the
 // sending side's tx[dir].
 func (l *Link) register(tx, rx [2]metrics.Scope) {
 	for dir, suffix := range [2]string{"ab", "ba"} {
 		rx[dir].AliasCounter("delivered."+suffix, &l.Delivered[dir])
 		tx[dir].AliasCounter("lost."+suffix, &l.Lost[dir])
-		tx[dir].AliasCounter("lost_random."+suffix, &l.LostRandom[dir])
-		tx[dir].AliasCounter("lost_burst."+suffix, &l.LostBurst[dir])
 		tx[dir].AliasCounter("dropped_queue."+suffix, &l.Dropped[dir])
 		tx[dir].AliasCounter("dropped_down."+suffix, &l.DroppedDown[dir])
 	}
@@ -354,9 +311,9 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 		arrive += time.Duration(s.Rand().Int63n(int64(l.cfg.Jitter)))
 	}
 
-	if reason := l.lost(s, dir, p.Bytes); reason != "" {
+	if l.lost(s, p.Bytes) {
 		l.Lost[dir]++
-		net.Tracer.Annotate(p.Trace, reason)
+		net.Tracer.Annotate(p.Trace, "loss")
 		// The transmitter is still occupied for the serialization time;
 		// decrement the queue when the frame would have finished sending.
 		s.AtCall(txDone, linkDequeue[dir], l)
@@ -376,41 +333,14 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 	s.AtCall(arrive, linkDeliver, d)
 }
 
-// lost draws the per-packet loss verdict and returns the trace reason
-// ("" for survival): the flat Loss probability plus the size-dependent
-// bit-error loss, then the Gilbert–Elliott chain. The reasons are constant
-// strings, so the verdict allocates nothing.
-func (l *Link) lost(s *Scheduler, dir, bytes int) string {
+// lost draws the per-packet loss verdict: the flat Loss probability,
+// then the size-dependent bit-error loss.
+func (l *Link) lost(s *Scheduler, bytes int) bool {
 	if l.cfg.Loss > 0 && s.Rand().Float64() < l.cfg.Loss {
-		l.LostRandom[dir]++
-		return "loss"
+		return true
 	}
-	if ber := l.cfg.BitErrorRate; ber > 0 {
-		pLoss := 1 - math.Pow(1-ber, float64(bytes*8))
-		if s.Rand().Float64() < pLoss {
-			l.LostRandom[dir]++
-			return "loss"
-		}
-	}
-	if g := l.cfg.Burst; g.Enabled() {
-		// Evolve the chain once per packet, then apply the state's loss.
-		if l.burstBad[dir] {
-			if s.Rand().Float64() < g.PBadToGood {
-				l.burstBad[dir] = false
-			}
-		} else if s.Rand().Float64() < g.PGoodToBad {
-			l.burstBad[dir] = true
-		}
-		pLoss := g.LossGood
-		if l.burstBad[dir] {
-			pLoss = g.LossBad
-		}
-		if pLoss > 0 && s.Rand().Float64() < pLoss {
-			l.LostBurst[dir]++
-			return "loss-burst"
-		}
-	}
-	return ""
+	ber := l.cfg.BitErrorRate
+	return ber > 0 && s.Rand().Float64() < 1-math.Pow(1-ber, float64(bytes*8))
 }
 
 func (l *Link) dequeue(dir int) {

@@ -5,7 +5,6 @@ import (
 	"slices"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mcommerce/internal/metrics"
@@ -68,9 +67,8 @@ type Sharded struct {
 	cBarrier uint64
 	cSteals  uint64
 
-	now     time.Duration
-	errs    []error
-	stopped atomic.Bool
+	now  time.Duration
+	errs []error
 }
 
 // NewSharded creates a world of n empty shards. Shard 0's scheduler is
@@ -156,13 +154,6 @@ func (w *Sharded) Now() time.Duration { return w.now }
 // the whole horizon).
 func (w *Sharded) Lookahead() time.Duration { return w.minCross }
 
-// Stop halts execution promptly: no new shard windows are claimed, tasks
-// already running complete, and RunUntil returns ErrStopped after
-// sealing. For a deterministic cut, stop a specific shard's scheduler
-// (its shard freezes at the stop event; siblings run on exactly until
-// their next synchronization with it) or use a virtual-time deadline.
-func (w *Sharded) Stop() { w.stopped.Store(true) }
-
 // RunFor executes d of virtual time from the current instant on up to
 // workers goroutines.
 func (w *Sharded) RunFor(d time.Duration, workers int) error {
@@ -171,11 +162,11 @@ func (w *Sharded) RunFor(d time.Duration, workers int) error {
 
 // RunUntil executes all shards to the deadline on up to workers
 // goroutines (values < 2, or a single shard, run inline) on the per-pair
-// scoreboard. It returns ErrStopped if halted by Stop (the world's or
-// any shard scheduler's), or a causality error if a cross-shard record
-// arrives before its destination shard's clock.
+// scoreboard. It returns ErrStopped if a shard's scheduler was stopped
+// (that shard freezes at the stop event; siblings run on exactly until
+// their next synchronization with it), or a causality error if a
+// cross-shard record arrives before its destination shard's clock.
 func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
-	w.stopped.Store(false)
 	for k := range w.errs {
 		w.errs[k] = nil
 	}
@@ -203,9 +194,6 @@ func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
 		if err != nil {
 			return err
 		}
-	}
-	if w.stopped.Load() {
-		return ErrStopped
 	}
 	return nil
 }
@@ -294,7 +282,7 @@ func (w *Sharded) runConservative(deadline time.Duration, workers int) {
 
 // loop is one lane: claim a ready task, execute it outside the lock,
 // publish, repeat; park when nothing is claimable and exit at quiescence
-// (all shards done/frozen, or a Stop drained the claimable set).
+// (all shards done, or the rest blocked on a frozen shard).
 func (e *shardExec) loop(lane int) {
 	e.mu.Lock()
 	for {
@@ -331,9 +319,6 @@ func (e *shardExec) loop(lane int) {
 // then steals. Returns the shard and whether the task is a run (true)
 // or a boundary drain (false); -1 when nothing is ready.
 func (e *shardExec) claim(lane int) (int, bool) {
-	if e.w.stopped.Load() {
-		return -1, false
-	}
 	n := len(e.prog)
 	for pass := 0; pass < 2; pass++ {
 		for k := 0; k < n; k++ {

@@ -1,20 +1,23 @@
 package simnet
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
+
+	"mcommerce/internal/metrics"
 )
 
 // physicsCfg turns on every per-packet model a link has: jitter,
-// independent and bit-error loss, Gilbert–Elliott bursts, and a queue
-// short enough for sendBursts to overflow.
+// independent and bit-error loss, and a queue short enough for
+// sendBursts to overflow.
 var physicsCfg = LinkConfig{
 	Rate:         10 * Mbps,
 	Delay:        5 * time.Millisecond,
 	Jitter:       3 * time.Millisecond,
 	Loss:         0.02,
 	BitErrorRate: 1e-5,
-	Burst:        GilbertElliott{PGoodToBad: 0.05, PBadToGood: 0.3, LossBad: 0.8},
 	QueueLen:     8,
 }
 
@@ -42,8 +45,51 @@ func sendBursts(net *Network, a *Node, dst NodeID) {
 }
 
 // linkCounters is every per-direction counter of a link.
-func linkCounters(l *Link) [6][2]uint64 {
-	return [6][2]uint64{l.Delivered, l.Lost, l.LostRandom, l.LostBurst, l.Dropped, l.DroppedDown}
+func linkCounters(l *Link) [4][2]uint64 {
+	return [4][2]uint64{l.Delivered, l.Lost, l.Dropped, l.DroppedDown}
+}
+
+// counterNames lists the registry entries under prefix, prefix cut off.
+func counterNames(s metrics.Snapshot, prefix string) []string {
+	var out []string
+	for _, e := range s.Entries {
+		if name, ok := strings.CutPrefix(e.Name, prefix); ok {
+			out = append(out, name)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestLinkCounterSet pins the exact per-direction counters a link
+// registers: delivered, lost, dropped_queue and dropped_down. A Connect
+// link puts all eight in its network's registry; a Cross link puts each
+// direction's transmit-side counters in the sending shard's registry and
+// its delivered counter in the receiving shard's.
+func TestLinkCounterSet(t *testing.T) {
+	net := NewNetwork(NewScheduler(1))
+	Connect(net.NewNode("a"), net.NewNode("b"), LinkConfig{Name: "ab", Rate: Mbps})
+	want := []string{
+		"delivered.ab", "delivered.ba", "dropped_down.ab", "dropped_down.ba",
+		"dropped_queue.ab", "dropped_queue.ba", "lost.ab", "lost.ba",
+	}
+	if got := counterNames(net.Metrics.Snapshot(), "simnet.link.ab."); !slices.Equal(got, want) {
+		t.Errorf("Connect link counters %v, want %v", got, want)
+	}
+
+	w := NewSharded(1, 2)
+	if _, err := w.Cross(w.Shard(0).NewNode("a"), w.Shard(1).NewNode("b"),
+		LinkConfig{Name: "ab", Rate: Mbps, Delay: time.Millisecond}); err != nil {
+		t.Fatal(err)
+	}
+	for k, want := range [2][]string{
+		{"delivered.ba", "dropped_down.ab", "dropped_queue.ab", "lost.ab"},
+		{"delivered.ab", "dropped_down.ba", "dropped_queue.ba", "lost.ba"},
+	} {
+		if got := counterNames(w.Shard(k).Metrics.Snapshot(), "simnet.xlink.ab."); !slices.Equal(got, want) {
+			t.Errorf("Cross link counters in shard %d: %v, want %v", k, got, want)
+		}
+	}
 }
 
 // TestCrossMatchesConnect pins that a cross link runs the same wire model
@@ -80,8 +126,8 @@ func TestCrossMatchesConnect(t *testing.T) {
 	}
 
 	c := linkCounters(local)
-	if c[0][0] == 0 || c[2][0] == 0 || c[3][0] == 0 || c[4][0] == 0 {
-		t.Fatalf("a model stayed inert (delivered, lost, random, burst, queue, down): %v", c)
+	if c[0][0] == 0 || c[1][0] == 0 || c[2][0] == 0 {
+		t.Fatalf("a model stayed inert (delivered, lost, queue, down): %v", c)
 	}
 	if x := linkCounters(cross); x != c {
 		t.Errorf("cross counters %v, local %v", x, c)

@@ -43,44 +43,6 @@ func TestSessionPost(t *testing.T) {
 	}
 }
 
-func TestSecureSessionSurvivesWTPRetransmits(t *testing.T) {
-	// Loss forces WTP retransmissions of sealed records; the record
-	// channel must not treat duplicate transaction deliveries as replays
-	// (WTP dedupe runs below the security layer).
-	psk := []byte("retry-key")
-	cfg := secureGatewayCfg(psk, false)
-	cfg.WTP = wap.WTPConfig{RetryInterval: 300 * time.Millisecond, MaxRetries: 20}
-	w := newWAPTopo(t, 46, 0.25, cfg)
-	fetched := 0
-	wap.ConnectSecure(wap.NewWTPAny(w.mobile, cfg.WTP), w.gateway.Addr(), nil, psk, func(s *wap.Session, err error) {
-		if err != nil {
-			t.Errorf("connect: %v", err)
-			return
-		}
-		var next func(n int)
-		next = func(n int) {
-			if n == 3 {
-				return
-			}
-			s.Get(w.originURL("/shop"), func(rep *wap.Reply, err error) {
-				if err != nil {
-					t.Errorf("get %d: %v", n, err)
-					return
-				}
-				fetched++
-				next(n + 1)
-			})
-		}
-		next(0)
-	})
-	if err := w.net.Sched.RunFor(5 * time.Minute); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if fetched != 3 {
-		t.Errorf("fetched %d/3 over lossy secure session", fetched)
-	}
-}
-
 func TestSegmentedInvokePollSurvivesBlackout(t *testing.T) {
 	// A segmented invoke hit by a short blackout recovers through the
 	// segment-0 poll + nack path.
@@ -118,15 +80,15 @@ func TestNewGatewayWithSharedStack(t *testing.T) {
 	net := simnet.NewNetwork(simnet.NewScheduler(48))
 	gw := net.NewNode("gw")
 	gwStack := mustStack(t, gw)
-	g, err := wap.NewGatewayWithStack(gw, gwStack, wap.GatewayConfig{})
+	g, err := wap.NewGateway(gw, gwStack, wap.GatewayConfig{})
 	if err != nil {
-		t.Fatalf("NewGatewayWithStack: %v", err)
+		t.Fatalf("NewGateway: %v", err)
 	}
 	if g.Addr().Node != gw.ID || g.Addr().Port != wap.GatewayPort {
 		t.Errorf("Addr = %v", g.Addr())
 	}
 	// A second gateway on the same node conflicts on the WTP port.
-	if _, err := wap.NewGatewayWithStack(gw, gwStack, wap.GatewayConfig{}); err == nil {
+	if _, err := wap.NewGateway(gw, gwStack, wap.GatewayConfig{}); err == nil {
 		t.Error("duplicate gateway accepted")
 	}
 }

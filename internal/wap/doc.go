@@ -12,7 +12,9 @@
 //     runs one endpoint (NewWTPAny) for all its sessions.
 //   - WSP (session layer): Connect/ConnectReply session establishment over
 //     the device's endpoint, method invocations (Get/Post) bound to a
-//     session, Suspend/Resume for bearer changes, and Disconnect.
+//     session, and Disconnect. Sessions run in the clear: WTLS-lite is
+//     measured on its own record layer (security.Channel, ablation A3),
+//     not inside this stack.
 //   - Gateway: the WAP gateway itself, which works exactly as the paper
 //     describes: "requests from mobile stations are sent as a URL through
 //     the network to the WAP Gateway; responses are sent from the Web

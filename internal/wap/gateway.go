@@ -7,7 +7,6 @@ import (
 	"mcommerce/internal/markup"
 	"mcommerce/internal/metrics"
 	"mcommerce/internal/mtcp"
-	"mcommerce/internal/security"
 	"mcommerce/internal/simnet"
 	"mcommerce/internal/trace"
 	"mcommerce/internal/webserver"
@@ -22,20 +21,10 @@ type GatewayConfig struct {
 	// BinaryEncoding enables WMLC encoding of translated decks (the
 	// encoding ablation turns this off to measure the on-air saving).
 	BinaryEncoding bool
-	// MaxCardBytes is the per-card budget for HTML->WML translation.
-	// Zero means 1024.
-	MaxCardBytes int
 	// CacheTTL enables a response cache when positive: identical GETs
 	// within the TTL are served from the gateway without touching the
 	// origin.
 	CacheTTL time.Duration
-	// PSK enables WTLS-lite: clients connecting with ConnectSecure and
-	// the same key get encrypted sessions. Plaintext sessions remain
-	// allowed unless RequireWTLS is set.
-	PSK []byte
-	// RequireWTLS refuses plaintext connects (Section 8 deployments like
-	// the health-records service demand it).
-	RequireWTLS bool
 	// OriginRetry retries failed wired-side fetches (connect errors,
 	// timeouts) before giving up on the origin. The zero value keeps the
 	// legacy single-attempt behaviour.
@@ -48,11 +37,11 @@ type GatewayConfig struct {
 
 // DefaultGatewayConfig returns the configuration the experiments use.
 func DefaultGatewayConfig() GatewayConfig {
-	return GatewayConfig{
-		BinaryEncoding: true,
-		MaxCardBytes:   1024,
-	}
+	return GatewayConfig{BinaryEncoding: true}
 }
+
+// maxCardBytes is the per-card budget for HTML->WML translation.
+const maxCardBytes = 1024
 
 // processingDelay models the gateway's translation CPU time per response.
 const processingDelay = 5 * time.Millisecond
@@ -90,8 +79,6 @@ type Gateway struct {
 	// Sessions are never reaped unless the client disconnects, so the
 	// value is kept to one byte.
 	sessions map[uint32]bool
-	// channels holds the WTLS record channel of each secured session.
-	channels map[uint32]*security.Channel
 	cache    map[string]*cacheEntry
 	// memo holds recent translations (see translate).
 	memo map[transcodeKey]transcoded
@@ -99,35 +86,15 @@ type Gateway struct {
 	stats GatewayStats
 }
 
-// NewGateway starts a WAP gateway on the node. The node needs a TCP stack
-// (created here) and routes to both the wireless and wired sides.
-func NewGateway(node *simnet.Node, cfg GatewayConfig) (*Gateway, error) {
-	if cfg.MaxCardBytes <= 0 {
-		cfg.MaxCardBytes = 1024
-	}
-	stack, err := mtcp.NewStack(node)
-	if err != nil {
-		return nil, err
-	}
-	return newGatewayWithStack(node, stack, cfg)
-}
-
-// NewGatewayWithStack starts a gateway reusing the node's existing TCP
-// stack (for nodes that also host other TCP services).
-func NewGatewayWithStack(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig) (*Gateway, error) {
-	if cfg.MaxCardBytes <= 0 {
-		cfg.MaxCardBytes = 1024
-	}
-	return newGatewayWithStack(node, stack, cfg)
-}
-
-func newGatewayWithStack(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig) (*Gateway, error) {
+// NewGateway starts a WAP gateway on the node. Its wired-side fetches
+// run on the node's TCP stack, which it may share with other services;
+// the node needs routes to both the wireless and wired sides.
+func NewGateway(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig) (*Gateway, error) {
 	g := &Gateway{
 		node:     node,
 		cfg:      cfg,
 		http:     webserver.NewClient(stack, cfg.TCP),
 		sessions: make(map[uint32]bool),
-		channels: make(map[uint32]*security.Channel),
 		cache:    make(map[string]*cacheEntry),
 		memo:     make(map[transcodeKey]transcoded),
 	}
@@ -175,7 +142,6 @@ func (g *Gateway) WTPStats() WTPStats { return g.wtp.Stats() }
 func (g *Gateway) Crash() {
 	g.wtp.Reset()
 	g.sessions = make(map[uint32]bool)
-	g.channels = make(map[uint32]*security.Channel)
 	g.cache = make(map[string]*cacheEntry)
 }
 
@@ -183,17 +149,10 @@ func (g *Gateway) serve(_ simnet.Addr, body any, respond func(any, int)) {
 	switch m := body.(type) {
 	case *wspConnect:
 		g.connect(m, respond)
-	case *wspSecure:
-		g.serveSecure(m, respond)
 	case *wspMethod:
 		g.serveMethod(m, respond)
-	case *wspSuspend, *wspResume:
-		// Suspension is client-side state: the gateway keeps the session
-		// either way and only acknowledges.
-		respond(&wspOK{}, pduBytes(&wspOK{}))
 	case *wspDisconnect:
 		delete(g.sessions, m.SessionID)
-		delete(g.channels, m.SessionID)
 		respond(&wspOK{}, pduBytes(&wspOK{}))
 	default:
 		rep := &wspReply{Status: 400, ContentType: webserver.TypeText, Payload: []byte("bad pdu")}
@@ -201,37 +160,12 @@ func (g *Gateway) serve(_ simnet.Addr, body any, respond func(any, int)) {
 	}
 }
 
-// connect establishes a session, negotiating WTLS when both sides offer
-// it. A zero SessionID in the reply signals refusal.
+// connect establishes a session.
 func (g *Gateway) connect(m *wspConnect, respond func(any, int)) {
-	refuse := func() {
-		rep := &wspConnectReply{}
-		respond(rep, pduBytes(rep))
-	}
-	var ch *security.Channel
-	var serverHello *security.Hello
-	switch {
-	case m.Hello != nil && len(g.cfg.PSK) > 0:
-		hello, channel, err := security.HandshakeServer(g.cfg.PSK, g.node.Sched().Rand(), *m.Hello)
-		if err != nil {
-			refuse()
-			return
-		}
-		ch, serverHello = channel, &hello
-	case m.Hello != nil:
-		// Client wants WTLS, we have no key: connect plaintext-refused
-		// (no server hello); the client reports ErrNoWTLS.
-	case g.cfg.RequireWTLS:
-		refuse()
-		return
-	}
 	g.nextSession++
 	g.sessions[g.nextSession] = slices.Contains(m.Accept, webserver.TypeWMLC)
-	if ch != nil {
-		g.channels[g.nextSession] = ch
-	}
 	g.stats.Sessions++
-	rep := &wspConnectReply{SessionID: g.nextSession, Hello: serverHello}
+	rep := &wspConnectReply{SessionID: g.nextSession}
 	respond(rep, pduBytes(rep))
 }
 
@@ -383,7 +317,7 @@ func (g *Gateway) transcode(ct string, body []byte, wmlc bool) transcoded {
 		}
 		deck, count = d, &g.stats.PassThroughs
 	} else {
-		deck = markup.HTMLToWML(markup.Parse(string(body)), g.cfg.MaxCardBytes)
+		deck = markup.HTMLToWML(markup.Parse(string(body)), maxCardBytes)
 	}
 	if wmlc {
 		return transcoded{&wspReply{Status: 200, ContentType: webserver.TypeWMLC, Payload: markup.EncodeWMLC(deck)}, count}

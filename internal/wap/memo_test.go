@@ -5,13 +5,15 @@ import (
 	"testing"
 
 	"mcommerce/internal/markup/markuptest"
+	"mcommerce/internal/mtcp"
 	"mcommerce/internal/simnet"
 	"mcommerce/internal/webserver"
 )
 
 func newMemoGateway(t *testing.T) *Gateway {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
-	g, err := NewGateway(net.NewNode("gw"), DefaultGatewayConfig())
+	node := net.NewNode("gw")
+	g, err := NewGateway(node, mtcp.MustNewStack(node), DefaultGatewayConfig())
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}

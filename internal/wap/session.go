@@ -1,25 +1,15 @@
 package wap
 
-import (
-	"mcommerce/internal/security"
-	"mcommerce/internal/simnet"
-)
+import "mcommerce/internal/simnet"
 
 // Session is the client (mobile station) side of a WSP session with a WAP
 // gateway. All methods are event-driven on the simulation goroutine.
 type Session struct {
-	wtp       *WTP
-	gateway   simnet.Addr
-	id        uint32
-	ready     bool
-	suspended bool
-	// secure is the WTLS-lite record channel for sessions established
-	// with ConnectSecure; nil for plaintext sessions.
-	secure *security.Channel
+	wtp     *WTP
+	gateway simnet.Addr
+	id      uint32
+	ready   bool
 }
-
-// Secured reports whether the session runs over WTLS.
-func (s *Session) Secured() bool { return s.secure != nil }
 
 // Reply is a completed method's result as seen by the microbrowser.
 // Payload may share its bytes with the gateway's translation memo and
@@ -50,19 +40,11 @@ func Connect(wtp *WTP, gateway simnet.Addr, accept []string, done func(*Session,
 				done(nil, ErrNoSession)
 				return
 			}
-			if rep.SessionID == 0 {
-				// The gateway refused (it mandates WTLS).
-				done(nil, ErrSecurityRequired)
-				return
-			}
 			s.id = rep.SessionID
 			s.ready = true
 			done(s, nil)
 		})
 }
-
-// Established reports whether the session is usable.
-func (s *Session) Established() bool { return s.ready && !s.suspended }
 
 // Get fetches a URL through the gateway.
 func (s *Session) Get(u URL, done func(*Reply, error)) {
@@ -80,12 +62,8 @@ func (s *Session) method(method string, u URL, headers map[string]string, body [
 		done(nil, ErrNoSession)
 		return
 	}
-	if s.suspended {
-		done(nil, ErrSuspended)
-		return
-	}
 	pdu := &wspMethod{SessionID: s.id, Method: method, URL: u, Headers: headers, Body: body}
-	s.invokePDU(pdu, func(result any, err error) {
+	s.wtp.Invoke(s.gateway, pdu, pduBytes(pdu), func(result any, _ int, err error) {
 		if err != nil {
 			done(nil, err)
 			return
@@ -99,74 +77,6 @@ func (s *Session) method(method string, u URL, headers map[string]string, body [
 	})
 }
 
-// invokePDU runs one WSP transaction, sealing and unsealing when the
-// session is secured.
-func (s *Session) invokePDU(pdu any, handle func(any, error)) {
-	if s.secure == nil {
-		s.wtp.Invoke(s.gateway, pdu, pduBytes(pdu), func(result any, _ int, err error) {
-			handle(result, err)
-		})
-		return
-	}
-	sealed, err := s.sealPDU(pdu)
-	if err != nil {
-		handle(nil, err)
-		return
-	}
-	s.wtp.Invoke(s.gateway, sealed, pduBytes(sealed), func(result any, _ int, err error) {
-		if err != nil {
-			handle(nil, err)
-			return
-		}
-		// The gateway answers unencrypted only for envelope-level errors.
-		if rep, ok := result.(*wspReply); ok {
-			handle(rep, nil)
-			return
-		}
-		inner, err := s.openReply(result)
-		if err != nil {
-			handle(nil, err)
-			return
-		}
-		handle(inner, nil)
-	})
-}
-
-// Suspend pauses the session (e.g. before a bearer change). The gateway
-// retains session state.
-func (s *Session) Suspend(done func(error)) {
-	if !s.ready {
-		done(ErrNoSession)
-		return
-	}
-	pdu := &wspSuspend{SessionID: s.id}
-	s.invokePDU(pdu, func(_ any, err error) {
-		if err == nil {
-			s.suspended = true
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-// Resume reactivates a suspended session.
-func (s *Session) Resume(done func(error)) {
-	if !s.ready {
-		done(ErrNoSession)
-		return
-	}
-	pdu := &wspResume{SessionID: s.id}
-	s.invokePDU(pdu, func(_ any, err error) {
-		if err == nil {
-			s.suspended = false
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
 // Disconnect ends the session.
 func (s *Session) Disconnect(done func(error)) {
 	if !s.ready {
@@ -177,7 +87,7 @@ func (s *Session) Disconnect(done func(error)) {
 	}
 	pdu := &wspDisconnect{SessionID: s.id}
 	s.ready = false
-	s.invokePDU(pdu, func(_ any, err error) {
+	s.wtp.Invoke(s.gateway, pdu, pduBytes(pdu), func(_ any, _ int, err error) {
 		if done != nil {
 			done(err)
 		}

@@ -4,18 +4,12 @@ import (
 	"errors"
 	"fmt"
 
-	"mcommerce/internal/security"
 	"mcommerce/internal/simnet"
 )
 
-// WSP errors.
-var (
-	// ErrNoSession reports a method on an unestablished or disconnected
-	// session.
-	ErrNoSession = errors.New("wap: no session")
-	// ErrSuspended reports a method on a suspended session.
-	ErrSuspended = errors.New("wap: session suspended")
-)
+// ErrNoSession reports a method on an unestablished or disconnected
+// session.
+var ErrNoSession = errors.New("wap: no session")
 
 // URL addresses a resource on an origin server in the wired network.
 type URL struct {
@@ -31,15 +25,10 @@ type wspConnect struct {
 	// Accept lists the content types the client renders, most preferred
 	// first (a microbrowser sends WMLC+WML).
 	Accept []string
-	// Hello carries the WTLS client hello when the session is secured.
-	Hello *security.Hello
 }
 
 type wspConnectReply struct {
-	// SessionID zero signals a refused connect.
 	SessionID uint32
-	// Hello carries the WTLS server hello on secured sessions.
-	Hello *security.Hello
 }
 
 type wspMethod struct {
@@ -57,19 +46,11 @@ type wspReply struct {
 	Payload     []byte
 }
 
-type wspSuspend struct {
-	SessionID uint32
-}
-
-type wspResume struct {
-	SessionID uint32
-}
-
 type wspDisconnect struct {
 	SessionID uint32
 }
 
-// wspOK acknowledges suspend/resume/disconnect.
+// wspOK acknowledges a disconnect.
 type wspOK struct{}
 
 // pduBytes estimates a PDU's wire size.
@@ -80,20 +61,9 @@ func pduBytes(body any) int {
 		for _, a := range m.Accept {
 			n += len(a) + 1
 		}
-		if m.Hello != nil {
-			n += len(m.Hello.Nonce) + 2
-		}
 		return n
 	case *wspConnectReply:
-		n := 6
-		if m.Hello != nil {
-			n += len(m.Hello.Nonce) + len(m.Hello.Verify) + 2
-		}
-		return n
-	case *wspSecure:
-		return 6 + len(m.Record)
-	case *wspSecureReply:
-		return 2 + len(m.Record)
+		return 6
 	case *wspMethod:
 		n := 8 + len(m.Method) + len(m.URL.Path) + len(m.Body)
 		for k, v := range m.Headers {
@@ -102,8 +72,6 @@ func pduBytes(body any) int {
 		return n
 	case *wspReply:
 		return 6 + len(m.ContentType) + len(m.Payload)
-	case *wspSuspend, *wspResume, *wspDisconnect, *wspOK:
-		return 4
 	default:
 		return 4
 	}

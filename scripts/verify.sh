@@ -4,11 +4,13 @@
 # allowlist: every package-level function, method, type, var and const
 # must have a use, and every field of a package-level struct type must
 # be written somewhere, by a literal, an assignment, &x.f or a pointer
-# method call; a tagged field counts as written), build, the whole test
+# method call; a tagged field counts as written; the same scan's counts
+# of exported declarations only tests use and of fields only tests write
+# are capped, so code that no run reaches cannot grow back), build, the whole test
 # suite (which includes the zero-alloc pins), the race detector over the
 # packages that use goroutines (the parallel experiment runner and the
 # simnet structures it drives, the sharded executor's ownership, steal
-# and stop tests among them), and a chaos smoke run (small faulted
+# and shard-freeze tests among them), and a chaos smoke run (small faulted
 # scenario at a fixed seed), plus determinism smokes: two same-seed
 # -metrics dumps and two same-seed -trace Perfetto exports must each be
 # byte-identical, the trace export must be structurally valid
@@ -42,7 +44,22 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
-go run ./scripts/deadexports
+# Dead-code gate plus the test-only caps: -report prints a header line
+# with each count. The caps only go down.
+go run ./scripts/deadexports -report >/tmp/mc-dead.txt
+max_test_only_decls=86
+max_test_only_fields=9
+decls=$(sed -n 's/^\([0-9][0-9]*\) exported declarations only tests use:$/\1/p' /tmp/mc-dead.txt)
+fields=$(sed -n 's/^\([0-9][0-9]*\) fields only tests write:$/\1/p' /tmp/mc-dead.txt)
+rm -f /tmp/mc-dead.txt
+if [ -z "$decls" ] || [ -z "$fields" ]; then
+	echo "verify: deadexports -report printed no count header" >&2
+	exit 1
+fi
+if [ "$decls" -gt "$max_test_only_decls" ] || [ "$fields" -gt "$max_test_only_fields" ]; then
+	echo "verify: test-only code grew: $decls declarations (cap $max_test_only_decls), $fields fields (cap $max_test_only_fields)" >&2
+	exit 1
+fi
 go build ./...
 go test ./...
 go test -race ./internal/experiments ./internal/simnet ./internal/faults/... \
