@@ -57,10 +57,7 @@ func TestDataTierDeviceSessionEndToEnd(t *testing.T) {
 	if err := dev.PutTentative("cart", []byte("3 items")); err != nil {
 		t.Fatal(err)
 	}
-	req, err := dev.BeginUpSync("tier", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := dev.BeginUpSync("tier")
 
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
@@ -85,7 +82,7 @@ func TestDataTierDeviceSessionEndToEnd(t *testing.T) {
 	if resp.Retry {
 		t.Fatalf("primary redirected: %+v", resp)
 	}
-	confirmed, overridden := dev.FinishUpSync("tier", req, resp)
+	confirmed, overridden := dev.FinishUpSync("tier", resp)
 	if confirmed != 1 || overridden != 0 {
 		t.Fatalf("confirmed=%d overridden=%d", confirmed, overridden)
 	}
@@ -116,10 +113,7 @@ func TestDataTierRedirectsNonPrimary(t *testing.T) {
 	if err := dev.PutTentative("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	req, err := dev.BeginUpSync("tier", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := dev.BeginUpSync("tier")
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
 	var resp *mobiledb.UpSyncResponse
@@ -142,7 +136,6 @@ func TestDataTierRedirectsNonPrimary(t *testing.T) {
 	if !resp.Retry || resp.RedirectRank != 0 {
 		t.Fatalf("replica reply = %+v, want Retry with redirect to rank 0", resp)
 	}
-	dev.AbortUpSync(req)
 	if dev.TentativeCount() != 1 {
 		t.Error("aborted session lost the tentative write")
 	}
@@ -235,10 +228,7 @@ func TestDataTierSyncCrashTrigger(t *testing.T) {
 	if err := dev.PutTentative("pay", []byte("order-7")); err != nil {
 		t.Fatal(err)
 	}
-	req, err := dev.BeginUpSync("tier", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := dev.BeginUpSync("tier")
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
 	addrs := dt.Addrs()
@@ -280,7 +270,7 @@ func TestDataTierSyncCrashTrigger(t *testing.T) {
 	if verdict == nil {
 		t.Fatalf("no verdict after retry (%d redirects)", redirects)
 	}
-	confirmed, overridden := dev.FinishUpSync("tier", req, verdict)
+	confirmed, overridden := dev.FinishUpSync("tier", verdict)
 	if confirmed != 1 || overridden != 0 {
 		t.Fatalf("confirmed=%d overridden=%d", confirmed, overridden)
 	}

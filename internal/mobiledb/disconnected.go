@@ -65,9 +65,6 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("mobiledb: unknown policy %q", s)
 }
 
-// ErrSyncOpen reports a BeginUpSync while a session is already in flight.
-var ErrSyncOpen = errors.New("mobiledb: sync session already open")
-
 // ------------------------------------------------------------------
 // Device side
 // ------------------------------------------------------------------
@@ -213,14 +210,12 @@ func (r *UpSyncResponse) WireBytes() int {
 	return n
 }
 
-// BeginUpSync opens a sync session: it snapshots up to max pending
-// tentative writes (0 = all, in Seq order — oldest first) and pins their
-// keys until FinishUpSync, AbortUpSync or DropTentative closes the
-// session. Returns ErrSyncOpen if a session is already in flight.
-func (s *Store) BeginUpSync(peer string, max int) (*UpSyncRequest, error) {
-	if len(s.pinned) > 0 {
-		return nil, ErrSyncOpen
-	}
+// BeginUpSync opens a sync session: it snapshots every pending tentative
+// write, oldest first (Seq order). The writes stay tentative until
+// FinishUpSync installs the verdicts or DropTentative discards them; a
+// timed-out session simply leaves them queued for the next attempt. The
+// caller keeps at most one session in flight.
+func (s *Store) BeginUpSync(peer string) *UpSyncRequest {
 	var writes []Entry
 	for _, e := range s.data {
 		if e.Tentative {
@@ -228,33 +223,18 @@ func (s *Store) BeginUpSync(peer string, max int) (*UpSyncRequest, error) {
 		}
 	}
 	sort.Slice(writes, func(i, j int) bool { return writes[i].Seq < writes[j].Seq })
-	if max > 0 && len(writes) > max {
-		writes = writes[:max]
-	}
-	for i := range writes {
-		// The request may outlive local state (it crosses the network);
-		// copy values so in-place device writes cannot mutate it.
-		writes[i].Value = append([]byte(nil), writes[i].Value...)
-		s.pinned[writes[i].Key] = true
-	}
-	return &UpSyncRequest{From: s.name, Since: s.peer(peer).recvThrough, Writes: writes}, nil
-}
-
-// AbortUpSync closes a session without a verdict (timeout, redirect):
-// pins release, tentative writes stay queued for the next attempt.
-func (s *Store) AbortUpSync(req *UpSyncRequest) {
-	for _, w := range req.Writes {
-		delete(s.pinned, w.Key)
-	}
+	// The request crosses the network and may outlive local state. It
+	// shares the entries' values, which is safe because the store never
+	// writes into a stored value: every write installs a fresh copy.
+	return &UpSyncRequest{From: s.name, Since: s.peer(peer).recvThrough, Writes: writes}
 }
 
 // DropTentative is the fragile baseline's failure handling: pending
 // tentative writes from the session are discarded outright. Returns how
-// many writes were lost. (The resilient path calls AbortUpSync instead.)
+// many writes were lost.
 func (s *Store) DropTentative(req *UpSyncRequest) int {
 	lost := 0
 	for _, w := range req.Writes {
-		delete(s.pinned, w.Key)
 		e := s.data[w.Key]
 		if e == nil || !e.Tentative {
 			continue
@@ -266,16 +246,13 @@ func (s *Store) DropTentative(req *UpSyncRequest) int {
 	return lost
 }
 
-// FinishUpSync applies the server's verdicts and invalidations, releases
-// the session pins and advances the invalidation watermark. A tentative
-// entry written again after the session snapshot (device clock moved past
-// the uploaded write) stays tentative on its new base; otherwise the
-// authoritative row replaces it. Returns the number of confirmed writes
-// and the number resolved against the device.
-func (s *Store) FinishUpSync(peer string, req *UpSyncRequest, resp *UpSyncResponse) (confirmed, overridden int) {
-	for _, w := range req.Writes {
-		delete(s.pinned, w.Key)
-	}
+// FinishUpSync applies the server's verdicts and invalidations and
+// advances the invalidation watermark. A tentative entry written again
+// after the session snapshot (device clock moved past the uploaded write)
+// stays tentative on its new base; otherwise the authoritative row
+// replaces it. Returns the number of confirmed writes and the number
+// resolved against the device.
+func (s *Store) FinishUpSync(peer string, resp *UpSyncResponse) (confirmed, overridden int) {
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		e := s.data[r.Key]
@@ -332,16 +309,38 @@ func (s *Store) installServer(key string, ver uint64, value []byte, deleted bool
 // the next sync session, not the broadcast.
 func (s *Store) ApplyInvalidations(invs []Invalidation) (dropped int) {
 	for _, inv := range invs {
-		e := s.data[inv.Key]
-		if e == nil || e.Tentative || e.SrvVer >= inv.SrvVer {
-			continue
+		if s.invalidate(inv.Key, s.data[inv.Key], inv.SrvVer) {
+			dropped++
 		}
-		delete(s.data, inv.Key)
-		s.used -= e.size()
-		s.Invalidations++
-		dropped++
 	}
 	return dropped
+}
+
+// ApplyInvalidationIndex applies a window of ticks summarized per key:
+// newest reports the highest version any tick in the window carries for
+// key (ok false when none names it). It drops exactly what
+// ApplyInvalidations over that window drops, since a cached entry falls
+// to some tick of the window exactly when it falls to the highest one,
+// but it costs one lookup per local entry instead of one per tick.
+func (s *Store) ApplyInvalidationIndex(newest func(key string) (ver uint64, ok bool)) (dropped int) {
+	for key, e := range s.data {
+		if ver, ok := newest(key); ok && s.invalidate(key, e, ver) {
+			dropped++
+		}
+	}
+	return dropped
+}
+
+// invalidate drops e, the local entry for key, when it is a cached
+// (non-tentative) copy older than server version ver.
+func (s *Store) invalidate(key string, e *Entry, ver uint64) bool {
+	if e == nil || e.Tentative || e.SrvVer >= ver {
+		return false
+	}
+	delete(s.data, key)
+	s.used -= e.size()
+	s.Invalidations++
+	return true
 }
 
 // ------------------------------------------------------------------

@@ -16,15 +16,12 @@ func device(name string, maxBytes int, now *int64) *Store {
 // roundTrip runs one full sync session between dev and sv.
 func roundTrip(t *testing.T, dev *Store, sv *Server) (confirmed, overridden int) {
 	t.Helper()
-	req, err := dev.BeginUpSync("srv", 0)
-	if err != nil {
-		t.Fatalf("BeginUpSync: %v", err)
-	}
+	req := dev.BeginUpSync("srv")
 	resp, err := sv.Apply(req)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	return dev.FinishUpSync("srv", req, resp)
+	return dev.FinishUpSync("srv", resp)
 }
 
 func TestDisconnectedWriteSyncsAndConfirms(t *testing.T) {
@@ -64,24 +61,17 @@ func TestSyncRetryIsIdempotent(t *testing.T) {
 	if err := dev.PutTentative("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	req, err := dev.BeginUpSync("srv", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// First response is lost; the device aborts and retries the session.
+	req := dev.BeginUpSync("srv")
+	// First response is lost; the device retries the session.
 	if _, err := sv.Apply(req); err != nil {
 		t.Fatal(err)
 	}
-	dev.AbortUpSync(req)
-	req2, err := dev.BeginUpSync("srv", 0)
-	if err != nil {
-		t.Fatalf("retry BeginUpSync: %v", err)
-	}
+	req2 := dev.BeginUpSync("srv")
 	resp2, err := sv.Apply(req2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	confirmed, overridden := dev.FinishUpSync("srv", req2, resp2)
+	confirmed, overridden := dev.FinishUpSync("srv", resp2)
 	if confirmed != 1 || overridden != 0 {
 		t.Fatalf("retry confirmed=%d overridden=%d, want 1/0", confirmed, overridden)
 	}
@@ -251,10 +241,7 @@ func TestWriteDuringSessionStaysTentative(t *testing.T) {
 	if err := dev.PutTentative("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	req, err := dev.BeginUpSync("srv", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := dev.BeginUpSync("srv")
 	// While the request is in flight the user writes again.
 	now = 2
 	if err := dev.PutTentative("k", []byte("v2")); err != nil {
@@ -264,7 +251,7 @@ func TestWriteDuringSessionStaysTentative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.FinishUpSync("srv", req, resp)
+	dev.FinishUpSync("srv", resp)
 	// v2 must still be pending, rebased on the version v1 produced.
 	if dev.TentativeCount() != 1 {
 		t.Fatalf("TentativeCount = %d, want 1 (v2 pending)", dev.TentativeCount())
@@ -295,24 +282,22 @@ func TestBeginUpSyncBatchesOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	req, err := dev.BeginUpSync("srv", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(req.Writes) != 3 {
-		t.Fatalf("batch = %d writes, want 3", len(req.Writes))
+	req := dev.BeginUpSync("srv")
+	if len(req.Writes) != 5 {
+		t.Fatalf("batch = %d writes, want 5", len(req.Writes))
 	}
 	for i, w := range req.Writes {
 		if w.Key != fmt.Sprintf("k%d", i) {
 			t.Errorf("batch[%d] = %s, want k%d (oldest first)", i, w.Key, i)
 		}
 	}
-	if _, err := dev.BeginUpSync("srv", 0); err != ErrSyncOpen {
-		t.Errorf("concurrent BeginUpSync err = %v, want ErrSyncOpen", err)
+	// The snapshot crosses the network: a write after it must not reach
+	// into the request.
+	if err := dev.PutTentative("k0", []byte{9}); err != nil {
+		t.Fatal(err)
 	}
-	dev.AbortUpSync(req)
-	if _, err := dev.BeginUpSync("srv", 0); err != nil {
-		t.Errorf("BeginUpSync after abort: %v", err)
+	if v := req.Writes[0].Value; len(v) != 1 || v[0] != 0 {
+		t.Errorf("snapshot value changed to %v by a later write", v)
 	}
 }
 
@@ -352,19 +337,13 @@ func TestFragileDropLosesWrites(t *testing.T) {
 	if err := dev.PutTentative("b", []byte("2")); err != nil {
 		t.Fatal(err)
 	}
-	req, err := dev.BeginUpSync("srv", 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	req := dev.BeginUpSync("srv")
 	lost := dev.DropTentative(req)
 	if lost != 2 {
 		t.Fatalf("DropTentative lost %d, want 2", lost)
 	}
 	if dev.TentativeCount() != 0 {
 		t.Error("tentative entries survived DropTentative")
-	}
-	if _, err := dev.BeginUpSync("srv", 0); err != nil {
-		t.Errorf("session not released after drop: %v", err)
 	}
 }
 

@@ -19,6 +19,15 @@
 //     so any two replicas that exchange changes in both directions converge
 //     to identical state.
 //
+// Disconnected transactions (disconnected.go) add a device/server mode:
+// PutTentative queues writes while the bearer is down, BeginUpSync
+// snapshots them into an upload session and FinishUpSync installs the
+// server's verdicts. The store does not track open sessions; its caller
+// keeps at most one in flight, and a session abandoned on timeout leaves
+// its writes tentative for the next. Cached copies self-heal from the
+// server's invalidation stream, tick by tick (ApplyInvalidations) or as
+// a window summarized per key (ApplyInvalidationIndex).
+//
 // The protocol is transport-agnostic: SyncRequest/SyncResponse are plain
 // values that applications ship over the simulated network (the inventory
 // example posts them through the web server).

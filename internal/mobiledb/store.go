@@ -36,8 +36,7 @@ type Entry struct {
 	// peer-to-peer replicas).
 
 	// Tentative marks a disconnected write that no server has accepted
-	// yet. Sync sessions pin tentative entries until the server's verdict
-	// arrives.
+	// yet. It stays tentative until a sync session's verdict arrives.
 	Tentative bool
 	// Base is the server version this write was derived from; the server
 	// detects a conflict when its current version has moved past Base.
@@ -85,10 +84,6 @@ type Store struct {
 	// now supplies the simulated-time write timestamp for tentative
 	// writes (SetNow); nil means WTS stays zero.
 	now func() int64
-	// pinned holds keys of an in-flight upload session until the
-	// server's verdict lands; while it is non-empty, BeginUpSync refuses
-	// a second session with ErrSyncOpen.
-	pinned map[string]bool
 
 	// Conflicts counts remote entries that lost last-writer-wins locally.
 	Conflicts uint64
@@ -106,7 +101,6 @@ func New(name string, maxBytes int) *Store {
 		maxBytes: maxBytes,
 		data:     make(map[string]*Entry),
 		peers:    make(map[string]*peerState),
-		pinned:   make(map[string]bool),
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 // syncRingMax bounds the cell's broadcast-invalidation ring. Devices that
 // fall further behind than the ring simply miss those ticks; their cache
 // self-heals through the sync response's invalidation replay instead.
+// It is a power of two below 1<<16: the ring links slots by uint16 index.
 const syncRingMax = 1024
 
 // SyncFlowConfig parameterizes a cell's virtual device population.
@@ -68,8 +69,13 @@ type SyncFlows struct {
 
 	// Cell-level broadcast-disk state: the tail of the tier's
 	// invalidation stream plus the watermark it reaches.
-	invRing    []mobiledb.Invalidation
+	inv        invRing
 	invThrough uint64
+
+	// sharedKeys holds the hot shared keys "s0".."sN-1"; valBuf is the
+	// scratch a write's value is built in (PutTentative copies it).
+	sharedKeys []string
+	valBuf     []byte
 
 	// Aggregate counters, aliased under workload.syncflows.<name>.*.
 	Writes, Syncs, Confirmed, Overridden uint64
@@ -82,6 +88,7 @@ type SyncFlows struct {
 type syncDevice struct {
 	f       *SyncFlows
 	store   *mobiledb.Store
+	key     string // the device's private key
 	port    simnet.Port
 	id      int
 	target  int
@@ -132,7 +139,11 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 	if cfg.RetryDelay <= 0 {
 		cfg.RetryDelay = 250 * time.Millisecond
 	}
-	f := &SyncFlows{cfg: cfg, name: name, node: nd, u: simnet.UDPOf(nd)}
+	f := &SyncFlows{cfg: cfg, name: name, node: nd, u: simnet.UDPOf(nd), valBuf: make([]byte, cfg.ValueBytes)}
+	f.sharedKeys = make([]string, cfg.SharedKeys)
+	for i := range f.sharedKeys {
+		f.sharedKeys[i] = "s" + strconv.Itoa(i)
+	}
 	sc := nd.Network().Metrics.Instance("workload.syncflows." + metrics.Sanitize(name))
 	sc.AliasCounter("writes", &f.Writes)
 	sc.AliasCounter("syncs", &f.Syncs)
@@ -152,7 +163,12 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 		d.f = f
 		d.id = i
 		d.port = cfg.FirstPort + simnet.Port(i)
-		d.store = mobiledb.New(fmt.Sprintf("%s-d%d", name, i), 0)
+		// Private keys carry the population name: populations on sibling
+		// cells number their devices identically, and only shared keys
+		// should ever contend.
+		id := strconv.Itoa(i)
+		d.key = name + ".d" + id
+		d.store = mobiledb.New(name+"-d"+id, 0)
 		d.store.SetNow(now)
 		if err := f.u.Listen(d.port, d.reply); err != nil {
 			return nil, fmt.Errorf("workload: syncflows %q: %w", name, err)
@@ -202,25 +218,26 @@ func (f *SyncFlows) recvInvalidation(from simnet.Addr, body any, bytes int) {
 		return // duplicate or stale broadcast (e.g. post-failover rewind)
 	}
 	f.InvTicks += uint64(len(msg.Invalid))
-	f.invRing = append(f.invRing, msg.Invalid...)
-	if over := len(f.invRing) - syncRingMax; over > 0 {
-		f.invRing = append(f.invRing[:0], f.invRing[over:]...)
+	for _, inv := range msg.Invalid {
+		f.inv.push(inv.Key, inv.SrvVer)
 	}
 	f.invThrough = msg.Through
 }
 
-// catchUpInvalidations applies ring ticks the device has not consumed yet.
+// catchUpInvalidations applies the ring ticks the device has not consumed
+// yet: the last invThrough-invPos of them, or the whole ring when the
+// device fell further behind (older ticks are gone). The ring's index
+// answers per cached key, so the cost follows the device's entries, not
+// the backlog.
 func (d *syncDevice) catchUpInvalidations() {
 	f := d.f
 	if f.invThrough <= d.invPos {
 		return
 	}
-	missed := f.invThrough - d.invPos
-	start := len(f.invRing) - int(missed)
-	if start < 0 {
-		start = 0 // fell behind the ring; older ticks are gone
-	}
-	d.store.ApplyInvalidations(f.invRing[start:])
+	w := min(f.invThrough-d.invPos, f.inv.length())
+	d.store.ApplyInvalidationIndex(func(key string) (uint64, bool) {
+		return f.inv.newest(key, w)
+	})
 	d.invPos = f.invThrough
 }
 
@@ -229,21 +246,28 @@ func (d *syncDevice) write() {
 	f := d.f
 	sched := f.node.Sched()
 	rng := sched.Rand()
-	// Private keys carry the population name: populations on sibling
-	// cells number their devices identically, and only shared keys should
-	// ever contend.
-	key := f.name + ".d" + strconv.Itoa(d.id)
+	key := d.key
 	if f.cfg.SharedKeys > 0 && rng.Intn(100) < f.cfg.SharedPct {
-		key = "s" + strconv.Itoa(rng.Intn(f.cfg.SharedKeys))
+		key = f.sharedKeys[rng.Intn(f.cfg.SharedKeys)]
 	}
 	d.wseq++
-	val := make([]byte, f.cfg.ValueBytes)
-	copy(val, fmt.Sprintf("d%d.%d", d.id, d.wseq))
-	if err := d.store.PutTentative(key, val); err == nil {
+	if err := d.store.PutTentative(key, fillWriteValue(f.valBuf, d.id, d.wseq)); err == nil {
 		f.Writes++
 	}
 	think := time.Duration(rng.ExpFloat64() * float64(f.cfg.WriteMean))
 	sched.Rearm(think, syncDevWrite, d)
+}
+
+// fillWriteValue writes "d<id>.<wseq>" into val, truncated to its length
+// and zero-padded, and returns val.
+func fillWriteValue(val []byte, id int, wseq uint64) []byte {
+	var buf [48]byte
+	b := append(buf[:0], 'd')
+	b = strconv.AppendInt(b, int64(id), 10)
+	b = append(b, '.')
+	b = strconv.AppendUint(b, wseq, 10)
+	clear(val[copy(val, b):])
+	return val
 }
 
 // sync opens a session if there is anything to upload and none in flight.
@@ -263,11 +287,7 @@ func (d *syncDevice) sync() {
 		reschedule()
 		return
 	}
-	req, err := d.store.BeginUpSync("tier", 0)
-	if err != nil {
-		reschedule()
-		return
-	}
+	req := d.store.BeginUpSync("tier")
 	d.nextSID++
 	req.Session = d.nextSID
 	d.session = req
@@ -320,7 +340,7 @@ func (d *syncDevice) reply(from simnet.Addr, body any, bytes int) {
 	}
 	d.timeout.Cancel()
 	d.retryT.Cancel()
-	c, o := d.store.FinishUpSync("tier", d.session, resp)
+	c, o := d.store.FinishUpSync("tier", resp)
 	f.Confirmed += uint64(c)
 	f.Overridden += uint64(o)
 	f.latency.Observe(sched.Now() - d.sentAt)
@@ -343,8 +363,6 @@ func (d *syncDevice) expire() {
 	d.retryT.Cancel()
 	if f.cfg.Fragile {
 		f.Lost += uint64(d.store.DropTentative(d.session))
-	} else {
-		d.store.AbortUpSync(d.session)
 	}
 	tracer := f.node.Network().Tracer
 	tracer.Annotate(d.ctx, "timeout")

@@ -1,4 +1,4 @@
-package workload_test
+package workload
 
 import (
 	"testing"
@@ -6,7 +6,6 @@ import (
 
 	"mcommerce/internal/mobiledb"
 	"mcommerce/internal/simnet"
-	"mcommerce/internal/workload"
 )
 
 // syncWorld is a minimal two-node world: a cell aggregator hosting the
@@ -62,7 +61,7 @@ func (w *syncWorld) tierAddr() simnet.Addr {
 
 func TestSyncFlowsConfirmsWrites(t *testing.T) {
 	w := newSyncWorld(t, 41, mobiledb.PolicyLWW)
-	f, err := workload.NewSyncFlows(w.cell, "cell0", workload.SyncFlowConfig{
+	f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 		Devices: 8, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
 		WriteMean: time.Second, SyncMean: 2 * time.Second,
 		SharedKeys: 4, Timeout: 5 * time.Second,
@@ -104,7 +103,7 @@ func TestSyncFlowsFollowsRedirects(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f, err := workload.NewSyncFlows(w.cell, "cell0", workload.SyncFlowConfig{
+	f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 		Devices: 4, FirstPort: 10000,
 		Tier:      []simnet.Addr{{Node: w.server.ID, Port: bouncePort}, w.tierAddr()},
 		WriteMean: time.Second, SyncMean: 2 * time.Second, Timeout: 5 * time.Second,
@@ -127,10 +126,10 @@ func TestSyncFlowsFollowsRedirects(t *testing.T) {
 // resilient tier keeps every tentative write across timeouts; the fragile
 // baseline rolls them back and each rollback is a counted lost update.
 func TestSyncFlowsTimeoutPolicies(t *testing.T) {
-	run := func(fragile bool) *workload.SyncFlows {
+	run := func(fragile bool) *SyncFlows {
 		w := newSyncWorld(t, 43, mobiledb.PolicyLWW)
 		dead := simnet.Addr{Node: w.server.ID, Port: 9999} // nobody listens
-		f, err := workload.NewSyncFlows(w.cell, "cell0", workload.SyncFlowConfig{
+		f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 			Devices: 4, FirstPort: 10000, Tier: []simnet.Addr{dead},
 			WriteMean: time.Second, SyncMean: 2 * time.Second,
 			Timeout: 3 * time.Second, Fragile: fragile,
@@ -163,7 +162,7 @@ func TestSyncFlowsTimeoutPolicies(t *testing.T) {
 // and checks devices shed stale confirmed entries at their next sync pass.
 func TestSyncFlowsInvalidationRing(t *testing.T) {
 	w := newSyncWorld(t, 44, mobiledb.PolicyLWW)
-	f, err := workload.NewSyncFlows(w.cell, "cell0", workload.SyncFlowConfig{
+	f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 		Devices: 4, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
 		WriteMean: 500 * time.Millisecond, SyncMean: time.Second,
 		SharedKeys: 2, SharedPct: 100, Timeout: 5 * time.Second,
@@ -178,15 +177,55 @@ func TestSyncFlowsInvalidationRing(t *testing.T) {
 		t.Fatal("population never confirmed a shared write")
 	}
 	// Fabricate a tick claiming both shared keys moved far ahead.
+	through := f.ThroughWatermark() + 2
 	u := simnet.UDPOf(w.server)
 	w.sched.After(0, func() {
 		u.Send(tierPort, f.InvalidationAddr(), &mobiledb.InvalidationMsg{
 			Invalid: []mobiledb.Invalidation{
 				{Key: "s0", SrvVer: 1 << 30}, {Key: "s1", SrvVer: 1 << 30},
 			},
-			Through: f.ThroughWatermark() + 2,
+			Through: through,
 		}, 64)
 	})
+	if err := w.sched.RunFor(100 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if f.ThroughWatermark() != through {
+		t.Fatalf("cell watermark %d, want %d", f.ThroughWatermark(), through)
+	}
+	// Every cached (confirmed) shared entry is now stale; a device's
+	// catch-up must drop each one and keep its tentative writes. A device
+	// that already caught up in the meantime is skipped.
+	cached := func(d *syncDevice) (n int) {
+		for _, e := range d.store.ChangesSince(0) {
+			if !e.Tentative && !e.Deleted {
+				n++
+			}
+		}
+		return n
+	}
+	stale := 0
+	for i := range f.devices {
+		d := &f.devices[i]
+		if d.invPos >= through {
+			continue
+		}
+		n, tentative, inv := cached(d), d.store.TentativeCount(), d.store.Invalidations
+		d.catchUpInvalidations()
+		if left := cached(d); left != 0 {
+			t.Errorf("device %d kept %d stale shared entries", i, left)
+		}
+		if got := d.store.Invalidations - inv; got != uint64(n) {
+			t.Errorf("device %d: %d invalidations, want %d", i, got, n)
+		}
+		if d.store.TentativeCount() != tentative {
+			t.Errorf("device %d: catch-up touched tentative writes", i)
+		}
+		stale += n
+	}
+	if stale == 0 {
+		t.Fatal("no device cached a shared entry when the tick arrived")
+	}
 	if err := w.sched.RunFor(30 * time.Second); err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +237,7 @@ func TestSyncFlowsInvalidationRing(t *testing.T) {
 func TestSyncFlowsDeterministic(t *testing.T) {
 	run := func() [6]uint64 {
 		w := newSyncWorld(t, 45, mobiledb.PolicyLWW)
-		f, err := workload.NewSyncFlows(w.cell, "cell0", workload.SyncFlowConfig{
+		f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 			Devices: 16, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
 			WriteMean: 800 * time.Millisecond, SyncMean: 2 * time.Second,
 			SharedKeys: 4, Timeout: 5 * time.Second,
@@ -218,17 +257,17 @@ func TestSyncFlowsDeterministic(t *testing.T) {
 
 func TestSyncFlowsValidation(t *testing.T) {
 	w := newSyncWorld(t, 46, mobiledb.PolicyLWW)
-	if _, err := workload.NewSyncFlows(w.cell, "x", workload.SyncFlowConfig{
+	if _, err := NewSyncFlows(w.cell, "x", SyncFlowConfig{
 		Devices: 0, Tier: []simnet.Addr{w.tierAddr()},
 	}); err == nil {
 		t.Error("zero devices accepted")
 	}
-	if _, err := workload.NewSyncFlows(w.cell, "x", workload.SyncFlowConfig{
+	if _, err := NewSyncFlows(w.cell, "x", SyncFlowConfig{
 		Devices: 4, FirstPort: 10000,
 	}); err == nil {
 		t.Error("empty tier accepted")
 	}
-	if _, err := workload.NewSyncFlows(w.cell, "x", workload.SyncFlowConfig{
+	if _, err := NewSyncFlows(w.cell, "x", SyncFlowConfig{
 		Devices: 10, FirstPort: 65530, Tier: []simnet.Addr{w.tierAddr()},
 	}); err == nil {
 		t.Error("port-space overflow accepted")

@@ -18,8 +18,9 @@
 # byte-identical to the serial (-shards 1) run at the same seed, and the
 # replicated data tier storm (mcload -sync) must dump the same totals and
 # state digest serial vs sharded. A bench gate checks, on medians of five
-# runs, the timing wheel's speedup over the reference heap and that the
-# webserver parser frames messages in linear time, and caps the
+# runs, the timing wheel's speedup over the reference heap, that the
+# webserver parser frames messages in linear time and that a syncing
+# device's invalidation catch-up does not grow with its backlog, and caps the
 # allocs/op of one WAP and one i-mode transaction and of one logged
 # database commit; ten-second fuzz smokes run the parser against its
 # reference oracle, the WMLC decoder against its re-encoding fixpoint and
@@ -83,15 +84,18 @@ rm -f /tmp/mc-trace-a.json /tmp/mc-trace-b.json
 # Bench gate: the timing wheel must hold its >=2x advantage over the
 # reference heap with a million live timers, and the webserver parser
 # must frame a 4 KiB response in at least 0.01x the time of a 256 KiB
-# one (a quadratic parser measures about 0.001x). Each ratio compares
+# one (a quadratic parser measures about 0.001x). A device 16 ticks
+# behind its cell's invalidation ring must catch up in at least 0.5x the
+# time of one 1024 ticks behind (the per-key index measures about 0.9x,
+# a scan of the missed ticks about 0.016x). Each ratio compares
 # two benchmarks from the same run, on medians of five, so it holds on
 # any host. One WAP and one i-mode transaction and one database commit
 # logged to a WAL sink must stay under their allocs/op ceilings
 # (BenchmarkTxnWAP, BenchmarkTxnIMode, BenchmarkWALCommit), which do not
 # depend on the host either.
-go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkTxnWAP$|BenchmarkTxnIMode$|BenchmarkWALCommit$' \
+go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkSyncCatchUp|BenchmarkTxnWAP$|BenchmarkTxnIMode$|BenchmarkWALCommit$' \
 	-count 5 -benchtime 200ms -benchmem ./internal/simnet ./internal/webserver ./internal/core \
-	./internal/database >/tmp/mc-bench-gate.txt
+	./internal/database ./internal/workload >/tmp/mc-bench-gate.txt
 go run ./scripts/benchgate -baseline scripts/bench_baseline.json /tmp/mc-bench-gate.txt
 rm -f /tmp/mc-bench-gate.txt
 # Parser fuzz smoke: bounded native fuzzing of the webserver parser
