@@ -142,15 +142,6 @@ func (r *Router) EnableTransparentForwarding() *simnet.Iface {
 // Stats returns a snapshot of the router's counters.
 func (r *Router) Stats() Stats { return r.stats }
 
-// Route returns the current next hop toward dst, if a live route exists.
-func (r *Router) Route(dst simnet.NodeID) (simnet.NodeID, bool) {
-	e := r.liveRoute(dst)
-	if e == nil {
-		return 0, false
-	}
-	return e.nextHop, true
-}
-
 func (r *Router) now() time.Duration { return r.node.Sched().Now() }
 
 func (r *Router) liveRoute(dst simnet.NodeID) *routeEntry {

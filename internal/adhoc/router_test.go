@@ -17,6 +17,7 @@ import (
 type mesh struct {
 	net      *simnet.Network
 	lan      *wireless.LAN
+	nodes    []*simnet.Node
 	stations []*wireless.Station
 	routers  []*adhoc.Router
 }
@@ -36,6 +37,7 @@ func newMesh(t testing.TB, seed int64, n int, spacing float64) *mesh {
 		if err != nil {
 			t.Fatalf("router %d: %v", i, err)
 		}
+		m.nodes = append(m.nodes, node)
 		m.stations = append(m.stations, st)
 		m.routers = append(m.routers, r)
 	}
@@ -45,8 +47,8 @@ func newMesh(t testing.TB, seed int64, n int, spacing float64) *mesh {
 // sendCtl sends a control packet from station i to station j over the mesh.
 func (m *mesh) sendCtl(i, j int, body any, done func(error)) {
 	m.routers[i].Send(&simnet.Packet{
-		Src:   simnet.Addr{Node: m.stations[i].Node().ID},
-		Dst:   simnet.Addr{Node: m.stations[j].Node().ID},
+		Src:   simnet.Addr{Node: m.nodes[i].ID},
+		Dst:   simnet.Addr{Node: m.nodes[j].ID},
 		Proto: simnet.ProtoControl,
 		Bytes: 100,
 		Body:  body,
@@ -56,7 +58,7 @@ func (m *mesh) sendCtl(i, j int, body any, done func(error)) {
 func TestDirectNeighborDelivery(t *testing.T) {
 	m := newMesh(t, 1, 2, 80) // in range of each other
 	var got any
-	m.stations[1].Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = p.Body })
+	m.nodes[1].Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = p.Body })
 	m.sendCtl(0, 1, "hello neighbor", func(err error) {
 		if err != nil {
 			t.Errorf("send: %v", err)
@@ -74,7 +76,7 @@ func TestMultiHopDelivery(t *testing.T) {
 	// 5 stations, 80 m apart, range 100 m: 0 can only reach 4 via 1-2-3.
 	m := newMesh(t, 2, 5, 80)
 	var got any
-	m.stations[4].Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = p.Body })
+	m.nodes[4].Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = p.Body })
 	m.sendCtl(0, 4, "4 hops away", func(err error) {
 		if err != nil {
 			t.Errorf("send: %v", err)
@@ -86,10 +88,10 @@ func TestMultiHopDelivery(t *testing.T) {
 	if got != "4 hops away" {
 		t.Fatalf("multi-hop payload = %v", got)
 	}
-	// Route must go through neighbor 1, and intermediates must have
+	// The route must go through neighbor 1, and intermediates must have
 	// forwarded data.
-	if next, ok := m.routers[0].Route(m.stations[4].Node().ID); !ok || next != m.stations[1].Node().ID {
-		t.Errorf("route next hop = %v (ok=%v), want station 1", next, ok)
+	if m.routers[1].Stats().DataForwarded == 0 {
+		t.Error("station 1 forwarded nothing")
 	}
 	forwarded := uint64(0)
 	for _, r := range m.routers[1:4] {
@@ -113,8 +115,8 @@ func TestBidirectionalAfterOneDiscovery(t *testing.T) {
 			}
 		}
 	}
-	m.stations[0].Node().Bind(simnet.ProtoControl, reply(0))
-	m.stations[3].Node().Bind(simnet.ProtoControl, reply(3))
+	m.nodes[0].Bind(simnet.ProtoControl, reply(0))
+	m.nodes[3].Bind(simnet.ProtoControl, reply(3))
 	m.sendCtl(0, 3, "ping", nil)
 	if err := m.net.Sched.RunFor(30 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -150,7 +152,7 @@ func TestMeshHealsAfterRelayMoves(t *testing.T) {
 	m := newMesh(t, 5, 4, 80)
 	m.stations[3].MoveTo(wireless.Position{X: 50_000}) // park the spare far away
 	delivered := 0
-	m.stations[2].Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { delivered++ })
+	m.nodes[2].Bind(simnet.ProtoControl, func(p *simnet.Packet) { delivered++ })
 
 	m.sendCtl(0, 2, "first", nil)
 	m.net.Sched.RunFor(10 * time.Second)
@@ -168,8 +170,7 @@ func TestMeshHealsAfterRelayMoves(t *testing.T) {
 		t.Fatalf("send without relay: %v, want ErrNoRoute", secondErr)
 	}
 
-	// A new relay arrives at the old midpoint; the mesh heals. (Check the
-	// route within its lifetime.)
+	// A new relay arrives at the old midpoint; the mesh heals.
 	m.stations[3].MoveTo(wireless.Position{X: 80})
 	var thirdErr error
 	m.sendCtl(0, 2, "third", func(err error) { thirdErr = err })
@@ -180,8 +181,8 @@ func TestMeshHealsAfterRelayMoves(t *testing.T) {
 	if delivered != 2 {
 		t.Errorf("delivered = %d, want 2", delivered)
 	}
-	if next, ok := m.routers[0].Route(m.stations[2].Node().ID); !ok || next != m.stations[3].Node().ID {
-		t.Errorf("healed route next hop = %v (ok=%v), want the new relay", next, ok)
+	if m.routers[3].Stats().DataForwarded == 0 {
+		t.Error("the new relay forwarded nothing")
 	}
 }
 
@@ -216,7 +217,7 @@ func TestPeerToPeerBusinessTransaction(t *testing.T) {
 	}
 
 	var verified bool
-	seller := m.stations[3].Node()
+	seller := m.nodes[3]
 	seller.Bind(simnet.ProtoControl, func(p *simnet.Packet) {
 		so, ok := p.Body.(*signedOrder)
 		if !ok {
@@ -227,7 +228,7 @@ func TestPeerToPeerBusinessTransaction(t *testing.T) {
 	})
 
 	m.routers[0].Send(&simnet.Packet{
-		Src:   simnet.Addr{Node: m.stations[0].Node().ID},
+		Src:   simnet.Addr{Node: m.nodes[0].ID},
 		Dst:   simnet.Addr{Node: seller.ID},
 		Proto: simnet.ProtoControl,
 		Bytes: 150,

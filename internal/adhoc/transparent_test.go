@@ -22,7 +22,7 @@ func TestHTTPOverMeshTransparently(t *testing.T) {
 	}
 
 	// The "seller" device hosts a catalog on its own node.
-	sellerStack := mtcp.MustNewStack(m.stations[3].Node())
+	sellerStack := mtcp.MustNewStack(m.nodes[3])
 	srv, err := webserver.New(sellerStack, 80, mtcp.Options{})
 	if err != nil {
 		t.Fatalf("seller server: %v", err)
@@ -33,13 +33,13 @@ func TestHTTPOverMeshTransparently(t *testing.T) {
 	})
 
 	// The "buyer" device runs a plain HTTP client.
-	buyer := webserver.NewClient(mtcp.MustNewStack(m.stations[0].Node()), mtcp.Options{
+	buyer := webserver.NewClient(mtcp.MustNewStack(m.nodes[0]), mtcp.Options{
 		// Generous handshake timer: the first SYN triggers route
 		// discovery and may be re-sent once routes exist.
 		RTOInitial: 500 * time.Millisecond,
 	})
 	var got *webserver.Response
-	buyer.Get(simnet.Addr{Node: m.stations[3].Node().ID, Port: 80}, "/stall", nil,
+	buyer.Get(simnet.Addr{Node: m.nodes[3].ID, Port: 80}, "/stall", nil,
 		func(r *webserver.Response, err error) {
 			if err != nil {
 				t.Errorf("get over mesh: %v", err)

@@ -92,8 +92,7 @@ func TestServicesWorkOverWAPFetcher(t *testing.T) {
 }
 
 // TestRemainingClientSurface exercises the client methods the larger
-// integration flows skip: catalog listings, ticket retrieval and sized
-// downloads.
+// integration flows skip: resource listings and ticket retrieval.
 func TestRemainingClientSurface(t *testing.T) {
 	mc, err := core.BuildMC(core.MCConfig{Seed: 33, Devices: []device.Profile{device.ToshibaE740}})
 	if err != nil {
@@ -107,7 +106,6 @@ func TestRemainingClientSurface(t *testing.T) {
 
 	erp := &apps.ERPClient{Fetcher: f, Origin: origin}
 	travel := &apps.TravelClient{Fetcher: f, Origin: origin}
-	ent := &apps.EntertainmentClient{Fetcher: f, Origin: origin}
 
 	var resources []apps.Resource
 	erp.Resources(func(rs []apps.Resource, err error) {
@@ -131,14 +129,6 @@ func TestRemainingClientSurface(t *testing.T) {
 			fetched = tk2
 		})
 	})
-	var sized []byte
-	ent.DownloadSized(12_345, func(b []byte, err error) {
-		if err != nil {
-			t.Errorf("sized download: %v", err)
-			return
-		}
-		sized = b
-	})
 	if err := mc.Net.Sched.RunFor(2 * time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -147,9 +137,6 @@ func TestRemainingClientSurface(t *testing.T) {
 	}
 	if fetched.Passenger != "surface-test" {
 		t.Errorf("ticket = %+v", fetched)
-	}
-	if len(sized) != 12_345 {
-		t.Errorf("sized download = %d bytes", len(sized))
 	}
 }
 

@@ -2,7 +2,6 @@ package apps
 
 import (
 	"errors"
-	"strconv"
 
 	"mcommerce/internal/core"
 	"mcommerce/internal/database"
@@ -99,15 +98,6 @@ func (s *Entertainment) Register(h *core.Host) error {
 		if err != nil {
 			return fail(500, "download: %v", err)
 		}
-		// Benchmarks may override the size (bounded to keep the handler
-		// total): n=<bytes> yields a synthetic transfer of that size.
-		if ns := r.Query["n"]; ns != "" {
-			n, perr := strconv.ParseInt(ns, 10, 64)
-			if perr != nil || n < 0 || n > 64<<20 {
-				return fail(400, "bad size %q", ns)
-			}
-			size = n
-		}
 		// Synthesize the content (a real deployment would stream from
 		// object storage); the byte pattern is verifiable by clients.
 		body := make([]byte, size)
@@ -154,11 +144,4 @@ func (c *EntertainmentClient) Download(id string, done func([]byte, error)) {
 	c.Fetcher.Fetch(c.Origin, "/media/download?id="+id, func(payload []byte, _ string, err error) {
 		done(payload, err)
 	})
-}
-
-// DownloadSized fetches a synthetic item of exactly n bytes via the
-// catalog-independent size parameter (used by bandwidth benches).
-func (c *EntertainmentClient) DownloadSized(n int, done func([]byte, error)) {
-	c.Fetcher.Fetch(c.Origin, "/media/download?id=song1&n="+strconv.Itoa(n),
-		func(payload []byte, _ string, err error) { done(payload, err) })
 }

@@ -39,13 +39,14 @@ func TestTCPDownloadSurvivesCellHandoff(t *testing.T) {
 	cfg.BitErrorRate = 0
 	cfg.QueueLen = 512
 	handoffs := 0
-	cfg.OnAssociate = func(m *cellular.Mobile, c *cellular.Cell) {
+	var cell1, cell2 *cellular.Cell
+	cfg.OnAssociate = func(_ *cellular.Mobile, c *cellular.Cell) {
 		// The operator core repoints the wired route to the serving cell.
-		switch c.Node() {
-		case bts1:
-			router.SetRoute(m.Node().ID, l1.IfaceA())
-		case bts2:
-			router.SetRoute(m.Node().ID, l2.IfaceA())
+		switch c {
+		case cell1:
+			router.SetRoute(mobNode.ID, l1.IfaceA())
+		case cell2:
+			router.SetRoute(mobNode.ID, l2.IfaceA())
 		}
 		if handoffs > 0 && mobileConn != nil {
 			mobileConn.SignalReconnect() // [2] after handoff completion
@@ -54,8 +55,8 @@ func TestTCPDownloadSurvivesCellHandoff(t *testing.T) {
 	cfg.OnHandoff = func(m *cellular.Mobile, from, to *cellular.Cell) { handoffs++ }
 
 	cn := cellular.New(simn, cellular.WCDMA, cfg)
-	cn.AddCell(bts1, wireless.Position{X: 0})
-	cn.AddCell(bts2, wireless.Position{X: 8000})
+	cell1 = cn.AddCell(bts1, wireless.Position{X: 0})
+	cell2 = cn.AddCell(bts2, wireless.Position{X: 8000})
 	mob := cn.AddMobile(mobNode, wireless.Position{X: 1000})
 	if err := mob.Attach(nil); err != nil {
 		t.Fatalf("Attach: %v", err)
@@ -101,7 +102,7 @@ func TestTCPDownloadSurvivesCellHandoff(t *testing.T) {
 	if handoffs != 1 {
 		t.Errorf("handoffs = %d, want 1", handoffs)
 	}
-	if mob.Cell() == nil || mob.Cell().Node() != bts2 {
+	if mob.Cell() == nil || mob.Cell() != cell2 {
 		t.Error("mobile not served by bts2 after the move")
 	}
 	if !mob.Attached() {

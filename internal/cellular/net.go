@@ -189,9 +189,6 @@ func New(simn *simnet.Network, std Standard, cfg Config) *Net {
 // Standard returns the network's cellular standard.
 func (n *Net) Standard() Standard { return n.std }
 
-// Config returns the network's configuration.
-func (n *Net) Config() Config { return n.cfg }
-
 // Cell is a base station: radio coverage plus circuit channels and the
 // shared packet scheduler.
 type Cell struct {
@@ -206,15 +203,6 @@ type Cell struct {
 	// packet state: shared downlink/uplink transmitters.
 	down, up xmitter
 }
-
-// Node returns the node the base station radio is attached to.
-func (c *Cell) Node() *simnet.Node { return c.node }
-
-// Radio returns the base station's radio interface.
-func (c *Cell) Radio() *simnet.Iface { return c.radio }
-
-// Pos returns the base station's position.
-func (c *Cell) Pos() wireless.Position { return c.pos }
 
 // CallsInUse returns the number of occupied circuit channels.
 func (c *Cell) CallsInUse() int { return c.callsInUse }
@@ -232,14 +220,6 @@ func (n *Net) AddCell(node *simnet.Node, pos wireless.Position) *Cell {
 	n.cells = append(n.cells, c)
 	n.byIface[c.radio] = c
 	return c
-}
-
-// Cells returns the network's base stations. The slice is freshly
-// allocated.
-func (n *Net) Cells() []*Cell {
-	out := make([]*Cell, len(n.cells))
-	copy(out, n.cells)
-	return out
 }
 
 // Mobile is a cellular terminal: position, serving cell, call/attach state
@@ -261,12 +241,6 @@ type Mobile struct {
 	// as Background.
 	Class QoSClass
 }
-
-// Node returns the node the mobile radio is attached to.
-func (m *Mobile) Node() *simnet.Node { return m.node }
-
-// Pos returns the mobile's position.
-func (m *Mobile) Pos() wireless.Position { return m.pos }
 
 // Cell returns the serving cell, or nil outside coverage or in handoff.
 func (m *Mobile) Cell() *Cell {
@@ -293,13 +267,6 @@ func (n *Net) AddMobile(node *simnet.Node, pos wireless.Position) *Mobile {
 	n.byIface[m.radio] = m
 	m.recamp()
 	return m
-}
-
-// Mobiles returns the network's mobiles. The slice is freshly allocated.
-func (n *Net) Mobiles() []*Mobile {
-	out := make([]*Mobile, len(n.mobiles))
-	copy(out, n.mobiles)
-	return out
 }
 
 func (n *Net) bestCell(pos wireless.Position) *Cell {

@@ -50,7 +50,7 @@ func TestCircuitCallRequiredBeforeData(t *testing.T) {
 	got := 0
 	server.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got++ })
 	// No call yet: data is dropped at the radio.
-	mob.Node().Send(ctl(mob.Node(), server, 100))
+	mob.node.Send(ctl(mob.node, server, 100))
 	if err := simn.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -68,7 +68,7 @@ func TestCircuitCallSetupThenData(t *testing.T) {
 	server.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got++ })
 	if err := mob.PlaceCall(func() {
 		setupDone = simn.Sched.Now()
-		mob.Node().Send(ctl(mob.Node(), server, 120)) // 100 ms at 9.6 kbps
+		mob.node.Send(ctl(mob.node, server, 120)) // 100 ms at 9.6 kbps
 	}); err != nil {
 		t.Fatalf("PlaceCall: %v", err)
 	}
@@ -120,7 +120,7 @@ func TestPacketAttachThenAlwaysOn(t *testing.T) {
 	var attachedAt time.Duration
 	if err := mob.Attach(func() {
 		attachedAt = simn.Sched.Now()
-		mob.Node().Send(ctl(mob.Node(), server, 125))
+		mob.node.Send(ctl(mob.node, server, 125))
 	}); err != nil {
 		t.Fatalf("Attach: %v", err)
 	}
@@ -165,10 +165,10 @@ func measureRate(t *testing.T, std Standard) simnet.Rate {
 	cfg.QueueLen = 10000
 	simn, _, server, _, mob := cellTopo(t, std, cfg)
 	bytes := 0
-	mob.Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { bytes += p.Bytes })
+	mob.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { bytes += p.Bytes })
 	start := func() {
 		for i := 0; i < 2000; i++ {
-			server.Send(ctl(server, mob.Node(), 500))
+			server.Send(ctl(server, mob.node, 500))
 		}
 	}
 	if std.Switching == PacketSwitched {

@@ -209,15 +209,16 @@ func (db *DB) ApplyRecord(rec LogRecord) error {
 
 // ResetTo rebuilds the database in place from a log prefix: all tables and
 // rows are discarded and the given records replay from scratch (their
-// OpCreate DDL records recreate the schema). This is the truncate-to-commit
-// step a replica takes when a new primary's history supersedes its own
-// un-acknowledged tail. A durable sink, if attached, is detached — the old
-// stream no longer matches — and must be re-attached by the caller.
+// OpCreate DDL records recreate the schema). This is the recovery step a
+// replica takes on restart and when a new primary's history supersedes its
+// own un-acknowledged tail. An attached durable sink stays attached and
+// receives nothing for the replayed records: recovery cuts the durable
+// image to the same prefix and never rewrites it, so the caller keeps the
+// image's first len(wal) records, and the next commit appends after them.
 func (db *DB) ResetTo(wal []LogRecord) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.tables = make(map[string]*table)
-	db.walSink = nil
 	db.wal = nil
 	db.nextTx = 0
 	for _, rec := range wal {

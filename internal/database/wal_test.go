@@ -106,6 +106,55 @@ func TestWALDoubleAttachRejected(t *testing.T) {
 	}
 }
 
+// recordWriter is a WAL sink that remembers where each record ends, the
+// way a replica's disk does.
+type recordWriter struct {
+	buf  []byte
+	ends []int
+}
+
+func (w *recordWriter) Write(p []byte) (int, error) {
+	w.buf = append(w.buf, p...)
+	w.ends = append(w.ends, len(w.buf))
+	return len(p), nil
+}
+
+// TestResetToKeepsWriterAndCutImageExtends is recovery without a rewrite:
+// ResetTo writes nothing and keeps the writer, the caller cuts the image
+// to the replayed prefix, and the next commit appends exactly one record
+// that extends it into a valid image of the whole log.
+func TestResetToKeepsWriterAndCutImageExtends(t *testing.T) {
+	db := accountsDB(t)
+	var w recordWriter
+	if _, err := db.PersistTo(&w); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		mustInsert(t, db, "accounts", Row{"id": fmt.Sprintf("k%d", i), "owner": "x", "balance": int64(i)})
+	}
+	keep := db.WALLen() - 2
+	written := len(w.ends)
+	if err := db.ResetTo(db.WALRange(0, keep)); err != nil {
+		t.Fatal(err)
+	}
+	if len(w.ends) != written {
+		t.Fatalf("ResetTo wrote %d records", len(w.ends)-written)
+	}
+	w.buf, w.ends = w.buf[:w.ends[keep-1]], w.ends[:keep]
+	mustInsert(t, db, "accounts", Row{"id": "z", "owner": "zed", "balance": int64(9)})
+	if len(w.ends) != keep+1 || db.WALLen() != keep+1 {
+		t.Fatalf("after one commit: %d records on disk, log %d, want %d", len(w.ends), db.WALLen(), keep+1)
+	}
+	recs, validLen, err := ReadWALPrefix(w.buf)
+	if err != nil || len(recs) != db.WALLen() || validLen != len(w.buf) {
+		t.Fatalf("image: %d records (err %v, valid %d of %d bytes), log %d", len(recs), err, validLen, len(w.buf), db.WALLen())
+	}
+	restored, _ := restore(t, w.buf)
+	if restored.Dump() != db.Dump() {
+		t.Errorf("image restores to\n%s\nwant\n%s", restored.Dump(), db.Dump())
+	}
+}
+
 func TestWALTornTailTolerated(t *testing.T) {
 	db := accountsDB(t)
 	var buf bytes.Buffer

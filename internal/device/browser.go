@@ -129,9 +129,6 @@ func NewBrowser(st *Station, f Fetcher) *Browser {
 	return &Browser{station: st, fetcher: f}
 }
 
-// Station returns the browser's host station.
-func (b *Browser) Station() *Station { return b.station }
-
 // Browse fetches and renders a page, enforcing the station's memory,
 // battery and CPU constraints.
 func (b *Browser) Browse(origin simnet.Addr, path string, done func(*Page, error)) {
@@ -140,32 +137,6 @@ func (b *Browser) Browse(origin simnet.Addr, path string, done func(*Page, error
 		return
 	}
 	b.fetcher.Fetch(origin, path, func(payload []byte, ct string, err error) {
-		if err != nil {
-			done(nil, err)
-			return
-		}
-		b.render(payload, ct, done)
-	})
-}
-
-// FollowLink navigates to the page's nth link (document order) on the same
-// origin. It fails with ErrNoSuchLink when the index is out of range.
-func (b *Browser) FollowLink(origin simnet.Addr, page *Page, n int, done func(*Page, error)) {
-	if page == nil || n < 0 || n >= len(page.Links) {
-		done(nil, fmt.Errorf("%w: link %d of %d", ErrNoSuchLink, n, len(page.Links)))
-		return
-	}
-	b.Browse(origin, page.Links[n], done)
-}
-
-// SubmitForm posts form data and renders the resulting page.
-func (b *Browser) SubmitForm(origin simnet.Addr, path, contentType string, body []byte, done func(*Page, error)) {
-	if !b.station.PoweredOn() {
-		done(nil, ErrPoweredOff)
-		return
-	}
-	b.station.DrainTx(len(body))
-	b.fetcher.Submit(origin, path, contentType, body, func(payload []byte, ct string, err error) {
 		if err != nil {
 			done(nil, err)
 			return

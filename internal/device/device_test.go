@@ -96,24 +96,6 @@ func TestPalmOSBatteryLifeTwiceRivals(t *testing.T) {
 	}
 }
 
-func TestStandbyLifetime(t *testing.T) {
-	net := simnet.NewNetwork(simnet.NewScheduler(1))
-	// Equal chassis, different OS: per Section 4.1 the Palm OS device
-	// must last about twice as long.
-	a := device.NewStation(net, device.Profile{OS: device.PalmOS41, BatterymAh: 1000, RAMBytes: 1 << 20, CPUMHz: 1})
-	b := device.NewStation(net, device.Profile{OS: device.PocketPC2002, BatterymAh: 1000, RAMBytes: 1 << 20, CPUMHz: 1})
-	ratio := a.StandbyLifetime().Hours() / b.StandbyLifetime().Hours()
-	if ratio < 1.9 || ratio > 2.1 {
-		t.Errorf("Palm OS standby lifetime ratio = %.2f, want ≈ 2", ratio)
-	}
-	// Standby drain actually consumes charge.
-	before := a.Battery()
-	a.Standby(24 * time.Hour)
-	if a.Battery() >= before {
-		t.Error("standby did not drain")
-	}
-}
-
 func TestMemoryAllocation(t *testing.T) {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
 	st := device.NewStation(net, device.PalmI705) // 8 MB RAM, 4 MB free
@@ -182,9 +164,6 @@ func newBrowserTopo(t testing.TB, p device.Profile) *browserTopo {
 	})
 	srv.Handle("/blob", func(r *webserver.Request) *webserver.Response {
 		return webserver.NewResponse(200, webserver.TypeBytes, []byte{1, 2, 3, 4})
-	})
-	srv.Handle("/deals", func(r *webserver.Request) *webserver.Response {
-		return webserver.HTML(`<html><head><title>Deals</title></head><body><p>50% off</p></body></html>`)
 	})
 	return &browserTopo{net: net, station: st, gwNode: gw, origin: org, wapGW: wapGW, imodeGW: imodeGW}
 }
@@ -277,7 +256,7 @@ func TestBrowsePoweredOff(t *testing.T) {
 	topo := newBrowserTopo(t, device.PalmI705)
 	cl := imode.NewClient(mtcp.MustNewStack(topo.station.Node()), topo.imodeGW.Addr(), mtcp.Options{})
 	br := device.NewBrowser(topo.station, &device.IModeFetcher{Client: cl})
-	topo.station.PowerOff()
+	topo.station.DrainCPU(1000 * time.Hour)
 	var gotErr error
 	br.Browse(topo.originAddr(), "/shop", func(p *device.Page, err error) { gotErr = err })
 	if !errors.Is(gotErr, device.ErrPoweredOff) {

@@ -14,18 +14,15 @@ var (
 	ErrOutOfMemory = errors.New("device: out of memory")
 	// ErrBatteryDead reports an empty battery.
 	ErrBatteryDead = errors.New("device: battery exhausted")
-	// ErrPoweredOff reports an operation on a powered-off station.
+	// ErrPoweredOff reports an operation on a station with no charge left.
 	ErrPoweredOff = errors.New("device: powered off")
-	// ErrNoSuchLink reports a FollowLink index out of range.
-	ErrNoSuchLink = errors.New("device: no such link")
 )
 
-// Energy model constants: per-byte radio costs and CPU power, scaled by the
-// OS PowerFactor. Values are period-plausible and documented in DESIGN.md;
+// Energy model constants: the per-byte receive cost and CPU power, scaled by
+// the OS PowerFactor. Values are period-plausible and documented in DESIGN.md;
 // the experiments depend only on their relative effects.
 const (
 	rxJoulesPerByte = 2e-6
-	txJoulesPerByte = 3e-6
 	cpuWatts        = 0.5
 	voltsNominal    = 3.7
 )
@@ -43,7 +40,6 @@ type Station struct {
 	freeRAM   int
 	batteryJ  float64
 	capacityJ float64
-	poweredOn bool
 
 	// layouts memoizes Browser.layout for every browser on the station.
 	layouts map[layoutKey]Page
@@ -60,7 +56,6 @@ func NewStation(net *simnet.Network, p Profile) *Station {
 		freeRAM:   p.RAMBytes / 2,
 		batteryJ:  capacity,
 		capacityJ: capacity,
-		poweredOn: true,
 	}
 	return st
 }
@@ -68,14 +63,9 @@ func NewStation(net *simnet.Network, p Profile) *Station {
 // Node returns the station's network node.
 func (s *Station) Node() *simnet.Node { return s.node }
 
-// PoweredOn reports whether the station is running.
-func (s *Station) PoweredOn() bool { return s.poweredOn && s.batteryJ > 0 }
-
-// PowerOff shuts the station down.
-func (s *Station) PowerOff() { s.poweredOn = false }
-
-// PowerOn boots the station (if the battery has charge).
-func (s *Station) PowerOn() { s.poweredOn = true }
+// PoweredOn reports whether the station is running: it boots on and
+// stays on while its battery has charge left.
+func (s *Station) PoweredOn() bool { return s.batteryJ > 0 }
 
 // FreeRAM returns bytes available to applications.
 func (s *Station) FreeRAM() int { return s.freeRAM }
@@ -120,28 +110,8 @@ func (s *Station) ProcessingDelay(n int) time.Duration {
 	return time.Duration(sec * float64(time.Second))
 }
 
-// standbyWatts is the idle power draw (display off, radio paging).
-const standbyWatts = 0.01
-
-// Standby charges the battery for d of idle time. The paper: mobile
-// stations "suffer from ... low battery power" — standby drain bounds a
-// device's shift length even without traffic.
-func (s *Station) Standby(d time.Duration) { s.drain(standbyWatts * d.Seconds()) }
-
-// StandbyLifetime estimates how long the remaining charge lasts at idle.
-func (s *Station) StandbyLifetime() time.Duration {
-	watts := standbyWatts * s.OS.PowerFactor
-	if watts <= 0 {
-		return 0
-	}
-	return time.Duration(s.batteryJ / watts * float64(time.Second))
-}
-
 // DrainRx charges the battery for receiving n bytes.
 func (s *Station) DrainRx(n int) { s.drain(rxJoulesPerByte * float64(n)) }
-
-// DrainTx charges the battery for transmitting n bytes.
-func (s *Station) DrainTx(n int) { s.drain(txJoulesPerByte * float64(n)) }
 
 // DrainCPU charges the battery for d of CPU work.
 func (s *Station) DrainCPU(d time.Duration) { s.drain(cpuWatts * d.Seconds()) }

@@ -148,7 +148,7 @@ func TestInjectorLinkFlapWindow(t *testing.T) {
 }
 
 func TestInjectorBrownoutDegradesAndRestores(t *testing.T) {
-	net, _, _, _, l1, _, _ := twoLinkTopo(1)
+	net, a, _, b, l1, _, got := twoLinkTopo(1)
 	in := NewInjector(net)
 	in.RegisterLink("access", l1)
 	plan := NewPlan("brown").Add(Event{
@@ -158,13 +158,20 @@ func TestInjectorBrownoutDegradesAndRestores(t *testing.T) {
 	if err := in.Schedule(plan); err != nil {
 		t.Fatalf("Schedule: %v", err)
 	}
-	net.Sched.RunUntil(1500 * time.Millisecond)
-	if cfg := l1.Config(); cfg.Rate != simnet.Mbps || cfg.Loss != 0.5 {
-		t.Errorf("mid-brownout config = %+v, want 1Mbps/0.5", cfg)
+	// 100 packets inside the brownout, spaced wider than their 0.8 ms
+	// serialization at the degraded 1 Mbps so none queue, then 100 after it.
+	for i := range 100 {
+		sendAt(net, a, b.ID, 1200*time.Millisecond+time.Duration(i)*5*time.Millisecond)
+		sendAt(net, a, b.ID, 3*time.Second+time.Duration(i)*time.Millisecond)
 	}
-	net.Sched.RunUntil(3 * time.Second)
-	if cfg := l1.Config(); cfg.Rate != 100*simnet.Mbps || cfg.Loss != 0 {
-		t.Errorf("post-brownout config = %+v, want restored", cfg)
+	net.Sched.RunUntil(2 * time.Second)
+	if lost := l1.Lost[0]; lost < 30 || lost > 70 {
+		t.Errorf("lost %d of 100 during the brownout, want about half", lost)
+	}
+	lost := l1.Lost[0]
+	net.Sched.RunUntil(4 * time.Second)
+	if l1.Lost[0] != lost || *got != 200-int(lost) {
+		t.Errorf("after restore: lost %d more, delivered %d of %d", l1.Lost[0]-lost, *got, 200-lost)
 	}
 }
 

@@ -178,18 +178,6 @@ func (s *Store) install(e *Entry) error {
 	return nil
 }
 
-// Keys returns live keys in sorted order.
-func (s *Store) Keys() []string {
-	out := make([]string, 0, len(s.data))
-	for k, e := range s.data {
-		if !e.Deleted {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // ChangesSince returns entries installed at local log position > since, in
 // log order. Tombstones are included.
 func (s *Store) ChangesSince(since uint64) []Entry {

@@ -15,11 +15,10 @@ type Binding struct {
 
 // HomeAgentStats counts a home agent's activity.
 type HomeAgentStats struct {
-	Registrations   uint64
-	Deregistrations uint64
-	AuthFailures    uint64
-	Tunneled        uint64 // datagrams encapsulated toward care-of addresses
-	TunneledBytes   uint64
+	Registrations uint64
+	AuthFailures  uint64
+	Tunneled      uint64 // datagrams encapsulated toward care-of addresses
+	TunneledBytes uint64
 }
 
 // HomeAgent intercepts datagrams for away-from-home mobiles on the home
@@ -70,14 +69,10 @@ func (ha *HomeAgent) onRegistration(from simnet.Addr, body any, _ int) {
 	if !ok {
 		return
 	}
-	reply := &regReply{Mobile: req.Mobile, Seq: req.Seq, Lifetime: req.Lifetime}
+	reply := &regReply{Mobile: req.Mobile, Seq: req.Seq}
 	if !authOK(ha.authKey, req) {
 		ha.stats.AuthFailures++
 		reply.OK = false
-	} else if req.Lifetime <= 0 {
-		delete(ha.bindings, req.Mobile)
-		ha.stats.Deregistrations++
-		reply.OK = true
 	} else {
 		ha.bindings[req.Mobile] = &Binding{
 			Mobile:    req.Mobile,
@@ -177,7 +172,7 @@ func (fa *ForeignAgent) onSignal(from simnet.Addr, body any, _ int) {
 		if !ok {
 			return
 		}
-		if !m.OK || m.Lifetime <= 0 {
+		if !m.OK {
 			delete(fa.visitors, m.Mobile)
 		}
 		simnet.UDPOf(fa.node).Send(MobileIPPort, v.replyTo, m, regWireBytes)

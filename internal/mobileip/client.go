@@ -49,9 +49,6 @@ type Client struct {
 	seq  uint64
 
 	pending map[uint64]*pendingReg
-	// registered is the FA the mobile most recently registered through,
-	// or the zero Addr when home.
-	registered simnet.Addr
 }
 
 type pendingReg struct {
@@ -78,51 +75,19 @@ func NewClient(node *simnet.Node, cfg Config) *Client {
 	return c
 }
 
-// RegisteredVia returns the care-of address currently registered, and
-// whether the mobile is registered away from home.
-func (c *Client) RegisteredVia() (simnet.Addr, bool) {
-	return c.registered, c.registered != simnet.Addr{}
-}
-
 // Register binds the mobile to the foreign agent at fa. done (optional)
 // fires with nil on success, ErrDenied on refusal, or
 // ErrRegistrationTimeout after retries are exhausted.
 func (c *Client) Register(fa simnet.Addr, done func(error)) {
-	c.sendRequest(fa, c.cfg.Lifetime, func(err error) {
-		if err == nil {
-			c.registered = fa
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-// Deregister removes the home binding (the mobile has returned home). done
-// is optional.
-func (c *Client) Deregister(done func(error)) {
-	// A deregistration goes straight to the home agent: the mobile is
-	// back on its home subnet.
-	c.sendRequest(c.cfg.HomeAgent, 0, func(err error) {
-		if err == nil {
-			c.registered = simnet.Addr{}
-		}
-		if done != nil {
-			done(err)
-		}
-	})
-}
-
-func (c *Client) sendRequest(to simnet.Addr, lifetime time.Duration, done func(error)) {
 	c.seq++
 	req := &regRequest{
 		Mobile:   c.node.ID,
 		Home:     c.cfg.HomeAgent,
-		Lifetime: lifetime,
+		Lifetime: c.cfg.Lifetime,
 		Seq:      c.seq,
-		Auth:     authTag(c.cfg.AuthKey, c.node.ID, lifetime, c.seq),
+		Auth:     authTag(c.cfg.AuthKey, c.node.ID, c.cfg.Lifetime, c.seq),
 	}
-	p := &pendingReg{done: done, req: req, to: to}
+	p := &pendingReg{done: done, req: req, to: fa}
 	c.pending[c.seq] = p
 	c.transmit(p)
 }

@@ -14,7 +14,6 @@ import (
 const MobileIPPort simnet.Port = 434
 
 // regRequest asks the home agent to bind the mobile to a care-of address.
-// Lifetime zero is a deregistration.
 type regRequest struct {
 	Mobile   simnet.NodeID
 	Home     simnet.Addr // the mobile's home agent
@@ -26,10 +25,9 @@ type regRequest struct {
 
 // regReply reports the home agent's decision.
 type regReply struct {
-	Mobile   simnet.NodeID
-	Seq      uint64
-	OK       bool
-	Lifetime time.Duration
+	Mobile simnet.NodeID
+	Seq    uint64
+	OK     bool
 }
 
 // regWireBytes approximates the registration message size on the wire

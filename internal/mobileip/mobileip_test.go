@@ -75,9 +75,6 @@ func TestRegistrationInstallsBinding(t *testing.T) {
 	if b.CareOf != r.fa.Addr() {
 		t.Errorf("care-of = %v, want %v", b.CareOf, r.fa.Addr())
 	}
-	if via, away := r.client.RegisteredVia(); !away || via != r.fa.Addr() {
-		t.Errorf("client state: via=%v away=%v", via, away)
-	}
 	if r.fa.Stats().Relayed != 1 {
 		t.Errorf("FA relayed = %d, want 1", r.fa.Stats().Relayed)
 	}
@@ -137,50 +134,6 @@ func TestReverseTriangleRoutesDirectly(t *testing.T) {
 	// Mobile-to-correspondent traffic is never tunneled.
 	if r.ha.Stats().Tunneled != 0 {
 		t.Errorf("HA tunneled %d reverse packets", r.ha.Stats().Tunneled)
-	}
-}
-
-func TestDeregistrationRestoresHomeDelivery(t *testing.T) {
-	r := newRoamTopo(t, nil, nil)
-	// First register away, then "move home": rewire the mobile onto the
-	// home router and deregister.
-	r.client.Register(r.fa.Addr(), func(err error) {
-		if err != nil {
-			t.Errorf("register: %v", err)
-		}
-	})
-	if err := r.net.Sched.RunUntil(time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	lHome := simnet.Connect(r.home, r.mob, simnet.LAN)
-	r.home.SetRoute(r.mob.ID, lHome.IfaceA())
-	r.mob.SetDefaultRoute(lHome.IfaceB())
-	var deregErr error
-	fired := false
-	r.client.Deregister(func(err error) { deregErr, fired = err, true })
-	if err := r.net.Sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !fired || deregErr != nil {
-		t.Fatalf("deregistration: fired=%v err=%v", fired, deregErr)
-	}
-	if _, ok := r.ha.Binding(r.mob.ID); ok {
-		t.Error("binding survived deregistration")
-	}
-	got := 0
-	r.mob.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got++ })
-	r.corr.Send(&simnet.Packet{
-		Src: simnet.Addr{Node: r.corr.ID}, Dst: simnet.Addr{Node: r.mob.ID},
-		Proto: simnet.ProtoControl, Bytes: 100,
-	})
-	if err := r.net.Sched.RunUntil(3 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got != 1 {
-		t.Errorf("home delivery after dereg: got %d", got)
-	}
-	if r.ha.Stats().Tunneled != 0 {
-		t.Errorf("HA tunneled %d after dereg", r.ha.Stats().Tunneled)
 	}
 }
 

@@ -616,10 +616,6 @@ func TestListenPortConflict(t *testing.T) {
 	if err := d.ss.Listen(80, mtcp.Options{}, func(*mtcp.Conn) {}); err == nil {
 		t.Error("duplicate Listen should fail")
 	}
-	d.ss.Unlisten(80)
-	if err := d.ss.Listen(80, mtcp.Options{}, func(*mtcp.Conn) {}); err != nil {
-		t.Errorf("Listen after Unlisten: %v", err)
-	}
 }
 
 func TestOneStackPerNode(t *testing.T) {
@@ -629,18 +625,20 @@ func TestOneStackPerNode(t *testing.T) {
 	}
 }
 
-// TestEphemeralPortsExhaustedPanics fills every ephemeral port with a
-// listener: Dial must still find the one port freed, and with none free
+// TestEphemeralPortsExhaustedPanics fills every ephemeral port but one
+// with a listener: Dial must still find that port, and with none free
 // it must panic naming the node and the range instead of spinning.
 func TestEphemeralPortsExhaustedPanics(t *testing.T) {
 	d := newDuplex(t, 16, simnet.LinkConfig{Rate: simnet.Mbps})
 	server := simnet.Addr{Node: d.server.ID, Port: 80}
 	for p := 32768; p <= 65535; p++ {
+		if p == 40000 {
+			continue
+		}
 		if err := d.cs.Listen(simnet.Port(p), mtcp.Options{}, func(*mtcp.Conn) {}); err != nil {
 			t.Fatalf("Listen %d: %v", p, err)
 		}
 	}
-	d.cs.Unlisten(40000)
 	if got := d.cs.Dial(server, mtcp.Options{}, func(*mtcp.Conn, error) {}).LocalAddr().Port; got != 40000 {
 		t.Fatalf("Dial took port %d, want the one free port 40000", got)
 	}

@@ -174,9 +174,6 @@ func (s *Stack) Listen(port simnet.Port, opts Options, accept func(*Conn)) error
 	return nil
 }
 
-// Unlisten removes the listener on port. Established connections survive.
-func (s *Stack) Unlisten(port simnet.Port) { delete(s.listeners, port) }
-
 // Dial opens a connection to raddr. The connected callback fires once with
 // (conn, nil) on establishment or (nil, err) on failure. The returned Conn
 // can be used immediately to queue data; it is the same value the callback

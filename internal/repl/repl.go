@@ -16,6 +16,9 @@
 // simulated fsync latency, acknowledges records only after the fsync
 // completes, and a crash tears the un-synced tail at a random byte —
 // exercising database.ReadWALPrefix's torn-tail recovery on every restart.
+// Recovery replays the log and never rewrites it: a restart or a conflict
+// truncation cuts the disk image back to a record boundary, and the WAL
+// writer stays attached to append after it.
 // Shipped records are applied without copying their rows: committed rows
 // are immutable, so every member's table shares them read-only. Only
 // never-acknowledged records can be lost, which is exactly the window the
@@ -106,15 +109,6 @@ type voteResp struct {
 	Granted    bool
 }
 
-// syncMark names a disk state: durable through Recs records / Bytes
-// bytes. Fsyncs group-commit — one in-flight fsync covers every record
-// written before it was armed, and writes landing while it runs ride the
-// next one — so durability throughput does not collapse to one record
-// per syncDelay under a write storm.
-type syncMark struct {
-	Recs, Bytes int
-}
-
 // Member is one node of a replica group. All methods run on the owning
 // shard's scheduler lane; none are safe for concurrent use.
 type Member struct {
@@ -140,18 +134,20 @@ type Member struct {
 	votes       uint64
 	next, acked []int // leader bookkeeping per member
 	applyTerm   int   // term for records being applied from a ship
-	syncedRecs  int
-	syncedBytes int
-	syncArmed   syncMark // target of the in-flight fsync
-	syncNewest  syncMark // newest write; target of the next fsync
-	syncT       simnet.Timer
-	leaseT      simnet.Timer
-	hbT         simnet.Timer
-	shipQueued  bool
-	crashImage  []byte
-	shipCtx     []trace.Context
-	commitCbs   []func(commit int)
-	leaderCbs   []func(leader int)
+	// Fsyncs group-commit, counted in records: one in-flight fsync covers
+	// every record written before it was armed, and writes landing while
+	// it runs ride the next one, so durability throughput does not
+	// collapse to one record per syncDelay under a write storm.
+	syncedRecs int
+	syncArmed  int // target of the in-flight fsync
+	syncNewest int // newest write; target of the next fsync
+	syncT      simnet.Timer
+	leaseT     simnet.Timer
+	hbT        simnet.Timer
+	shipQueued bool
+	shipCtx    []trace.Context
+	commitCbs  []func(commit int)
+	leaderCbs  []func(leader int)
 
 	// Counters, aliased as core.db.repl.<name>.*.
 	Ships, ShippedRecs, Acks, Nacks   uint64
@@ -161,14 +157,25 @@ type Member struct {
 }
 
 // walDisk is the member's simulated disk: a flat byte image the WAL
-// writer appends one record to per Write.
+// writer appends one record to per Write, and the image length after each
+// record, so recovery cuts the image at a record boundary.
 type walDisk struct {
-	buf []byte
+	buf  []byte
+	ends []int // ends[i] is len(buf) through record i
 }
 
 func (d *walDisk) Write(p []byte) (int, error) {
 	d.buf = append(d.buf, p...)
+	d.ends = append(d.ends, len(d.buf))
 	return len(p), nil
+}
+
+// size returns the image length through the first n records.
+func (d *walDisk) size(n int) int {
+	if n == 0 {
+		return 0
+	}
+	return d.ends[n-1]
 }
 
 // New creates a member on nd. The database starts empty: rank 0 becomes
@@ -268,14 +275,18 @@ func (m *Member) sched() *simnet.Scheduler { return m.node.Sched() }
 
 // noteAppend is the database commit hook: it runs with db.mu held for
 // every WAL append (local commits on the primary, ApplyRecord on
-// replicas), so it only records bookkeeping and defers real work.
+// replicas), so it only records bookkeeping and defers real work. A dead
+// member's image is torn, so an append there is a wiring bug.
 func (m *Member) noteAppend(rec database.LogRecord, walLen int) {
+	if !m.alive {
+		panic("repl: commit on crashed member " + m.name)
+	}
 	t := m.applyTerm
 	if t == 0 {
 		t = m.term
 	}
 	m.termlog = append(m.termlog[:walLen-1], t)
-	m.syncNewest = syncMark{Recs: walLen, Bytes: len(m.disk.buf)}
+	m.syncNewest = walLen
 	if !m.syncT.Pending() {
 		m.syncArmed = m.syncNewest
 		m.syncT = m.sched().AfterCall(syncDelay, memberSyncDone, m)
@@ -296,11 +307,11 @@ func memberHb(a any)       { a.(*Member).heartbeat() }
 // commit), which is what quorum counting and acks report. Records that
 // landed while it ran arm the next one.
 func (m *Member) syncDone() {
-	if !m.alive || m.syncArmed.Recs <= m.syncedRecs {
+	if !m.alive || m.syncArmed <= m.syncedRecs {
 		return
 	}
-	m.syncedRecs, m.syncedBytes = m.syncArmed.Recs, m.syncArmed.Bytes
-	if m.syncNewest.Recs > m.syncedRecs {
+	m.syncedRecs = m.syncArmed
+	if m.syncNewest > m.syncedRecs {
 		m.syncArmed = m.syncNewest
 		m.syncT = m.sched().AfterCall(syncDelay, memberSyncDone, m)
 	}
@@ -705,53 +716,49 @@ func (m *Member) onVoteResp(msg *voteResp) {
 }
 
 // truncateTo discards log records from index n on: the database rebuilds
-// in place from the surviving prefix and the disk image is rewritten as a
-// fresh checkpoint (recovery compaction).
+// in place from the surviving prefix and the disk image is cut to match.
 func (m *Member) truncateTo(n int) {
-	recs := m.db.WALRange(0, n)
-	if err := m.db.ResetTo(recs); err != nil {
+	if err := m.db.ResetTo(m.db.WALRange(0, n)); err != nil {
 		panic("repl: truncate: " + err.Error())
 	}
 	m.termlog = m.termlog[:n]
 	m.matchIdx = min(m.matchIdx, n)
-	m.rewriteDisk(n)
+	m.cutDisk(n)
 	m.Truncations++
 }
 
-// rewriteDisk replaces the disk image with a checkpoint of the current
-// database, re-encoding every record (used after truncation and on
-// restart; the fresh image is treated as synced — its content was durable
-// before).
-func (m *Member) rewriteDisk(recs int) {
+// cutDisk keeps the disk image's first n records, which the database now
+// holds, and drops the rest; the WAL writer appends after them. The kept
+// image is treated as synced: its content was durable before.
+func (m *Member) cutDisk(n int) {
 	m.syncT.Cancel()
-	m.disk.buf = m.disk.buf[:0]
-	if _, err := m.db.PersistTo(&m.disk); err != nil {
-		panic("repl: rewrite disk: " + err.Error())
-	}
-	m.syncedRecs, m.syncedBytes = recs, len(m.disk.buf)
-	m.syncArmed = syncMark{Recs: recs, Bytes: len(m.disk.buf)}
-	m.syncNewest = m.syncArmed
+	m.disk.buf = m.disk.buf[:m.disk.size(n)]
+	m.disk.ends = m.disk.ends[:n]
+	m.syncedRecs, m.syncArmed, m.syncNewest = n, n, n
 }
 
 // Crash models a node crash for the faults injector: volatile state is
-// wiped and the durable image is torn at a random byte within the
+// wiped and the durable image is torn in place at a random byte within the
 // un-synced tail — only records that were never acknowledged can be lost,
-// and the torn final record exercises ReadWALPrefix on restart.
+// and the torn final record exercises ReadWALPrefix on restart. A dead
+// member's database takes no commit until Restart: its replication and
+// sync endpoints drop traffic and its timers check alive, so nothing
+// appends to the torn image.
 func (m *Member) Crash() {
 	if !m.alive {
 		return
 	}
 	m.alive = false
-	keep := m.syncedBytes
+	keep := m.disk.size(m.syncedRecs)
 	if unsynced := len(m.disk.buf) - keep; unsynced > 0 {
 		keep += m.sched().Rand().Intn(unsynced + 1)
 		m.TornBytes += uint64(len(m.disk.buf) - keep)
 	}
-	m.crashImage = append([]byte(nil), m.disk.buf[:keep]...)
+	m.disk.buf = m.disk.buf[:keep]
 	m.leaseT.Cancel()
 	m.hbT.Cancel()
 	m.syncT.Cancel()
-	m.syncArmed, m.syncNewest = syncMark{}, syncMark{}
+	m.syncArmed, m.syncNewest = 0, 0
 	if m.role == roleLeader {
 		tracer := m.node.Network().Tracer
 		for r, c := range m.shipCtx {
@@ -768,13 +775,14 @@ func (m *Member) Crash() {
 }
 
 // Restart recovers the member from its torn durable image: the valid WAL
-// prefix replays into the database, the term log truncates to match, and
-// the member rejoins as a follower to be caught up by the primary.
+// prefix replays into the database, the image is cut to that prefix (the
+// torn record goes), the term log truncates to match, and the member
+// rejoins as a follower to be caught up by the primary.
 func (m *Member) Restart() {
 	if m.alive {
 		return
 	}
-	recs, _, err := database.ReadWALPrefix(m.crashImage)
+	recs, _, err := database.ReadWALPrefix(m.disk.buf)
 	if err != nil && !errors.Is(err, database.ErrTruncatedWAL) {
 		panic("repl: restart: " + err.Error())
 	}
@@ -782,8 +790,7 @@ func (m *Member) Restart() {
 		panic("repl: restart: " + err.Error())
 	}
 	m.termlog = m.termlog[:len(recs)]
-	m.rewriteDisk(len(recs))
-	m.crashImage = nil
+	m.cutDisk(len(recs))
 	m.commit = 0
 	m.alive = true
 	m.Restarts++

@@ -99,6 +99,17 @@ func (c *cluster) requireConverged(t *testing.T) {
 	}
 }
 
+// requireImageMatchesLog checks that m's disk image holds exactly its
+// database's log: every record whole, no torn tail, nothing beyond.
+func requireImageMatchesLog(t *testing.T, m *Member) {
+	t.Helper()
+	recs, validLen, err := database.ReadWALPrefix(m.disk.buf)
+	if err != nil || len(recs) != m.db.WALLen() || validLen != len(m.disk.buf) || len(m.disk.ends) != len(recs) {
+		t.Fatalf("%s: image holds %d records (err %v, valid %d of %d bytes, %d ends), log %d",
+			m.name, len(recs), err, validLen, len(m.disk.buf), len(m.disk.ends), m.db.WALLen())
+	}
+}
+
 func TestReplicationConvergesAndCommits(t *testing.T) {
 	c := newCluster(t, 1, 3, testLink)
 	p := c.members[0]
@@ -145,13 +156,24 @@ func TestReplicaCrashCatchesUpWithTornTail(t *testing.T) {
 	// Crash replica 2 mid-stream — 1ms after a commit, inside the fsync
 	// window, so the ship has arrived but the ack has not been earned.
 	c.sched.After(101*time.Millisecond, c.members[2].Crash)
-	c.sched.After(600*time.Millisecond, c.members[2].Restart)
+	c.sched.After(600*time.Millisecond, func() {
+		// Recovery cuts the torn image to its valid prefix; the next
+		// commit appends after it.
+		c.members[2].Restart()
+		requireImageMatchesLog(t, c.members[2])
+	})
 	if err := c.sched.RunFor(3 * time.Second); err != nil {
 		t.Fatal(err)
 	}
 	c.requireConverged(t)
 	if c.members[2].Restarts != 1 {
 		t.Errorf("restarts = %d, want 1", c.members[2].Restarts)
+	}
+	if c.members[2].TornBytes == 0 {
+		t.Error("the crash tore nothing")
+	}
+	for _, m := range c.members {
+		requireImageMatchesLog(t, m)
 	}
 	// Quorum never dipped below 2/3, so no commit should be missing.
 	if p.Commit() != p.DB().WALLen() {
@@ -295,6 +317,14 @@ func TestDivergentFollowerRejoinsShorterLeader(t *testing.T) {
 	}
 	if v := row["v"].(int64); v != 0 {
 		t.Errorf("k00 = %d: divergent uncommitted write survived failover, want 0", v)
+	}
+	// The deposed primary's image was cut back to the shared prefix, and
+	// the records it then took from the new primary follow it.
+	if p.Truncations == 0 {
+		t.Error("the deposed primary truncated nothing")
+	}
+	for _, m := range c.members {
+		requireImageMatchesLog(t, m)
 	}
 }
 

@@ -16,33 +16,16 @@ func TestNetworkAndNodeAPI(t *testing.T) {
 	if net.Node(a.ID) != a || net.Node(999) != nil {
 		t.Error("Node lookup")
 	}
-	nodes := net.Nodes()
-	if len(nodes) != 2 || nodes[0] != a || nodes[1] != b {
-		t.Errorf("Nodes = %v", nodes)
-	}
 	if a.Network() != net || a.Sched() != net.Sched {
 		t.Error("back references")
 	}
 	if len(a.Ifaces()) != 1 || a.Ifaces()[0] != l.IfaceA() {
 		t.Errorf("Ifaces = %v", a.Ifaces())
 	}
-	if l.Config().Rate != Mbps {
-		t.Errorf("Config = %+v", l.Config())
-	}
-	if l.Peer(l.IfaceA()) != l.IfaceB() || l.Peer(l.IfaceB()) != l.IfaceA() {
-		t.Error("Peer mapping")
-	}
-	if l.Peer(&Iface{}) != nil {
-		t.Error("Peer of foreign iface should be nil")
-	}
 
 	a.Bind(ProtoControl, func(*Packet) {})
 	if !a.Bound(ProtoControl) || a.Bound(ProtoTCP) {
 		t.Error("Bound")
-	}
-	a.Unbind(ProtoControl)
-	if a.Bound(ProtoControl) {
-		t.Error("Unbind")
 	}
 
 	a.SetRoute(b.ID, l.IfaceA())
@@ -67,9 +50,6 @@ func TestPacketAndProtocolStrings(t *testing.T) {
 	p := &Packet{Src: Addr{Node: 1, Port: 2}, Dst: Addr{Node: 3, Port: 4}, Proto: ProtoTunnel, Bytes: 9}
 	if got := p.String(); got != "TUNNEL 1:2->3:4 (9B)" {
 		t.Errorf("Packet.String = %q", got)
-	}
-	if p.OnWire() {
-		t.Error("fresh packet marked on wire")
 	}
 	for proto, want := range map[Protocol]string{
 		ProtoUDP: "UDP", ProtoTCP: "TCP", ProtoTunnel: "TUNNEL",

@@ -103,27 +103,27 @@ func TestDegradeRestore(t *testing.T) {
 	l := Connect(a, b, LinkConfig{Rate: 10 * Mbps, Delay: time.Millisecond, Loss: 0.1})
 
 	l.Degrade(0.5, 0.2)
-	if got := l.Config().Rate; got != 5*Mbps {
+	if got := l.cfg.Rate; got != 5*Mbps {
 		t.Errorf("degraded rate = %v, want 5Mbps", got)
 	}
-	if got := l.Config().Loss; math.Abs(got-0.3) > 1e-12 {
+	if got := l.cfg.Loss; math.Abs(got-0.3) > 1e-12 {
 		t.Errorf("degraded loss = %v, want 0.3", got)
 	}
 	// Replace, not compound.
 	l.Degrade(0.1, 0)
-	if got := l.Config().Rate; got != 1*Mbps {
+	if got := l.cfg.Rate; got != 1*Mbps {
 		t.Errorf("second degrade rate = %v, want 1Mbps", got)
 	}
-	if got := l.Config().Loss; math.Abs(got-0.1) > 1e-12 {
+	if got := l.cfg.Loss; math.Abs(got-0.1) > 1e-12 {
 		t.Errorf("second degrade loss = %v, want base 0.1", got)
 	}
 	l.Restore()
-	if got := l.Config(); got.Rate != 10*Mbps || math.Abs(got.Loss-0.1) > 1e-12 {
+	if got := l.cfg; got.Rate != 10*Mbps || math.Abs(got.Loss-0.1) > 1e-12 {
 		t.Errorf("restored config = %+v, want original", got)
 	}
 	// Restore with no brownout: no-op.
 	l.Restore()
-	if got := l.Config().Rate; got != 10*Mbps {
+	if got := l.cfg.Rate; got != 10*Mbps {
 		t.Errorf("idempotent restore broke config: %v", got)
 	}
 }

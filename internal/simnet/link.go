@@ -161,10 +161,6 @@ func (l *Link) register(tx, rx [2]metrics.Scope) {
 	}
 }
 
-// Config returns the link's effective configuration (including any active
-// brownout degradation).
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // SetDown sets the link's administrative state. While down, both directions
 // silently discard traffic (counted in DroppedDown and traced as
 // "link-down"). Safe on the zero Link and allocation-free: the hot-path
@@ -220,19 +216,6 @@ func (l *Link) IfaceA() *Iface { return l.a }
 // IfaceB returns the interface on the second node passed to Connect or
 // Cross.
 func (l *Link) IfaceB() *Iface { return l.b }
-
-// Peer returns the interface at the other end of the link from i, or nil if
-// i is not attached to the link.
-func (l *Link) Peer(i *Iface) *Iface {
-	switch i {
-	case l.a:
-		return l.b
-	case l.b:
-		return l.a
-	default:
-		return nil
-	}
-}
 
 // linkDelivery is a pooled record carrying one in-flight packet from
 // serialization end to arrival; together with the package-level callback

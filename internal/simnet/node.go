@@ -231,17 +231,6 @@ func (n *Network) freeDelivery(d *linkDelivery) {
 // Node returns the node with the given ID, or nil.
 func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 
-// Nodes returns all nodes in ID order. The slice is freshly allocated.
-func (n *Network) Nodes() []*Node {
-	out := make([]*Node, 0, len(n.nodes))
-	for id := n.base + 1; id <= n.next; id++ {
-		if node, ok := n.nodes[id]; ok {
-			out = append(out, node)
-		}
-	}
-	return out
-}
-
 // Network returns the network the node belongs to.
 func (nd *Node) Network() *Network { return nd.net }
 
@@ -270,9 +259,6 @@ func (nd *Node) Bound(proto Protocol) bool {
 	_, ok := nd.handlers[proto]
 	return ok
 }
-
-// Unbind removes the handler for a protocol.
-func (nd *Node) Unbind(proto Protocol) { delete(nd.handlers, proto) }
 
 // AddTap installs a forwarding/delivery tap. Taps run in installation
 // order for every packet arriving at the node, before local delivery or

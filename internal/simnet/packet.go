@@ -102,9 +102,6 @@ type Packet struct {
 	inPool bool
 }
 
-// OnWire reports whether the packet has been transmitted on any medium.
-func (p *Packet) OnWire() bool { return p.onWire }
-
 // Clone returns a shallow copy of the packet. Body is shared; transports
 // that mutate segment state must copy it themselves. The copy is never
 // pool-owned, so cloning is also how a handler or tap safely retains a

@@ -200,12 +200,13 @@ func (w *Sharded) RunUntil(deadline time.Duration, workers int) error {
 
 // shardProg is one shard's scoreboard entry: its current window (win
 // counts completed windows), whether that window's boundary drain is
-// done, and the claim/terminal flags. All access is under shardExec.mu.
+// done, and the claim/terminal flags. done is terminal: the shard ran its
+// last window, or an error froze it mid-run. All access is under
+// shardExec.mu.
 type shardProg struct {
 	win     int
 	drained bool
 	claimed bool
-	frozen  bool
 	done    bool
 }
 
@@ -305,8 +306,8 @@ func (e *shardExec) loop(lane int) {
 		}
 		if e.active == 0 {
 			// Quiescent: nothing claimable and nothing in flight. Either
-			// every shard is done/frozen or the remainder is blocked on a
-			// frozen shard — both terminal.
+			// every shard is done or the remainder is blocked on a shard
+			// an error froze — both terminal.
 			e.cond.Broadcast()
 			e.mu.Unlock()
 			return
@@ -344,7 +345,7 @@ func (e *shardExec) claim(lane int) (int, bool) {
 // count.
 func (e *shardExec) ready(k int) bool {
 	p := &e.prog[k]
-	if p.done || p.frozen || p.claimed {
+	if p.done || p.claimed {
 		return false
 	}
 	if !p.drained {
@@ -386,7 +387,7 @@ func (e *shardExec) publish(k int, run bool) {
 		e.w.cBarrier += uint64(len(e.peers[k]))
 		p.drained = true
 		if e.w.errs[k] != nil { // causality violation at inject
-			p.frozen, p.done = true, true
+			p.done = true
 		}
 		return
 	}
@@ -396,7 +397,7 @@ func (e *shardExec) publish(k int, run bool) {
 		// it at that virtual instant. Siblings keep running exactly until
 		// their next synchronization with it — a cut determined by
 		// virtual time, not by lane timing.
-		p.frozen, p.done = true, true
+		p.done = true
 		return
 	}
 	p.win++

@@ -58,9 +58,6 @@ func (u *UDP) ListenAny(h DatagramHandler) Port {
 	panic(fmt.Sprintf("udp: every ephemeral port 49152-65535 is bound on %s", u.node))
 }
 
-// Close releases a bound port.
-func (u *UDP) Close(port Port) { delete(u.ports, port) }
-
 // Send transmits a datagram from the given local port. bytes is the payload
 // size; UDP/IP header overhead is added automatically. The packet travels
 // through the network's pool, so sending allocates nothing beyond what the

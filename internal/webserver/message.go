@@ -39,28 +39,6 @@ type Request struct {
 // Header returns a header value by case-insensitive name.
 func (r *Request) Header(name string) string { return r.Headers[strings.ToLower(name)] }
 
-// Accepts reports whether the request's Accept header admits the media
-// type. An absent Accept header accepts everything.
-func (r *Request) Accepts(mediaType string) bool {
-	acc := r.Header("Accept")
-	if acc == "" {
-		return true
-	}
-	for _, part := range strings.Split(acc, ",") {
-		part = strings.TrimSpace(part)
-		if i := strings.IndexByte(part, ';'); i >= 0 {
-			part = strings.TrimSpace(part[:i])
-		}
-		if part == "*/*" || part == mediaType {
-			return true
-		}
-		if strings.HasSuffix(part, "/*") && strings.HasPrefix(mediaType, strings.TrimSuffix(part, "*")) {
-			return true
-		}
-	}
-	return false
-}
-
 // Response is an HTTP/1.0-style response.
 type Response struct {
 	Status  int

@@ -228,13 +228,3 @@ func (c *Client) Do(addr simnet.Addr, req *Request, done func(*Response, error))
 func (c *Client) Get(addr simnet.Addr, path string, headers map[string]string, done func(*Response, error)) {
 	c.Do(addr, &Request{Method: "GET", Path: path, Headers: headers}, done)
 }
-
-// Post issues a POST with a body.
-func (c *Client) Post(addr simnet.Addr, path string, contentType string, body []byte, done func(*Response, error)) {
-	c.Do(addr, &Request{
-		Method:  "POST",
-		Path:    path,
-		Headers: map[string]string{"content-type": contentType},
-		Body:    body,
-	}, done)
-}

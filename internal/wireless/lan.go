@@ -120,9 +120,6 @@ func NewLAN(net *simnet.Network, std Standard, cfg Config) *LAN {
 // Standard returns the LAN's WLAN standard.
 func (l *LAN) Standard() Standard { return l.std }
 
-// Config returns the LAN's radio configuration.
-func (l *LAN) Config() Config { return l.cfg }
-
 // AP is an access point: a radio attached to an existing (typically wired
 // and forwarding) node.
 type AP struct {
@@ -132,15 +129,6 @@ type AP struct {
 	pos   Position
 	ch    channel
 }
-
-// Node returns the node the AP's radio is attached to.
-func (a *AP) Node() *simnet.Node { return a.node }
-
-// Radio returns the AP's radio interface.
-func (a *AP) Radio() *simnet.Iface { return a.radio }
-
-// Pos returns the AP's position.
-func (a *AP) Pos() Position { return a.pos }
 
 // AddAP attaches an access-point radio to node at pos. The node is marked
 // forwarding (the paper: an AP acts "as a router or switch").
@@ -153,13 +141,6 @@ func (l *LAN) AddAP(node *simnet.Node, pos Position) *AP {
 	return ap
 }
 
-// APs returns the LAN's access points. The slice is freshly allocated.
-func (l *LAN) APs() []*AP {
-	out := make([]*AP, len(l.aps))
-	copy(out, l.aps)
-	return out
-}
-
 // Station is a mobile station's radio: position, association state and
 // mobility.
 type Station struct {
@@ -170,17 +151,10 @@ type Station struct {
 
 	ap       *AP // nil when unassociated or in handoff blackout
 	blackout bool
-	moveTmr  simnet.Timer
 }
-
-// Node returns the node the station radio is attached to.
-func (s *Station) Node() *simnet.Node { return s.node }
 
 // Radio returns the station's radio interface.
 func (s *Station) Radio() *simnet.Iface { return s.radio }
-
-// Pos returns the station's current position.
-func (s *Station) Pos() Position { return s.pos }
 
 // AP returns the currently associated access point, or nil.
 func (s *Station) AP() *AP {
@@ -204,13 +178,6 @@ func (l *LAN) AddStation(node *simnet.Node, pos Position) *Station {
 	l.byIface[st.radio] = st
 	st.reassociate()
 	return st
-}
-
-// Stations returns the LAN's stations. The slice is freshly allocated.
-func (l *LAN) Stations() []*Station {
-	out := make([]*Station, len(l.stations))
-	copy(out, l.stations)
-	return out
 }
 
 // bestAP returns the nearest AP within range of pos, or nil.
@@ -273,29 +240,6 @@ func (s *Station) reassociate() {
 func (s *Station) MoveTo(pos Position) {
 	s.pos = pos
 	s.reassociate()
-}
-
-// Walk moves the station toward dest at speed (m/s), updating its position
-// every step interval until it arrives. Any previous walk is cancelled.
-func (s *Station) Walk(dest Position, speed float64, step time.Duration) {
-	s.moveTmr.Cancel()
-	if speed <= 0 || step <= 0 {
-		s.MoveTo(dest)
-		return
-	}
-	stride := speed * step.Seconds()
-	var tick func()
-	tick = func() {
-		d := s.pos.Dist(dest)
-		if d <= stride {
-			s.MoveTo(dest)
-			return
-		}
-		f := stride / d
-		s.MoveTo(Position{X: s.pos.X + (dest.X-s.pos.X)*f, Y: s.pos.Y + (dest.Y-s.pos.Y)*f})
-		s.moveTmr = s.lan.net.Sched.After(step, tick)
-	}
-	s.moveTmr = s.lan.net.Sched.After(step, tick)
 }
 
 // Transmit implements simnet.Medium.

@@ -64,11 +64,11 @@ func TestUplinkAndDownlinkThroughAP(t *testing.T) {
 	var atServer, atStation int
 	server.Bind(simnet.ProtoControl, func(p *simnet.Packet) {
 		atServer++
-		server.Send(ctl(server, st.Node(), 500))
+		server.Send(ctl(server, st.node, 500))
 	})
-	st.Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { atStation++ })
+	st.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { atStation++ })
 
-	st.Node().Send(ctl(st.Node(), server, 500))
+	st.node.Send(ctl(st.node, server, 500))
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -89,7 +89,7 @@ func TestSharedChannelSerializes(t *testing.T) {
 		arrivals = append(arrivals, net.Sched.Now())
 	})
 	for i := 0; i < 2; i++ {
-		st.Node().Send(ctl(st.Node(), server, 1000)) // 8 ms each at 1 Mbps
+		st.node.Send(ctl(st.node, server, 1000)) // 8 ms each at 1 Mbps
 	}
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -114,7 +114,7 @@ func TestDistanceReducesGoodput(t *testing.T) {
 		n := 0
 		server.Bind(simnet.ProtoControl, func(p *simnet.Packet) { n++ })
 		for i := 0; i < 200; i++ {
-			st.Node().Send(ctl(st.Node(), server, 1400))
+			st.node.Send(ctl(st.node, server, 1400))
 		}
 		if err := net.Sched.RunUntil(500 * time.Millisecond); err != nil {
 			panic(err)
@@ -141,7 +141,7 @@ func TestBitErrorsLosePackets(t *testing.T) {
 	for i := 0; i < sent; i++ {
 		i := i
 		net.Sched.At(time.Duration(i)*5*time.Millisecond, func() {
-			st.Node().Send(ctl(st.Node(), server, 1000))
+			st.node.Send(ctl(st.node, server, 1000))
 		})
 	}
 	if err := net.Sched.Run(); err != nil {
@@ -171,11 +171,11 @@ func TestHandoffBetweenAPs(t *testing.T) {
 	cfg.OnHandoff = func(st *Station, from, to *AP) { handoffs++ }
 	cfg.OnAssociate = func(st *Station, ap *AP) {
 		// Repoint the wired route to the station via its current AP.
-		switch ap.Node() {
+		switch ap.node {
 		case ap1n:
-			router.SetRoute(st.Node().ID, l1.IfaceA())
+			router.SetRoute(st.node.ID, l1.IfaceA())
 		case ap2n:
-			router.SetRoute(st.Node().ID, l2.IfaceA())
+			router.SetRoute(st.node.ID, l2.IfaceA())
 		}
 	}
 	lan := NewLAN(net, IEEE80211b, cfg)
@@ -189,17 +189,20 @@ func TestHandoffBetweenAPs(t *testing.T) {
 		t.Fatal("should start on ap1")
 	}
 	received := 0
-	st.Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { received++ })
+	st.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { received++ })
 
 	// Stream a packet every 50 ms from the router while the station walks
 	// from x=10 to x=140 at 20 m/s (crossing the midpoint at ~3 s).
 	for i := 0; i < 140; i++ {
 		i := i
 		net.Sched.At(time.Duration(i)*50*time.Millisecond, func() {
-			router.Send(ctl(router, st.Node(), 200))
+			router.Send(ctl(router, st.node, 200))
 		})
 	}
-	st.Walk(Position{X: 140}, 20, 100*time.Millisecond)
+	for i := 1; i <= 65; i++ {
+		x := float64(10 + 2*i)
+		net.Sched.At(time.Duration(i)*100*time.Millisecond, func() { st.MoveTo(Position{X: x}) })
+	}
 
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
@@ -235,8 +238,8 @@ func TestHandoffBlackoutDropsFrames(t *testing.T) {
 		t.Error("station should be in blackout immediately after handoff")
 	}
 	got := 0
-	st.Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { got++ })
-	st.Node().Send(ctl(st.Node(), st.Node(), 10)) // self-delivery is fine
+	st.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got++ })
+	st.node.Send(ctl(st.node, st.node, 10)) // self-delivery is fine
 	if err := net.Sched.RunUntil(2 * time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -254,8 +257,8 @@ func TestAdHocModeDirectDelivery(t *testing.T) {
 	a := lan.AddStation(net.NewNode("a"), Position{X: 0})
 	b := lan.AddStation(net.NewNode("b"), Position{X: 30})
 	got := false
-	b.Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = true })
-	a.Node().Send(ctl(a.Node(), b.Node(), 100))
+	b.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = true })
+	a.node.Send(ctl(a.node, b.node, 100))
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -272,8 +275,8 @@ func TestAdHocOutOfRangeFails(t *testing.T) {
 	a := lan.AddStation(net.NewNode("a"), Position{X: 0})
 	b := lan.AddStation(net.NewNode("b"), Position{X: 60})
 	got := false
-	b.Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = true })
-	a.Node().Send(ctl(a.Node(), b.Node(), 100))
+	b.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = true })
+	a.node.Send(ctl(a.node, b.node, 100))
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -293,25 +296,12 @@ func TestNoAdHocWithoutFlag(t *testing.T) {
 	a := lan.AddStation(net.NewNode("a"), Position{X: 0})
 	b := lan.AddStation(net.NewNode("b"), Position{X: 30})
 	got := false
-	b.Node().Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = true })
-	a.Node().Send(ctl(a.Node(), b.Node(), 100))
+	b.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got = true })
+	a.node.Send(ctl(a.node, b.node, 100))
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if got {
 		t.Error("infrastructure-mode LAN delivered station-to-station frame without AP")
-	}
-}
-
-func TestWalkArrivesAtDestination(t *testing.T) {
-	net := simnet.NewNetwork(simnet.NewScheduler(1))
-	lan := NewLAN(net, IEEE80211b, DefaultConfig())
-	st := lan.AddStation(net.NewNode("st"), Position{})
-	st.Walk(Position{X: 30, Y: 40}, 10, 100*time.Millisecond) // 50 m at 10 m/s
-	if err := net.Sched.RunUntil(10 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if d := st.Pos().Dist(Position{X: 30, Y: 40}); d > 0.01 {
-		t.Errorf("station ended %.2f m from destination", d)
 	}
 }
