@@ -2,6 +2,7 @@ package apps_test
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -257,6 +258,48 @@ func TestEntertainmentDownload(t *testing.T) {
 	}
 	if !apps.VerifyMediaContent(body) {
 		t.Error("content corrupted in transit")
+	}
+}
+
+// Every catalog title downloads intact, largest first, so the smaller
+// ones are cut from the pattern the largest grew.
+func TestEntertainmentDownloadsEveryTitle(t *testing.T) {
+	a := newAppsTopo(t, 7)
+	c := &apps.EntertainmentClient{Fetcher: a.fetchers[0], Origin: a.mc.Host.Addr()}
+	got := map[string][]byte{}
+	var items []apps.MediaItem
+	var next func(i int)
+	next = func(i int) {
+		if i == len(items) {
+			return
+		}
+		c.Download(items[i].ID, func(b []byte, err error) {
+			if err != nil {
+				t.Errorf("download %s: %v", items[i].ID, err)
+				return
+			}
+			got[items[i].ID] = b
+			next(i + 1)
+		})
+	}
+	c.Catalog(func(list []apps.MediaItem, err error) {
+		if err != nil {
+			t.Errorf("catalog: %v", err)
+			return
+		}
+		items = list
+		slices.SortFunc(items, func(x, y apps.MediaItem) int { return int(y.Bytes - x.Bytes) })
+		next(0)
+	})
+	a.run(t)
+	if len(items) != 4 || len(got) != len(items) {
+		t.Fatalf("downloaded %d of %d titles", len(got), len(items))
+	}
+	for _, it := range items {
+		b := got[it.ID]
+		if int64(len(b)) != it.Bytes || !apps.VerifyMediaContent(b) {
+			t.Errorf("%s: %d bytes (want %d), verified %v", it.ID, len(b), it.Bytes, apps.VerifyMediaContent(b))
+		}
 	}
 }
 

@@ -81,6 +81,7 @@ func (s *Entertainment) Register(h *core.Host) error {
 		return respondJSON(out)
 	})
 
+	var pattern mediaPattern
 	h.Server.Handle("/media/download", func(r *webserver.Request) *webserver.Response {
 		id := r.Query["id"]
 		var size int64
@@ -98,13 +99,7 @@ func (s *Entertainment) Register(h *core.Host) error {
 		if err != nil {
 			return fail(500, "download: %v", err)
 		}
-		// Synthesize the content (a real deployment would stream from
-		// object storage); the byte pattern is verifiable by clients.
-		body := make([]byte, size)
-		for i := range body {
-			body[i] = byte(i * 131)
-		}
-		return webserver.NewResponse(200, webserver.TypeBytes, body)
+		return webserver.NewResponse(200, webserver.TypeBytes, pattern.body(int(size)))
 	})
 	return nil
 }
@@ -115,6 +110,27 @@ func mediaView(row database.Row) MediaItem {
 	kind, _ := row["kind"].(string)
 	size, _ := row["bytes"].(int64)
 	return MediaItem{ID: id, Title: title, Kind: kind, Bytes: size}
+}
+
+// mediaPattern synthesizes download content (a real deployment would
+// stream from object storage) in a byte pattern clients can verify. A
+// body is a pure function of its size, so every body is a prefix of one
+// buffer, grown to the largest title served (the catalog bounds it at
+// 900 KiB) and shared read-only between downloads.
+type mediaPattern []byte
+
+// body returns the content of a size-byte title. Its capacity is its
+// length, so a consumer's append copies instead of writing into the
+// shared buffer.
+func (m *mediaPattern) body(size int) []byte {
+	if size > len(*m) {
+		b := make([]byte, size)
+		for i := range b {
+			b[i] = byte(i * 131)
+		}
+		*m = b
+	}
+	return (*m)[:size:size]
 }
 
 // VerifyMediaContent checks a downloaded body against the service's

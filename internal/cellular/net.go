@@ -4,11 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"mcommerce/internal/metrics"
 	"mcommerce/internal/simnet"
+	"mcommerce/internal/trace"
 	"mcommerce/internal/wireless"
 )
 
@@ -74,12 +74,13 @@ const (
 	handoffLatency = 300 * time.Millisecond
 )
 
-// frame is a queued transmission on a cell's shared packet channel.
+// frame is a queued transmission on a cell's shared packet channel: the
+// packet by value (the transmitting caller recycles its own), its QoS
+// class and the radio it is bound for.
 type frame struct {
-	p       *simnet.Packet
-	class   QoSClass
-	seq     uint64
-	deliver func(*simnet.Packet)
+	p     simnet.Packet
+	class QoSClass
+	dst   *simnet.Iface
 }
 
 // xmitter is a store-and-forward transmitter with an optional
@@ -89,28 +90,28 @@ type xmitter struct {
 	net   *Net
 	rate  simnet.Rate
 	qos   bool
-	queue []*frame
-	seq   uint64
-	busy  bool
+	queue []frame
+	// cur is the frame being serialized while busy.
+	cur  frame
+	busy bool
 }
 
-func (x *xmitter) enqueue(f *frame) bool {
+func (x *xmitter) enqueue(p *simnet.Packet, class QoSClass, dst *simnet.Iface) bool {
 	if len(x.queue) >= x.net.cfg.QueueLen {
 		x.net.DroppedQ++
 		return false
 	}
-	x.seq++
-	f.seq = x.seq
-	x.queue = append(x.queue, f)
+	// Stable priority order, class first and arrival second: a frame
+	// goes behind every queued frame of its class or a more urgent one.
+	i := len(x.queue)
 	if x.qos {
-		// Stable priority order: class first, arrival second.
-		sort.SliceStable(x.queue, func(i, j int) bool {
-			if x.queue[i].class != x.queue[j].class {
-				return x.queue[i].class < x.queue[j].class
-			}
-			return x.queue[i].seq < x.queue[j].seq
-		})
+		for i > 0 && x.queue[i-1].class > class {
+			i--
+		}
 	}
+	x.queue = append(x.queue, frame{})
+	copy(x.queue[i+1:], x.queue[i:])
+	x.queue[i] = frame{p: *p, class: class, dst: dst}
 	if !x.busy {
 		x.busy = true
 		x.next()
@@ -118,29 +119,32 @@ func (x *xmitter) enqueue(f *frame) bool {
 	return true
 }
 
+// next starts serializing the queue head, or idles the transmitter.
 func (x *xmitter) next() {
 	if len(x.queue) == 0 {
 		x.busy = false
 		return
 	}
-	f := x.queue[0]
-	x.queue = x.queue[1:]
-	s := x.net.sched
-	tx := x.rate.TxTime(f.p.Bytes)
-	s.After(tx, func() {
-		if !x.net.frameLost(f.p.Bytes) {
-			// f.p is already the frame's private clone (taken at enqueue,
-			// since the transmitting caller recycles its packet), so it is
-			// delivered directly.
-			s.After(propagation, func() {
-				x.net.Delivered++
-				f.deliver(f.p)
-			})
-		} else {
-			x.net.LostErrors++
-		}
-		x.next()
-	})
+	x.cur = x.queue[0]
+	n := copy(x.queue, x.queue[1:])
+	x.queue[n] = frame{} // drop the Body reference for the GC
+	x.queue = x.queue[:n]
+	x.net.sched.AfterCall(x.rate.TxTime(x.cur.p.Bytes), xmitDone, x)
+}
+
+// xmitDone ends the current frame's serialization: the loss verdict, the
+// propagation leg through Carry, then the next frame. A package-level
+// func, so scheduling it allocates nothing.
+func xmitDone(a any) {
+	x := a.(*xmitter)
+	n := x.net
+	if !n.frameLost(x.cur.p.Bytes) {
+		n.simn.Carry(n.sched.Now()+propagation, x.cur.dst, &x.cur.p, trace.Context{}, &n.Delivered)
+	} else {
+		n.LostErrors++
+	}
+	x.cur = frame{}
+	x.next()
 }
 
 // Net is a cellular network of one Standard: base stations (cells) and
@@ -152,8 +156,10 @@ type Net struct {
 	sched *simnet.Scheduler
 
 	cells   []*Cell
-	mobiles []*Mobile
 	byIface map[*simnet.Iface]any
+	// byNode indexes mobiles by node, keeping the first per node, for
+	// the per-frame destination lookup.
+	byNode map[simnet.NodeID]*Mobile
 
 	// Stats
 	Delivered    uint64
@@ -175,7 +181,7 @@ func New(simn *simnet.Network, std Standard, cfg Config) *Net {
 	if cfg.CellRadius <= 0 {
 		cfg.CellRadius = DefaultConfig().CellRadius
 	}
-	n := &Net{std: std, cfg: cfg, simn: simn, sched: simn.Sched, byIface: make(map[*simnet.Iface]any)}
+	n := &Net{std: std, cfg: cfg, simn: simn, sched: simn.Sched, byIface: make(map[*simnet.Iface]any), byNode: make(map[simnet.NodeID]*Mobile)}
 	sc := simn.Metrics.Instance("cellular." + metrics.Sanitize(std.Name))
 	sc.AliasCounter("delivered", &n.Delivered)
 	sc.AliasCounter("lost_errors", &n.LostErrors)
@@ -263,8 +269,10 @@ func (n *Net) AddMobile(node *simnet.Node, pos wireless.Position) *Mobile {
 	m := &Mobile{net: n, node: node, pos: pos, Class: Background}
 	m.radio = node.AddIface("radio-cell", n)
 	node.SetDefaultRoute(m.radio)
-	n.mobiles = append(n.mobiles, m)
 	n.byIface[m.radio] = m
+	if _, ok := n.byNode[node.ID]; !ok {
+		n.byNode[node.ID] = m
+	}
 	m.recamp()
 	return m
 }
@@ -461,40 +469,35 @@ func (n *Net) txFromMobile(m *Mobile, p *simnet.Packet) {
 			n.LostRange++
 			return
 		}
-		m.callUp.enqueue(&frame{p: p.Clone(), deliver: func(q *simnet.Packet) {
-			cell.node.Deliver(q, cell.radio)
-		}})
+		m.callUp.enqueue(p, 0, cell.radio)
 	case PacketSwitched:
 		if !m.Attached() {
 			n.LostRange++
 			return
 		}
-		cell.up.enqueue(&frame{p: p.Clone(), class: m.classOrDefault(), deliver: func(q *simnet.Packet) {
-			cell.node.Deliver(q, cell.radio)
-		}})
+		cell.up.enqueue(p, m.classOrDefault(), cell.radio)
 	}
 }
 
 func (n *Net) txFromCell(c *Cell, p *simnet.Packet) {
-	m := n.mobileByNode(p.Dst.Node)
+	m := n.byNode[p.Dst.Node]
 	if m == nil || m.Cell() != c {
 		n.LostRange++
 		return
 	}
-	deliver := func(q *simnet.Packet) { m.node.Deliver(q, m.radio) }
 	switch n.std.Switching {
 	case CircuitSwitched:
 		if !m.inCall || m.callDown == nil {
 			n.LostRange++
 			return
 		}
-		m.callDown.enqueue(&frame{p: p.Clone(), deliver: deliver})
+		m.callDown.enqueue(p, 0, m.radio)
 	case PacketSwitched:
 		if !m.Attached() {
 			n.LostRange++
 			return
 		}
-		c.down.enqueue(&frame{p: p.Clone(), class: m.classOrDefault(), deliver: deliver})
+		c.down.enqueue(p, m.classOrDefault(), m.radio)
 	}
 }
 
@@ -503,15 +506,6 @@ func (m *Mobile) classOrDefault() QoSClass {
 		return Background
 	}
 	return m.Class
-}
-
-func (n *Net) mobileByNode(id simnet.NodeID) *Mobile {
-	for _, m := range n.mobiles {
-		if m.node.ID == id {
-			return m
-		}
-	}
-	return nil
 }
 
 func (n *Net) frameLost(bytes int) bool {

@@ -1,6 +1,7 @@
 package cellular
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -349,5 +350,22 @@ func TestNoCoverageErrors(t *testing.T) {
 	mob := cn.AddMobile(simn.NewNode("mob"), wireless.Position{X: 0}) // no cells at all
 	if err := mob.Attach(nil); err != ErrNoCoverage {
 		t.Errorf("Attach = %v, want ErrNoCoverage", err)
+	}
+}
+
+// A QoS transmitter queues by class and, within a class, by arrival; the
+// frame already on the air keeps its place.
+func TestQoSQueueStableByClass(t *testing.T) {
+	_, cn, _, cell, _ := cellTopo(t, WCDMA, DefaultConfig())
+	x := &xmitter{net: cn, rate: WCDMA.DataRate, qos: true}
+	for i, c := range []QoSClass{Background, Background, Conversational, Interactive, Conversational, Background, Interactive} {
+		x.enqueue(&simnet.Packet{Bytes: i + 1}, c, cell.radio)
+	}
+	var got []int
+	for _, f := range x.queue {
+		got = append(got, f.p.Bytes)
+	}
+	if want := []int{3, 5, 4, 7, 2, 6}; x.cur.p.Bytes != 1 || !slices.Equal(got, want) {
+		t.Errorf("on air %d, queue %v; want 1 and %v", x.cur.p.Bytes, got, want)
 	}
 }

@@ -1,6 +1,7 @@
 package mtcp
 
 import (
+	"slices"
 	"time"
 
 	"mcommerce/internal/simnet"
@@ -222,11 +223,18 @@ func (c *Conn) startAccept(syn *Segment) {
 
 // --- application API ---
 
-// Send queues data for transmission. The slice is copied. Sending on a
-// closing or closed connection is a silent no-op; sending in CLOSE_WAIT
-// (after the peer half-closed) is allowed until Close.
-func (c *Conn) Send(data []byte) {
-	if c.closeReq || len(data) == 0 {
+// Send queues the concatenation of parts for transmission. The parts are
+// copied into the send buffer, grown once for all of them, so a message
+// sent as a head and a body segments exactly like one Send of the joined
+// bytes. Sending on a closing or closed connection is a silent no-op;
+// sending in CLOSE_WAIT (after the peer half-closed) is allowed until
+// Close.
+func (c *Conn) Send(parts ...[]byte) {
+	n := 0
+	for _, b := range parts {
+		n += len(b)
+	}
+	if c.closeReq || n == 0 {
 		return
 	}
 	switch c.state {
@@ -234,7 +242,10 @@ func (c *Conn) Send(data []byte) {
 	default:
 		return
 	}
-	c.sndBuf = append(c.sndBuf, data...)
+	c.sndBuf = slices.Grow(c.sndBuf, n)
+	for _, b := range parts {
+		c.sndBuf = append(c.sndBuf, b...)
+	}
 	if c.state == stateEstablished || c.state == stateCloseWait {
 		c.trySend()
 	}

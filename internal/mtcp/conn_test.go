@@ -3,6 +3,7 @@ package mtcp_test
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -650,4 +651,56 @@ func TestEphemeralPortsExhaustedPanics(t *testing.T) {
 	}()
 	d.cs.Dial(server, mtcp.Options{}, func(*mtcp.Conn, error) {})
 	t.Fatal("Dial returned with every ephemeral port in use")
+}
+
+// segTrace records every segment either host receives, with its arrival
+// time, for an exchange in which the client sends parts in one Send.
+func segTrace(t *testing.T, parts ...[]byte) []string {
+	t.Helper()
+	d := newDuplex(t, 9, simnet.LinkConfig{Rate: simnet.Mbps, Delay: 5 * time.Millisecond, Loss: 0.02})
+	var out []string
+	for _, n := range []*simnet.Node{d.client, d.server} {
+		n.AddTap(func(p *simnet.Packet) bool {
+			seg := p.Body.(*mtcp.Segment)
+			out = append(out, fmt.Sprintf("%v %s %v %d %d %d %q",
+				d.net.Sched.Now(), n.Name, seg.Flags, seg.Seq, seg.Ack, seg.Wnd, seg.Payload))
+			return true
+		})
+	}
+	if err := d.ss.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {}); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	d.cs.Dial(simnet.Addr{Node: d.server.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
+		if err != nil {
+			t.Errorf("Dial: %v", err)
+			return
+		}
+		c.Send(parts...)
+		c.Close()
+	})
+	if err := d.net.Sched.RunUntil(60 * time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	return out
+}
+
+// Send(a, b) puts exactly the segments of Send(a+b) on the wire, byte for
+// byte and in the same order, including retransmissions.
+func TestSendPartsSegmentLikeOneSend(t *testing.T) {
+	head, body := []byte("HTTP/1.0 200 OK\r\ncontent-length: 20000\r\n\r\n"), pattern(20000)
+	for i, parts := range [][][]byte{
+		{head, body},
+		{nil, body},
+		{head, nil},
+		{head[:7], head[7:], body[:3], body[3:]},
+	} {
+		want := segTrace(t, bytes.Join(parts, nil))
+		got := segTrace(t, parts...)
+		if i == 0 && len(want) < 20 {
+			t.Fatalf("only %d segments on the wire", len(want))
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("Send of %d parts: %d segments differ from one Send's %d", len(parts), len(got), len(want))
+		}
+	}
 }

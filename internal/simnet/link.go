@@ -217,46 +217,18 @@ func (l *Link) IfaceA() *Iface { return l.a }
 // Cross.
 func (l *Link) IfaceB() *Iface { return l.b }
 
-// linkDelivery is a pooled record carrying one in-flight packet from
-// serialization end to arrival; together with the package-level callback
-// funcs below it lets Transmit schedule without allocating closures.
-type linkDelivery struct {
-	link *Link
-	dst  *Iface
-	p    *Packet
-	dir  uint8
-	// hop is the in-flight hop span, finished at arrival.
-	hop trace.Context
+var linkDequeue = [2]func(any){
+	func(a any) { a.(*Link).dequeue(0) },
+	func(a any) { a.(*Link).dequeue(1) },
 }
-
-// run completes a delivery on the receiving node's network (for a cross
-// link, the destination shard, which owns Delivered[dir]): count it, hand
-// the packet to the node, then recycle packet and record.
-func (d *linkDelivery) run() {
-	l, dst, p, dir, hop := d.link, d.dst, d.p, d.dir, d.hop
-	net := dst.Node.net
-	net.freeDelivery(d)
-	l.Delivered[dir]++
-	net.Tracer.Finish(hop)
-	dst.Node.Deliver(p, dst)
-	net.freePacket(p)
-}
-
-var (
-	linkDequeue = [2]func(any){
-		func(a any) { a.(*Link).dequeue(0) },
-		func(a any) { a.(*Link).dequeue(1) },
-	}
-	linkDeliver = func(a any) { a.(*linkDelivery).run() }
-)
 
 // Transmit implements Medium on the sending node's network: serialize
 // then propagate, with drop-tail queueing and random loss. The
-// steady-state path performs no allocations: the forwarded copy and the
-// delivery record come from the network's free lists, and the scheduler
-// callbacks are package-level func values. A cross link runs the same
-// transmitter and hands the survivor to the destination shard instead
-// (crossShard).
+// steady-state path performs no allocations: Carry takes the forwarded
+// copy and its delivery record from the network's free lists, and the
+// scheduler callbacks are package-level func values. A cross link runs
+// the same transmitter and hands the survivor to the destination shard
+// instead (crossShard).
 func (l *Link) Transmit(from *Iface, p *Packet) {
 	dir := 0
 	dst := l.b
@@ -308,12 +280,10 @@ func (l *Link) Transmit(from *Iface, p *Packet) {
 		l.crossShard(net, dir, arrive, dst, p)
 		return
 	}
-	d := net.allocDelivery()
-	d.link, d.dst, d.p, d.dir = l, dst, net.clonePooled(p), uint8(dir)
 	// The hop span covers queueing + serialization + propagation on this
 	// wire; the name is precomputed at Connect, so this allocates nothing.
-	d.hop = net.Tracer.StartSpan(p.Trace, l.spanName, trace.LayerWired)
-	s.AtCall(arrive, linkDeliver, d)
+	hop := net.Tracer.StartSpan(p.Trace, l.spanName, trace.LayerWired)
+	net.Carry(arrive, dst, p, hop, &l.Delivered[dir])
 }
 
 // lost draws the per-packet loss verdict: the flat Loss probability,

@@ -2,19 +2,20 @@ package simnet
 
 import (
 	"fmt"
+	"time"
 
 	"mcommerce/internal/metrics"
 	"mcommerce/internal/trace"
 )
 
 // Medium is anything an interface can transmit onto: a point-to-point Link,
-// a wireless cell, or a cellular channel. Implementations deliver the
-// packet to the receiving node(s) by calling Node.Deliver, typically after
-// modelling serialization, propagation and loss.
+// a wireless cell, or a cellular channel. Implementations model
+// serialization and loss, then hand each surviving packet to
+// Network.Carry, which delivers a pooled copy to the receiving node.
 type Medium interface {
 	// Transmit sends p from the given interface. The caller may recycle p
 	// as soon as Transmit returns, so implementations must not retain p
-	// beyond the call — Clone (or copy) it before any deferred use.
+	// beyond the call: Carry, or copy it by value, before any deferred use.
 	Transmit(from *Iface, p *Packet)
 }
 
@@ -127,7 +128,7 @@ type Network struct {
 	Tracer *trace.Tracer
 
 	pktFree []*Packet
-	dlvFree []*linkDelivery
+	dlvFree []*delivery
 }
 
 // NewNetwork creates an empty network driven by the given scheduler. The
@@ -205,26 +206,79 @@ func (n *Network) freePacket(p *Packet) {
 }
 
 // clonePooled is Clone into a recycled packet, for the media hot path.
+// Cloning a packet that sits on the free list is a use after free and
+// panics.
 func (n *Network) clonePooled(p *Packet) *Packet {
+	if p.inPool {
+		panic("simnet: carrying a packet that was already freed")
+	}
 	cp := n.AllocPacket()
 	*cp = *p
 	cp.pooled, cp.inPool = true, false
 	return cp
 }
 
-// allocDelivery returns a recycled link delivery record.
-func (n *Network) allocDelivery() *linkDelivery {
+// delivery is a pooled record carrying one in-flight packet from the end
+// of its transmission to its arrival. Together with carryDeliver, a
+// package-level func, it lets every medium schedule an arrival without
+// allocating a closure.
+type delivery struct {
+	dst *Iface
+	p   *Packet
+	// count is the medium's delivered counter, bumped at arrival.
+	count *uint64
+	// hop is the in-flight hop span, finished at arrival.
+	hop trace.Context
+	// inPool marks a record on the free list, so one that runs twice
+	// panics instead of delivering a recycled packet.
+	inPool bool
+}
+
+var carryDeliver = func(a any) { a.(*delivery).run() }
+
+// Carry is the one delivery path of every medium: links, the WLAN and
+// cellular radios, and records crossing from another shard. It clones p
+// into the packet pool and schedules its arrival at dst at time at, on a
+// recycled record. At arrival it bumps *count, finishes hop, hands the
+// copy to dst's node and recycles copy and record, so the caller keeps p
+// and the steady state allocates nothing. dst must belong to n: the
+// arrival runs on n's scheduler and frees into n's pools.
+func (n *Network) Carry(at time.Duration, dst *Iface, p *Packet, hop trace.Context, count *uint64) {
+	d := n.allocDelivery()
+	d.dst, d.p, d.count, d.hop = dst, n.clonePooled(p), count, hop
+	n.Sched.AtCall(at, carryDeliver, d)
+}
+
+// run completes a delivery on the receiving node's network (for a cross
+// link, the destination shard, which owns the counter): count it, hand
+// the packet to the node, then recycle packet and record.
+func (d *delivery) run() {
+	if d.inPool {
+		panic("simnet: delivery record carried twice")
+	}
+	dst, p, count, hop := d.dst, d.p, d.count, d.hop
+	net := dst.Node.net
+	net.freeDelivery(d)
+	*count++
+	net.Tracer.Finish(hop)
+	dst.Node.Deliver(p, dst)
+	net.freePacket(p)
+}
+
+// allocDelivery returns a recycled delivery record.
+func (n *Network) allocDelivery() *delivery {
 	if k := len(n.dlvFree); k > 0 {
 		d := n.dlvFree[k-1]
 		n.dlvFree = n.dlvFree[:k-1]
+		d.inPool = false
 		return d
 	}
-	return &linkDelivery{}
+	return &delivery{}
 }
 
-// freeDelivery recycles a link delivery record.
-func (n *Network) freeDelivery(d *linkDelivery) {
-	*d = linkDelivery{}
+// freeDelivery recycles a delivery record.
+func (n *Network) freeDelivery(d *delivery) {
+	*d = delivery{inPool: true}
 	n.dlvFree = append(n.dlvFree, d)
 }
 

@@ -412,11 +412,11 @@ func (e *shardExec) publish(k int, run bool) {
 
 // drainRings drains every ring addressed to shard k, merges the records
 // in (arrival time, source shard, sequence) order, and schedules their
-// deliveries on k's scheduler, drawing records from k's own linkDelivery
-// pool. Arrival times must be at or after k's clock: a cross link's delay
-// is never below the window width, so the window protocol guarantees it,
-// and a record landing in k's past is reported as a deterministic
-// causality error on k.
+// deliveries on k's scheduler through k's own Carry. Arrival times must
+// be at or after k's clock: a cross link's delay is never below the
+// window width, so the window protocol guarantees it, and a record
+// landing in k's past is reported as a deterministic causality error on
+// k.
 func (w *Sharded) drainRings(k int) {
 	buf := w.scratch[k][:0]
 	for s := range w.shards {
@@ -458,9 +458,7 @@ func (w *Sharded) drainRings(k int) {
 				"simnet: cross-shard record from shard %d arrives at %v, before shard %d's clock %v (causality violation)",
 				rec.src, rec.at, k, now)
 		}
-		d := net.allocDelivery()
-		d.link, d.dst, d.p, d.dir = rec.link, rec.dst, net.clonePooled(&rec.p), rec.dir
-		net.Sched.AtCall(rec.at, linkDeliver, d)
+		net.Carry(rec.at, rec.dst, &rec.p, trace.Context{}, rec.count)
 		rec.p = Packet{} // drop Body reference for the GC
 	}
 	w.scratch[k] = buf[:0]

@@ -432,7 +432,7 @@ func TestShardedCausalityViolation(t *testing.T) {
 		l := rw.links[0]
 		r := rw.w.rings[0][1]
 		r.recs = append(r.recs, xrec{
-			at: 10 * time.Millisecond, seq: 1, src: 0, link: l, dst: l.IfaceB(),
+			at: 10 * time.Millisecond, seq: 1, src: 0, count: &l.Delivered[0], dst: l.IfaceB(),
 			p: Packet{Src: Addr{Node: rw.nodes[0].ID}, Dst: Addr{Node: rw.nodes[1].ID}, Bytes: 100},
 		})
 		err := rw.w.RunFor(100*time.Millisecond, workers)

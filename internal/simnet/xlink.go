@@ -66,13 +66,14 @@ func (w *Sharded) Cross(x, y *Node, cfg LinkConfig) (*Link, error) {
 // shard needs to complete the delivery, ordered by (at, src, seq) so the
 // scheduled delivery order is independent of ring layout and worker count.
 type xrec struct {
-	at   time.Duration
-	seq  uint64
-	src  int32
-	dir  uint8
-	link *Link
-	dst  *Iface
-	p    Packet
+	at  time.Duration
+	seq uint64
+	src int32
+	// count is the link's Delivered counter for this direction, owned by
+	// the destination shard.
+	count *uint64
+	dst   *Iface
+	p     Packet
 }
 
 // xring is the per-(source, destination) shard-pair exchange buffer. It
@@ -99,7 +100,7 @@ func (l *Link) crossShard(net *Network, dir int, arrive time.Duration, dst *Ifac
 	w.xseq[src]++
 	r := w.rings[src][l.x.rx[dir]]
 	r.recs = append(r.recs, xrec{
-		at: arrive, seq: w.xseq[src], src: src, dir: uint8(dir), link: l, dst: dst, p: *p,
+		at: arrive, seq: w.xseq[src], src: src, count: &l.Delivered[dir], dst: dst, p: *p,
 	})
 	rec := &r.recs[len(r.recs)-1]
 	rec.p.pooled, rec.p.inPool = false, false

@@ -42,7 +42,7 @@ func TestParserChunkingInvariance(t *testing.T) {
 		Headers: map[string]string{"content-type": TypeJSON, "x-token": "t"},
 		Body:    []byte(`{"amount": 12, "note": "\r\n\r\n tricky"}`),
 	}
-	wire := EncodeRequest(req)
+	wire := encodeRequest(req)
 	prop := func(cuts []uint16) bool {
 		var got *Request
 		p := &parser{onRequest: func(r *Request) { got = r }}
@@ -104,7 +104,7 @@ func TestParserAdversarialCorpus(t *testing.T) {
 func TestParserPipelinedMessages(t *testing.T) {
 	var wire []byte
 	for i := 0; i < 3; i++ {
-		wire = append(wire, EncodeRequest(&Request{Method: "GET", Path: "/a"})...)
+		wire = append(wire, encodeRequest(&Request{Method: "GET", Path: "/a"})...)
 	}
 	n := 0
 	p := &parser{onRequest: func(*Request) { n++ }}
@@ -248,11 +248,11 @@ func randomStream(rng *rand.Rand) []byte {
 				query[randomToken(rng, 5)] = randomToken(rng, 8)
 			}
 			method := []string{"GET", "POST", "put"}[rng.Intn(3)]
-			wire = append(wire, EncodeRequest(&Request{Method: method, Path: "/" + strings.ToLower(randomToken(rng, 6)),
+			wire = append(wire, encodeRequest(&Request{Method: method, Path: "/" + strings.ToLower(randomToken(rng, 6)),
 				Query: query, Headers: headers, Body: randomBody(rng)})...)
 		} else {
 			status := []int{200, 302, 404, 503, 299}[rng.Intn(5)]
-			wire = append(wire, EncodeResponse(&Response{Status: status, Headers: headers, Body: randomBody(rng)})...)
+			wire = append(wire, encodeResponse(&Response{Status: status, Headers: headers, Body: randomBody(rng)})...)
 		}
 	}
 	return wire

@@ -97,73 +97,56 @@ func statusText(code int) string {
 	}
 }
 
-// EncodeRequest serializes a request to its wire form.
-func EncodeRequest(r *Request) []byte {
-	size := len(r.Method) + len(r.Path) + len("  HTTP/1.0\r\n")
-	var qkeys []string
-	if len(r.Query) > 0 {
-		qkeys = make([]string, 0, len(r.Query))
-		for k, v := range r.Query {
-			qkeys = append(qkeys, k)
-			size += len("&=") + 3*(len(k)+len(v)) // each byte escapes to at most %XX
-		}
-		sort.Strings(qkeys)
-	}
-	hkeys, hsize := headerKeys(r.Headers)
-	b := make([]byte, 0, size+hsize+len(r.Body))
+// appendRequestHead appends a request's wire head (request line, headers
+// and content-length) to b. The body follows it verbatim on the wire, so
+// senders hand head and body to the connection separately and the body
+// is copied once, into the send buffer.
+func appendRequestHead(b []byte, r *Request) []byte {
 	b = append(b, r.Method...)
 	b = append(b, ' ')
 	b = append(b, r.Path...)
-	for i, k := range qkeys {
-		if i == 0 {
-			b = append(b, '?')
-		} else {
-			b = append(b, '&')
+	if len(r.Query) > 0 {
+		qkeys := make([]string, 0, len(r.Query))
+		for k := range r.Query {
+			qkeys = append(qkeys, k)
 		}
-		b = appendEscaped(b, k)
-		b = append(b, '=')
-		b = appendEscaped(b, r.Query[k])
+		sort.Strings(qkeys)
+		for i, k := range qkeys {
+			if i == 0 {
+				b = append(b, '?')
+			} else {
+				b = append(b, '&')
+			}
+			b = appendEscaped(b, k)
+			b = append(b, '=')
+			b = appendEscaped(b, r.Query[k])
+		}
 	}
 	b = append(b, " HTTP/1.0\r\n"...)
-	b = appendHeaders(b, r.Headers, hkeys, len(r.Body))
-	return append(b, r.Body...)
+	return appendHeaders(b, r.Headers, len(r.Body))
 }
 
-// EncodeResponse serializes a response to its wire form.
-func EncodeResponse(r *Response) []byte {
-	text := statusText(r.Status)
-	hkeys, hsize := headerKeys(r.Headers)
-	b := make([]byte, 0, len("HTTP/1.0  \r\n")+maxIntDigits+len(text)+hsize+len(r.Body))
+// appendResponseHead appends a response's wire head (status line, headers
+// and content-length) to b; the body follows it verbatim.
+func appendResponseHead(b []byte, r *Response) []byte {
 	b = append(b, "HTTP/1.0 "...)
 	b = strconv.AppendInt(b, int64(r.Status), 10)
 	b = append(b, ' ')
-	b = append(b, text...)
+	b = append(b, statusText(r.Status)...)
 	b = append(b, "\r\n"...)
-	b = appendHeaders(b, r.Headers, hkeys, len(r.Body))
-	return append(b, r.Body...)
+	return appendHeaders(b, r.Headers, len(r.Body))
 }
 
-// maxIntDigits is the longest decimal form of an int, sign included.
-const maxIntDigits = 20
-
-// headerKeys returns the header names to write in wire order (sorted,
-// content-length left out: appendHeaders writes it last, from the body)
-// and the wire size of the whole header block.
-func headerKeys(hs map[string]string) ([]string, int) {
-	size := len("content-length: \r\n\r\n") + maxIntDigits
+// appendHeaders writes the header block: every header but content-length
+// sorted by name, then content-length from the body, then the blank line.
+func appendHeaders(b []byte, hs map[string]string, bodyLen int) []byte {
 	keys := make([]string, 0, len(hs))
-	for k, v := range hs {
-		if strings.ToLower(k) == "content-length" {
-			continue
+	for k := range hs {
+		if strings.ToLower(k) != "content-length" {
+			keys = append(keys, k)
 		}
-		keys = append(keys, k)
-		size += len(k) + len(": \r\n") + len(v)
 	}
 	sort.Strings(keys)
-	return keys, size
-}
-
-func appendHeaders(b []byte, hs map[string]string, keys []string, bodyLen int) []byte {
 	for _, k := range keys {
 		b = append(b, k...)
 		b = append(b, ": "...)

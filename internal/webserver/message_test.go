@@ -6,7 +6,13 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+	"testing/quick"
 )
+
+// encodeRequest and encodeResponse are a message's whole wire form: its
+// head, then its body.
+func encodeRequest(r *Request) []byte   { return append(appendRequestHead(nil, r), r.Body...) }
+func encodeResponse(r *Response) []byte { return append(appendResponseHead(nil, r), r.Body...) }
 
 // The wire form is pinned byte for byte: headers sorted by name,
 // content-length always last and always present, query parameters
@@ -52,7 +58,7 @@ func TestEncodeRequestGolden(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		if got := string(EncodeRequest(c.req)); got != c.want {
+		if got := string(encodeRequest(c.req)); got != c.want {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, got, c.want)
 		}
 	}
@@ -86,7 +92,7 @@ func TestEncodeResponseGolden(t *testing.T) {
 		},
 	}
 	for _, c := range cases {
-		if got := string(EncodeResponse(c.resp)); got != c.want {
+		if got := string(encodeResponse(c.resp)); got != c.want {
 			t.Errorf("%s:\n got %q\nwant %q", c.name, got, c.want)
 		}
 	}
@@ -115,7 +121,7 @@ func TestParserContentLengthOverflow(t *testing.T) {
 }
 
 func encodedBody(size int) []byte {
-	return EncodeResponse(NewResponse(200, TypeBytes, []byte(strings.Repeat("x", size))))
+	return encodeResponse(NewResponse(200, TypeBytes, []byte(strings.Repeat("x", size))))
 }
 
 // feedChunks feeds wire to a fresh response parser in segment-sized
@@ -169,5 +175,39 @@ func TestParserFeedLinear(t *testing.T) {
 	}
 	if allocs[4<<10] != allocs[256<<10] {
 		t.Errorf("allocs per message: %v at 4 KiB, %v at 256 KiB; want equal", allocs[4<<10], allocs[256<<10])
+	}
+}
+
+// Property: request encode/parse round-trips method, path, query, headers
+// and body through the wire format.
+func TestRequestWireRoundTripProperty(t *testing.T) {
+	prop := func(path string, qk, qv, body string) bool {
+		path = "/" + strings.Map(func(r rune) rune {
+			if r < 0x21 || r > 0x7e || r == '?' || r == '#' {
+				return -1
+			}
+			return r
+		}, path)
+		if qk == "" {
+			qk = "k"
+		}
+		req := &Request{
+			Method:  "POST",
+			Path:    path,
+			Query:   map[string]string{qk: qv},
+			Headers: map[string]string{"x-test": "1"},
+			Body:    []byte(body),
+		}
+		wire := encodeRequest(req)
+		got, err := ParseRequest(wire)
+		if err != nil {
+			return false
+		}
+		return got.Method == "POST" && got.Path == req.Path &&
+			got.Query[qk] == qv && got.Header("x-test") == "1" &&
+			string(got.Body) == body
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -41,6 +41,9 @@ type Server struct {
 	prefixes []prefixHandler
 
 	stats Stats
+	// head is the reused buffer each response's head is written into;
+	// Conn.Send copies it.
+	head []byte
 	// latency is the parse-to-respond service time per request, in
 	// simulated time (web.server.<node>.latency).
 	latency metrics.Histogram
@@ -160,10 +163,13 @@ func (s *Server) accept(c *mtcp.Conn) {
 	c.OnData(p.feed)
 }
 
+// respond writes the response head into the reused head buffer and hands
+// head and body to one Send, whose copy into the send buffer is the
+// body's only copy on this hop.
 func (s *Server) respond(c *mtcp.Conn, resp *Response) {
-	wire := EncodeResponse(resp)
-	s.stats.BytesServed += uint64(len(wire))
-	c.Send(wire)
+	s.head = appendResponseHead(s.head[:0], resp)
+	s.stats.BytesServed += uint64(len(s.head) + len(resp.Body))
+	c.Send(s.head, resp.Body)
 	c.Close()
 }
 
@@ -172,6 +178,9 @@ func (s *Server) respond(c *mtcp.Conn, resp *Response) {
 type Client struct {
 	stack *mtcp.Stack
 	opts  mtcp.Options
+
+	// head is the reused buffer each request's head is written into.
+	head []byte
 
 	// Retries counts retry attempts issued by DoRetry (not first attempts).
 	Retries uint64
@@ -219,7 +228,8 @@ func (c *Client) Do(addr simnet.Addr, req *Request, done func(*Response, error))
 			}
 			finish(nil, ErrMalformed) // closed before a full response
 		})
-		conn.Send(EncodeRequest(req))
+		c.head = appendRequestHead(c.head[:0], req)
+		conn.Send(c.head, req.Body)
 		conn.Close() // half-close: request fully sent
 	})
 }

@@ -3,7 +3,6 @@ package webserver_test
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 	"time"
 
 	"mcommerce/internal/mtcp"
@@ -275,39 +274,5 @@ func TestDialFailureSurfacesError(t *testing.T) {
 	w.run(t)
 	if !fired || gotErr == nil {
 		t.Errorf("err = %v (fired=%v); want dial failure", gotErr, fired)
-	}
-}
-
-// Property: request encode/parse round-trips method, path, query, headers
-// and body through the wire format.
-func TestRequestWireRoundTripProperty(t *testing.T) {
-	prop := func(path string, qk, qv, body string) bool {
-		path = "/" + strings.Map(func(r rune) rune {
-			if r < 0x21 || r > 0x7e || r == '?' || r == '#' {
-				return -1
-			}
-			return r
-		}, path)
-		if qk == "" {
-			qk = "k"
-		}
-		req := &webserver.Request{
-			Method:  "POST",
-			Path:    path,
-			Query:   map[string]string{qk: qv},
-			Headers: map[string]string{"x-test": "1"},
-			Body:    []byte(body),
-		}
-		wire := webserver.EncodeRequest(req)
-		got, err := webserver.ParseRequest(wire)
-		if err != nil {
-			return false
-		}
-		return got.Method == "POST" && got.Path == req.Path &&
-			got.Query[qk] == qv && got.Header("x-test") == "1" &&
-			string(got.Body) == body
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Error(err)
 	}
 }

@@ -83,6 +83,9 @@ type LAN struct {
 	aps      []*AP
 	stations []*Station
 	byIface  map[*simnet.Iface]any // *AP or *Station
+	// byNode indexes stations by node, keeping the first per node, for
+	// the per-frame destination lookup.
+	byNode map[simnet.NodeID]*Station
 
 	// spanName is the precomputed airtime-span name
 	// ("wireless.lan.<standard>"), so span recording allocates nothing.
@@ -106,7 +109,7 @@ func NewLAN(net *simnet.Network, std Standard, cfg Config) *LAN {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = simnet.DefaultQueueLen
 	}
-	l := &LAN{std: std, cfg: cfg, net: net, byIface: make(map[*simnet.Iface]any)}
+	l := &LAN{std: std, cfg: cfg, net: net, byIface: make(map[*simnet.Iface]any), byNode: make(map[simnet.NodeID]*Station)}
 	l.spanName = "wireless.lan." + metrics.Sanitize(std.Name)
 	sc := net.Metrics.Instance(l.spanName)
 	sc.AliasCounter("delivered", &l.Delivered)
@@ -176,6 +179,9 @@ func (l *LAN) AddStation(node *simnet.Node, pos Position) *Station {
 	node.SetDefaultRoute(st.radio)
 	l.stations = append(l.stations, st)
 	l.byIface[st.radio] = st
+	if _, ok := l.byNode[node.ID]; !ok {
+		l.byNode[node.ID] = st
+	}
 	st.reassociate()
 	return st
 }
@@ -257,9 +263,7 @@ func (l *LAN) Transmit(from *simnet.Iface, p *simnet.Packet) {
 func (l *LAN) txFromStation(st *Station, p *simnet.Packet) {
 	if st.Associated() {
 		ap := st.ap
-		l.send(&ap.ch, st.pos.Dist(ap.pos), p, func(q *simnet.Packet) {
-			ap.node.Deliver(q, ap.radio)
-		})
+		l.send(&ap.ch, st.pos.Dist(ap.pos), p, ap.radio)
 		return
 	}
 	if l.cfg.AdHoc {
@@ -268,7 +272,6 @@ func (l *LAN) txFromStation(st *Station, p *simnet.Packet) {
 			// station receives it (the ad hoc route-discovery primitive).
 			delivered := false
 			for _, peer := range l.stations {
-				peer := peer
 				if peer == st {
 					continue
 				}
@@ -277,21 +280,17 @@ func (l *LAN) txFromStation(st *Station, p *simnet.Packet) {
 					continue
 				}
 				delivered = true
-				l.send(&l.adhoc, d, p, func(q *simnet.Packet) {
-					peer.node.Deliver(q, peer.radio)
-				})
+				l.send(&l.adhoc, d, p, peer.radio)
 			}
 			if !delivered {
 				l.LostRange++
 			}
 			return
 		}
-		if peer := l.stationByNode(p.Dst.Node); peer != nil {
+		if peer := l.byNode[p.Dst.Node]; peer != nil {
 			d := st.pos.Dist(peer.pos)
 			if d <= l.std.RangeMax {
-				l.send(&l.adhoc, d, p, func(q *simnet.Packet) {
-					peer.node.Deliver(q, peer.radio)
-				})
+				l.send(&l.adhoc, d, p, peer.radio)
 				return
 			}
 		}
@@ -301,29 +300,27 @@ func (l *LAN) txFromStation(st *Station, p *simnet.Packet) {
 }
 
 func (l *LAN) txFromAP(ap *AP, p *simnet.Packet) {
-	st := l.stationByNode(p.Dst.Node)
+	st := l.byNode[p.Dst.Node]
 	if st == nil || !st.Associated() || st.ap != ap {
 		l.LostRange++
 		l.net.Tracer.Annotate(p.Trace, "no-coverage")
 		return
 	}
-	l.send(&ap.ch, st.pos.Dist(ap.pos), p, func(q *simnet.Packet) {
-		st.node.Deliver(q, st.radio)
-	})
+	l.send(&ap.ch, st.pos.Dist(ap.pos), p, st.radio)
 }
 
-func (l *LAN) stationByNode(id simnet.NodeID) *Station {
-	for _, st := range l.stations {
-		if st.node.ID == id {
-			return st
-		}
+// channelDequeue frees a channel's queue slot when a frame finishes
+// serializing; a package-level func, so scheduling it allocates nothing.
+var channelDequeue = func(a any) {
+	if ch := a.(*channel); ch.queued > 0 {
+		ch.queued--
 	}
-	return nil
 }
 
 // send models the shared channel: serialization at the distance-dependent
-// rate plus MAC overhead, drop-tail queueing, and bit-error loss.
-func (l *LAN) send(ch *channel, dist float64, p *simnet.Packet, deliver func(*simnet.Packet)) {
+// rate plus MAC overhead, drop-tail queueing, and bit-error loss. A
+// surviving frame is carried to dst after the propagation delay.
+func (l *LAN) send(ch *channel, dist float64, p *simnet.Packet, dst *simnet.Iface) {
 	rate := l.std.RateAt(dist)
 	if rate <= 0 {
 		l.LostRange++
@@ -344,11 +341,7 @@ func (l *LAN) send(ch *channel, dist float64, p *simnet.Packet, deliver func(*si
 	txDone := ch.busyUntil + rate.TxTime(p.Bytes) + l.cfg.MACOverhead
 	ch.busyUntil = txDone
 	ch.queued++
-	s.At(txDone, func() {
-		if ch.queued > 0 {
-			ch.queued--
-		}
-	})
+	s.AtCall(txDone, channelDequeue, ch)
 
 	if l.frameLost(dist, p.Bytes) {
 		l.LostErrors++
@@ -358,12 +351,7 @@ func (l *LAN) send(ch *channel, dist float64, p *simnet.Packet, deliver func(*si
 	// The airtime span covers channel wait + serialization + MAC overhead
 	// + propagation on the shared radio channel.
 	hop := l.net.Tracer.StartSpan(p.Trace, l.spanName, trace.LayerWireless)
-	cp := p.Clone()
-	s.At(txDone+l.cfg.Propagation, func() {
-		l.Delivered++
-		l.net.Tracer.Finish(hop)
-		deliver(cp)
-	})
+	l.net.Carry(txDone+l.cfg.Propagation, dst, p, hop, &l.Delivered)
 }
 
 // frameLost draws a per-frame loss from the distance-scaled bit error rate:

@@ -305,3 +305,41 @@ func TestNoAdHocWithoutFlag(t *testing.T) {
 		t.Error("infrastructure-mode LAN delivered station-to-station frame without AP")
 	}
 }
+
+// An ad hoc broadcast gives each in-range peer its own packet: a handler
+// that rewrites the packet it was handed changes no other peer's copy.
+func TestAdHocBroadcastCopiesPerPeer(t *testing.T) {
+	net := simnet.NewNetwork(simnet.NewScheduler(1))
+	cfg := DefaultConfig()
+	cfg.BitErrorRate = 0
+	cfg.AdHoc = true
+	lan := NewLAN(net, IEEE80211b, cfg)
+	src := lan.AddStation(net.NewNode("src"), Position{})
+	type seen struct {
+		bytes int
+		body  any
+	}
+	var got []seen
+	for i := range 3 {
+		peer := lan.AddStation(net.NewNode("peer"), Position{X: float64(10 * (i + 1))})
+		peer.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) {
+			got = append(got, seen{p.Bytes, p.Body})
+			p.Bytes, p.Body = 1, "rewritten"
+		})
+	}
+	src.node.Send(&simnet.Packet{
+		Src: simnet.Addr{Node: src.node.ID}, Dst: simnet.Addr{Node: simnet.Broadcast},
+		Proto: simnet.ProtoControl, Bytes: 100, Body: "hello",
+	})
+	if err := net.Sched.Run(); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if len(got) != 3 {
+		t.Fatalf("%d peers received the broadcast, want 3", len(got))
+	}
+	for i, s := range got {
+		if s.bytes != 100 || s.body != "hello" {
+			t.Errorf("peer %d saw Bytes=%d Body=%v, want 100 and hello", i, s.bytes, s.body)
+		}
+	}
+}

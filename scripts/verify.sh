@@ -91,11 +91,13 @@ rm -f /tmp/mc-trace-a.json /tmp/mc-trace-b.json
 # two benchmarks from the same run, on medians of five, so it holds on
 # any host. One WAP and one i-mode transaction and one database commit
 # logged to a WAL sink must stay under their allocs/op ceilings
-# (BenchmarkTxnWAP, BenchmarkTxnIMode, BenchmarkWALCommit), which do not
-# depend on the host either.
-go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkSyncCatchUp|BenchmarkTxnWAP$|BenchmarkTxnIMode$|BenchmarkWALCommit$' \
+# (BenchmarkTxnWAP, BenchmarkTxnIMode, BenchmarkWALCommit), and a WLAN
+# and a GPRS frame round trip must allocate nothing (BenchmarkLANForward,
+# BenchmarkCellFrame); allocation counts do not depend on the host
+# either.
+go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkSyncCatchUp|BenchmarkTxnWAP$|BenchmarkTxnIMode$|BenchmarkWALCommit$|BenchmarkLANForward$|BenchmarkCellFrame$' \
 	-count 5 -benchtime 200ms -benchmem ./internal/simnet ./internal/webserver ./internal/core \
-	./internal/database ./internal/workload >/tmp/mc-bench-gate.txt
+	./internal/database ./internal/workload ./internal/wireless ./internal/cellular >/tmp/mc-bench-gate.txt
 go run ./scripts/benchgate -baseline scripts/bench_baseline.json /tmp/mc-bench-gate.txt
 rm -f /tmp/mc-bench-gate.txt
 # Parser fuzz smoke: bounded native fuzzing of the webserver parser
