@@ -356,9 +356,8 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 			fmt.Fprintf(w, "    %s\n", l)
 		}
 	}
-	commits, aborts, conflicts := mc.Host.DB.Stats()
-	fmt.Fprintf(w, "  database server: commits=%d aborts=%d lockConflicts=%d tables=%d\n",
-		commits, aborts, conflicts, len(mc.Host.DB.Tables()))
+	commits, aborts, tables := mc.Host.DB.Stats()
+	fmt.Fprintf(w, "  database server: commits=%d aborts=%d tables=%d\n", commits, aborts, tables)
 	if dt := mc.DataTier; dt != nil {
 		leader := -1
 		commit, term := 0, 0

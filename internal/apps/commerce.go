@@ -98,7 +98,7 @@ func (s *Commerce) Register(h *core.Host) error {
 		if req.Balance < 0 {
 			return fail(400, "negative opening balance")
 		}
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Insert("accounts", database.Row{
 				"id": req.ID, "owner": req.Owner, "balance": req.Balance,
 			})
@@ -115,7 +115,7 @@ func (s *Commerce) Register(h *core.Host) error {
 	h.Server.Handle("/pay/balance", func(r *webserver.Request) *webserver.Response {
 		id := r.Query["id"]
 		var view AccountView
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row, err := tx.Get("accounts", id)
 			if err != nil {
 				return err
@@ -152,12 +152,12 @@ func (s *Commerce) Register(h *core.Host) error {
 			return fail(400, "non-positive amount")
 		}
 		var receipt PayReceipt
-		err = h.DB.Atomically(8, func(tx *database.Tx) error {
-			payer, err := tx.GetForUpdate("accounts", req.Payer)
+		err = h.DB.Atomically(func(tx *database.Tx) error {
+			payer, err := tx.Get("accounts", req.Payer)
 			if err != nil {
 				return fmt.Errorf("payer: %w", err)
 			}
-			payee, err := tx.GetForUpdate("accounts", req.Payee)
+			payee, err := tx.Get("accounts", req.Payee)
 			if err != nil {
 				return fmt.Errorf("payee: %w", err)
 			}

@@ -92,7 +92,7 @@ func (s *Education) Register(h *core.Host) error {
 		{"id": "mc201", "title": "Mobile Commerce Systems", "seats": int64(25), "enrolled": int64(0),
 			"questions": "How many components in an MC system?;Is WAP a middleware?", "answers": "6;yes"},
 	}
-	if err := h.DB.Atomically(0, func(tx *database.Tx) error {
+	if err := h.DB.Atomically(func(tx *database.Tx) error {
 		for _, r := range seed {
 			if err := tx.Insert("courses", r); err != nil {
 				return err
@@ -105,8 +105,7 @@ func (s *Education) Register(h *core.Host) error {
 
 	h.Server.Handle("/edu/courses", func(r *webserver.Request) *webserver.Response {
 		var out []Course
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
-			out = out[:0]
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Scan("courses", func(row database.Row) bool {
 				out = append(out, courseView(row))
 				return true
@@ -124,8 +123,8 @@ func (s *Education) Register(h *core.Host) error {
 			return fail(400, "bad enroll request")
 		}
 		var after Course
-		err := h.DB.Atomically(8, func(tx *database.Tx) error {
-			course, err := tx.GetForUpdate("courses", req.Course)
+		err := h.DB.Atomically(func(tx *database.Tx) error {
+			course, err := tx.Get("courses", req.Course)
 			if err != nil {
 				return err
 			}
@@ -163,7 +162,7 @@ func (s *Education) Register(h *core.Host) error {
 	h.Server.Handle("/edu/quiz", func(r *webserver.Request) *webserver.Response {
 		id := r.Query["course"]
 		var quiz Quiz
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row, err := tx.Get("courses", id)
 			if err != nil {
 				return err
@@ -187,7 +186,7 @@ func (s *Education) Register(h *core.Host) error {
 			return fail(400, "bad submission")
 		}
 		var result QuizResult
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			// Only enrolled students are graded.
 			if _, err := tx.Get("enrollments", sub.Course+"/"+sub.Student); err != nil {
 				return fmt.Errorf("%w: not enrolled", ErrService)

@@ -55,7 +55,7 @@ func (s *Entertainment) Register(h *core.Host) error {
 		{"id": "clip1", "title": "Movie Trailer", "kind": "video", "bytes": int64(900 << 10)},
 		{"id": "game1", "title": "Puzzle Game", "kind": "game", "bytes": int64(64 << 10)},
 	}
-	if err := h.DB.Atomically(0, func(tx *database.Tx) error {
+	if err := h.DB.Atomically(func(tx *database.Tx) error {
 		for _, r := range seed {
 			if err := tx.Insert("media", r); err != nil {
 				return err
@@ -68,8 +68,7 @@ func (s *Entertainment) Register(h *core.Host) error {
 
 	h.Server.Handle("/media/catalog", func(r *webserver.Request) *webserver.Response {
 		var out []MediaItem
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
-			out = out[:0]
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Scan("media", func(row database.Row) bool {
 				out = append(out, mediaView(row))
 				return true
@@ -85,7 +84,7 @@ func (s *Entertainment) Register(h *core.Host) error {
 	h.Server.Handle("/media/download", func(r *webserver.Request) *webserver.Response {
 		id := r.Query["id"]
 		var size int64
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row, err := tx.Get("media", id)
 			if err != nil {
 				return err

@@ -62,7 +62,7 @@ func (s *ERP) Register(h *core.Host) error {
 		{"id": "forklift", "kind": "vehicle", "total": int64(4), "allocated": int64(0)},
 		{"id": "dock", "kind": "facility", "total": int64(6), "allocated": int64(0)},
 	}
-	if err := h.DB.Atomically(0, func(tx *database.Tx) error {
+	if err := h.DB.Atomically(func(tx *database.Tx) error {
 		for _, r := range seed {
 			if err := tx.Insert("resources", r); err != nil {
 				return err
@@ -75,8 +75,7 @@ func (s *ERP) Register(h *core.Host) error {
 
 	h.Server.Handle("/erp/resources", func(r *webserver.Request) *webserver.Response {
 		var out []Resource
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
-			out = out[:0]
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Scan("resources", func(row database.Row) bool {
 				out = append(out, resourceView(row))
 				return true
@@ -104,8 +103,8 @@ func (s *ERP) adjust(h *core.Host, r *webserver.Request, sign int64) *webserver.
 		return fail(400, "bad request")
 	}
 	var after Resource
-	err := h.DB.Atomically(8, func(tx *database.Tx) error {
-		row, err := tx.GetForUpdate("resources", req.Resource)
+	err := h.DB.Atomically(func(tx *database.Tx) error {
+		row, err := tx.Get("resources", req.Resource)
 		if err != nil {
 			return err
 		}

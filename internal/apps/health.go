@@ -79,7 +79,7 @@ func (s *Health) Register(h *core.Host) error {
 	}, "id"); err != nil {
 		return err
 	}
-	if err := h.DB.Atomically(0, func(tx *database.Tx) error {
+	if err := h.DB.Atomically(func(tx *database.Tx) error {
 		staff := []database.Row{
 			{"id": "dr-yang", "secret": "rounds"},
 			{"id": "nurse-okafor", "secret": "charts"},
@@ -111,7 +111,7 @@ func (s *Health) Register(h *core.Host) error {
 			return fail(400, "bad login")
 		}
 		var secret string
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row, err := tx.Get("staff", req.Staff)
 			if err != nil {
 				return err
@@ -145,7 +145,7 @@ func (s *Health) Register(h *core.Host) error {
 		}
 		id := r.Query["patient"]
 		var rec PatientRecord
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row, err := tx.Get("patients", id)
 			if err != nil {
 				return err
@@ -171,8 +171,8 @@ func (s *Health) Register(h *core.Host) error {
 			return resp
 		}
 		var rec PatientRecord
-		err := h.DB.Atomically(8, func(tx *database.Tx) error {
-			row, err := tx.GetForUpdate("patients", req.Patient)
+		err := h.DB.Atomically(func(tx *database.Tx) error {
+			row, err := tx.Get("patients", req.Patient)
 			if err != nil {
 				return err
 			}

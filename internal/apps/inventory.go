@@ -101,7 +101,7 @@ func (s *Inventory) Register(h *core.Host) error {
 		if err := readJSON(r, &req); err != nil || req.ID == "" {
 			return fail(400, "bad package")
 		}
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Insert("packages", database.Row{
 				"id": req.ID, "x": req.X, "y": req.Y, "status": "waiting", "courier": "",
 			})
@@ -120,8 +120,8 @@ func (s *Inventory) Register(h *core.Host) error {
 		if err := readJSON(r, &req); err != nil || req.Courier == "" {
 			return fail(400, "bad update")
 		}
-		err := h.DB.Atomically(8, func(tx *database.Tx) error {
-			row, err := tx.GetForUpdate("couriers", req.Courier)
+		err := h.DB.Atomically(func(tx *database.Tx) error {
+			row, err := tx.Get("couriers", req.Courier)
 			if errors.Is(err, database.ErrNotFound) {
 				row = database.Row{"id": req.Courier, "x": req.X, "y": req.Y, "busy": false}
 				if err := tx.Insert("couriers", row); err != nil {
@@ -139,7 +139,7 @@ func (s *Inventory) Register(h *core.Host) error {
 				}
 			}
 			if req.Package != "" {
-				pkg, err := tx.GetForUpdate("packages", req.Package)
+				pkg, err := tx.Get("packages", req.Package)
 				if err != nil {
 					return err
 				}
@@ -165,7 +165,7 @@ func (s *Inventory) Register(h *core.Host) error {
 	h.Server.Handle("/track/where", func(r *webserver.Request) *webserver.Response {
 		id := r.Query["id"]
 		var view PackageView
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row, err := tx.Get("packages", id)
 			if err != nil {
 				return err
@@ -188,8 +188,8 @@ func (s *Inventory) Register(h *core.Host) error {
 			return fail(400, "bad dispatch")
 		}
 		var reply DispatchReply
-		err := h.DB.Atomically(8, func(tx *database.Tx) error {
-			pkg, err := tx.GetForUpdate("packages", req.Package)
+		err := h.DB.Atomically(func(tx *database.Tx) error {
+			pkg, err := tx.Get("packages", req.Package)
 			if err != nil {
 				return err
 			}

@@ -181,7 +181,7 @@ func RegisterStreaming(h *core.Host) error {
 // streamSizeFor looks a media item's size up in the database.
 func streamSizeFor(h *core.Host, id string) int64 {
 	var size int64
-	err := h.DB.Atomically(4, func(tx *database.Tx) error {
+	err := h.DB.Atomically(func(tx *database.Tx) error {
 		row, err := tx.Get("media", id)
 		if err != nil {
 			return err

@@ -79,12 +79,12 @@ func (s *Traffic) Register(h *core.Host) error {
 			return fail(400, "severity out of range")
 		}
 		id := cellID(adv.CellX, adv.CellY)
-		err := h.DB.Atomically(8, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row := database.Row{
 				"id": id, "x": int64(adv.CellX), "y": int64(adv.CellY),
 				"severity": adv.Severity, "message": adv.Message,
 			}
-			if _, err := tx.GetForUpdate("advisories", id); errors.Is(err, database.ErrNotFound) {
+			if _, err := tx.Get("advisories", id); errors.Is(err, database.ErrNotFound) {
 				return tx.Insert("advisories", row)
 			} else if err != nil {
 				return err
@@ -105,8 +105,7 @@ func (s *Traffic) Register(h *core.Host) error {
 			radius = 2
 		}
 		var out []Advisory
-		dberr := h.DB.Atomically(4, func(tx *database.Tx) error {
-			out = out[:0]
+		dberr := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Scan("advisories", func(row database.Row) bool {
 				a := advisoryView(row)
 				if abs(a.CellX-cx) <= radius && abs(a.CellY-cy) <= radius {
@@ -127,10 +126,7 @@ func (s *Traffic) Register(h *core.Host) error {
 		tx_, _ := strconv.Atoi(r.Query["toX"])
 		ty, _ := strconv.Atoi(r.Query["toY"])
 		blockedCells := map[[2]int]bool{}
-		dberr := h.DB.Atomically(4, func(tx *database.Tx) error {
-			for k := range blockedCells {
-				delete(blockedCells, k)
-			}
+		dberr := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Scan("advisories", func(row database.Row) bool {
 				a := advisoryView(row)
 				if a.Severity >= severityCutoff {

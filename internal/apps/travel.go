@@ -80,7 +80,7 @@ func (s *Travel) Register(h *core.Host) error {
 		{"id": "fl-200", "from": "ATL", "to": "GND", "departs": "11:30", "seats": int64(5), "price": int64(24900)},
 		{"id": "fl-300", "from": "GSO", "to": "ORD", "departs": "09:15", "seats": int64(3), "price": int64(15900)},
 	}
-	if err := h.DB.Atomically(0, func(tx *database.Tx) error {
+	if err := h.DB.Atomically(func(tx *database.Tx) error {
 		for _, r := range seed {
 			if err := tx.Insert("itineraries", r); err != nil {
 				return err
@@ -94,8 +94,7 @@ func (s *Travel) Register(h *core.Host) error {
 	h.Server.Handle("/travel/search", func(r *webserver.Request) *webserver.Response {
 		from, to := r.Query["from"], r.Query["to"]
 		var out []Itinerary
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
-			out = out[:0]
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			return tx.Scan("itineraries", func(row database.Row) bool {
 				it := itineraryView(row)
 				if (from == "" || it.From == from) && (to == "" || it.To == to) && it.Seats > 0 {
@@ -116,8 +115,8 @@ func (s *Travel) Register(h *core.Host) error {
 			return fail(400, "bad booking")
 		}
 		var ticket Ticket
-		err := h.DB.Atomically(8, func(tx *database.Tx) error {
-			it, err := tx.GetForUpdate("itineraries", req.Itinerary)
+		err := h.DB.Atomically(func(tx *database.Tx) error {
+			it, err := tx.Get("itineraries", req.Itinerary)
 			if err != nil {
 				return err
 			}
@@ -156,7 +155,7 @@ func (s *Travel) Register(h *core.Host) error {
 	h.Server.Handle("/travel/ticket", func(r *webserver.Request) *webserver.Response {
 		id := r.Query["id"]
 		var ticket Ticket
-		err := h.DB.Atomically(4, func(tx *database.Tx) error {
+		err := h.DB.Atomically(func(tx *database.Tx) error {
 			row, err := tx.Get("tickets", id)
 			if err != nil {
 				return err

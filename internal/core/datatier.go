@@ -166,7 +166,7 @@ type DBBackend struct {
 func (b DBBackend) Lookup(key string) (mobiledb.ServerEntry, bool, error) {
 	var e mobiledb.ServerEntry
 	found := false
-	err := b.DB.Atomically(0, func(tx *database.Tx) error {
+	err := b.DB.Atomically(func(tx *database.Tx) error {
 		row, err := tx.Get(KVTable, key)
 		if errors.Is(err, database.ErrNotFound) {
 			return nil
@@ -197,7 +197,7 @@ func (b DBBackend) Store(e mobiledb.ServerEntry) error {
 		"ver": int64(e.Ver), "wts": e.WTS,
 		"origin": e.Origin, "clock": int64(e.Clock),
 	}
-	return b.DB.Atomically(0, func(tx *database.Tx) error {
+	return b.DB.Atomically(func(tx *database.Tx) error {
 		if err := tx.Update(KVTable, row); !errors.Is(err, database.ErrNotFound) {
 			return err
 		}

@@ -129,9 +129,11 @@ func TestSyncServiceDropsHeldAcksOnDemotion(t *testing.T) {
 		t.Fatalf("device received an ack for a write the failover lost: %+v", acked)
 	}
 	// The device's write is gone from the authoritative log.
-	tx := members[0].DB().Begin()
-	defer tx.Abort()
-	if _, err := tx.Get(KVTable, "held"); !errors.Is(err, database.ErrNotFound) {
+	err := members[0].DB().Atomically(func(tx *database.Tx) error {
+		_, err := tx.Get(KVTable, "held")
+		return err
+	})
+	if !errors.Is(err, database.ErrNotFound) {
 		t.Errorf("lost write still present (err=%v), want ErrNotFound", err)
 	}
 	if a, b := members[0].Dump(), members[2].Dump(); a != b {

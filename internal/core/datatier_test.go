@@ -28,7 +28,7 @@ func buildTier(t *testing.T, seed int64) *core.MC {
 
 func tierPut(t *testing.T, db *database.DB, k string, v int64) {
 	t.Helper()
-	err := db.Atomically(3, func(tx *database.Tx) error {
+	err := db.Atomically(func(tx *database.Tx) error {
 		row := database.Row{
 			"k": k, "v": []byte(fmt.Sprint(v)), "del": false,
 			"ver": v, "wts": int64(0), "origin": "test", "clock": v,

@@ -131,7 +131,7 @@ func TestDatabaseCrashRecoveryPreservesMoney(t *testing.T) {
 	})
 	// "Crash" mid-stream: snapshot the WAL after ~2 s of virtual time.
 	var snapshot []database.LogRecord
-	mc.Net.Sched.At(2*time.Second, func() { snapshot = mc.Host.DB.WAL() })
+	mc.Net.Sched.At(2*time.Second, func() { snapshot = mc.Host.DB.WALRange(0, mc.Host.DB.WALLen()) })
 	if err := mc.Net.Sched.RunFor(5 * time.Minute); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -143,17 +143,23 @@ func TestDatabaseCrashRecoveryPreservesMoney(t *testing.T) {
 	if err := recovered.ResetTo(snapshot); err != nil {
 		t.Fatalf("ResetTo: %v", err)
 	}
-	tx := recovered.Begin()
-	defer tx.Abort()
-	var total int64
-	var aBal int64
-	if err := tx.Scan("accounts", func(r database.Row) bool {
-		bal, _ := r["balance"].(int64)
-		total += bal
-		if r["id"] == "a" {
-			aBal = bal
+	var total, aBal int64
+	orders := 0
+	if err := recovered.Atomically(func(tx *database.Tx) error {
+		if err := tx.Scan("accounts", func(r database.Row) bool {
+			bal, _ := r["balance"].(int64)
+			total += bal
+			if r["id"] == "a" {
+				aBal = bal
+			}
+			return true
+		}); err != nil {
+			return err
 		}
-		return true
+		return tx.Scan("orders", func(r database.Row) bool {
+			orders++
+			return true
+		})
 	}); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
@@ -161,13 +167,6 @@ func TestDatabaseCrashRecoveryPreservesMoney(t *testing.T) {
 		t.Errorf("money not conserved across crash: total %d, want %d", total, 2*opening)
 	}
 	// Every captured order must match the payer's balance delta exactly.
-	orders := 0
-	if err := tx.Scan("orders", func(r database.Row) bool {
-		orders++
-		return true
-	}); err != nil {
-		t.Fatalf("Scan orders: %v", err)
-	}
 	if wantBal := opening - int64(orders)*100; aBal != wantBal {
 		t.Errorf("payer balance %d inconsistent with %d captured orders (want %d)", aBal, orders, wantBal)
 	}

@@ -49,7 +49,6 @@ func NewHost(net *simnet.Network, name string, tokenKey []byte, tcp mtcp.Options
 	db := net.Metrics.Instance(metrics.Sanitize(name)).Child("db")
 	db.GaugeFunc("commits", func() int64 { c, _, _ := h.DB.Stats(); return int64(c) })
 	db.GaugeFunc("aborts", func() int64 { _, a, _ := h.DB.Stats(); return int64(a) })
-	db.GaugeFunc("lock_conflicts", func() int64 { _, _, c := h.DB.Stats(); return int64(c) })
 	return h, nil
 }
 

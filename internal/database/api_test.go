@@ -1,6 +1,7 @@
 package database
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 )
@@ -10,27 +11,25 @@ func TestDBStatsAndTables(t *testing.T) {
 	if err := db.CreateTable("orders", Schema{{Name: "id", Type: TypeString}}, "id"); err != nil {
 		t.Fatal(err)
 	}
-	tables := db.Tables()
-	if fmt.Sprint(tables) != "[accounts orders]" {
-		t.Errorf("Tables = %v", tables)
-	}
 	mustInsert(t, db, "accounts", Row{"id": "a", "owner": "x", "balance": int64(1)})
-	tx := db.Begin()
-	tx.Abort()
-	// Force one conflict.
-	t1 := db.Begin()
-	t2 := db.Begin()
-	if _, err := t1.GetForUpdate("accounts", "a"); err != nil {
+	if err := db.Atomically(func(*Tx) error { return errAbort }); err != errAbort {
 		t.Fatal(err)
 	}
-	if _, err := t2.GetForUpdate("accounts", "a"); err == nil {
-		t.Fatal("no conflict")
+	if _, err := get(db, "accounts", "missing"); !errors.Is(err, ErrNotFound) {
+		t.Fatal(err)
 	}
-	t1.Abort()
-	t2.Abort()
-	commits, aborts, conflicts := db.Stats()
-	if commits != 1 || aborts < 3 || conflicts != 1 {
-		t.Errorf("stats = %d/%d/%d", commits, aborts, conflicts)
+	if err := db.Atomically(func(*Tx) error { return nil }); err != nil {
+		t.Fatal(err)
+	}
+	commits, aborts, tables := db.Stats()
+	if commits != 2 || aborts != 2 || tables != 2 {
+		t.Errorf("stats = %d/%d/%d, want 2/2/2", commits, aborts, tables)
+	}
+	if n := db.WALLen(); n != 3 {
+		t.Errorf("WAL holds %d records, want two DDL and one insert (a read-only commit logs nothing)", n)
+	}
+	if got := db.Dump(); got != "table accounts key=id rows=1\n  a: id=a owner=x balance=1\ntable orders key=id rows=0\n" {
+		t.Errorf("Dump =\n%s", got)
 	}
 }
 
@@ -53,21 +52,13 @@ func TestIntKeyedTableScanOrder(t *testing.T) {
 	}, "n"); err != nil {
 		t.Fatal(err)
 	}
-	tx := db.Begin()
-	for _, n := range []int64{30, 10, 20} {
-		if err := tx.Insert("seq", Row{"n": n, "v": "x"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	tx2 := db.Begin()
-	defer tx2.Abort()
+	mustInsert(t, db, "seq", Row{"n": int64(30), "v": "x"}, Row{"n": int64(10), "v": "x"}, Row{"n": int64(20), "v": "x"})
 	var order []int64
-	if err := tx2.Scan("seq", func(r Row) bool {
-		order = append(order, r["n"].(int64))
-		return true
+	if err := db.Atomically(func(tx *Tx) error {
+		return tx.Scan("seq", func(r Row) bool {
+			order = append(order, r["n"].(int64))
+			return true
+		})
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -85,16 +76,14 @@ func TestBytesColumnRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	orig := []byte{0, 1, 2, 255}
-	if err := db.Atomically(0, func(tx *Tx) error {
+	if err := db.Atomically(func(tx *Tx) error {
 		return tx.Insert("blobs", Row{"k": "x", "b": orig})
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Mutating the caller's slice must not affect the stored row.
 	orig[0] = 99
-	tx := db.Begin()
-	defer tx.Abort()
-	row, err := tx.Get("blobs", "x")
+	row, err := get(db, "blobs", "x")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +93,7 @@ func TestBytesColumnRoundTrip(t *testing.T) {
 	}
 	// And mutating the returned copy must not affect storage either.
 	b[1] = 99
-	row2, _ := tx.Get("blobs", "x")
+	row2, _ := get(db, "blobs", "x")
 	if row2["b"].([]byte)[1] != 1 {
 		t.Error("returned blob aliased storage")
 	}

@@ -15,13 +15,14 @@ func benchDB(b *testing.B, rows int) *DB {
 	}, "k"); err != nil {
 		b.Fatal(err)
 	}
-	tx := db.Begin()
-	for i := 0; i < rows; i++ {
-		if err := tx.Insert("t", Row{"k": fmt.Sprintf("k%06d", i), "v": int64(i)}); err != nil {
-			b.Fatal(err)
+	if err := db.Atomically(func(tx *Tx) error {
+		for i := 0; i < rows; i++ {
+			if err := tx.Insert("t", Row{"k": fmt.Sprintf("k%06d", i), "v": int64(i)}); err != nil {
+				return err
+			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
+		return nil
+	}); err != nil {
 		b.Fatal(err)
 	}
 	return db
@@ -33,11 +34,9 @@ func BenchmarkTxGet(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := db.Begin()
-		if _, err := tx.Get("t", fmt.Sprintf("k%06d", i%10000)); err != nil {
+		if _, err := get(db, "t", fmt.Sprintf("k%06d", i%10000)); err != nil {
 			b.Fatal(err)
 		}
-		tx.Abort()
 	}
 }
 
@@ -49,8 +48,8 @@ func BenchmarkTxUpdateCommit(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		key := fmt.Sprintf("k%06d", i%1000)
-		err := db.Atomically(0, func(tx *Tx) error {
-			row, err := tx.GetForUpdate("t", key)
+		err := db.Atomically(func(tx *Tx) error {
+			row, err := tx.Get("t", key)
 			if err != nil {
 				return err
 			}
@@ -69,12 +68,12 @@ func BenchmarkScan1000(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tx := db.Begin()
 		n := 0
-		if err := tx.Scan("t", func(Row) bool { n++; return true }); err != nil {
+		if err := db.Atomically(func(tx *Tx) error {
+			return tx.Scan("t", func(Row) bool { n++; return true })
+		}); err != nil {
 			b.Fatal(err)
 		}
-		tx.Abort()
 		if n != 1000 {
 			b.Fatalf("scanned %d", n)
 		}
@@ -84,7 +83,7 @@ func BenchmarkScan1000(b *testing.B) {
 // BenchmarkRecovery measures WAL replay throughput.
 func BenchmarkRecovery(b *testing.B) {
 	db := benchDB(b, 5000)
-	wal := db.WAL()
+	wal := fullWAL(db)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -124,7 +123,7 @@ func BenchmarkWALCommit(b *testing.B) {
 			"k": "key", "v": []byte("value"), "del": false,
 			"ver": int64(i), "wts": int64(i), "origin": "dev7", "clock": int64(i),
 		}
-		if err := db.Atomically(0, func(tx *Tx) error { return tx.Update("kv", row) }); err != nil {
+		if err := db.Atomically(func(tx *Tx) error { return tx.Update("kv", row) }); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -140,7 +139,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	}
 	for i := 1; i < 1000; i++ {
 		row := kvRow(fmt.Sprintf("key%d", i%100), i)
-		if err := db.Atomically(0, func(tx *Tx) error {
+		if err := db.Atomically(func(tx *Tx) error {
 			if i <= 100 {
 				return tx.Insert("kv", row)
 			}

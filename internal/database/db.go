@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"sort"
 	"sync"
@@ -16,16 +15,10 @@ type table struct {
 	schema Schema
 	key    string // primary key column (TypeString or TypeInt)
 	rows   map[any]Row
-	// locks maps primary key -> lock state.
-	locks map[any]*rowLock
 }
 
-type rowLock struct {
-	exclusive uint64          // tx holding exclusive, 0 if none
-	shared    map[uint64]bool // txs holding shared; nil until the first shared lock
-}
-
-// DB is the embedded database engine.
+// DB is the embedded database engine. mu serialises everything: each
+// method holds it, and Atomically holds it for a whole transaction.
 type DB struct {
 	mu       sync.Mutex
 	tables   map[string]*table
@@ -34,8 +27,7 @@ type DB struct {
 	walSink  *WALWriter
 	onCommit func(rec LogRecord, walLen int)
 
-	// Stats
-	commits, aborts, conflicts uint64
+	commits, aborts uint64
 }
 
 // New creates an empty database.
@@ -43,11 +35,11 @@ func New() *DB {
 	return &DB{tables: make(map[string]*table)}
 }
 
-// Stats reports cumulative commits, aborts and lock conflicts.
-func (db *DB) Stats() (commits, aborts, conflicts uint64) {
+// Stats reports cumulative commits and aborts and the number of tables.
+func (db *DB) Stats() (commits, aborts uint64, tables int) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.commits, db.aborts, db.conflicts
+	return db.commits, db.aborts, len(db.tables)
 }
 
 // CreateTable declares a table. key names the primary-key column, which
@@ -92,7 +84,6 @@ func (db *DB) createTable(name string, schema Schema, key string) error {
 		schema: sc,
 		key:    key,
 		rows:   make(map[any]Row),
-		locks:  make(map[any]*rowLock),
 	}
 	return nil
 }
@@ -109,29 +100,6 @@ func (db *DB) appendRecord(rec LogRecord) error {
 		db.onCommit(rec, len(db.wal))
 	}
 	return err
-}
-
-// Tables lists table names in sorted order.
-func (db *DB) Tables() []string {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]string, 0, len(db.tables))
-	for n := range db.tables {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// WAL returns a copy of the committed write-ahead log. The records are
-// shared with the tables: their rows are the committed rows themselves, so
-// callers must treat them as immutable (see Row).
-func (db *DB) WAL() []LogRecord {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	out := make([]LogRecord, len(db.wal))
-	copy(out, db.wal)
-	return out
 }
 
 // OpKind distinguishes logged operations.
@@ -192,9 +160,10 @@ func (db *DB) applyOps(ops []Op) error {
 }
 
 // ApplyRecord installs one replicated log record: its operations execute
-// directly (no locks — the caller is a replica with no local writers),
-// the record is appended to the WAL and streamed to the durable sink.
-// TxIDs advance so a replica promoted to primary continues the sequence.
+// directly, outside any transaction (the caller is a replica with no local
+// writers), the record is appended to the WAL and streamed to the durable
+// sink. TxIDs advance so a replica promoted to primary continues the
+// sequence.
 func (db *DB) ApplyRecord(rec LogRecord) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -305,31 +274,22 @@ func (db *DB) Dump() string {
 	return string(b)
 }
 
-// Begin starts a transaction.
-func (db *DB) Begin() *Tx {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	db.nextTx++
-	return &Tx{db: db, id: db.nextTx}
-}
-
-// Tx is a transaction: reads take shared locks, writes take exclusive
-// locks, all released at Commit or Abort (strict 2PL). Lock conflicts fail
-// immediately with ErrLocked (no-wait).
+// Tx is one transaction of Atomically. Its writes are buffered and reach
+// the tables and the WAL only at commit; its reads see its own buffered
+// writes. Transactions run one at a time, so a Tx takes no locks.
 type Tx struct {
 	db     *DB
 	id     uint64
 	done   bool
-	locked []lockRef              // locks held, for release
 	writes map[string]map[any]*Op // nil until the first write
 }
 
-type lockRef struct {
-	t   *table
-	key any
-}
-
+// table resolves a table name, failing with ErrDone once the transaction
+// has finished.
 func (tx *Tx) table(name string) (*table, error) {
+	if tx.done {
+		return nil, ErrDone
+	}
 	t, ok := tx.db.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: table %q", ErrNotFound, name)
@@ -337,75 +297,25 @@ func (tx *Tx) table(name string) (*table, error) {
 	return t, nil
 }
 
-// lock acquires a shared or exclusive lock, upgrading if needed.
-func (tx *Tx) lock(t *table, key any, exclusive bool) error {
-	l, ok := t.locks[key]
-	if !ok {
-		l = &rowLock{}
-		t.locks[key] = l
+// lookup returns the row under key as this transaction sees it: its own
+// buffered write if there is one, else the committed row; nil if neither
+// holds a row (a buffered delete has no row).
+func (tx *Tx) lookup(t *table, key any) Row {
+	if op, ok := tx.writes[t.name][key]; ok {
+		return op.Row
 	}
-	switch {
-	case l.exclusive == tx.id:
-		return nil
-	case l.exclusive != 0:
-		tx.db.conflicts++
-		return ErrLocked
-	case exclusive:
-		if len(l.shared) > 1 || (len(l.shared) == 1 && !l.shared[tx.id]) {
-			tx.db.conflicts++
-			return ErrLocked
-		}
-		delete(l.shared, tx.id)
-		l.exclusive = tx.id
-	default:
-		if l.shared[tx.id] {
-			return nil
-		}
-		if l.shared == nil {
-			l.shared = make(map[uint64]bool)
-		}
-		l.shared[tx.id] = true
-	}
-	tx.locked = append(tx.locked, lockRef{t: t, key: key})
-	return nil
+	return t.rows[key]
 }
 
-// Get returns a copy of a row by primary key, taking a shared lock. A
-// write earlier in the same transaction is visible.
+// Get returns a copy of a row by primary key. A write earlier in the same
+// transaction is visible.
 func (tx *Tx) Get(tableName string, key any) (Row, error) {
-	return tx.get(tableName, key, false)
-}
-
-// GetForUpdate is Get with an exclusive lock, for read-modify-write
-// transactions: taking the write lock up front avoids the shared-to-
-// exclusive upgrade that two concurrent readers can never both win.
-func (tx *Tx) GetForUpdate(tableName string, key any) (Row, error) {
-	return tx.get(tableName, key, true)
-}
-
-func (tx *Tx) get(tableName string, key any, exclusive bool) (Row, error) {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return nil, ErrDone
-	}
 	t, err := tx.table(tableName)
 	if err != nil {
 		return nil, err
 	}
-	if err := tx.lock(t, key, exclusive); err != nil {
-		return nil, err
-	}
-	if ops, ok := tx.writes[tableName]; ok {
-		if op, ok := ops[key]; ok {
-			if op.Kind == OpDelete {
-				return nil, ErrNotFound
-			}
-			return op.Row.Clone(), nil
-		}
-	}
-	r, ok := t.rows[key]
-	if !ok {
+	r := tx.lookup(t, key)
+	if r == nil {
 		return nil, ErrNotFound
 	}
 	return r.Clone(), nil
@@ -413,11 +323,6 @@ func (tx *Tx) get(tableName string, key any, exclusive bool) (Row, error) {
 
 // Insert adds a new row; the primary key must not exist.
 func (tx *Tx) Insert(tableName string, row Row) error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return ErrDone
-	}
 	t, err := tx.table(tableName)
 	if err != nil {
 		return err
@@ -426,32 +331,15 @@ func (tx *Tx) Insert(tableName string, row Row) error {
 		return err
 	}
 	key := row[t.key]
-	if err := tx.lock(t, key, true); err != nil {
-		return err
-	}
-	exists := false
-	if _, ok := t.rows[key]; ok {
-		exists = true
-	}
-	if ops, ok := tx.writes[tableName]; ok {
-		if op, ok := ops[key]; ok {
-			exists = op.Kind != OpDelete
-		}
-	}
-	if exists {
+	if tx.lookup(t, key) != nil {
 		return fmt.Errorf("%w: key %v in %q", ErrExists, key, tableName)
 	}
-	tx.bufferWrite(tableName, &Op{Kind: OpInsert, Table: tableName, Key: key, Row: row.Clone()})
+	tx.bufferWrite(&Op{Kind: OpInsert, Table: tableName, Key: key, Row: row.Clone()})
 	return nil
 }
 
 // Update replaces an existing row (matched by the row's primary key).
 func (tx *Tx) Update(tableName string, row Row) error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return ErrDone
-	}
 	t, err := tx.table(tableName)
 	if err != nil {
 		return err
@@ -460,77 +348,49 @@ func (tx *Tx) Update(tableName string, row Row) error {
 		return err
 	}
 	key := row[t.key]
-	if err := tx.lock(t, key, true); err != nil {
-		return err
-	}
-	if !tx.rowVisible(t, tableName, key) {
+	if tx.lookup(t, key) == nil {
 		return fmt.Errorf("%w: key %v in %q", ErrNotFound, key, tableName)
 	}
-	tx.bufferWrite(tableName, &Op{Kind: OpUpdate, Table: tableName, Key: key, Row: row.Clone()})
+	tx.bufferWrite(&Op{Kind: OpUpdate, Table: tableName, Key: key, Row: row.Clone()})
 	return nil
 }
 
 // Delete removes a row by primary key.
 func (tx *Tx) Delete(tableName string, key any) error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return ErrDone
-	}
 	t, err := tx.table(tableName)
 	if err != nil {
 		return err
 	}
-	if err := tx.lock(t, key, true); err != nil {
-		return err
-	}
-	if !tx.rowVisible(t, tableName, key) {
+	if tx.lookup(t, key) == nil {
 		return fmt.Errorf("%w: key %v in %q", ErrNotFound, key, tableName)
 	}
-	tx.bufferWrite(tableName, &Op{Kind: OpDelete, Table: tableName, Key: key})
+	tx.bufferWrite(&Op{Kind: OpDelete, Table: tableName, Key: key})
 	return nil
 }
 
-// rowVisible reports whether the row exists from this tx's perspective.
-// Caller holds db.mu.
-func (tx *Tx) rowVisible(t *table, tableName string, key any) bool {
-	if ops, ok := tx.writes[tableName]; ok {
-		if op, ok := ops[key]; ok {
-			return op.Kind != OpDelete
-		}
-	}
-	_, ok := t.rows[key]
-	return ok
-}
-
-func (tx *Tx) bufferWrite(tableName string, op *Op) {
-	ops, ok := tx.writes[tableName]
+// bufferWrite records op as the transaction's pending write to its key.
+// The latest op for a key wins, except that an update of a row this
+// transaction inserted stays an insert. An insert followed by a delete
+// therefore logs a delete even when the row never existed before
+// committing: applying it removes nothing.
+func (tx *Tx) bufferWrite(op *Op) {
+	ops, ok := tx.writes[op.Table]
 	if !ok {
 		if tx.writes == nil {
 			tx.writes = make(map[string]map[any]*Op)
 		}
 		ops = make(map[any]*Op)
-		tx.writes[tableName] = ops
+		tx.writes[op.Table] = ops
 	}
-	if prev, ok := ops[op.Key]; ok {
-		// Collapse: insert+update stays insert; insert+delete vanishes
-		// only if the row did not pre-exist (keep delete for safety).
-		if prev.Kind == OpInsert && op.Kind == OpUpdate {
-			op.Kind = OpInsert // op is this call's own buffer entry
-		}
+	if prev, ok := ops[op.Key]; ok && prev.Kind == OpInsert && op.Kind == OpUpdate {
+		op.Kind = OpInsert // op is this call's own buffer entry
 	}
 	ops[op.Key] = op
 }
 
-// Scan iterates rows in primary-key-sorted order, taking shared locks as it
-// goes. fn returns false to stop early. Uncommitted writes of this
-// transaction are visible.
+// Scan iterates rows in primary-key-sorted order. fn returns false to stop
+// early. Uncommitted writes of this transaction are visible.
 func (tx *Tx) Scan(tableName string, fn func(Row) bool) error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return ErrDone
-	}
 	t, err := tx.table(tableName)
 	if err != nil {
 		return err
@@ -539,31 +399,16 @@ func (tx *Tx) Scan(tableName string, fn func(Row) bool) error {
 	for k := range t.rows {
 		keys = append(keys, k)
 	}
-	if ops, ok := tx.writes[tableName]; ok {
-		for k, op := range ops {
-			if op.Kind == OpInsert {
-				if _, exists := t.rows[k]; !exists {
-					keys = append(keys, k)
-				}
-			}
+	for k, op := range tx.writes[tableName] {
+		if _, exists := t.rows[k]; !exists && op.Kind == OpInsert {
+			keys = append(keys, k)
 		}
 	}
 	sortKeys(keys)
 	for _, k := range keys {
-		if err := tx.lock(t, k, false); err != nil {
-			return err
-		}
-		var row Row
-		if ops, ok := tx.writes[tableName]; ok {
-			if op, ok := ops[k]; ok {
-				if op.Kind == OpDelete {
-					continue
-				}
-				row = op.Row
-			}
-		}
+		row := tx.lookup(t, k)
 		if row == nil {
-			row = t.rows[k]
+			continue
 		}
 		if !fn(row.Clone()) {
 			return nil
@@ -589,14 +434,10 @@ func compareKeys(a, b any) int {
 	return 0
 }
 
-// Commit applies buffered writes atomically, appends the WAL record and
-// releases all locks.
-func (tx *Tx) Commit() error {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return ErrDone
-	}
+// commit applies the buffered writes and appends them to the WAL as one
+// record. A transaction that wrote nothing logs nothing. Caller holds
+// db.mu.
+func (tx *Tx) commit() error {
 	// The record lists the writes in (table, key) order, so a log is a
 	// pure function of the committed transactions.
 	rec := LogRecord{TxID: tx.id}
@@ -621,69 +462,35 @@ func (tx *Tx) Commit() error {
 	// Every table a write names exists (tables are never dropped), so
 	// applying cannot fail.
 	_ = tx.db.applyOps(rec.Ops)
+	var err error
 	if len(rec.Ops) > 0 {
-		if err := tx.db.appendRecord(rec); err != nil {
-			// The in-memory state is already updated; surface the
-			// durability failure to the committer.
-			tx.release()
-			tx.db.commits++
-			return err
-		}
+		// The in-memory state is already updated; a durability failure
+		// still counts as a commit and is surfaced to the committer.
+		err = tx.db.appendRecord(rec)
 	}
-	tx.release()
 	tx.db.commits++
-	return nil
+	return err
 }
 
-// Abort discards buffered writes and releases all locks.
-func (tx *Tx) Abort() {
-	tx.db.mu.Lock()
-	defer tx.db.mu.Unlock()
-	if tx.done {
-		return
+// Atomically runs fn as one transaction: a nil return commits its writes,
+// an error discards them and is returned. It is the only way to run a
+// transaction. Transactions are serial: db.mu is held from begin to commit
+// or abort, so no two interleave and none needs locks or retries. fn must
+// not call the DB except through tx, because the mutex is not reentrant:
+// a nested Atomically, Stats or WALLen from inside fn deadlocks. tx must
+// not outlive fn; once Atomically returns, every method of tx fails with
+// ErrDone.
+func (db *DB) Atomically(fn func(*Tx) error) error {
+	db.mu.Lock()
+	db.nextTx++
+	tx := &Tx{db: db, id: db.nextTx}
+	defer func() {
+		tx.done = true // even when fn panics
+		db.mu.Unlock()
+	}()
+	if err := fn(tx); err != nil {
+		db.aborts++
+		return err
 	}
-	tx.release()
-	tx.db.aborts++
-}
-
-// release drops locks and marks the tx finished. Caller holds db.mu.
-func (tx *Tx) release() {
-	for _, ref := range tx.locked {
-		l, ok := ref.t.locks[ref.key]
-		if !ok {
-			continue
-		}
-		if l.exclusive == tx.id {
-			l.exclusive = 0
-		}
-		delete(l.shared, tx.id)
-		if l.exclusive == 0 && len(l.shared) == 0 {
-			delete(ref.t.locks, ref.key)
-		}
-	}
-	tx.locked = nil
-	tx.writes = nil
-	tx.done = true
-}
-
-// Atomically runs fn in a transaction, retrying on ErrLocked up to retries
-// times. fn's error aborts; nil commits.
-func (db *DB) Atomically(retries int, fn func(*Tx) error) error {
-	for attempt := 0; ; attempt++ {
-		tx := db.Begin()
-		err := fn(tx)
-		if err == nil {
-			err = tx.Commit()
-		}
-		if err == nil {
-			return nil
-		}
-		tx.Abort()
-		if attempt >= retries || !errors.Is(err, ErrLocked) {
-			return err
-		}
-		// Yield so a competing transaction can finish before the retry
-		// (no-wait locking livelocks otherwise under tight contention).
-		runtime.Gosched()
-	}
+	return tx.commit()
 }

@@ -8,6 +8,9 @@ import (
 	"testing/quick"
 )
 
+// errAbort is a test transaction's own error: returning it aborts.
+var errAbort = errors.New("abort")
+
 func accountsDB(t testing.TB) *DB {
 	t.Helper()
 	db := New()
@@ -23,23 +26,55 @@ func accountsDB(t testing.TB) *DB {
 
 func mustInsert(t testing.TB, db *DB, table string, rows ...Row) {
 	t.Helper()
-	tx := db.Begin()
-	for _, r := range rows {
-		if err := tx.Insert(table, r); err != nil {
-			t.Fatalf("Insert: %v", err)
+	if err := db.Atomically(func(tx *Tx) error {
+		for _, r := range rows {
+			if err := tx.Insert(table, r); err != nil {
+				return err
+			}
 		}
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
+		return nil
+	}); err != nil {
+		t.Fatalf("Insert: %v", err)
 	}
 }
+
+// get reads one row in a transaction of its own.
+func get(db *DB, table string, key any) (row Row, err error) {
+	err = db.Atomically(func(tx *Tx) error {
+		row, err = tx.Get(table, key)
+		return err
+	})
+	return row, err
+}
+
+// scanIDs lists the "id" column of a table in scan order, in a transaction
+// that first runs pre if it is not nil.
+func scanIDs(t *testing.T, db *DB, table string, pre func(*Tx) error) []string {
+	t.Helper()
+	var ids []string
+	if err := db.Atomically(func(tx *Tx) error {
+		if pre != nil {
+			if err := pre(tx); err != nil {
+				return err
+			}
+		}
+		return tx.Scan(table, func(r Row) bool {
+			ids = append(ids, r["id"].(string))
+			return true
+		})
+	}); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return ids
+}
+
+// fullWAL copies the whole committed log.
+func fullWAL(db *DB) []LogRecord { return db.WALRange(0, db.WALLen()) }
 
 func TestInsertGetRoundTrip(t *testing.T) {
 	db := accountsDB(t)
 	mustInsert(t, db, "accounts", Row{"id": "a1", "owner": "ann", "balance": int64(100)})
-	tx := db.Begin()
-	defer tx.Abort()
-	row, err := tx.Get("accounts", "a1")
+	row, err := get(db, "accounts", "a1")
 	if err != nil {
 		t.Fatalf("Get: %v", err)
 	}
@@ -50,12 +85,10 @@ func TestInsertGetRoundTrip(t *testing.T) {
 
 func TestGetMissing(t *testing.T) {
 	db := accountsDB(t)
-	tx := db.Begin()
-	defer tx.Abort()
-	if _, err := tx.Get("accounts", "nope"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(db, "accounts", "nope"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
-	if _, err := tx.Get("ghosts", "x"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(db, "ghosts", "x"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing table err = %v", err)
 	}
 }
@@ -63,9 +96,9 @@ func TestGetMissing(t *testing.T) {
 func TestDuplicateInsertRejected(t *testing.T) {
 	db := accountsDB(t)
 	mustInsert(t, db, "accounts", Row{"id": "a1", "owner": "ann", "balance": int64(1)})
-	tx := db.Begin()
-	defer tx.Abort()
-	err := tx.Insert("accounts", Row{"id": "a1", "owner": "bob", "balance": int64(2)})
+	err := db.Atomically(func(tx *Tx) error {
+		return tx.Insert("accounts", Row{"id": "a1", "owner": "bob", "balance": int64(2)})
+	})
 	if !errors.Is(err, ErrExists) {
 		t.Errorf("err = %v, want ErrExists", err)
 	}
@@ -73,8 +106,6 @@ func TestDuplicateInsertRejected(t *testing.T) {
 
 func TestSchemaValidation(t *testing.T) {
 	db := accountsDB(t)
-	tx := db.Begin()
-	defer tx.Abort()
 	cases := []Row{
 		{"id": "a", "owner": "x"},                                         // missing column
 		{"id": "a", "owner": "x", "balance": "not-int"},                   // wrong type
@@ -82,7 +113,7 @@ func TestSchemaValidation(t *testing.T) {
 		{"id": int64(1), "owner": "x", "balance": int64(1)},               // wrong key type
 	}
 	for i, r := range cases {
-		if err := tx.Insert("accounts", r); !errors.Is(err, ErrType) {
+		if err := db.Atomically(func(tx *Tx) error { return tx.Insert("accounts", r) }); !errors.Is(err, ErrType) {
 			t.Errorf("case %d: err = %v, want ErrType", i, err)
 		}
 	}
@@ -92,38 +123,30 @@ func TestUpdateAndDelete(t *testing.T) {
 	db := accountsDB(t)
 	mustInsert(t, db, "accounts", Row{"id": "a1", "owner": "ann", "balance": int64(5)})
 
-	tx := db.Begin()
-	if err := tx.Update("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(9)}); err != nil {
+	if err := db.Atomically(func(tx *Tx) error {
+		return tx.Update("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(9)})
+	}); err != nil {
 		t.Fatalf("Update: %v", err)
 	}
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
+	if err := db.Atomically(func(tx *Tx) error {
+		row, err := tx.Get("accounts", "a1")
+		if err != nil || row["balance"] != int64(9) {
+			return fmt.Errorf("after update: %v %v", row, err)
+		}
+		return tx.Delete("accounts", "a1")
+	}); err != nil {
+		t.Fatal(err)
 	}
-
-	tx = db.Begin()
-	row, err := tx.Get("accounts", "a1")
-	if err != nil || row["balance"] != int64(9) {
-		t.Fatalf("after update: %v %v", row, err)
-	}
-	if err := tx.Delete("accounts", "a1"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-
-	tx = db.Begin()
-	defer tx.Abort()
-	if _, err := tx.Get("accounts", "a1"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(db, "accounts", "a1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("after delete: %v", err)
 	}
 }
 
 func TestUpdateMissingRow(t *testing.T) {
 	db := accountsDB(t)
-	tx := db.Begin()
-	defer tx.Abort()
-	err := tx.Update("accounts", Row{"id": "ghost", "owner": "x", "balance": int64(1)})
+	err := db.Atomically(func(tx *Tx) error {
+		return tx.Update("accounts", Row{"id": "ghost", "owner": "x", "balance": int64(1)})
+	})
 	if !errors.Is(err, ErrNotFound) {
 		t.Errorf("err = %v, want ErrNotFound", err)
 	}
@@ -131,91 +154,79 @@ func TestUpdateMissingRow(t *testing.T) {
 
 func TestAbortDiscardsWrites(t *testing.T) {
 	db := accountsDB(t)
-	tx := db.Begin()
-	if err := tx.Insert("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(1)}); err != nil {
-		t.Fatalf("Insert: %v", err)
+	err := db.Atomically(func(tx *Tx) error {
+		if err := tx.Insert("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(1)}); err != nil {
+			return err
+		}
+		return errAbort
+	})
+	if err != errAbort {
+		t.Fatalf("Atomically = %v, want fn's own error", err)
 	}
-	tx.Abort()
-	tx2 := db.Begin()
-	defer tx2.Abort()
-	if _, err := tx2.Get("accounts", "a1"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(db, "accounts", "a1"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("aborted insert visible: %v", err)
+	}
+	if n := db.WALLen(); n != 1 {
+		t.Errorf("WAL holds %d records, want only the DDL", n)
 	}
 }
 
 func TestReadYourOwnWrites(t *testing.T) {
 	db := accountsDB(t)
-	tx := db.Begin()
-	defer tx.Abort()
-	if err := tx.Insert("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(7)}); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	row, err := tx.Get("accounts", "a1")
-	if err != nil || row["balance"] != int64(7) {
-		t.Fatalf("own insert invisible: %v %v", row, err)
-	}
-	if err := tx.Delete("accounts", "a1"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := tx.Get("accounts", "a1"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("own delete invisible: %v", err)
+	if err := db.Atomically(func(tx *Tx) error {
+		if err := tx.Insert("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(7)}); err != nil {
+			return err
+		}
+		row, err := tx.Get("accounts", "a1")
+		if err != nil || row["balance"] != int64(7) {
+			return fmt.Errorf("own insert invisible: %v %v", row, err)
+		}
+		if err := tx.Delete("accounts", "a1"); err != nil {
+			return err
+		}
+		if _, err := tx.Get("accounts", "a1"); !errors.Is(err, ErrNotFound) {
+			return fmt.Errorf("own delete invisible: %v", err)
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
+// TestUsingFinishedTx leaks a *Tx out of fn, from a committed and from an
+// aborted transaction: once Atomically has returned, every method fails
+// with ErrDone and touches neither the tables nor the WAL.
 func TestUsingFinishedTx(t *testing.T) {
 	db := accountsDB(t)
-	tx := db.Begin()
-	if err := tx.Commit(); err != nil {
-		t.Fatalf("Commit: %v", err)
-	}
-	if err := tx.Commit(); !errors.Is(err, ErrDone) {
-		t.Errorf("double commit: %v", err)
-	}
-	if _, err := tx.Get("accounts", "x"); !errors.Is(err, ErrDone) {
-		t.Errorf("get after commit: %v", err)
-	}
-}
-
-func TestWriteWriteConflictNoWait(t *testing.T) {
-	db := accountsDB(t)
-	mustInsert(t, db, "accounts", Row{"id": "a1", "owner": "ann", "balance": int64(1)})
-	tx1 := db.Begin()
-	tx2 := db.Begin()
-	defer tx1.Abort()
-	defer tx2.Abort()
-	if err := tx1.Update("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(2)}); err != nil {
-		t.Fatalf("tx1 update: %v", err)
-	}
-	if err := tx2.Update("accounts", Row{"id": "a1", "owner": "ann", "balance": int64(3)}); !errors.Is(err, ErrLocked) {
-		t.Errorf("tx2 update: %v, want ErrLocked", err)
-	}
-	// Readers are also blocked by the exclusive lock.
-	if _, err := tx2.Get("accounts", "a1"); !errors.Is(err, ErrLocked) {
-		t.Errorf("tx2 get: %v, want ErrLocked", err)
-	}
-}
-
-func TestSharedReadsThenUpgrade(t *testing.T) {
-	db := accountsDB(t)
-	mustInsert(t, db, "accounts", Row{"id": "a1", "owner": "ann", "balance": int64(1)})
-	tx1 := db.Begin()
-	tx2 := db.Begin()
-	defer tx1.Abort()
-	defer tx2.Abort()
-	if _, err := tx1.Get("accounts", "a1"); err != nil {
-		t.Fatalf("tx1 get: %v", err)
-	}
-	if _, err := tx2.Get("accounts", "a1"); err != nil {
-		t.Fatalf("tx2 get (shared): %v", err)
-	}
-	// Upgrade with another reader present must fail...
-	if err := tx1.Delete("accounts", "a1"); !errors.Is(err, ErrLocked) {
-		t.Errorf("upgrade with reader: %v, want ErrLocked", err)
-	}
-	tx2.Abort()
-	// ...and succeed once the reader is gone.
-	if err := tx1.Delete("accounts", "a1"); err != nil {
-		t.Errorf("upgrade after release: %v", err)
+	mustInsert(t, db, "accounts", Row{"id": "a", "owner": "ann", "balance": int64(1)})
+	for _, result := range []error{nil, errAbort} {
+		var leaked *Tx
+		if err := db.Atomically(func(tx *Tx) error {
+			leaked = tx
+			return result
+		}); err != result {
+			t.Fatalf("Atomically = %v, want %v", err, result)
+		}
+		dump, walLen := db.Dump(), db.WALLen()
+		row := Row{"id": "b", "owner": "bob", "balance": int64(2)}
+		if _, err := leaked.Get("accounts", "a"); !errors.Is(err, ErrDone) {
+			t.Errorf("Get after return: %v", err)
+		}
+		if err := leaked.Insert("accounts", row); !errors.Is(err, ErrDone) {
+			t.Errorf("Insert after return: %v", err)
+		}
+		if err := leaked.Update("accounts", Row{"id": "a", "owner": "ann", "balance": int64(9)}); !errors.Is(err, ErrDone) {
+			t.Errorf("Update after return: %v", err)
+		}
+		if err := leaked.Delete("accounts", "a"); !errors.Is(err, ErrDone) {
+			t.Errorf("Delete after return: %v", err)
+		}
+		if err := leaked.Scan("accounts", func(Row) bool { return true }); !errors.Is(err, ErrDone) {
+			t.Errorf("Scan after return: %v", err)
+		}
+		if db.Dump() != dump || db.WALLen() != walLen {
+			t.Errorf("a finished transaction changed the database:\n%s", db.Dump())
+		}
 	}
 }
 
@@ -226,20 +237,7 @@ func TestScanSortedAndFiltered(t *testing.T) {
 		Row{"id": "a", "owner": "ann", "balance": int64(1)},
 		Row{"id": "b", "owner": "bob", "balance": int64(2)},
 	)
-	tx := db.Begin()
-	defer tx.Abort()
-	var ids []string
-	if err := tx.Scan("accounts", func(r Row) bool {
-		id, ok := r["id"].(string)
-		if !ok {
-			t.Fatal("id not a string")
-		}
-		ids = append(ids, id)
-		return true
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
-	if fmt.Sprint(ids) != "[a b c]" {
+	if ids := scanIDs(t, db, "accounts", nil); fmt.Sprint(ids) != "[a b c]" {
 		t.Errorf("scan order = %v", ids)
 	}
 }
@@ -250,21 +248,12 @@ func TestScanSeesOwnWrites(t *testing.T) {
 		Row{"id": "a", "owner": "ann", "balance": int64(1)},
 		Row{"id": "b", "owner": "bob", "balance": int64(2)},
 	)
-	tx := db.Begin()
-	defer tx.Abort()
-	if err := tx.Insert("accounts", Row{"id": "c", "owner": "carol", "balance": int64(3)}); err != nil {
-		t.Fatalf("Insert: %v", err)
-	}
-	if err := tx.Delete("accounts", "a"); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	var ids []string
-	if err := tx.Scan("accounts", func(r Row) bool {
-		ids = append(ids, r["id"].(string))
-		return true
-	}); err != nil {
-		t.Fatalf("Scan: %v", err)
-	}
+	ids := scanIDs(t, db, "accounts", func(tx *Tx) error {
+		if err := tx.Insert("accounts", Row{"id": "c", "owner": "carol", "balance": int64(3)}); err != nil {
+			return err
+		}
+		return tx.Delete("accounts", "a")
+	})
 	if fmt.Sprint(ids) != "[b c]" {
 		t.Errorf("scan = %v, want [b c]", ids)
 	}
@@ -277,34 +266,37 @@ func TestWALRecovery(t *testing.T) {
 		Row{"id": "b", "owner": "bob", "balance": int64(20)},
 	)
 	// One more committed tx and one aborted tx.
-	if err := db.Atomically(0, func(tx *Tx) error {
+	if err := db.Atomically(func(tx *Tx) error {
 		return tx.Update("accounts", Row{"id": "a", "owner": "ann", "balance": int64(15)})
 	}); err != nil {
 		t.Fatalf("Atomically: %v", err)
 	}
-	tx := db.Begin()
-	if err := tx.Insert("accounts", Row{"id": "z", "owner": "zed", "balance": int64(0)}); err != nil {
-		t.Fatalf("Insert: %v", err)
+	if err := db.Atomically(func(tx *Tx) error {
+		if err := tx.Insert("accounts", Row{"id": "z", "owner": "zed", "balance": int64(0)}); err != nil {
+			return err
+		}
+		return errAbort // must NOT appear after recovery
+	}); err != errAbort {
+		t.Fatalf("Atomically = %v", err)
 	}
-	tx.Abort() // must NOT appear after recovery
 
 	recovered := New()
-	if err := recovered.ResetTo(db.WAL()); err != nil {
+	if err := recovered.ResetTo(fullWAL(db)); err != nil {
 		t.Fatalf("ResetTo: %v", err)
 	}
-	rtx := recovered.Begin()
-	defer rtx.Abort()
-	a, err := rtx.Get("accounts", "a")
+	a, err := get(recovered, "accounts", "a")
 	if err != nil || a["balance"] != int64(15) {
 		t.Errorf("recovered a = %v %v", a, err)
 	}
-	if _, err := rtx.Get("accounts", "z"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(recovered, "accounts", "z"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("aborted tx leaked into WAL: %v", err)
 	}
 }
 
 // TestConcurrentTransfersPreserveTotal is the classic serializability
 // check: goroutines shuffle money between accounts; the sum is invariant.
+// Every read-modify-write must commit first time, with no retry, and under
+// -race the run checks that Atomically's mutex serialises the goroutines.
 func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 	db := accountsDB(t)
 	const nAcc = 8
@@ -326,12 +318,12 @@ func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 				if from == to {
 					continue
 				}
-				err := db.Atomically(100000, func(tx *Tx) error {
-					f, err := tx.GetForUpdate("accounts", from)
+				err := db.Atomically(func(tx *Tx) error {
+					f, err := tx.Get("accounts", from)
 					if err != nil {
 						return err
 					}
-					g, err := tx.GetForUpdate("accounts", to)
+					g, err := tx.Get("accounts", to)
 					if err != nil {
 						return err
 					}
@@ -353,12 +345,12 @@ func TestConcurrentTransfersPreserveTotal(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	tx := db.Begin()
-	defer tx.Abort()
-	if err := tx.Scan("accounts", func(r Row) bool {
-		b, _ := r["balance"].(int64)
-		total += b
-		return true
+	if err := db.Atomically(func(tx *Tx) error {
+		return tx.Scan("accounts", func(r Row) bool {
+			b, _ := r["balance"].(int64)
+			total += b
+			return true
+		})
 	}); err != nil {
 		t.Fatalf("Scan: %v", err)
 	}
@@ -386,7 +378,7 @@ func TestOpsMatchOracleProperty(t *testing.T) {
 		oracle := map[string]int64{}
 		for _, op := range ops {
 			key := fmt.Sprintf("k%d", op.Key%16)
-			err := db.Atomically(0, func(tx *Tx) error {
+			err := db.Atomically(func(tx *Tx) error {
 				switch op.Kind % 3 {
 				case 0: // upsert
 					if _, exists := oracle[key]; exists {
@@ -428,11 +420,11 @@ func TestOpsMatchOracleProperty(t *testing.T) {
 		}
 		// Final state comparison.
 		got := map[string]int64{}
-		tx := db.Begin()
-		defer tx.Abort()
-		if err := tx.Scan("t", func(r Row) bool {
-			got[r["k"].(string)] = r["v"].(int64)
-			return true
+		if err := db.Atomically(func(tx *Tx) error {
+			return tx.Scan("t", func(r Row) bool {
+				got[r["k"].(string)] = r["v"].(int64)
+				return true
+			})
 		}); err != nil {
 			return false
 		}

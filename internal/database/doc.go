@@ -6,19 +6,22 @@
 // It is a small embedded relational-style engine:
 //
 //   - typed tables with a declared schema and a primary key;
-//   - ACID transactions under strict two-phase locking with a no-wait
-//     conflict policy (a conflicting lock acquisition fails immediately
-//     with ErrLocked instead of blocking, which makes deadlock impossible;
-//     callers retry);
+//   - ACID transactions run one at a time: DB.Atomically holds the
+//     database mutex from begin to commit or abort, so transactions are
+//     serial by construction and need no locks, conflict errors or
+//     retries (the single-threaded partition of H-Store, Stonebraker et
+//     al., VLDB 2007); writes are buffered until commit and an abort
+//     discards them;
 //   - a write-ahead log of committed transactions, persisted as binary
 //     checksummed records (PersistTo) and replayable for crash recovery
 //     (ReadWALPrefix decodes an image, ResetTo rebuilds from a log);
 //   - immutable committed rows, shared by the tables and the log;
-//   - snapshot-free scans that take read locks row by row.
+//   - primary-key-ordered scans that see the transaction's own writes.
 //
-// The engine is safe for concurrent use from multiple goroutines; inside
-// the single-threaded simulation it is simply called synchronously from
-// application handlers. The mobile-side counterpart with synchronization
-// lives in internal/mobiledb ("a growing trend is to provide a mobile
-// database or an embedded database to a handheld device").
+// The engine is safe for concurrent use from multiple goroutines, which
+// queue on the mutex; inside the single-threaded simulation it is simply
+// called synchronously from application handlers. Disconnected and
+// mobile transactions belong to the mobile-side counterpart with
+// synchronization in internal/mobiledb ("a growing trend is to provide a
+// mobile database or an embedded database to a handheld device").
 package database

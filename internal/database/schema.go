@@ -7,16 +7,13 @@ import (
 
 // Errors returned by the engine.
 var (
-	// ErrLocked reports a lock conflict under the no-wait policy; the
-	// transaction should be aborted and retried.
-	ErrLocked = errors.New("database: row locked by another transaction")
 	// ErrNotFound reports a missing row or table.
 	ErrNotFound = errors.New("database: not found")
 	// ErrExists reports a duplicate primary key or table name.
 	ErrExists = errors.New("database: already exists")
 	// ErrType reports a value that does not match the column type.
 	ErrType = errors.New("database: type mismatch")
-	// ErrDone reports use of a committed or aborted transaction.
+	// ErrDone reports use of a transaction after its Atomically returned.
 	ErrDone = errors.New("database: transaction finished")
 )
 

@@ -42,12 +42,12 @@ func TestWALPersistAndRestoreFromDisk(t *testing.T) {
 		Row{"id": "a", "owner": "ann", "balance": int64(10)},
 		Row{"id": "b", "owner": "bob", "balance": int64(20)},
 	)
-	if err := db.Atomically(0, func(tx *Tx) error {
+	if err := db.Atomically(func(tx *Tx) error {
 		return tx.Update("accounts", Row{"id": "a", "owner": "ann", "balance": int64(99)})
 	}); err != nil {
 		t.Fatalf("update: %v", err)
 	}
-	if err := db.Atomically(0, func(tx *Tx) error {
+	if err := db.Atomically(func(tx *Tx) error {
 		return tx.Delete("accounts", "b")
 	}); err != nil {
 		t.Fatalf("delete: %v", err)
@@ -65,13 +65,11 @@ func TestWALPersistAndRestoreFromDisk(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	tx := recovered.Begin()
-	defer tx.Abort()
-	a, err := tx.Get("accounts", "a")
+	a, err := get(recovered, "accounts", "a")
 	if err != nil || a["balance"] != int64(99) {
 		t.Errorf("a = %v %v", a, err)
 	}
-	if _, err := tx.Get("accounts", "b"); !errors.Is(err, ErrNotFound) {
+	if _, err := get(recovered, "accounts", "b"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("deleted row resurrected: %v", err)
 	}
 }
@@ -88,9 +86,7 @@ func TestWALAttachCheckpointsExistingState(t *testing.T) {
 	if err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	tx := recovered.Begin()
-	defer tx.Abort()
-	if _, err := tx.Get("accounts", "pre"); err != nil {
+	if _, err := get(recovered, "accounts", "pre"); err != nil {
 		t.Errorf("checkpointed row missing: %v", err)
 	}
 }
@@ -172,10 +168,10 @@ func TestWALTornTailTolerated(t *testing.T) {
 		t.Fatalf("err = %v, want ErrTruncatedWAL", err)
 	}
 	// All complete records survived; only the torn one is missing.
-	tx := recovered.Begin()
-	defer tx.Abort()
 	n := 0
-	if err := tx.Scan("accounts", func(Row) bool { n++; return true }); err != nil {
+	if err := recovered.Atomically(func(tx *Tx) error {
+		return tx.Scan("accounts", func(Row) bool { n++; return true })
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if n != 9 {
@@ -281,7 +277,7 @@ func TestWALWriteFailureSurfacesOnCommit(t *testing.T) {
 	}
 	var commitErr error
 	for i := 0; i < 50 && commitErr == nil; i++ {
-		commitErr = db.Atomically(0, func(tx *Tx) error {
+		commitErr = db.Atomically(func(tx *Tx) error {
 			return tx.Insert("accounts", Row{
 				"id": fmt.Sprintf("k%d", i), "owner": "x", "balance": int64(i),
 			})
@@ -354,7 +350,7 @@ func mixedDB(t testing.TB) *DB {
 		func(tx *Tx) error { return tx.Delete("prices", int64(-7)) },
 	}
 	for _, step := range steps {
-		if err := db.Atomically(0, step); err != nil {
+		if err := db.Atomically(step); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -424,8 +420,8 @@ func TestWALRoundTripsEveryType(t *testing.T) {
 	if err != nil || validLen != buf.Len() {
 		t.Fatalf("ReadWALPrefix: err=%v validLen=%d of %d", err, validLen, buf.Len())
 	}
-	if !sameRecords(recs, db.WAL()) {
-		t.Fatalf("decoded records differ from the log:\n%+v\nvs\n%+v", recs, db.WAL())
+	if !sameRecords(recs, fullWAL(db)) {
+		t.Fatalf("decoded records differ from the log:\n%+v\nvs\n%+v", recs, fullWAL(db))
 	}
 	restored := New()
 	if err := restored.ResetTo(recs); err != nil {
@@ -459,7 +455,7 @@ func TestWALAppendsAcrossWriters(t *testing.T) {
 	if err != nil {
 		t.Fatalf("concatenated images: %v", err)
 	}
-	if !sameRecords(recs, append(a.WAL(), b.WAL()...)) {
+	if !sameRecords(recs, append(fullWAL(a), fullWAL(b)...)) {
 		t.Error("concatenated images do not decode to both logs")
 	}
 }
@@ -474,7 +470,7 @@ func TestWALCorruptionEndsPrefix(t *testing.T) {
 		t.Fatal(err)
 	}
 	image := buf.Bytes()
-	want := db.WAL()
+	want := fullWAL(db)
 	// starts[i] is the offset of record i.
 	var starts []int
 	for off := 0; off < len(image); {
@@ -504,15 +500,13 @@ func TestCommittedRowIsSharedWithWAL(t *testing.T) {
 	row := Row{"id": "a", "owner": "ann", "balance": int64(10)}
 	mustInsert(t, db, "accounts", row)
 	row["balance"] = int64(99) // the caller's map was cloned at Insert
-	wal := db.WAL()
+	wal := fullWAL(db)
 	logged := wal[len(wal)-1].Ops[0].Row
 	stored := db.tables["accounts"].rows["a"]
 	if reflect.ValueOf(logged).UnsafePointer() != reflect.ValueOf(stored).UnsafePointer() {
 		t.Error("the table holds a copy of the WAL record's row")
 	}
-	tx := db.Begin()
-	defer tx.Abort()
-	got, err := tx.Get("accounts", "a")
+	got, err := get(db, "accounts", "a")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -545,7 +539,7 @@ func TestReplicaSharesRowsAcrossGoroutines(t *testing.T) {
 		defer close(ship)
 		for i := 0; i < n; i++ {
 			key := fmt.Sprintf("key%d", i%10)
-			if err := primary.Atomically(0, func(tx *Tx) error {
+			if err := primary.Atomically(func(tx *Tx) error {
 				if err := tx.Update("kv", kvRow(key, i)); !errors.Is(err, ErrNotFound) {
 					return err
 				}
@@ -556,7 +550,7 @@ func TestReplicaSharesRowsAcrossGoroutines(t *testing.T) {
 			}
 			recs := primary.WALRange(primary.WALLen()-1, primary.WALLen())
 			if i == 0 {
-				recs = primary.WAL() // the DDL record too
+				recs = fullWAL(primary) // the DDL record too
 			}
 			for _, rec := range recs {
 				ship <- rec
@@ -568,11 +562,11 @@ func TestReplicaSharesRowsAcrossGoroutines(t *testing.T) {
 		if err := replica.ApplyRecord(rec); err != nil {
 			t.Fatal(err)
 		}
-		tx := replica.Begin()
-		if err := tx.Scan("kv", func(r Row) bool { return r["k"] != "" }); err != nil {
+		if err := replica.Atomically(func(tx *Tx) error {
+			return tx.Scan("kv", func(r Row) bool { return r["k"] != "" })
+		}); err != nil {
 			t.Fatal(err)
 		}
-		tx.Abort()
 	}
 	if got := replica.WALLen(); got != n+1 {
 		t.Fatalf("replica applied %d records, want %d", got, n+1)

@@ -78,7 +78,7 @@ func declareKV(db *database.DB) error {
 
 func put(t *testing.T, db *database.DB, k string, v int64) {
 	t.Helper()
-	err := db.Atomically(3, func(tx *database.Tx) error {
+	err := db.Atomically(func(tx *database.Tx) error {
 		if _, gerr := tx.Get("kv", k); gerr == nil {
 			return tx.Update("kv", database.Row{"k": k, "v": v})
 		}
@@ -223,9 +223,9 @@ func TestPrimaryFailoverPreservesCommittedRecords(t *testing.T) {
 	}
 	// All 20 keys present on every member.
 	n := 0
-	tx := np.DB().Begin()
-	defer tx.Abort()
-	if err := tx.Scan("kv", func(database.Row) bool { n++; return true }); err != nil {
+	if err := np.DB().Atomically(func(tx *database.Tx) error {
+		return tx.Scan("kv", func(database.Row) bool { n++; return true })
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if n != 20 {
@@ -309,10 +309,11 @@ func TestDivergentFollowerRejoinsShorterLeader(t *testing.T) {
 	}
 	// The divergent writes were truncated away, restoring pre-partition
 	// values everywhere.
-	tx := p.DB().Begin()
-	defer tx.Abort()
-	row, err := tx.Get("kv", "k00")
-	if err != nil {
+	var row database.Row
+	if err := p.DB().Atomically(func(tx *database.Tx) (err error) {
+		row, err = tx.Get("kv", "k00")
+		return err
+	}); err != nil {
 		t.Fatal(err)
 	}
 	if v := row["v"].(int64); v != 0 {

@@ -48,7 +48,7 @@ go vet ./...
 # Dead-code gate plus the test-only caps: -report prints a header line
 # with each count. The caps only go down.
 go run ./scripts/deadexports -report >/tmp/mc-dead.txt
-max_test_only_decls=49
+max_test_only_decls=48
 max_test_only_fields=9
 decls=$(sed -n 's/^\([0-9][0-9]*\) exported declarations only tests use:$/\1/p' /tmp/mc-dead.txt)
 fields=$(sed -n 's/^\([0-9][0-9]*\) fields only tests write:$/\1/p' /tmp/mc-dead.txt)
