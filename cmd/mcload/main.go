@@ -375,7 +375,7 @@ func runSync(o syncOpts, w io.Writer) error {
 		fmt.Fprintln(w, "converged: NO within the grace window")
 	}
 	h := fnv.New64a()
-	io.WriteString(h, sw.Digest())
+	io.WriteString(h, sw.Digest(rep))
 	fmt.Fprintf(w, "digest: %016x\n", h.Sum64())
 	if err := o.flags.FinishObs(w, tl, "syncstorm"); err != nil {
 		return err

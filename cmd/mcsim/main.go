@@ -329,8 +329,8 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 
 	fmt.Fprintln(w, "\nper-layer statistics:")
 	if mc.WLAN != nil {
-		fmt.Fprintf(w, "  wireless LAN (%s): delivered=%d lostErr=%d lostRange=%d queueDrop=%d handoffs=%d\n",
-			mc.WLAN.Standard().Name, mc.WLAN.Delivered, mc.WLAN.LostErrors, mc.WLAN.LostRange, mc.WLAN.DroppedQ, mc.WLAN.Handoffs)
+		fmt.Fprintf(w, "  wireless LAN (%s): delivered=%d lostErr=%d lostRange=%d queueDrop=%d\n",
+			mc.WLAN.Standard().Name, mc.WLAN.Delivered, mc.WLAN.LostErrors, mc.WLAN.LostRange, mc.WLAN.DroppedQ)
 	}
 	if mc.Cell != nil {
 		fmt.Fprintf(w, "  cellular (%s): delivered=%d lostErr=%d lostRange=%d queueDrop=%d blocked=%d\n",

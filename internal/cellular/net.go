@@ -30,9 +30,6 @@ var (
 
 // Config tunes the cellular model.
 type Config struct {
-	// CellRadius is the coverage radius of each base station in meters.
-	// Cellular coverage is far wider than WLAN (paper summary).
-	CellRadius float64
 	// ChannelsPerCell is the number of circuit traffic channels per cell.
 	ChannelsPerCell int
 	// BitErrorRate is the per-bit error probability.
@@ -52,12 +49,15 @@ type Config struct {
 // DefaultConfig returns the configuration used by the experiments.
 func DefaultConfig() Config {
 	return Config{
-		CellRadius:      5000,
 		ChannelsPerCell: 16,
 		BitErrorRate:    1e-6,
 		QueueLen:        simnet.DefaultQueueLen,
 	}
 }
+
+// cellRadius is the coverage radius of each base station in meters.
+// Cellular coverage is far wider than WLAN (paper summary).
+const cellRadius = 5000
 
 // Cellular timing.
 const (
@@ -178,9 +178,6 @@ func New(simn *simnet.Network, std Standard, cfg Config) *Net {
 	if cfg.QueueLen <= 0 {
 		cfg.QueueLen = simnet.DefaultQueueLen
 	}
-	if cfg.CellRadius <= 0 {
-		cfg.CellRadius = DefaultConfig().CellRadius
-	}
 	n := &Net{std: std, cfg: cfg, simn: simn, sched: simn.Sched, byIface: make(map[*simnet.Iface]any), byNode: make(map[simnet.NodeID]*Mobile)}
 	sc := simn.Metrics.Instance("cellular." + metrics.Sanitize(std.Name))
 	sc.AliasCounter("delivered", &n.Delivered)
@@ -282,7 +279,7 @@ func (n *Net) bestCell(pos wireless.Position) *Cell {
 	bestD := math.Inf(1)
 	for _, c := range n.cells {
 		d := c.pos.Dist(pos)
-		if d <= n.cfg.CellRadius && d < bestD {
+		if d <= cellRadius && d < bestD {
 			best, bestD = c, d
 		}
 	}

@@ -44,13 +44,8 @@ type ScaleConfig struct {
 	Workers        int           // worker lanes for Run (default 1)
 }
 
-// Scale flow sizing: an operation is a scaleReqBytes request answered by
-// a scaleRespBytes response, abandoned after scaleTimeout.
-const (
-	scaleTimeout   = 10 * time.Second
-	scaleReqBytes  = 256
-	scaleRespBytes = 1024
-)
+// scaleRespBytes sizes the echo response to each scale flow operation.
+const scaleRespBytes = 1024
 
 func (c *ScaleConfig) defaults() {
 	if c.Gateways <= 0 {
@@ -163,8 +158,6 @@ func BuildScale(cfg ScaleConfig) (*ScaleWorld, error) {
 					return local
 				},
 				ThinkMean: cfg.ThinkMean,
-				ReqBytes:  scaleReqBytes,
-				Timeout:   scaleTimeout,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: flows %d.%d: %w", c, j, err)

@@ -58,13 +58,6 @@ type SyncStormConfig struct {
 	NoChaos bool // skip the fault plan (calibration runs)
 }
 
-// Device sync sizing: a session is abandoned after stormTimeout, and
-// each tier has stormSharedKeys hot shared keys.
-const (
-	stormTimeout    = 3 * time.Second
-	stormSharedKeys = 8
-)
-
 func (c *SyncStormConfig) defaults() {
 	if c.Gateways <= 0 {
 		c.Gateways = 2
@@ -201,8 +194,8 @@ func BuildSyncStorm(cfg SyncStormConfig) (*SyncStormWorld, error) {
 		for j := 0; j < C; j++ {
 			fcfg := workload.SyncFlowConfig{
 				Devices: nLocal, FirstPort: 1000, Tier: sw.Tiers[c].Addrs(),
-				WriteMean: cfg.WriteMean, SyncMean: cfg.SyncMean, Timeout: stormTimeout,
-				SharedKeys: stormSharedKeys, Fragile: cfg.Policy == mobiledb.PolicyFragile,
+				WriteMean: cfg.WriteMean, SyncMean: cfg.SyncMean,
+				Fragile: cfg.Policy == mobiledb.PolicyFragile,
 			}
 			f, err := workload.NewSyncFlows(sw.Cells[c][j], fmt.Sprintf("s%d.%d", c, j), fcfg)
 			if err != nil {
@@ -349,18 +342,24 @@ func (sw *SyncStormWorld) fill(rep *SyncStormReport) {
 	}
 }
 
-// Digest fingerprints a run: merged metrics, clock, executed-event count
-// and a hash of every member's database dump. Identical for any worker
-// count at a given seed — the convergence acceptance check.
-func (sw *SyncStormWorld) Digest() string {
+// Digest fingerprints a run's state: rep's counters, the clock, the
+// executed and pending event counts, and a hash of every member's
+// database dump, commit index and term. The telemetry registry is left
+// out, so renaming or deleting a counter does not move it (-metrics dumps
+// the registry). Identical for any worker count at a given seed — the
+// convergence acceptance check.
+func (sw *SyncStormWorld) Digest(rep *SyncStormReport) string {
 	h := fnv.New64a()
 	for _, dt := range sw.Tiers {
 		for _, m := range dt.Members {
 			fmt.Fprintf(h, "%s|%d|%d\n", m.Dump(), m.Commit(), m.Term())
 		}
 	}
-	return fmt.Sprintf("%snow=%v executed=%d pending=%d state=%016x\n",
-		sw.World.Snapshot().String(), sw.World.Now(), sw.World.Executed(), sw.World.Pending(), h.Sum64())
+	return fmt.Sprintf("%d %d %d %d|%d %d %d %d %d %d|%d %d|%v %v\nnow=%v executed=%d pending=%d state=%016x\n",
+		rep.Writes, rep.Syncs, rep.Confirmed, rep.Overridden,
+		rep.Conflicts, rep.Merges, rep.Duplicates, rep.Timeouts, rep.Redirects, rep.Faults,
+		rep.LostDevice, rep.BlindOverwrites, rep.Converged, rep.ConvergeAfter,
+		sw.World.Now(), sw.World.Executed(), sw.World.Pending(), h.Sum64())
 }
 
 // SyncStorm is the registry experiment: the same storm under a resilient

@@ -68,10 +68,9 @@ func TestSyncStormFragileLosesWrites(t *testing.T) {
 	}
 }
 
-// TestSyncStormDeterministicAcrossWorkers is the sharded-determinism half
-// of the crash-during-replication satellite: the same seed must produce a
-// byte-identical world state whether the shards run on one worker lane or
-// four.
+// TestSyncStormDeterministicAcrossWorkers: the same seed must produce a
+// byte-identical world state and registry whether the shards run on one
+// worker lane or four.
 func TestSyncStormDeterministicAcrossWorkers(t *testing.T) {
 	run := func(workers int) string {
 		cfg := stormCfg(13)
@@ -80,10 +79,11 @@ func TestSyncStormDeterministicAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := sw.Run(); err != nil {
+		rep, err := sw.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		return sw.Digest()
+		return sw.World.Snapshot().String() + sw.Digest(rep)
 	}
 	serial := run(1)
 	sharded := run(4)

@@ -127,11 +127,14 @@ type RandomConfig struct {
 	MinDuration, MaxDuration time.Duration
 	// Links, Ifaces, Nodes and Cuts list candidate targets per kind.
 	Links, Ifaces, Nodes, Cuts []string
-	// BrownoutRateFactor and BrownoutExtraLoss parameterize drawn
-	// brownouts. Defaults: 0.1 and 0.2.
-	BrownoutRateFactor float64
-	BrownoutExtraLoss  float64
 }
+
+// A drawn brownout cuts its link's rate to brownoutRateFactor and adds
+// brownoutExtraLoss of loss.
+const (
+	brownoutRateFactor = 0.1
+	brownoutExtraLoss  = 0.2
+)
 
 // RandomPlan draws a seeded-random plan: same seed and config, same plan,
 // byte for byte. Events come out sorted by apply time.
@@ -145,12 +148,6 @@ func RandomPlan(seed int64, cfg RandomConfig) *Plan {
 		if cfg.MaxDuration < cfg.MinDuration {
 			cfg.MaxDuration = cfg.MinDuration
 		}
-	}
-	if cfg.BrownoutRateFactor <= 0 {
-		cfg.BrownoutRateFactor = 0.1
-	}
-	if cfg.BrownoutExtraLoss <= 0 {
-		cfg.BrownoutExtraLoss = 0.2
 	}
 	// The kind menu is fixed-order, so draws are reproducible.
 	type choice struct {
@@ -187,8 +184,8 @@ func RandomPlan(seed int64, cfg RandomConfig) *Plan {
 			Target:   c.targets[rng.Intn(len(c.targets))],
 		}
 		if e.Kind == Brownout {
-			e.RateFactor = cfg.BrownoutRateFactor
-			e.ExtraLoss = cfg.BrownoutExtraLoss
+			e.RateFactor = brownoutRateFactor
+			e.ExtraLoss = brownoutExtraLoss
 		}
 		p.Add(e)
 	}

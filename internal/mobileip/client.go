@@ -17,9 +17,15 @@ var (
 	ErrRegistrationTimeout = errors.New("mobileip: registration timed out")
 )
 
-// DefaultLifetime is the binding lifetime requested when Config.Lifetime is
-// zero.
-const DefaultLifetime = 5 * time.Minute
+// Registration timing every client uses.
+const (
+	// bindingLifetime is the requested binding lifetime.
+	bindingLifetime = 5 * time.Minute
+	// retryInterval is the registration retransmission interval.
+	retryInterval = time.Second
+	// maxRetries bounds registration retransmissions.
+	maxRetries = 3
+)
 
 // Config tunes a mobile node's Mobile IP client.
 type Config struct {
@@ -27,21 +33,12 @@ type Config struct {
 	HomeAgent simnet.Addr
 	// AuthKey is the mobile-home security association (may be nil).
 	AuthKey []byte
-	// Lifetime is the requested binding lifetime; zero means
-	// DefaultLifetime.
-	Lifetime time.Duration
-	// RetryInterval is the registration retransmission interval; zero
-	// means one second.
-	RetryInterval time.Duration
-	// MaxRetries bounds registration retransmissions; zero means 3.
-	MaxRetries int
 }
 
 // Client runs on a mobile node and manages its registration state. It does
 // not detect movement itself: its owner calls Register when the point of
-// attachment changes. Only tests call it from a link layer, through the
-// wireless.Config.OnAssociate and cellular.Config.OnAssociate hooks;
-// examples/roaming calls it directly after switching links.
+// attachment changes. The E-MIP experiment and examples/roaming call it
+// directly after switching links.
 type Client struct {
 	node *simnet.Node
 	cfg  Config
@@ -61,15 +58,6 @@ type pendingReg struct {
 
 // NewClient creates a Mobile IP client on the mobile's node.
 func NewClient(node *simnet.Node, cfg Config) *Client {
-	if cfg.Lifetime <= 0 {
-		cfg.Lifetime = DefaultLifetime
-	}
-	if cfg.RetryInterval <= 0 {
-		cfg.RetryInterval = time.Second
-	}
-	if cfg.MaxRetries <= 0 {
-		cfg.MaxRetries = 3
-	}
 	c := &Client{node: node, cfg: cfg, pending: make(map[uint64]*pendingReg)}
 	c.port = simnet.UDPOf(node).ListenAny(c.onReply)
 	return c
@@ -83,9 +71,9 @@ func (c *Client) Register(fa simnet.Addr, done func(error)) {
 	req := &regRequest{
 		Mobile:   c.node.ID,
 		Home:     c.cfg.HomeAgent,
-		Lifetime: c.cfg.Lifetime,
+		Lifetime: bindingLifetime,
 		Seq:      c.seq,
-		Auth:     authTag(c.cfg.AuthKey, c.node.ID, c.cfg.Lifetime, c.seq),
+		Auth:     authTag(c.cfg.AuthKey, c.node.ID, bindingLifetime, c.seq),
 	}
 	p := &pendingReg{done: done, req: req, to: fa}
 	c.pending[c.seq] = p
@@ -94,9 +82,9 @@ func (c *Client) Register(fa simnet.Addr, done func(error)) {
 
 func (c *Client) transmit(p *pendingReg) {
 	simnet.UDPOf(c.node).Send(c.port, p.to, p.req, regWireBytes)
-	p.timer = c.node.Sched().After(c.cfg.RetryInterval, func() {
+	p.timer = c.node.Sched().After(retryInterval, func() {
 		p.retries++
-		if p.retries > c.cfg.MaxRetries {
+		if p.retries > maxRetries {
 			delete(c.pending, p.req.Seq)
 			if p.done != nil {
 				p.done(ErrRegistrationTimeout)

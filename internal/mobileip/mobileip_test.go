@@ -171,18 +171,24 @@ func TestAuthenticationAcceptsMatchingKey(t *testing.T) {
 
 func TestBindingLifetimeExpires(t *testing.T) {
 	r := newRoamTopo(t, nil, nil)
-	r.client = mobileip.NewClient(r.mob, mobileip.Config{
-		HomeAgent: simnet.Addr{Node: r.home.ID, Port: mobileip.MobileIPPort},
-		Lifetime:  2 * time.Second,
-	})
 	r.client.Register(r.fa.Addr(), nil)
 	if err := r.net.Sched.RunUntil(time.Second); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	b, ok := r.ha.Binding(r.mob.ID)
+	if !ok {
+		t.Fatal("binding missing after registration")
+	}
+	if b.ExpiresAt <= time.Minute {
+		t.Fatalf("binding expires at %v, want a lifetime of minutes", b.ExpiresAt)
+	}
+	if err := r.net.Sched.RunUntil(b.ExpiresAt - time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if _, ok := r.ha.Binding(r.mob.ID); !ok {
 		t.Fatal("binding missing before expiry")
 	}
-	if err := r.net.Sched.RunUntil(5 * time.Second); err != nil {
+	if err := r.net.Sched.RunUntil(b.ExpiresAt + time.Second); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if _, ok := r.ha.Binding(r.mob.ID); ok {
@@ -195,9 +201,7 @@ func TestRegistrationTimesOutWithoutAgents(t *testing.T) {
 	mob := net.NewNode("mobile")
 	// No links at all: requests go nowhere.
 	client := mobileip.NewClient(mob, mobileip.Config{
-		HomeAgent:     simnet.Addr{Node: 99, Port: mobileip.MobileIPPort},
-		RetryInterval: 100 * time.Millisecond,
-		MaxRetries:    2,
+		HomeAgent: simnet.Addr{Node: 99, Port: mobileip.MobileIPPort},
 	})
 	var regErr error
 	fired := false

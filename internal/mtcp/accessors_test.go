@@ -93,7 +93,7 @@ func TestOnCloseLateRegistration(t *testing.T) {
 func TestSignalReconnectIgnoredBeforeEstablishment(t *testing.T) {
 	d := newDuplex(t, 21, simnet.LinkConfig{Rate: simnet.Mbps, Delay: time.Millisecond})
 	d.link.IfaceB().Up = false // SYN goes nowhere
-	c := d.cs.Dial(simnet.Addr{Node: d.server.ID, Port: 80}, mtcp.Options{MaxRetries: 2, RTOInitial: 50 * time.Millisecond},
+	c := d.cs.Dial(simnet.Addr{Node: d.server.ID, Port: 80}, mtcp.Options{RTOInitial: 50 * time.Millisecond},
 		func(*mtcp.Conn, error) {})
 	c.SignalReconnect() // must be a no-op, not a panic
 	if err := d.net.Sched.RunFor(time.Minute); err != nil {

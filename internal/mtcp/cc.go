@@ -80,10 +80,10 @@ type renoCC struct {
 
 func newReno(o Options) *renoCC {
 	return &renoCC{
-		mss:      float64(o.MSS),
-		initWnd:  float64(o.MSS * initialCwndSegs),
+		mss:      mss,
+		initWnd:  mss * initialCwndSegs,
 		initSsth: float64(o.RcvWnd),
-		dupInfl:  float64(dupAckThreshold * o.MSS),
+		dupInfl:  dupAckThreshold * mss,
 	}
 }
 

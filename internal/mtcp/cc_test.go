@@ -84,8 +84,8 @@ func TestCubicWindowCurve(t *testing.T) {
 
 	// Leave slow start via a timeout-free path: force a recovery episode
 	// at a known window. Grow to ~100 segments first.
-	for cc.Cwnd() < 100*o.MSS {
-		cc.OnAck(o.MSS, now)
+	for cc.Cwnd() < 100*mss {
+		cc.OnAck(mss, now)
 		now += time.Millisecond
 	}
 	wBefore := cc.Cwnd()
@@ -103,8 +103,8 @@ func TestCubicWindowCurve(t *testing.T) {
 	rtt := 40 * time.Millisecond
 	ackRTT := func() int {
 		before := cc.Cwnd()
-		for b := 0; b < before; b += o.MSS {
-			cc.OnAck(o.MSS, now)
+		for b := 0; b < before; b += mss {
+			cc.OnAck(mss, now)
 		}
 		now += rtt
 		return cc.Cwnd() - before
@@ -138,25 +138,25 @@ func TestRenoUnchangedShape(t *testing.T) {
 	o := Options{CC: CCReno}.withDefaults()
 	cc := newCongestionControl(o).(*renoCC)
 	cc.Init(0)
-	for cc.Cwnd() < 64*o.MSS {
-		cc.OnAck(o.MSS, 0)
+	for cc.Cwnd() < 64*mss {
+		cc.OnAck(mss, 0)
 	}
 	flight := cc.Cwnd()
 	cc.OnEnterRecovery(flight, 0)
 	cc.OnExitRecovery()
-	if got, want := cc.Cwnd(), flight/2; got < want-o.MSS || got > want+o.MSS {
+	if got, want := cc.Cwnd(), flight/2; got < want-mss || got > want+mss {
 		t.Errorf("post-recovery cwnd = %d, want ~%d", got, want)
 	}
 	// Congestion avoidance: one full window of ACKs grows cwnd ~1 MSS.
 	before := cc.Cwnd()
-	for b := 0; b < before; b += o.MSS {
-		cc.OnAck(o.MSS, 0)
+	for b := 0; b < before; b += mss {
+		cc.OnAck(mss, 0)
 	}
-	if grow := cc.Cwnd() - before; grow < o.MSS/2 || grow > 2*o.MSS {
-		t.Errorf("CA growth per RTT = %d bytes, want ~1 MSS (%d)", grow, o.MSS)
+	if grow := cc.Cwnd() - before; grow < mss/2 || grow > 2*mss {
+		t.Errorf("CA growth per RTT = %d bytes, want ~1 MSS (%d)", grow, mss)
 	}
 	cc.OnTimeout(cc.Cwnd(), 0)
-	if cc.Cwnd() != o.MSS {
+	if cc.Cwnd() != mss {
 		t.Errorf("post-RTO cwnd = %d, want 1 MSS", cc.Cwnd())
 	}
 }

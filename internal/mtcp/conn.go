@@ -101,7 +101,7 @@ func newConn(s *Stack, local simnet.Port, remote simnet.Addr, opts Options) *Con
 		state:     stateClosed,
 		statefn:   stateHandlers[stateClosed],
 		ctx:       s.node.Network().Tracer.Current(),
-		peerWnd:   opts.MSS * initialCwndSegs,
+		peerWnd:   mss * initialCwndSegs,
 		cc:        newCongestionControl(opts),
 		rto:       opts.RTOInitial,
 		ooo:       make(map[uint32]*Segment),
@@ -406,8 +406,8 @@ func (c *Conn) trySend() {
 			return
 		}
 		n := pending
-		if n > c.opts.MSS {
-			n = c.opts.MSS
+		if n > mss {
+			n = mss
 		}
 		if n > avail {
 			// Send a partial segment only if nothing is in flight
@@ -491,8 +491,8 @@ func (c *Conn) retransmitOldest() {
 	if n <= 0 {
 		return
 	}
-	if n > c.opts.MSS {
-		n = c.opts.MSS
+	if n > mss {
+		n = mss
 	}
 	off := int(c.sndUna - c.bufBase)
 	seg := c.stack.allocSeg()
@@ -581,7 +581,7 @@ func (c *Conn) onRTO() {
 	c.stack.m.rto.Inc()
 	c.stack.node.Network().Tracer.Annotate(c.ctx, "tcp.rto")
 	c.retries++
-	if c.retries > c.opts.MaxRetries {
+	if c.retries > maxRetries {
 		err := ErrTimeout
 		if c.state == stateSynSent && c.onConnect != nil {
 			cb := c.onConnect
@@ -625,7 +625,7 @@ func (c *Conn) onRTO() {
 // armTimeWait (re)starts the 2MSL TIME_WAIT clock.
 func (c *Conn) armTimeWait() {
 	c.rtoTimer.Cancel()
-	c.rtoTimer = c.sched().AfterCall(2*c.opts.MSL, connTimeWait, c)
+	c.rtoTimer = c.sched().AfterCall(2*msl, connTimeWait, c)
 }
 
 func (c *Conn) onTimeWaitExpired() {
@@ -1020,7 +1020,7 @@ func (c *Conn) processData(seg *Segment) {
 	case seqGT(seg.Seq, c.rcvNxt):
 		// Out of order: buffer (bounded) and duplicate-ACK. The segment
 		// itself is pool-owned, so retain an unpooled copy.
-		if len(c.ooo) < c.opts.RcvWnd/c.opts.MSS+1 {
+		if len(c.ooo) < c.opts.RcvWnd/mss+1 {
 			if _, dup := c.ooo[seg.Seq]; !dup {
 				c.ooo[seg.Seq] = seg.clone()
 			}

@@ -228,7 +228,7 @@ func TestConnectionAbortsAfterMaxRetries(t *testing.T) {
 	if err := d.ss.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {}); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	opts := mtcp.Options{MaxRetries: 3, RTOInitial: 100 * time.Millisecond}
+	opts := mtcp.Options{RTOInitial: 100 * time.Millisecond}
 	var client *mtcp.Conn
 	client = d.cs.Dial(simnet.Addr{Node: d.server.ID, Port: 80}, opts, func(c *mtcp.Conn, err error) {
 		if err != nil {

@@ -41,10 +41,10 @@ type cubicCC struct {
 
 func newCubic(o Options) *cubicCC {
 	return &cubicCC{
-		mss:      float64(o.MSS),
-		initWnd:  float64(o.MSS * initialCwndSegs),
+		mss:      mss,
+		initWnd:  mss * initialCwndSegs,
 		initSsth: float64(o.RcvWnd),
-		dupInfl:  float64(dupAckThreshold * o.MSS),
+		dupInfl:  dupAckThreshold * mss,
 	}
 }
 

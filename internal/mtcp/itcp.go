@@ -25,7 +25,7 @@ type RelayStats struct {
 //
 // The relay listens on the gateway and forwards every accepted connection
 // to a fixed target address. Each leg runs its own Options, so the wireless
-// leg can use a smaller MSS and tighter RTO.
+// leg can use a tighter RTO.
 type Relay struct {
 	stack  *Stack
 	target simnet.Addr

@@ -12,8 +12,6 @@ const (
 // back to its default. Split-connection deployments (Relay) typically use
 // distinct options on the wired and wireless legs.
 type Options struct {
-	// MSS is the maximum segment payload in bytes. Default 1400.
-	MSS int
 	// RcvWnd is the advertised receive window in bytes. Default 256 KiB.
 	RcvWnd int
 	// RTOInitial is the retransmission timeout before any RTT sample.
@@ -21,9 +19,6 @@ type Options struct {
 	RTOInitial time.Duration
 	// RTOMin bounds the computed RTO from below. Default 200ms.
 	RTOMin time.Duration
-	// MaxRetries is the number of consecutive timeouts on one segment
-	// before the connection aborts. Default 12.
-	MaxRetries int
 	// NewReno enables NewReno partial-ACK recovery (RFC 6582): the sender
 	// stays in fast recovery until the entire window outstanding at the
 	// loss is acknowledged, retransmitting one segment per partial ACK.
@@ -35,12 +30,6 @@ type Options struct {
 	// CC selects the congestion-control algorithm: CCReno (default) or
 	// CCCubic. An unknown name panics at connection creation.
 	CC string
-	// MSL is the maximum segment lifetime; TIME_WAIT holds the
-	// connection identity for 2*MSL before the port becomes reusable.
-	// Default 2s (scaled down from the RFC 793 2min to simulation
-	// timescales; still several RTOs, so a retransmitted FIN from the
-	// peer is always re-ACKed rather than RST).
-	MSL time.Duration
 
 	// issOverride pins the initial send sequence number instead of
 	// drawing it from the scheduler RNG. Test hook (sequence-number
@@ -51,18 +40,26 @@ type Options struct {
 // DefaultOptions returns the defaults used when Options fields are zero.
 func DefaultOptions() Options {
 	return Options{
-		MSS:        1400,
 		RcvWnd:     256 << 10,
 		RTOInitial: time.Second,
 		RTOMin:     200 * time.Millisecond,
-		MaxRetries: 12,
 		CC:         CCReno,
-		MSL:        2 * time.Second,
 	}
 }
 
 // Fixed connection parameters.
 const (
+	// mss is the maximum segment payload in bytes.
+	mss = 1400
+	// maxRetries is the number of consecutive timeouts on one segment
+	// before the connection aborts.
+	maxRetries = 12
+	// msl is the maximum segment lifetime; TIME_WAIT holds the
+	// connection identity for 2*msl before the port becomes reusable.
+	// It is scaled down from the RFC 793 2min to simulation timescales;
+	// still several RTOs, so a retransmitted FIN from the peer is always
+	// re-ACKed rather than RST.
+	msl = 2 * time.Second
 	// initialCwndSegs is the initial congestion window in segments.
 	initialCwndSegs = 2
 	// rtoMax bounds the backed-off RTO from above.
@@ -75,9 +72,6 @@ const (
 // withDefaults fills zero fields from DefaultOptions.
 func (o Options) withDefaults() Options {
 	d := DefaultOptions()
-	if o.MSS <= 0 {
-		o.MSS = d.MSS
-	}
 	if o.RcvWnd <= 0 {
 		o.RcvWnd = d.RcvWnd
 	}
@@ -87,14 +81,8 @@ func (o Options) withDefaults() Options {
 	if o.RTOMin <= 0 {
 		o.RTOMin = d.RTOMin
 	}
-	if o.MaxRetries <= 0 {
-		o.MaxRetries = d.MaxRetries
-	}
 	if o.CC == "" {
 		o.CC = d.CC
-	}
-	if o.MSL <= 0 {
-		o.MSL = d.MSL
 	}
 	return o
 }

@@ -52,11 +52,10 @@ type stateCheck struct {
 
 // TestStateTransitions drives close handshakes over a real link and
 // pins the RFC 793 state each side occupies at deterministic instants
-// (5ms one-way delay, so segment k arrives at t+5ms·k; MSL is 100ms to
-// keep TIME_WAIT observable without stretching virtual time).
+// (5ms one-way delay, so segment k arrives at t+5ms·k; TIME_WAIT lasts
+// 2*msl).
 func TestStateTransitions(t *testing.T) {
-	const msl = 100 * time.Millisecond
-	opts := Options{MSL: msl}
+	var opts Options
 	cases := []struct {
 		name string
 		// script registers actions on the established pair; cl/sv are
@@ -113,7 +112,7 @@ func TestStateTransitions(t *testing.T) {
 				{at: 4002 * time.Millisecond, who: "server", want: stateLastAck},
 				{at: 4100 * time.Millisecond, who: "server", want: stateClosed},
 				{at: 4100 * time.Millisecond, who: "client", want: stateTimeWait},
-				{at: 5 * time.Second, who: "client", want: stateClosed},
+				{at: 4100*time.Millisecond + 2*msl, who: "client", want: stateClosed},
 			},
 		},
 	}
@@ -198,8 +197,7 @@ func establishPair(t *testing.T, p *pair, opts Options) (client, server *Conn) {
 // retransmitted FIN from the peer is re-ACKed and restarts the clock,
 // and after 2MSL of quiet the identity is released for reuse.
 func TestTimeWaitHoldsPortAndReACKsFIN(t *testing.T) {
-	const msl = 100 * time.Millisecond
-	opts := Options{MSL: msl}
+	var opts Options
 	p := newPair(t, 9, simnet.LinkConfig{Rate: 10 * simnet.Mbps, Delay: 5 * time.Millisecond})
 	client, server := establishPair(t, p, opts)
 
@@ -260,7 +258,7 @@ func TestLateACKOfWithdrawnFINCloses(t *testing.T) {
 	port := client.LocalAddr().Port
 
 	// Two segments fill the initial window and the FIN follows them.
-	client.Send(testPattern(2 * client.opts.MSS))
+	client.Send(testPattern(2 * mss))
 	client.Close()
 	if client.state != stateLastAck || !client.finSent {
 		t.Fatalf("after Close: state = %v, finSent = %v, want LAST_ACK with the FIN out", client.state, client.finSent)
@@ -289,7 +287,7 @@ func TestLateACKOfWithdrawnFINCloses(t *testing.T) {
 func TestACKPastDataWithoutFINIgnored(t *testing.T) {
 	p := newPair(t, 14, simnet.LinkConfig{Rate: 10 * simnet.Mbps, Delay: 5 * time.Millisecond})
 	client, _ := establishPair(t, p, Options{})
-	client.Send(testPattern(2 * client.opts.MSS))
+	client.Send(testPattern(2 * mss))
 	una := client.sndUna
 	client.receive(&Segment{Flags: ACK, Seq: client.rcvNxt, Ack: client.dataEnd() + 1, Wnd: client.opts.RcvWnd})
 	if client.sndUna != una || client.sndNxt != client.dataEnd() {

@@ -194,7 +194,7 @@ func TestRelayBridgesEndToEnd(t *testing.T) {
 	}
 
 	relay, err := mtcp.NewRelay(w.gs, 8080, simnet.Addr{Node: w.fixed.ID, Port: 80},
-		mtcp.Options{MSS: 1000, RTOMin: 100 * time.Millisecond}, mtcp.Options{})
+		mtcp.Options{RTOMin: 100 * time.Millisecond}, mtcp.Options{})
 	if err != nil {
 		t.Fatalf("NewRelay: %v", err)
 	}
@@ -203,7 +203,7 @@ func TestRelayBridgesEndToEnd(t *testing.T) {
 	// response, and closes once the relay half-closes.
 	var respGot []byte
 	closed := false
-	w.ms.Dial(simnet.Addr{Node: w.gateway.ID, Port: 8080}, mtcp.Options{MSS: 1000}, func(c *mtcp.Conn, err error) {
+	w.ms.Dial(simnet.Addr{Node: w.gateway.ID, Port: 8080}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
 		if err != nil {
 			t.Errorf("Dial: %v", err)
 			return

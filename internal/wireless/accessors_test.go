@@ -23,7 +23,7 @@ func TestAccessorsAndStrings(t *testing.T) {
 	if got := (Position{X: 1.5, Y: -2}).String(); got != "(1.5,-2.0)" {
 		t.Errorf("Position.String = %q", got)
 	}
-	if st.AP() != ap {
+	if st.ap != ap {
 		t.Error("station should be associated")
 	}
 }

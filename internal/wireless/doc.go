@@ -21,7 +21,6 @@
 //   - distance-dependent rate stepdown (full/half/quarter nominal rate)
 //     and bit-error-driven packet loss, with a hard cutoff at the
 //     standard's typical range;
-//   - association, mobility and AP-to-AP handoff with a configurable
-//     blackout latency, raising events that the transport layer (Snoop,
-//     fast-retransmit) and Mobile IP hook into.
+//   - association with the nearest AP in range, re-evaluated at once
+//     when a station moves.
 package wireless

@@ -22,46 +22,35 @@ func (p Position) Dist(q Position) float64 {
 
 func (p Position) String() string { return fmt.Sprintf("(%.1f,%.1f)", p.X, p.Y) }
 
+// Per-frame radio timing every LAN uses.
+const (
+	// macOverhead is the fixed per-frame medium-access cost (DIFS/SIFS,
+	// preamble, link ACK), charged in addition to serialization time.
+	macOverhead = 100 * time.Microsecond
+	// propagation is the one-way radio propagation delay (effectively
+	// negligible at WLAN ranges, but kept non-zero for causality).
+	propagation = time.Microsecond
+)
+
 // Config tunes the radio model of a LAN.
 type Config struct {
 	// BitErrorRate is the per-bit error probability at close range.
 	// Wireless channels are error-prone (paper §5.2); the default models
 	// a moderately noisy channel. Errors grow with distance.
 	BitErrorRate float64
-	// MACOverhead is the fixed per-frame medium-access cost (DIFS/SIFS,
-	// preamble, link ACK), charged in addition to serialization time.
-	MACOverhead time.Duration
-	// HandoffLatency is the blackout while a station re-associates to a
-	// new AP. Frames to or from the station are lost during it.
-	HandoffLatency time.Duration
-	// Propagation is the one-way radio propagation delay (effectively
-	// negligible at WLAN ranges, but kept non-zero for causality).
-	Propagation time.Duration
 	// QueueLen is the per-channel drop-tail queue capacity in frames.
 	QueueLen int
 	// AdHoc permits direct station-to-station delivery when a station has
 	// no AP (paper §6.1).
 	AdHoc bool
-	// OnAssociate, if set, is invoked after a station associates with an
-	// AP (including after each handoff). Topology builders use it to
-	// repoint wired-side routes; Mobile IP uses it to trigger
-	// registration.
-	OnAssociate func(st *Station, ap *AP)
-	// OnHandoff, if set, is invoked when a handoff begins, with the old
-	// and new APs. Transport-layer optimizations ([2]'s fast retransmit)
-	// hook it.
-	OnHandoff func(st *Station, from, to *AP)
 }
 
 // DefaultConfig returns the config used by the experiments unless a sweep
 // overrides a field.
 func DefaultConfig() Config {
 	return Config{
-		BitErrorRate:   1e-6,
-		MACOverhead:    100 * time.Microsecond,
-		HandoffLatency: 200 * time.Millisecond,
-		Propagation:    time.Microsecond,
-		QueueLen:       simnet.DefaultQueueLen,
+		BitErrorRate: 1e-6,
+		QueueLen:     simnet.DefaultQueueLen,
 	}
 }
 
@@ -96,9 +85,8 @@ type LAN struct {
 	// Stats
 	Delivered  uint64
 	LostErrors uint64 // bit-error losses
-	LostRange  uint64 // out of range / no association / blackout
+	LostRange  uint64 // out of range / no association
 	DroppedQ   uint64 // channel queue overflow
-	Handoffs   uint64
 }
 
 var _ simnet.Medium = (*LAN)(nil)
@@ -116,7 +104,6 @@ func NewLAN(net *simnet.Network, std Standard, cfg Config) *LAN {
 	sc.AliasCounter("lost_errors", &l.LostErrors)
 	sc.AliasCounter("lost_range", &l.LostRange)
 	sc.AliasCounter("dropped_queue", &l.DroppedQ)
-	sc.AliasCounter("handoffs", &l.Handoffs)
 	return l
 }
 
@@ -152,23 +139,14 @@ type Station struct {
 	radio *simnet.Iface
 	pos   Position
 
-	ap       *AP // nil when unassociated or in handoff blackout
-	blackout bool
+	ap *AP // nil when unassociated
 }
 
 // Radio returns the station's radio interface.
 func (s *Station) Radio() *simnet.Iface { return s.radio }
 
-// AP returns the currently associated access point, or nil.
-func (s *Station) AP() *AP {
-	if s.blackout {
-		return nil
-	}
-	return s.ap
-}
-
-// Associated reports whether the station currently has a live association.
-func (s *Station) Associated() bool { return s.ap != nil && !s.blackout }
+// Associated reports whether the station currently has an AP.
+func (s *Station) Associated() bool { return s.ap != nil }
 
 // AddStation attaches a station radio to node at pos, sets the node's
 // default route out of the radio, and associates it with the best AP in
@@ -199,47 +177,21 @@ func (l *LAN) bestAP(pos Position) *AP {
 	return best
 }
 
-// reassociate re-evaluates the station's AP choice, performing a handoff
-// (with blackout) when the best AP changes.
+// reassociate re-evaluates the station's AP choice. When the best AP
+// changes, the old AP's route to the station is withdrawn and the new
+// AP's is set at once.
 func (s *Station) reassociate() {
-	l := s.lan
-	best := l.bestAP(s.pos)
+	best := s.lan.bestAP(s.pos)
 	if best == s.ap {
 		return
 	}
-	old := s.ap
-	if old != nil {
-		// Leaving an AP: withdraw the AP-side route to the station.
-		old.node.ClearRoute(s.node.ID)
+	if s.ap != nil {
+		s.ap.node.ClearRoute(s.node.ID)
 	}
 	s.ap = best
-	if best == nil {
-		return
-	}
-	if l.cfg.OnHandoff != nil && old != nil {
-		l.cfg.OnHandoff(s, old, best)
-	}
-	complete := func() {
-		s.blackout = false
+	if best != nil {
 		best.node.SetRoute(s.node.ID, best.radio)
-		if l.cfg.OnAssociate != nil {
-			l.cfg.OnAssociate(s, best)
-		}
 	}
-	if old == nil {
-		// Initial association is immediate.
-		complete()
-		return
-	}
-	l.Handoffs++
-	s.blackout = true
-	l.net.Sched.After(l.cfg.HandoffLatency, func() {
-		// The station may have moved again during the blackout; only
-		// complete if this AP is still the choice.
-		if s.ap == best {
-			complete()
-		}
-	})
 }
 
 // MoveTo repositions the station instantly and re-evaluates association.
@@ -261,8 +213,7 @@ func (l *LAN) Transmit(from *simnet.Iface, p *simnet.Packet) {
 }
 
 func (l *LAN) txFromStation(st *Station, p *simnet.Packet) {
-	if st.Associated() {
-		ap := st.ap
+	if ap := st.ap; ap != nil {
 		l.send(&ap.ch, st.pos.Dist(ap.pos), p, ap.radio)
 		return
 	}
@@ -301,7 +252,7 @@ func (l *LAN) txFromStation(st *Station, p *simnet.Packet) {
 
 func (l *LAN) txFromAP(ap *AP, p *simnet.Packet) {
 	st := l.byNode[p.Dst.Node]
-	if st == nil || !st.Associated() || st.ap != ap {
+	if st == nil || st.ap != ap {
 		l.LostRange++
 		l.net.Tracer.Annotate(p.Trace, "no-coverage")
 		return
@@ -338,7 +289,7 @@ func (l *LAN) send(ch *channel, dist float64, p *simnet.Packet, dst *simnet.Ifac
 		l.net.Tracer.Annotate(p.Trace, "queue-overflow")
 		return
 	}
-	txDone := ch.busyUntil + rate.TxTime(p.Bytes) + l.cfg.MACOverhead
+	txDone := ch.busyUntil + rate.TxTime(p.Bytes) + macOverhead
 	ch.busyUntil = txDone
 	ch.queued++
 	s.AtCall(txDone, channelDequeue, ch)
@@ -351,7 +302,7 @@ func (l *LAN) send(ch *channel, dist float64, p *simnet.Packet, dst *simnet.Ifac
 	// The airtime span covers channel wait + serialization + MAC overhead
 	// + propagation on the shared radio channel.
 	hop := l.net.Tracer.StartSpan(p.Trace, l.spanName, trace.LayerWireless)
-	l.net.Carry(txDone+l.cfg.Propagation, dst, p, hop, &l.Delivered)
+	l.net.Carry(txDone+propagation, dst, p, hop, &l.Delivered)
 }
 
 // frameLost draws a per-frame loss from the distance-scaled bit error rate:

@@ -41,8 +41,8 @@ func TestStationAssociatesWithNearestAP(t *testing.T) {
 	ap2 := lan.AddAP(net.NewNode("ap2"), Position{X: 150})
 	st := lan.AddStation(net.NewNode("st"), Position{X: 140})
 	_ = ap1
-	if st.AP() != ap2 {
-		t.Errorf("associated with %v, want ap2", st.AP())
+	if st.ap != ap2 {
+		t.Errorf("associated with %v, want ap2", st.ap)
 	}
 }
 
@@ -80,8 +80,6 @@ func TestUplinkAndDownlinkThroughAP(t *testing.T) {
 func TestSharedChannelSerializes(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.BitErrorRate = 0
-	cfg.MACOverhead = 0
-	cfg.Propagation = 0
 	net, _, server, st, _ := infra(t, Bluetooth, cfg, Position{X: 1}) // 1 Mbps
 
 	var arrivals []time.Duration
@@ -156,7 +154,10 @@ func TestBitErrorsLosePackets(t *testing.T) {
 	}
 }
 
-func TestHandoffBetweenAPs(t *testing.T) {
+// Moving a station out of one AP's range into another's re-associates it
+// at once: the old AP's route to the station is withdrawn, the new AP's
+// is set, and frames flow again both ways through the new AP.
+func TestMoveToReassociates(t *testing.T) {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
 	router := net.NewNode("router")
 	router.Forwarding = true
@@ -167,84 +168,44 @@ func TestHandoffBetweenAPs(t *testing.T) {
 
 	cfg := DefaultConfig()
 	cfg.BitErrorRate = 0
-	var handoffs int
-	cfg.OnHandoff = func(st *Station, from, to *AP) { handoffs++ }
-	cfg.OnAssociate = func(st *Station, ap *AP) {
-		// Repoint the wired route to the station via its current AP.
-		switch ap.node {
-		case ap1n:
-			router.SetRoute(st.node.ID, l1.IfaceA())
-		case ap2n:
-			router.SetRoute(st.node.ID, l2.IfaceA())
-		}
-	}
 	lan := NewLAN(net, IEEE80211b, cfg)
 	ap1 := lan.AddAP(ap1n, Position{X: 0})
-	ap2 := lan.AddAP(ap2n, Position{X: 150})
+	ap2 := lan.AddAP(ap2n, Position{X: 300})
 	ap1n.SetRoute(router.ID, l1.IfaceB())
 	ap2n.SetRoute(router.ID, l2.IfaceB())
 	st := lan.AddStation(net.NewNode("st"), Position{X: 10})
-
-	if st.AP() != ap1 {
-		t.Fatal("should start on ap1")
-	}
-	received := 0
-	st.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { received++ })
-
-	// Stream a packet every 50 ms from the router while the station walks
-	// from x=10 to x=140 at 20 m/s (crossing the midpoint at ~3 s).
-	for i := 0; i < 140; i++ {
-		i := i
-		net.Sched.At(time.Duration(i)*50*time.Millisecond, func() {
-			router.Send(ctl(router, st.node, 200))
-		})
-	}
-	for i := 1; i <= 65; i++ {
-		x := float64(10 + 2*i)
-		net.Sched.At(time.Duration(i)*100*time.Millisecond, func() { st.MoveTo(Position{X: x}) })
+	router.SetRoute(st.node.ID, l1.IfaceA())
+	if st.ap != ap1 || ap1n.RouteTo(st.node.ID) != ap1.radio {
+		t.Fatal("station should start on ap1, routed from ap1")
 	}
 
+	// x=290 is beyond ap1's 100 m range and 10 m from ap2.
+	st.MoveTo(Position{X: 290})
+	if st.ap != ap2 {
+		t.Fatalf("station on %v after the move, want ap2", st.ap)
+	}
+	if via := ap1n.RouteTo(st.node.ID); via == ap1.radio {
+		t.Error("ap1 still routes to the station over its radio")
+	}
+	if via := ap2n.RouteTo(st.node.ID); via != ap2.radio {
+		t.Errorf("ap2 routes to the station via %v, want its radio", via)
+	}
+
+	// The wired side repoints its route as a topology builder would.
+	router.SetRoute(st.node.ID, l2.IfaceA())
+	var down, up int
+	st.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { down++ })
+	router.Bind(simnet.ProtoControl, func(p *simnet.Packet) { up++ })
+	const sent = 10
+	for range sent {
+		router.Send(ctl(router, st.node, 200))
+		st.node.Send(ctl(st.node, router, 200))
+	}
 	if err := net.Sched.Run(); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if st.AP() != ap2 {
-		t.Errorf("station ended on %v, want ap2", st.AP())
-	}
-	if handoffs != 1 {
-		t.Errorf("handoffs = %d, want 1", handoffs)
-	}
-	if lan.Handoffs != 1 {
-		t.Errorf("lan.Handoffs = %d, want 1", lan.Handoffs)
-	}
-	// Some packets are lost in the blackout, but most must arrive.
-	if received < 100 || received >= 140 {
-		t.Errorf("received %d/140; want most-but-not-all", received)
-	}
-}
-
-func TestHandoffBlackoutDropsFrames(t *testing.T) {
-	net := simnet.NewNetwork(simnet.NewScheduler(1))
-	cfg := DefaultConfig()
-	cfg.BitErrorRate = 0
-	cfg.HandoffLatency = time.Second
-	lan := NewLAN(net, IEEE80211b, cfg)
-	ap1 := lan.AddAP(net.NewNode("ap1"), Position{X: 0})
-	lan.AddAP(net.NewNode("ap2"), Position{X: 150})
-	st := lan.AddStation(net.NewNode("st"), Position{X: 10})
-	_ = ap1
-
-	st.MoveTo(Position{X: 140}) // triggers handoff; blackout for 1 s
-	if st.Associated() {
-		t.Error("station should be in blackout immediately after handoff")
-	}
-	got := 0
-	st.node.Bind(simnet.ProtoControl, func(p *simnet.Packet) { got++ })
-	st.node.Send(ctl(st.node, st.node, 10)) // self-delivery is fine
-	if err := net.Sched.RunUntil(2 * time.Second); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if !st.Associated() {
-		t.Error("station should be associated after blackout")
+	if down != sent || up != sent {
+		t.Errorf("after the move: %d/%d frames down, %d/%d up", down, sent, up, sent)
 	}
 }
 

@@ -22,6 +22,14 @@ import (
 // EchoPort is the well-known port ServeEcho answers on.
 const EchoPort simnet.Port = 9
 
+// Flow sizing every population uses: an operation is a flowReqBytes
+// request, abandoned (counted, not retried) after flowTimeout so a lossy
+// world cannot wedge a station forever.
+const (
+	flowReqBytes = 256
+	flowTimeout  = 10 * time.Second
+)
+
 // FlowConfig parameterizes a cell's virtual station population.
 type FlowConfig struct {
 	// Stations is the number of virtual stations on this cell.
@@ -34,11 +42,6 @@ type FlowConfig struct {
 	// ThinkMean is the mean of the exponential think time between an
 	// operation's completion and the next fire.
 	ThinkMean time.Duration
-	// ReqBytes is the request payload size.
-	ReqBytes int
-	// Timeout abandons an operation (counted, not retried) so a lossy
-	// world cannot wedge a station forever.
-	Timeout time.Duration
 }
 
 // Flows drives a population of virtual stations from one cell node.
@@ -85,13 +88,7 @@ func NewFlows(nd *simnet.Node, name string, cfg FlowConfig) (*Flows, error) {
 		return nil, fmt.Errorf("workload: flows %q needs a Target", name)
 	}
 	if cfg.ThinkMean <= 0 {
-		cfg.ThinkMean = 2 * time.Second
-	}
-	if cfg.ReqBytes <= 0 {
-		cfg.ReqBytes = 128
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 30 * time.Second
+		return nil, fmt.Errorf("workload: flows %q needs think mean > 0", name)
 	}
 	f := &Flows{cfg: cfg, node: nd, u: simnet.UDPOf(nd)}
 	sc := nd.Network().Metrics.Instance("workload.flows." + metrics.Sanitize(name))
@@ -127,9 +124,9 @@ func (st *flowStation) fire() {
 	tracer := f.node.Network().Tracer
 	st.ctx = tracer.StartTrace("scale.op", trace.LayerStation)
 	prev := tracer.Swap(st.ctx)
-	f.u.Send(st.port, st.target, nil, f.cfg.ReqBytes)
+	f.u.Send(st.port, st.target, nil, flowReqBytes)
 	tracer.Swap(prev)
-	st.timeout = f.node.Sched().Rearm(f.cfg.Timeout, flowExpire, st)
+	st.timeout = f.node.Sched().Rearm(flowTimeout, flowExpire, st)
 }
 
 // reply completes the pending operation and schedules the next think.

@@ -29,8 +29,6 @@ func buildFlowsWorld(t testing.TB, seed int64, stations int) (*simnet.Network, *
 		FirstPort: 10000,
 		Target:    func(int) simnet.Addr { return simnet.Addr{Node: srv.ID, Port: workload.EchoPort} },
 		ThinkMean: 20 * time.Millisecond,
-		ReqBytes:  128,
-		Timeout:   5 * time.Second,
 	})
 	if err != nil {
 		t.Fatalf("NewFlows: %v", err)
@@ -63,5 +61,16 @@ func TestFlowsReplyPathZeroAlloc(t *testing.T) {
 	}
 	if avg != 0 {
 		t.Fatalf("flows reply/re-arm path allocates: %v allocs per 200ms window", avg)
+	}
+}
+
+func TestFlowsRejectsZeroThinkMean(t *testing.T) {
+	net := simnet.NewNetwork(simnet.NewScheduler(1))
+	_, err := workload.NewFlows(net.NewNode("cell"), "cell", workload.FlowConfig{
+		Stations: 1, FirstPort: 10000,
+		Target: func(int) simnet.Addr { return simnet.Addr{} },
+	})
+	if err == nil {
+		t.Error("zero think mean accepted")
 	}
 }

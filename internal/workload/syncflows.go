@@ -25,6 +25,22 @@ import (
 // It is a power of two below 1<<16: the ring links slots by uint16 index.
 const syncRingMax = 1024
 
+// Device sync sizing every population uses.
+const (
+	// syncSharedKeys sizes the hot shared key space ("s0".."sN-1").
+	syncSharedKeys = 8
+	// syncSharedPct is the percentage of writes aimed at a shared key.
+	syncSharedPct = 30
+	// syncValueBytes pads each written value to this size.
+	syncValueBytes = 32
+	// syncTimeout abandons a sync session: the device aborts (resilient)
+	// or drops its tentative writes (Fragile), rotates its target and
+	// moves on.
+	syncTimeout = 3 * time.Second
+	// syncRetryDelay paces redirect-driven resends.
+	syncRetryDelay = 250 * time.Millisecond
+)
+
 // SyncFlowConfig parameterizes a cell's virtual device population.
 type SyncFlowConfig struct {
 	// Devices is the number of virtual devices on this cell.
@@ -39,20 +55,6 @@ type SyncFlowConfig struct {
 	WriteMean time.Duration
 	// SyncMean is the mean exponential gap between sync attempts.
 	SyncMean time.Duration
-	// SharedKeys sizes the hot shared key space ("s0".."sN-1"); zero
-	// means devices only write their private key.
-	SharedKeys int
-	// SharedPct is the percentage of writes aimed at a shared key
-	// (default 30 when SharedKeys > 0).
-	SharedPct int
-	// ValueBytes pads each written value to this size (default 32).
-	ValueBytes int
-	// Timeout abandons a sync session: the device aborts (resilient) or
-	// drops its tentative writes (Fragile), rotates its target and moves
-	// on.
-	Timeout time.Duration
-	// RetryDelay paces redirect-driven resends (default 250ms).
-	RetryDelay time.Duration
 	// Fragile selects the rollback-on-reconnect baseline: a timed-out
 	// session discards its tentative writes outright.
 	Fragile bool
@@ -121,26 +123,11 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 	if len(cfg.Tier) == 0 {
 		return nil, fmt.Errorf("workload: syncflows %q needs tier endpoints", name)
 	}
-	if cfg.WriteMean <= 0 {
-		cfg.WriteMean = 2 * time.Second
+	if cfg.WriteMean <= 0 || cfg.SyncMean <= 0 {
+		return nil, fmt.Errorf("workload: syncflows %q needs write and sync means > 0", name)
 	}
-	if cfg.SyncMean <= 0 {
-		cfg.SyncMean = 5 * time.Second
-	}
-	if cfg.SharedPct <= 0 {
-		cfg.SharedPct = 30
-	}
-	if cfg.ValueBytes <= 0 {
-		cfg.ValueBytes = 32
-	}
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 10 * time.Second
-	}
-	if cfg.RetryDelay <= 0 {
-		cfg.RetryDelay = 250 * time.Millisecond
-	}
-	f := &SyncFlows{cfg: cfg, name: name, node: nd, u: simnet.UDPOf(nd), valBuf: make([]byte, cfg.ValueBytes)}
-	f.sharedKeys = make([]string, cfg.SharedKeys)
+	f := &SyncFlows{cfg: cfg, name: name, node: nd, u: simnet.UDPOf(nd), valBuf: make([]byte, syncValueBytes)}
+	f.sharedKeys = make([]string, syncSharedKeys)
 	for i := range f.sharedKeys {
 		f.sharedKeys[i] = "s" + strconv.Itoa(i)
 	}
@@ -247,8 +234,8 @@ func (d *syncDevice) write() {
 	sched := f.node.Sched()
 	rng := sched.Rand()
 	key := d.key
-	if f.cfg.SharedKeys > 0 && rng.Intn(100) < f.cfg.SharedPct {
-		key = f.sharedKeys[rng.Intn(f.cfg.SharedKeys)]
+	if rng.Intn(100) < syncSharedPct {
+		key = f.sharedKeys[rng.Intn(syncSharedKeys)]
 	}
 	d.wseq++
 	if err := d.store.PutTentative(key, fillWriteValue(f.valBuf, d.id, d.wseq)); err == nil {
@@ -296,7 +283,7 @@ func (d *syncDevice) sync() {
 	tracer := f.node.Network().Tracer
 	d.ctx = tracer.StartTrace("mobiledb.sync.device", trace.LayerStation)
 	d.send()
-	d.timeout = sched.Rearm(f.cfg.Timeout, syncDevExpire, d)
+	d.timeout = sched.Rearm(syncTimeout, syncDevExpire, d)
 }
 
 // send ships the current session to the current target under the session
@@ -335,7 +322,7 @@ func (d *syncDevice) reply(from simnet.Addr, body any, bytes int) {
 		}
 		tracer.Annotate(d.ctx, "redirect")
 		d.retryT.Cancel()
-		d.retryT = sched.Rearm(f.cfg.RetryDelay, syncDevResend, d)
+		d.retryT = sched.Rearm(syncRetryDelay, syncDevResend, d)
 		return
 	}
 	d.timeout.Cancel()

@@ -64,7 +64,6 @@ func TestSyncFlowsConfirmsWrites(t *testing.T) {
 	f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 		Devices: 8, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
 		WriteMean: time.Second, SyncMean: 2 * time.Second,
-		SharedKeys: 4, Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestSyncFlowsFollowsRedirects(t *testing.T) {
 	f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 		Devices: 4, FirstPort: 10000,
 		Tier:      []simnet.Addr{{Node: w.server.ID, Port: bouncePort}, w.tierAddr()},
-		WriteMean: time.Second, SyncMean: 2 * time.Second, Timeout: 5 * time.Second,
+		WriteMean: time.Second, SyncMean: 2 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +131,7 @@ func TestSyncFlowsTimeoutPolicies(t *testing.T) {
 		f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 			Devices: 4, FirstPort: 10000, Tier: []simnet.Addr{dead},
 			WriteMean: time.Second, SyncMean: 2 * time.Second,
-			Timeout: 3 * time.Second, Fragile: fragile,
+			Fragile: fragile,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -159,13 +158,13 @@ func TestSyncFlowsTimeoutPolicies(t *testing.T) {
 }
 
 // TestSyncFlowsInvalidationRing pushes broadcast-disk ticks at the cell
-// and checks devices shed stale confirmed entries at their next sync pass.
+// and checks devices shed stale confirmed shared entries at their next
+// sync pass, keeping their private ones.
 func TestSyncFlowsInvalidationRing(t *testing.T) {
 	w := newSyncWorld(t, 44, mobiledb.PolicyLWW)
 	f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 		Devices: 4, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
 		WriteMean: 500 * time.Millisecond, SyncMean: time.Second,
-		SharedKeys: 2, SharedPct: 100, Timeout: 5 * time.Second,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,15 +175,17 @@ func TestSyncFlowsInvalidationRing(t *testing.T) {
 	if f.Confirmed == 0 {
 		t.Fatal("population never confirmed a shared write")
 	}
-	// Fabricate a tick claiming both shared keys moved far ahead.
-	through := f.ThroughWatermark() + 2
+	// Fabricate ticks claiming every shared key moved far ahead, one
+	// stream position each.
+	var moved []mobiledb.Invalidation
+	for _, k := range f.sharedKeys {
+		moved = append(moved, mobiledb.Invalidation{Key: k, SrvVer: 1 << 30})
+	}
+	through := f.ThroughWatermark() + uint64(len(moved))
 	u := simnet.UDPOf(w.server)
 	w.sched.After(0, func() {
 		u.Send(tierPort, f.InvalidationAddr(), &mobiledb.InvalidationMsg{
-			Invalid: []mobiledb.Invalidation{
-				{Key: "s0", SrvVer: 1 << 30}, {Key: "s1", SrvVer: 1 << 30},
-			},
-			Through: through,
+			Invalid: moved, Through: through,
 		}, 64)
 	})
 	if err := w.sched.RunFor(100 * time.Millisecond); err != nil {
@@ -194,15 +195,20 @@ func TestSyncFlowsInvalidationRing(t *testing.T) {
 		t.Fatalf("cell watermark %d, want %d", f.ThroughWatermark(), through)
 	}
 	// Every cached (confirmed) shared entry is now stale; a device's
-	// catch-up must drop each one and keep its tentative writes. A device
-	// that already caught up in the meantime is skipped.
-	cached := func(d *syncDevice) (n int) {
+	// catch-up must drop each one and keep its private entry and its
+	// tentative writes. A device that already caught up in the meantime
+	// is skipped.
+	cached := func(d *syncDevice) (shared, private int) {
 		for _, e := range d.store.ChangesSince(0) {
-			if !e.Tentative && !e.Deleted {
-				n++
+			switch {
+			case e.Tentative || e.Deleted:
+			case e.Key == d.key:
+				private++
+			default:
+				shared++
 			}
 		}
-		return n
+		return shared, private
 	}
 	stale := 0
 	for i := range f.devices {
@@ -210,10 +216,15 @@ func TestSyncFlowsInvalidationRing(t *testing.T) {
 		if d.invPos >= through {
 			continue
 		}
-		n, tentative, inv := cached(d), d.store.TentativeCount(), d.store.Invalidations
+		n, private := cached(d)
+		tentative, inv := d.store.TentativeCount(), d.store.Invalidations
 		d.catchUpInvalidations()
-		if left := cached(d); left != 0 {
+		left, privateLeft := cached(d)
+		if left != 0 {
 			t.Errorf("device %d kept %d stale shared entries", i, left)
+		}
+		if privateLeft != private {
+			t.Errorf("device %d: catch-up left %d of %d private entries", i, privateLeft, private)
 		}
 		if got := d.store.Invalidations - inv; got != uint64(n) {
 			t.Errorf("device %d: %d invalidations, want %d", i, got, n)
@@ -240,7 +251,6 @@ func TestSyncFlowsDeterministic(t *testing.T) {
 		f, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
 			Devices: 16, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
 			WriteMean: 800 * time.Millisecond, SyncMean: 2 * time.Second,
-			SharedKeys: 4, Timeout: 5 * time.Second,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -271,5 +281,11 @@ func TestSyncFlowsValidation(t *testing.T) {
 		Devices: 10, FirstPort: 65530, Tier: []simnet.Addr{w.tierAddr()},
 	}); err == nil {
 		t.Error("port-space overflow accepted")
+	}
+	if _, err := NewSyncFlows(w.cell, "x", SyncFlowConfig{
+		Devices: 4, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
+		WriteMean: time.Second,
+	}); err == nil {
+		t.Error("zero sync mean accepted")
 	}
 }

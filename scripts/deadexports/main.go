@@ -27,8 +27,11 @@
 // Declarations in nested modules are users and writers only.
 //
 // With -report it also prints the exported declarations that only test
-// files use and the fields that only test files write. Run it from the
-// repository root:
+// files use, the fields that only test files write, and the exported
+// fields of package-level *Config and *Options structs that non-test code
+// writes only inside the declaring package: a knob whose one writer is
+// its own defaults literal or zero-value branch holds one value, so it is
+// a constant. Run it from the repository root:
 //
 //	go run ./scripts/deadexports [-report]
 package main
@@ -50,7 +53,7 @@ import (
 )
 
 func main() {
-	report := flag.Bool("report", false, "also print the exported declarations only tests use and the fields only tests write")
+	report := flag.Bool("report", false, "also print the exported declarations only tests use, the fields only tests write and the config fields only their own package writes")
 	flag.Parse()
 	if err := run(".", *report, os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "deadexports:", err)
@@ -70,6 +73,10 @@ func run(root string, report bool, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%d fields only tests write:\n", len(res.testWritten))
 		for _, d := range res.testWritten {
+			fmt.Fprintf(w, "  %-45s %s\n", d.key, d.pos)
+		}
+		fmt.Fprintf(w, "%d config fields only their own package writes:\n", len(res.selfWritten))
+		for _, d := range res.selfWritten {
 			fmt.Fprintf(w, "  %-45s %s\n", d.key, d.pos)
 		}
 	}
@@ -95,8 +102,9 @@ type decl struct {
 type result struct {
 	checked, fields int
 	dead, testOnly  []decl // sorted by key
-	// unwritten and testWritten are struct fields: "internal/mtcp.Options.MSS".
-	unwritten, testWritten []decl
+	// unwritten, testWritten and selfWritten are struct fields:
+	// "internal/mtcp.Options.CC".
+	unwritten, testWritten, selfWritten []decl
 }
 
 // pkgDir is the Go files of one directory.
@@ -110,8 +118,9 @@ type pkgDir struct {
 	checking     bool
 }
 
-// use records where an object is used, or a field written, from.
-type use struct{ test, nonTest bool }
+// use records where an object is used, or a field written, from. outside
+// is set by a non-test write from a package other than the field's.
+type use struct{ test, nonTest, outside bool }
 
 func (u *use) add(test bool) {
 	if test {
@@ -199,6 +208,7 @@ func scan(root string) (*result, error) {
 	byKey(res.testOnly)
 	byKey(res.unwritten)
 	byKey(res.testWritten)
+	byKey(res.selfWritten)
 	return res, nil
 }
 
@@ -370,7 +380,7 @@ func (l *loader) typeCheck(path string, files []*ast.File, tests bool) (*types.P
 		l.uses[obj.Pos()] = u
 	}
 	for _, f := range files {
-		l.recordWrites(f, info, tests && l.isTest(f))
+		l.recordWrites(f, info, path, tests && l.isTest(f))
 	}
 	// Every interface the package's code spells out or uses, named or
 	// literal. Those of an in-package test instance have their own copies
@@ -388,11 +398,15 @@ func (l *loader) isTest(n ast.Node) bool {
 	return strings.HasSuffix(l.fset.File(n.Pos()).Name(), "_test.go")
 }
 
-// recordWrites records every struct field f writes.
-func (l *loader) recordWrites(f *ast.File, info *types.Info, test bool) {
+// recordWrites records every struct field f, a file of package pkgPath,
+// writes.
+func (l *loader) recordWrites(f *ast.File, info *types.Info, pkgPath string, test bool) {
 	mark := func(v *types.Var) {
 		w := l.writes[v.Origin().Pos()]
 		w.add(test)
+		if !test && v.Pkg().Path() != pkgPath {
+			w.outside = true
+		}
 		l.writes[v.Origin().Pos()] = w
 	}
 	// path marks the fields a selection passes through: the embedded
@@ -503,6 +517,7 @@ func (l *loader) fields(d *pkgDir, res *result) {
 		if !ok {
 			continue
 		}
+		knobs := strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options")
 		for i := 0; i < st.NumFields(); i++ {
 			f := st.Field(i)
 			if f.Name() == "_" {
@@ -518,6 +533,8 @@ func (l *loader) fields(d *pkgDir, res *result) {
 				res.unwritten = append(res.unwritten, dl)
 			case !w.nonTest:
 				res.testWritten = append(res.testWritten, dl)
+			case !w.outside && knobs && f.Exported():
+				res.selfWritten = append(res.selfWritten, dl)
 			}
 		}
 	}

@@ -44,8 +44,15 @@ func TestScanFixture(t *testing.T) {
 	if got, want := keys(res.unwritten), []string{"db.Opts.Unset"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("unwritten = %q, want %q", got, want)
 	}
-	if got, want := keys(res.testWritten), []string{"db.Opts.Debug"}; !reflect.DeepEqual(got, want) {
+	if got, want := keys(res.testWritten), []string{"db.Opts.Debug", "db.PoolConfig.Trace"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("test-written = %q, want %q", got, want)
+	}
+	// PoolConfig.Size is written only inside its package, by its defaults.
+	// Workers is also written by app, Trace only by a test (listed above)
+	// and queue is unexported; Opts.Name is written only inside db too,
+	// but Opts is not a *Config or *Options type.
+	if got, want := keys(res.selfWritten), []string{"db.PoolConfig.Size"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("self-written = %q, want %q", got, want)
 	}
 }
 
@@ -55,7 +62,7 @@ func TestRunFailsOnDeadAndReportsTestOnly(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "3 unused") || !strings.Contains(err.Error(), "1 unwritten") {
 		t.Errorf("run error = %v, want 3 unused declarations and 1 unwritten field", err)
 	}
-	for _, key := range []string{"db.Mirror", "db.OnlyTested", "db.Opts.Debug"} {
+	for _, key := range []string{"db.Mirror", "db.OnlyTested", "db.Opts.Debug", "db.PoolConfig.Size"} {
 		if !strings.Contains(out.String(), key) {
 			t.Errorf("-report output lacks %s:\n%s", key, out.String())
 		}

@@ -18,4 +18,7 @@ func main() {
 	b, _ := json.Marshal(db.Dur(5))
 	fmt.Println(string(b))
 	fmt.Println(db.Fields())
+	pool := db.DefaultPoolConfig()
+	pool.Workers = 2
+	fmt.Println(pool)
 }

@@ -70,6 +70,24 @@ type Opts struct {
 	Debug bool
 }
 
+// PoolConfig is a knob set. Size is written only by its own defaults
+// (a knob holding one value), Workers also by app, Trace only by a test,
+// and queue is unexported.
+type PoolConfig struct {
+	Size, Workers int
+	Trace         bool
+	queue         int
+}
+
+// DefaultPoolConfig returns the defaults; a zero-value branch fills Size.
+func DefaultPoolConfig() PoolConfig {
+	c := PoolConfig{Workers: 1, queue: 8}
+	if c.Size <= 0 {
+		c.Size = 4
+	}
+	return c
+}
+
 // Wire is filled by encoding/json: the tag counts as a write.
 type Wire struct {
 	ID int `json:"id"`

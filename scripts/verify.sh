@@ -5,8 +5,10 @@
 # must have a use, and every field of a package-level struct type must
 # be written somewhere, by a literal, an assignment, &x.f or a pointer
 # method call; a tagged field counts as written; the same scan's counts
-# of exported declarations only tests use and of fields only tests write
-# are capped, so code that no run reaches cannot grow back), build, the whole test
+# of exported declarations only tests use, of fields only tests write and
+# of *Config/*Options fields only their own package writes (a defaults
+# literal or zero-value branch posing as a knob) are capped, so code that
+# no run reaches and knobs that hold one value cannot grow back), build, the whole test
 # suite (which includes the zero-alloc pins), the race detector over the
 # packages that use goroutines (the parallel experiment runner and the
 # simnet structures it drives, the sharded executor's ownership, steal
@@ -16,8 +18,8 @@
 # byte-identical, the trace export must be structurally valid
 # trace-event JSON, a sharded mcload -scale run (-shards 4) must be
 # byte-identical to the serial (-shards 1) run at the same seed, and the
-# replicated data tier storm (mcload -sync) must dump the same totals and
-# state digest serial vs sharded. A bench gate checks, on medians of five
+# replicated data tier storm (mcload -sync) must dump the same totals,
+# state digest and telemetry registry serial vs sharded. A bench gate checks, on medians of five
 # runs, the timing wheel's speedup over the reference heap, that the
 # webserver parser frames messages in linear time and that a syncing
 # device's invalidation catch-up does not grow with its backlog, and caps the
@@ -45,20 +47,26 @@ set -eux
 cd "$(dirname "$0")/.."
 
 go vet ./...
-# Dead-code gate plus the test-only caps: -report prints a header line
-# with each count. The caps only go down.
+# Dead-code gate plus the test-only and one-value caps: -report prints a
+# header line with each count. The caps only go down.
 go run ./scripts/deadexports -report >/tmp/mc-dead.txt
-max_test_only_decls=48
-max_test_only_fields=9
+max_test_only_decls=47
+max_test_only_fields=7
+max_self_written_config_fields=4
 decls=$(sed -n 's/^\([0-9][0-9]*\) exported declarations only tests use:$/\1/p' /tmp/mc-dead.txt)
 fields=$(sed -n 's/^\([0-9][0-9]*\) fields only tests write:$/\1/p' /tmp/mc-dead.txt)
+knobs=$(sed -n 's/^\([0-9][0-9]*\) config fields only their own package writes:$/\1/p' /tmp/mc-dead.txt)
 rm -f /tmp/mc-dead.txt
-if [ -z "$decls" ] || [ -z "$fields" ]; then
+if [ -z "$decls" ] || [ -z "$fields" ] || [ -z "$knobs" ]; then
 	echo "verify: deadexports -report printed no count header" >&2
 	exit 1
 fi
 if [ "$decls" -gt "$max_test_only_decls" ] || [ "$fields" -gt "$max_test_only_fields" ]; then
 	echo "verify: test-only code grew: $decls declarations (cap $max_test_only_decls), $fields fields (cap $max_test_only_fields)" >&2
+	exit 1
+fi
+if [ "$knobs" -gt "$max_self_written_config_fields" ]; then
+	echo "verify: $knobs config fields are written only by their own package (cap $max_self_written_config_fields): fold each into a constant" >&2
 	exit 1
 fi
 go build ./...
@@ -127,12 +135,13 @@ go run ./cmd/mcload -scale -seed 7 -gateways 3 -cells 2 -stations 20 \
 cmp /tmp/mc-scale-a.txt /tmp/mc-scale-b.txt
 rm -f /tmp/mc-scale-a.txt /tmp/mc-scale-b.txt
 # The replicated data tier under the chaos plan: the resilient run must
-# report zero lost updates and a converged tier, and stdout (totals +
-# state digest) must be byte-identical serial vs sharded.
+# report zero lost updates and a converged tier, and stdout (totals,
+# state digest and the telemetry registry) must be byte-identical serial
+# vs sharded.
 go run ./cmd/mcload -sync -seed 7 -gateways 2 -cells 2 -devices 100 \
-	-duration 30s -shards 1 >/tmp/mc-sync-a.txt 2>/dev/null
+	-duration 30s -metrics -shards 1 >/tmp/mc-sync-a.txt 2>/dev/null
 go run ./cmd/mcload -sync -seed 7 -gateways 2 -cells 2 -devices 100 \
-	-duration 30s -shards 4 >/tmp/mc-sync-b.txt 2>/dev/null
+	-duration 30s -metrics -shards 4 >/tmp/mc-sync-b.txt 2>/dev/null
 cmp /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
 grep -q '^lost=0 ' /tmp/mc-sync-a.txt
 grep -q '^converged: yes' /tmp/mc-sync-a.txt
