@@ -46,8 +46,7 @@
 // (workload.SyncFlows) writing tentatively and syncing under the chaos
 // plan. -policy picks the server conflict rule: lww, server-wins, or
 // fragile, the lost-update baseline, under which devices also roll back
-// tentative writes on timeout. The tier has no merge func, so mcload
-// rejects mobiledb's merge policy when it validates flags.
+// tentative writes on timeout.
 // Stdout (totals, lost-update count, convergence, state digest) is
 // byte-identical at any -shards value, which verify.sh checks.
 //
@@ -149,7 +148,7 @@ func run(args []string, w io.Writer) error {
 	if *sync {
 		var err error
 		pol, err = mobiledb.ParsePolicy(*policy)
-		if err != nil || pol == mobiledb.PolicyMerge {
+		if err != nil {
 			return fmt.Errorf("-policy must be lww, server-wins or fragile, got %q", *policy)
 		}
 	}
@@ -365,8 +364,8 @@ func runSync(o syncOpts, w io.Writer) error {
 		o.gateways, o.cells, o.devices, rep.Devices, o.replicas+1, o.policy)
 	fmt.Fprintf(w, "writes=%d syncs=%d confirmed=%d overridden=%d\n",
 		rep.Writes, rep.Syncs, rep.Confirmed, rep.Overridden)
-	fmt.Fprintf(w, "conflicts=%d merges=%d duplicates=%d timeouts=%d redirects=%d faults=%d\n",
-		rep.Conflicts, rep.Merges, rep.Duplicates, rep.Timeouts, rep.Redirects, rep.Faults)
+	fmt.Fprintf(w, "conflicts=%d duplicates=%d timeouts=%d redirects=%d faults=%d\n",
+		rep.Conflicts, rep.Duplicates, rep.Timeouts, rep.Redirects, rep.Faults)
 	fmt.Fprintf(w, "lost=%d (device rollbacks %d + blind overwrites %d)\n",
 		rep.Lost(), rep.LostDevice, rep.BlindOverwrites)
 	if rep.Converged {

@@ -54,9 +54,9 @@ func TestRunRejectsBadInputs(t *testing.T) {
 	}
 }
 
-// TestSyncRejectsMergePolicy pins that -policy merge, which the data
-// tier cannot run (it has no merge func), fails flag validation: before
-// the CPU profile starts and before any world is built.
+// TestSyncRejectsMergePolicy pins that -policy merge, a name mobiledb
+// does not define, fails flag validation: before the CPU profile starts
+// and before any world is built.
 func TestSyncRejectsMergePolicy(t *testing.T) {
 	prof := filepath.Join(t.TempDir(), "cpu.out")
 	var out strings.Builder

@@ -3,7 +3,7 @@
 // GPRS cell: couriers stream position updates, a dispatcher assigns the
 // nearest courier to each new package, and one courier drives out of
 // coverage, keeps scanning packages into the on-device embedded database,
-// and reconciles with the hub when coverage returns.
+// and uploads them to the hub when coverage returns.
 //
 //	go run ./examples/inventory
 package main
@@ -111,15 +111,15 @@ func run() error {
 			sched.Now().Round(time.Millisecond), van1.Local.Len(), van1.Local.UsedBytes())
 	})
 
-	// Coverage returns; the embedded database reconciles with the hub.
+	// Coverage returns; the embedded database uploads its scans to the hub.
 	sched.After(25*time.Second, func() {
 		mc.Clients[0].CellMobile.MoveTo(wireless.Position{X: 800})
 	})
 	sched.After(27*time.Second, func() {
-		van1.Sync(func(applied int, err error) {
+		van1.Sync(func(confirmed int, err error) {
 			fatal("sync", err)
-			fmt.Printf("t=%-6s van-1 back in coverage; sync pushed offline scans, pulled %d entries\n",
-				sched.Now().Round(time.Millisecond), applied)
+			fmt.Printf("t=%-6s van-1 back in coverage; hub confirmed %d offline scans\n",
+				sched.Now().Round(time.Millisecond), confirmed)
 		})
 	})
 

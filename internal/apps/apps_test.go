@@ -14,14 +14,15 @@ import (
 	"mcommerce/internal/mobiledb"
 )
 
-// appsTopo is an MC system with all Table 1 services registered and one
-// i-mode browser fetcher per client.
+// appsTopo is an MC system with the given services registered (all
+// Table 1 services when none are given) and one i-mode browser fetcher per
+// client.
 type appsTopo struct {
 	mc       *core.MC
 	fetchers []device.Fetcher
 }
 
-func newAppsTopo(t testing.TB, seed int64) *appsTopo {
+func newAppsTopo(t testing.TB, seed int64, services ...apps.Service) *appsTopo {
 	t.Helper()
 	mc, err := core.BuildMC(core.MCConfig{
 		Seed:    seed,
@@ -30,8 +31,13 @@ func newAppsTopo(t testing.TB, seed int64) *appsTopo {
 	if err != nil {
 		t.Fatalf("BuildMC: %v", err)
 	}
-	if err := apps.RegisterAll(mc.Host); err != nil {
-		t.Fatalf("RegisterAll: %v", err)
+	if len(services) == 0 {
+		services = apps.All()
+	}
+	for _, s := range services {
+		if err := s.Register(mc.Host); err != nil {
+			t.Fatalf("register %s: %v", s.Category(), err)
+		}
 	}
 	a := &appsTopo{mc: mc}
 	for _, cl := range mc.Clients {
@@ -405,55 +411,37 @@ func TestInventoryTrackAndDispatch(t *testing.T) {
 }
 
 func TestInventoryOfflineSync(t *testing.T) {
-	a := newAppsTopo(t, 10)
+	inv := apps.NewInventory()
+	a := newAppsTopo(t, 10, inv)
 	courier := &apps.InventoryClient{
 		Fetcher: a.fetchers[0], Origin: a.mc.Host.Addr(),
 		Local: mobiledb.New("courier-7", 0),
 	}
 	// Offline observations accumulate locally...
-	if err := courier.RecordOffline("scan:pkg-9", []byte("picked up 09:02")); err != nil {
-		t.Fatalf("RecordOffline: %v", err)
-	}
-	if err := courier.RecordOffline("scan:pkg-10", []byte("delivered 09:40")); err != nil {
-		t.Fatalf("RecordOffline: %v", err)
+	scans := map[string]string{"scan:pkg-9": "picked up 09:02", "scan:pkg-10": "delivered 09:40"}
+	for key, val := range scans {
+		if err := courier.RecordOffline(key, []byte(val)); err != nil {
+			t.Fatalf("RecordOffline: %v", err)
+		}
 	}
 	// ...and reconcile once connectivity returns.
-	synced := false
-	courier.Sync(func(applied int, err error) {
+	confirmed := -1
+	courier.Sync(func(n int, err error) {
 		if err != nil {
 			t.Errorf("sync: %v", err)
 			return
 		}
-		synced = true
+		confirmed = n
 	})
 	a.run(t)
-	if !synced {
-		t.Fatal("sync did not complete")
+	if confirmed != 2 || courier.Local.TentativeCount() != 0 {
+		t.Fatalf("sync confirmed %d, %d still tentative; want 2, 0", confirmed, courier.Local.TentativeCount())
 	}
-	// The hub replica on the host now holds both scans: verify through a
-	// second client pulling from the hub.
-	puller := &apps.InventoryClient{
-		Fetcher: a.fetchers[1], Origin: a.mc.Host.Addr(),
-		Local: mobiledb.New("dispatch-desk", 0),
-	}
-	gotScans := 0
-	puller.Sync(func(applied int, err error) {
-		if err != nil {
-			t.Errorf("pull sync: %v", err)
-			return
+	// The hub's backend on the host now holds both scans.
+	for key, val := range scans {
+		if row, ok, _ := inv.Scans.Lookup(key); !ok || row.Deleted || string(row.Value) != val {
+			t.Errorf("hub row %s = %+v, %v; want %q", key, row, ok, val)
 		}
-		gotScans = applied
-	})
-	a.run(t)
-	if gotScans != 2 {
-		t.Errorf("pulled %d entries from hub, want 2", gotScans)
-	}
-	relayed := false
-	for _, e := range puller.Local.ChangesSince(0) {
-		relayed = relayed || e.Key == "scan:pkg-9" && !e.Deleted && string(e.Value) == "picked up 09:02"
-	}
-	if !relayed {
-		t.Error("scan lost through hub relay")
 	}
 }
 

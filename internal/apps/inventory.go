@@ -19,16 +19,21 @@ import (
 //
 // Couriers report package positions from the field; dispatch assigns the
 // nearest free courier to a waiting package. The service also exposes a
-// mobiledb sync endpoint so couriers can keep working while disconnected
-// and reconcile when coverage returns (Section 7's embedded databases).
+// mobiledb up-sync endpoint so couriers can keep working while
+// disconnected and upload their writes when coverage returns (Section 7's
+// embedded databases).
 type Inventory struct {
-	// SyncHub is the server-side replica couriers sync against.
-	SyncHub *mobiledb.Store
+	// SyncHub resolves couriers' offline writes, last writer wins, into
+	// Scans.
+	SyncHub *mobiledb.Server
+	// Scans holds the hub's confirmed rows, in memory.
+	Scans *mobiledb.MemBackend
 }
 
 // NewInventory returns the tracking-and-dispatch service.
 func NewInventory() *Inventory {
-	return &Inventory{SyncHub: mobiledb.New("inventory-hub", 0)}
+	scans := mobiledb.NewMemBackend()
+	return &Inventory{SyncHub: mobiledb.NewServer(mobiledb.PolicyLWW, scans), Scans: scans}
 }
 
 var _ Service = (*Inventory)(nil)
@@ -243,19 +248,18 @@ func (s *Inventory) Register(h *core.Host) error {
 		}
 	})
 
-	// Disconnected-operation sync: couriers POST a mobiledb SyncRequest
-	// and get the hub's SyncResponse.
+	// Disconnected-operation sync: couriers POST a mobiledb UpSyncRequest
+	// and get the hub's verdicts back.
 	h.Server.Handle("/track/sync", func(r *webserver.Request) *webserver.Response {
-		req, err := mobiledb.DecodeSyncRequest(r.Body)
-		if err != nil {
+		var req mobiledb.UpSyncRequest
+		if err := readJSON(r, &req); err != nil {
 			return fail(400, "bad sync request")
 		}
-		resp := s.SyncHub.ServeSync(req)
-		wire, err := mobiledb.EncodeSyncResponse(resp)
+		resp, err := s.SyncHub.Apply(&req)
 		if err != nil {
-			return fail(500, "encode sync: %v", err)
+			return fail(500, "sync: %v", err)
 		}
-		return webserver.NewResponse(200, webserver.TypeJSON, wire)
+		return respondJSON(resp)
 	})
 	return nil
 }
@@ -300,38 +304,28 @@ func (c *InventoryClient) Dispatch(pkg string, done func(DispatchReply, error)) 
 }
 
 // RecordOffline stores an observation in the courier's embedded database
-// while out of coverage.
+// while out of coverage, as a tentative write for the next Sync.
 func (c *InventoryClient) RecordOffline(key string, value []byte) error {
 	if c.Local == nil {
 		return fmt.Errorf("%w: no local store", ErrService)
 	}
-	return c.Local.Put(key, value)
+	return c.Local.PutTentative(key, value)
 }
 
-// Sync reconciles the courier's embedded database with the hub over the
-// network. done reports entries pulled from the hub.
-func (c *InventoryClient) Sync(done func(applied int, err error)) {
+// Sync uploads the courier's tentative writes to the hub over the network
+// and installs its verdicts. done reports the writes the hub confirmed.
+func (c *InventoryClient) Sync(done func(confirmed int, err error)) {
 	if c.Local == nil {
 		done(0, fmt.Errorf("%w: no local store", ErrService))
 		return
 	}
-	req := c.Local.BeginSync("inventory-hub")
-	wire, err := mobiledb.EncodeSyncRequest(req)
-	if err != nil {
-		done(0, err)
-		return
-	}
-	c.Fetcher.Submit(c.Origin, "/track/sync", webserver.TypeJSON, wire,
-		func(payload []byte, _ string, err error) {
+	call(c.Fetcher, c.Origin, "/track/sync", c.Local.BeginUpSync(),
+		func(resp mobiledb.UpSyncResponse, err error) {
 			if err != nil {
 				done(0, err)
 				return
 			}
-			resp, err := mobiledb.DecodeSyncResponse(payload)
-			if err != nil {
-				done(0, err)
-				return
-			}
-			done(c.Local.FinishSync(req, resp), nil)
+			confirmed, _ := c.Local.FinishUpSync(&resp)
+			done(confirmed, nil)
 		})
 }

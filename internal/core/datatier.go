@@ -26,8 +26,6 @@ type DataTierConfig struct {
 	// cluster has Replicas+1 members. Zero means 2 (a 3-way quorum).
 	Replicas int
 	// Policy is the conflict-resolution rule device syncs resolve under.
-	// The tier has no merge func, so mobiledb.NewServer rejects
-	// PolicyMerge.
 	Policy mobiledb.Policy
 }
 
@@ -243,10 +241,7 @@ type SyncService struct {
 
 // NewSyncService attaches a sync endpoint to a replication member.
 func NewSyncService(m *repl.Member, policy mobiledb.Policy) (*SyncService, error) {
-	sv, err := mobiledb.NewServer(policy, DBBackend{DB: m.DB()}, nil)
-	if err != nil {
-		return nil, err
-	}
+	sv := mobiledb.NewServer(policy, DBBackend{DB: m.DB()})
 	s := &SyncService{m: m, sv: sv, u: simnet.UDPOf(m.Node())}
 	if err := s.u.Listen(SyncPort, s.recv); err != nil {
 		return nil, err
@@ -259,7 +254,6 @@ func NewSyncService(m *repl.Member, policy mobiledb.Policy) (*SyncService, error
 	sc.AliasCounter("accepted", &sv.Accepted)
 	sc.AliasCounter("rejected", &sv.Rejected)
 	sc.AliasCounter("conflicts", &sv.ConflictsSeen)
-	sc.AliasCounter("merges", &sv.Merges)
 	sc.AliasCounter("duplicates", &sv.Duplicates)
 	sc.AliasCounter("blind_overwrites", &sv.BlindOverwrites)
 	sc.AliasCounter("redirects", &s.Redirects)

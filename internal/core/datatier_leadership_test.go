@@ -79,7 +79,7 @@ func TestSyncServiceDropsHeldAcksOnDemotion(t *testing.T) {
 	if err := dev.PutTentative("held", []byte("lost-on-failover")); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginUpSync("tier")
+	req := dev.BeginUpSync()
 	u := simnet.UDPOf(devNode)
 	var acked *mobiledb.UpSyncResponse
 	if err := u.Listen(devPort, func(from simnet.Addr, body any, bytes int) {

@@ -57,7 +57,7 @@ func TestDataTierDeviceSessionEndToEnd(t *testing.T) {
 	if err := dev.PutTentative("cart", []byte("3 items")); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginUpSync("tier")
+	req := dev.BeginUpSync()
 
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
@@ -82,7 +82,7 @@ func TestDataTierDeviceSessionEndToEnd(t *testing.T) {
 	if resp.Retry {
 		t.Fatalf("primary redirected: %+v", resp)
 	}
-	confirmed, overridden := dev.FinishUpSync("tier", resp)
+	confirmed, overridden := dev.FinishUpSync(resp)
 	if confirmed != 1 || overridden != 0 {
 		t.Fatalf("confirmed=%d overridden=%d", confirmed, overridden)
 	}
@@ -113,7 +113,7 @@ func TestDataTierRedirectsNonPrimary(t *testing.T) {
 	if err := dev.PutTentative("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginUpSync("tier")
+	req := dev.BeginUpSync()
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
 	var resp *mobiledb.UpSyncResponse
@@ -228,7 +228,7 @@ func TestDataTierSyncCrashTrigger(t *testing.T) {
 	if err := dev.PutTentative("pay", []byte("order-7")); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginUpSync("tier")
+	req := dev.BeginUpSync()
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
 	addrs := dt.Addrs()
@@ -270,7 +270,7 @@ func TestDataTierSyncCrashTrigger(t *testing.T) {
 	if verdict == nil {
 		t.Fatalf("no verdict after retry (%d redirects)", redirects)
 	}
-	confirmed, overridden := dev.FinishUpSync("tier", verdict)
+	confirmed, overridden := dev.FinishUpSync(verdict)
 	if confirmed != 1 || overridden != 0 {
 		t.Fatalf("confirmed=%d overridden=%d", confirmed, overridden)
 	}

@@ -164,6 +164,27 @@ func TestTCPVariantsHonourCC(t *testing.T) {
 	}
 }
 
+// TestHandoffAndMobileIPHonourCC pins that -cc reaches the E-TCP(c) and
+// E-MIP endpoints: the same transfer completes at a different time under
+// CUBIC than under Reno.
+func TestHandoffAndMobileIPHonourCC(t *testing.T) {
+	defer func(old string) { CC = old }(CC)
+	run := func(cc string) (handoff, mip time.Duration) {
+		CC = cc
+		handoff = handoffRun(1, 2*time.Second, 1536<<10, false)
+		_, mip, _, _, _ = mipRun(1, true, true, 400<<10, 2*time.Minute)
+		return handoff, mip
+	}
+	renoHandoff, renoMIP := run(mtcp.CCReno)
+	cubicHandoff, cubicMIP := run(mtcp.CCCubic)
+	if renoHandoff == 0 || renoHandoff == cubicHandoff {
+		t.Errorf("E-TCP(c) download: reno %v, cubic %v; want two different completion times", renoHandoff, cubicHandoff)
+	}
+	if renoMIP == 0 || renoMIP == cubicMIP {
+		t.Errorf("E-MIP tunneled transfer: reno %v, cubic %v; want two different completion times", renoMIP, cubicMIP)
+	}
+}
+
 func TestTCPVariantClaims(t *testing.T) {
 	results := TCPVariants(1)
 	if len(results) != 2 {

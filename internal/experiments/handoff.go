@@ -48,7 +48,7 @@ func handoffRun(seed int64, period time.Duration, size int, signal bool) time.Du
 	var mobileConn *mtcp.Conn
 	got := 0
 	var doneAt time.Duration
-	if err := p.ms.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {
+	if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
 		mobileConn = c
 		c.OnData(func(b []byte) {
 			got += len(b)
@@ -60,7 +60,7 @@ func handoffRun(seed int64, period time.Duration, size int, signal bool) time.Du
 	}); err != nil {
 		return 0
 	}
-	p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
+	p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 		if err == nil {
 			c.Send(make([]byte, size))
 		}

@@ -45,7 +45,7 @@ func mipRun(seed int64, move, useMobileIP bool, size int, horizon time.Duration)
 	ms := mtcp.MustNewStack(mob)
 	got := 0
 	var doneAt time.Duration
-	if err := ms.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {
+	if err := ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
 		c.OnData(func(b []byte) {
 			got += len(b)
 			if got >= size && doneAt == 0 {
@@ -56,7 +56,7 @@ func mipRun(seed int64, move, useMobileIP bool, size int, horizon time.Duration)
 	}); err != nil {
 		return false, 0, 0, 0, 0
 	}
-	cs.Dial(simnet.Addr{Node: mob.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
+	cs.Dial(simnet.Addr{Node: mob.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 		if err == nil {
 			c.Send(make([]byte, size))
 		}

@@ -259,7 +259,7 @@ type SyncStormReport struct {
 
 	Writes, Syncs, Confirmed, Overridden uint64
 	Timeouts, Redirects                  uint64
-	Conflicts, Merges, Duplicates        uint64
+	Conflicts, Duplicates                uint64
 	// LostDevice counts tentative writes rolled back by fragile devices;
 	// BlindOverwrites counts server-side silent clobbers under the
 	// fragile policy. Lost() is their sum — the experiment's headline.
@@ -334,7 +334,6 @@ func (sw *SyncStormWorld) fill(rep *SyncStormReport) {
 		for _, svc := range sw.Tiers[c].Services {
 			srv := svc.Server()
 			rep.Conflicts += srv.ConflictsSeen
-			rep.Merges += srv.Merges
 			rep.Duplicates += srv.Duplicates
 			rep.BlindOverwrites += srv.BlindOverwrites
 		}
@@ -355,9 +354,9 @@ func (sw *SyncStormWorld) Digest(rep *SyncStormReport) string {
 			fmt.Fprintf(h, "%s|%d|%d\n", m.Dump(), m.Commit(), m.Term())
 		}
 	}
-	return fmt.Sprintf("%d %d %d %d|%d %d %d %d %d %d|%d %d|%v %v\nnow=%v executed=%d pending=%d state=%016x\n",
+	return fmt.Sprintf("%d %d %d %d|%d %d %d %d %d|%d %d|%v %v\nnow=%v executed=%d pending=%d state=%016x\n",
 		rep.Writes, rep.Syncs, rep.Confirmed, rep.Overridden,
-		rep.Conflicts, rep.Merges, rep.Duplicates, rep.Timeouts, rep.Redirects, rep.Faults,
+		rep.Conflicts, rep.Duplicates, rep.Timeouts, rep.Redirects, rep.Faults,
 		rep.LostDevice, rep.BlindOverwrites, rep.Converged, rep.ConvergeAfter,
 		sw.World.Now(), sw.World.Executed(), sw.World.Pending(), h.Sum64())
 }

@@ -1,7 +1,6 @@
 package mobiledb
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 )
@@ -12,11 +11,11 @@ import (
 // was derived from — and on reconnect uploads the pending set in a sync
 // session. The server detects conflicts by comparing each write's base
 // version against its current version and resolves them under a pluggable
-// policy: last-writer-wins by simulated time, server-wins, an application
-// merge hook, or the deliberately fragile blind-apply baseline the
-// syncstorm experiment uses for contrast. Accepted writes feed a
-// broadcast-disk style invalidation stream so other devices' caches
-// self-heal instead of serving stale reads forever.
+// policy: last-writer-wins by simulated time, server-wins, or the
+// deliberately fragile blind-apply baseline the syncstorm experiment uses
+// for contrast. Accepted writes feed a broadcast-disk style invalidation
+// stream so other devices' caches self-heal instead of serving stale
+// reads forever.
 
 // maxInvReplay caps how many invalidation ticks one sync response
 // replays to a device that fell behind. Unbounded replay melts the
@@ -36,7 +35,6 @@ type Policy int
 const (
 	PolicyLWW Policy = iota
 	PolicyServerWins
-	PolicyMerge
 	PolicyFragile
 )
 
@@ -46,8 +44,6 @@ func (p Policy) String() string {
 		return "lww"
 	case PolicyServerWins:
 		return "server-wins"
-	case PolicyMerge:
-		return "merge"
 	case PolicyFragile:
 		return "fragile"
 	default:
@@ -57,7 +53,7 @@ func (p Policy) String() string {
 
 // ParsePolicy resolves a policy name.
 func ParsePolicy(s string) (Policy, error) {
-	for _, p := range []Policy{PolicyLWW, PolicyServerWins, PolicyMerge, PolicyFragile} {
+	for _, p := range []Policy{PolicyLWW, PolicyServerWins, PolicyFragile} {
 		if p.String() == s {
 			return p, nil
 		}
@@ -151,7 +147,7 @@ type WriteResult struct {
 	// Clock echoes the write's device clock so retried sessions match
 	// verdicts to the exact write they answered.
 	Clock uint64
-	// Accepted means the device's value (or a merge of it) now stands.
+	// Accepted means the device's value now stands.
 	Accepted bool
 	// Conflict means the base version had moved: some other writer got
 	// there first and the policy had to choose.
@@ -215,7 +211,7 @@ func (r *UpSyncResponse) WireBytes() int {
 // FinishUpSync installs the verdicts or DropTentative discards them; a
 // timed-out session simply leaves them queued for the next attempt. The
 // caller keeps at most one session in flight.
-func (s *Store) BeginUpSync(peer string) *UpSyncRequest {
+func (s *Store) BeginUpSync() *UpSyncRequest {
 	var writes []Entry
 	for _, e := range s.data {
 		if e.Tentative {
@@ -226,7 +222,7 @@ func (s *Store) BeginUpSync(peer string) *UpSyncRequest {
 	// The request crosses the network and may outlive local state. It
 	// shares the entries' values, which is safe because the store never
 	// writes into a stored value: every write installs a fresh copy.
-	return &UpSyncRequest{From: s.name, Since: s.peer(peer).recvThrough, Writes: writes}
+	return &UpSyncRequest{From: s.name, Since: s.invThrough, Writes: writes}
 }
 
 // DropTentative is the fragile baseline's failure handling: pending
@@ -239,8 +235,7 @@ func (s *Store) DropTentative(req *UpSyncRequest) int {
 		if e == nil || !e.Tentative {
 			continue
 		}
-		delete(s.data, w.Key)
-		s.used -= e.size()
+		s.drop(e)
 		lost++
 	}
 	return lost
@@ -252,7 +247,7 @@ func (s *Store) DropTentative(req *UpSyncRequest) int {
 // stays tentative on its new base; otherwise the authoritative row
 // replaces it. Returns the number of confirmed writes and the number
 // resolved against the device.
-func (s *Store) FinishUpSync(peer string, resp *UpSyncResponse) (confirmed, overridden int) {
+func (s *Store) FinishUpSync(resp *UpSyncResponse) (confirmed, overridden int) {
 	for i := range resp.Results {
 		r := &resp.Results[i]
 		e := s.data[r.Key]
@@ -271,18 +266,18 @@ func (s *Store) FinishUpSync(peer string, resp *UpSyncResponse) (confirmed, over
 		}
 	}
 	s.ApplyInvalidations(resp.Invalid)
-	s.peer(peer).recvThrough = resp.Through
+	s.invThrough = resp.Through
 	return confirmed, overridden
 }
 
 // installServer replaces local state for key with the authoritative row.
-// Budget overflow falls back to dropping the local copy entirely — the
-// server holds the data; the cache just stays cold.
+// Budget overflow falls back to dropping the local copy entirely, the
+// resolved tentative write included — the server holds the data; the
+// cache just stays cold.
 func (s *Store) installServer(key string, ver uint64, value []byte, deleted bool, wts int64, origin string) {
 	if deleted {
 		if e := s.data[key]; e != nil {
-			delete(s.data, key)
-			s.used -= e.size()
+			s.drop(e)
 		}
 		return
 	}
@@ -296,11 +291,16 @@ func (s *Store) installServer(key string, ver uint64, value []byte, deleted bool
 		WTS:    wts,
 	}
 	if err := s.install(e); err != nil {
-		if old := s.data[key]; old != nil && !old.Tentative {
-			delete(s.data, key)
-			s.used -= old.size()
+		if old := s.data[key]; old != nil {
+			s.drop(old)
 		}
 	}
+}
+
+// drop removes e from the store.
+func (s *Store) drop(e *Entry) {
+	delete(s.data, e.Key)
+	s.used -= e.size()
 }
 
 // ApplyInvalidations consumes a broadcast-disk tick: cached entries older
@@ -309,7 +309,7 @@ func (s *Store) installServer(key string, ver uint64, value []byte, deleted bool
 // the next sync session, not the broadcast.
 func (s *Store) ApplyInvalidations(invs []Invalidation) (dropped int) {
 	for _, inv := range invs {
-		if s.invalidate(inv.Key, s.data[inv.Key], inv.SrvVer) {
+		if s.invalidate(s.data[inv.Key], inv.SrvVer) {
 			dropped++
 		}
 	}
@@ -324,21 +324,20 @@ func (s *Store) ApplyInvalidations(invs []Invalidation) (dropped int) {
 // but it costs one lookup per local entry instead of one per tick.
 func (s *Store) ApplyInvalidationIndex(newest func(key string) (ver uint64, ok bool)) (dropped int) {
 	for key, e := range s.data {
-		if ver, ok := newest(key); ok && s.invalidate(key, e, ver) {
+		if ver, ok := newest(key); ok && s.invalidate(e, ver) {
 			dropped++
 		}
 	}
 	return dropped
 }
 
-// invalidate drops e, the local entry for key, when it is a cached
-// (non-tentative) copy older than server version ver.
-func (s *Store) invalidate(key string, e *Entry, ver uint64) bool {
+// invalidate drops e, a local entry, when it is a cached (non-tentative)
+// copy older than server version ver.
+func (s *Store) invalidate(e *Entry, ver uint64) bool {
 	if e == nil || e.Tentative || e.SrvVer >= ver {
 		return false
 	}
-	delete(s.data, key)
-	s.used -= e.size()
+	s.drop(e)
 	s.Invalidations++
 	return true
 }
@@ -371,16 +370,11 @@ type Backend interface {
 	Store(e ServerEntry) error
 }
 
-// MergeFunc combines a conflicting device write with the current server
-// value under PolicyMerge. It must be deterministic.
-type MergeFunc func(key string, device, server []byte) []byte
-
 // Server is the host-side disconnected-transaction engine: it applies
 // uploaded writes against the backend under the configured policy and
 // feeds the invalidation log.
 type Server struct {
 	policy Policy
-	merge  MergeFunc
 	be     Backend
 
 	// invLog is the broadcast-disk source: every accepted write appends
@@ -389,7 +383,7 @@ type Server struct {
 
 	// Counters (core.NewSyncService registers them under mobiledb.sync.*).
 	Sessions, Writes, Accepted, Rejected uint64
-	ConflictsSeen, Merges, Duplicates    uint64
+	ConflictsSeen, Duplicates            uint64
 	// BlindOverwrites counts fragile-policy writes that clobbered a value
 	// their writer never saw — each one is a silently lost update, the
 	// quantity the syncstorm baseline measures. Always zero under the
@@ -397,16 +391,9 @@ type Server struct {
 	BlindOverwrites uint64
 }
 
-// NewServer builds a server engine. merge may be nil unless policy is
-// PolicyMerge.
-func NewServer(policy Policy, be Backend, merge MergeFunc) (*Server, error) {
-	if be == nil {
-		return nil, errors.New("mobiledb: server needs a backend")
-	}
-	if policy == PolicyMerge && merge == nil {
-		return nil, errors.New("mobiledb: merge policy needs a merge func")
-	}
-	return &Server{policy: policy, merge: merge, be: be}, nil
+// NewServer builds a server engine that resolves writes against be.
+func NewServer(policy Policy, be Backend) *Server {
+	return &Server{policy: policy, be: be}
 }
 
 // Reset drops the server's volatile state — the invalidation log and its
@@ -477,7 +464,6 @@ func (sv *Server) applyWrite(w *Entry) (WriteResult, error) {
 	}
 	conflict := exists && cur.Ver > w.Base && sv.policy != PolicyFragile
 	accept := true
-	merged := []byte(nil)
 	if conflict {
 		sv.ConflictsSeen++
 		switch sv.policy {
@@ -485,9 +471,6 @@ func (sv *Server) applyWrite(w *Entry) (WriteResult, error) {
 			accept = false
 		case PolicyLWW:
 			accept = w.WTS > cur.WTS || (w.WTS == cur.WTS && w.Origin > cur.Origin)
-		case PolicyMerge:
-			merged = sv.merge(w.Key, w.Value, cur.Value)
-			sv.Merges++
 		}
 	}
 	if !accept {
@@ -497,9 +480,6 @@ func (sv *Server) applyWrite(w *Entry) (WriteResult, error) {
 	next := ServerEntry{
 		Key: w.Key, Value: w.Value, Deleted: w.Deleted,
 		Ver: cur.Ver + 1, WTS: w.WTS, Origin: w.Origin, Clock: w.Clock,
-	}
-	if merged != nil {
-		next.Value = merged
 	}
 	if err := sv.be.Store(next); err != nil {
 		return WriteResult{}, err
@@ -517,8 +497,8 @@ func verdict(w *Entry, e ServerEntry, accepted, conflict bool) WriteResult {
 	}
 }
 
-// MemBackend is a map-backed Backend for tests and the standalone device
-// tier (no host database).
+// MemBackend is a map-backed Backend for servers without a host database
+// behind them: the inventory hub and ablation A4's hub.
 type MemBackend struct {
 	rows map[string]ServerEntry
 }

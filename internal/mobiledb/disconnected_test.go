@@ -1,7 +1,6 @@
 package mobiledb
 
 import (
-	"bytes"
 	"fmt"
 	"testing"
 )
@@ -16,21 +15,18 @@ func device(name string, maxBytes int, now *int64) *Store {
 // roundTrip runs one full sync session between dev and sv.
 func roundTrip(t *testing.T, dev *Store, sv *Server) (confirmed, overridden int) {
 	t.Helper()
-	req := dev.BeginUpSync("srv")
+	req := dev.BeginUpSync()
 	resp, err := sv.Apply(req)
 	if err != nil {
 		t.Fatalf("Apply: %v", err)
 	}
-	return dev.FinishUpSync("srv", resp)
+	return dev.FinishUpSync(resp)
 }
 
 func TestDisconnectedWriteSyncsAndConfirms(t *testing.T) {
 	now := int64(100)
 	dev := device("dev", 0, &now)
-	sv, err := NewServer(PolicyLWW, NewMemBackend(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv := NewServer(PolicyLWW, NewMemBackend())
 	if err := dev.PutTentative("cart", []byte("3 items")); err != nil {
 		t.Fatalf("PutTentative: %v", err)
 	}
@@ -57,21 +53,21 @@ func TestDisconnectedWriteSyncsAndConfirms(t *testing.T) {
 func TestSyncRetryIsIdempotent(t *testing.T) {
 	now := int64(5)
 	dev := device("dev", 0, &now)
-	sv, _ := NewServer(PolicyLWW, NewMemBackend(), nil)
+	sv := NewServer(PolicyLWW, NewMemBackend())
 	if err := dev.PutTentative("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginUpSync("srv")
+	req := dev.BeginUpSync()
 	// First response is lost; the device retries the session.
 	if _, err := sv.Apply(req); err != nil {
 		t.Fatal(err)
 	}
-	req2 := dev.BeginUpSync("srv")
+	req2 := dev.BeginUpSync()
 	resp2, err := sv.Apply(req2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	confirmed, overridden := dev.FinishUpSync("srv", resp2)
+	confirmed, overridden := dev.FinishUpSync(resp2)
 	if confirmed != 1 || overridden != 0 {
 		t.Fatalf("retry confirmed=%d overridden=%d, want 1/0", confirmed, overridden)
 	}
@@ -85,15 +81,12 @@ func TestSyncRetryIsIdempotent(t *testing.T) {
 }
 
 // Two devices write the same key while disconnected; policies decide.
-func conflictPair(t *testing.T, policy Policy, merge MergeFunc) (a, b *Store, sv *Server) {
+func conflictPair(t *testing.T, policy Policy) (a, b *Store, sv *Server) {
 	t.Helper()
 	nowA, nowB := int64(10), int64(20)
 	a = device("devA", 0, &nowA)
 	b = device("devB", 0, &nowB)
-	sv, err := NewServer(policy, NewMemBackend(), merge)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sv = NewServer(policy, NewMemBackend())
 	if err := a.PutTentative("k", []byte("from-a")); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +97,7 @@ func conflictPair(t *testing.T, policy Policy, merge MergeFunc) (a, b *Store, sv
 }
 
 func TestConflictLWWLaterWriterWins(t *testing.T) {
-	a, b, sv := conflictPair(t, PolicyLWW, nil)
+	a, b, sv := conflictPair(t, PolicyLWW)
 	roundTrip(t, a, sv) // WTS 10 lands first
 	confirmed, overridden := roundTrip(t, b, sv)
 	if confirmed != 1 || overridden != 0 {
@@ -139,7 +132,7 @@ func TestConflictLWWLaterWriterWins(t *testing.T) {
 }
 
 func TestConflictServerWinsRejectsSecondWriter(t *testing.T) {
-	a, b, sv := conflictPair(t, PolicyServerWins, nil)
+	a, b, sv := conflictPair(t, PolicyServerWins)
 	roundTrip(t, a, sv)
 	confirmed, overridden := roundTrip(t, b, sv)
 	if confirmed != 0 || overridden != 1 {
@@ -154,33 +147,11 @@ func TestConflictServerWinsRejectsSecondWriter(t *testing.T) {
 	}
 }
 
-func TestConflictMergeCombinesValues(t *testing.T) {
-	merge := func(key string, devv, srvv []byte) []byte {
-		return bytes.Join([][]byte{srvv, devv}, []byte("+"))
-	}
-	a, b, sv := conflictPair(t, PolicyMerge, merge)
-	roundTrip(t, a, sv)
-	confirmed, _ := roundTrip(t, b, sv)
-	if confirmed != 1 {
-		t.Fatal("merged write not confirmed")
-	}
-	e, _, _ := sv.be.Lookup("k")
-	if string(e.Value) != "from-a+from-b" {
-		t.Errorf("merged value %q, want from-a+from-b", e.Value)
-	}
-	if v, _ := get(b, "k"); string(v) != "from-a+from-b" {
-		t.Errorf("device caches %q after merge", v)
-	}
-	if sv.Merges != 1 {
-		t.Errorf("Merges = %d, want 1", sv.Merges)
-	}
-}
-
 func TestFragilePolicyLosesUpdates(t *testing.T) {
 	// The baseline: blind apply, no conflict detection. The second writer
 	// silently clobbers the first even though it never saw its value —
 	// this is the lost update syncstorm measures.
-	a, b, sv := conflictPair(t, PolicyFragile, nil)
+	a, b, sv := conflictPair(t, PolicyFragile)
 	roundTrip(t, a, sv)
 	confirmed, _ := roundTrip(t, b, sv)
 	if confirmed != 1 {
@@ -199,7 +170,7 @@ func TestInvalidationStreamDropsStaleCache(t *testing.T) {
 	nowA, nowB := int64(3), int64(2)
 	a := device("devA", 0, &nowA)
 	b := device("devB", 0, &nowB)
-	sv, _ := NewServer(PolicyLWW, NewMemBackend(), nil)
+	sv := NewServer(PolicyLWW, NewMemBackend())
 	// devB caches k via its own confirmed write.
 	if err := b.PutTentative("k", []byte("old")); err != nil {
 		t.Fatal(err)
@@ -237,11 +208,11 @@ func TestInvalidationStreamDropsStaleCache(t *testing.T) {
 func TestWriteDuringSessionStaysTentative(t *testing.T) {
 	now := int64(1)
 	dev := device("dev", 0, &now)
-	sv, _ := NewServer(PolicyLWW, NewMemBackend(), nil)
+	sv := NewServer(PolicyLWW, NewMemBackend())
 	if err := dev.PutTentative("k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginUpSync("srv")
+	req := dev.BeginUpSync()
 	// While the request is in flight the user writes again.
 	now = 2
 	if err := dev.PutTentative("k", []byte("v2")); err != nil {
@@ -251,7 +222,7 @@ func TestWriteDuringSessionStaysTentative(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dev.FinishUpSync("srv", resp)
+	dev.FinishUpSync(resp)
 	// v2 must still be pending, rebased on the version v1 produced.
 	if dev.TentativeCount() != 1 {
 		t.Fatalf("TentativeCount = %d, want 1 (v2 pending)", dev.TentativeCount())
@@ -282,7 +253,7 @@ func TestBeginUpSyncBatchesOldestFirst(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	req := dev.BeginUpSync("srv")
+	req := dev.BeginUpSync()
 	if len(req.Writes) != 5 {
 		t.Fatalf("batch = %d writes, want 5", len(req.Writes))
 	}
@@ -304,7 +275,7 @@ func TestBeginUpSyncBatchesOldestFirst(t *testing.T) {
 func TestDeleteTentativePropagates(t *testing.T) {
 	now := int64(1)
 	dev := device("dev", 0, &now)
-	sv, _ := NewServer(PolicyLWW, NewMemBackend(), nil)
+	sv := NewServer(PolicyLWW, NewMemBackend())
 	if err := dev.PutTentative("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
@@ -337,7 +308,7 @@ func TestFragileDropLosesWrites(t *testing.T) {
 	if err := dev.PutTentative("b", []byte("2")); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginUpSync("srv")
+	req := dev.BeginUpSync()
 	lost := dev.DropTentative(req)
 	if lost != 2 {
 		t.Fatalf("DropTentative lost %d, want 2", lost)
@@ -355,7 +326,7 @@ func TestFragileDropLosesWrites(t *testing.T) {
 func TestInvalidationDeltaIsStable(t *testing.T) {
 	now := int64(1)
 	dev := device("dev", 0, &now)
-	sv, _ := NewServer(PolicyLWW, NewMemBackend(), nil)
+	sv := NewServer(PolicyLWW, NewMemBackend())
 	put := func(key string) {
 		t.Helper()
 		now++

@@ -6,23 +6,32 @@ import (
 	"mcommerce/internal/mobiledb"
 )
 
-// ExampleStore_SyncWith shows disconnected operation: a courier's handheld
-// records scans offline and reconciles with the depot when coverage
-// returns.
-func ExampleStore_SyncWith() {
+// ExampleStore_BeginUpSync shows disconnected operation: a courier's
+// handheld records scans offline and uploads them to the depot in one
+// up-sync session when coverage returns.
+func ExampleStore_BeginUpSync() {
 	handheld := mobiledb.New("courier-7", 64<<10) // 64 KiB footprint
-	depot := mobiledb.New("depot", 0)
+	depot := mobiledb.NewServer(mobiledb.PolicyLWW, mobiledb.NewMemBackend())
 
-	// Out of coverage: scans land locally.
-	_ = handheld.Put("scan:pkg-1", []byte("picked up"))
-	_ = handheld.Put("scan:pkg-2", []byte("delivered"))
+	// Out of coverage: scans land locally as tentative writes.
+	_ = handheld.PutTentative("scan:pkg-1", []byte("picked up"))
+	_ = handheld.PutTentative("scan:pkg-2", []byte("delivered"))
+	fmt.Printf("%d scans pending\n", handheld.TentativeCount())
 
-	// Coverage returns: one sync session reconciles both replicas.
-	sent, received := handheld.SyncWith(depot)
-	fmt.Printf("sync moved %d entries up, %d down\n", sent, received)
-
-	fmt.Printf("depot holds %d scans\n", depot.Len())
+	// Coverage returns: one session uploads both, the depot resolves
+	// them and the handheld installs the verdicts.
+	req := handheld.BeginUpSync()
+	resp, err := depot.Apply(req)
+	if err != nil {
+		fmt.Println(err)
+		return
+	}
+	confirmed, overridden := handheld.FinishUpSync(resp)
+	fmt.Printf("uploaded %d scans in %d B: %d confirmed, %d overridden\n",
+		len(req.Writes), req.WireBytes(), confirmed, overridden)
+	fmt.Printf("%d scans pending\n", handheld.TentativeCount())
 	// Output:
-	// sync moved 2 entries up, 0 down
-	// depot holds 2 scans
+	// 2 scans pending
+	// uploaded 2 scans in 175 B: 2 confirmed, 0 overridden
+	// 0 scans pending
 }

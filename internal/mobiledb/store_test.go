@@ -2,9 +2,9 @@ package mobiledb
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -19,29 +19,17 @@ func get(s *Store, key string) ([]byte, bool) {
 	return e.Value, true
 }
 
-// liveKeys returns the store's live keys in sorted order.
-func liveKeys(s *Store) []string {
-	var out []string
-	for k, e := range s.data {
-		if !e.Deleted {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 func TestPutGetDelete(t *testing.T) {
 	s := New("dev", 0)
-	if err := s.Put("cart:1", []byte("3 widgets")); err != nil {
-		t.Fatalf("Put: %v", err)
+	if err := s.PutTentative("cart:1", []byte("3 widgets")); err != nil {
+		t.Fatalf("PutTentative: %v", err)
 	}
 	v, ok := get(s, "cart:1")
 	if !ok || string(v) != "3 widgets" {
 		t.Fatalf("Get = %q, %v", v, ok)
 	}
-	if err := s.Delete("cart:1"); err != nil {
-		t.Fatalf("Delete: %v", err)
+	if err := s.DeleteTentative("cart:1"); err != nil {
+		t.Fatalf("DeleteTentative: %v", err)
 	}
 	if _, ok := get(s, "cart:1"); ok {
 		t.Error("deleted key still readable")
@@ -53,28 +41,28 @@ func TestPutGetDelete(t *testing.T) {
 
 func TestEmptyKeyRejected(t *testing.T) {
 	s := New("dev", 0)
-	if err := s.Put("", nil); !errors.Is(err, ErrKeyEmpty) {
-		t.Errorf("Put: %v", err)
+	if err := s.PutTentative("", nil); !errors.Is(err, ErrKeyEmpty) {
+		t.Errorf("PutTentative: %v", err)
 	}
-	if err := s.Delete(""); !errors.Is(err, ErrKeyEmpty) {
-		t.Errorf("Delete: %v", err)
+	if err := s.DeleteTentative(""); !errors.Is(err, ErrKeyEmpty) {
+		t.Errorf("DeleteTentative: %v", err)
 	}
 }
 
 func TestFootprintBudgetEnforced(t *testing.T) {
 	s := New("dev", 200)
-	if err := s.Put("a", make([]byte, 100)); err != nil {
-		t.Fatalf("first Put: %v", err)
+	if err := s.PutTentative("a", make([]byte, 100)); err != nil {
+		t.Fatalf("first PutTentative: %v", err)
 	}
-	if err := s.Put("b", make([]byte, 100)); !errors.Is(err, ErrFull) {
-		t.Fatalf("over-budget Put: %v, want ErrFull", err)
+	if err := s.PutTentative("b", make([]byte, 100)); !errors.Is(err, ErrFull) {
+		t.Fatalf("over-budget PutTentative: %v, want ErrFull", err)
 	}
 	// Overwriting with a smaller value frees space.
-	if err := s.Put("a", make([]byte, 10)); err != nil {
-		t.Fatalf("shrink Put: %v", err)
+	if err := s.PutTentative("a", make([]byte, 10)); err != nil {
+		t.Fatalf("shrink PutTentative: %v", err)
 	}
-	if err := s.Put("b", make([]byte, 100)); err != nil {
-		t.Fatalf("Put after shrink: %v", err)
+	if err := s.PutTentative("b", make([]byte, 100)); err != nil {
+		t.Fatalf("PutTentative after shrink: %v", err)
 	}
 	if s.UsedBytes() > 200 {
 		t.Errorf("UsedBytes = %d over budget", s.UsedBytes())
@@ -84,7 +72,7 @@ func TestFootprintBudgetEnforced(t *testing.T) {
 func TestPutCopiesValue(t *testing.T) {
 	s := New("dev", 0)
 	v := []byte("abc")
-	if err := s.Put("k", v); err != nil {
+	if err := s.PutTentative("k", v); err != nil {
 		t.Fatal(err)
 	}
 	v[0] = 'X'
@@ -94,172 +82,211 @@ func TestPutCopiesValue(t *testing.T) {
 }
 
 func TestBasicSyncPropagation(t *testing.T) {
-	dev := New("device", 0)
-	srv := New("server", 0)
-	if err := dev.Put("order:1", []byte("pending")); err != nil {
+	now := int64(1)
+	dev := device("device", 0, &now)
+	sv := NewServer(PolicyLWW, NewMemBackend())
+	if err := dev.PutTentative("order:1", []byte("pending")); err != nil {
 		t.Fatal(err)
 	}
-	if err := srv.Put("catalog:1", []byte("widget")); err != nil {
+	req := dev.BeginUpSync()
+	resp, err := sv.Apply(req)
+	if err != nil {
 		t.Fatal(err)
 	}
-	sent, recv := dev.SyncWith(srv)
-	if sent != 1 || recv != 1 {
-		t.Errorf("sync moved sent=%d recv=%d, want 1,1", sent, recv)
+	if confirmed, _ := dev.FinishUpSync(resp); len(req.Writes) != 1 || confirmed != 1 {
+		t.Errorf("session shipped %d writes and confirmed %d, want 1, 1", len(req.Writes), confirmed)
 	}
-	if v, ok := get(srv, "order:1"); !ok || string(v) != "pending" {
-		t.Error("device change missing on server")
+	if e, ok, _ := sv.be.Lookup("order:1"); !ok || string(e.Value) != "pending" {
+		t.Error("device write missing on server")
 	}
-	if v, ok := get(dev, "catalog:1"); !ok || string(v) != "widget" {
-		t.Error("server change missing on device")
+	// A second session with no new writes ships and confirms nothing.
+	if req := dev.BeginUpSync(); len(req.Writes) != 0 {
+		t.Errorf("idle session ships %d writes", len(req.Writes))
 	}
-	// A second sync with no new writes moves nothing.
-	sent, recv = dev.SyncWith(srv)
-	if sent != 0 || recv != 0 {
-		t.Errorf("idle sync moved sent=%d recv=%d", sent, recv)
+	if confirmed, overridden := roundTrip(t, dev, sv); confirmed+overridden != 0 {
+		t.Errorf("idle session: confirmed=%d overridden=%d", confirmed, overridden)
 	}
 }
 
+// TestDeleteTombstonePropagates: a delete reaches another device's cached
+// copy through the invalidation ticks its next sync response carries.
 func TestDeleteTombstonePropagates(t *testing.T) {
-	dev := New("device", 0)
-	srv := New("server", 0)
-	if err := srv.Put("k", []byte("v")); err != nil {
+	nowA, nowB := int64(2), int64(1)
+	a := device("dev-a", 0, &nowA)
+	b := device("dev-b", 0, &nowB)
+	sv := NewServer(PolicyLWW, NewMemBackend())
+	if err := b.PutTentative("k", []byte("v")); err != nil {
 		t.Fatal(err)
 	}
-	dev.SyncWith(srv)
-	if _, ok := get(dev, "k"); !ok {
-		t.Fatal("initial sync failed")
-	}
-	if err := dev.Delete("k"); err != nil {
+	roundTrip(t, b, sv)
+	if err := a.DeleteTentative("k"); err != nil {
 		t.Fatal(err)
 	}
-	dev.SyncWith(srv)
-	if _, ok := get(srv, "k"); ok {
-		t.Error("delete did not propagate")
+	if confirmed, _ := roundTrip(t, a, sv); confirmed != 1 {
+		t.Fatal("later delete not confirmed")
+	}
+	if e, _, _ := sv.be.Lookup("k"); !e.Deleted {
+		t.Fatalf("server row after delete: %+v", e)
+	}
+	if _, ok := get(b, "k"); !ok {
+		t.Fatal("setup: dev-b lost its copy before syncing")
+	}
+	roundTrip(t, b, sv)
+	if _, ok := get(b, "k"); ok {
+		t.Error("deleted key still cached on dev-b after its next sync")
 	}
 }
 
+// TestLastWriterWinsConflict: a device that writes a key twice offline
+// uploads its latest value, based on the version it last saw, and wins
+// against an earlier concurrent write.
 func TestLastWriterWinsConflict(t *testing.T) {
-	dev := New("device", 0)
-	srv := New("server", 0)
-	if err := srv.Put("k", []byte("base")); err != nil {
+	nowDev, nowOther := int64(1), int64(2)
+	dev := device("device", 0, &nowDev)
+	other := device("other", 0, &nowOther)
+	sv := NewServer(PolicyLWW, NewMemBackend())
+	if err := dev.PutTentative("k", []byte("base")); err != nil {
 		t.Fatal(err)
 	}
-	dev.SyncWith(srv)
+	roundTrip(t, dev, sv)
 
-	// Concurrent divergent updates. The device writes twice, so its clock
-	// is higher and it must win.
-	if err := srv.Put("k", []byte("server-version")); err != nil {
+	// Concurrent divergent updates: other reaches the server first, dev
+	// writes twice later in simulated time.
+	if err := other.PutTentative("k", []byte("other-version")); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Put("k", []byte("device-v1")); err != nil {
+	roundTrip(t, other, sv)
+	nowDev = 3
+	if err := dev.PutTentative("k", []byte("device-v1")); err != nil {
 		t.Fatal(err)
 	}
-	if err := dev.Put("k", []byte("device-v2")); err != nil {
+	nowDev = 4
+	if err := dev.PutTentative("k", []byte("device-v2")); err != nil {
 		t.Fatal(err)
 	}
-	dev.SyncWith(srv)
+	req := dev.BeginUpSync()
+	if len(req.Writes) != 1 || req.Writes[0].Base != 1 {
+		t.Fatalf("session = %+v, want one write based on version 1", req.Writes)
+	}
+	resp, err := sv.Apply(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if confirmed, _ := dev.FinishUpSync(resp); confirmed != 1 || !resp.Results[0].Conflict {
+		t.Fatalf("confirmed=%d, verdict %+v; want one write confirmed over a conflict", confirmed, resp.Results[0])
+	}
 	dv, _ := get(dev, "k")
-	sv, _ := get(srv, "k")
-	if !bytes.Equal(dv, sv) {
-		t.Fatalf("replicas diverged: %q vs %q", dv, sv)
-	}
-	if string(dv) != "device-v2" {
-		t.Errorf("winner = %q, want device-v2 (higher clock)", dv)
+	row, _, _ := sv.be.Lookup("k")
+	if !bytes.Equal(dv, row.Value) || string(dv) != "device-v2" || row.Ver != 3 {
+		t.Errorf("device %q, server %q ver %d; want both device-v2 at ver 3", dv, row.Value, row.Ver)
 	}
 }
 
+// TestEqualClockTiebreakByName: two writes of one key at the same
+// simulated time resolve by writer name, whichever syncs first.
 func TestEqualClockTiebreakByName(t *testing.T) {
-	a := New("alpha", 0)
-	b := New("beta", 0)
-	// Same clock value (1) on both replicas.
-	if err := a.Put("k", []byte("from-alpha")); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Put("k", []byte("from-beta")); err != nil {
-		t.Fatal(err)
-	}
-	a.SyncWith(b)
-	av, _ := get(a, "k")
-	bv, _ := get(b, "k")
-	if !bytes.Equal(av, bv) {
-		t.Fatalf("diverged: %q vs %q", av, bv)
-	}
-	if string(av) != "from-beta" {
-		t.Errorf("tiebreak winner = %q, want beta (lexicographically larger name)", av)
-	}
-}
-
-func TestHubAndSpokeRelay(t *testing.T) {
-	// device A -> server -> device B: changes relay through the hub.
-	a := New("dev-a", 0)
-	b := New("dev-b", 0)
-	hub := New("server", 0)
-	if err := a.Put("note", []byte("hello from A")); err != nil {
-		t.Fatal(err)
-	}
-	a.SyncWith(hub)
-	b.SyncWith(hub)
-	v, ok := get(b, "note")
-	if !ok || string(v) != "hello from A" {
-		t.Fatalf("relay failed: %q %v", v, ok)
-	}
-	// And back: B's reply reaches A on the next round.
-	if err := b.Put("reply", []byte("hi from B")); err != nil {
-		t.Fatal(err)
-	}
-	b.SyncWith(hub)
-	a.SyncWith(hub)
-	if v, ok := get(a, "reply"); !ok || string(v) != "hi from B" {
-		t.Fatal("reverse relay failed")
+	for _, alphaFirst := range []bool{true, false} {
+		now := int64(5)
+		a := device("alpha", 0, &now)
+		b := device("beta", 0, &now)
+		sv := NewServer(PolicyLWW, NewMemBackend())
+		if err := a.PutTentative("k", []byte("from-alpha")); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.PutTentative("k", []byte("from-beta")); err != nil {
+			t.Fatal(err)
+		}
+		if alphaFirst {
+			roundTrip(t, a, sv)
+			roundTrip(t, b, sv)
+			roundTrip(t, a, sv) // the invalidation drops alpha's stale copy
+		} else {
+			roundTrip(t, b, sv)
+			roundTrip(t, a, sv)
+		}
+		row, _, _ := sv.be.Lookup("k")
+		if string(row.Value) != "from-beta" {
+			t.Errorf("alpha first %v: winner = %q, want beta (lexicographically larger name)", alphaFirst, row.Value)
+		}
+		if v, ok := get(a, "k"); ok && string(v) != "from-beta" {
+			t.Errorf("alpha first %v: alpha caches %q", alphaFirst, v)
+		}
 	}
 }
 
+// TestSyncWireEncoding: the inventory service ships up-sync sessions as
+// JSON; binary values survive the round trip both ways.
 func TestSyncWireEncoding(t *testing.T) {
-	dev := New("device", 0)
-	srv := New("server", 0)
-	if err := dev.Put("k", []byte{0x00, 0xFF, 0x7F}); err != nil {
+	now := int64(1)
+	dev := device("device", 0, &now)
+	sv := NewServer(PolicyLWW, NewMemBackend())
+	val := []byte{0x00, 0xFF, 0x7F}
+	if err := dev.PutTentative("k", val); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginSync(srv.Name())
-	wire, err := EncodeSyncRequest(req)
+	wire, err := json.Marshal(dev.BeginUpSync())
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
-	req2, err := DecodeSyncRequest(wire)
-	if err != nil {
+	var req UpSyncRequest
+	if err := json.Unmarshal(wire, &req); err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	resp := srv.ServeSync(req2)
-	rwire, err := EncodeSyncResponse(resp)
+	resp, err := sv.Apply(&req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rwire, err := json.Marshal(resp)
 	if err != nil {
 		t.Fatalf("encode resp: %v", err)
 	}
-	resp2, err := DecodeSyncResponse(rwire)
-	if err != nil {
+	var resp2 UpSyncResponse
+	if err := json.Unmarshal(rwire, &resp2); err != nil {
 		t.Fatalf("decode resp: %v", err)
 	}
-	dev.FinishSync(req, resp2)
-	if v, ok := get(srv, "k"); !ok || !bytes.Equal(v, []byte{0x00, 0xFF, 0x7F}) {
+	if confirmed, _ := dev.FinishUpSync(&resp2); confirmed != 1 || dev.TentativeCount() != 0 {
+		t.Errorf("confirmed %d, %d still tentative", confirmed, dev.TentativeCount())
+	}
+	if e, ok, _ := sv.be.Lookup("k"); !ok || !bytes.Equal(e.Value, val) {
 		t.Error("binary value corrupted over the wire")
 	}
+	if v, _ := get(dev, "k"); !bytes.Equal(v, val) {
+		t.Error("binary value corrupted on the way back")
+	}
 }
 
+// TestOversizedRemoteEntrySkipped: a tight-budget device whose write is
+// overridden by a value too large for its footprint drops its local copy
+// instead; the server keeps the data.
 func TestOversizedRemoteEntrySkipped(t *testing.T) {
-	dev := New("device", 100)
-	srv := New("server", 0)
-	if err := srv.Put("huge", make([]byte, 1000)); err != nil {
+	now := int64(1)
+	big := device("big", 0, &now)
+	small := device("small", 100, &now)
+	sv := NewServer(PolicyServerWins, NewMemBackend())
+	if err := big.PutTentative("k", make([]byte, 1000)); err != nil {
 		t.Fatal(err)
 	}
-	req := dev.BeginSync(srv.Name())
-	resp := srv.ServeSync(req)
-	dev.FinishSync(req, resp)
-	if _, ok := get(dev, "huge"); ok {
-		t.Error("oversized entry applied despite budget")
+	roundTrip(t, big, sv)
+	if err := small.PutTentative("k", []byte("v")); err != nil {
+		t.Fatal(err)
+	}
+	if confirmed, overridden := roundTrip(t, small, sv); confirmed != 0 || overridden != 1 {
+		t.Fatalf("confirmed=%d overridden=%d, want 0/1", confirmed, overridden)
+	}
+	if _, ok := small.data["k"]; ok {
+		t.Error("overridden write kept despite the budget")
+	}
+	if small.UsedBytes() != 0 || small.TentativeCount() != 0 {
+		t.Errorf("UsedBytes = %d, TentativeCount = %d after the drop", small.UsedBytes(), small.TentativeCount())
+	}
+	if row, _, _ := sv.be.Lookup("k"); len(row.Value) != 1000 {
+		t.Errorf("server row holds %d bytes, want 1000", len(row.Value))
 	}
 }
 
-// Property: after random divergent writes on two replicas, one sync round
-// in each direction converges them to identical state.
+// Property: after random offline writes and deletes on two devices and
+// the sync order a, b, a, b, nothing is tentative and every entry either
+// device still holds is the server's current row, under every policy.
 func TestSyncConvergenceProperty(t *testing.T) {
 	type wop struct {
 		OnA bool
@@ -267,44 +294,44 @@ func TestSyncConvergenceProperty(t *testing.T) {
 		Key uint8
 		Val uint16
 	}
-	prop := func(ops []wop) bool {
-		a := New("a", 0)
-		b := New("b", 0)
-		for _, op := range ops {
-			s := a
-			if !op.OnA {
-				s = b
-			}
-			key := fmt.Sprintf("k%d", op.Key%24)
-			if op.Del {
-				if err := s.Delete(key); err != nil {
+	for _, policy := range []Policy{PolicyLWW, PolicyServerWins, PolicyFragile} {
+		prop := func(ops []wop) bool {
+			now := int64(0)
+			a, b := device("a", 0, &now), device("b", 0, &now)
+			sv := NewServer(policy, NewMemBackend())
+			for _, op := range ops {
+				now++
+				s := a
+				if !op.OnA {
+					s = b
+				}
+				key := fmt.Sprintf("k%d", op.Key%24)
+				var err error
+				if op.Del {
+					err = s.DeleteTentative(key)
+				} else {
+					err = s.PutTentative(key, []byte(fmt.Sprint(op.Val)))
+				}
+				if err != nil {
 					return false
 				}
-			} else {
-				if err := s.Put(key, []byte(fmt.Sprint(op.Val))); err != nil {
-					return false
+			}
+			for _, s := range []*Store{a, b, a, b} {
+				roundTrip(t, s, sv)
+			}
+			for _, s := range []*Store{a, b} {
+				for key, e := range s.data {
+					row, ok, _ := sv.be.Lookup(key)
+					if e.Tentative || e.Deleted || !ok || row.Deleted ||
+						row.Ver != e.SrvVer || !bytes.Equal(row.Value, e.Value) {
+						return false
+					}
 				}
 			}
+			return true
 		}
-		a.SyncWith(b)
-		b.SyncWith(a)
-		ka, kb := liveKeys(a), liveKeys(b)
-		if len(ka) != len(kb) {
-			return false
+		if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
+			t.Errorf("%s: %v", policy, err)
 		}
-		for i := range ka {
-			if ka[i] != kb[i] {
-				return false
-			}
-			va, _ := get(a, ka[i])
-			vb, _ := get(b, kb[i])
-			if !bytes.Equal(va, vb) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }

@@ -51,7 +51,7 @@ func confirm(s *mobiledb.Store, keys []string, vers []uint64) {
 			Key: k, Accepted: true, SrvVer: vers[i], Value: []byte("v" + k),
 		})
 	}
-	s.FinishUpSync("tier", resp)
+	s.FinishUpSync(resp)
 }
 
 // TestInvRingMatchesLinearCatchUp drives a cell ring with random tick

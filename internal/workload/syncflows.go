@@ -274,7 +274,7 @@ func (d *syncDevice) sync() {
 		reschedule()
 		return
 	}
-	req := d.store.BeginUpSync("tier")
+	req := d.store.BeginUpSync()
 	d.nextSID++
 	req.Session = d.nextSID
 	d.session = req
@@ -327,7 +327,7 @@ func (d *syncDevice) reply(from simnet.Addr, body any, bytes int) {
 	}
 	d.timeout.Cancel()
 	d.retryT.Cancel()
-	c, o := d.store.FinishUpSync("tier", resp)
+	c, o := d.store.FinishUpSync(resp)
 	f.Confirmed += uint64(c)
 	f.Overridden += uint64(o)
 	f.latency.Observe(sched.Now() - d.sentAt)

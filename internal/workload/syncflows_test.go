@@ -31,18 +31,14 @@ func newSyncWorld(t *testing.T, seed int64, policy mobiledb.Policy) *syncWorld {
 	l := simnet.Connect(w.cell, w.server, simnet.LAN)
 	w.cell.SetDefaultRoute(l.IfaceA())
 	w.server.SetDefaultRoute(l.IfaceB())
-	sv, err := mobiledb.NewServer(policy, mobiledb.NewMemBackend(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.sv = sv
+	w.sv = mobiledb.NewServer(policy, mobiledb.NewMemBackend())
 	u := simnet.UDPOf(w.server)
 	if err := u.Listen(tierPort, func(from simnet.Addr, body any, bytes int) {
 		req, ok := body.(*mobiledb.UpSyncRequest)
 		if !ok {
 			return
 		}
-		resp, err := sv.Apply(req)
+		resp, err := w.sv.Apply(req)
 		if err != nil {
 			t.Errorf("apply: %v", err)
 			return

@@ -38,20 +38,11 @@ type Config struct {
 	// system's client count.
 	Users int
 	// ThinkMean is the mean think time between a user's operations
-	// (exponentially distributed). Zero means 2s.
+	// (exponentially distributed); it must be positive.
 	ThinkMean time.Duration
-	// Duration is how long the run lasts (virtual time). Zero means 60s.
+	// Duration is how long the run lasts (virtual time); it must be
+	// positive.
 	Duration time.Duration
-}
-
-func (c Config) withDefaults() Config {
-	if c.ThinkMean <= 0 {
-		c.ThinkMean = 2 * time.Second
-	}
-	if c.Duration <= 0 {
-		c.Duration = time.Minute
-	}
-	return c
 }
 
 // OpReport aggregates one operation type's outcomes.
@@ -131,9 +122,14 @@ type Runner struct {
 // NewRunner prepares a run. RegisterHandlers must already have been called
 // on the system's host.
 func NewRunner(mc *core.MC, cfg Config) (*Runner, error) {
-	cfg = cfg.withDefaults()
 	if cfg.Users <= 0 || cfg.Users > len(mc.Clients) {
 		return nil, fmt.Errorf("workload: %d users but %d stations", cfg.Users, len(mc.Clients))
+	}
+	if cfg.ThinkMean <= 0 {
+		return nil, fmt.Errorf("workload: runner needs think mean > 0, got %v", cfg.ThinkMean)
+	}
+	if cfg.Duration <= 0 {
+		return nil, fmt.Errorf("workload: runner needs duration > 0, got %v", cfg.Duration)
 	}
 	r := &Runner{
 		mc:       mc,

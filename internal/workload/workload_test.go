@@ -67,11 +67,23 @@ func TestWorkloadRunsAllOpTypes(t *testing.T) {
 
 func TestWorkloadValidation(t *testing.T) {
 	mc := buildSystem(t, 72, 2)
-	if _, err := workload.NewRunner(mc, workload.Config{Users: 5}); err == nil {
-		t.Error("more users than stations accepted")
+	ok := workload.Config{Users: 2, ThinkMean: time.Second, Duration: time.Minute}
+	if _, err := workload.NewRunner(mc, ok); err != nil {
+		t.Fatalf("valid config rejected: %v", err)
 	}
-	if _, err := workload.NewRunner(mc, workload.Config{Users: 0}); err == nil {
-		t.Error("zero users accepted")
+	bad := map[string]func(*workload.Config){
+		"more users than stations": func(c *workload.Config) { c.Users = 5 },
+		"zero users":               func(c *workload.Config) { c.Users = 0 },
+		"zero think mean":          func(c *workload.Config) { c.ThinkMean = 0 },
+		"negative think mean":      func(c *workload.Config) { c.ThinkMean = -time.Second },
+		"zero duration":            func(c *workload.Config) { c.Duration = 0 },
+	}
+	for name, mutate := range bad {
+		cfg := ok
+		mutate(&cfg)
+		if _, err := workload.NewRunner(mc, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
 	}
 }
 
@@ -114,7 +126,7 @@ func TestLongSoak(t *testing.T) {
 func TestWorkloadDeterministic(t *testing.T) {
 	run := func() (int, time.Duration) {
 		mc := buildSystem(t, 73, 3)
-		r, err := workload.NewRunner(mc, workload.Config{Users: 3, Duration: time.Minute})
+		r, err := workload.NewRunner(mc, workload.Config{Users: 3, ThinkMean: 2 * time.Second, Duration: time.Minute})
 		if err != nil {
 			t.Fatalf("NewRunner: %v", err)
 		}

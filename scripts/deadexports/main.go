@@ -322,41 +322,69 @@ func (l *loader) check(d *pkgDir) (*types.Package, error) {
 		return nil, fmt.Errorf("import cycle through %s", d.path)
 	}
 	d.checking = true
-	pkg, info, err := l.typeCheck(d.path, d.files, false)
+	pkg, info, err := l.typeCheck(d.path, d.files, false, l)
 	d.pkg, d.info = pkg, info
 	return pkg, err
 }
 
 // checkTests type-checks the test files of d: the in-package tests as a
 // second instance of the package, which nothing imports, and the
-// external tests against the shared instance.
+// external tests against the shared instance. When that fails and there
+// is a test instance, the external tests are checked against it instead,
+// as go test builds them, so a name an export_test.go file exports
+// resolves. (Against the test instance, a type that reaches them through
+// another tree package no longer matches, so the shared instance comes
+// first.)
 func (l *loader) checkTests(d *pkgDir) error {
+	var testPkg *types.Package
 	if len(d.tests) > 0 {
 		files := append(append([]*ast.File(nil), d.files...), d.tests...)
-		if _, _, err := l.typeCheck(d.path, files, true); err != nil {
+		pkg, _, err := l.typeCheck(d.path, files, true, l)
+		if err != nil {
 			return err
 		}
+		testPkg = pkg
 	}
-	if len(d.xtests) > 0 {
-		if _, _, err := l.typeCheck(d.path+"_test", d.xtests, true); err != nil {
-			return err
+	if len(d.xtests) == 0 {
+		return nil
+	}
+	_, _, err := l.typeCheck(d.path+"_test", d.xtests, true, l)
+	if err != nil && testPkg != nil {
+		if _, _, err2 := l.typeCheck(d.path+"_test", d.xtests, true, testImporter{l, testPkg}); err2 != nil {
+			return fmt.Errorf("%v; against the in-package test instance: %v", err, err2)
 		}
+		return nil
 	}
-	return nil
+	return err
+}
+
+// testImporter resolves one package to its test instance and every other
+// path as the loader does.
+type testImporter struct {
+	l   *loader
+	pkg *types.Package
+}
+
+func (t testImporter) Import(path string) (*types.Package, error) {
+	if path == t.pkg.Path() {
+		return t.pkg, nil
+	}
+	return t.l.Import(path)
 }
 
 // typeCheck checks one package and records every use it resolves, keyed
 // by the position of the object's declaration: an in-package test
 // instance declares its own copies of the package's objects, at the same
-// positions. Uses in test files count as test uses.
-func (l *loader) typeCheck(path string, files []*ast.File, tests bool) (*types.Package, *types.Info, error) {
+// positions. Uses in test files count as test uses. imp resolves the
+// package's imports.
+func (l *loader) typeCheck(path string, files []*ast.File, tests bool, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Defs:       map[*ast.Ident]types.Object{},
 		Uses:       map[*ast.Ident]types.Object{},
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Selections: map[*ast.SelectorExpr]*types.Selection{},
 	}
-	conf := types.Config{Importer: l}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, l.fset, files, info)
 	if err != nil {
 		return nil, nil, err

@@ -20,6 +20,8 @@ func keys(ds []decl) []string {
 }
 
 func TestScanFixture(t *testing.T) {
+	// store/export_test.go exports a name to store's external tests, so
+	// the scan fails unless they see the in-package test instance.
 	res, err := scan(fixture)
 	if err != nil {
 		t.Fatal(err)
