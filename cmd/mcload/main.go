@@ -11,7 +11,7 @@
 //	       [-sync] [-devices D] [-replicas R] [-policy P] [-no-chaos]
 //	       [-write-mean D] [-sync-mean D]
 //	       [-shards N] [-cc reno|cubic] [-metrics]
-//	       [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
+//	       [-timeline out.json] [-timeline-interval D] [-slo default|SET]
 //	       [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
 // With -trace FILE, every sampled operation becomes a causal span tree and
@@ -57,8 +57,8 @@
 // the file is byte-identical at any -shards value. -slo evaluates SLO
 // rules over the sampled series and prints the violation intervals:
 // "default" picks the built-in rule set matching the selected tier
-// (full-fidelity, -scale or -sync); any other value is a built-in set
-// name or a JSON rule file.
+// (full-fidelity, -scale or -sync); any other value must name another
+// built-in set.
 //
 // The engine and observability flags (-seed, -cc, -trace, -trace-sample,
 // -timeline, -timeline-interval, -slo) are the set mcsim shares,

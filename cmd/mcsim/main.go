@@ -10,7 +10,7 @@
 //	      [-metrics] [-metrics-format text|csv|openmetrics]
 //	      [-cc reno|cubic] [-db-replicas N]
 //	      [-trace out.json] [-trace-sample N]
-//	      [-timeline out.json] [-timeline-interval D] [-slo default|FILE]
+//	      [-timeline out.json] [-timeline-interval D] [-slo default|SET]
 //	      [-cpuprofile f] [-memprofile f] [-mutexprofile f]
 //
 // The profile flags write pprof CPU/heap/mutex-contention profiles for
@@ -44,7 +44,7 @@
 // counters, windowed p50/p99 recomputed from bucket deltas for latency
 // histograms, plus every fault-injector event as an annotation stream.
 // Two runs at the same seed write byte-identical timelines. With -slo,
-// the named built-in rule set ("default") or a JSON rule file is
+// the named built-in rule set ("default", or another set's name) is
 // evaluated over the sampled series — windowed latency quantile
 // thresholds, multi-window error-budget burn rates, value bounds — and
 // the report gains the firing/resolved intervals with exact simulated

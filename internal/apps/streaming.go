@@ -143,9 +143,10 @@ func (p *StreamPlayer) Stats() StreamStats {
 
 // RegisterStreaming installs the raw streaming listener on a host (the
 // entertainment service's companion for progressive delivery; the plain
-// /media/download endpoint delivers store-and-forward).
-func RegisterStreaming(h *core.Host) error {
-	return h.Stack.Listen(StreamPort, mtcp.Options{}, func(c *mtcp.Conn) {
+// /media/download endpoint delivers store-and-forward). opts configures
+// the server end of every stream connection.
+func RegisterStreaming(h *core.Host, opts mtcp.Options) error {
+	return h.Stack.Listen(StreamPort, opts, func(c *mtcp.Conn) {
 		var req []byte
 		served := false
 		c.OnData(func(b []byte) {
@@ -198,8 +199,9 @@ func streamSizeFor(h *core.Host, id string) int64 {
 // StreamMedia plays a media item from origin over the given TCP stack,
 // feeding the player as bytes arrive. done fires when the stream's
 // connection closes (the player's Stats say whether playback finished).
-func StreamMedia(stack *mtcp.Stack, origin simnet.NodeID, id string, player *StreamPlayer, done func(error)) {
-	stack.Dial(simnet.Addr{Node: origin, Port: StreamPort}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
+// opts configures the client end of the connection.
+func StreamMedia(stack *mtcp.Stack, origin simnet.NodeID, id string, player *StreamPlayer, opts mtcp.Options, done func(error)) {
+	stack.Dial(simnet.Addr{Node: origin, Port: StreamPort}, opts, func(c *mtcp.Conn, err error) {
 		if err != nil {
 			done(err)
 			return

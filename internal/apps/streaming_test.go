@@ -8,6 +8,7 @@ import (
 	"mcommerce/internal/cellular"
 	"mcommerce/internal/core"
 	"mcommerce/internal/device"
+	"mcommerce/internal/mtcp"
 	"mcommerce/internal/simnet"
 )
 
@@ -25,12 +26,12 @@ func streamOn(t *testing.T, std cellular.Standard) apps.StreamStats {
 	if err := apps.NewEntertainment().Register(mc.Host); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := apps.RegisterStreaming(mc.Host); err != nil {
+	if err := apps.RegisterStreaming(mc.Host, mtcp.Options{}); err != nil {
 		t.Fatalf("RegisterStreaming: %v", err)
 	}
 	player := apps.NewStreamPlayer(mc.Net.Sched, 128_000, 16<<10, 900<<10)
 	closed := false
-	apps.StreamMedia(mc.Clients[0].Stack, mc.Host.Node.ID, "clip1", player, func(err error) {
+	apps.StreamMedia(mc.Clients[0].Stack, mc.Host.Node.ID, "clip1", player, mtcp.Options{}, func(err error) {
 		if err != nil {
 			t.Errorf("stream close: %v", err)
 		}
@@ -118,12 +119,12 @@ func TestStreamUnknownMediaCloses(t *testing.T) {
 	if err := apps.NewEntertainment().Register(mc.Host); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if err := apps.RegisterStreaming(mc.Host); err != nil {
+	if err := apps.RegisterStreaming(mc.Host, mtcp.Options{}); err != nil {
 		t.Fatalf("RegisterStreaming: %v", err)
 	}
 	player := apps.NewStreamPlayer(mc.Net.Sched, 128_000, 16<<10, 1<<20)
 	closed := false
-	apps.StreamMedia(mc.Clients[0].Stack, mc.Host.Node.ID, "no-such-clip", player, func(err error) {
+	apps.StreamMedia(mc.Clients[0].Stack, mc.Host.Node.ID, "no-such-clip", player, mtcp.Options{}, func(err error) {
 		closed = true
 	})
 	if err := mc.Net.Sched.RunFor(time.Minute); err != nil {

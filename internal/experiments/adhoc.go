@@ -66,7 +66,7 @@ func adhocRun(seed int64, hops int) (goodputBps float64, httpLat time.Duration) 
 	const size = 200 << 10
 	got := 0
 	var doneAt time.Duration
-	if err := dstStack.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {
+	if err := dstStack.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
 		c.OnData(func(b []byte) {
 			got += len(b)
 			if got >= size && doneAt == 0 {
@@ -76,7 +76,7 @@ func adhocRun(seed int64, hops int) (goodputBps float64, httpLat time.Duration) 
 	}); err != nil {
 		return 0, 0
 	}
-	srcStack.Dial(simnet.Addr{Node: dst.ID, Port: 80}, mtcp.Options{RTOInitial: 500 * time.Millisecond},
+	srcStack.Dial(simnet.Addr{Node: dst.ID, Port: 80}, ccOpts(mtcp.Options{RTOInitial: 500 * time.Millisecond}),
 		func(c *mtcp.Conn, err error) {
 			if err == nil {
 				c.Send(make([]byte, size))
@@ -91,14 +91,14 @@ func adhocRun(seed int64, hops int) (goodputBps float64, httpLat time.Duration) 
 	goodputBps = float64(size*8) / doneAt.Seconds()
 
 	// One small HTTP round trip on warm routes.
-	srv, err := webserver.New(dstStack, 8080, mtcp.Options{})
+	srv, err := webserver.New(dstStack, 8080, ccOpts(mtcp.Options{}))
 	if err != nil {
 		return goodputBps, 0
 	}
 	srv.Handle("/ping", func(r *webserver.Request) *webserver.Response {
 		return webserver.Text("pong")
 	})
-	client := webserver.NewClient(srcStack, mtcp.Options{RTOInitial: 500 * time.Millisecond})
+	client := webserver.NewClient(srcStack, ccOpts(mtcp.Options{RTOInitial: 500 * time.Millisecond}))
 	start := net.Sched.Now()
 	client.Get(simnet.Addr{Node: dst.ID, Port: 8080}, "/ping", nil, func(r *webserver.Response, err error) {
 		if err == nil {

@@ -60,7 +60,7 @@ func (f *RunFlags) AddShardsFlag(fs *flag.FlagSet) {
 func (f *RunFlags) AddObsFlags(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write sampled transactions as a Chrome trace-event (Perfetto) JSON file and print a critical-path table")
 	fs.IntVar(&f.TraceSample, "trace-sample", 1, "with -trace, keep every Nth transaction (deterministic 1-in-N sampling by trace ID)")
-	fs.StringVar(&f.SLO, "slo", "", "evaluate SLO rules over the sampled timeline: default (the built-in set for the run), another built-in set name, or a JSON rule file")
+	fs.StringVar(&f.SLO, "slo", "", "evaluate a built-in SLO rule set over the sampled timeline: default (the set for the run), mc, chaos, syncstorm, tcpfault or scale")
 }
 
 // Min is a command-specific count flag and the least value it accepts.
@@ -71,8 +71,8 @@ type Min struct {
 
 // Validate checks the shared flags and the given counts, and
 // canonicalises CC. An -slo other than "default" (which names the rule
-// set of whatever tier runs) must resolve now, so a bad rule file fails
-// before the run does.
+// set of whatever tier runs) must name a built-in set, so a bad name
+// fails before the run does.
 func (f *RunFlags) Validate(counts ...Min) error {
 	counts = append(counts, Min{"shards", f.Shards, 1}, Min{"trace-sample", f.TraceSample, 1})
 	for _, c := range counts {

@@ -40,6 +40,12 @@ func TestRunFlagsValidate(t *testing.T) {
 	if f, err := parseRunFlags(t, true, "-slo", "default", "-cc", "cubic"); err != nil || f.CC != "cubic" || f.NewTimeline() == nil {
 		t.Errorf("-slo default -cc cubic: %v %+v", err, f)
 	}
+	if _, err := parseRunFlags(t, true, "-slo", "syncstorm"); err != nil {
+		t.Errorf("-slo syncstorm: %v", err)
+	}
+	if _, err := parseRunFlags(t, true, "-slo", "rules.json"); err == nil || !strings.Contains(err.Error(), "default, mc, chaos, syncstorm, tcpfault, scale") {
+		t.Errorf("-slo rules.json: err = %v, want one that lists the built-in sets", err)
+	}
 	// The bad values of each flag are inputs of the commands'
 	// TestRunRejectsBadInputs tables. A command without the observability flags does not register them.
 	if _, err := parseRunFlags(t, false, "-trace", "x.json"); err == nil {

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mcommerce/internal/apps"
 	"mcommerce/internal/cellular"
 	"mcommerce/internal/mtcp"
 	"mcommerce/internal/wireless"
@@ -182,6 +183,39 @@ func TestHandoffAndMobileIPHonourCC(t *testing.T) {
 	}
 	if renoMIP == 0 || renoMIP == cubicMIP {
 		t.Errorf("E-MIP tunneled transfer: reno %v, cubic %v; want two different completion times", renoMIP, cubicMIP)
+	}
+}
+
+// TestLinkExperimentsHonourCC pins that -cc reaches the Table 4 WLAN,
+// Table 5 cellular, E-ADHOC mesh and E-STREAM endpoints: each world's
+// transfer measures differently under CUBIC than under Reno.
+func TestLinkExperimentsHonourCC(t *testing.T) {
+	defer func(old string) { CC = old }(CC)
+	type measures struct {
+		wlan, cell, mesh float64
+		stream           apps.StreamStats
+	}
+	run := func(cc string) measures {
+		CC = cc
+		var m measures
+		m.wlan = wlanGoodput(1, wireless.IEEE80211b, 0.3*wireless.IEEE80211b.RangeMax, 3*time.Second)
+		_, m.cell, _ = cellularMeasure(1, cellular.WCDMA, 30*time.Second)
+		m.mesh, _ = adhocRun(1, 2)
+		m.stream, _ = streamRun(1, cellular.GPRS)
+		return m
+	}
+	reno, cubic := run(mtcp.CCReno), run(mtcp.CCCubic)
+	if reno.wlan == 0 || reno.wlan == cubic.wlan {
+		t.Errorf("Table 4 WLAN goodput: reno %v, cubic %v; want two different values", reno.wlan, cubic.wlan)
+	}
+	if reno.cell == 0 || reno.cell == cubic.cell {
+		t.Errorf("Table 5 cellular goodput: reno %v, cubic %v; want two different values", reno.cell, cubic.cell)
+	}
+	if reno.mesh == 0 || reno.mesh == cubic.mesh {
+		t.Errorf("E-ADHOC mesh goodput: reno %v, cubic %v; want two different values", reno.mesh, cubic.mesh)
+	}
+	if !reno.stream.Finished || reno.stream == cubic.stream {
+		t.Errorf("E-STREAM playback: reno %+v, cubic %+v; want two different reports", reno.stream, cubic.stream)
 	}
 }
 

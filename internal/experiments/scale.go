@@ -225,7 +225,7 @@ func (sw *ScaleWorld) Report() *ScaleReport {
 		Executed: sw.World.Executed(),
 		Clusters: make([]ScaleCluster, sw.Cfg.Gateways),
 	}
-	r.Cascades, r.OverflowMigrations = sw.World.WheelStats()
+	r.Cascades = sw.World.Cascades()
 	for c := range r.Clusters {
 		cl := &r.Clusters[c]
 		cl.Served = sw.Echos[c].Served
@@ -262,12 +262,10 @@ type ScaleReport struct {
 	Executed uint64
 	Ops      uint64
 	Timeouts uint64
-	// Scheduler timing-wheel traffic summed over shards: higher-level
-	// slot cascades and overflow-heap migrations (deterministic and
-	// worker-lane-invariant, like Executed).
-	Cascades           uint64
-	OverflowMigrations uint64
-	Clusters           []ScaleCluster
+	// Scheduler timing-wheel slot cascades summed over shards
+	// (deterministic and worker-lane-invariant, like Executed).
+	Cascades uint64
+	Clusters []ScaleCluster
 }
 
 // Scale is the registry experiment: a modest population demonstrating
@@ -304,7 +302,6 @@ func Scale(seed int64) *Result {
 	r.Set("timeouts", float64(rep.Timeouts))
 	r.Set("executed", float64(rep.Executed))
 	r.Set("wheel_cascades", float64(rep.Cascades))
-	r.Set("wheel_overflow_migrations", float64(rep.OverflowMigrations))
 	r.Note("stations=%d shards=%d lookahead=%v ops=%d timeouts=%d wheel_cascades=%d",
 		rep.Stations, rep.Shards, sw.World.Lookahead(), rep.Ops, rep.Timeouts, rep.Cascades)
 	r.AttachMetrics("scale", sw.World.Snapshot())

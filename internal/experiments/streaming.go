@@ -8,6 +8,7 @@ import (
 	"mcommerce/internal/cellular"
 	"mcommerce/internal/core"
 	"mcommerce/internal/device"
+	"mcommerce/internal/mtcp"
 )
 
 // Streaming quantifies the paper's 3G motivation — W-CDMA "allowing users
@@ -55,11 +56,11 @@ func streamRun(seed int64, std cellular.Standard) (apps.StreamStats, bool) {
 	if err := apps.NewEntertainment().Register(mc.Host); err != nil {
 		return apps.StreamStats{}, false
 	}
-	if err := apps.RegisterStreaming(mc.Host); err != nil {
+	if err := apps.RegisterStreaming(mc.Host, ccOpts(mtcp.Options{})); err != nil {
 		return apps.StreamStats{}, false
 	}
 	player := apps.NewStreamPlayer(mc.Net.Sched, 128_000, 16<<10, 900<<10)
-	apps.StreamMedia(mc.Clients[0].Stack, mc.Host.Node.ID, "clip1", player, func(error) {})
+	apps.StreamMedia(mc.Clients[0].Stack, mc.Host.Node.ID, "clip1", player, ccOpts(mtcp.Options{}), func(error) {})
 	if err := mc.Net.Sched.RunFor(30 * time.Minute); err != nil {
 		return apps.StreamStats{}, false
 	}

@@ -401,9 +401,7 @@ func SyncStorm(seed int64) *Result {
 		r.Set(name+"/lost", float64(rep.Lost()))
 		r.Set(name+"/confirmed", float64(rep.Confirmed))
 		r.Set(name+"/conflicts", float64(rep.Conflicts))
-		casc, migr := sw.World.WheelStats()
-		r.Set(name+"/wheel_cascades", float64(casc))
-		r.Set(name+"/wheel_overflow_migrations", float64(migr))
+		r.Set(name+"/wheel_cascades", float64(sw.World.Cascades()))
 		converged := 0.0
 		if rep.Converged {
 			converged = 1

@@ -36,13 +36,13 @@ func wlanGoodput(seed int64, std wireless.Standard, dist float64, window time.Du
 	ss := mtcp.MustNewStack(server)
 	cs := mtcp.MustNewStack(stNode)
 	got := 0
-	if err := cs.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {
+	if err := cs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
 		c.OnData(func(b []byte) { got += len(b) })
 	}); err != nil {
 		return 0
 	}
 	payload := make([]byte, 8<<20)
-	ss.Dial(simnet.Addr{Node: stNode.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
+	ss.Dial(simnet.Addr{Node: stNode.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 		if err != nil {
 			return
 		}

@@ -35,7 +35,7 @@ func cellularMeasure(seed int64, std cellular.Standard, window time.Duration) (t
 	ss := mtcp.MustNewStack(server)
 	ms := mtcp.MustNewStack(mobNode)
 	got := 0
-	if err := ms.Listen(80, mtcp.Options{}, func(c *mtcp.Conn) {
+	if err := ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
 		c.OnData(func(b []byte) { got += len(b) })
 	}); err != nil {
 		return 0, 0, false
@@ -45,7 +45,7 @@ func cellularMeasure(seed int64, std cellular.Standard, window time.Duration) (t
 	start := func() {
 		setup = net.Sched.Now()
 		payload := make([]byte, 8<<20)
-		ss.Dial(simnet.Addr{Node: mobNode.ID, Port: 80}, mtcp.Options{}, func(c *mtcp.Conn, err error) {
+		ss.Dial(simnet.Addr{Node: mobNode.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 			if err != nil {
 				return
 			}

@@ -4,7 +4,9 @@
 //
 // A Timeline attaches one WorldSampler per simulation world (a plain
 // Network, or every shard of a Sharded world). Each sampler arms a
-// self-rearming scheduler timer on its own world's scheduler and, at
+// scheduler timer on its own world's scheduler whose callback schedules
+// the next tick with AfterCall (into the arena slot the scheduler freed
+// before firing, so the loop allocates nothing) and, at
 // every interval tick of simulated time, reads the registry's current
 // counters, gauges and histogram bucket distributions into per-series
 // ring buffers. Because the tick is an ordinary deterministic event in

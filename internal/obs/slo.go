@@ -1,9 +1,7 @@
 package obs
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sort"
 	"strings"
 	"time"
@@ -26,39 +24,10 @@ const (
 	// is still happening, the long one that enough budget burned to
 	// matter).
 	RuleBurnRate RuleKind = "burn_rate"
-	// RuleBound fires while a gauge (or cumulative counter) is outside
-	// [Min, Max].
+	// RuleBound fires while a gauge (or cumulative counter) is above
+	// Max.
 	RuleBound RuleKind = "bound"
 )
-
-// Dur is a time.Duration that marshals as a Go duration string ("2.5s")
-// and unmarshals from either a string or integer nanoseconds, so rule
-// files stay hand-writable.
-type Dur time.Duration
-
-// MarshalJSON renders the duration as a string.
-func (d Dur) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "250ms" or raw nanoseconds.
-func (d *Dur) UnmarshalJSON(b []byte) error {
-	var s string
-	if err := json.Unmarshal(b, &s); err == nil {
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return fmt.Errorf("obs: bad duration %q: %w", s, err)
-		}
-		*d = Dur(v)
-		return nil
-	}
-	var ns int64
-	if err := json.Unmarshal(b, &ns); err != nil {
-		return fmt.Errorf("obs: duration must be a string or integer ns: %s", b)
-	}
-	*d = Dur(ns)
-	return nil
-}
 
 // Rule is one declarative SLO condition evaluated over a Timeline.
 //
@@ -69,28 +38,27 @@ func (d *Dur) UnmarshalJSON(b []byte) error {
 // independently against every matching series, so one rule covers every
 // instance of a per-node metric.
 type Rule struct {
-	Name string   `json:"name"`
-	Kind RuleKind `json:"kind"`
+	Name string
+	Kind RuleKind
 
 	// Latency rules.
-	Series    string  `json:"series,omitempty"`
-	Quantile  float64 `json:"quantile,omitempty"`
-	Threshold Dur     `json:"threshold,omitempty"`
-	Window    Dur     `json:"window,omitempty"`
+	Series    string
+	Quantile  float64
+	Threshold time.Duration
+	Window    time.Duration
 
 	// Burn-rate rules: Bad and Total name the failure and traffic
 	// counters; Bad's match decides the fan-out and Total is resolved
 	// against the same name stem, so per-node pairs stay paired.
-	Bad         string  `json:"bad,omitempty"`
-	Total       string  `json:"total,omitempty"`
-	Objective   float64 `json:"objective,omitempty"`
-	ShortWindow Dur     `json:"short_window,omitempty"`
-	LongWindow  Dur     `json:"long_window,omitempty"`
-	BurnFactor  float64 `json:"burn_factor,omitempty"`
+	Bad         string
+	Total       string
+	Objective   float64
+	ShortWindow time.Duration
+	LongWindow  time.Duration
+	BurnFactor  float64
 
-	// Bound rules (nil side = unbounded).
-	Min *int64 `json:"min,omitempty"`
-	Max *int64 `json:"max,omitempty"`
+	// Bound rules.
+	Max int64
 }
 
 // Interval is one contiguous violation of a rule on one series, with
@@ -134,8 +102,8 @@ func stripShard(name string) string {
 // windowSamples converts a rule window to a sample count on t's
 // interval, at least 1 (sub-interval windows degrade to sample-to-
 // sample deltas).
-func (t *Timeline) windowSamples(w Dur) int {
-	n := int(time.Duration(w) / t.interval)
+func (t *Timeline) windowSamples(w time.Duration) int {
+	n := int(w / t.interval)
 	if n < 1 {
 		n = 1
 	}
@@ -176,7 +144,7 @@ func evalWorld(t *Timeline, ws *WorldSampler, r Rule) []Interval {
 				continue
 			}
 			out = append(out, trace(ws, r.Name, s.name, func(a int) bool {
-				return s.WindowQuantile(a-d, a, r.Quantile) > time.Duration(r.Threshold)
+				return s.WindowQuantile(a-d, a, r.Quantile) > r.Threshold
 			})...)
 		}
 	case RuleBurnRate:
@@ -213,7 +181,7 @@ func evalWorld(t *Timeline, ws *WorldSampler, r Rule) []Interval {
 			}
 			out = append(out, trace(ws, r.Name, s.name, func(a int) bool {
 				v := s.ValueAt(a)
-				return (r.Min != nil && v < *r.Min) || (r.Max != nil && v > *r.Max)
+				return v > r.Max
 			})...)
 		}
 	}
@@ -277,62 +245,12 @@ func trace(ws *WorldSampler, rule, series string, cond func(a int) bool) []Inter
 	return out
 }
 
-// ParseRules decodes a JSON rule list: either a bare array or an object
-// with a "rules" array.
-func ParseRules(b []byte) ([]Rule, error) {
-	var rules []Rule
-	if err := json.Unmarshal(b, &rules); err == nil {
-		return rules, validateRules(rules)
-	}
-	var wrapped struct {
-		Rules []Rule `json:"rules"`
-	}
-	if err := json.Unmarshal(b, &wrapped); err != nil {
-		return nil, fmt.Errorf("obs: rule file is neither a rule array nor {\"rules\": [...]}: %w", err)
-	}
-	return wrapped.Rules, validateRules(wrapped.Rules)
-}
+// ruleSets names the built-in rule sets DefaultRules knows, in the order
+// -slo's error lists them.
+var ruleSets = []string{"default", "mc", "chaos", "syncstorm", "tcpfault", "scale"}
 
-func validateRules(rules []Rule) error {
-	for i, r := range rules {
-		if r.Name == "" {
-			return fmt.Errorf("obs: rule %d has no name", i)
-		}
-		switch r.Kind {
-		case RuleLatency:
-			if r.Series == "" || r.Quantile <= 0 || r.Quantile > 1 || r.Threshold <= 0 {
-				return fmt.Errorf("obs: latency rule %q needs series, quantile in (0,1], threshold", r.Name)
-			}
-		case RuleBurnRate:
-			if r.Bad == "" || r.Total == "" || r.Objective <= 0 || r.Objective >= 1 {
-				return fmt.Errorf("obs: burn_rate rule %q needs bad, total, objective in (0,1)", r.Name)
-			}
-			if r.ShortWindow <= 0 || r.LongWindow < r.ShortWindow {
-				return fmt.Errorf("obs: burn_rate rule %q needs short_window <= long_window", r.Name)
-			}
-		case RuleBound:
-			if r.Series == "" || (r.Min == nil && r.Max == nil) {
-				return fmt.Errorf("obs: bound rule %q needs series and min or max", r.Name)
-			}
-		default:
-			return fmt.Errorf("obs: rule %q has unknown kind %q", r.Name, r.Kind)
-		}
-	}
-	return nil
-}
-
-// LoadRules reads a JSON rule file.
-func LoadRules(path string) ([]Rule, error) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return ParseRules(b)
-}
-
-// ResolveRules maps an -slo flag value to a rule set: a named default
-// set ("default", "chaos", "syncstorm", "tcpfault", "scale") or a path
-// to a JSON rule file. Empty means no rules.
+// ResolveRules maps an -slo flag value to its built-in rule set. Empty
+// means no rules; an unknown name is an error that lists the sets.
 func ResolveRules(spec string) ([]Rule, error) {
 	if spec == "" {
 		return nil, nil
@@ -340,10 +258,8 @@ func ResolveRules(spec string) ([]Rule, error) {
 	if rules := DefaultRules(spec); rules != nil {
 		return rules, nil
 	}
-	return LoadRules(spec)
+	return nil, fmt.Errorf("obs: unknown SLO rule set %q (want one of %s)", spec, strings.Join(ruleSets, ", "))
 }
-
-func i64(v int64) *int64 { return &v }
 
 // DefaultRules returns the built-in rule set for a named scenario, or
 // nil for an unknown name. The sets encode this repo's experiment SLOs:
@@ -357,31 +273,31 @@ func DefaultRules(set string) []Rule {
 			{
 				Name: "wap-txn-p99", Kind: RuleLatency,
 				Series: "core.txn.wap.latency", Quantile: 0.99,
-				Threshold: Dur(2500 * time.Millisecond), Window: Dur(5 * time.Second),
+				Threshold: 2500 * time.Millisecond, Window: 5 * time.Second,
 			},
 			{
 				Name: "imode-txn-p99", Kind: RuleLatency,
 				Series: "core.txn.imode.latency", Quantile: 0.99,
-				Threshold: Dur(2500 * time.Millisecond), Window: Dur(5 * time.Second),
+				Threshold: 2500 * time.Millisecond, Window: 5 * time.Second,
 			},
 			{
 				Name: "origin-error-burn", Kind: RuleBurnRate,
 				Bad: "errors", Total: "requests", Objective: 0.99,
-				ShortWindow: Dur(5 * time.Second), LongWindow: Dur(20 * time.Second), BurnFactor: 2,
+				ShortWindow: 5 * time.Second, LongWindow: 20 * time.Second, BurnFactor: 2,
 			},
 		}
 	case "syncstorm":
 		return []Rule{
-			{Name: "sync-no-loss", Kind: RuleBound, Series: "workload.syncflows.*.lost", Max: i64(0)},
+			{Name: "sync-no-loss", Kind: RuleBound, Series: "workload.syncflows.*.lost", Max: 0},
 			{
 				Name: "sync-timeout-burn", Kind: RuleBurnRate,
 				Bad: "workload.syncflows.*.timeouts", Total: "syncs", Objective: 0.95,
-				ShortWindow: Dur(10 * time.Second), LongWindow: Dur(30 * time.Second), BurnFactor: 1,
+				ShortWindow: 10 * time.Second, LongWindow: 30 * time.Second, BurnFactor: 1,
 			},
 			{
 				Name: "sync-p99", Kind: RuleLatency,
 				Series: "workload.syncflows.*.latency", Quantile: 0.99,
-				Threshold: Dur(5 * time.Second), Window: Dur(10 * time.Second),
+				Threshold: 5 * time.Second, Window: 10 * time.Second,
 			},
 		}
 	case "tcpfault":
@@ -389,12 +305,12 @@ func DefaultRules(set string) []Rule {
 			{
 				Name: "rtt-p99", Kind: RuleLatency,
 				Series: "mtcp.*.rtt", Quantile: 0.99,
-				Threshold: Dur(600 * time.Millisecond), Window: Dur(5 * time.Second),
+				Threshold: 600 * time.Millisecond, Window: 5 * time.Second,
 			},
 			{
 				Name: "retransmit-burn", Kind: RuleBurnRate,
 				Bad: "retransmits", Total: "segments_sent", Objective: 0.99,
-				ShortWindow: Dur(5 * time.Second), LongWindow: Dur(15 * time.Second), BurnFactor: 1,
+				ShortWindow: 5 * time.Second, LongWindow: 15 * time.Second, BurnFactor: 1,
 			},
 		}
 	case "scale":
@@ -402,12 +318,12 @@ func DefaultRules(set string) []Rule {
 			{
 				Name: "flow-p99", Kind: RuleLatency,
 				Series: "workload.flows.*.latency", Quantile: 0.99,
-				Threshold: Dur(time.Second), Window: Dur(5 * time.Second),
+				Threshold: time.Second, Window: 5 * time.Second,
 			},
 			{
 				Name: "flow-timeout-burn", Kind: RuleBurnRate,
 				Bad: "workload.flows.*.timeouts", Total: "ops", Objective: 0.99,
-				ShortWindow: Dur(2 * time.Second), LongWindow: Dur(10 * time.Second), BurnFactor: 1,
+				ShortWindow: 2 * time.Second, LongWindow: 10 * time.Second, BurnFactor: 1,
 			},
 		}
 	}

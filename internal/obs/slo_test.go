@@ -1,6 +1,8 @@
 package obs
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -49,7 +51,7 @@ func runSLO(t *testing.T, rules []Rule) []Interval {
 func TestLatencyRuleFiresDuringOutage(t *testing.T) {
 	ivs := runSLO(t, []Rule{{
 		Name: "p99", Kind: RuleLatency, Series: "core.txn.wap.latency",
-		Quantile: 0.99, Threshold: Dur(time.Second), Window: Dur(2 * time.Second),
+		Quantile: 0.99, Threshold: time.Second, Window: 2 * time.Second,
 	}})
 	if len(ivs) != 1 {
 		t.Fatalf("got %d intervals, want 1: %+v", len(ivs), ivs)
@@ -73,7 +75,7 @@ func TestBurnRateRulePairsSeriesAndFires(t *testing.T) {
 	ivs := runSLO(t, []Rule{{
 		Name: "err-burn", Kind: RuleBurnRate,
 		Bad: "errors", Total: "requests", Objective: 0.99,
-		ShortWindow: Dur(time.Second), LongWindow: Dur(4 * time.Second), BurnFactor: 2,
+		ShortWindow: time.Second, LongWindow: 4 * time.Second, BurnFactor: 2,
 	}})
 	if len(ivs) != 1 {
 		t.Fatalf("got %d intervals, want 1: %+v", len(ivs), ivs)
@@ -95,7 +97,7 @@ func TestBurnRateRulePairsSeriesAndFires(t *testing.T) {
 
 func TestBoundRule(t *testing.T) {
 	ivs := runSLO(t, []Rule{{
-		Name: "no-errors", Kind: RuleBound, Series: "web.server.origin.errors", Max: i64(0),
+		Name: "no-errors", Kind: RuleBound, Series: "web.server.origin.errors", Max: 0,
 	}})
 	// A cumulative counter that went nonzero never recovers: one
 	// unresolved interval from the first bad sample to the end.
@@ -111,7 +113,7 @@ func TestHealthyRulesStayQuiet(t *testing.T) {
 	// Thresholds far above the outage's worst case: nothing fires.
 	ivs := runSLO(t, []Rule{{
 		Name: "p99", Kind: RuleLatency, Series: "core.txn.wap.latency",
-		Quantile: 0.99, Threshold: Dur(time.Minute), Window: Dur(2 * time.Second),
+		Quantile: 0.99, Threshold: time.Minute, Window: 2 * time.Second,
 	}})
 	if len(ivs) != 0 {
 		t.Fatalf("got %+v, want none", ivs)
@@ -141,37 +143,38 @@ func TestMatchSeries(t *testing.T) {
 	}
 }
 
-func TestParseRulesRoundTripAndValidation(t *testing.T) {
-	src := `{"rules": [
-		{"name": "p99", "kind": "latency", "series": "core.txn.wap.latency",
-		 "quantile": 0.99, "threshold": "2.5s", "window": "5s"},
-		{"name": "burn", "kind": "burn_rate", "bad": "errors", "total": "requests",
-		 "objective": 0.99, "short_window": "5s", "long_window": "20s", "burn_factor": 2},
-		{"name": "cap", "kind": "bound", "series": "x", "max": 0}
-	]}`
-	rules, err := ParseRules([]byte(src))
-	if err != nil {
-		t.Fatal(err)
+// validateRules checks that every rule names its kind's required
+// fields with usable values.
+func validateRules(rules []Rule) error {
+	for i, r := range rules {
+		if r.Name == "" {
+			return fmt.Errorf("rule %d has no name", i)
+		}
+		switch r.Kind {
+		case RuleLatency:
+			if r.Series == "" || r.Quantile <= 0 || r.Quantile > 1 || r.Threshold <= 0 {
+				return fmt.Errorf("latency rule %q needs series, quantile in (0,1], threshold", r.Name)
+			}
+		case RuleBurnRate:
+			if r.Bad == "" || r.Total == "" || r.Objective <= 0 || r.Objective >= 1 {
+				return fmt.Errorf("burn_rate rule %q needs bad, total, objective in (0,1)", r.Name)
+			}
+			if r.ShortWindow <= 0 || r.LongWindow < r.ShortWindow {
+				return fmt.Errorf("burn_rate rule %q needs short_window <= long_window", r.Name)
+			}
+		case RuleBound:
+			if r.Series == "" {
+				return fmt.Errorf("bound rule %q needs series", r.Name)
+			}
+		default:
+			return fmt.Errorf("rule %q has unknown kind %q", r.Name, r.Kind)
+		}
 	}
-	if len(rules) != 3 {
-		t.Fatalf("parsed %d rules, want 3", len(rules))
-	}
-	if time.Duration(rules[0].Threshold) != 2500*time.Millisecond {
-		t.Errorf("threshold = %v, want 2.5s", time.Duration(rules[0].Threshold))
-	}
-	if rules[2].Max == nil || *rules[2].Max != 0 {
-		t.Errorf("bound max not parsed: %+v", rules[2])
-	}
-	if _, err := ParseRules([]byte(`[{"name": "x", "kind": "latency"}]`)); err == nil {
-		t.Error("incomplete latency rule accepted")
-	}
-	if _, err := ParseRules([]byte(`[{"name": "x", "kind": "nope"}]`)); err == nil {
-		t.Error("unknown rule kind accepted")
-	}
+	return nil
 }
 
 func TestDefaultRuleSetsValidate(t *testing.T) {
-	for _, set := range []string{"default", "mc", "chaos", "syncstorm", "tcpfault", "scale"} {
+	for _, set := range ruleSets {
 		rules := DefaultRules(set)
 		if len(rules) == 0 {
 			t.Errorf("set %q is empty", set)
@@ -187,7 +190,8 @@ func TestDefaultRuleSetsValidate(t *testing.T) {
 	if _, err := ResolveRules("chaos"); err != nil {
 		t.Error("named set failed to resolve")
 	}
-	if _, err := ResolveRules("/no/such/file.json"); err == nil {
-		t.Error("missing rule file resolved without error")
+	_, err := ResolveRules("/no/such/file.json")
+	if err == nil || !strings.Contains(err.Error(), "syncstorm") {
+		t.Errorf("unknown set: err = %v, want one that lists the sets", err)
 	}
 }

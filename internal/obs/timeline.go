@@ -134,8 +134,9 @@ func (t *Timeline) attach(prefix string, net *simnet.Network, quiesce bool) *Wor
 
 // samplerTick is the scheduler callback: take one sample, then re-arm
 // unless this world quiesced. Package-level func + pointer arg keeps the
-// re-arm allocation-free, and Rearm reclaims the firing slot in place so
-// the sampler cycles one arena slot for the whole run.
+// re-arm allocation-free, and the scheduler frees the firing slot before
+// the callback, so the re-arm pops that slot and the sampler cycles one
+// arena slot for the whole run.
 func samplerTick(arg any) {
 	ws := arg.(*WorldSampler)
 	ws.sample()
@@ -145,7 +146,7 @@ func samplerTick(arg any) {
 		// is over and re-arming would tick through a dead horizon.
 		return
 	}
-	ws.net.Sched.Rearm(ws.tl.interval, samplerTick, ws)
+	ws.net.Sched.AfterCall(ws.tl.interval, samplerTick, ws)
 }
 
 // WorldSampler records one world's registry into per-series rings.

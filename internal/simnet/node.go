@@ -140,11 +140,10 @@ func NewNetwork(s *Scheduler) *Network {
 	sc.GaugeFunc("executed", func() int64 { return int64(s.Executed()) })
 	sc.GaugeFunc("pending", func() int64 { return int64(s.Pending()) })
 	sc.GaugeFunc("now_ns", func() int64 { return int64(s.Now()) })
-	// Timing-wheel traffic: both counters are functions of the event
-	// stream alone, so they stay identical across worker-lane counts like
-	// executed/pending above.
+	// Timing-wheel traffic: a function of the event stream alone, so it
+	// stays identical across worker-lane counts like executed/pending
+	// above.
 	sc.GaugeFunc("wheel_cascades", func() int64 { return int64(s.Cascades()) })
-	sc.GaugeFunc("wheel_overflow_migrations", func() int64 { return int64(s.OverflowMigrations()) })
 	return n
 }
 

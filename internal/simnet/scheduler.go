@@ -27,10 +27,9 @@ type Timer struct {
 // fired or already cancelled timer (or the zero Timer) is a no-op. It
 // reports whether the callback was still pending.
 //
-// Cancel cost depends on where the event lives: wheel-resident events
-// (the common near-future case) unlink from their slot list and recycle
-// immediately in O(1); overflow-heap events are marked and reaped lazily;
-// events already staged in the current dispatch run are skipped at fire.
+// A wheel-resident event unlinks from its slot list and recycles at once
+// in O(1); an event already staged in the current dispatch run is marked
+// and skipped when popped.
 func (t Timer) Cancel() bool {
 	s := t.s
 	if s == nil {
@@ -41,25 +40,17 @@ func (t Timer) Cancel() bool {
 		return false
 	}
 	s.live--
-	switch {
-	case sl.where >= 0:
+	if sl.where >= 0 {
 		// Resident in a wheel slot: unlink and recycle now.
 		s.unlink(t.slot)
 		s.freeSlot(t.slot)
-	case sl.where == locOverflow:
-		sl.state = slotCancelled
-		sl.fn = nil
-		sl.fnArg = nil
-		sl.arg = nil
-		s.ovCancelled++
-		s.maybeCompact()
-	default: // locRun: staged in run/runExtra, reaped when popped.
-		sl.state = slotCancelled
-		sl.fn = nil
-		sl.fnArg = nil
-		sl.arg = nil
-		s.runCancelled++
+		return true
 	}
+	// Staged in run/runExtra: reaped when popped.
+	sl.state = slotCancelled
+	sl.fn = nil
+	sl.fnArg = nil
+	sl.arg = nil
 	return true
 }
 
@@ -75,9 +66,9 @@ func (t Timer) Pending() bool {
 }
 
 // Event slot lifecycle states. A slot is recycled (generation bumped,
-// pushed on the free list) when its event fires or — for cancelled events
-// — either immediately (wheel-resident) or when the stale heap/run entry
-// is popped or compacted away.
+// pushed on the free list) just before its callback runs, or — for
+// cancelled events — either immediately (wheel-resident) or when the
+// stale dispatch-stage entry is popped.
 const (
 	slotFree uint8 = iota
 	slotPending
@@ -85,26 +76,24 @@ const (
 )
 
 // Hierarchical timing wheel geometry. Virtual time quantizes to ticks of
-// 2^tickShift nanoseconds (~1.05ms); each of the four levels spans 256
-// slots, so level L buckets ticks by bits [L*8, (L+1)*8). Together the
-// levels cover any event whose tick shares the current tick's 32-bit
-// prefix (~52 days of simulated time); rarer events live in an overflow
-// heap until the wheel catches up.
+// 2^tickShift nanoseconds (~1.05ms); each of the six levels spans 256
+// slots, so level L buckets ticks by bits [L*8, (L+1)*8). The 48 tick
+// bits exceed the 43 a time.Duration reaches, so every representable
+// time has a wheel slot and no overflow structure is needed.
 const (
 	tickShift   = 20
 	wheelBits   = 8
 	wheelSlots  = 1 << wheelBits
 	wheelMask   = wheelSlots - 1
-	wheelLevels = 4
+	wheelLevels = 6
 	wheelWords  = wheelSlots / 64
 )
 
 // Where an event currently lives. Values 0..wheelLevels-1 are wheel
 // levels; the negatives are the non-wheel stations of the lifecycle.
 const (
-	locNone     int8 = -1 // not queued (free, or mid-fire)
-	locOverflow int8 = -2 // overflow 4-ary heap (beyond the wheel horizon)
-	locRun      int8 = -3 // staged in the run slice or runExtra heap
+	locNone int8 = -1 // not queued (free, or mid-cascade)
+	locRun  int8 = -2 // staged in the run slice or runExtra heap
 )
 
 // eventSlot is one arena entry. Callbacks come in two flavours: a plain
@@ -126,7 +115,7 @@ type eventSlot struct {
 	idx   uint16 // wheel slot index when where >= 0
 }
 
-// heapEntry is one node of a 4-ary min-heap (overflow and runExtra) or of
+// heapEntry is one node of the runExtra 4-ary min-heap or of
 // the sorted dispatch run. The ordering key (at, seq) is stored inline so
 // sift operations never chase the arena.
 type heapEntry struct {
@@ -135,20 +124,15 @@ type heapEntry struct {
 	slot int32
 }
 
-// compactMinCancelled is the floor below which cancelled overflow entries
-// are left to be reaped lazily; above it, compaction triggers once
-// cancelled entries are at least half the overflow heap AND the armed
-// high watermark is reached (see maybeCompact).
-const compactMinCancelled = 64
-
 // Scheduler is the discrete-event core: a virtual clock plus an ordered
 // queue of future callbacks. Events live in a value-typed arena indexed by
-// a hierarchical timing wheel (4 levels x 256 slots at ~1ms tick
-// granularity) for O(1) insert and cancel of near-future timers, with a
-// 4-ary overflow min-heap for events beyond the wheel horizon. Same-tick
+// a hierarchical timing wheel (6 levels x 256 slots at ~1ms tick
+// granularity) for O(1) insert and cancel of every future timer. Same-tick
 // events drain as one sorted run, preserving the exact (at, seq) total
-// order of the previous heap scheduler. A free list recycles arena slots
-// so steady-state scheduling performs no allocations. It is not safe for
+// order of the previous heap scheduler. A LIFO free list recycles arena
+// slots so steady-state scheduling performs no allocations; Step frees
+// the firing slot before its callback, so a callback that schedules its
+// successor reuses that very slot. It is not safe for
 // concurrent use; the entire simulation runs on the goroutine that calls
 // Run, RunUntil or Step.
 type Scheduler struct {
@@ -172,25 +156,10 @@ type Scheduler struct {
 	// is a small 4-ary heap catching events scheduled at or before the
 	// cursor (same-tick inserts from callbacks, clamped-to-now events
 	// after the cursor advanced ahead of the clock). Both stages always
-	// compare strictly below any wheel- or overflow-resident event.
+	// compare strictly below any wheel-resident event.
 	run      []heapEntry
 	runHead  int
 	runExtra []heapEntry
-
-	// overflow holds events beyond the wheel horizon, keyed (at, seq).
-	overflow []heapEntry
-
-	// Lazy-cancel accounting: ovCancelled counts cancelled entries still
-	// in the overflow heap, runCancelled those staged in run/runExtra.
-	// compactArm is the high watermark re-armed after each compaction.
-	ovCancelled  int
-	runCancelled int
-	compactArm   int
-
-	// Rearm fast path: the arena slot currently mid-fire (-1 otherwise)
-	// and whether the firing callback already reclaimed it via Rearm.
-	firing  int32
-	rearmed bool
 
 	// live counts pending (not cancelled, not fired) events.
 	live int
@@ -198,22 +167,16 @@ type Scheduler struct {
 	// executed counts events that have fired, for diagnostics.
 	executed uint64
 
-	// Wheel traffic counters, for diagnostics: cascades counts
-	// higher-level slot redistributions, ovMigrated counts events
-	// promoted from the overflow heap into the wheel.
-	cascades   uint64
-	ovMigrated uint64
+	// cascades counts higher-level wheel slot redistributions, for
+	// diagnostics.
+	cascades uint64
 }
 
 // NewScheduler returns a scheduler whose random source is seeded with seed.
 // Two schedulers with the same seed and the same sequence of scheduling
 // calls produce identical executions.
 func NewScheduler(seed int64) *Scheduler {
-	s := &Scheduler{
-		rng:        rand.New(rand.NewSource(seed)),
-		firing:     -1,
-		compactArm: compactMinCancelled,
-	}
+	s := &Scheduler{rng: rand.New(rand.NewSource(seed))}
 	for l := range s.wheel {
 		for i := range s.wheel[l] {
 			s.wheel[l][i] = -1
@@ -239,10 +202,6 @@ func (s *Scheduler) Pending() int { return s.live }
 // Cascades returns the number of higher-level wheel slots redistributed to
 // lower levels as the cursor advanced, for diagnostics.
 func (s *Scheduler) Cascades() uint64 { return s.cascades }
-
-// OverflowMigrations returns the number of events promoted from the
-// overflow heap into the wheel, for diagnostics.
-func (s *Scheduler) OverflowMigrations() uint64 { return s.ovMigrated }
 
 // alloc grabs a free arena slot (recycling before growing) and stores the
 // callback. It returns the slot index.
@@ -294,11 +253,12 @@ func (s *Scheduler) schedule(t time.Duration, slot int32) {
 }
 
 // enqueue places a pending event: at or behind the cursor it joins the
-// runExtra dispatch heap; within the wheel horizon it links into the
-// smallest level whose parent block the event's tick shares with the
+// runExtra dispatch heap; otherwise it links into the smallest level whose parent block the event's tick shares with the
 // cursor (which puts its slot strictly ahead of the cursor in the current
-// rotation — the invariant the scan and cascade logic rely on); beyond
-// the horizon it joins the overflow heap.
+// rotation — the invariant the scan and cascade logic rely on). The top
+// level spans every representable time, so it is the default case. The
+// switch is unrolled: a loop over levels measured slower on the
+// timer-churn benchmarks.
 func (s *Scheduler) enqueue(slot int32, at time.Duration, seq uint64) {
 	tick := uint64(at) >> tickShift
 	cur := s.curTick
@@ -316,9 +276,10 @@ func (s *Scheduler) enqueue(slot int32, at time.Duration, seq uint64) {
 		s.linkInto(2, uint16((tick>>(2*wheelBits))&wheelMask), slot)
 	case tick>>(4*wheelBits) == cur>>(4*wheelBits):
 		s.linkInto(3, uint16((tick>>(3*wheelBits))&wheelMask), slot)
+	case tick>>(5*wheelBits) == cur>>(5*wheelBits):
+		s.linkInto(4, uint16((tick>>(4*wheelBits))&wheelMask), slot)
 	default:
-		s.arena[slot].where = locOverflow
-		s.overflow = heapPush(s.overflow, heapEntry{at: at, seq: seq, slot: slot})
+		s.linkInto(5, uint16((tick>>(5*wheelBits))&wheelMask), slot)
 	}
 }
 
@@ -396,33 +357,6 @@ func (s *Scheduler) AfterCall(d time.Duration, fn func(any), arg any) Timer {
 	return s.AtCall(s.now+d, fn, arg)
 }
 
-// Rearm reschedules the arena slot whose callback is currently firing:
-// the slot is reclaimed in place (generation bumped so stale handles
-// miss), keeping the event out of the free list entirely. This is the
-// zero-alloc fast path for self-re-arming timers — a station's think-time
-// loop, a sampler tick — and falls back to AfterCall when no slot is
-// mid-fire or the firing slot was already rearmed. Negative d is treated
-// as zero.
-func (s *Scheduler) Rearm(d time.Duration, fn func(any), arg any) Timer {
-	slot := s.firing
-	if slot < 0 || s.rearmed {
-		return s.AfterCall(d, fn, arg)
-	}
-	if d < 0 {
-		d = 0
-	}
-	s.rearmed = true
-	sl := &s.arena[slot]
-	sl.gen++
-	sl.fn = nil
-	sl.fnArg = fn
-	sl.arg = arg
-	sl.state = slotPending
-	s.live++
-	s.schedule(s.now+d, slot)
-	return Timer{s: s, slot: slot, gen: sl.gen}
-}
-
 // Step fires the single earliest pending event, advancing the clock to its
 // timestamp. It reports whether an event fired (false when the queue is
 // empty or only cancelled events remain).
@@ -443,30 +377,19 @@ func (s *Scheduler) Step() bool {
 	if sl.state != slotPending {
 		panic("simnet: dispatch stage entry references a non-pending slot")
 	}
-	// Copy the callback out and hold the slot through the call: a
-	// self-re-arming callback reclaims it via Rearm; otherwise it is
-	// recycled after the callback returns.
+	// Copy the callback out and free the slot before the call: the
+	// handle goes stale, and a callback that schedules its successor pops
+	// this same slot off the LIFO free list.
 	fn, fnArg, arg := sl.fn, sl.fnArg, sl.arg
-	sl.fn = nil
-	sl.fnArg = nil
-	sl.arg = nil
-	sl.state = slotFree
-	sl.where = locNone
+	s.freeSlot(e.slot)
 	s.live--
 	s.now = e.at
 	s.executed++
-	s.firing = e.slot
-	s.rearmed = false
 	if fn != nil {
 		fn()
 	} else {
 		fnArg(arg)
 	}
-	if !s.rearmed {
-		s.freeSlot(e.slot)
-	}
-	s.firing = -1
-	s.rearmed = false
 	return true
 }
 
@@ -480,7 +403,6 @@ func (s *Scheduler) ready() bool {
 			if s.arena[e.slot].state != slotCancelled {
 				break
 			}
-			s.runCancelled--
 			s.freeSlot(e.slot)
 			s.runHead++
 		}
@@ -489,7 +411,6 @@ func (s *Scheduler) ready() bool {
 			if s.arena[e.slot].state != slotCancelled {
 				break
 			}
-			s.runCancelled--
 			s.freeSlot(e.slot)
 			s.runExtra = heapPopRoot(s.runExtra)
 		}
@@ -504,25 +425,16 @@ func (s *Scheduler) ready() bool {
 
 // advance moves the wheel cursor forward to the next occupied position:
 // it drains the next occupied level-0 slot in the current rotation into
-// the sorted run, cascading higher-level slots down (and migrating
-// overflow events in) as block boundaries are crossed. It reports false
-// when the wheel and overflow heap hold no events at all.
+// the sorted run, cascading higher-level slots down as block boundaries
+// are crossed. It reports false when the wheel holds no events at all.
 func (s *Scheduler) advance() bool {
 	for {
 		if s.runHead < len(s.run) || len(s.runExtra) > 0 {
-			// A cascade or migration staged same-tick events.
+			// A cascade staged same-tick events.
 			return true
 		}
 		if s.wheelPop == 0 {
-			if len(s.overflow) == 0 {
-				return false
-			}
-			s.refillFromOverflow()
-			if len(s.overflow) == 0 && s.wheelPop == 0 {
-				// Only cancelled entries were reaped.
-				return len(s.runExtra) > 0
-			}
-			continue
+			return false
 		}
 		// Level 0: the slot at the cursor itself is always empty (its
 		// events drained when the cursor arrived; same-tick inserts go
@@ -610,47 +522,6 @@ func (s *Scheduler) cascade(level, j int) {
 	}
 }
 
-// refillFromOverflow jumps the cursor to the earliest overflow event's
-// tick and migrates every overflow event now within the wheel horizon,
-// reaping cancelled entries on the way. Called only when the wheel is
-// empty, so the jump can never skip a wheel-resident event.
-func (s *Scheduler) refillFromOverflow() {
-	for len(s.overflow) > 0 {
-		e := s.overflow[0]
-		if s.arena[e.slot].state == slotCancelled {
-			s.overflow = heapPopRoot(s.overflow)
-			s.ovCancelled--
-			s.freeSlot(e.slot)
-			continue
-		}
-		break
-	}
-	if len(s.overflow) == 0 {
-		return
-	}
-	if minTick := uint64(s.overflow[0].at) >> tickShift; minTick > s.curTick {
-		s.curTick = minTick
-	}
-	horizon := s.curTick >> (wheelLevels * wheelBits)
-	for len(s.overflow) > 0 {
-		e := s.overflow[0]
-		sl := &s.arena[e.slot]
-		if sl.state == slotCancelled {
-			s.overflow = heapPopRoot(s.overflow)
-			s.ovCancelled--
-			s.freeSlot(e.slot)
-			continue
-		}
-		if uint64(e.at)>>tickShift>>(wheelLevels*wheelBits) != horizon {
-			break
-		}
-		s.overflow = heapPopRoot(s.overflow)
-		sl.where = locNone
-		s.ovMigrated++
-		s.enqueue(e.slot, e.at, e.seq)
-	}
-}
-
 // Run executes events until the queue drains or Stop is called. It returns
 // nil on a drained queue and ErrStopped if halted.
 func (s *Scheduler) Run() error {
@@ -706,38 +577,6 @@ func (s *Scheduler) peek() (time.Duration, bool) {
 	return s.runExtra[0].at, true
 }
 
-// maybeCompact sweeps cancelled entries out of the overflow heap once they
-// are the majority of a non-trivial queue, bounding the O(cancelled)
-// memory and pop-time churn that unreaped cancellations otherwise
-// accumulate (the TCP retransmit pattern: almost every timer is cancelled
-// before it fires). A high/low watermark adds hysteresis: each compaction
-// re-arms the trigger at the floor plus a quarter of the surviving heap,
-// so a cancel-heavy workload hovering at the ratio threshold cannot
-// re-scan on every few cancels — the next sweep is only paid after
-// proportionally many new cancellations accumulate.
-func (s *Scheduler) maybeCompact() {
-	if s.ovCancelled < s.compactArm || 2*s.ovCancelled < len(s.overflow) {
-		return
-	}
-	h := s.overflow[:0]
-	for _, e := range s.overflow {
-		if s.arena[e.slot].state == slotCancelled {
-			s.freeSlot(e.slot)
-			continue
-		}
-		h = append(h, e)
-	}
-	s.overflow = h
-	s.ovCancelled = 0
-	s.compactArm = compactMinCancelled + len(h)/4
-	// Bottom-up heapify: sift down every internal node.
-	if n := len(h); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			heapSiftDown(h, i)
-		}
-	}
-}
-
 // entryLess orders queue entries by (time, schedule sequence) so ties
 // fire in scheduling order.
 func entryLess(a, b heapEntry) bool {
@@ -760,7 +599,8 @@ func cmpEntry(a, b heapEntry) int {
 }
 
 // heapPush appends an entry to a 4-ary min-heap and sifts it up (parent
-// of i is (i-1)/4). Shared by the overflow heap and runExtra.
+// of i is (i-1)/4). runExtra is one; the reference heap in the tests is
+// another.
 func heapPush(h []heapEntry, e heapEntry) []heapEntry {
 	h = append(h, e)
 	i := len(h) - 1

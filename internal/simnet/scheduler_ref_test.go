@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 )
@@ -126,8 +128,13 @@ func (s *refScheduler) Step() bool {
 	return false
 }
 
+// refCompactMinCancelled is the floor below which the reference heap
+// leaves cancelled entries to be reaped lazily; above it, a sweep runs
+// once cancelled entries are at least half the heap.
+const refCompactMinCancelled = 64
+
 func (s *refScheduler) refMaybeCompact() {
-	if s.cancelled < compactMinCancelled || 2*s.cancelled < len(s.heap) {
+	if s.cancelled < refCompactMinCancelled || 2*s.cancelled < len(s.heap) {
 		return
 	}
 	h := s.heap[:0]
@@ -155,7 +162,7 @@ type fireRec struct {
 
 // TestWheelDifferentialFuzz drives the wheel scheduler and the reference
 // heap through the same randomized operation stream — schedules across
-// every wheel level and the overflow horizon, cancels, re-arms from
+// every wheel level up to the top of the time range, cancels, re-arms from
 // inside callbacks, handle reuse after generation bumps, and interleaved
 // Step batches that force cross-level cascades — and requires the exact
 // same fire order out of both.
@@ -170,7 +177,9 @@ func TestWheelDifferentialFuzz(t *testing.T) {
 		var rTimers []refTimer
 		nextID := 0
 
-		// Delays spanning sub-tick, level 0..3 and overflow horizons.
+		// Delays spanning sub-tick and every wheel level: 2^50 ns lands
+		// in level 3, and 2^52 ns and beyond (more than 52 days) in
+		// levels 4 and 5.
 		delay := func() time.Duration {
 			switch rng.Intn(6) {
 			case 0:
@@ -184,7 +193,6 @@ func TestWheelDifferentialFuzz(t *testing.T) {
 			case 4:
 				return time.Duration(rng.Int63n(int64(1) << 50))
 			default:
-				// Beyond the wheel horizon: overflow heap territory.
 				return time.Duration(int64(1)<<52 + rng.Int63n(int64(1)<<60))
 			}
 		}
@@ -277,42 +285,67 @@ func TestWheelDifferentialFuzz(t *testing.T) {
 }
 
 // TestWheelLevelBoundaries schedules timers landing exactly on every
-// level's horizon boundary (first tick of a level-1 slot, of a level-2
-// block, of a level-3 block, and the first tick past the wheel horizon)
-// plus one tick to either side, and checks exact fire order and times.
+// level's boundary (the first tick of a level-1 slot and of a level-2
+// through level-5 block) plus one tick to either side, and the largest
+// representable time, and checks that they fire in the reference heap's
+// order at exact times. Cancel of an event in level 4 or 5 then reports
+// true, drops Pending at once and puts the slot straight back on the
+// free list.
 func TestWheelLevelBoundaries(t *testing.T) {
 	const tick = time.Duration(1) << tickShift
 	boundaries := []time.Duration{
 		tick << wheelBits,       // first tick of level 1
 		tick << (2 * wheelBits), // first tick of level 2
 		tick << (3 * wheelBits), // first tick of level 3
-		tick << (4 * wheelBits), // first tick past the horizon (overflow)
+		tick << (4 * wheelBits), // first tick of level 4
+		tick << (5 * wheelBits), // first tick of level 5
+		math.MaxInt64,           // the last tick of all
 		tick<<wheelBits - 1, tick<<wheelBits + 1,
 		tick<<(2*wheelBits) - 1, tick<<(2*wheelBits) + 1,
 		tick<<(3*wheelBits) - 1, tick<<(3*wheelBits) + 1,
 		tick<<(4*wheelBits) - 1, tick<<(4*wheelBits) + 1,
+		tick<<(5*wheelBits) - 1, tick<<(5*wheelBits) + 1,
+		math.MaxInt64 - 1,
 		tick - 1, tick, tick + 1, // level-0/same-tick boundary
 	}
 	s := NewScheduler(1)
-	var got []time.Duration
+	r := &refScheduler{}
+	var got, ref []time.Duration
 	for _, d := range boundaries {
-		d := d
 		s.At(d, func() { got = append(got, s.Now()) })
+		r.At(d, func() { ref = append(ref, r.now) })
 	}
 	for s.Step() {
 	}
-	want := append([]time.Duration(nil), boundaries...)
-	for i := 1; i < len(want); i++ { // insertion sort; all values distinct
-		for j := i; j > 0 && want[j] < want[j-1]; j-- {
-			want[j], want[j-1] = want[j-1], want[j]
+	for r.Step() {
+	}
+	want := slices.Clone(boundaries)
+	slices.Sort(want) // all values distinct
+	if !slices.Equal(ref, want) {
+		t.Fatalf("reference fired %v, want %v", ref, want)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("wheel fired %v, want %v", got, want)
+	}
+
+	for _, at := range []time.Duration{tick << (4 * wheelBits), tick << (5 * wheelBits), math.MaxInt64} {
+		s := NewScheduler(1)
+		tm := s.At(at, func() { t.Errorf("cancelled event at %v fired", at) })
+		level := s.arena[tm.slot].where
+		if level < 4 {
+			t.Fatalf("event at %v lives in level %d, want 4 or 5", at, level)
 		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("fired %d of %d boundary timers", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("boundary fire %d: got %v want %v", i, got[i], want[i])
+		if !tm.Cancel() {
+			t.Fatalf("Cancel of the level-%d event reported false", level)
+		}
+		if tm.Pending() || s.Pending() != 0 {
+			t.Fatalf("level-%d event still pending after Cancel", level)
+		}
+		if len(s.free) != 1 || s.free[0] != tm.slot || s.wheelPop != 0 {
+			t.Fatalf("level-%d slot not recycled: free=%v wheelPop=%d", level, s.free, s.wheelPop)
+		}
+		if s.Step() {
+			t.Fatal("Step fired with nothing pending")
 		}
 	}
 }
@@ -369,18 +402,20 @@ func TestWheelCancelAcrossCascade(t *testing.T) {
 	}
 }
 
-// TestWheelRearmInPlace checks the Rearm fast path: the firing slot is
-// reclaimed (same arena slot, bumped generation), old handles go stale,
-// and the re-armed callback fires at the right time. Outside a callback
-// Rearm must degrade to a plain AfterCall.
+// TestWheelRearmInPlace checks that Step frees the firing slot
+// before the callback: an AfterCall from inside it gets the same arena
+// slot with a bumped generation, the stale handle is inert, and the new
+// timer fires on time or can be cancelled like any other.
 func TestWheelRearmInPlace(t *testing.T) {
 	s := NewScheduler(1)
 	var fires []time.Duration
-	var rearmed Timer
-	var first Timer
+	var first, next Timer
 	first = s.AfterCall(time.Millisecond, func(any) {
 		fires = append(fires, s.Now())
-		rearmed = s.Rearm(2*time.Millisecond, func(any) {
+		if first.Pending() || first.Cancel() {
+			t.Error("firing handle still pending inside its own callback")
+		}
+		next = s.AfterCall(2*time.Millisecond, func(any) {
 			fires = append(fires, s.Now())
 		}, nil)
 	}, nil)
@@ -389,35 +424,64 @@ func TestWheelRearmInPlace(t *testing.T) {
 	if len(fires) != 2 || fires[0] != time.Millisecond || fires[1] != 3*time.Millisecond {
 		t.Fatalf("fires = %v", fires)
 	}
-	if first.slot != rearmed.slot {
-		t.Fatalf("Rearm did not reuse the firing slot: %d vs %d", first.slot, rearmed.slot)
+	if first.slot != next.slot {
+		t.Fatalf("AfterCall in a callback did not reuse the firing slot: %d vs %d", first.slot, next.slot)
 	}
-	if first.gen == rearmed.gen {
-		t.Fatal("Rearm did not bump the generation")
+	if first.gen == next.gen {
+		t.Fatal("reused slot kept its generation")
 	}
 	if first.Pending() || first.Cancel() {
-		t.Fatal("stale handle still acts on the rearmed slot")
+		t.Fatal("stale handle still acts on the reused slot")
 	}
 
-	// Outside a callback: falls back to AfterCall and still fires.
-	n := 0
-	s.Rearm(time.Millisecond, func(any) { n++ }, nil)
-	for s.Step() {
-	}
-	if n != 1 {
-		t.Fatalf("fallback Rearm fired %d times", n)
-	}
-
-	// A rearmed timer must be cancellable like any other.
+	// A timer scheduled from a callback must be cancellable like any
+	// other.
 	var cancelMe Timer
 	s.AfterCall(time.Millisecond, func(any) {
-		cancelMe = s.Rearm(time.Hour, func(any) { t.Error("cancelled rearm fired") }, nil)
+		cancelMe = s.AfterCall(time.Hour, func(any) { t.Error("cancelled timer fired") }, nil)
 	}, nil)
-	for i := 0; i < 1 && s.Step(); i++ {
+	if !s.Step() {
+		t.Fatal("nothing fired")
 	}
-	if !cancelMe.Pending() || !cancelMe.Cancel() {
-		t.Fatal("rearmed timer not cancellable")
+	if !cancelMe.Pending() || !cancelMe.Cancel() || cancelMe.Pending() {
+		t.Fatal("timer scheduled from a callback not cancellable")
 	}
-	for s.Step() {
+	if s.Step() {
+		t.Fatal("cancelled timer left an event queued")
+	}
+}
+
+// rearmLoop is a self-re-arming timer: each fire schedules the next.
+type rearmLoop struct {
+	s     *Scheduler
+	fires int
+}
+
+func rearmTick(arg any) {
+	l := arg.(*rearmLoop)
+	l.fires++
+	l.s.AfterCall(time.Millisecond, rearmTick, l)
+}
+
+// TestWheelSelfRearmOneSlot runs a self-re-arming loop for 10,000 fires:
+// the loop cycles one arena slot and allocates nothing per fire.
+func TestWheelSelfRearmOneSlot(t *testing.T) {
+	s := NewScheduler(1)
+	l := &rearmLoop{s: s}
+	s.AfterCall(time.Millisecond, rearmTick, l)
+	s.Step() // warm the free list
+	allocs := testing.AllocsPerRun(10000, func() {
+		if !s.Step() {
+			t.Fatal("loop stopped")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("self-re-arming loop allocates %v per fire", allocs)
+	}
+	if l.fires < 10000 {
+		t.Fatalf("fired %d times", l.fires)
+	}
+	if len(s.arena) != 1 {
+		t.Fatalf("arena grew to %d slots", len(s.arena))
 	}
 }

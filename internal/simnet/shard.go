@@ -128,16 +128,15 @@ func (w *Sharded) ensureRing(src, dst int) {
 // NumShards returns the shard count.
 func (w *Sharded) NumShards() int { return len(w.shards) }
 
-// WheelStats sums the per-shard schedulers' timing-wheel traffic:
-// higher-level slot cascades and overflow-heap migrations. Both depend
-// only on each shard's event stream, so the totals are identical at any
-// worker lane count.
-func (w *Sharded) WheelStats() (cascades, overflowMigrations uint64) {
+// Cascades sums the per-shard schedulers' higher-level timing-wheel slot
+// cascades. Each depends only on its shard's event stream, so the total
+// is identical at any worker lane count.
+func (w *Sharded) Cascades() uint64 {
+	var n uint64
 	for _, sh := range w.shards {
-		cascades += sh.Sched.Cascades()
-		overflowMigrations += sh.Sched.OverflowMigrations()
+		n += sh.Sched.Cascades()
 	}
-	return cascades, overflowMigrations
+	return n
 }
 
 // Shard returns shard k's network; builders create nodes and intra-shard

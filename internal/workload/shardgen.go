@@ -114,9 +114,9 @@ func NewFlows(nd *simnet.Node, name string, cfg FlowConfig) (*Flows, error) {
 
 // fire issues one operation: start a (sampled) trace root, send the
 // request under it, arm the timeout. Runs on the owning shard only. The
-// timeout reclaims the just-fired think timer's slot via Rearm, so the
-// station's whole lifecycle cycles one arena slot plus the delivery
-// events.
+// scheduler frees the just-fired think timer's slot before this runs, and
+// the request's delivery event or the timeout pops it again, so the
+// station's whole lifecycle cycles a fixed set of arena slots.
 func (st *flowStation) fire() {
 	f := st.f
 	st.pending = true
@@ -126,7 +126,7 @@ func (st *flowStation) fire() {
 	prev := tracer.Swap(st.ctx)
 	f.u.Send(st.port, st.target, nil, flowReqBytes)
 	tracer.Swap(prev)
-	st.timeout = f.node.Sched().Rearm(flowTimeout, flowExpire, st)
+	st.timeout = f.node.Sched().AfterCall(flowTimeout, flowExpire, st)
 }
 
 // reply completes the pending operation and schedules the next think.
@@ -145,7 +145,7 @@ func (st *flowStation) reply(from simnet.Addr, body any, bytes int) {
 	tracer.Finish(st.ctx)
 	st.ctx = trace.Context{}
 	think := time.Duration(sched.Rand().ExpFloat64() * float64(f.cfg.ThinkMean))
-	sched.Rearm(think, flowFire, st)
+	sched.AfterCall(think, flowFire, st)
 }
 
 // expire abandons the pending operation and moves on.
@@ -162,7 +162,7 @@ func (st *flowStation) expire() {
 	st.ctx = trace.Context{}
 	sched := f.node.Sched()
 	think := time.Duration(sched.Rand().ExpFloat64() * float64(f.cfg.ThinkMean))
-	sched.Rearm(think, flowFire, st)
+	sched.AfterCall(think, flowFire, st)
 }
 
 // Echo is a minimal request/reply service for the scale workload: every

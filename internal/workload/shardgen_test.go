@@ -37,9 +37,10 @@ func buildFlowsWorld(t testing.TB, seed int64, stations int) (*simnet.Network, *
 }
 
 // TestFlowsReplyPathZeroAlloc pins the whole virtual-station op loop —
-// request fire, echo response, station reply, think-timer re-arm via the
-// scheduler's Rearm fast path — at zero steady-state allocations. A closure or unpooled body anywhere on
-// the path turns every one of the million stations' ops into garbage;
+// request fire, echo response, station reply, think-timer re-arm through
+// AfterCall into the slot the scheduler freed before firing — at zero
+// steady-state allocations. A closure or unpooled body anywhere on the
+// path turns every one of the million stations' ops into garbage;
 // this test makes that a failure, not a profile regression.
 func TestFlowsReplyPathZeroAlloc(t *testing.T) {
 	net, f := buildFlowsWorld(t, 11, 50)

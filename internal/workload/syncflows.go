@@ -242,7 +242,7 @@ func (d *syncDevice) write() {
 		f.Writes++
 	}
 	think := time.Duration(rng.ExpFloat64() * float64(f.cfg.WriteMean))
-	sched.Rearm(think, syncDevWrite, d)
+	sched.AfterCall(think, syncDevWrite, d)
 }
 
 // fillWriteValue writes "d<id>.<wseq>" into val, truncated to its length
@@ -263,7 +263,7 @@ func (d *syncDevice) sync() {
 	sched := f.node.Sched()
 	reschedule := func() {
 		think := time.Duration(sched.Rand().ExpFloat64() * float64(f.cfg.SyncMean))
-		sched.Rearm(think, syncDevSync, d)
+		sched.AfterCall(think, syncDevSync, d)
 	}
 	if d.session != nil {
 		reschedule()
@@ -283,7 +283,7 @@ func (d *syncDevice) sync() {
 	tracer := f.node.Network().Tracer
 	d.ctx = tracer.StartTrace("mobiledb.sync.device", trace.LayerStation)
 	d.send()
-	d.timeout = sched.Rearm(syncTimeout, syncDevExpire, d)
+	d.timeout = sched.AfterCall(syncTimeout, syncDevExpire, d)
 }
 
 // send ships the current session to the current target under the session
@@ -322,7 +322,7 @@ func (d *syncDevice) reply(from simnet.Addr, body any, bytes int) {
 		}
 		tracer.Annotate(d.ctx, "redirect")
 		d.retryT.Cancel()
-		d.retryT = sched.Rearm(syncRetryDelay, syncDevResend, d)
+		d.retryT = sched.AfterCall(syncRetryDelay, syncDevResend, d)
 		return
 	}
 	d.timeout.Cancel()
@@ -335,7 +335,7 @@ func (d *syncDevice) reply(from simnet.Addr, body any, bytes int) {
 	d.ctx = trace.Context{}
 	d.session = nil
 	think := time.Duration(sched.Rand().ExpFloat64() * float64(f.cfg.SyncMean))
-	sched.Rearm(think, syncDevSync, d)
+	sched.AfterCall(think, syncDevSync, d)
 }
 
 // expire abandons the in-flight session. Resilient devices keep their
@@ -359,5 +359,5 @@ func (d *syncDevice) expire() {
 	d.target = (d.target + 1) % len(f.cfg.Tier)
 	sched := f.node.Sched()
 	think := time.Duration(sched.Rand().ExpFloat64() * float64(f.cfg.SyncMean))
-	sched.Rearm(think, syncDevSync, d)
+	sched.AfterCall(think, syncDevSync, d)
 }
