@@ -267,7 +267,7 @@ func (r *Router) unicast(to simnet.NodeID, body any, bytes int) {
 }
 
 // deliver dispatches incoming protocol messages.
-func (r *Router) deliver(from simnet.Addr, body any, _ int) {
+func (r *Router) deliver(_ simnet.Port, from simnet.Addr, body any, _ int) {
 	switch m := body.(type) {
 	case *rreq:
 		r.onRREQ(from.Node, m)

@@ -309,7 +309,7 @@ func (s *SyncService) onLeader(int) {
 	s.pending = nil
 }
 
-func (s *SyncService) recv(from simnet.Addr, body any, bytes int) {
+func (s *SyncService) recv(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 	req, ok := body.(*mobiledb.UpSyncRequest)
 	if !ok || !s.m.Alive() {
 		return

@@ -82,7 +82,7 @@ func TestSyncServiceDropsHeldAcksOnDemotion(t *testing.T) {
 	req := dev.BeginUpSync()
 	u := simnet.UDPOf(devNode)
 	var acked *mobiledb.UpSyncResponse
-	if err := u.Listen(devPort, func(from simnet.Addr, body any, bytes int) {
+	if err := u.Listen(devPort, func(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 		if r, ok := body.(*mobiledb.UpSyncResponse); ok && !r.Retry {
 			acked = r
 		}

@@ -62,7 +62,7 @@ func TestDataTierDeviceSessionEndToEnd(t *testing.T) {
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
 	var resp *mobiledb.UpSyncResponse
-	if err := u.Listen(devicePort, func(from simnet.Addr, body any, bytes int) {
+	if err := u.Listen(devicePort, func(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 		if r, ok := body.(*mobiledb.UpSyncResponse); ok {
 			resp = r
 		}
@@ -117,7 +117,7 @@ func TestDataTierRedirectsNonPrimary(t *testing.T) {
 	stn := mc.Clients[0].Station.Node()
 	u := simnet.UDPOf(stn)
 	var resp *mobiledb.UpSyncResponse
-	if err := u.Listen(devicePort, func(from simnet.Addr, body any, bytes int) {
+	if err := u.Listen(devicePort, func(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 		if r, ok := body.(*mobiledb.UpSyncResponse); ok {
 			resp = r
 		}
@@ -237,7 +237,7 @@ func TestDataTierSyncCrashTrigger(t *testing.T) {
 	var verdict *mobiledb.UpSyncResponse
 	target := 0
 	redirects := 0
-	if err := u.Listen(devicePort, func(from simnet.Addr, body any, bytes int) {
+	if err := u.Listen(devicePort, func(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 		r, ok := body.(*mobiledb.UpSyncResponse)
 		if !ok || verdict != nil {
 			return

@@ -327,7 +327,7 @@ func ablateSync(seed int64) *Result {
 	{
 		net, mob, srv, l := build()
 		got := map[string]bool{}
-		simnet.UDPOf(srv).Listen(100, func(_ simnet.Addr, body any, _ int) {
+		simnet.UDPOf(srv).Listen(100, func(_ simnet.Port, _ simnet.Addr, body any, _ int) {
 			if s, ok := body.(string); ok {
 				got[s] = true
 			}
@@ -355,7 +355,7 @@ func ablateSync(seed int64) *Result {
 		local := mobiledb.New("courier", 0)
 		rows := mobiledb.NewMemBackend()
 		hub := mobiledb.NewServer(mobiledb.PolicyLWW, rows)
-		simnet.UDPOf(srv).Listen(100, func(from simnet.Addr, body any, _ int) {
+		simnet.UDPOf(srv).Listen(100, func(_ simnet.Port, from simnet.Addr, body any, _ int) {
 			req, ok := body.(*mobiledb.UpSyncRequest)
 			if !ok {
 				return
@@ -368,7 +368,7 @@ func ablateSync(seed int64) *Result {
 			simnet.UDPOf(srv).Send(100, from, resp, resp.WireBytes())
 		})
 		u := simnet.UDPOf(mob)
-		u.Listen(101, func(_ simnet.Addr, body any, _ int) {
+		u.Listen(101, func(_ simnet.Port, _ simnet.Addr, body any, _ int) {
 			if resp, ok := body.(*mobiledb.UpSyncResponse); ok {
 				local.FinishUpSync(resp)
 			}

@@ -64,7 +64,7 @@ func (ha *HomeAgent) Binding(mobile simnet.NodeID) (Binding, bool) {
 }
 
 // onRegistration handles a request relayed by a foreign agent.
-func (ha *HomeAgent) onRegistration(from simnet.Addr, body any, _ int) {
+func (ha *HomeAgent) onRegistration(_ simnet.Port, from simnet.Addr, body any, _ int) {
 	req, ok := body.(*regRequest)
 	if !ok {
 		return
@@ -158,7 +158,7 @@ func (fa *ForeignAgent) Addr() simnet.Addr {
 
 // onSignal handles both mobile requests (relay to HA) and HA replies
 // (relay to mobile).
-func (fa *ForeignAgent) onSignal(from simnet.Addr, body any, _ int) {
+func (fa *ForeignAgent) onSignal(_ simnet.Port, from simnet.Addr, body any, _ int) {
 	switch m := body.(type) {
 	case *regRequest:
 		// Fill in our address as the care-of address and relay home.

@@ -95,7 +95,7 @@ func (c *Client) transmit(p *pendingReg) {
 	})
 }
 
-func (c *Client) onReply(_ simnet.Addr, body any, _ int) {
+func (c *Client) onReply(_ simnet.Port, _ simnet.Addr, body any, _ int) {
 	rep, ok := body.(*regReply)
 	if !ok || rep.Mobile != c.node.ID {
 		return

@@ -552,7 +552,7 @@ func (m *Member) stepDown(term int) {
 }
 
 // recv dispatches replication datagrams.
-func (m *Member) recv(from simnet.Addr, body any, bytes int) {
+func (m *Member) recv(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 	if !m.alive {
 		return
 	}

@@ -235,6 +235,50 @@ func BenchmarkLinkForward(b *testing.B) {
 	}
 }
 
+// BenchmarkUDPDeliver measures UDP demux at the scale tier's port
+// density: a node with 16,000 bound ports (one cell's station
+// population) sharing one handler, where each op sends one pooled
+// datagram to a port picked by a fixed stride and steps it to delivery.
+// Demux is two loads in the paged port table, so an op allocates nothing.
+func BenchmarkUDPDeliver(b *testing.B) {
+	const (
+		nPorts    = 16000
+		firstPort = Port(1000)
+		stride    = 7919 // prime, so the walk visits every port
+	)
+	net := NewNetwork(NewScheduler(1))
+	a := net.NewNode("a")
+	c := net.NewNode("cell")
+	l := Connect(a, c, LinkConfig{Rate: Gbps, Delay: time.Microsecond, QueueLen: 1 << 20})
+	a.SetDefaultRoute(l.IfaceA())
+	ua, uc := UDPOf(a), UDPOf(c)
+	got := 0
+	h := func(Port, Addr, any, int) { got++ }
+	for i := range nPorts {
+		if err := uc.Listen(firstPort+Port(i), h); err != nil {
+			b.Fatal(err)
+		}
+	}
+	k := 0
+	send := func() {
+		k = (k + stride) % nPorts
+		ua.Send(1, Addr{Node: c.ID, Port: firstPort + Port(k)}, nil, 100)
+		for net.Sched.Step() {
+		}
+	}
+	for range 256 { // warm the pools
+		send()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		send()
+	}
+	if got != b.N+256 {
+		b.Fatalf("delivered %d/%d", got, b.N+256)
+	}
+}
+
 // routerPath is a two-hop world a -> r -> c with forwarding on r, plus a
 // pooled send from a to c. Each delivery bumps *got.
 func routerPath() (net *Network, send func(), got *int) {

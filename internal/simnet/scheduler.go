@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math/bits"
 	"math/rand"
-	"slices"
 	"time"
 )
 
@@ -501,7 +500,7 @@ func (s *Scheduler) drainSlot0(j int) {
 		s.wheelPop--
 		slot = sl.next
 	}
-	slices.SortFunc(s.run, cmpEntry)
+	sortRun(s.run)
 }
 
 // cascade unloads a higher-level slot the cursor just entered and
@@ -586,15 +585,55 @@ func entryLess(a, b heapEntry) bool {
 	return a.seq < b.seq
 }
 
-// cmpEntry is entryLess as a three-way comparison for sorting the run.
-func cmpEntry(a, b heapEntry) int {
-	switch {
-	case entryLess(a, b):
-		return -1
-	case entryLess(b, a):
-		return 1
-	default:
-		return 0
+// sortRun sorts a drained slot by entryLess: a quicksort with a
+// median-of-three pivot, insertion sort below 12 entries. It is written
+// out for heapEntry so the comparison inlines; (at, seq) keys are unique,
+// so any correct sort yields the same order.
+func sortRun(r []heapEntry) {
+	for len(r) >= 12 {
+		m, hi := len(r)/2, len(r)-1
+		if entryLess(r[m], r[0]) {
+			r[m], r[0] = r[0], r[m]
+		}
+		if entryLess(r[hi], r[m]) {
+			r[hi], r[m] = r[m], r[hi]
+			if entryLess(r[m], r[0]) {
+				r[m], r[0] = r[0], r[m]
+			}
+		}
+		// r[0] <= pivot <= r[hi] now bound both scans; park the pivot
+		// at hi-1 and partition r[1:hi-1].
+		p := r[m]
+		r[m], r[hi-1] = r[hi-1], r[m]
+		i, j := 0, hi-1
+		for {
+			for i++; entryLess(r[i], p); i++ {
+			}
+			for j--; entryLess(p, r[j]); j-- {
+			}
+			if i >= j {
+				break
+			}
+			r[i], r[j] = r[j], r[i]
+		}
+		r[i], r[hi-1] = r[hi-1], r[i]
+		// Recurse into the smaller side, loop on the larger, so the
+		// stack stays O(log n).
+		if i < len(r)-1-i {
+			sortRun(r[:i])
+			r = r[i+1:]
+		} else {
+			sortRun(r[i+1:])
+			r = r[:i]
+		}
+	}
+	for i := 1; i < len(r); i++ {
+		e := r[i]
+		j := i
+		for ; j > 0 && entryLess(e, r[j-1]); j-- {
+			r[j] = r[j-1]
+		}
+		r[j] = e
 	}
 }
 

@@ -485,3 +485,80 @@ func TestWheelSelfRearmOneSlot(t *testing.T) {
 		t.Fatalf("arena grew to %d slots", len(s.arena))
 	}
 }
+
+// TestWheelDenseTickOrder packs batches of 1 to 500 events into one tick,
+// drawing their times from a handful of values so most share an exact
+// at, and lets some of them schedule more events into the same tick from
+// inside their callbacks (the runExtra path, including times already past
+// that clamp to now). The batch lands in level 0, in a higher level that
+// cascades down, or on the cursor tick itself. The wheel must fire the
+// reference heap's exact order: a run sort that broke (at, seq) ties by
+// anything but seq fails here.
+func TestWheelDenseTickOrder(t *testing.T) {
+	const tick = time.Duration(1) << tickShift
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		w := NewScheduler(seed)
+		r := &refScheduler{}
+		var wFires, rFires []fireRec
+		nextID := 0
+
+		var schedule func(at time.Duration, ats []time.Duration)
+		schedule = func(at time.Duration, ats []time.Duration) {
+			id := nextID
+			nextID++
+			var children []time.Duration
+			for rng.Intn(8) == 0 {
+				children = append(children, ats[rng.Intn(len(ats))]-time.Duration(rng.Intn(2))*tick)
+			}
+			wfn := func() {
+				wFires = append(wFires, fireRec{id, w.Now()})
+				for _, c := range children {
+					w.At(c, func() { wFires = append(wFires, fireRec{-id, w.Now()}) })
+				}
+			}
+			rfn := func() {
+				rFires = append(rFires, fireRec{id, r.now})
+				for _, c := range children {
+					r.At(c, func() { rFires = append(rFires, fireRec{-id, r.now}) })
+				}
+			}
+			w.At(at, wfn)
+			r.At(at, rfn)
+		}
+
+		for round := 0; round < 40; round++ {
+			start := w.Now() &^ (tick - 1)
+			switch rng.Intn(3) {
+			case 0: // the cursor tick: straight into runExtra
+			case 1: // level 0
+				start += tick * time.Duration(1+rng.Intn(wheelSlots-1))
+			default: // a higher level, reached by cascade
+				start += tick << (wheelBits + rng.Intn(2*wheelBits))
+			}
+			ats := make([]time.Duration, 1+rng.Intn(6))
+			for i := range ats {
+				ats[i] = start + time.Duration(rng.Int63n(int64(tick)))
+			}
+			for i, n := 0, 1+rng.Intn(500); i < n; i++ {
+				schedule(ats[rng.Intn(len(ats))], ats)
+			}
+			for w.Step() {
+				if !r.Step() {
+					t.Fatalf("seed %d round %d: ref drained before wheel", seed, round)
+				}
+			}
+			if r.Step() {
+				t.Fatalf("seed %d round %d: wheel drained before ref", seed, round)
+			}
+		}
+		if len(wFires) != len(rFires) {
+			t.Fatalf("seed %d: fire count divergence: wheel=%d ref=%d", seed, len(wFires), len(rFires))
+		}
+		for i := range wFires {
+			if wFires[i] != rFires[i] {
+				t.Fatalf("seed %d: fire %d divergence: wheel=%+v ref=%+v", seed, i, wFires[i], rFires[i])
+			}
+		}
+	}
+}

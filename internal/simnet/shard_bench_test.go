@@ -20,7 +20,7 @@ func buildBenchWorld(b *testing.B, shards int, churnEvery time.Duration) *ringWo
 		nd := rw.nodes[k]
 		sched := nd.Sched()
 		u := UDPOf(nd)
-		port := u.ListenAny(func(from Addr, body any, bytes int) { rw.got[k]++ })
+		port := u.ListenAny(func(_ Port, from Addr, body any, bytes int) { rw.got[k]++ })
 		next := (k + 1) % shards
 		dst := Addr{Node: rw.nodes[next].ID, Port: echoPort}
 		var churn func()

@@ -45,12 +45,12 @@ func buildSweepWorld(tb testing.TB, shards int, churnEvery time.Duration) *Shard
 		nd.SetRoute(nodes[next].ID, links[k].IfaceA())
 		nd.SetRoute(nodes[prev].ID, links[prev].IfaceB())
 		u := UDPOf(nd)
-		if err := u.Listen(echoPort, func(from Addr, body any, bytes int) {
+		if err := u.Listen(echoPort, func(_ Port, from Addr, body any, bytes int) {
 			u.Send(echoPort, from, body, bytes)
 		}); err != nil {
 			tb.Fatal(err)
 		}
-		port := u.ListenAny(func(from Addr, body any, bytes int) { st[k].got++ })
+		port := u.ListenAny(func(_ Port, from Addr, body any, bytes int) { st[k].got++ })
 		sched := nd.Sched()
 		dst := Addr{Node: nodes[next].ID, Port: echoPort}
 		var churn func()

@@ -75,12 +75,12 @@ func buildRing(tb testing.TB, rounds int, legs []LinkConfig) *ringWorld {
 		nd.SetRoute(rw.nodes[next].ID, rw.links[k].IfaceA())
 		nd.SetRoute(rw.nodes[prev].ID, rw.links[prev].IfaceB())
 		u := UDPOf(nd)
-		if err := u.Listen(echoPort, func(from Addr, body any, bytes int) {
+		if err := u.Listen(echoPort, func(_ Port, from Addr, body any, bytes int) {
 			u.Send(echoPort, from, body, bytes)
 		}); err != nil {
 			tb.Fatal(err)
 		}
-		replyPort := u.ListenAny(func(from Addr, body any, bytes int) {
+		replyPort := u.ListenAny(func(_ Port, from Addr, body any, bytes int) {
 			rw.got[k]++
 		})
 		sched := nd.Sched()
@@ -317,14 +317,14 @@ func TestOneShardMatchesSerial(t *testing.T) {
 		a.SetDefaultRoute(l.IfaceA())
 		b.SetDefaultRoute(l.IfaceB())
 		ub := UDPOf(b)
-		if err := ub.Listen(echoPort, func(from Addr, body any, bytes int) {
+		if err := ub.Listen(echoPort, func(_ Port, from Addr, body any, bytes int) {
 			fmt.Fprintf(&log, "echo to node %d at %v\n", from.Node, net.Sched.Now())
 			ub.Send(echoPort, from, body, bytes)
 		}); err != nil {
 			t.Fatal(err)
 		}
 		ua := UDPOf(a)
-		port := ua.ListenAny(func(from Addr, body any, bytes int) {})
+		port := ua.ListenAny(func(_ Port, from Addr, body any, bytes int) {})
 		net.Tracer.EnableExport(1)
 		for i := 0; i < 40; i++ {
 			net.Sched.At(time.Duration(i)*5*time.Millisecond, func() {

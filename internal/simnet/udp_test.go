@@ -12,13 +12,13 @@ func TestUDPRoundTrip(t *testing.T) {
 	ua, ub := UDPOf(a), UDPOf(b)
 
 	var reply string
-	if err := ub.Listen(7, func(from Addr, body any, bytes int) {
+	if err := ub.Listen(7, func(_ Port, from Addr, body any, bytes int) {
 		msg, _ := body.(string)
 		ub.Send(7, from, "echo:"+msg, bytes)
 	}); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
-	client := ua.ListenAny(func(from Addr, body any, bytes int) {
+	client := ua.ListenAny(func(_ Port, from Addr, body any, bytes int) {
 		reply, _ = body.(string)
 	})
 	ua.Send(client, Addr{Node: b.ID, Port: 7}, "ping", 4)
@@ -35,10 +35,10 @@ func TestUDPPortInUse(t *testing.T) {
 	net := NewNetwork(NewScheduler(1))
 	a := net.NewNode("a")
 	u := UDPOf(a)
-	if err := u.Listen(9, func(Addr, any, int) {}); err != nil {
+	if err := u.Listen(9, func(Port, Addr, any, int) {}); err != nil {
 		t.Fatalf("first Listen: %v", err)
 	}
-	if err := u.Listen(9, func(Addr, any, int) {}); err == nil {
+	if err := u.Listen(9, func(Port, Addr, any, int) {}); err == nil {
 		t.Fatal("second Listen on same port should fail")
 	}
 }
@@ -48,7 +48,7 @@ func TestUDPEphemeralPortsDistinct(t *testing.T) {
 	u := UDPOf(net.NewNode("a"))
 	seen := make(map[Port]bool)
 	for i := 0; i < 100; i++ {
-		p := u.ListenAny(func(Addr, any, int) {})
+		p := u.ListenAny(func(Port, Addr, any, int) {})
 		if seen[p] {
 			t.Fatalf("duplicate ephemeral port %d", p)
 		}
@@ -73,7 +73,7 @@ func TestUDPHeaderOverheadCharged(t *testing.T) {
 	net, a, b, l := twoNodes(t, LinkConfig{Rate: Mbps})
 	ua, ub := UDPOf(a), UDPOf(b)
 	gotBytes := -1
-	if err := ub.Listen(5, func(from Addr, body any, bytes int) { gotBytes = bytes }); err != nil {
+	if err := ub.Listen(5, func(_ Port, from Addr, body any, bytes int) { gotBytes = bytes }); err != nil {
 		t.Fatalf("Listen: %v", err)
 	}
 	ua.Send(1000, Addr{Node: b.ID, Port: 5}, nil, 100)
@@ -102,15 +102,16 @@ func TestUDPOfIsIdempotent(t *testing.T) {
 func TestUDPListenAnyExhaustedPanics(t *testing.T) {
 	net := NewNetwork(NewScheduler(1))
 	u := UDPOf(net.NewNode("full"))
+	noop := func(Port, Addr, any, int) {}
 	for p := 49152; p <= 65535; p++ {
 		if p == 50000 {
 			continue
 		}
-		if err := u.Listen(Port(p), nil); err != nil {
+		if err := u.Listen(Port(p), noop); err != nil {
 			t.Fatalf("Listen %d: %v", p, err)
 		}
 	}
-	if got := u.ListenAny(nil); got != 50000 {
+	if got := u.ListenAny(noop); got != 50000 {
 		t.Fatalf("ListenAny = %d, want the one free port 50000", got)
 	}
 	defer func() {
@@ -119,6 +120,50 @@ func TestUDPListenAnyExhaustedPanics(t *testing.T) {
 			t.Fatalf("panic %q does not name the node and the range", msg)
 		}
 	}()
-	u.ListenAny(nil)
+	u.ListenAny(noop)
 	t.Fatal("ListenAny returned with every ephemeral port bound")
+}
+
+// TestUDPNilHandlerRejected: a nil entry in the port table means
+// "unbound", so a nil handler must not bind. Listen fails and leaves the
+// port free; ListenAny panics.
+func TestUDPNilHandlerRejected(t *testing.T) {
+	net := NewNetwork(NewScheduler(1))
+	u := UDPOf(net.NewNode("a"))
+	if err := u.Listen(9, nil); err == nil {
+		t.Fatal("Listen with a nil handler succeeded")
+	}
+	if err := u.Listen(9, func(Port, Addr, any, int) {}); err != nil {
+		t.Fatalf("port stayed taken after the rejected nil Listen: %v", err)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("ListenAny with a nil handler did not panic")
+		}
+	}()
+	u.ListenAny(nil)
+}
+
+// TestUDPHandlerSeesItsPort binds one handler on ports in several pages
+// of the table and checks each delivery names the port it arrived on.
+func TestUDPHandlerSeesItsPort(t *testing.T) {
+	net, a, b, _ := twoNodes(t, LinkConfig{Rate: Mbps})
+	ua, ub := UDPOf(a), UDPOf(b)
+	ports := []Port{0, 255, 256, 4000, 49152, 65535}
+	var got []Port
+	h := func(to Port, _ Addr, _ any, _ int) { got = append(got, to) }
+	for _, p := range ports {
+		if err := ub.Listen(p, h); err != nil {
+			t.Fatalf("Listen %d: %v", p, err)
+		}
+	}
+	for _, p := range ports {
+		ua.Send(1, Addr{Node: b.ID, Port: p}, nil, 1)
+		if err := net.Sched.Run(); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	if fmt.Sprint(got) != fmt.Sprint(ports) {
+		t.Fatalf("handler saw ports %v, want %v", got, ports)
+	}
 }

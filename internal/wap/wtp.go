@@ -343,7 +343,7 @@ func (w *WTP) maybeSegment(to simnet.Addr, tid uint32, result bool, body any, by
 	return st
 }
 
-func (w *WTP) deliver(from simnet.Addr, body any, _ int) {
+func (w *WTP) deliver(_ simnet.Port, from simnet.Addr, body any, _ int) {
 	switch m := body.(type) {
 	case *wtpInvoke:
 		w.onInvoke(from, m)

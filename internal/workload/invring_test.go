@@ -110,11 +110,11 @@ func TestInvRingMatchesLinearCatchUp(t *testing.T) {
 					msg.Through = f.invThrough - uint64(rng.Intn(int(min(f.invThrough, 5))+1))
 				}
 				last = msg
-				f.recvInvalidation(simnet.Addr{}, msg, 0)
+				f.recvInvalidation(f.invPort(), simnet.Addr{}, msg, 0)
 				ref.recv(msg)
 			case op < 10: // a duplicate of the last broadcast
 				if last != nil {
-					f.recvInvalidation(simnet.Addr{}, last, 0)
+					f.recvInvalidation(f.invPort(), simnet.Addr{}, last, 0)
 					ref.recv(last)
 				}
 			case op < 11: // a failover truncates: versions fall
@@ -245,7 +245,7 @@ func BenchmarkSyncCatchUp(b *testing.B) {
 				msg.Invalid[i] = mobiledb.Invalidation{Key: key, SrvVer: uint64(1 + i)}
 			}
 			msg.Through = syncRingMax
-			f.recvInvalidation(simnet.Addr{}, msg, 0)
+			f.recvInvalidation(f.invPort(), simnet.Addr{}, msg, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

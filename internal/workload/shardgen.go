@@ -15,9 +15,11 @@ import (
 // instead models a station as a virtual entry on a cell aggregator node:
 // one UDP port, one pending-op record and one timer each, multiplexed on
 // the cell's scheduler. No per-station node, no per-station metrics
-// instance — the aggregates live on the Flows scope — so a million
-// stations cost megabytes, not gigabytes, and the steady-state op loop
-// allocates nothing.
+// instance — the aggregates live on the Flows scope — and no per-station
+// handler: every port holds the one Flows.reply, which finds its station
+// by the port the datagram arrived on. So a million stations cost
+// megabytes, not gigabytes, and the steady-state op loop allocates
+// nothing.
 
 // EchoPort is the well-known port ServeEcho answers on.
 const EchoPort simnet.Port = 9
@@ -98,12 +100,15 @@ func NewFlows(nd *simnet.Node, name string, cfg FlowConfig) (*Flows, error) {
 
 	sched := nd.Sched()
 	f.stations = make([]flowStation, cfg.Stations)
+	// One method value serves every station's port: written inside the
+	// loop, f.reply would allocate a closure per station.
+	reply := f.reply
 	for i := range f.stations {
 		st := &f.stations[i]
 		st.f = f
 		st.port = cfg.FirstPort + simnet.Port(i)
 		st.target = cfg.Target(i)
-		if err := f.u.Listen(st.port, st.reply); err != nil {
+		if err := f.u.Listen(st.port, reply); err != nil {
 			return nil, fmt.Errorf("workload: flows %q: %w", name, err)
 		}
 		think := time.Duration(sched.Rand().ExpFloat64() * float64(cfg.ThinkMean))
@@ -129,13 +134,13 @@ func (st *flowStation) fire() {
 	st.timeout = f.node.Sched().AfterCall(flowTimeout, flowExpire, st)
 }
 
-// reply completes the pending operation and schedules the next think.
-// Late replies after a timeout are ignored.
-func (st *flowStation) reply(from simnet.Addr, body any, bytes int) {
+// reply completes the pending operation of the station bound on port to
+// and schedules its next think. Late replies after a timeout are ignored.
+func (f *Flows) reply(to simnet.Port, _ simnet.Addr, _ any, _ int) {
+	st := &f.stations[to-f.cfg.FirstPort]
 	if !st.pending {
 		return
 	}
-	f := st.f
 	st.pending = false
 	st.timeout.Cancel()
 	f.Ops++
@@ -177,7 +182,7 @@ func ServeEcho(nd *simnet.Node, name string, respBytes int) (*Echo, error) {
 	e := &Echo{}
 	u := simnet.UDPOf(nd)
 	nd.Network().Metrics.Instance("workload.echo."+metrics.Sanitize(name)).AliasCounter("served", &e.Served)
-	if err := u.Listen(EchoPort, func(from simnet.Addr, body any, bytes int) {
+	if err := u.Listen(EchoPort, func(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 		e.Served++
 		u.Send(EchoPort, from, nil, respBytes)
 	}); err != nil {

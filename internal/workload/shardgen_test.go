@@ -75,3 +75,20 @@ func TestFlowsRejectsZeroThinkMean(t *testing.T) {
 		t.Error("zero think mean accepted")
 	}
 }
+
+// TestFlowsNoPerStationObject pins the scale tier's memory contract: a
+// station is a slot in the Flows array and one port in the cell's paged
+// table, bound to the population's one shared handler. Building 16,000
+// stations may allocate only a few hundred more objects than 256 (new
+// table pages, arena and slice growth); a closure or map slot per station
+// would add one object per station.
+func TestFlowsNoPerStationObject(t *testing.T) {
+	build := func(stations int) float64 {
+		return testing.AllocsPerRun(3, func() { buildFlowsWorld(t, 1, stations) })
+	}
+	small, large := build(256), build(16000)
+	t.Logf("allocs: 256 stations %.0f, 16,000 stations %.0f", small, large)
+	if extra := large - small; extra > 300 {
+		t.Fatalf("16,000 stations allocate %.0f more objects than 256 (%.0f vs %.0f)", extra, large, small)
+	}
+}

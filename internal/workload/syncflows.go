@@ -145,6 +145,8 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 	sched := nd.Sched()
 	now := func() int64 { return int64(sched.Now()) }
 	f.devices = make([]syncDevice, cfg.Devices)
+	// One method value serves every device's port (see NewFlows).
+	reply := f.reply
 	for i := range f.devices {
 		d := &f.devices[i]
 		d.f = f
@@ -157,7 +159,7 @@ func NewSyncFlows(nd *simnet.Node, name string, cfg SyncFlowConfig) (*SyncFlows,
 		d.key = name + ".d" + id
 		d.store = mobiledb.New(name+"-d"+id, 0)
 		d.store.SetNow(now)
-		if err := f.u.Listen(d.port, d.reply); err != nil {
+		if err := f.u.Listen(d.port, reply); err != nil {
 			return nil, fmt.Errorf("workload: syncflows %q: %w", name, err)
 		}
 		wthink := time.Duration(sched.Rand().ExpFloat64() * float64(cfg.WriteMean))
@@ -196,7 +198,7 @@ func (f *SyncFlows) PendingWrites() int {
 }
 
 // recvInvalidation consumes one broadcast tick into the cell ring.
-func (f *SyncFlows) recvInvalidation(from simnet.Addr, body any, bytes int) {
+func (f *SyncFlows) recvInvalidation(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 	msg, ok := body.(*mobiledb.InvalidationMsg)
 	if !ok {
 		return
@@ -304,13 +306,14 @@ func (d *syncDevice) resend() {
 	d.send()
 }
 
-// reply handles a tier response for the in-flight session.
-func (d *syncDevice) reply(from simnet.Addr, body any, bytes int) {
+// reply handles a tier response for the in-flight session of the device
+// bound on port to.
+func (f *SyncFlows) reply(to simnet.Port, _ simnet.Addr, body any, _ int) {
+	d := &f.devices[to-f.cfg.FirstPort]
 	resp, ok := body.(*mobiledb.UpSyncResponse)
 	if !ok || d.session == nil || resp.Session != d.session.Session {
 		return
 	}
-	f := d.f
 	sched := f.node.Sched()
 	tracer := f.node.Network().Tracer
 	if resp.Retry {

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strconv"
 	"testing"
 	"time"
 
@@ -33,7 +34,7 @@ func newSyncWorld(t *testing.T, seed int64, policy mobiledb.Policy) *syncWorld {
 	w.server.SetDefaultRoute(l.IfaceB())
 	w.sv = mobiledb.NewServer(policy, mobiledb.NewMemBackend())
 	u := simnet.UDPOf(w.server)
-	if err := u.Listen(tierPort, func(from simnet.Addr, body any, bytes int) {
+	if err := u.Listen(tierPort, func(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 		req, ok := body.(*mobiledb.UpSyncRequest)
 		if !ok {
 			return
@@ -87,7 +88,7 @@ func TestSyncFlowsFollowsRedirects(t *testing.T) {
 	w := newSyncWorld(t, 42, mobiledb.PolicyLWW)
 	const bouncePort simnet.Port = 751
 	u := simnet.UDPOf(w.server)
-	if err := u.Listen(bouncePort, func(from simnet.Addr, body any, bytes int) {
+	if err := u.Listen(bouncePort, func(_ simnet.Port, from simnet.Addr, body any, bytes int) {
 		req, ok := body.(*mobiledb.UpSyncRequest)
 		if !ok {
 			return
@@ -285,3 +286,43 @@ func TestSyncFlowsValidation(t *testing.T) {
 		t.Error("zero sync mean accepted")
 	}
 }
+
+// TestSyncFlowsNoPerDeviceHandler is TestFlowsNoPerStationObject for the
+// sync population. A device does own objects: its private store and its
+// key strings, measured here by making them as NewSyncFlows does.
+// Beyond those, 500 devices may allocate only a few hundred more objects
+// than 16; a closure or map slot per device would add one per device.
+func TestSyncFlowsNoPerDeviceHandler(t *testing.T) {
+	build := func(devices int) float64 {
+		return testing.AllocsPerRun(3, func() {
+			w := newSyncWorld(t, 1, mobiledb.PolicyLWW)
+			if _, err := NewSyncFlows(w.cell, "cell0", SyncFlowConfig{
+				Devices: devices, FirstPort: 10000, Tier: []simnet.Addr{w.tierAddr()},
+				WriteMean: time.Second, SyncMean: 2 * time.Second,
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	now := func() int64 { return 0 }
+	own := testing.AllocsPerRun(3, func() {
+		for i := 16; i < 500; i++ {
+			id := strconv.Itoa(i)
+			sinkKey = "cell0" + ".d" + id
+			sinkStore = mobiledb.New("cell0"+"-d"+id, 0)
+			sinkStore.SetNow(now)
+		}
+	})
+	small, large := build(16), build(500)
+	t.Logf("allocs: 16 devices %.0f, 500 devices %.0f, devices 16-499's own state %.0f", small, large, own)
+	if extra := large - small - own; extra > 300 {
+		t.Fatalf("500 devices allocate %.0f more objects than 16 beyond their own state", extra)
+	}
+}
+
+// sinkKey and sinkStore put the measured device state on the heap, where
+// a device's own state lives.
+var (
+	sinkKey   string
+	sinkStore *mobiledb.Store
+)

@@ -100,10 +100,11 @@ rm -f /tmp/mc-trace-a.json /tmp/mc-trace-b.json
 # any host. One WAP and one i-mode transaction and one database commit
 # logged to a WAL sink must stay under their allocs/op ceilings
 # (BenchmarkTxnWAP, BenchmarkTxnIMode, BenchmarkWALCommit), and a WLAN
-# and a GPRS frame round trip must allocate nothing (BenchmarkLANForward,
-# BenchmarkCellFrame); allocation counts do not depend on the host
+# and a GPRS frame round trip and a UDP delivery to one of 16,000 bound
+# ports must allocate nothing (BenchmarkLANForward, BenchmarkCellFrame,
+# BenchmarkUDPDeliver); allocation counts do not depend on the host
 # either.
-go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkSyncCatchUp|BenchmarkTxnWAP$|BenchmarkTxnIMode$|BenchmarkWALCommit$|BenchmarkLANForward$|BenchmarkCellFrame$' \
+go test -run '^$' -bench 'BenchmarkTimerChurn1M|BenchmarkParserFeed|BenchmarkSyncCatchUp|BenchmarkTxnWAP$|BenchmarkTxnIMode$|BenchmarkWALCommit$|BenchmarkLANForward$|BenchmarkCellFrame$|BenchmarkUDPDeliver$' \
 	-count 5 -benchtime 200ms -benchmem ./internal/simnet ./internal/webserver ./internal/core \
 	./internal/database ./internal/workload ./internal/wireless ./internal/cellular >/tmp/mc-bench-gate.txt
 go run ./scripts/benchgate -baseline scripts/bench_baseline.json /tmp/mc-bench-gate.txt
