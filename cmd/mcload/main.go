@@ -72,16 +72,13 @@ import (
 	"hash/fnv"
 	"io"
 	"os"
-	"strings"
 	"time"
 
-	"mcommerce/internal/cellular"
 	"mcommerce/internal/core"
 	"mcommerce/internal/device"
 	"mcommerce/internal/experiments"
 	"mcommerce/internal/metrics"
 	"mcommerce/internal/mobiledb"
-	"mcommerce/internal/wireless"
 	"mcommerce/internal/workload"
 )
 
@@ -176,25 +173,11 @@ func run(args []string, w io.Writer) error {
 		}, w)
 	}
 
-	cfg := core.MCConfig{Seed: flags.Seed, CC: flags.CC}
-	switch strings.ToLower(*bearer) {
-	case "wlan":
-		cfg.Bearer = core.BearerWLAN
-		std, err := wireless.ByName(*wlanStd)
-		if err != nil {
-			return err
-		}
-		cfg.WLANStandard = std
-	case "cellular":
-		cfg.Bearer = core.BearerCellular
-		std, err := cellular.ByName(*cellStd)
-		if err != nil {
-			return err
-		}
-		cfg.CellStandard = std
-	default:
-		return fmt.Errorf("unknown bearer %q", *bearer)
+	cfg, err := experiments.BearerConfig(*bearer, *wlanStd, *cellStd)
+	if err != nil {
+		return err
 	}
+	cfg.Seed, cfg.CC = flags.Seed, flags.CC
 	profiles := device.Profiles()
 	for i := 0; i < *users; i++ {
 		cfg.Devices = append(cfg.Devices, profiles[i%len(profiles)])

@@ -85,15 +85,13 @@ import (
 	"strings"
 	"time"
 
-	"mcommerce/internal/apps"
 	"mcommerce/internal/cellular"
 	"mcommerce/internal/core"
 	"mcommerce/internal/device"
 	"mcommerce/internal/experiments"
 	"mcommerce/internal/faults"
 	"mcommerce/internal/obs"
-	"mcommerce/internal/webserver"
-	"mcommerce/internal/wireless"
+	"mcommerce/internal/workload"
 )
 
 func main() {
@@ -106,9 +104,7 @@ func main() {
 // scenario is one fully resolved simulation configuration, shared
 // read-only across replicas.
 type scenario struct {
-	bearer     core.BearerKind
-	wlan       wireless.Standard
-	cell       cellular.Standard
+	radio      core.MCConfig // the bearer and its standard
 	middleware string
 	clients    int
 	rounds     int
@@ -163,30 +159,17 @@ func run(args []string) error {
 		return fmt.Errorf("-timeline requires -replicas 1 (concurrent replicas would fight over the file)")
 	}
 
+	radio, err := experiments.BearerConfig(*bearer, *wlanStd, *cellStd)
+	if err != nil {
+		return err
+	}
 	sc := scenario{
+		radio:      radio,
 		middleware: *middleware, clients: *clients, rounds: *rounds,
 		dbReplicas: *dbReplicas,
 		faults:     *withFaults,
 		metrics:    *withMetrics, metricsFmt: strings.ToLower(*metricsFormat),
 		flags: *flags,
-	}
-	switch strings.ToLower(*bearer) {
-	case "wlan":
-		sc.bearer = core.BearerWLAN
-		std, err := wireless.ByName(*wlanStd)
-		if err != nil {
-			return err
-		}
-		sc.wlan = std
-	case "cellular":
-		sc.bearer = core.BearerCellular
-		std, err := cellular.ByName(*cellStd)
-		if err != nil {
-			return err
-		}
-		sc.cell = std
-	default:
-		return fmt.Errorf("unknown bearer %q", *bearer)
 	}
 
 	if *replicas == 1 {
@@ -220,7 +203,8 @@ func run(args []string) error {
 // runOne builds the scenario's system at the given seed, drives the
 // workload and writes the report to w.
 func runOne(sc scenario, seed int64, w io.Writer) error {
-	cfg := core.MCConfig{Seed: seed, Bearer: sc.bearer, WLANStandard: sc.wlan, CellStandard: sc.cell, DBReplicas: sc.dbReplicas, CC: sc.flags.CC}
+	cfg := sc.radio
+	cfg.Seed, cfg.DBReplicas, cfg.CC = seed, sc.dbReplicas, sc.flags.CC
 	profiles := device.Profiles()
 	for i := 0; i < sc.clients; i++ {
 		cfg.Devices = append(cfg.Devices, profiles[i%len(profiles)])
@@ -235,13 +219,9 @@ func runOne(sc scenario, seed int64, w io.Writer) error {
 		tl.Attach(mc.Net)
 	}
 	sc.flags.EnableTrace(mc.Net.Tracer)
-	if err := apps.RegisterAll(mc.Host); err != nil {
+	if err := workload.RegisterHandlers(mc.Host); err != nil {
 		return err
 	}
-	mc.Host.Server.Handle("/shop", func(r *webserver.Request) *webserver.Response {
-		return webserver.HTML(`<html><head><title>WidgetShop</title></head>
-<body><h1>Catalog</h1><p>Buy <a href="/item">widgets</a> now.</p></body></html>`)
-	})
 	if err := mc.Sys.Validate(); err != nil {
 		return fmt.Errorf("system model invalid: %w", err)
 	}

@@ -18,7 +18,7 @@ func TestRunSmallWLANScenario(t *testing.T) {
 // on a faulted run and on a clean one that ends in the telemetry dump.
 func TestRunFaultedScenarioDeterministic(t *testing.T) {
 	base := scenario{middleware: "wap", clients: 2, rounds: 2,
-		bearer: core.BearerWLAN, wlan: wireless.IEEE80211b}
+		radio: core.MCConfig{Bearer: core.BearerWLAN, WLANStandard: wireless.IEEE80211b}}
 	faulted, metrics := base, base
 	faulted.faults = true
 	metrics.metrics = true

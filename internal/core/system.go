@@ -232,7 +232,7 @@ func BuildMC(cfg MCConfig) (*MC, error) {
 		return nil, fmt.Errorf("core: wap gateway: %w", err)
 	}
 	if !cfg.DisableIMode {
-		mc.IMode, err = imode.NewGateway(gw, gwStack, imode.GatewayConfig{TCP: tcp})
+		mc.IMode, err = imode.NewGateway(gw, gwStack, tcp)
 		if err != nil {
 			return nil, fmt.Errorf("core: imode gateway: %w", err)
 		}

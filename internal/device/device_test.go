@@ -147,7 +147,7 @@ func newBrowserTopo(t testing.TB, p device.Profile) *browserTopo {
 	if err != nil {
 		t.Fatalf("wap gateway: %v", err)
 	}
-	imodeGW, err := imode.NewGateway(gw, gwStack, imode.GatewayConfig{})
+	imodeGW, err := imode.NewGateway(gw, gwStack, mtcp.Options{})
 	if err != nil {
 		t.Fatalf("imode gateway: %v", err)
 	}

@@ -62,33 +62,17 @@ func adhocRun(seed int64, hops int) (goodputBps float64, httpLat time.Duration) 
 	srcStack := mtcp.MustNewStack(src)
 	dstStack := mtcp.MustNewStack(dst)
 
-	// TCP bulk transfer.
-	const size = 200 << 10
-	got := 0
-	var doneAt time.Duration
-	if err := dstStack.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-		c.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size && doneAt == 0 {
-				doneAt = net.Sched.Now()
-			}
-		})
-	}); err != nil {
+	// TCP bulk transfer. The scheduler keeps running after it for the
+	// HTTP round trip, so the download does not stop it.
+	d := &download{sched: net.Sched, size: 200 << 10}
+	if err := d.start(srcStack, dstStack, mtcp.Options{RTOInitial: 500 * time.Millisecond}); err != nil {
 		return 0, 0
 	}
-	srcStack.Dial(simnet.Addr{Node: dst.ID, Port: 80}, ccOpts(mtcp.Options{RTOInitial: 500 * time.Millisecond}),
-		func(c *mtcp.Conn, err error) {
-			if err == nil {
-				c.Send(make([]byte, size))
-			}
-		})
-	if err := net.Sched.RunFor(5 * time.Minute); err != nil {
+	d.run(5 * time.Minute)
+	if d.doneAt == 0 {
 		return 0, 0
 	}
-	if doneAt == 0 {
-		return 0, 0
-	}
-	goodputBps = float64(size*8) / doneAt.Seconds()
+	goodputBps = d.bps(d.doneAt)
 
 	// One small HTTP round trip on warm routes.
 	srv, err := webserver.New(dstStack, 8080, ccOpts(mtcp.Options{}))

@@ -8,9 +8,12 @@ import (
 	"strings"
 	"time"
 
+	"mcommerce/internal/cellular"
+	"mcommerce/internal/core"
 	"mcommerce/internal/mtcp"
 	"mcommerce/internal/obs"
 	"mcommerce/internal/trace"
+	"mcommerce/internal/wireless"
 )
 
 // The command-line surface shared by mcsim, mcload and mcbench: one
@@ -61,6 +64,25 @@ func (f *RunFlags) AddObsFlags(fs *flag.FlagSet) {
 	fs.StringVar(&f.Trace, "trace", "", "write sampled transactions as a Chrome trace-event (Perfetto) JSON file and print a critical-path table")
 	fs.IntVar(&f.TraceSample, "trace-sample", 1, "with -trace, keep every Nth transaction (deterministic 1-in-N sampling by trace ID)")
 	fs.StringVar(&f.SLO, "slo", "", "evaluate a built-in SLO rule set over the sampled timeline: default (the set for the run), mc, chaos, syncstorm, tcpfault or scale")
+}
+
+// BearerConfig resolves the -bearer, -wlan and -cell flags of the
+// full-fidelity commands (mcsim, mcload) into the radio half of a
+// deployment's configuration.
+func BearerConfig(bearer, wlanStd, cellStd string) (core.MCConfig, error) {
+	var cfg core.MCConfig
+	var err error
+	switch strings.ToLower(bearer) {
+	case "wlan":
+		cfg.Bearer = core.BearerWLAN
+		cfg.WLANStandard, err = wireless.ByName(wlanStd)
+	case "cellular":
+		cfg.Bearer = core.BearerCellular
+		cfg.CellStandard, err = cellular.ByName(cellStd)
+	default:
+		err = fmt.Errorf("unknown bearer %q", bearer)
+	}
+	return cfg, err
 }
 
 // Min is a command-specific count flag and the least value it accepts.

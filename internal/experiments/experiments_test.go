@@ -148,18 +148,18 @@ func TestTCPVariantsHonourCC(t *testing.T) {
 	CC = mtcp.CCCubic
 	for _, v := range tcpSweepVariants {
 		p := newTCPPath(1, 0.01)
-		ends := p.setupVariant(v, 64<<10, mtcp.Options{}, func([]byte) {})
-		if ends == nil {
+		d := &download{sched: p.net.Sched, size: 64 << 10}
+		if !p.setupVariant(v, mtcp.Options{}, d) {
 			t.Fatalf("%s: setup failed", v)
 		}
 		if err := p.net.Sched.RunUntil(time.Second); err != nil {
 			t.Fatalf("%s: %v", v, err)
 		}
-		if ends.fixed == nil {
+		if d.send == nil {
 			t.Errorf("%s: no fixed sender after 1s", v)
 			continue
 		}
-		if got := ends.fixed.CCName(); got != mtcp.CCCubic {
+		if got := d.send.CCName(); got != mtcp.CCCubic {
 			t.Errorf("%s: fixed sender runs %q under -cc cubic", v, got)
 		}
 	}
@@ -172,7 +172,7 @@ func TestHandoffAndMobileIPHonourCC(t *testing.T) {
 	defer func(old string) { CC = old }(CC)
 	run := func(cc string) (handoff, mip time.Duration) {
 		CC = cc
-		handoff = handoffRun(1, 2*time.Second, 1536<<10, false)
+		handoff, _ = blackoutRun(1, 1536<<10, time.Second, 400*time.Millisecond, 2*time.Second, false, 30*time.Minute)
 		_, mip, _, _, _ = mipRun(1, true, true, 400<<10, 2*time.Minute)
 		return handoff, mip
 	}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"mcommerce/internal/mtcp"
-	"mcommerce/internal/simnet"
 )
 
 // HandoffSweep quantifies the paper's "frequent handoffs and
@@ -19,10 +18,17 @@ func HandoffSweep(seed int64) *Result {
 		"blackout period", "standard TCP", "with reconnect signal [2]", "improvement")
 
 	const size = 1536 << 10
+	const horizon = 30 * time.Minute
 	periods := []time.Duration{0, 5 * time.Second, 2 * time.Second, time.Second}
 	for _, period := range periods {
-		plain := handoffRun(seed, period, size, false)
-		fast := handoffRun(seed, period, size, true)
+		// First blackout early so even fast transfers meet disconnections;
+		// period 0 is the no-blackout baseline.
+		length := 400 * time.Millisecond
+		if period == 0 {
+			length = 0
+		}
+		plain, _ := blackoutRun(seed, size, time.Second, length, period, false, horizon)
+		fast, _ := blackoutRun(seed, size, time.Second, length, period, true, horizon)
 		label := "none"
 		if period > 0 {
 			label = fmt.Sprintf("every %s", period)
@@ -41,56 +47,49 @@ func HandoffSweep(seed int64) *Result {
 	return res
 }
 
-// handoffRun transfers size bytes with a 400 ms blackout every period
-// (period 0 means no blackouts) and returns completion time.
-func handoffRun(seed int64, period time.Duration, size int, signal bool) time.Duration {
+// blackoutRun downloads size bytes fixed→mobile through wireless
+// blackouts of the given length: the first at first, then one every
+// period (period 0: only the first; length 0: none). With signal the
+// mobile fires the reconnection signal of [2] as each blackout lifts.
+// It returns the completion time (horizon if incomplete) and the idle gap
+// between the first blackout lifting and the next delivery.
+func blackoutRun(seed int64, size int, first, length, period time.Duration, signal bool, horizon time.Duration) (elapsed, idle time.Duration) {
 	p := newTCPPath(seed, 0)
-	var mobileConn *mtcp.Conn
-	got := 0
-	var doneAt time.Duration
-	if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-		mobileConn = c
-		c.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size && doneAt == 0 {
-				doneAt = p.net.Sched.Now()
-				p.net.Sched.Stop()
-			}
-		})
-	}); err != nil {
-		return 0
-	}
-	p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-		if err == nil {
-			c.Send(make([]byte, size))
+	heal := first + length
+	var firstAfter time.Duration
+	d := &download{sched: p.net.Sched, size: size, stop: true, onData: func(now time.Duration) {
+		if firstAfter == 0 && now > heal {
+			firstAfter = now
 		}
-	})
-	if period > 0 {
-		const blackout = 400 * time.Millisecond
+	}}
+	if err := d.start(p.fs, p.ms, mtcp.Options{}); err != nil {
+		return 0, 0
+	}
+	if length > 0 {
 		var schedule func(at time.Duration)
 		schedule = func(at time.Duration) {
 			p.net.Sched.At(at, func() {
-				if doneAt != 0 {
+				if d.doneAt != 0 {
 					return
 				}
 				p.wireless.IfaceB().Up = false
-				p.net.Sched.After(blackout, func() {
+				p.net.Sched.After(length, func() {
 					p.wireless.IfaceB().Up = true
-					if signal && mobileConn != nil {
-						mobileConn.SignalReconnect()
+					if signal && d.recv != nil {
+						d.recv.SignalReconnect()
 					}
 				})
-				schedule(at + period)
+				if period > 0 {
+					schedule(at + period)
+				}
 			})
 		}
-		// First blackout early so even fast transfers meet disconnections.
-		schedule(time.Second)
+		schedule(first)
 	}
-	if err := p.net.Sched.RunUntil(30 * time.Minute); err != nil && err != simnet.ErrStopped {
-		return 0
+	d.run(horizon)
+	elapsed, _ = d.elapsed(horizon)
+	if firstAfter > heal {
+		idle = firstAfter - heal
 	}
-	if doneAt == 0 {
-		return 30 * time.Minute
-	}
-	return doneAt
+	return elapsed, idle
 }

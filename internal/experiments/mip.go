@@ -41,26 +41,10 @@ func mipRun(seed int64, move, useMobileIP bool, size int, horizon time.Duration)
 		HomeAgent: simnet.Addr{Node: home.ID, Port: mobileip.MobileIPPort},
 	})
 
-	cs := mtcp.MustNewStack(corr)
-	ms := mtcp.MustNewStack(mob)
-	got := 0
-	var doneAt time.Duration
-	if err := ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-		c.OnData(func(b []byte) {
-			got += len(b)
-			if got >= size && doneAt == 0 {
-				doneAt = net.Sched.Now()
-				net.Sched.Stop()
-			}
-		})
-	}); err != nil {
+	d := &download{sched: net.Sched, size: size, stop: true}
+	if err := d.start(mtcp.MustNewStack(corr), mtcp.MustNewStack(mob), mtcp.Options{}); err != nil {
 		return false, 0, 0, 0, 0
 	}
-	cs.Dial(simnet.Addr{Node: mob.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-		if err == nil {
-			c.Send(make([]byte, size))
-		}
-	})
 
 	if move {
 		net.Sched.At(100*time.Millisecond, func() {
@@ -78,14 +62,10 @@ func mipRun(seed int64, move, useMobileIP bool, size int, horizon time.Duration)
 		})
 	}
 
-	if err := net.Sched.RunUntil(horizon); err != nil && err != simnet.ErrStopped {
-		return false, 0, 0, 0, 0
-	}
+	d.run(horizon)
 	st := ha.Stats()
-	if doneAt == 0 {
-		return false, horizon, st.Tunneled, st.Tunneled * simnet.IPHeaderBytes, regLatency
-	}
-	return true, doneAt, st.Tunneled, st.Tunneled * simnet.IPHeaderBytes, regLatency
+	elapsed, completed = d.elapsed(horizon)
+	return completed, elapsed, st.Tunneled, st.Tunneled * simnet.IPHeaderBytes, regLatency
 }
 
 // MobileIPRoaming reproduces the Section 5.2 Mobile IP description: the

@@ -33,25 +33,12 @@ func wlanGoodput(seed int64, std wireless.Standard, dist float64, window time.Du
 		return 0
 	}
 
-	ss := mtcp.MustNewStack(server)
-	cs := mtcp.MustNewStack(stNode)
-	got := 0
-	if err := cs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-		c.OnData(func(b []byte) { got += len(b) })
-	}); err != nil {
+	d := &download{sched: net.Sched, size: 8 << 20}
+	if err := d.start(mtcp.MustNewStack(server), mtcp.MustNewStack(stNode), mtcp.Options{}); err != nil {
 		return 0
 	}
-	payload := make([]byte, 8<<20)
-	ss.Dial(simnet.Addr{Node: stNode.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-		if err != nil {
-			return
-		}
-		c.Send(payload)
-	})
-	if err := net.Sched.RunUntil(window); err != nil {
-		return 0
-	}
-	return float64(got*8) / window.Seconds()
+	d.run(window)
+	return d.bps(window)
 }
 
 // Table4 reproduces "Major WLAN standards": each row carries the paper's

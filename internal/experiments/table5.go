@@ -34,23 +34,15 @@ func cellularMeasure(seed int64, std cellular.Standard, window time.Duration) (t
 
 	ss := mtcp.MustNewStack(server)
 	ms := mtcp.MustNewStack(mobNode)
-	got := 0
-	if err := ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-		c.OnData(func(b []byte) { got += len(b) })
-	}); err != nil {
+	d := &download{sched: net.Sched, size: 8 << 20}
+	if err := d.listen(ms); err != nil {
 		return 0, 0, false
 	}
 
 	var setup time.Duration
 	start := func() {
 		setup = net.Sched.Now()
-		payload := make([]byte, 8<<20)
-		ss.Dial(simnet.Addr{Node: mobNode.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-			if err != nil {
-				return
-			}
-			c.Send(payload)
-		})
+		d.dial(ss, ms, mtcp.Options{})
 	}
 	var err error
 	if std.Switching == cellular.CircuitSwitched {
@@ -61,17 +53,13 @@ func cellularMeasure(seed int64, std cellular.Standard, window time.Duration) (t
 	if err != nil {
 		return 0, 0, false
 	}
-	if err := net.Sched.RunUntil(setupDeadline(window)); err != nil {
-		return 0, 0, false
-	}
+	d.run(window)
 	transfer := net.Sched.Now() - setup
 	if transfer <= 0 {
 		return setup, 0, true
 	}
-	return setup, float64(got*8) / transfer.Seconds(), true
+	return setup, d.bps(transfer), true
 }
-
-func setupDeadline(window time.Duration) time.Duration { return window }
 
 // Table5 reproduces "Major cellular wireless networks": every standard's
 // generation/radio/switching columns from the paper plus measured

@@ -62,64 +62,35 @@ type tcpOutcome struct {
 	timeouts    uint64
 }
 
-// tcpEnds are the two endpoints a transport variant's measurement
-// watches: the fixed (wired) sender and the mobile receiver. Both are set
-// once their connections exist.
-type tcpEnds struct {
-	fixed, mobile *mtcp.Conn
-}
-
-// setupVariant builds the named §5.2 transport variant on p, ready to
-// push size bytes fixed→mobile; onData sees the mobile's in-order
-// deliveries. relayWired configures the I-TCP relay's wired leg. Every
-// endpoint's congestion control comes from ccOpts. It returns nil for an
-// unknown variant or a failed setup.
-func (p *tcpPath) setupVariant(variant string, size int, relayWired mtcp.Options, onData func([]byte)) *tcpEnds {
-	e := &tcpEnds{}
-	mobileAccepts := func(c *mtcp.Conn) {
-		e.mobile = c
-		c.OnData(onData)
-	}
-	fixedSends := func(c *mtcp.Conn, err error) {
-		if err == nil {
-			c.Send(make([]byte, size))
-		}
-	}
-	mobileAddr := simnet.Addr{Node: p.mobile.ID, Port: 80}
+// setupVariant builds the named §5.2 transport variant on p, ready for d
+// to push its payload fixed→mobile. relayWired configures the I-TCP
+// relay's wired leg. Every endpoint's congestion control comes from
+// ccOpts. It reports false for an unknown variant or a failed setup.
+func (p *tcpPath) setupVariant(variant string, relayWired mtcp.Options, d *download) bool {
 	switch variant {
 	case "TCP (end-to-end Reno)", "TCP + fast reconnect [2]", "TCP (end-to-end NewReno)":
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), mobileAccepts); err != nil {
-			return nil
-		}
-		e.fixed = p.fs.Dial(mobileAddr, ccOpts(mtcp.Options{NewReno: variant == "TCP (end-to-end NewReno)"}), fixedSends)
+		return d.start(p.fs, p.ms, mtcp.Options{NewReno: variant == "TCP (end-to-end NewReno)"}) == nil
 	case "I-TCP (split connection)":
 		// The fixed server listens; the mobile connects through the
 		// gateway relay; the server pushes the payload.
-		if err := p.fs.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-			e.fixed = c
-			c.Send(make([]byte, size))
-		}); err != nil {
-			return nil
+		if err := p.fs.Listen(80, ccOpts(mtcp.Options{}), d.push); err != nil {
+			return false
 		}
 		if _, err := mtcp.NewRelay(p.gs, 8080, simnet.Addr{Node: p.fixed.ID, Port: 80},
 			ccOpts(mtcp.Options{RTOMin: 100 * time.Millisecond}), ccOpts(relayWired)); err != nil {
-			return nil
+			return false
 		}
 		p.ms.Dial(simnet.Addr{Node: p.gateway.ID, Port: 8080}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
 			if err == nil {
-				mobileAccepts(c)
+				d.accept(c)
 			}
 		})
+		return true
 	case "Snoop (packet caching)":
 		mtcp.NewSnoopAgent(p.gateway, func(id simnet.NodeID) bool { return id == p.mobile.ID })
-		if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), mobileAccepts); err != nil {
-			return nil
-		}
-		e.fixed = p.fs.Dial(mobileAddr, ccOpts(mtcp.Options{}), fixedSends)
-	default:
-		return nil
+		return d.start(p.fs, p.ms, mtcp.Options{}) == nil
 	}
-	return e
+	return false
 }
 
 // runVariant pushes size bytes fixed→mobile under the named variant and
@@ -127,35 +98,15 @@ func (p *tcpPath) setupVariant(variant string, size int, relayWired mtcp.Options
 func runVariant(seed int64, variant string, loss float64, size int, horizon time.Duration) tcpOutcome {
 	p := newTCPPath(seed, loss)
 	var out tcpOutcome
-
-	got := 0
-	var doneAt time.Duration
-	onData := func(b []byte) {
-		got += len(b)
-		if got >= size && doneAt == 0 {
-			doneAt = p.net.Sched.Now()
-			p.net.Sched.Stop()
-		}
-	}
-	ends := p.setupVariant(variant, size, mtcp.Options{}, onData)
-	if ends == nil {
+	d := &download{sched: p.net.Sched, size: size, stop: true}
+	if !p.setupVariant(variant, mtcp.Options{}, d) {
 		return out
 	}
-
-	if err := p.net.Sched.RunUntil(horizon); err != nil && err != simnet.ErrStopped {
-		return out
-	}
-	if doneAt == 0 {
-		// Incomplete within the horizon.
-		out.elapsed = horizon
-		out.goodputBps = float64(got*8) / horizon.Seconds()
-	} else {
-		out.completed = true
-		out.elapsed = doneAt
-		out.goodputBps = float64(size*8) / doneAt.Seconds()
-	}
-	if ends.fixed != nil {
-		st := ends.fixed.Stats()
+	d.run(horizon)
+	out.elapsed, out.completed = d.elapsed(horizon)
+	out.goodputBps = d.bps(out.elapsed)
+	if d.send != nil {
+		st := d.send.Stats()
 		out.retransmits = st.Retransmits
 		out.timeouts = st.Timeouts
 	}
@@ -199,7 +150,7 @@ func TCPVariants(seed int64) []*Result {
 	recon := newResult("E-TCP(b)", "Fast retransmission after reconnection [2] (120 KB through a 4.2 s blackout)",
 		"scheme", "transfer time", "idle after reconnect")
 	for _, signal := range []bool{false, true} {
-		elapsed, idle := reconnectRun(seed, signal)
+		elapsed, idle := blackoutRun(seed, 120<<10, 300*time.Millisecond, 4200*time.Millisecond, 0, signal, 10*time.Minute)
 		name := "standard TCP (waits for backed-off RTO)"
 		if signal {
 			name = "fast retransmit on reconnection [2]"
@@ -211,58 +162,6 @@ func TCPVariants(seed int64) []*Result {
 	}
 	recon.Note("[2] 'utilizes the fast retransmission option immediately after handoff is completed' — recovery begins one RTT after reconnection instead of at the next backed-off timeout")
 	return []*Result{sweep, recon}
-}
-
-// reconnectRun transfers 120 KB through a 300 ms – 4.5 s blackout and
-// returns (completion time, idle time between reconnection and the first
-// post-blackout delivery).
-func reconnectRun(seed int64, signal bool) (time.Duration, time.Duration) {
-	p := newTCPPath(seed, 0)
-	const size = 120 << 10
-	const reconnectAt = 4500 * time.Millisecond
-
-	var mobileConn *mtcp.Conn
-	got := 0
-	var doneAt, firstAfter time.Duration
-	if err := p.ms.Listen(80, ccOpts(mtcp.Options{}), func(c *mtcp.Conn) {
-		mobileConn = c
-		c.OnData(func(b []byte) {
-			got += len(b)
-			now := p.net.Sched.Now()
-			if firstAfter == 0 && now > reconnectAt {
-				firstAfter = now
-			}
-			if got >= size && doneAt == 0 {
-				doneAt = now
-				p.net.Sched.Stop()
-			}
-		})
-	}); err != nil {
-		return 0, 0
-	}
-	p.fs.Dial(simnet.Addr{Node: p.mobile.ID, Port: 80}, ccOpts(mtcp.Options{}), func(c *mtcp.Conn, err error) {
-		if err == nil {
-			c.Send(make([]byte, size))
-		}
-	})
-	p.net.Sched.At(300*time.Millisecond, func() { p.wireless.IfaceB().Up = false })
-	p.net.Sched.At(reconnectAt, func() {
-		p.wireless.IfaceB().Up = true
-		if signal && mobileConn != nil {
-			mobileConn.SignalReconnect()
-		}
-	})
-	if err := p.net.Sched.RunUntil(10 * time.Minute); err != nil && err != simnet.ErrStopped {
-		return 0, 0
-	}
-	if doneAt == 0 {
-		doneAt = p.net.Sched.Now()
-	}
-	idle := time.Duration(0)
-	if firstAfter > reconnectAt {
-		idle = firstAfter - reconnectAt
-	}
-	return doneAt, idle
 }
 
 // The transport testbed's default fault plan, the §5.2 counterpart of
@@ -318,29 +217,20 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 	tl := obs.NewTimeline(TimelineInterval)
 	tl.Attach(p.net)
 
-	got := 0
-	var doneAt time.Duration
-	onData := func(b []byte) {
-		now := p.net.Sched.Now()
+	d := &download{sched: p.net.Sched, size: size, stop: true, onData: func(now time.Duration) {
 		for i, up := range tcpFaultRestores {
 			if out.recovery[i] == 0 && now > up {
 				out.recovery[i] = now - up
 			}
 		}
-		got += len(b)
-		if got >= size && doneAt == 0 {
-			doneAt = now
-			p.net.Sched.Stop()
-		}
-	}
+	}}
 
 	// The relay's wired leg advertises a window sized to the wired BDP:
 	// the fixed sender then never blasts the LAN queue into overflow
 	// cycles while the wireless leg stalls through a blackout, so its
 	// retransmission counter reflects wireless events reaching it, not
 	// self-inflicted buffer loss.
-	ends := p.setupVariant(variant, size, mtcp.Options{RcvWnd: 64 << 10}, onData)
-	if ends == nil {
+	if !p.setupVariant(variant, mtcp.Options{RcvWnd: 64 << 10}, d) {
 		return out
 	}
 
@@ -349,26 +239,18 @@ func runFaulted(seed int64, variant string, size int, horizon time.Duration) fau
 		// beat; firing at the exact restore instant would race the
 		// injector's link-up event and drop the dupacks on a dead link.
 		for _, up := range tcpFaultRestores {
-			up := up
 			p.net.Sched.At(up+time.Millisecond, func() {
-				if ends.mobile != nil {
-					ends.mobile.SignalReconnect()
+				if d.recv != nil {
+					d.recv.SignalReconnect()
 				}
 			})
 		}
 	}
 
-	if err := p.net.Sched.RunUntil(horizon); err != nil && err != simnet.ErrStopped {
-		return out
-	}
-	if doneAt == 0 {
-		out.elapsed = horizon
-	} else {
-		out.completed = true
-		out.elapsed = doneAt
-	}
-	if ends.fixed != nil {
-		st := ends.fixed.Stats()
+	d.run(horizon)
+	out.elapsed, out.completed = d.elapsed(horizon)
+	if d.send != nil {
+		st := d.send.Stats()
 		if st.SegmentsSent > 0 {
 			out.rtxOverhead = float64(st.Retransmits) / float64(st.SegmentsSent)
 		}

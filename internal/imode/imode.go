@@ -31,13 +31,6 @@ const GatewayPort simnet.Port = 8000
 // OriginHeader names the request header carrying the origin "node:port".
 const OriginHeader = "x-imode-origin"
 
-// GatewayConfig tunes the i-mode portal.
-type GatewayConfig struct {
-	// TCP configures both the mobile-facing listener and origin
-	// connections.
-	TCP mtcp.Options
-}
-
 // GatewayStats counts portal activity.
 type GatewayStats struct {
 	Requests        uint64
@@ -51,7 +44,6 @@ type GatewayStats struct {
 // Gateway is the i-mode portal.
 type Gateway struct {
 	node *simnet.Node
-	cfg  GatewayConfig
 	http *webserver.Client
 	// memo maps recent origin HTML bodies to their cHTML (see filter).
 	memo map[string][]byte
@@ -67,10 +59,11 @@ const (
 )
 
 // NewGateway starts an i-mode portal on the node's TCP stack, which it
-// may share with other services.
-func NewGateway(node *simnet.Node, stack *mtcp.Stack, cfg GatewayConfig) (*Gateway, error) {
-	g := &Gateway{node: node, cfg: cfg, http: webserver.NewClient(stack, cfg.TCP), memo: make(map[string][]byte)}
-	srv, err := webserver.New(stack, GatewayPort, cfg.TCP)
+// may share with other services. tcp configures both the mobile-facing
+// listener and origin connections.
+func NewGateway(node *simnet.Node, stack *mtcp.Stack, tcp mtcp.Options) (*Gateway, error) {
+	g := &Gateway{node: node, http: webserver.NewClient(stack, tcp), memo: make(map[string][]byte)}
+	srv, err := webserver.New(stack, GatewayPort, tcp)
 	if err != nil {
 		return nil, err
 	}

@@ -34,7 +34,7 @@ func newIModeTopo(t testing.TB, seed int64) *imodeTopo {
 	gw.SetRoute(mob.ID, wl.IfaceB())
 	gw.SetRoute(org.ID, wd.IfaceA())
 
-	gateway, err := imode.NewGateway(gw, mtcp.MustNewStack(gw), imode.GatewayConfig{})
+	gateway, err := imode.NewGateway(gw, mtcp.MustNewStack(gw), mtcp.Options{})
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}

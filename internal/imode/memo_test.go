@@ -13,7 +13,7 @@ import (
 func newMemoPortal(t *testing.T) *Gateway {
 	net := simnet.NewNetwork(simnet.NewScheduler(1))
 	node := net.NewNode("portal")
-	g, err := NewGateway(node, mtcp.MustNewStack(node), GatewayConfig{})
+	g, err := NewGateway(node, mtcp.MustNewStack(node), mtcp.Options{})
 	if err != nil {
 		t.Fatalf("NewGateway: %v", err)
 	}

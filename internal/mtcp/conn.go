@@ -86,7 +86,7 @@ type Conn struct {
 	// Receive state.
 	irs     uint32
 	rcvNxt  uint32
-	ooo     map[uint32]*Segment
+	ooo     []*Segment // out-of-order segments by sequence number; nil until one arrives
 	rcvdFin bool
 
 	stats Stats
@@ -104,7 +104,6 @@ func newConn(s *Stack, local simnet.Port, remote simnet.Addr, opts Options) *Con
 		peerWnd:   mss * initialCwndSegs,
 		cc:        newCongestionControl(opts),
 		rto:       opts.RTOInitial,
-		ooo:       make(map[uint32]*Segment),
 	}
 	c.cc.Init(c.sched().Now())
 	c.lastCwnd = c.cc.Cwnd()
@@ -1018,11 +1017,15 @@ func (c *Conn) processData(seg *Segment) {
 		c.acceptInOrder(seg)
 		c.drainOOO()
 	case seqGT(seg.Seq, c.rcvNxt):
-		// Out of order: buffer (bounded) and duplicate-ACK. The segment
-		// itself is pool-owned, so retain an unpooled copy.
+		// Out of order: buffer (bounded, one segment per start) and
+		// duplicate-ACK. The segment itself is pool-owned, so retain an
+		// unpooled copy.
 		if len(c.ooo) < c.opts.RcvWnd/mss+1 {
-			if _, dup := c.ooo[seg.Seq]; !dup {
-				c.ooo[seg.Seq] = seg.clone()
+			i, dup := slices.BinarySearchFunc(c.ooo, seg.Seq, func(s *Segment, seq uint32) int {
+				return int(seqDiff(s.Seq, seq))
+			})
+			if !dup {
+				c.ooo = slices.Insert(c.ooo, i, seg.clone())
 			}
 		}
 		c.stats.DupAcksSent++
@@ -1033,27 +1036,17 @@ func (c *Conn) processData(seg *Segment) {
 	c.sendAck()
 }
 
-// drainOOO repeatedly consumes buffered segments that extend the in-order
-// stream, discarding fully stale ones.
+// drainOOO consumes buffered segments from the front of the queue while
+// they reach the in-order stream, delivering those that extend it and
+// discarding those it already covers. The queue is re-read after every
+// delivery, since the data callback may tear the connection down.
 func (c *Conn) drainOOO() {
-	for {
-		var found *Segment
-		for s, sg := range c.ooo {
-			switch {
-			case seqLE(s+sg.Len(), c.rcvNxt):
-				delete(c.ooo, s) // fully covered already
-			case seqLE(s, c.rcvNxt):
-				found = sg
-				delete(c.ooo, s)
-			}
-			if found != nil {
-				break
-			}
+	for len(c.ooo) > 0 && seqLE(c.ooo[0].Seq, c.rcvNxt) {
+		sg := c.ooo[0]
+		c.ooo = slices.Delete(c.ooo, 0, 1)
+		if seqGT(sg.Seq+sg.Len(), c.rcvNxt) {
+			c.acceptInOrder(sg)
 		}
-		if found == nil {
-			return
-		}
-		c.acceptInOrder(found)
 	}
 }
 

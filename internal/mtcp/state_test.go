@@ -2,6 +2,7 @@ package mtcp
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -452,5 +453,61 @@ func TestSenderRespectsPeerWindow(t *testing.T) {
 	}
 	if cwnd := cl.cc.Cwnd(); cwnd <= rcvWnd {
 		t.Logf("note: cwnd %d never exceeded the advertised window", cwnd)
+	}
+}
+
+// TestOutOfOrderDrainIsOrdered pins reassembly order when two buffered
+// segments overlap: once [0,1300) arrives, both [1000,2400) and
+// [1200,2600) reach the next expected byte, and the lower one is
+// delivered first. Each case runs on 64 fresh connections, so a queue
+// whose drain order depended on map iteration would fail; the wrap case
+// starts the stream 1,023 bytes below 2^32.
+func TestOutOfOrderDrainIsOrdered(t *testing.T) {
+	wrapISS := uint32(0xFFFF_FC00)
+	for _, tc := range []struct {
+		name string
+		iss  *uint32
+	}{{"plain", nil}, {"wrap", &wrapISS}} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := newPair(t, 1, simnet.LinkConfig{Rate: 10 * simnet.Mbps, Delay: time.Millisecond})
+			var conns []*Conn
+			if err := p.ss.Listen(80, Options{}, func(c *Conn) { conns = append(conns, c) }); err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			const n = 64
+			for i := 0; i < n; i++ {
+				p.cs.Dial(simnet.Addr{Node: p.server.ID, Port: 80}, Options{issOverride: tc.iss}, func(*Conn, error) {})
+			}
+			if err := p.net.Sched.RunUntil(time.Second); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if len(conns) != n {
+				t.Fatalf("accepted %d connections, want %d", len(conns), n)
+			}
+			want := [][2]int{{0, 1300}, {1300, 2400}, {2400, 2600}}
+			for i, c := range conns {
+				base := c.rcvNxt
+				if tc.iss != nil && base != *tc.iss+1 {
+					t.Fatalf("conn %d: stream starts at %#x, want %#x", i, base, *tc.iss+1)
+				}
+				var got [][2]int
+				c.OnData(func(b []byte) {
+					end := int(c.rcvNxt - base)
+					got = append(got, [2]int{end - len(b), end})
+				})
+				seg := func(from, to int) *Segment {
+					return &Segment{Seq: base + uint32(from), Flags: ACK, Payload: make([]byte, to-from)}
+				}
+				c.processData(seg(1000, 2400))
+				c.processData(seg(1200, 2600))
+				c.processData(seg(0, 1300))
+				if !slices.Equal(got, want) {
+					t.Fatalf("conn %d: delivered chunks %v, want %v", i, got, want)
+				}
+				if len(c.ooo) != 0 {
+					t.Fatalf("conn %d: %d segments left buffered", i, len(c.ooo))
+				}
+			}
+		})
 	}
 }

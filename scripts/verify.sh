@@ -19,7 +19,10 @@
 # trace-event JSON, a sharded mcload -scale run (-shards 4) must be
 # byte-identical to the serial (-shards 1) run at the same seed, and the
 # replicated data tier storm (mcload -sync) must dump the same totals,
-# state digest and telemetry registry serial vs sharded. A bench gate checks, on medians of five
+# state digest and telemetry registry serial vs sharded, and every
+# experiment mcbench runs (-exp all) must print the same report serially
+# on one lane as on two workers and four lanes, under each congestion
+# control algorithm. A bench gate checks, on medians of five
 # runs, the timing wheel's speedup over the reference heap, that the
 # webserver parser frames messages in linear time and that a syncing
 # device's invalidation catch-up does not grow with its backlog, and caps the
@@ -147,6 +150,17 @@ cmp /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
 grep -q '^lost=0 ' /tmp/mc-sync-a.txt
 grep -q '^converged: yes' /tmp/mc-sync-a.txt
 rm -f /tmp/mc-sync-a.txt /tmp/mc-sync-b.txt
+# Every experiment's parallel and shard invariance: mcbench -exp all run
+# serially on one lane must be byte-identical to two concurrent
+# experiments on four lanes, per congestion control algorithm.
+# TestRunnerMatchesSerial compares only Figure 2, Table 4 and the TCP
+# variants; this covers every experiment.
+for alg in reno cubic; do
+	go run ./cmd/mcbench -exp all -seed 1 -cc "$alg" -parallel 1 -shards 1 >/tmp/mc-all-a.txt 2>/dev/null
+	go run ./cmd/mcbench -exp all -seed 1 -cc "$alg" -parallel 2 -shards 4 >/tmp/mc-all-b.txt 2>/dev/null
+	cmp /tmp/mc-all-a.txt /tmp/mc-all-b.txt
+	rm -f /tmp/mc-all-a.txt /tmp/mc-all-b.txt
+done
 # Segment-level TCP: race-clean state machine and congestion control
 # (the mtcp suite exercises both algorithms, simultaneous open/close,
 # TIME_WAIT reuse and the wraparound transfer).
